@@ -26,8 +26,9 @@ help:
 	@echo "                   5 s closed-loop load -> BENCH_service.json"
 	@echo "                   (throughput + per-op latency percentiles +"
 	@echo "                   admission-cache hit ratio)"
-	@echo "  bench-admission  admission-engine canary: scalar vs incremental,"
-	@echo "                   cold vs warm cache, check- vs churn-heavy mixes"
+	@echo "  bench-admission  admission-controller canary: cold vs warm"
+	@echo "                   decision cache x check- vs churn-heavy mixes"
+	@echo "                   (check_heavy_cold ... churn_heavy_warm)"
 	@echo "                   -> BENCH_admission.json (the verify guard"
 	@echo "                   checks warm hit ratios against it)"
 	@echo "  bench-loss       lossy-medium canary: breakdown utilization vs"

@@ -45,8 +45,12 @@ cache (:mod:`repro.cache`): pass ``cache_namespace`` and every computed
 ``(schedulable, tested_by)`` verdict is stored under a key covering the
 analysis signature, policy, admitted population, and candidate — a
 repeat query against the same population short-circuits both tests.
-Cached verdicts are replayed values of the same computation, so results
-stay bit-identical with the cache on, off, warm, or cold.
+The population part of the key is hashed once per population (the
+running digest is dropped only when a committed admit or a successful
+release changes the admitted set), so a key costs O(1) in the number of
+admitted streams.  Cached verdicts are replayed values of the same
+computation, so results stay bit-identical with the cache on, off, warm,
+or cold.
 """
 
 from __future__ import annotations
@@ -225,6 +229,11 @@ class AdmissionController:
         self._cache_signature = (
             analysis.cache_signature() if cache_namespace is not None else None
         )
+        # Running digest of the decision key's population part, built on
+        # the first keyed decision and dropped whenever ``_streams``
+        # changes (``_commit``, ``release``): every candidate key then
+        # costs one digest copy instead of re-hashing the population.
+        self._base_digest = None
 
     # -- views ---------------------------------------------------------------
 
@@ -232,12 +241,6 @@ class AdmissionController:
     def analysis(self):
         """The wrapped protocol analysis."""
         return self._analysis
-
-    @property
-    def engine_name(self) -> str:
-        """Which admission engine answers exact tests (see
-        :mod:`repro.admission_incremental` for the alternative)."""
-        return "scalar"
 
     @property
     def policy(self) -> AdmissionPolicy:
@@ -290,39 +293,41 @@ class AdmissionController:
             return pdp_sufficient_test(self._analysis, candidate).admitted
         return ttp_sufficient_test(self._analysis, candidate).admitted
 
-    def _cache_key(self, base: list[SynchronousStream], candidate: SynchronousStream):
+    def _cache_key(self, period_s: float, payload_bits: float) -> str | None:
         """Content key for one decision, or None when caching is off.
 
+        Covers the analysis signature, the policy, the admitted
+        ``(period, payload)`` multiset (its canonical
+        :func:`~repro.cache.keys.set_signature`) and the candidate.
         Stations are deliberately excluded: both criteria and both
-        sufficient bounds depend only on the (period, payload) multiset,
-        so keying on placements would shrink the hit rate for nothing.
+        sufficient bounds depend only on the multiset, so keying on
+        placements would shrink the hit rate for nothing.  The population
+        part is hashed once per population; lock held by callers.
         """
         if self._cache_signature is None:
             return None
-        from repro.cache.keys import content_key, set_signature
+        from repro.cache import keys
 
-        return content_key(
-            {
-                "admission": 1,
-                "signature": self._cache_signature,
-                "policy": self._policy.value,
-                "base": set_signature(
-                    (s.period_s, s.payload_bits) for s in base
-                ),
-                "candidate": [candidate.period_s, candidate.payload_bits],
-            }
+        if self._base_digest is None:
+            self._base_digest = keys.prefix_chain_seed(
+                {
+                    "admission": 1,
+                    "signature": self._cache_signature,
+                    "policy": self._policy.value,
+                    "base": keys.set_signature(
+                        (s.period_s, s.payload_bits)
+                        for s in self._streams.values()
+                    ),
+                }
+            )
+        return keys.prefix_chain_extend(
+            self._base_digest.copy(), period_s, payload_bits
         )
 
     def _exact_verdicts(self, candidates: list[MessageSet]):
-        """Exact-test verdicts, one per candidate set; the engine hook.
-
-        The scalar engine delegates straight to the analysis's batched
-        dispatch; :class:`~repro.admission_incremental
-        .IncrementalAdmissionController` overrides this with the
-        per-level snapshot evaluation.  Either way the caller treats the
-        analysis as the oracle: a raising candidate must raise exactly
-        the error the analysis would have raised.
-        """
+        """Exact-test verdicts, one per candidate set: the analysis's
+        batched dispatch, so a raising candidate raises exactly the error
+        the analysis would have raised."""
         return self._analysis.is_schedulable_many(candidates)
 
     def _evaluate_many(
@@ -343,9 +348,7 @@ class AdmissionController:
         n = len(candidates)
         out: list[tuple[bool, str] | ReproError | None] = [None] * n
         cache = result_cache() if self._cache_namespace is not None else None
-        with tracing.child_span(
-            "engine", engine=self.engine_name, candidates=n
-        ):
+        with tracing.child_span("engine", candidates=n):
             with tracing.child_span(
                 "cache", namespace=self._cache_namespace or "off"
             ):
@@ -466,7 +469,7 @@ class AdmissionController:
                     )
                     continue
             candidates.append(candidate)
-            keys.append(self._cache_key(base, stream))
+            keys.append(self._cache_key(stream.period_s, stream.payload_bits))
             positions.append(j)
 
         for j, candidate, verdict in zip(
@@ -502,6 +505,7 @@ class AdmissionController:
         self._streams[stream_id] = SynchronousStream(
             period_s=period_s, payload_bits=payload_bits, station=station
         )
+        self._base_digest = None
         return AdmissionDecision(
             admitted=True,
             stream_id=stream_id,
@@ -555,6 +559,7 @@ class AdmissionController:
                     f"unknown or already-released stream id: {stream_id!r}"
                 )
             self._free_stations.append(stream.station)
+            self._base_digest = None
             return ReleaseOutcome(released=True, stream_id=stream_id)
 
     def process_batch(

@@ -10,7 +10,6 @@ payloads.  Hit/miss counters surface as ``cache.*`` metrics in manifests.
 from repro.cache.keys import (
     CACHE_SCHEMA_VERSION,
     canonical_json,
-    chained_prefix_keys,
     code_salt,
     content_key,
     set_signature,
@@ -21,7 +20,6 @@ __all__ = [
     "CACHE_SCHEMA_VERSION",
     "ResultCache",
     "canonical_json",
-    "chained_prefix_keys",
     "clear",
     "code_salt",
     "configure",

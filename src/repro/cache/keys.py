@@ -29,7 +29,6 @@ __all__ = [
     "code_salt",
     "content_key",
     "set_signature",
-    "chained_prefix_keys",
 ]
 
 #: Bump to invalidate every cached result without touching code the salt
@@ -60,7 +59,6 @@ _SALT_MODULES: tuple[str, ...] = (
     "repro.analysis.boundary",
     "repro.analysis.bounds",
     "repro.admission",
-    "repro.admission_incremental",
 )
 
 #: Salt memo keyed by schema version, so tests that bump the version see a
@@ -157,12 +155,12 @@ def set_signature(
 def prefix_chain_seed(seed_payload: object):
     """The running digest every prefix key chain starts from.
 
-    Covers the code salt and the caller's seed payload (analysis
-    signature, schema tag) exactly like :func:`content_key`, so chained
-    keys share the same invalidation behaviour.  The returned object is a
-    ``hashlib`` digest; callers may ``.copy()`` intermediate states to
-    branch a chain cheaply (the incremental admission engine resumes the
-    base population's chain per candidate instead of re-hashing it).
+    Covers the code salt and the caller's seed payload exactly like
+    :func:`content_key`, so chained keys share the same invalidation
+    behaviour.  The returned object is a ``hashlib`` digest; callers may
+    ``.copy()`` it to branch a chain cheaply (the admission controller
+    seeds one chain per admitted population and extends a copy per
+    candidate instead of re-hashing the population).
     """
     digest = hashlib.sha256()
     digest.update(code_salt().encode("ascii"))
@@ -181,24 +179,3 @@ def prefix_chain_extend(digest, period: float, payload: float) -> str:
     """
     digest.update(f"\x00{float(period)!r}\x1f{float(payload)!r}".encode("ascii"))
     return digest.hexdigest()
-
-
-def chained_prefix_keys(
-    seed_payload: object, sorted_pairs: "Sequence[Sequence[float]]"
-) -> list[str]:
-    """Content keys for every prefix of a canonically sorted pair multiset.
-
-    ``sorted_pairs`` must already be in :func:`set_signature` order; key
-    ``i`` then identifies the sub-multiset ``sorted_pairs[: i + 1]``
-    (prefixes of the sorted order are themselves canonical — a sorted
-    multiset and its sorted prefix sequence determine each other).  The
-    digest is chained, so the whole key vector costs one running SHA-256
-    instead of re-hashing ``O(n²)`` pairs; like :func:`content_key`, every
-    key covers the code salt and the caller's seed payload, so
-    permutation-equivalent prefixes collide exactly and nothing else does.
-    """
-    digest = prefix_chain_seed(seed_payload)
-    return [
-        prefix_chain_extend(digest, period, payload)
-        for period, payload in sorted_pairs
-    ]

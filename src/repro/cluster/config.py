@@ -23,7 +23,7 @@ class ClusterConfig:
     ``service`` is the *template* each worker starts from — every worker
     gets a copy with its own ``shard_id``, an ephemeral port, and its
     initial budget lease filled in.  The analysis side of the template
-    (protocol, bandwidth, stations, policy, engine) must be identical
+    (protocol, bandwidth, stations, policy) must be identical
     across workers or the shard-equivalence pin is meaningless; keeping
     one template makes that true by construction.
 

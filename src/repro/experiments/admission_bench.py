@@ -1,8 +1,7 @@
-"""Direct admission-engine canary: ``BENCH_admission.json``.
+"""Direct admission-controller canary: ``BENCH_admission.json``.
 
 ``runner bench-admission`` (``make bench-admission``) measures the
-admission controller itself — no HTTP, no batcher — over the four
-regimes the incremental engine was built for:
+admission controller itself — no HTTP, no batcher — over four regimes:
 
 ========================  ====================================================
 ``check_heavy``           the serving steady state: 90% non-mutating checks
@@ -10,7 +9,7 @@ regimes the incremental engine was built for:
                           5% releases
 ``churn_heavy``           an adversarial mix: 40% admits / 30% releases /
                           30% checks, so the base set mutates constantly and
-                          per-level snapshots are invalidated at every turn
+                          most decisions key a population not seen before
 ``cold`` vs ``warm``      each mix runs twice: once against a cleared
                           content-addressed result cache, then again on a
                           fresh controller with the cache retained — the
@@ -18,18 +17,17 @@ regimes the incremental engine was built for:
                           signatures, so controller identity cannot matter)
 ========================  ====================================================
 
-Every cell runs under both engines (``scalar`` and ``incremental``) on
-the **same** deterministic op sequence, so the document doubles as a
-coarse equivalence check: the decision tallies per cell must match
-engine-for-engine (asserted here — a mismatch fails the canary rather
-than writing a wrong-but-green document).
+The cold and warm passes replay the **same** deterministic op sequence,
+so their decision tallies must match (asserted here — a warm pass that
+decides differently means a cached verdict diverged, and fails the
+canary rather than writing a wrong-but-green document).
 
 The output uses the summarized-canary schema
 (:data:`~repro.obs.benchjson.BENCH_SCHEMA_VERSION`): one benchmark entry
-per (engine, mix, phase) cell with per-op latency statistics in
-``stats`` and the cache / incremental-engine counter deltas in
-``extra_info``.  ``tools/verify_smoke.py`` guards the warm cells'
-hit ratio and compares means against the committed baseline.
+per (mix, phase) cell with per-op latency statistics in ``stats`` and
+the decision-cache counter deltas in ``extra_info``.
+``tools/verify_smoke.py`` guards the warm cells' hit ratio and compares
+means against the committed baseline.
 """
 
 from __future__ import annotations
@@ -43,8 +41,7 @@ import time
 import numpy as np
 
 from repro import cache as result_cache
-from repro.admission import AdmissionPolicy
-from repro.admission_incremental import build_admission_controller
+from repro.admission import AdmissionController, AdmissionPolicy
 from repro.analysis.pdp import PDPAnalysis, PDPVariant
 from repro.errors import ReproError
 from repro.network.standards import ieee_802_5_ring, paper_frame_format
@@ -65,7 +62,7 @@ MIXES: dict[str, tuple[float, float]] = {
 _NAMESPACE = "admission-bench"
 
 #: Counter families whose per-cell deltas land in ``extra_info``.
-_COUNTER_PREFIXES = (f"cache.{_NAMESPACE}.", "admission.incremental.")
+_COUNTER_PREFIXES = (f"cache.{_NAMESPACE}.",)
 
 
 def _catalogue(seed: int, size: int = 32) -> list[tuple[float, float]]:
@@ -84,8 +81,8 @@ def _op_sequence(mix: str, seed: int, n_ops: int) -> list[tuple]:
     """One deterministic op list, replayed identically by every cell.
 
     Releases carry an index resolved against the admitted-id list at
-    execution time; because both engines decide identically, the
-    resolved ids match across engines too.
+    execution time; because every pass decides identically, the
+    resolved ids match across passes too.
     """
     admit_fraction, release_fraction = MIXES[mix]
     rng = random.Random(seed)
@@ -103,18 +100,15 @@ def _op_sequence(mix: str, seed: int, n_ops: int) -> list[tuple]:
     return ops
 
 
-def _build(engine: str):
+def _build() -> AdmissionController:
     analysis = PDPAnalysis(
         ieee_802_5_ring(mbps(16.0), n_stations=40),
         paper_frame_format(),
         PDPVariant.MODIFIED,
         cache_size=128,
     )
-    return build_admission_controller(
-        analysis,
-        AdmissionPolicy.EXACT,
-        cache_namespace=_NAMESPACE,
-        engine=engine,
+    return AdmissionController(
+        analysis, AdmissionPolicy.EXACT, cache_namespace=_NAMESPACE
     )
 
 
@@ -126,9 +120,9 @@ def _counter_values() -> dict[str, float]:
     }
 
 
-def _run_cell(engine: str, ops: list[tuple]) -> tuple[list[float], dict]:
+def _run_cell(ops: list[tuple]) -> tuple[list[float], dict]:
     """Replay one op sequence; per-op latencies plus the decision tally."""
-    controller = _build(engine)
+    controller = _build()
     admitted_ids: list[int] = []
     samples: list[float] = []
     tally = {"admitted": 0, "rejected": 0, "released": 0, "checks_true": 0}
@@ -175,62 +169,55 @@ def _stats(samples: list[float]) -> dict:
 def run_admission_bench(seed: int, *, n_ops: int = 400) -> dict:
     """The full canary document (``BENCH_admission.json`` content).
 
-    For each mix, each engine replays the same op sequence twice — cold
-    (result cache cleared) then warm (cache retained, fresh controller).
-    Decision tallies are cross-checked between engines per cell; a
-    divergence raises :class:`~repro.errors.ReproError` instead of
-    emitting a document that benchmarks two different computations.
+    Each mix replays the same op sequence twice — cold (result cache
+    cleared) then warm (cache retained, fresh controller).  The two
+    passes' decision tallies are cross-checked; a divergence raises
+    :class:`~repro.errors.ReproError` instead of emitting a document
+    that benchmarks two different computations.
     """
     benchmarks = []
     for mix in MIXES:
         ops = _op_sequence(mix, seed, n_ops)
-        tallies: dict[tuple[str, str], dict] = {}
-        for engine in ("scalar", "incremental"):
-            result_cache.clear()
-            for phase in ("cold", "warm"):
-                before = _counter_values()
-                samples, tally = _run_cell(engine, ops)
-                deltas = {
-                    name: value - before.get(name, 0.0)
-                    for name, value in _counter_values().items()
-                    if value != before.get(name, 0.0)
-                }
-                tallies[(phase, engine)] = tally
-                hits = deltas.get(f"cache.{_NAMESPACE}.hits", 0.0)
-                misses = deltas.get(f"cache.{_NAMESPACE}.misses", 0.0)
-                lookups = hits + misses
-                benchmarks.append(
-                    {
-                        "group": "admission",
-                        "name": f"{mix}_{phase}_{engine}",
-                        "fullname": (
-                            "repro.experiments.admission_bench::"
-                            f"{mix}_{phase}_{engine}"
-                        ),
-                        "params": {
-                            "mix": mix,
-                            "phase": phase,
-                            "engine": engine,
-                            "n_ops": n_ops,
-                            "seed": seed,
-                        },
-                        "extra_info": {
-                            "tally": tally,
-                            "counters": deltas,
-                            "cache_hit_ratio": (
-                                hits / lookups if lookups else None
-                            ),
-                        },
-                        "stats": _stats(samples),
-                    }
-                )
+        tallies: dict[str, dict] = {}
+        result_cache.clear()
         for phase in ("cold", "warm"):
-            if tallies[(phase, "scalar")] != tallies[(phase, "incremental")]:
-                raise ReproError(
-                    f"engine divergence in {mix}/{phase}: "
-                    f"scalar={tallies[(phase, 'scalar')]} "
-                    f"incremental={tallies[(phase, 'incremental')]}"
-                )
+            before = _counter_values()
+            samples, tally = _run_cell(ops)
+            deltas = {
+                name: value - before.get(name, 0.0)
+                for name, value in _counter_values().items()
+                if value != before.get(name, 0.0)
+            }
+            tallies[phase] = tally
+            hits = deltas.get(f"cache.{_NAMESPACE}.hits", 0.0)
+            misses = deltas.get(f"cache.{_NAMESPACE}.misses", 0.0)
+            lookups = hits + misses
+            benchmarks.append(
+                {
+                    "group": "admission",
+                    "name": f"{mix}_{phase}",
+                    "fullname": (
+                        f"repro.experiments.admission_bench::{mix}_{phase}"
+                    ),
+                    "params": {
+                        "mix": mix,
+                        "phase": phase,
+                        "n_ops": n_ops,
+                        "seed": seed,
+                    },
+                    "extra_info": {
+                        "tally": tally,
+                        "counters": deltas,
+                        "cache_hit_ratio": hits / lookups if lookups else None,
+                    },
+                    "stats": _stats(samples),
+                }
+            )
+        if tallies["cold"] != tallies["warm"]:
+            raise ReproError(
+                f"cold/warm divergence in {mix}: "
+                f"cold={tallies['cold']} warm={tallies['warm']}"
+            )
     uname = platform.uname()
     return {
         "schema_version": BENCH_SCHEMA_VERSION,

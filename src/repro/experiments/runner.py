@@ -58,10 +58,9 @@ pool there only adds fork/pickle overhead.
 ``--sim-engine {scalar,fast,auto}`` pins the simulator implementation
 and ``--cache-dir DIR`` persists the content-addressed result cache
 across runs; both are documented in USAGE.md §13.  Cache traffic shows
-up as ``cache.*`` metrics in the manifest.  ``--admission-engine
-{scalar,incremental,auto}`` pins the admission engine the same way
-(USAGE.md §15); ``bench-admission`` measures both engines head to head
-(cold vs warm cache, check-heavy vs churn-heavy mixes) and writes the
+up as ``cache.*`` metrics in the manifest.  ``bench-admission``
+measures the admission controller directly (cold vs warm decision
+cache, check-heavy vs churn-heavy mixes; USAGE.md §15) and writes the
 ``BENCH_admission.json`` canary.
 
 ``loss-sweep`` estimates average breakdown utilization for both
@@ -177,7 +176,6 @@ def _service_config(args: argparse.Namespace, *, port: int | None = None):
         bandwidth_mbps=args.bandwidth,
         n_stations=args.stations if args.stations is not None else 40,
         policy=args.policy,
-        admission_engine=args.admission_engine,
         batch_window_s=args.batch_window,
         batch_max=args.batch_max,
         queue_limit=args.queue_limit,
@@ -327,9 +325,8 @@ def _run_loadgen(args: argparse.Namespace, seed: int, manifest_extra: dict) -> l
     )
 
     # --churn turns the trickle of admit/release into a mutation-heavy
-    # mix: the admitted set changes on most operations, which is the
-    # regime the incremental engine's snapshot invalidation has to earn
-    # its keep in (and the one that used to leave the cache miss-heavy).
+    # mix: the admitted set changes on most operations, so most decisions
+    # are asked against a population the decision cache has not seen.
     admit_fraction, release_fraction = (
         (0.30, 0.30) if args.churn else (0.05, 0.05)
     )
@@ -411,7 +408,6 @@ def _run_loadgen(args: argparse.Namespace, seed: int, manifest_extra: dict) -> l
             f"admission cache: hits={cache['hits']:.0f} "
             f"misses={cache['misses']:.0f} hit_ratio="
             + (f"{ratio:.3f}" if ratio is not None else "n/a")
-            + f"  engine={summary.get('admission_engine')}"
         )
     with open(args.bench_json, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2)
@@ -681,13 +677,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=["exact", "sufficient", "hybrid"],
         help="serve: admission policy",
     )
-    service.add_argument(
-        "--admission-engine", type=str, default=None,
-        choices=["scalar", "incremental", "auto"],
-        help="admission engine: the full batch oracle, the "
-        "O(changed-levels) incremental engine, or auto (incremental "
-        "where supported; the default — USAGE.md §15)",
-    )
     service.add_argument("--batch-window", type=float, default=0.002,
                          help="serve: micro-batch coalescing window (s)")
     service.add_argument("--batch-max", type=int, default=64,
@@ -902,12 +891,6 @@ def main(argv: list[str] | None = None) -> int:
         sim_dispatch.set_default_engine(args.sim_engine)
         log.info("sim engine forced to %s", args.sim_engine,
                  extra={"sim_engine": args.sim_engine})
-    if args.admission_engine is not None:
-        from repro import admission_incremental
-
-        admission_incremental.set_default_engine(args.admission_engine)
-        log.info("admission engine forced to %s", args.admission_engine,
-                 extra={"admission_engine": args.admission_engine})
     if args.cache_dir is not None:
         from repro import cache as result_cache_mod
 

@@ -96,7 +96,6 @@ class TopSession:
         lines = [
             f"repro admission service  "
             f"{health['protocol']}/{health['policy']}  "
-            f"engine={health['admission_engine']}  "
             f"status={health['status']}  "
             f"admitted={health['admitted']}  "
             f"queue={health['queue_depth']}",

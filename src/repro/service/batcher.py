@@ -120,11 +120,6 @@ class MicroBatcher:
         return self._draining
 
     @property
-    def engine_name(self) -> str:
-        """Admission engine of the underlying controller (for reports)."""
-        return getattr(self._controller, "engine_name", "scalar")
-
-    @property
     def queue_depth(self) -> int:
         """Operations queued but not yet dispatched."""
         return self._queue.qsize()
@@ -240,7 +235,7 @@ class MicroBatcher:
         # and cache spans produced inside process_batch land (as shared
         # nodes) on every traced member.
         members = [
-            span.child("batch", batch_size=len(ops), engine=self.engine_name)
+            span.child("batch", batch_size=len(ops))
             for span in spans
             if span is not None
         ]

@@ -89,7 +89,6 @@ class ServiceConfig:
     bandwidth_mbps: float = 16.0
     n_stations: int = 40
     policy: str = "exact"  # "exact" | "sufficient" | "hybrid"
-    admission_engine: str | None = None  # None → resolve (env / "auto")
     batch_window_s: float = 0.002
     batch_max: int = 64
     queue_limit: int = 256
@@ -118,11 +117,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"policy must be 'exact', 'sufficient', or 'hybrid', "
                 f"got {self.policy!r}"
-            )
-        if self.admission_engine not in (None, "scalar", "incremental", "auto"):
-            raise ConfigurationError(
-                f"admission_engine must be 'scalar', 'incremental', or "
-                f"'auto', got {self.admission_engine!r}"
             )
         if self.batch_max < 1:
             raise ConfigurationError(
@@ -163,11 +157,8 @@ def build_controller(config: ServiceConfig) -> AdmissionController:
     The exact-test structure LRU is sized for serving (a load-generator
     catalogue rotates more period vectors than the library default of 4
     holds, and a structure rebuild costs ~ms — it was the dominant term
-    in served-decision p99).  The engine switch resolves through
-    :func:`repro.admission_incremental.resolve_engine`: per-config value,
-    else the process default / ``REPRO_ADMISSION_ENGINE`` / ``auto``.
+    in served-decision p99).
     """
-    from repro.admission_incremental import build_admission_controller
     from repro.analysis.pdp import PDPAnalysis, PDPVariant
     from repro.analysis.ttp import TTPAnalysis
 
@@ -189,11 +180,10 @@ def build_controller(config: ServiceConfig) -> AdmissionController:
         analysis = TTPAnalysis(
             fddi_ring(bandwidth, n_stations=config.n_stations), frame
         )
-    return build_admission_controller(
+    return AdmissionController(
         analysis,
         AdmissionPolicy(config.policy),
         cache_namespace=config.cache_namespace,
-        engine=config.admission_engine,
         utilization_cap=config.utilization_cap,
     )
 

@@ -87,7 +87,6 @@ _MAX_BODY_BYTES = 64 * 1024
 _METRIC_PREFIXES = (
     "service.",
     "cache.admission.",
-    "admission.incremental.",
     "trace.",
 )
 
@@ -164,14 +163,12 @@ class AdmissionServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         _LOG.info(
-            "admission service listening on %s:%d (%s/%s, policy=%s, "
-            "engine=%s)",
+            "admission service listening on %s:%d (%s/%s, policy=%s)",
             self.config.host,
             self.port,
             self.config.protocol,
             self.config.variant,
             self.config.policy,
-            self.controller.engine_name,
         )
 
     def add_drain_hook(self, hook) -> None:
@@ -250,7 +247,6 @@ class AdmissionServer:
             "utilization": self.controller.utilization(),
             "utilization_cap": self.controller.utilization_cap,
             "cache_errors": self._cache_error_count(),
-            "admission_engine": self.controller.engine_name,
             "metrics": metrics.snapshot(prefix=_METRIC_PREFIXES),
             "spans": {
                 path: stats
@@ -577,7 +573,6 @@ class AdmissionServer:
             "cache_errors": self._cache_error_count(),
             "protocol": self.config.protocol,
             "policy": self.config.policy,
-            "admission_engine": self.controller.engine_name,
         }
 
     def _lease_endpoint(self, body: bytes):

@@ -56,18 +56,18 @@ The properties:
     same calls one at a time on a fresh controller: same decisions,
     same station/id assignments, same faults.  Batching is pure
     performance work too.
-``admission_incremental_equiv``
-    The incremental admission engine
-    (:class:`~repro.admission_incremental.IncrementalAdmissionController`,
-    per-level snapshots + canonical sorted-prefix cache keys) must answer
-    a randomized admit/release/check interleaving — including
-    near-saturation probe ladders that cross the feasibility boundary at
-    one priority level — **identically** to the scalar oracle, with the
-    level cache enabled on the incremental side only (so stale or
-    poisoned snapshot/cache entries cannot hide).
+``admission_cache_equiv``
+    The decision cache is pure performance work: a controller fronted by
+    the shared result cache (``cache_namespace="admission"``, keys built
+    from a per-population digest) must answer randomized
+    admit/release/check interleavings **identically** to an uncached
+    oracle — including a crafted ladder that fills to saturation,
+    rejects a heavy candidate, releases one stream so the same candidate
+    must now pass, and re-admits to revisit the earlier population.  A
+    key that outlives the population it hashed shows up as a mismatch.
 ``admission_tracing_equiv``
     Tracing is observational only: the same op sequence issued with
-    request spans installed (sample rate 0, 0.5, or 1.0, both engines)
+    request spans installed (sample rate 0, 0.5, or 1.0)
     must produce decisions **bit-identical** to an untraced twin
     controller — a span attribute or sampling branch that leaks into an
     admission verdict is a correctness bug, not an observability bug.
@@ -115,7 +115,6 @@ from typing import Callable
 import numpy as np
 
 from repro import admission as admission_mod
-from repro import admission_incremental as admission_incremental_mod
 from repro.cluster import budget as cluster_budget_mod
 from repro.cluster import core as cluster_core_mod
 from repro.cluster import hashring as cluster_hashring_mod
@@ -619,39 +618,32 @@ def check_service_batch_equiv(case: FuzzCase) -> Violation | None:
     return None
 
 
-def check_admission_incremental_equiv(case: FuzzCase) -> Violation | None:
-    """The incremental admission engine must match the scalar oracle."""
+def check_admission_cache_equiv(case: FuzzCase) -> Violation | None:
+    """The decision cache must never move an admission decision."""
     policy = (
         admission_mod.AdmissionPolicy.EXACT,
         admission_mod.AdmissionPolicy.SUFFICIENT,
         admission_mod.AdmissionPolicy.HYBRID,
     )[case.index % 3]
     if case.index % 2:
-        analyses = (_ttp_analysis(case), _ttp_analysis(case))
-    else:
-        analyses = (
-            _pdp_analysis(case, PDPVariant.MODIFIED),
-            _pdp_analysis(case, PDPVariant.MODIFIED),
+        analysis_factory = lambda n: TTPAnalysis(  # noqa: E731
+            fddi_ring(case.bandwidth_bps, n_stations=n), _frame()
         )
-    oracle = admission_mod.AdmissionController(analyses[0], policy)
-    # The level cache is live on the incremental side only: a stale or
-    # poisoned per-level entry has no twin on the oracle side to cancel
-    # against, so corruption surfaces as a decision mismatch.
-    engine = admission_incremental_mod.IncrementalAdmissionController(
-        analyses[1], policy, cache_namespace="admission"
-    )
+    else:
+        analysis_factory = lambda n: _pdp_analysis_stations(case, n)  # noqa: E731
 
-    rng = random.Random(case.seed * 1_000_003 + case.index)
-    bandwidth = analyses[0].ring.bandwidth_bps
-    # Probe ladder: same short period, payloads stepping across the
-    # feasibility boundary, so one priority level flips between
-    # consecutive evaluations — the regime where a snapshot off-by-one
-    # (reusing the candidate's own level) changes a verdict.
-    probe_period = min(case.periods_s) / 4
-    probe_payloads = [
-        max(64.0, frac * probe_period * bandwidth)
-        for frac in (0.3, 0.45, 0.55, 0.65, 0.8, 1.1)
-    ]
+    def pair(n_stations, pair_policy):
+        """(cached, uncached oracle) controllers over identical analyses."""
+        return (
+            admission_mod.AdmissionController(
+                analysis_factory(n_stations),
+                pair_policy,
+                cache_namespace="admission",
+            ),
+            admission_mod.AdmissionController(
+                analysis_factory(n_stations), pair_policy
+            ),
+        )
 
     def issue(controller, op):
         try:
@@ -663,116 +655,94 @@ def check_admission_incremental_equiv(case: FuzzCase) -> Violation | None:
         except ReproError as exc:
             return admission_mod.OpFault(type(exc).__name__, str(exc))
 
-    def crafted_prologue(controller):
-        """A deterministic snapshot-staleness scenario (PDP cases).
-
-        Geometry: a peer stream at period ``p1`` plus a light long-period
-        stream at ``4·p1``, then a feather-weight admit at ``1.5·p1``
-        followed by a heavy admit at the same period.  Near the boundary
-        the heavy candidate's *own* level fails only by ceil-quantization
-        (``2·C'_peer + C'`` against ``1.5·p1``) while the long stream's
-        level still passes — so an engine that substitutes a lighter
-        set's snapshotted own-level verdict admits what the oracle
-        rejects.  The (peer, heavy) weight grid straddles the boundary
-        wherever framing overheads land it; everything is released
-        between combos so each starts from an empty base.
-        """
-        results = []
-        budget = probe_period * bandwidth
-        for peer_frac, heavy_frac in (
-            (0.4, 0.5),
-            (0.5, 0.4),
-            (0.45, 0.45),
-            (0.4, 0.45),
-            (0.5, 0.5),
-            (0.55, 0.45),
-            (0.6, 0.4),
-            (0.45, 0.55),
-        ):
-            admitted = []
-            for period_s, payload_bits in (
-                (probe_period, peer_frac * budget),
-                (4.0 * probe_period, 0.05 * budget),
-                (1.5 * probe_period, 64.0),
-                (1.5 * probe_period, heavy_frac * budget),
-            ):
-                outcome = issue(
-                    controller,
-                    admission_mod.AdmissionOp.admit(period_s, payload_bits),
-                )
-                results.append(outcome)
-                if getattr(outcome, "stream_id", None) is not None:
-                    admitted.append(outcome.stream_id)
-            for stream_id in admitted:
-                results.append(
-                    issue(controller, admission_mod.AdmissionOp.release(stream_id))
-                )
-        return results
-
-    if not case.index % 2:
-        # Dedicated controllers: the scenario needs four concurrent
-        # streams (fuzz rings can have a single station) and the exact
-        # test on every admit, independent of the case's policy draw.
-        crafted_engine = admission_incremental_mod.IncrementalAdmissionController(
-            _pdp_analysis_stations(case, 8),
-            admission_mod.AdmissionPolicy.EXACT,
-            cache_namespace="admission",
-        )
-        crafted_oracle = admission_mod.AdmissionController(
-            _pdp_analysis_stations(case, 8), admission_mod.AdmissionPolicy.EXACT
-        )
-        engine_results = crafted_prologue(crafted_engine)
-        oracle_results = crafted_prologue(crafted_oracle)
-        for position, (got, want) in enumerate(
-            zip(engine_results, oracle_results)
-        ):
+    def compare(cached, oracle, ops, label):
+        """Issue ``ops`` on both sides: (first mismatch or None, last
+        oracle answer)."""
+        want = None
+        for position, op in enumerate(ops):
+            got, want = issue(cached, op), issue(oracle, op)
             if got != want:
-                return Violation(
-                    "admission_incremental_equiv",
-                    case,
-                    f"crafted op {position} diverged: incremental={got!r}, "
-                    f"oracle={want!r}",
+                return (
+                    Violation(
+                        "admission_cache_equiv",
+                        case,
+                        f"{label} op {position} ({op.kind}) diverged: "
+                        f"cached={got!r}, oracle={want!r}",
+                    ),
+                    want,
                 )
+        return None, want
 
-    # Several rounds over the case's streams: the stale-snapshot bugs
-    # this property exists to catch need a light probe admitted *before*
-    # a heavier probe at the same priority level, with releases in
-    # between — one pass over a small case rarely produces that shape.
+    # Crafted ladder: fill with copies of one stream until the exact test
+    # rejects the next copy, so that copy is a heavy candidate failing
+    # against the full population F.  One release makes it pass (base
+    # plus candidate is F again, which was admitted); re-admitting it
+    # revisits F, whose cached rejection must come back.  A decision key
+    # that outlives the population it hashed answers the post-release
+    # check from F's entry.  Eight stations and payloads of at least 15%
+    # of the period make the schedulability test, not capacity, end the
+    # fill.
+    n_stations = 8
+    bandwidth = analysis_factory(n_stations).ring.bandwidth_bps
+    probe_period = min(case.periods_s)
+    for frac in (0.15, 0.25, 0.35):
+        cached, oracle = pair(n_stations, admission_mod.AdmissionPolicy.EXACT)
+        admit = admission_mod.AdmissionOp.admit(
+            probe_period, max(64.0, frac * probe_period * bandwidth)
+        )
+        check = admission_mod.AdmissionOp.check(admit.period_s, admit.payload_bits)
+        last_id = None
+        for _ in range(n_stations):
+            violation, outcome = compare(cached, oracle, [check, admit], "fill")
+            if violation is not None:
+                return violation
+            if not getattr(outcome, "admitted", False):
+                break
+            last_id = outcome.stream_id
+        if last_id is None:
+            continue
+        violation, _ = compare(
+            cached,
+            oracle,
+            [
+                admission_mod.AdmissionOp.release(last_id),
+                check,
+                admit,
+                check,
+            ],
+            f"ladder (payload {frac:.0%} of the period)",
+        )
+        if violation is not None:
+            return violation
+
+    # Random interleavings, with a probe ladder stepping one short
+    # period's payload across the feasibility boundary and releases that
+    # include unknown and stale ids in both strict and idempotent modes.
+    cached, oracle = pair(case.n_stations, policy)
+    probe_payloads = [
+        max(64.0, frac * probe_period / 4 * bandwidth)
+        for frac in (0.3, 0.45, 0.55, 0.65, 0.8, 1.1)
+    ]
+    rng = random.Random(case.seed * 1_000_003 + case.index)
     ops: list[admission_mod.AdmissionOp] = []
     while len(ops) < 48:
         for period_s, payload_bits in zip(case.periods_s, case.payloads_bits):
-            roll = rng.random()
-            if roll < 0.25:
-                period_s, payload_bits = probe_period, rng.choice(probe_payloads)
+            if rng.random() < 0.25:
+                period_s, payload_bits = probe_period / 4, rng.choice(
+                    probe_payloads
+                )
             if rng.random() < 0.5:
-                ops.append(
-                    admission_mod.AdmissionOp.admit(period_s, payload_bits)
-                )
+                ops.append(admission_mod.AdmissionOp.admit(period_s, payload_bits))
             else:
-                ops.append(
-                    admission_mod.AdmissionOp.check(period_s, payload_bits)
-                )
+                ops.append(admission_mod.AdmissionOp.check(period_s, payload_bits))
             if rng.random() < 0.3:
-                # Ids scale with the op history so later admits are
-                # eligible too (plus unknown/stale ids, as in the batch
-                # property).
                 ops.append(
                     admission_mod.AdmissionOp.release(
                         rng.randrange(1, len(ops) + 3),
                         idempotent=rng.random() < 0.5,
                     )
                 )
-    for position, op in enumerate(ops):
-        got = issue(engine, op)
-        want = issue(oracle, op)
-        if got != want:
-            return Violation(
-                "admission_incremental_equiv",
-                case,
-                f"op {position} ({op.kind}) diverged: incremental={got!r}, "
-                f"oracle={want!r}",
-            )
-    return None
+    return compare(cached, oracle, ops, "random")[0]
 
 
 def check_admission_tracing_equiv(case: FuzzCase) -> Violation | None:
@@ -796,21 +766,13 @@ def check_admission_tracing_equiv(case: FuzzCase) -> Violation | None:
             case, PDPVariant.MODIFIED
         )
 
-    def build(with_cache: bool):
-        if case.index % 4 < 2:
-            return admission_mod.AdmissionController(
-                analysis_factory(),
-                policy,
-                cache_namespace="admission" if with_cache else None,
-            )
-        return admission_incremental_mod.IncrementalAdmissionController(
-            analysis_factory(),
-            policy,
-            cache_namespace="admission" if with_cache else None,
+    def build():
+        return admission_mod.AdmissionController(
+            analysis_factory(), policy, cache_namespace="admission"
         )
 
-    traced = build(with_cache=True)
-    untraced = build(with_cache=True)
+    traced = build()
+    untraced = build()
     tracer = tracing_mod.Tracer(sample_rate, buffer_size=8)
 
     def issue(controller, op):
@@ -1543,7 +1505,7 @@ CHECKS: dict[str, Callable[[FuzzCase], Violation | None]] = {
     "pdp_fastpath_equiv": check_pdp_fastpath_equiv,
     "ttp_fastpath_equiv": check_ttp_fastpath_equiv,
     "service_batch_equiv": check_service_batch_equiv,
-    "admission_incremental_equiv": check_admission_incremental_equiv,
+    "admission_cache_equiv": check_admission_cache_equiv,
     "admission_tracing_equiv": check_admission_tracing_equiv,
     "analysis_sound_under_loss": check_analysis_sound_under_loss,
     "fault_plan_determinism": check_fault_plan_determinism,

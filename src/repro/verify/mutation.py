@@ -26,10 +26,7 @@ The mutants, and the property expected to catch each:
     The local scheme allocates ``h_i = C_i/q_i + F_ovhd`` instead of
     ``C_i/(q_i - 1)`` — the classic misreading of equation (7) → the
     certified allocation is too small and the TTP simulator misses
-    (``ttp_vs_sim``); the incremental admission engine, which computes
-    its ``h`` terms inline, also diverges from the mutated oracle
-    (``admission_incremental_equiv``), and whichever case comes first
-    in the stream reports the detection.
+    (``ttp_vs_sim``).
 ``split_counts_overshoot``
     The vectorized frame split computes ``K_i = floor(ratio) + 1``
     unconditionally, overcounting frames at exact info-field multiples →
@@ -41,15 +38,14 @@ The mutants, and the property expected to catch each:
     every sub-frame tail in the high-bandwidth regime where wire time
     beats the ring latency → caught bit-for-bit by
     ``pdp_fastpath_equiv`` against the scalar oracle.
-``incremental_stale_level``
-    The incremental admission engine treats the candidate's *own*
-    priority level as reusable base state (``position + 1`` instead of
-    ``position`` snapshot levels) — the classic fencepost on "levels
-    above mine are unaffected".  A light probe's own-level pass is
-    snapshotted under the base's key, and a later heavier probe at the
-    same level reuses the stale verdict instead of re-testing → caught
-    by ``admission_incremental_equiv``'s boundary-crossing probe
-    ladders against the scalar oracle.
+``decision_key_stale_base``
+    :meth:`~repro.admission.AdmissionController.release` forgets to drop
+    the memoised population digest of the decision key, so after a
+    release every candidate is keyed as if the freed stream were still
+    admitted.  A rejection cached against the full population then
+    answers a candidate that now fits → caught by
+    ``admission_cache_equiv``'s fill/reject/release/re-check ladder
+    against the uncached oracle.
 ``fault_recovery_swallowed``
     The fault injector consumes ring fault events (the counters still
     tick) but charges zero recovery stall — a lossy-medium run silently
@@ -172,8 +168,21 @@ def _buggy_short_frame_occupancy(chunk_bits, overhead_bits, bandwidth_bps, theta
     return (chunk_bits + overhead_bits) / bandwidth_bps  # BUG: drops the Θ floor
 
 
-def _buggy_snapshot_reusable_levels(position):
-    return position + 1  # BUG: counts the candidate's own level as reusable
+def _buggy_release(self, stream_id, idempotent=False):
+    from repro.admission import ReleaseOutcome
+    from repro.errors import AdmissionError
+
+    with self._lock:
+        stream = self._streams.pop(stream_id, None)
+        if stream is None:
+            if idempotent:
+                return ReleaseOutcome(released=False, stream_id=stream_id)
+            raise AdmissionError(
+                f"unknown or already-released stream id: {stream_id!r}"
+            )
+        self._free_stations.append(stream.station)
+        # BUG: the memoised decision-key digest keeps the old population
+        return ReleaseOutcome(released=True, stream_id=stream_id)
 
 
 def _buggy_stall_cost(recovery_time_s):
@@ -222,16 +231,10 @@ def _patch_sites(mutant: str) -> list[tuple[object, str, object]]:
         return [
             (fastpath_mod, "_short_frame_occupancy", _buggy_short_frame_occupancy)
         ]
-    if mutant == "incremental_stale_level":
-        from repro import admission_incremental as admission_incremental_mod
+    if mutant == "decision_key_stale_base":
+        from repro.admission import AdmissionController
 
-        return [
-            (
-                admission_incremental_mod,
-                "_snapshot_reusable_levels",
-                _buggy_snapshot_reusable_levels,
-            )
-        ]
+        return [(AdmissionController, "release", _buggy_release)]
     if mutant == "fault_recovery_swallowed":
         from repro.faults import injector as faults_injector_mod
 
@@ -249,7 +252,7 @@ MUTANTS: tuple[str, ...] = (
     "ttp_budget_off_by_one",
     "split_counts_overshoot",
     "pdp_fastpath_short_frame",
-    "incremental_stale_level",
+    "decision_key_stale_base",
     "fault_recovery_swallowed",
     "router_stale_lease",
 )

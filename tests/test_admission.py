@@ -1,4 +1,5 @@
-"""Online admission controller: policies, lifecycle, invariants."""
+"""Online admission controller: policies, lifecycle, invariants, and the
+memoised decision-cache key."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.admission import AdmissionController, AdmissionPolicy
 from repro.analysis.pdp import PDPAnalysis, PDPVariant
 from repro.analysis.ttp import TTPAnalysis
-from repro.errors import ConfigurationError, MessageSetError
+from repro.errors import AdmissionError, ConfigurationError, MessageSetError
 from repro.network.standards import fddi_ring, ieee_802_5_ring, paper_frame_format
 from repro.units import mbps, milliseconds
 
@@ -25,6 +26,23 @@ def pdp_controller(n=8, bandwidth=16.0, policy=AdmissionPolicy.HYBRID):
 def ttp_controller(n=8, bandwidth=100.0, policy=AdmissionPolicy.HYBRID):
     analysis = TTPAnalysis(fddi_ring(mbps(bandwidth), n_stations=n), FRAME)
     return AdmissionController(analysis, policy)
+
+
+def cached_pair(n=8, bandwidth=16.0, policy=AdmissionPolicy.EXACT):
+    """(decision-cached, uncached oracle) PDP controllers over identical
+    analyses."""
+
+    def analysis():
+        return PDPAnalysis(
+            ieee_802_5_ring(mbps(bandwidth), n_stations=n),
+            FRAME,
+            PDPVariant.MODIFIED,
+        )
+
+    return (
+        AdmissionController(analysis(), policy, cache_namespace="admission"),
+        AdmissionController(analysis(), policy),
+    )
 
 
 class TestLifecycle:
@@ -153,3 +171,146 @@ class TestInvariants:
             predicted = controller.would_admit(period, payload)
             actual = controller.request(period, payload).admitted
             assert predicted == actual
+
+
+class TestCachedReleasePaths:
+    """Release paths on a decision-cached controller, against the oracle."""
+
+    def test_double_release_raises_then_idempotent_noop(self):
+        ctrl, _ = cached_pair()
+        decision = ctrl.request(milliseconds(50), 8000)
+        assert decision.admitted
+        assert ctrl.release(decision.stream_id).released
+        with pytest.raises(AdmissionError):
+            ctrl.release(decision.stream_id)
+        again = ctrl.release(decision.stream_id, idempotent=True)
+        assert not again.released  # recorded no-op, state untouched
+        assert ctrl.admitted_count == 0
+
+    def test_release_never_admitted_stream(self):
+        ctrl, _ = cached_pair()
+        with pytest.raises(AdmissionError):
+            ctrl.release(777)
+        assert ctrl.release(777, idempotent=True).released is False
+
+    def test_check_after_release_sees_fresh_key(self):
+        """A release must not leave the next decision keyed on the
+        pre-release population."""
+        ctrl, oracle = cached_pair(n=4, bandwidth=1.0)
+        ids = []
+        for period, bits in ((milliseconds(30), 8000.0), (milliseconds(40), 6000.0)):
+            d, o = ctrl.request(period, bits), oracle.request(period, bits)
+            assert d == o
+            ids.append(d.stream_id)
+        probe = (milliseconds(10), 500_000.0)
+        assert ctrl.check(*probe) == oracle.check(*probe)
+        ctrl.release(ids[0])
+        oracle.release(ids[0])
+        assert ctrl.check(*probe) == oracle.check(*probe)
+        assert ctrl.request(*probe) == oracle.request(*probe)
+
+    def test_churn_interleaving_matches_oracle(self):
+        ctrl, oracle = cached_pair(n=6, bandwidth=4.0)
+        catalogue = [
+            (milliseconds(8), 1024.0),
+            (milliseconds(16), 4096.0),
+            (milliseconds(32), 16384.0),
+            (milliseconds(64), 65536.0),
+        ]
+        live = []
+        for step, (period, bits) in enumerate(catalogue * 3):
+            d, o = ctrl.request(period, bits), oracle.request(period, bits)
+            assert d == o
+            if d.admitted:
+                live.append(d.stream_id)
+            if step % 2 and live:
+                sid = live.pop(0)
+                assert ctrl.release(sid).released
+                assert oracle.release(sid).released
+
+    def test_ttp_release_then_admit(self):
+        analysis = TTPAnalysis(fddi_ring(mbps(100.0), n_stations=4), FRAME)
+        ctrl = AdmissionController(
+            analysis, AdmissionPolicy.EXACT, cache_namespace="admission"
+        )
+        first = ctrl.request(milliseconds(50), 8000)
+        assert first.admitted
+        assert ctrl.request(milliseconds(100), 4000).admitted
+        ctrl.release(first.stream_id)
+        with pytest.raises(AdmissionError):
+            ctrl.release(first.stream_id)
+        assert ctrl.request(milliseconds(50), 8000).admitted
+
+
+class TestDecisionKey:
+    """The decision key hashes the admitted population once per population."""
+
+    CANDIDATE = (milliseconds(20), 2048.0)
+
+    def key(self, ctrl):
+        return ctrl._cache_key(*self.CANDIDATE)
+
+    def test_uncached_controller_has_no_key(self):
+        _, oracle = cached_pair()
+        assert self.key(oracle) is None
+
+    def test_committed_admit_changes_key(self):
+        ctrl, _ = cached_pair()
+        before = self.key(ctrl)
+        assert ctrl.request(milliseconds(50), 8000).admitted
+        assert self.key(ctrl) != before
+
+    def test_successful_release_changes_key(self):
+        ctrl, _ = cached_pair()
+        first = ctrl.request(milliseconds(50), 8000)
+        assert ctrl.request(milliseconds(40), 4000).admitted
+        before = self.key(ctrl)
+        assert ctrl.release(first.stream_id).released
+        assert self.key(ctrl) != before
+
+    def test_non_mutating_operations_keep_the_base_digest(self):
+        ctrl, _ = cached_pair()
+        assert ctrl.request(milliseconds(50), 8000).admitted
+        before = self.key(ctrl)
+        digest = ctrl._base_digest
+
+        ctrl.check(milliseconds(30), 1024.0)
+        # utilization > 1: the exact test rejects it
+        assert not ctrl.request(milliseconds(10), 200_000.0).admitted
+        ctrl.set_utilization_cap(0.01)
+        budget = ctrl.request(milliseconds(10), 64_000.0)
+        assert budget.tested_by == "budget" and not budget.admitted
+        ctrl.set_utilization_cap(None)
+        assert not ctrl.release(999, idempotent=True).released
+        with pytest.raises(AdmissionError):
+            ctrl.release(999)
+
+        assert ctrl._base_digest is digest  # never rebuilt
+        assert self.key(ctrl) == before
+
+    def test_same_multiset_same_key_whatever_the_history(self):
+        a, _ = cached_pair()
+        b, _ = cached_pair()
+        x, y, z = (
+            (milliseconds(50), 8000.0),
+            (milliseconds(40), 4000.0),
+            (milliseconds(80), 1000.0),
+        )
+        a.request(*x)
+        a.request(*y)
+        b.request(*y)
+        third = b.request(*z)
+        b.release(third.stream_id)
+        b.request(*x)
+        def placements(ctrl):
+            return {(s.period_s, s.station) for s in ctrl.current_set()}
+
+        assert placements(a) != placements(b)  # same multiset, other stations
+        assert self.key(a) == self.key(b)
+
+    def test_policy_and_signature_separate_keys(self):
+        exact, _ = cached_pair(policy=AdmissionPolicy.EXACT)
+        hybrid, _ = cached_pair(policy=AdmissionPolicy.HYBRID)
+        faster, _ = cached_pair(bandwidth=100.0)
+        assert self.key(exact) != self.key(hybrid)
+        assert self.key(exact) != self.key(faster)

@@ -35,9 +35,11 @@ MACHINE = {
 }
 
 
-def write_bench(root, name, mean, ops, machine=MACHINE):
+def write_bench(
+    root, name, mean, ops, machine=MACHINE, stamp="2026-08-08T00:00:00+00:00"
+):
     document = {
-        "datetime": "2026-08-08T00:00:00+00:00",
+        "datetime": stamp,
         "machine": machine,
         "benchmarks": [
             {
@@ -94,6 +96,28 @@ class TestAppend:
         assert run("append", root, history) == 0
         assert not os.path.exists(history)
 
+    def test_appending_unchanged_files_again_adds_nothing(self, trend_dir):
+        root, history = trend_dir
+        write_bench(root, "BENCH_a.json", 0.010, 100.0)
+        write_bench(root, "BENCH_b.json", 0.020, 50.0)
+        assert run("append", root, history) == 0
+        first = open(history, encoding="utf-8").read()
+        assert run("append", root, history) == 0
+        assert open(history, encoding="utf-8").read() == first
+        # a fresh run of one file is new; the other is still a duplicate
+        write_bench(
+            root, "BENCH_a.json", 0.011, 95.0, stamp="2026-08-09T00:00:00+00:00"
+        )
+        assert run("append", root, history) == 0
+        lines = open(history, encoding="utf-8").read().splitlines()
+        assert len(lines) == 3
+
+    def test_append_refuses_documents_without_datetime(self, trend_dir):
+        root, history = trend_dir
+        write_bench(root, "BENCH_a.json", 0.010, 100.0, stamp=None)
+        assert run("append", root, history) == 0
+        assert not os.path.exists(history)
+
 
 class TestCheck:
     def test_steady_state_passes(self, trend_dir):
@@ -145,7 +169,9 @@ class TestCheck:
         root, history = trend_dir
         write_bench(root, "BENCH_a.json", 0.010, 100.0)
         run("append", root, history)
-        write_bench(root, "BENCH_a.json", 0.030, 100.0)
+        write_bench(
+            root, "BENCH_a.json", 0.030, 100.0, stamp="2026-08-09T00:00:00+00:00"
+        )
         run("append", root, history)  # the regression becomes the baseline
         assert run("check", root, history) == 0
 

@@ -97,6 +97,48 @@ def test_schema_version_bump_invalidates_keys(monkeypatch):
     assert content_key(payload) != before
 
 
+def test_set_signature_is_permutation_invariant():
+    pairs = [(0.032, 512.0), (0.008, 1024.0), (0.032, 64.0)]
+    assert cache_keys.set_signature(pairs) == cache_keys.set_signature(
+        reversed(pairs)
+    )
+    assert cache_keys.set_signature(pairs) == [
+        [0.008, 1024.0],
+        [0.032, 64.0],
+        [0.032, 512.0],
+    ]
+
+
+def test_set_signature_keeps_multiplicity():
+    once = cache_keys.set_signature([(0.008, 64.0)])
+    twice = cache_keys.set_signature([(0.008, 64.0), (0.008, 64.0)])
+    assert len(twice) == 2 and twice != once
+
+
+def test_prefix_chain_copies_branch_independently():
+    """Extending a copy leaves the seed digest reusable: every branch
+    keys exactly what a fresh chain over the same pairs keys."""
+    seed = cache_keys.prefix_chain_seed({"signature": "sig"})
+    branch = cache_keys.prefix_chain_extend(seed.copy(), 0.008, 512.0)
+    other = cache_keys.prefix_chain_extend(seed.copy(), 0.016, 64.0)
+    fresh = cache_keys.prefix_chain_seed({"signature": "sig"})
+    assert cache_keys.prefix_chain_extend(fresh, 0.008, 512.0) == branch
+    assert branch != other
+
+
+def test_prefix_chain_separates_seeds_and_pairs():
+    def key(seed_payload, period, payload):
+        digest = cache_keys.prefix_chain_seed(seed_payload)
+        return cache_keys.prefix_chain_extend(digest, period, payload)
+
+    assert key({"signature": "a"}, 0.064, 256.0) != key(
+        {"signature": "b"}, 0.064, 256.0
+    )
+    # Field vs record boundaries must not alias: (1.0, 21.0) is not
+    # (12.0, 1.0) even though the digit streams could be confused.
+    assert key({"signature": "a"}, 1.0, 21.0) != key({"signature": "a"}, 12.0, 1.0)
+
+
 # -- the store ----------------------------------------------------------------
 
 

@@ -411,7 +411,6 @@ class TestServer:
                         (
                             "service.",
                             "cache.admission.",
-                            "admission.incremental.",
                             "trace.",
                         )
                     )

@@ -1,8 +1,8 @@
 """End-to-end request tracing through the admission service.
 
 One served request must produce one trace nesting
-``request -> batch -> engine -> cache`` with consistent IDs, under both
-admission engines and at every sampling rate — and tracing must never
+``request -> batch -> engine -> cache`` with consistent IDs at every
+sampling rate — and tracing must never
 change a decision (the transport-level twin of the
 ``admission_tracing_equiv`` fuzz property).
 """
@@ -53,11 +53,10 @@ class _ServerThread:
         asyncio.run(main())
 
 
-def _config(engine: str, sample_rate: float, **overrides) -> ServiceConfig:
+def _config(sample_rate: float, **overrides) -> ServiceConfig:
     return ServiceConfig(
         port=0,
         n_stations=8,
-        admission_engine=engine,
         trace_sample_rate=sample_rate,
         **overrides,
     )
@@ -78,13 +77,10 @@ def _drive_mixed_load(client: ServiceClient) -> list[dict]:
 EXPECTED_SAMPLED = {0.0: 0, 0.5: 4, 1.0: 8}
 
 
-@pytest.mark.parametrize("engine", ["scalar", "incremental"])
 @pytest.mark.parametrize("sample_rate", [0.0, 0.5, 1.0])
 class TestRequestTraces:
-    def test_one_trace_nests_server_batch_engine_cache(
-        self, engine, sample_rate
-    ):
-        with _ServerThread(_config(engine, sample_rate)) as server:
+    def test_one_trace_nests_server_batch_engine_cache(self, sample_rate):
+        with _ServerThread(_config(sample_rate)) as server:
             with ServiceClient(port=server.port) as client:
                 _drive_mixed_load(client)
                 trace_header = client.last_headers.get("x-trace-id")
@@ -115,38 +111,21 @@ class TestRequestTraces:
             (batch,) = trace["spans"]
             assert batch["name"] == "batch"
             assert batch["attrs"]["batch_size"] >= 1
-            assert batch["attrs"]["engine"] == engine
             engines = [s for s in batch["spans"] if s["name"] == "engine"]
             assert len(engines) == 1
-            assert engines[0]["attrs"]["engine"] == engine
             caches = [
                 s for s in engines[0]["spans"] if s["name"] == "cache"
             ]
             assert len(caches) == 1
             assert caches[0]["attrs"]["namespace"] == "admission"
-            if engine == "scalar":
-                # the scalar engine consults the decision cache per op
-                hits = caches[0]["attrs"].get("cache_hits", 0)
-                misses = caches[0]["attrs"].get("cache_misses", 0)
-                assert hits + misses >= 1
-            else:
-                # the incremental engine skips decision-level entries
-                # (the per-level prefix cache subsumes them); its level
-                # accounting lands on the exact-evaluation span instead
-                exacts = [
-                    s for s in engines[0]["spans"] if s["name"] == "exact"
-                ]
-                assert len(exacts) == 1
-                levels = exacts[0]["attrs"].get(
-                    "levels_computed", 0
-                ) + exacts[0]["attrs"].get("levels_reused", 0)
-                assert levels >= 1
+            # every op consults the decision cache
+            hits = caches[0]["attrs"].get("cache_hits", 0)
+            misses = caches[0]["attrs"].get("cache_misses", 0)
+            assert hits + misses >= 1
 
-    def test_decisions_identical_with_tracing_on_and_off(
-        self, engine, sample_rate
-    ):
+    def test_decisions_identical_with_tracing_on_and_off(self, sample_rate):
         def serve(rate: float) -> list[dict]:
-            with _ServerThread(_config(engine, rate)) as server:
+            with _ServerThread(_config(rate)) as server:
                 with ServiceClient(port=server.port) as client:
                     return _drive_mixed_load(client)
 
@@ -155,7 +134,7 @@ class TestRequestTraces:
 
 class TestTraceEndpoint:
     def test_limit_caps_and_orders_the_buffer(self):
-        with _ServerThread(_config("scalar", 1.0)) as server:
+        with _ServerThread(_config(1.0)) as server:
             with ServiceClient(port=server.port) as client:
                 _drive_mixed_load(client)
                 full = client.traces()
@@ -169,7 +148,7 @@ class TestTraceEndpoint:
         assert limited_ids[:2] == full_ids[-2:]
 
     def test_bad_limit_is_a_400(self):
-        with _ServerThread(_config("scalar", 1.0)) as server:
+        with _ServerThread(_config(1.0)) as server:
             with ServiceClient(port=server.port) as client:
                 status, payload, _ = client.request(
                     "GET", "/v1/traces?limit=banana"
@@ -178,7 +157,7 @@ class TestTraceEndpoint:
         assert payload["error"] == "BadLimit"
 
     def test_buffer_is_bounded(self):
-        config = _config("scalar", 1.0, trace_buffer=4)
+        config = _config(1.0, trace_buffer=4)
         with _ServerThread(config) as server:
             with ServiceClient(port=server.port) as client:
                 _drive_mixed_load(client)
@@ -188,7 +167,7 @@ class TestTraceEndpoint:
 
 class TestMetricsFormats:
     def test_prometheus_exposition_parses_and_is_typed(self):
-        with _ServerThread(_config("scalar", 1.0)) as server:
+        with _ServerThread(_config(1.0)) as server:
             with ServiceClient(port=server.port) as client:
                 _drive_mixed_load(client)
                 text = client.metrics_text()
@@ -218,7 +197,7 @@ class TestMetricsFormats:
         assert "service.http_requests" in json_snapshot
 
     def test_json_format_keeps_json_content_type(self):
-        with _ServerThread(_config("scalar", 1.0)) as server:
+        with _ServerThread(_config(1.0)) as server:
             with ServiceClient(port=server.port) as client:
                 client.healthz()
                 status, payload, _ = client.request(
@@ -230,7 +209,7 @@ class TestMetricsFormats:
         assert "metrics" in payload
 
     def test_unknown_format_is_a_400(self):
-        with _ServerThread(_config("scalar", 1.0)) as server:
+        with _ServerThread(_config(1.0)) as server:
             with ServiceClient(port=server.port) as client:
                 status, payload, _ = client.request(
                     "GET", "/metrics?format=bogus"
@@ -239,7 +218,7 @@ class TestMetricsFormats:
         assert payload["error"] == "BadFormat"
 
     def test_exemplar_trace_ids_resolve_to_buffered_traces(self):
-        with _ServerThread(_config("scalar", 1.0)) as server:
+        with _ServerThread(_config(1.0)) as server:
             with ServiceClient(port=server.port) as client:
                 _drive_mixed_load(client)
                 snapshot = client.metrics()["metrics"]
@@ -257,7 +236,7 @@ class TestMetricsFormats:
 
 class TestSlowTraceLog:
     def test_slow_requests_increment_the_slow_counter(self):
-        config = _config("scalar", 1.0, slow_trace_s=1e-9)
+        config = _config(1.0, slow_trace_s=1e-9)
         with _ServerThread(config) as server:
             with ServiceClient(port=server.port) as client:
                 client.check(0.032, 512.0)

@@ -9,8 +9,11 @@ This tool keeps a history:
 ``append``
     Summarize every current ``BENCH_*.json`` into one JSONL line each
     (per-benchmark mean and ops, plus the machine identity) appended to
-    ``BENCH_history.jsonl``.  ``make bench-trend`` runs this after
-    regenerating the canaries.
+    ``BENCH_history.jsonl``.  A run is identified by ``(file,
+    datetime)``: a document whose run is already in the history (an
+    unchanged file appended again) or that carries no ``datetime`` is
+    refused, so the history cannot count one run twice.  ``make
+    bench-trend`` runs this after regenerating the canaries.
 
 ``check``
     Compare every current ``BENCH_*.json`` against the **newest
@@ -23,14 +26,13 @@ This tool keeps a history:
     else's hardware is noise, same rule as the verify bench guard).
     ``make verify`` runs this.
 
-History entries are plain JSON objects — one per (append run, BENCH
-file) — so the file diffs cleanly and tolerates hand-pruning.
+History entries are plain JSON objects — one per (BENCH file, run
+datetime) — so the file diffs cleanly and tolerates hand-pruning.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
 import glob
 import json
 import os
@@ -83,8 +85,7 @@ def _summarize(path: str) -> dict | None:
     return {
         "schema_version": HISTORY_SCHEMA_VERSION,
         "file": os.path.basename(path),
-        "datetime": document.get("datetime")
-        or datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "datetime": document.get("datetime"),
         "machine": _machine_key(document.get("machine")),
         "benchmarks": benchmarks,
     }
@@ -114,14 +115,26 @@ def _load_history(path: str) -> list[dict]:
 
 
 def cmd_append(root: str, history_path: str) -> int:
-    """Append one history line per current BENCH file."""
-    entries = [
-        entry
-        for entry in (_summarize(path) for path in _bench_paths(root))
-        if entry is not None
-    ]
+    """Append one history line per BENCH file run not yet recorded."""
+    seen = {
+        (entry.get("file"), entry.get("datetime"))
+        for entry in _load_history(history_path)
+    }
+    entries = []
+    for entry in (_summarize(path) for path in _bench_paths(root)):
+        if entry is None:
+            continue
+        if entry["datetime"] is None:
+            print(f"bench-trend: refusing {entry['file']}: no datetime")
+        elif (entry["file"], entry["datetime"]) in seen:
+            print(
+                f"bench-trend: refusing {entry['file']}: run "
+                f"{entry['datetime']} is already in the history"
+            )
+        else:
+            entries.append(entry)
     if not entries:
-        print("bench-trend: no BENCH_*.json documents to append")
+        print("bench-trend: no new BENCH_*.json runs to append")
         return 0
     with open(history_path, "a", encoding="utf-8") as handle:
         for entry in entries:
