@@ -549,7 +549,7 @@ def _result_from_scale(
 ) -> BreakdownResult:
     if scale <= 0.0 or scale == float("inf"):
         return BreakdownResult(scale=scale, utilization=0.0, evaluations=evaluations)
-    utilization = message_set.scaled(scale).utilization(bandwidth_bps)
+    utilization = message_set.scaled_utilization(scale, bandwidth_bps)
     return BreakdownResult(scale=scale, utilization=utilization, evaluations=evaluations)
 
 

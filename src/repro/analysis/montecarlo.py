@@ -85,9 +85,10 @@ class AverageBreakdownEstimate:
 
 #: Maximum number of sets whose precomputed exact-test structures are held
 #: live at once by the lockstep batched search.  At paper scale (100
-#: streams) each structure runs to tens of megabytes, so the batch is
-#: processed in chunks; within a chunk every bisection step is one batched
-#: predicate call.
+#: streams) each structure is about 0.2 MB, so memory no longer forces the
+#: chunking; the size stays because it also sets how many batched
+#: predicate calls a cell makes (the ``breakdown.batch_calls`` count).
+#: Within a chunk every bisection step is one batched predicate call.
 BATCH_CHUNK_SETS = 16
 
 

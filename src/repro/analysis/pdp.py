@@ -204,9 +204,9 @@ class PDPAnalysis:
     period vector and reuses it across payload scalings and bandwidth
     changes (via :meth:`with_ring`).  This makes saturation searches and
     bandwidth sweeps hundreds of times faster than rebuilding per query.
-    The cache is an LRU (the precomputed matrices for a 100-stream set run
-    to tens of megabytes, so hoarding one per Monte Carlo sample would
-    exhaust memory); interleaved protocol comparisons over the same
+    The cache is an LRU (a 100-stream structure is about 0.2 MB, so one
+    per Monte Carlo sample would still grow without bound over a long
+    sweep); interleaved protocol comparisons over the same
     workload population benefit from a larger, shared cache — pass
     ``cache_size`` and ``shared_cache`` (see
     :meth:`repro.experiments.config.PaperParameters.pdp_analysis`, which

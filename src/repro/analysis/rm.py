@@ -87,14 +87,145 @@ class StreamTestDetail:
     critical_point: float
 
 
+def _union_points(distinct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The union ``T`` of every group's scheduling points, in prefix order.
+
+    ``distinct`` holds the distinct periods in increasing order.  ``T``
+    is the lowest-priority group's point set: every multiple ``l·d_u``
+    with ``l <= floor(d_max/d_u + 1e-12)``.  Returns ``(points, first)``
+    where ``first[p]`` is the first group ``g`` whose ``R_g`` holds
+    ``points[p]``.  A multiple ``l·d_u`` belongs to ``R_g`` iff ``u <= g``
+    and ``l <= floor(d_g/d_u + 1e-12)``, and that reach is non-decreasing
+    in ``g``, so one ``arange`` and one ``searchsorted`` per distinct
+    period find every point's group.
+
+    The points come back ordered by ``(first, value)``, which makes each
+    ``R_g`` exactly the prefix with ``first <= g``.  That order is the
+    ascending one unless a later period lies inside the ``1e-12``
+    tolerance band above an earlier group's last multiple.  Filing a
+    point one group early is the ``rm_prefix_cut_overrun`` mutant; the
+    ``rm_exact_vs_rta`` fuzz property catches it.
+    """
+    values: list[np.ndarray] = []
+    groups: list[np.ndarray] = []
+    for u, d_u in enumerate(distinct):
+        reach = np.floor(distinct[u:] / d_u + 1e-12)
+        multiples = np.arange(1, int(reach[-1]) + 1)
+        values.append(d_u * multiples)
+        groups.append(u + np.searchsorted(reach, multiples))
+    points = np.concatenate(values)
+    first = np.concatenate(groups)
+    # Equal values from different (u, l) pairs are one point, owned by
+    # the earliest group that reaches it.
+    order = np.lexsort((first, points))
+    points, first = points[order], first[order]
+    keep = np.empty(points.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(points[1:], points[:-1], out=keep[1:])
+    points, first = points[keep], first[keep]
+    order = np.lexsort((points, first))
+    return points[order], first[order]
+
+
+class _PointKernel:
+    """Equation (4) for every group at once, over the union points ``T``.
+
+    Columns are cost entries laid out group by group (one per stream for
+    :class:`ExactRMTest`, one per distinct period for
+    :class:`GroupedExactRMTest`); ``columns_per_group`` gives the
+    layout.  At a point ``t`` every column from ``k(t)`` on — the first
+    group whose ``ceil(t/P)`` is 1 — contributes its cost once, so a
+    column ``i`` with ``t`` in its ``R`` has demand
+
+        ``A(t) + S_{i+1} - S_{k(t)} + B``
+
+    with ``A(t) = sum_{j<k(t)} ceil(t/P_j)·C_j`` (one product with
+    :attr:`matrix`, which is zero from ``k(t)`` on) and ``S`` the prefix
+    sums of the costs.  Group ``g`` passes iff some point of its prefix
+    has ``A(t) - S_{k(t)} - t(1+1e-12) <= -(S_end(g) + B)``: one running
+    minimum over ``T`` answers every group.  The binding column of a
+    group is its last one (the largest prefix sum), so only group ends
+    are compared.
+
+    Attributes:
+        points: ``T`` in prefix order (see :func:`_union_points`).
+        thresholds: ``points * (1 + 1e-12)``, the comparison tolerance.
+        matrix: ``(|T|, columns)`` interference coefficients
+            ``ceil(t/P_j)`` where they exceed 1, else 0.
+        unit_start: per point, the column index ``k(t)`` into the
+            prefix sums.
+        cuts: per group, the length of its prefix of ``points``.
+        ends: per group, the prefix-sum index one past its last column.
+    """
+
+    __slots__ = (
+        "points", "thresholds", "matrix", "unit_start", "cuts", "ends", "_last"
+    )
+
+    def __init__(self, distinct: np.ndarray, columns_per_group: np.ndarray):
+        points, first = _union_points(distinct)
+        # ceil with a tolerance: t is an exact multiple of some P_k, and
+        # floating-point noise must not push ceil(t/P_j) up a step when
+        # t/P_j is integral.  Coefficients are non-increasing along the
+        # sorted periods, so counting those above 1 locates k(t).
+        coef = np.ceil(points[:, None] / distinct[None, :] - 1e-9)
+        above = coef > 1.0
+        group_start = np.zeros(distinct.size + 1, dtype=np.intp)
+        np.cumsum(columns_per_group, out=group_start[1:])
+        self.points = points
+        self.thresholds = points * (1.0 + 1e-12)
+        self.matrix = np.repeat(
+            np.where(above, coef, 0.0), columns_per_group, axis=1
+        )
+        self.unit_start = group_start[np.count_nonzero(above, axis=1)]
+        self.cuts = np.searchsorted(first, np.arange(distinct.size), side="right")
+        self.ends = group_start[1:]
+        self._last = self.cuts - 1
+
+    def interference(self, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(A(t) - S_{k(t)}, S)`` for a cost vector or a batch of rows."""
+        prefix = np.zeros(costs.shape[:-1] + (costs.shape[-1] + 1,))
+        np.add.accumulate(costs, axis=-1, out=prefix[..., 1:])
+        base = costs @ self.matrix.T
+        base -= np.take(prefix, self.unit_start, axis=-1)
+        return base, prefix
+
+    def _passes(self, slack: np.ndarray, limits: np.ndarray) -> np.ndarray:
+        """Running minimum of ``slack``; each group's prefix minimum must
+        reach its ``limits`` entry."""
+        np.minimum.accumulate(slack, axis=-1, out=slack)
+        return (np.take(slack, self._last, axis=-1) <= limits).all(axis=-1)
+
+    def verdicts(self, costs: np.ndarray, blocking: float) -> np.ndarray:
+        """Whether every group passes, per cost row (0-d for one vector)."""
+        slack, prefix = self.interference(costs)
+        slack -= self.thresholds
+        limits = np.take(prefix, self.ends, axis=-1)
+        limits += blocking
+        return self._passes(slack, np.negative(limits, out=limits))
+
+    def scaled_verdicts(
+        self, costs: np.ndarray, scales: np.ndarray, blocking: float
+    ) -> np.ndarray:
+        """:meth:`verdicts` for ``scale * costs``, one row per scale."""
+        base, prefix = self.interference(costs)
+        return self._passes(
+            scales[:, None] * base[None, :] - self.thresholds,
+            -(scales[:, None] * prefix[None, self.ends] + blocking),
+        )
+
+
 class ExactRMTest:
     """The Lehoczky–Sha–Ding exact test with precomputed structure.
 
-    Construction cost is ``O(sum_i |R_i| * n)`` time and memory (the
-    scheduling points of all streams are stacked into one flat demand
-    matrix); evaluating one cost vector is a single matrix–vector product
-    plus a per-stream OR-reduction, and a whole batch of cost vectors
-    (:meth:`is_schedulable_batch`) is a single matrix–matrix product.
+    Every stream's scheduling points ``R_i`` are a prefix of one union
+    ``T`` (the lowest-priority stream's points), so the structure is a
+    ``|T| × n`` coefficient matrix plus per-stream prefix lengths —
+    about 0.2 MB for a paper-scale 100-stream set.  Evaluating a cost
+    vector is one matrix–vector product, one prefix sum and one running
+    minimum over ``T`` (see :class:`_PointKernel`); a batch of cost
+    vectors (:meth:`is_schedulable_batch`) is one matrix–matrix product
+    and the same row-wise scans.
 
     Args:
         periods: task periods in *non-decreasing* order (RM priority
@@ -118,85 +249,20 @@ class ExactRMTest:
     # -- structure ---------------------------------------------------------------
 
     def _build_structure(self) -> None:
-        """Precompute scheduling points and the stacked demand matrix.
+        """Precompute the union scheduling points and per-stream prefixes.
 
         For stream ``i`` the scheduling points are all multiples ``l·P_k``
         with ``k <= i`` and ``l·P_k <= P_i`` — the times at which a
-        higher-priority busy period can end.  All streams' points are
-        stacked into one flat demand matrix with a row per point ``t``
-        holding ``ceil(t / P_j)`` for every higher-priority stream ``j``
-        and an exact 1 in column ``i`` (the stream's own cost), so that
-        *one* matrix–vector product evaluates every stream's equation (4)
-        demand simultaneously, and a batch of cost vectors is one
-        matrix–matrix product.  ``_segment_starts`` records where each
-        stream's rows begin (for the per-stream OR-reduction and the
-        per-stream report slices).
+        higher-priority busy period can end.  Streams sharing a period
+        share their points, so the points are built once per *distinct*
+        period (:func:`_union_points`) and ``R_i`` is stored as the
+        length of its prefix of ``T``.  The kernel matrix keeps one
+        column per stream: a same-period neighbour contributes through
+        the prefix sums exactly like the stream's own cost.
         """
-        periods = self._periods
-        n = periods.size
-        # Streams sharing a period share everything: the same scheduling
-        # points and the same ceil(t/P) interference coefficients.  All
-        # per-point work therefore runs once per *distinct* period and is
-        # expanded to per-stream columns afterwards — an admission
-        # service draws periods from a small catalogue, so this turns the
-        # O(n^2) small-array loop (the dominant tail term of served
-        # decisions) into an O(m^2) one with m = distinct periods.
-        distinct, inverse = np.unique(periods, return_inverse=True)
-        group_counts = np.bincount(inverse, minlength=distinct.size)
-        offsets = np.concatenate(([0], np.cumsum(group_counts)))
-        group_points: list[np.ndarray] = []
-        group_coef: list[np.ndarray] = []
-        for t, d_t in enumerate(distinct):
-            multiples = [
-                d_u * np.arange(1, int(np.floor(d_t / d_u + 1e-12)) + 1)
-                for d_u in distinct[: t + 1]
-            ]
-            pts = np.unique(np.concatenate(multiples))
-            group_points.append(pts)
-            # ceil with a tolerance: t is an exact multiple of some P_k,
-            # and floating-point noise must not push ceil(t/P_j) up a
-            # step when t/P_j is integral.
-            group_coef.append(
-                np.ceil(pts[:, None] / distinct[None, : t + 1] - 1e-9)
-            )
-        segments = [group_points[t] for t in inverse]
-        counts = np.array([s.size for s in segments], dtype=np.intp)
-        starts = np.zeros(n, dtype=np.intp)
-        np.cumsum(counts[:-1], out=starts[1:])
-        flat_points = np.concatenate(segments)
-        matrix = np.zeros((flat_points.size, n))
-        for t in range(distinct.size):
-            pts = group_points[t]
-            coef = group_coef[t]
-            # One column per higher-priority stream: the group's
-            # coefficient columns repeated by group size.  Within the
-            # group, rate-monotonic order adds one same-period column
-            # per position (the triangular cutoff), then the exact 1 in
-            # the stream's own column.
-            before = np.repeat(coef[:, :t], group_counts[:t], axis=1)
-            own = coef[:, t]
-            for g in range(group_counts[t]):
-                i = offsets[t] + g
-                rows = slice(starts[i], starts[i] + pts.size)
-                if t > 0:
-                    matrix[rows, : offsets[t]] = before
-                if g > 0:
-                    matrix[rows, offsets[t]: i] = own[:, None]
-                matrix[rows, i] = 1.0
-        self._segment_starts = starts
-        self._flat_points = flat_points
-        self._flat_thresholds = flat_points * (1.0 + 1e-12)
-        self._matrix = matrix
-
-    def _segment(self, index: int) -> slice:
-        """Row range of stream ``index`` in the stacked structure."""
-        start = self._segment_starts[index]
-        end = (
-            self._segment_starts[index + 1]
-            if index + 1 < self._periods.size
-            else self._flat_points.size
-        )
-        return slice(start, end)
+        distinct, counts = np.unique(self._periods, return_counts=True)
+        self._kernel = _PointKernel(distinct, counts)
+        self._stream_cuts = np.repeat(self._kernel.cuts, counts)
 
     @property
     def periods(self) -> np.ndarray:
@@ -211,8 +277,8 @@ class ExactRMTest:
         return self._periods.size
 
     def scheduling_points(self, index: int) -> np.ndarray:
-        """The scheduling points ``R_i`` for stream ``index`` (a copy)."""
-        return self._flat_points[self._segment(index)].copy()
+        """The scheduling points ``R_i`` for stream ``index`` (ascending)."""
+        return np.sort(self._kernel.points[: self._stream_cuts[index]])
 
     # -- evaluation --------------------------------------------------------------
 
@@ -226,17 +292,19 @@ class ExactRMTest:
             raise MessageSetError("costs must be non-negative")
         return arr
 
-    def _stream_load_ratio(
-        self, index: int, arr: np.ndarray, blocking: float
-    ) -> tuple[float, float]:
-        """:meth:`stream_load_ratio` on an already-validated cost array."""
-        rows = self._segment(index)
-        points = self._flat_points[rows]
-        interference = self._matrix[rows, :index]
-        demand = interference @ arr[:index] + arr[index] + blocking
-        ratios = demand / points
-        best = int(np.argmin(ratios))
-        return float(ratios[best]), float(points[best])
+    def _load_ratios(
+        self, arr: np.ndarray, blocking: float, indices: Sequence[int]
+    ) -> list[tuple[float, float]]:
+        """``(min_ratio, critical_point)`` per stream in ``indices``."""
+        base, prefix = self._kernel.interference(arr)
+        out = []
+        for i in indices:
+            cut = self._stream_cuts[i]
+            points = self._kernel.points[:cut]
+            ratios = (base[:cut] + prefix[i + 1] + blocking) / points
+            best = int(np.argmin(ratios))
+            out.append((float(ratios[best]), float(points[best])))
+        return out
 
     def stream_load_ratio(
         self, index: int, costs: Sequence[float], blocking: float = 0.0
@@ -246,23 +314,21 @@ class ExactRMTest:
         Returns ``(min_ratio, critical_point)``; the stream is schedulable
         iff ``min_ratio <= 1``.
         """
-        return self._stream_load_ratio(index, self._validate_costs(costs), blocking)
+        return self._load_ratios(self._validate_costs(costs), blocking, [index])[0]
 
     def _evaluate(self, arr: np.ndarray, blocking: float) -> bool:
         """:meth:`is_schedulable` on an already-validated cost array."""
-        demand = self._matrix @ arr + blocking
-        ok = demand <= self._flat_thresholds
-        return bool(np.logical_or.reduceat(ok, self._segment_starts).all())
+        return bool(self._kernel.verdicts(arr, blocking))
 
     def is_schedulable(
         self, costs: Sequence[float], blocking: float = 0.0
     ) -> bool:
         """True iff every stream passes the exact test.
 
-        One matrix–vector product over the stacked structure evaluates
-        every stream's demand at every scheduling point simultaneously; a
-        per-stream OR-reduction then checks that each stream has at least
-        one point where the demand fits.
+        One matrix–vector product over the union points gives every
+        point's higher-priority interference; a running minimum then
+        checks that each stream has at least one point of its prefix
+        where the demand fits.
         """
         arr = self._validate_costs(costs)
         if blocking < 0:
@@ -277,9 +343,9 @@ class ExactRMTest:
         ``costs_matrix`` has one row per candidate cost vector (shape
         ``(batch, n_streams)``); the return value is a boolean array with
         one verdict per row.  Validation runs once for the whole batch and
-        the entire evaluation is a single stacked matrix product plus one
-        OR-reduction, so a batch of ``B`` evaluations costs far less than
-        ``B`` calls to :meth:`is_schedulable`.
+        the evaluation is one matrix product plus row-wise prefix sums and
+        running minima, so a batch of ``B`` evaluations costs far less
+        than ``B`` calls to :meth:`is_schedulable`.
         """
         mat = np.asarray(costs_matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[1] != self._periods.size:
@@ -291,40 +357,36 @@ class ExactRMTest:
             raise MessageSetError("costs must be non-negative")
         if blocking < 0:
             raise MessageSetError(f"blocking must be non-negative, got {blocking!r}")
-        demand = mat @ self._matrix.T + blocking
-        ok = demand <= self._flat_thresholds
-        return np.logical_or.reduceat(ok, self._segment_starts, axis=1).all(axis=1)
+        return self._kernel.verdicts(mat, blocking)
 
     def details(
         self, costs: Sequence[float], blocking: float = 0.0
     ) -> list[StreamTestDetail]:
         """Full per-stream report (no early exit).
 
-        Costs are validated once up front; the per-stream minimization runs
-        on the validated array directly (re-validating per stream would
-        make the report O(n²) in the stream count).
+        Costs are validated and the interference at every union point is
+        computed once; each stream then reads its own prefix.
         """
         arr = self._validate_costs(costs)
-        report = []
-        for i in range(arr.size):
-            ratio, point = self._stream_load_ratio(i, arr, blocking)
-            report.append(
-                StreamTestDetail(
-                    index=i,
-                    schedulable=ratio <= 1.0 + 1e-12,
-                    min_load_ratio=ratio,
-                    critical_point=point,
-                )
+        return [
+            StreamTestDetail(
+                index=i,
+                schedulable=ratio <= 1.0 + 1e-12,
+                min_load_ratio=ratio,
+                critical_point=point,
             )
-        return report
+            for i, (ratio, point) in enumerate(
+                self._load_ratios(arr, blocking, range(arr.size))
+            )
+        ]
 
 
 class GroupedExactRMTest:
     """The LSD exact test aggregated over *distinct* periods.
 
-    :class:`ExactRMTest` stacks one demand-matrix segment per stream, so
-    its memory is ``O(sum_i |R_i| * n)`` — terabytes for 10^6 streams even
-    with a small period catalogue.  This variant exploits the structure of
+    :class:`ExactRMTest` keeps one kernel column per stream, so its
+    memory is ``O(|T| * n)`` — too much for 10^6 streams even with a
+    small period catalogue.  This variant exploits the structure of
     equation (4) under shared periods: every member of a period group sees
     the same scheduling points and the same ``ceil(t/P)`` coefficients,
     and within a group the *last* member in RM order is binding (its
@@ -335,10 +397,11 @@ class GroupedExactRMTest:
 
         ``sum_{u <= g} ceil(t / d_u) * S_u + B <= t``
 
-    where ``S_u`` is the summed cost of group ``u``.  The matrix has one
-    column per *distinct period* (``m`` columns, not ``n``), making the
-    structure independent of stream count: evaluation is an ``O(n)``
-    group-sum (one ``bincount``) plus an ``O(points x m)`` product.
+    where ``S_u`` is the summed cost of group ``u``.  The same union-point
+    kernel as :class:`ExactRMTest` runs with one column per *distinct
+    period* (``m`` columns, not ``n``), making the structure independent
+    of stream count: evaluation is an ``O(n)`` group-sum (one
+    ``bincount``) plus an ``O(|T| x m)`` product.
 
     The verdict is identical to :class:`ExactRMTest` for every cost
     vector (pinned by tests and the ``columnar_equiv`` fuzz property);
@@ -363,37 +426,10 @@ class GroupedExactRMTest:
         self._build_structure()
 
     def _build_structure(self) -> None:
-        """Precompute per-group scheduling points and the m-column matrix."""
-        distinct = self._distinct
-        m = distinct.size
-        group_points: list[np.ndarray] = []
-        group_coef: list[np.ndarray] = []
-        for g, d_g in enumerate(distinct):
-            multiples = [
-                d_u * np.arange(1, int(np.floor(d_g / d_u + 1e-12)) + 1)
-                for d_u in distinct[: g + 1]
-            ]
-            pts = np.unique(np.concatenate(multiples))
-            group_points.append(pts)
-            # Same ceil tolerance as ExactRMTest: exact multiples must not
-            # round up a step.  The own-group column (u == g) comes out as
-            # exactly 1.0 for every point t <= d_g, which is precisely the
-            # binding member's own-cost coefficient in the dense test.
-            group_coef.append(
-                np.ceil(pts[:, None] / distinct[None, : g + 1] - 1e-9)
-            )
-        counts = np.array([p.size for p in group_points], dtype=np.intp)
-        starts = np.zeros(m, dtype=np.intp)
-        np.cumsum(counts[:-1], out=starts[1:])
-        flat_points = np.concatenate(group_points)
-        matrix = np.zeros((flat_points.size, m))
-        for g in range(m):
-            rows = slice(starts[g], starts[g] + counts[g])
-            matrix[rows, : g + 1] = group_coef[g]
-        self._segment_starts = starts
-        self._flat_points = flat_points
-        self._flat_thresholds = flat_points * (1.0 + 1e-12)
-        self._matrix = matrix
+        """Precompute the union-point kernel over the distinct periods."""
+        self._kernel = _PointKernel(
+            self._distinct, np.ones(self._distinct.size, dtype=np.intp)
+        )
 
     @property
     def periods(self) -> np.ndarray:
@@ -409,7 +445,7 @@ class GroupedExactRMTest:
 
     @property
     def n_groups(self) -> int:
-        """Number of distinct periods (matrix columns)."""
+        """Number of distinct periods (kernel columns)."""
         return self._distinct.size
 
     # -- evaluation --------------------------------------------------------------
@@ -430,15 +466,10 @@ class GroupedExactRMTest:
             self._inverse, weights=arr, minlength=self._distinct.size
         )
 
-    def _evaluate_sums(self, sums: np.ndarray, blocking: float) -> bool:
-        demand = self._matrix @ sums + blocking
-        ok = demand <= self._flat_thresholds
-        return bool(np.logical_or.reduceat(ok, self._segment_starts).all())
-
     def _evaluate(self, arr: np.ndarray, blocking: float) -> bool:
         """:meth:`is_schedulable` on an already-validated cost array
         (the duck-typed fast path :meth:`PDPAnalysis.scale_prober` uses)."""
-        return self._evaluate_sums(self._group_sums(arr), blocking)
+        return bool(self._kernel.verdicts(self._group_sums(arr), blocking))
 
     def is_schedulable(
         self, costs: Sequence[float], blocking: float = 0.0
@@ -448,7 +479,7 @@ class GroupedExactRMTest:
         arr = self._validate_costs(costs)
         if blocking < 0:
             raise MessageSetError(f"blocking must be non-negative, got {blocking!r}")
-        return self._evaluate_sums(self._group_sums(arr), blocking)
+        return self._evaluate(arr, blocking)
 
     def is_schedulable_batch(
         self, costs_matrix: Sequence[Sequence[float]], blocking: float = 0.0
@@ -469,9 +500,7 @@ class GroupedExactRMTest:
             self._inverse[order], np.arange(self._distinct.size)
         )
         sums = np.add.reduceat(mat[:, order], group_starts, axis=1)
-        demand = sums @ self._matrix.T + blocking
-        ok = demand <= self._flat_thresholds
-        return np.logical_or.reduceat(ok, self._segment_starts, axis=1).all(axis=1)
+        return self._kernel.verdicts(sums, blocking)
 
     def is_schedulable_scaled(
         self,
@@ -483,9 +512,10 @@ class GroupedExactRMTest:
 
         Avoids materializing the ``(batch, n_streams)`` cost matrix the
         generic batch API would need — the group sums of the base costs
-        are computed once and the scale factors applied to the ``m``-wide
-        sums instead, so a whole scale sweep over a million-stream set
-        costs one bincount plus one small matrix product.
+        and their interference are computed once and the scale factors
+        applied to the ``|T|``-wide result instead, so a whole scale sweep
+        over a million-stream set costs one bincount plus one small
+        matrix product.
         """
         arr = self._validate_costs(base_costs)
         scale_arr = np.asarray(scales, dtype=float)
@@ -495,10 +525,9 @@ class GroupedExactRMTest:
             raise MessageSetError("scales must be non-negative")
         if blocking < 0:
             raise MessageSetError(f"blocking must be non-negative, got {blocking!r}")
-        sums = self._group_sums(arr)
-        demand = scale_arr[:, None] * (self._matrix @ sums)[None, :] + blocking
-        ok = demand <= self._flat_thresholds
-        return np.logical_or.reduceat(ok, self._segment_starts, axis=1).all(axis=1)
+        return self._kernel.scaled_verdicts(
+            self._group_sums(arr), scale_arr, blocking
+        )
 
 
 def response_time_analysis(

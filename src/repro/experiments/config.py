@@ -94,9 +94,9 @@ class PaperParameters:
             )
 
     def __getstate__(self) -> dict:
-        # Worker processes rebuild structures on demand; shipping tens of
-        # megabytes of cached matrices through pickle would cost more than
-        # it saves.
+        # Worker processes rebuild structures on demand; shipping up to
+        # 64 cached structures (about 0.2 MB each at paper scale) through
+        # pickle would cost more than rebuilding the ones a worker needs.
         state = dict(self.__dict__)
         state["_pdp_test_cache"] = OrderedDict()
         return state

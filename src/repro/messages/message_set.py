@@ -12,6 +12,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.errors import MessageSetError
 from repro.messages.stream import SynchronousStream
+from repro.units import transmission_time
 
 __all__ = ["MessageSet"]
 
@@ -115,6 +116,20 @@ class MessageSet(Sequence[SynchronousStream]):
     def scaled(self, factor: float) -> "MessageSet":
         """Scale every payload by ``factor``; periods are untouched."""
         return MessageSet(s.scaled(factor) for s in self._streams)
+
+    def scaled_utilization(self, factor: float, bandwidth_bps: float) -> float:
+        """``U(factor·M)`` without building the scaled set.
+
+        Bit-identical to ``scaled(factor).utilization(bandwidth_bps)``:
+        the same payload product, the same two divisions, summed in
+        stream order.
+        """
+        if factor < 0:
+            raise MessageSetError(f"scale factor must be non-negative, got {factor!r}")
+        return sum(
+            transmission_time(s.payload_bits * factor, bandwidth_bps) / s.period_s
+            for s in self._streams
+        )
 
     def assigned_to_stations(self) -> "MessageSet":
         """Re-number stations 0..n-1 in current order (one stream per station)."""

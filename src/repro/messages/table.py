@@ -274,6 +274,10 @@ class StreamTable(Sequence[SynchronousStream]):
             self._periods, self._payloads * factor, self._stations
         )
 
+    def scaled_utilization(self, factor: float, bandwidth_bps: float) -> float:
+        """``U(factor·M)``; the scaled table is one array product."""
+        return self.scaled(factor).utilization(bandwidth_bps)
+
     def assigned_to_stations(self) -> "StreamTable":
         """Re-number stations 0..n-1 in current order."""
         return StreamTable(self._periods, self._payloads)

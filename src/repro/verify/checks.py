@@ -34,6 +34,14 @@ The properties:
     augmented lengths, and move no verdict — PDP (both variants, dense
     *and* grouped exact tests) and TTP (verdict and saturation scale)
     must answer object and columnar forms identically.
+``rm_exact_vs_rta``
+    The exact RM test of Theorem 4.1 answers like its independent
+    oracle: :class:`~repro.analysis.rm.ExactRMTest` verdicts
+    (``is_schedulable``, batch rows, per-stream ``details``) must match
+    response-time analysis on the case's periods and on a rotating
+    derived family — paper-scale 100-stream sets, harmonic catalogues,
+    near-equal periods — swept through the breakdown load, away from
+    the float knife edge.
 ``mc_streaming_equiv``
     The streaming Monte Carlo estimator must be the fixed-N estimator
     when asked to be: its first chunk (plain sampling) is
@@ -1162,6 +1170,102 @@ def check_columnar_equiv(case: FuzzCase) -> Violation | None:
     return None
 
 
+# -- exact RM test versus response-time analysis ---------------------------------
+
+#: Total loads (sum C_i/P_i) each ``rm_exact_vs_rta`` cost vector is
+#: scaled to: from comfortably schedulable through every family's
+#: breakdown (harmonic sets break at 1, paper-scale sets near 0.9), then
+#: into overloads where higher-priority streams fail too, so the
+#: per-stream ``details`` verdicts are tested above the lowest stream.
+_RM_LOADS = np.concatenate((np.linspace(0.5, 1.1, 13), [1.25, 1.5, 1.75, 2.0]))
+
+
+def _rm_oracle_period_sets(case: FuzzCase) -> list[tuple[str, np.ndarray]]:
+    """The case's own periods plus one derived family, rotating by index:
+    a paper-scale 100-stream draw (uniform, mean 100 ms, ratio 10), a
+    harmonic catalogue whose multiples collide, or near-equal periods
+    one ulp apart next to computed multiples (``(p/3)*3`` vs ``p``)."""
+    rng = np.random.default_rng([case.seed, case.index, 41])
+    family = case.index % 3
+    if family == 0:
+        name = "paper_100"
+        periods = rng.uniform(0.2 / 11.0, 2.0 / 11.0, size=100)
+    elif family == 1:
+        name = "harmonic"
+        base = float(10 ** rng.uniform(np.log10(0.002), np.log10(0.02)))
+        catalogue = base * np.array([1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0])
+        periods = catalogue[rng.integers(0, catalogue.size, size=24)]
+    else:
+        name = "near_equal"
+        p = float(10 ** rng.uniform(np.log10(0.005), np.log10(0.05)))
+        third = p / 3.0
+        pool = np.array(
+            [third, p, np.nextafter(p, 0.0), np.nextafter(p, 1.0), third * 3.0,
+             2.0 * p, third * 6.0, 3.0 * p]
+        )
+        periods = pool[rng.integers(0, pool.size, size=12)]
+    return [
+        ("case", np.sort(np.asarray(case.periods_s, dtype=float))),
+        (name, np.sort(periods)),
+    ]
+
+
+def check_rm_exact_vs_rta(case: FuzzCase) -> Violation | None:
+    """The LSD exact test agrees with response-time analysis.
+
+    :func:`~repro.analysis.rm.response_time_analysis` is the independent
+    fixed-point oracle for equation (4).  Every verdict surface of
+    :class:`~repro.analysis.rm.ExactRMTest` — :meth:`is_schedulable`,
+    the rows of :meth:`is_schedulable_batch`, and the per-stream
+    :meth:`details` — must match it on cost vectors swept across
+    :data:`_RM_LOADS`.  As in the unit-level equivalence test, a stream
+    whose response lies within ``1e-9`` relative of its deadline sits on
+    the float knife edge, where the two formulations may legitimately
+    differ: a vector with such a stream is skipped.
+    """
+    rng = np.random.default_rng([case.seed, case.index, 43])
+    for name, periods in _rm_oracle_period_sets(case):
+        test = rm_mod.ExactRMTest(periods)
+        shares = rng.uniform(0.05, 1.0, size=periods.size)
+        costs = (shares / shares.sum())[None, :] * _RM_LOADS[:, None] * periods
+        blocking = float(rng.choice([0.0, 0.01 * periods[0]]))
+        batch = test.is_schedulable_batch(costs, blocking)
+        for row, load in enumerate(_RM_LOADS):
+            responses = np.array(
+                rm_mod.response_time_analysis(costs[row], periods, blocking)
+            )
+            if np.any(np.abs(responses - periods) <= 1e-9 * periods):
+                continue
+            oracle = responses <= periods
+            verdicts = {
+                "is_schedulable": test.is_schedulable(costs[row], blocking),
+                "is_schedulable_batch": bool(batch[row]),
+            }
+            for surface, verdict in verdicts.items():
+                if verdict != bool(oracle.all()):
+                    return Violation(
+                        "rm_exact_vs_rta",
+                        case,
+                        f"{name} set at load {load:.3f}: {surface} says "
+                        f"{verdict}, response-time analysis says "
+                        f"{bool(oracle.all())} (n={periods.size}, "
+                        f"blocking={blocking!r}, periods={periods.tolist()})",
+                    )
+            stream_ok = np.array(
+                [d.schedulable for d in test.details(costs[row], blocking)]
+            )
+            if not np.array_equal(stream_ok, oracle):
+                i = int(np.flatnonzero(stream_ok != oracle)[0])
+                return Violation(
+                    "rm_exact_vs_rta",
+                    case,
+                    f"{name} set at load {load:.3f}: details() stream {i} "
+                    f"schedulable={bool(stream_ok[i])} but its response "
+                    f"{responses[i]!r} vs period {periods[i]!r}",
+                )
+    return None
+
+
 # -- streaming Monte Carlo equivalence ------------------------------------------
 
 #: Chunk size of the fuzz-scale streaming runs; small enough that the whole
@@ -1510,6 +1614,7 @@ CHECKS: dict[str, Callable[[FuzzCase], Violation | None]] = {
     "analysis_sound_under_loss": check_analysis_sound_under_loss,
     "fault_plan_determinism": check_fault_plan_determinism,
     "columnar_equiv": check_columnar_equiv,
+    "rm_exact_vs_rta": check_rm_exact_vs_rta,
     "mc_streaming_equiv": check_mc_streaming_equiv,
     "cluster_shard_equiv": check_cluster_shard_equiv,
     "cluster_budget_sound": check_cluster_budget_sound,

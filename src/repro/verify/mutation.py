@@ -60,6 +60,14 @@ The mutants, and the property expected to catch each:
     jointly admit past the global utilization cap → caught by
     ``cluster_budget_sound``'s demand-overcommit churn, which observes
     the granted total exceeding the cap.
+``rm_prefix_cut_overrun``
+    The exact RM test's union-point builder files every scheduling
+    point under the period group *before* the first one whose ``R``
+    holds it, so each stream's prefix cut of the union runs one group
+    too far: a stream is also judged at points past its own deadline,
+    up to the next longer period, and a set whose busy period ends just
+    late passes → caught by ``rm_exact_vs_rta`` against response-time
+    analysis.
 """
 
 from __future__ import annotations
@@ -193,6 +201,13 @@ def _buggy_grantable(cap, outstanding):
     return max(0.0, cap)  # BUG: stale view — ignores outstanding leases
 
 
+def _buggy_union_points(original):
+    def union_points(distinct):
+        points, first = original(distinct)
+        return points, np.maximum(first - 1, 0)  # BUG: every cut one group late
+    return union_points
+
+
 def _patch_sites(mutant: str) -> list[tuple[object, str, object]]:
     """(owner, attribute, replacement) triples for one mutant.
 
@@ -243,6 +258,12 @@ def _patch_sites(mutant: str) -> list[tuple[object, str, object]]:
         from repro.cluster import budget as cluster_budget_mod
 
         return [(cluster_budget_mod, "_grantable", _buggy_grantable)]
+    if mutant == "rm_prefix_cut_overrun":
+        from repro.analysis import rm as rm_mod
+
+        return [
+            (rm_mod, "_union_points", _buggy_union_points(rm_mod._union_points))
+        ]
     raise KeyError(mutant)
 
 
@@ -255,6 +276,7 @@ MUTANTS: tuple[str, ...] = (
     "decision_key_stale_base",
     "fault_recovery_swallowed",
     "router_stale_lease",
+    "rm_prefix_cut_overrun",
 )
 
 

@@ -133,6 +133,7 @@ class TestConstruction:
         small = GroupedExactRMTest([0.1, 0.2, 0.4])
         periods = np.tile([0.1, 0.2, 0.4], 4000)
         big = GroupedExactRMTest(periods)
-        assert big._matrix.shape == small._matrix.shape
+        assert big._kernel.matrix.shape == small._kernel.matrix.shape
+        assert np.array_equal(big._kernel.points, small._kernel.points)
         costs = np.full(periods.size, 0.4 / periods.size / 3.0)
         assert isinstance(big.is_schedulable(costs), bool)

@@ -36,11 +36,19 @@ MACHINE = {
 
 
 def write_bench(
-    root, name, mean, ops, machine=MACHINE, stamp="2026-08-08T00:00:00+00:00"
+    root,
+    name,
+    mean,
+    ops,
+    machine=MACHINE,
+    stamp="2026-08-08T00:00:00+00:00",
+    commit=None,
+    dirty=False,
 ):
     document = {
         "datetime": stamp,
         "machine": machine,
+        **({"commit_info": {"id": commit, "dirty": dirty}} if commit else {}),
         "benchmarks": [
             {
                 "fullname": "repro.bench::case",
@@ -111,6 +119,49 @@ class TestAppend:
         assert run("append", root, history) == 0
         lines = open(history, encoding="utf-8").read().splitlines()
         assert len(lines) == 3
+
+    def test_commit_is_part_of_the_run_key(self, trend_dir):
+        root, history = trend_dir
+        write_bench(root, "BENCH_a.json", 0.010, 100.0, commit="aaa111")
+        assert run("append", root, history) == 0
+        assert run("append", root, history) == 0  # same run: refused
+        # the same file and datetime measured on another commit is a
+        # different run
+        write_bench(root, "BENCH_a.json", 0.009, 110.0, commit="bbb222")
+        assert run("append", root, history) == 0
+        entries = [
+            json.loads(line) for line in open(history, encoding="utf-8")
+        ]
+        assert [e["commit"] for e in entries] == ["aaa111", "bbb222"]
+
+    def test_dirty_runs_are_marked(self, trend_dir):
+        root, history = trend_dir
+        write_bench(root, "BENCH_a.json", 0.010, 100.0, commit="aaa111", dirty=True)
+        write_bench(root, "BENCH_b.json", 0.010, 100.0, commit="aaa111")
+        write_bench(root, "BENCH_c.json", 0.010, 100.0)
+        assert run("append", root, history) == 0
+        entries = {
+            entry["file"]: entry
+            for entry in map(json.loads, open(history, encoding="utf-8"))
+        }
+        assert entries["BENCH_a.json"]["dirty"] is True
+        assert entries["BENCH_b.json"]["dirty"] is False
+        assert entries["BENCH_c.json"]["dirty"] is None
+
+    def test_legacy_lines_without_commit_still_block_reappends(self, trend_dir):
+        root, history = trend_dir
+        write_bench(root, "BENCH_a.json", 0.010, 100.0)
+        assert run("append", root, history) == 0
+        (entry,) = [
+            json.loads(line) for line in open(history, encoding="utf-8")
+        ]
+        assert entry["commit"] is None
+        entry.pop("commit")  # a line written before commits were recorded
+        with open(history, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(entry) + "\n")
+        write_bench(root, "BENCH_a.json", 0.010, 100.0, commit="aaa111")
+        assert run("append", root, history) == 0
+        assert len(open(history, encoding="utf-8").read().splitlines()) == 1
 
     def test_append_refuses_documents_without_datetime(self, trend_dir):
         root, history = trend_dir

@@ -1,5 +1,7 @@
 """MessageSet: sequence behaviour, aggregates, RM ordering."""
 
+import random
+
 import pytest
 
 from repro.errors import MessageSetError
@@ -97,6 +99,26 @@ class TestTransformations:
 
     def test_scaled_utilization_linear(self):
         assert make_set().scaled(0.5).utilization(mbps(1)) == pytest.approx(0.15)
+
+    def test_scaled_utilization_bit_identical_to_scaled_set(self):
+        rng = random.Random(7)
+        message_set = MessageSet(
+            SynchronousStream(
+                period_s=rng.uniform(0.01, 1.0),
+                payload_bits=rng.uniform(0.0, 8000.0),
+                station=i,
+            )
+            for i in range(100)
+        )
+        for factor in (0.0, 1e-3, 0.7312, 1.0, 3.9):
+            expected = message_set.scaled(factor).utilization(mbps(10))
+            assert message_set.scaled_utilization(factor, mbps(10)) == expected
+
+    def test_scaled_utilization_keeps_the_scaled_set_errors(self):
+        with pytest.raises(MessageSetError):
+            make_set().scaled_utilization(-1.0, mbps(1))
+        with pytest.raises(ValueError):
+            make_set().scaled_utilization(1.0, 0.0)
 
     def test_assigned_to_stations(self):
         renumbered = make_set().rate_monotonic().assigned_to_stations()

@@ -169,6 +169,12 @@ class TestQuantities:
         assert table.min_period == 0.1
         assert table.max_period == 0.3
 
+    def test_scaled_utilization_is_the_scaled_table_utilization(self):
+        table = StreamTable([0.1, 0.2, 0.3], [10.0, 20.0, 35.0])
+        assert table.scaled_utilization(1.7, BW) == table.scaled(1.7).utilization(BW)
+        with pytest.raises(MessageSetError):
+            table.scaled_utilization(1.0, 0.0)
+
     def test_scaled(self):
         table = StreamTable([0.1, 0.2], [10.0, 20.0])
         assert table.scaled(2.0) == StreamTable([0.1, 0.2], [20.0, 40.0])

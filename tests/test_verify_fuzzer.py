@@ -131,6 +131,7 @@ class TestMutationSmoke:
         assert "admission_cache_equiv" in report.fired_checks[
             "decision_key_stale_base"
         ]
+        assert "rm_exact_vs_rta" in report.fired_checks["rm_prefix_cut_overrun"]
 
     def test_inject_mutant_restores_originals(self):
         from repro.analysis import boundary as boundary_mod

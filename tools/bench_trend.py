@@ -8,12 +8,17 @@ This tool keeps a history:
 
 ``append``
     Summarize every current ``BENCH_*.json`` into one JSONL line each
-    (per-benchmark mean and ops, plus the machine identity) appended to
-    ``BENCH_history.jsonl``.  A run is identified by ``(file,
-    datetime)``: a document whose run is already in the history (an
-    unchanged file appended again) or that carries no ``datetime`` is
-    refused, so the history cannot count one run twice.  ``make
-    bench-trend`` runs this after regenerating the canaries.
+    (per-benchmark mean and ops, plus the machine identity and the
+    commit the run was made on) appended to ``BENCH_history.jsonl``.
+    The commit is the document's ``commit_info.id`` when it has one;
+    ``dirty`` copies ``commit_info.dirty`` — a dirty run measured
+    uncommitted changes on top of that commit, not the commit itself.
+    A run is identified by ``(file, datetime, commit)``.  A document whose run
+    is already in the history (an unchanged file appended again) or
+    that carries no ``datetime`` is refused, so the history cannot count
+    one run twice.  History lines written before the commit was recorded
+    match on ``(file, datetime)`` alone.  ``make bench-trend`` runs this
+    after regenerating the canaries.
 
 ``check``
     Compare every current ``BENCH_*.json`` against the **newest
@@ -27,7 +32,8 @@ This tool keeps a history:
     ``make verify`` runs this.
 
 History entries are plain JSON objects — one per (BENCH file, run
-datetime) — so the file diffs cleanly and tolerates hand-pruning.
+datetime, commit) — so the file diffs cleanly and tolerates
+hand-pruning.
 """
 
 from __future__ import annotations
@@ -82,10 +88,13 @@ def _summarize(path: str) -> dict | None:
         }
     if not benchmarks:
         return None
+    commit_info = document.get("commit_info") or {}
     return {
         "schema_version": HISTORY_SCHEMA_VERSION,
         "file": os.path.basename(path),
         "datetime": document.get("datetime"),
+        "commit": commit_info.get("id"),
+        "dirty": commit_info.get("dirty"),
         "machine": _machine_key(document.get("machine")),
         "benchmarks": benchmarks,
     }
@@ -117,16 +126,17 @@ def _load_history(path: str) -> list[dict]:
 def cmd_append(root: str, history_path: str) -> int:
     """Append one history line per BENCH file run not yet recorded."""
     seen = {
-        (entry.get("file"), entry.get("datetime"))
+        (entry.get("file"), entry.get("datetime"), entry.get("commit"))
         for entry in _load_history(history_path)
     }
     entries = []
     for entry in (_summarize(path) for path in _bench_paths(root)):
         if entry is None:
             continue
+        run = (entry["file"], entry["datetime"])
         if entry["datetime"] is None:
             print(f"bench-trend: refusing {entry['file']}: no datetime")
-        elif (entry["file"], entry["datetime"]) in seen:
+        elif run + (entry["commit"],) in seen or run + (None,) in seen:
             print(
                 f"bench-trend: refusing {entry['file']}: run "
                 f"{entry['datetime']} is already in the history"

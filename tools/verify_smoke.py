@@ -47,7 +47,7 @@ monotone non-increasing in the loss fraction.  A committed
 invariants.
 
 The columnar scale guard runs a reduced-size ``bench-scale`` in-process:
-the columnar pipeline must analyse streams at least 50x faster per
+the columnar pipeline must analyse streams at least 5x faster per
 stream than the object path, the variance-reduced streaming Monte Carlo
 run must reach the target CI with no more evaluations than plain
 sampling (and agree with it within the combined CI), and a committed
@@ -651,14 +651,18 @@ def run_loss_canary() -> None:
     )
 
 
-#: Scale-guard floors.  The live columnar-vs-object throughput ratio
-#: lands around 100x even at the guard's reduced sizes, so 50x trips on
-#: real columnar regressions (a fallen-back scalar path runs at ~1x),
-#: not on scheduler noise; the committed canary must carry the same
-#: floor.  Ratios compare two pipelines measured in the same process, so
-#: unlike the wall-clock guards they are checked off-baseline-hardware
-#: too.
-_SCALE_SPEEDUP_FLOOR = 50.0
+#: Scale-guard floors.  The object path shares the union-point exact
+#: test, so the columnar-vs-object throughput ratio measures what the
+#: columnar layout saves on set building, ordering and TTP saturation:
+#: 7-18x live at the guard's sizes on a 2-vCPU Xeon guest (about 10x at
+#: ``bench-scale``'s full size).  Columnar runs that fall back to
+#: per-stream work read 0.8-2.5x there (the table converted to stream
+#: objects, or only the TTP saturation taken through them), so 5x trips
+#: on a fallback, not on scheduler noise; the committed canary must
+#: carry the same floor.  Ratios compare two pipelines measured in the
+#: same process, so unlike the wall-clock guards they are checked
+#: off-baseline-hardware too.
+_SCALE_SPEEDUP_FLOOR = 5.0
 _SCALE_GUARD_STREAMS = 100_000
 _SCALE_GUARD_BASELINE = 256
 
