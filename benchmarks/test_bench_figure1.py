@@ -8,7 +8,7 @@ benchmark log doubles as the experiment record.
 from __future__ import annotations
 
 from repro.experiments.figure1 import run_figure1
-from repro.obs import timing
+from repro.obs import tracing
 
 
 def test_bench_figure1(benchmark, bench_params, bench_jobs):
@@ -44,12 +44,12 @@ def test_bench_figure1_single_point(benchmark, bench_params):
     def one_point():
         return run_figure1(bench_params, bandwidths_mbps=(10.0,))
 
-    timing.reset()
+    tracing.reset()
     result = benchmark.pedantic(one_point, rounds=3, iterations=1)
     # Ship the per-cell span profile into the benchmark JSON, so the
     # summarized canary records where the wall time went, not just how
     # much there was.
-    benchmark.extra_info["spans"] = timing.snapshot()
+    benchmark.extra_info["spans"] = tracing.snapshot()
     point = result.points[0]
     assert 0.0 < point.pdp_modified.mean <= 1.0
     assert 0.0 < point.ttp.mean <= 1.0

@@ -348,8 +348,8 @@ class AdmissionController:
         n = len(candidates)
         out: list[tuple[bool, str] | ReproError | None] = [None] * n
         cache = result_cache() if self._cache_namespace is not None else None
-        with tracing.child_span("engine", candidates=n):
-            with tracing.child_span(
+        with tracing.span("engine", candidates=n):
+            with tracing.span(
                 "cache", namespace=self._cache_namespace or "off"
             ):
                 if cache is not None:
@@ -363,7 +363,7 @@ class AdmissionController:
 
             computed: dict[int, tuple[bool, str]] = {}
             if self._policy is not AdmissionPolicy.EXACT:
-                with tracing.child_span("sufficient", candidates=len(misses)):
+                with tracing.span("sufficient", candidates=len(misses)):
                     for i in misses:
                         if self._sufficient_test(candidates[i]):
                             computed[i] = (True, "sufficient")
@@ -371,7 +371,7 @@ class AdmissionController:
                             computed[i] = (False, "sufficient")
                 misses = [i for i in misses if i not in computed]
             if misses:
-                with tracing.child_span("exact", candidates=len(misses)):
+                with tracing.span("exact", candidates=len(misses)):
                     try:
                         verdicts = self._exact_verdicts(
                             [candidates[i] for i in misses]

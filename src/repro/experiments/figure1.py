@@ -42,7 +42,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import PaperParameters
 from repro.experiments.parallel import parallel_map
 from repro.experiments.reporting import ascii_plot, format_table
-from repro.obs import timing
+from repro.obs import tracing
 from repro.units import mbps
 
 __all__ = [
@@ -240,7 +240,7 @@ def _figure1_cell(
         analysis = params.ttp_analysis(bandwidth)
     else:  # pragma: no cover - protocol list is closed
         raise ConfigurationError(f"unknown Figure 1 protocol: {protocol!r}")
-    with timing.span(f"figure1/bw{bandwidth:g}/{protocol}"):
+    with tracing.span(f"figure1/bw{bandwidth:g}/{protocol}"):
         if params.mc_eps is not None:
             return streaming_average_breakdown_utilization(
                 analysis,

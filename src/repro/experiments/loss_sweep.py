@@ -43,7 +43,7 @@ from repro.faults.analysis import (
     ttp_fault_aware_schedulable,
 )
 from repro.faults.plan import rate_for_loss_fraction
-from repro.obs import timing
+from repro.obs import tracing
 from repro.obs.benchjson import BENCH_SCHEMA_VERSION, cpu_info
 from repro.units import mbps
 
@@ -102,7 +102,7 @@ def _loss_cell(shared, task) -> tuple[float, float, float]:
     sampler = parameters.sampler()
     utilizations: list[float] = []
     started = time.perf_counter()
-    with timing.span(f"loss-sweep/{protocol}/l{loss_fraction:g}"):
+    with tracing.span(f"loss-sweep/{protocol}/l{loss_fraction:g}"):
         for message_set in sampler.sample_many(rng, parameters.monte_carlo_sets):
             scale = fault_aware_breakdown_scale(accepts, message_set, rel_tol=1e-3)
             utilizations.append(

@@ -29,11 +29,12 @@ exactly what completed.
 Observability rides along transparently (and never changes results):
 
 * each worker resets its process-global metrics registry and span
-  recorder before a task, runs the cell, and ships the task's snapshots
-  back with the result; the parent **merges** them, so the merged totals
-  of any partitioning-invariant metric (probe counts, degenerate sets,
-  per-cell spans) equal the single-process run's — the inline path needs
-  no merging because cells update the parent registry directly;
+  table (:mod:`repro.obs.tracing`) before a task, runs the cell, and
+  ships the task's snapshots back with the result; the parent
+  **merges** them, so the merged totals of any partitioning-invariant
+  metric (probe counts, degenerate sets, per-cell spans) equal the
+  single-process run's — the inline path needs no merging because cells
+  update the parent registry directly;
 * cell completions are logged live at INFO on the
   ``repro.experiments.parallel`` logger (enable with the runner's
   ``--log-level info``), in completion order for pools and in task order
@@ -51,7 +52,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.errors import ConfigurationError
 from repro.obs import logging as obslog
-from repro.obs import metrics, timing
+from repro.obs import metrics, tracing
 
 __all__ = ["parallel_map", "resolve_jobs", "assert_compact_tasks"]
 
@@ -131,12 +132,14 @@ def _worker_init(fn: Callable, shared: object) -> None:
 
 def _worker_call(task: object) -> tuple:
     # Reset before (not after) the task: a forked worker inherits the
-    # parent's accumulated metrics, which must not be double-counted when
-    # this task's snapshot is merged back.
+    # parent's accumulated metrics and spans, which must not be
+    # double-counted when this task's snapshots are merged back.  It also
+    # inherits the submitting thread's open span path, so cell spans keep
+    # the paths the inline run records.
     metrics.registry().reset()
-    timing.recorder().reset()
+    tracing.reset()
     result = _WORKER_STATE["fn"](_WORKER_STATE["shared"], task)
-    return result, metrics.snapshot(), timing.snapshot()
+    return result, metrics.snapshot(), tracing.snapshot()
 
 
 def parallel_map(
@@ -161,7 +164,7 @@ def parallel_map(
 
     Results come back in task order regardless of completion order, so
     callers see exactly the sequential semantics.  Worker metrics and
-    timing spans are merged into this process's global registries.
+    spans are merged into this process's metrics registry and span table.
     """
     task_list = list(tasks)
     n_jobs = resolve_jobs(jobs)
@@ -240,7 +243,7 @@ def parallel_map(
         for future in futures:
             result, metric_snap, span_snap = future.result()
             metrics.merge(metric_snap)
-            timing.merge(span_snap)
+            tracing.merge(span_snap)
             results.append(result)
         return results
 
@@ -274,4 +277,4 @@ def _merge_completed(futures) -> None:
         if future.done() and not future.cancelled() and future.exception() is None:
             _result, metric_snap, span_snap = future.result()
             metrics.merge(metric_snap)
-            timing.merge(span_snap)
+            tracing.merge(span_snap)

@@ -81,7 +81,7 @@ Observability (see :mod:`repro.obs` and docs/USAGE.md §11):
 * Every invocation writes a ``manifest.json`` (next to the CSV when one
   is requested, in the working directory otherwise) capturing the seed,
   parameters, CLI arguments, git SHA, environment, wall time, and the
-  final metrics/timing-span snapshots — enough to regenerate and audit
+  final metrics and span snapshots — enough to regenerate and audit
   every plotted point.  ``--manifest PATH`` overrides the location;
   ``--no-manifest`` disables it.
 """
@@ -109,7 +109,7 @@ from repro.experiments.sweeps import (
 from repro.experiments.throughput import throughput_experiment
 from repro.obs import logging as obslog
 from repro.obs import manifest as obsmanifest
-from repro.obs import metrics, timing
+from repro.obs import metrics, tracing
 from repro.obs.logging import console
 
 __all__ = ["main", "build_parameters", "resolve_manifest_path"]
@@ -932,7 +932,7 @@ def main(argv: list[str] | None = None) -> int:
     # on top, so a served session drains instead).
     previous_term = _sigterm_as_interrupt()
     try:
-        with timing.span(f"runner/{args.experiment}"):
+        with tracing.span(f"runner/{args.experiment}"):
             exit_code = _dispatch(args, params, artifacts, manifest_extra)
     except KeyboardInterrupt:
         # Still write the manifest: a partial run that says what finished
@@ -961,7 +961,7 @@ def main(argv: list[str] | None = None) -> int:
             parameters=params,
             wall_time_s=elapsed,
             metrics=metrics.snapshot(),
-            spans=timing.snapshot(),
+            spans=tracing.snapshot(),
             artifacts=artifacts,
             extra=manifest_extra or None,
         )

@@ -38,7 +38,7 @@ from repro.analysis.ttrt import (
 from repro.experiments.config import PaperParameters
 from repro.experiments.parallel import parallel_map
 from repro.experiments.reporting import format_table
-from repro.obs import timing
+from repro.obs import tracing
 from repro.units import mbps
 
 __all__ = [
@@ -73,7 +73,7 @@ def _ttrt_cell(shared, policy) -> tuple[float, float]:
     """One TTRT-policy estimate (module-level so workers can import it)."""
     parameters, bandwidth_mbps = shared
     analysis = parameters.ttp_analysis(bandwidth_mbps, policy)
-    with timing.span(f"ttrt-sweep/{type(policy).__name__}"):
+    with tracing.span(f"ttrt-sweep/{type(policy).__name__}"):
         result = average_breakdown_utilization(
             analysis,
             parameters.sampler(),
@@ -134,7 +134,7 @@ def _frame_size_cell(shared, task) -> tuple[object, ...]:
     parameters, bandwidth_mbps = shared
     size, variant = task
     varied = parameters.with_frame(payload_bytes=size)
-    with timing.span(f"frame-size-sweep/{size:g}B/{variant.value}"):
+    with tracing.span(f"frame-size-sweep/{size:g}B/{variant.value}"):
         result = average_breakdown_utilization(
             varied.pdp_analysis(bandwidth_mbps, variant),
             parameters.sampler(),
@@ -188,7 +188,7 @@ def _period_cell(shared, task) -> float:
         analysis = varied.pdp_analysis(bandwidth_mbps, PDPVariant.MODIFIED)
     else:
         analysis = varied.ttp_analysis(bandwidth_mbps)
-    with timing.span(
+    with tracing.span(
         f"period-sweep/mp{mean_period:g}/r{ratio:g}/{protocol}"
     ):
         return average_breakdown_utilization(
@@ -297,7 +297,7 @@ def _ring_size_cell(shared, task) -> float:
         analysis = varied.pdp_analysis(bandwidth_mbps, PDPVariant.MODIFIED)
     else:
         analysis = varied.ttp_analysis(bandwidth_mbps)
-    with timing.span(f"ring-size-sweep/n{n}/{protocol}"):
+    with tracing.span(f"ring-size-sweep/n{n}/{protocol}"):
         return average_breakdown_utilization(
             analysis,
             varied.sampler(),

@@ -1,6 +1,6 @@
-"""Observability: structured logging, metrics, timing spans, manifests.
+"""Observability: structured logging, metrics, spans and traces, manifests.
 
-The shared instrumentation layer for the whole library.  Four small
+The shared instrumentation layer for the whole library.  Six small
 modules with one design contract between them — *instrumentation never
 changes results*:
 
@@ -11,43 +11,39 @@ changes results*:
   histograms wired into the hot paths (exact-test cache, lockstep
   bisection, Monte Carlo sampling, simulators); snapshots are picklable
   and mergeable across worker processes.
-* :mod:`repro.obs.timing` — hierarchical wall-time spans over
-  ``perf_counter``, aggregated by path (one path per grid cell in the
-  experiment sweeps).
 * :mod:`repro.obs.manifest` — run manifests: a JSON provenance record
   (seed, parameters, git SHA, environment, metrics, spans) written next
   to every experiment artifact.
 * :mod:`repro.obs.benchjson` — the versioned summarizer behind the
   ``make bench-quick`` perf canary.
-* :mod:`repro.obs.tracing` — per-request trace/span trees propagated
-  across the serving path (server → batcher → engine → cache), with a
-  ring buffer behind ``/v1/traces``, a JSONL sink, and a slow-request
-  log.
+* :mod:`repro.obs.tracing` — one span API: every span aggregates its
+  wall time by path (one path per grid cell in the experiment sweeps),
+  and sampled requests additionally get trace trees propagated across
+  the serving path (server → batcher → engine → cache), with a ring
+  buffer behind ``/v1/traces``, a JSONL sink, and a slow-request log.
 * :mod:`repro.obs.prometheus` — Prometheus text exposition of metric
   snapshots (bucketed histograms with trace-id exemplars) behind
   ``/metrics?format=prometheus``.
 
 Everything defaults to *on* because the cost is negligible by design
 (updates are O(1) and happen per batch / per run, never per inner-loop
-iteration); ``metrics.disable()`` and ``timing.disable()`` turn the layer
-into strict no-ops for paranoid benchmarking.
+iteration); ``metrics.disable()`` turns metric updates into strict
+no-ops for paranoid benchmarking.
 """
 
 from __future__ import annotations
 
-from repro.obs import logging, manifest, metrics, prometheus, timing, tracing
+from repro.obs import logging, manifest, metrics, prometheus, tracing
 from repro.obs.logging import console, get_logger, setup_logging
 from repro.obs.manifest import build_manifest, write_manifest
 from repro.obs.metrics import MetricsRegistry, counter, gauge, histogram
-from repro.obs.timing import SpanRecorder, span, timed
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import Tracer, span
 
 __all__ = [
     "logging",
     "manifest",
     "metrics",
     "prometheus",
-    "timing",
     "tracing",
     "Tracer",
     "console",
@@ -59,7 +55,5 @@ __all__ = [
     "counter",
     "gauge",
     "histogram",
-    "SpanRecorder",
     "span",
-    "timed",
 ]

@@ -10,7 +10,7 @@ This module reduces it to what trajectory comparison needs:
   rounds) with the raw ``data`` arrays dropped,
 * a trimmed machine fingerprint (enough to tell runs on different
   hardware apart, nothing more),
-* any ``extra_info`` the benchmark attached (e.g. timing-span snapshots
+* any ``extra_info`` the benchmark attached (e.g. span snapshots
   from the observability layer), and
 * an explicit ``schema_version`` so future format changes stay
   detectable instead of silently breaking comparisons.

@@ -8,7 +8,7 @@ A *manifest* is a small JSON file written next to an experiment's output
   included — the Monte Carlo is deterministic given these),
 * the code version (git SHA + dirty flag) and the Python/numpy versions,
 * wall time, and
-* the final metrics and timing-span snapshots of the run, so the
+* the final metrics and span snapshots of the run, so the
   manifest doubles as the run's performance record (exact-test cache hit
   rates, probe counts, per-cell wall times).
 
@@ -99,7 +99,8 @@ def build_manifest(
             expanded field by field (the seed rides along here).
         wall_time_s: total wall time of the invocation.
         metrics: a :func:`repro.obs.metrics.snapshot`.
-        spans: a :func:`repro.obs.timing.snapshot`.
+        spans: a :func:`repro.obs.tracing.snapshot` (span path -> count,
+            total, min, max and mean seconds).
         artifacts: paths of files the run wrote (CSV, reports).
         extra: free-form additions (kept under their own key).
     """

@@ -1,32 +1,45 @@
-"""End-to-end request tracing: spans, propagation, sinks (USAGE.md §16).
+"""Spans: path-aggregated wall time and sampled request traces.
 
-One served admission request crosses four components — the HTTP server,
-the micro-batcher, the admission engine, and the cache tier — and a p99
-regression is invisible in aggregate counters because each component
-only sees its own slice.  This module gives every sampled request a
-**trace**: a tree of timed spans with a shared ``trace_id``, annotated
-with the facts that matter for triage (batch size, engine, cache
-hits/misses, levels re-tested), collected in a ring buffer served at
-``/v1/traces`` and optionally appended to a JSONL sink.
+One API, :func:`span`, serves two readers (USAGE.md §11 and §16).
 
-Design contract (same as :mod:`repro.obs.metrics`): **tracing never
-changes results**.  Spans observe; they carry no state any decision
-reads.  The ``admission_tracing_equiv`` fuzz property pins decisions
-bit-identical with tracing off, sampled, or fully on.
+**Every span aggregates.**  A span records its wall time under its
+*path* — the names of the spans open around it on the same thread or
+task, joined by ``/`` — in one process table (count / total / min /
+max), so :func:`snapshot` reads like a profile of the call tree the run
+actually executed: ``figure1/bw10/ttp`` is one grid cell of the Figure 1
+sweep, ``service/batch/engine/exact`` the exact test under a served
+batch.  Snapshots are plain picklable dicts, mirroring
+:mod:`repro.obs.metrics`: worker processes snapshot, the parent
+:func:`merge`\\ s, and run manifests carry the result as ``spans``.
+
+**Sampled spans also trace.**  One served admission request crosses four
+components — the HTTP server, the micro-batcher, the admission engine,
+and the cache tier — and a p99 regression is invisible in aggregate
+counters because each component only sees its own slice.  Every sampled
+request gets a **trace**: a tree of timed spans with a shared
+``trace_id``, annotated with the facts that matter for triage (batch
+size, cache hits/misses, candidates), collected in a ring buffer served
+at ``/v1/traces`` and optionally appended to a JSONL sink.  A span opened
+while a trace node is current becomes its child, timed by the same clock
+reading that feeds the table.
+
+Design contract (same as :mod:`repro.obs.metrics`): **spans never change
+results**.  They observe; they carry no state any decision reads.  The
+``admission_tracing_equiv`` fuzz property pins decisions bit-identical
+with tracing off, sampled, or fully on.
 
 Propagation has two legs:
 
-* On one thread, the *current span* lives in a
-  :class:`contextvars.ContextVar`; :func:`child_span` nests under it and
-  is a near-free no-op when nothing is being traced (one context-var
-  read, no object allocation).
+* On one thread or task, the current *frame* — the aggregation path plus
+  the trace node, if any — lives in one :class:`contextvars.ContextVar`,
+  so paths never leak across threads.
 * Across the batcher's thread hop, context vars do not follow
   ``run_in_executor``, so the server hands its request span to
   :meth:`~repro.service.batcher.MicroBatcher.submit` explicitly and the
   worker installs a :class:`SpanGroup` — one batch may serve many
-  traces, and the engine/cache spans it produces are *shared nodes*
-  attached to every sampled member (same ``span_id`` in each tree, so a
-  reader can tell amortized work from per-request work).
+  traces, and the batch span it opens is a *shared node* attached to
+  every sampled member (same ``span_id`` in each tree, so a reader can
+  tell amortized work from per-request work).
 
 Sampling is deterministic systematic sampling (an accumulator, not a
 RNG): rate 0.5 traces every second request, 1.0 every request, 0.0 none.
@@ -43,6 +56,7 @@ import os
 import threading
 import time
 from collections import deque
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.obs import logging as obslog
@@ -50,10 +64,14 @@ from repro.obs import metrics as _metrics
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
+    "SpanStats",
     "Span",
     "SpanGroup",
     "Tracer",
-    "child_span",
+    "span",
+    "snapshot",
+    "merge",
+    "reset",
     "current",
     "use",
     "release",
@@ -66,9 +84,12 @@ _LOG = obslog.get_logger("repro.obs.tracing")
 #: Version tag on every serialized trace; bump on structural changes.
 TRACE_SCHEMA_VERSION = 1
 
-#: The active span (or :class:`SpanGroup`) on this thread/task.
+#: The current frame on this thread/task: ``(path, node)``, where
+#: ``path`` is the aggregation path new spans nest under and ``node`` the
+#: trace :class:`Span` or :class:`SpanGroup` they attach to (``None``
+#: when nothing is traced).
 _CURRENT: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_trace_span", default=None
+    "repro_span", default=("", None)
 )
 
 #: Process-wide span-id allocator (unique per process; a shared fan-out
@@ -81,13 +102,48 @@ _M_FINISHED = _metrics.counter("trace.finished")
 _M_SLOW = _metrics.counter("trace.slow")
 
 
+@dataclass
+class SpanStats:
+    """Aggregated wall time of every execution of one span path."""
+
+    count: int = 0
+    total_s: float = 0.0
+    min_s: float = float("inf")
+    max_s: float = float("-inf")
+
+    def record(self, seconds: float) -> None:
+        """Account one execution of the span."""
+        self.count += 1
+        self.total_s += seconds
+        if seconds < self.min_s:
+            self.min_s = seconds
+        if seconds > self.max_s:
+            self.max_s = seconds
+
+    def to_dict(self) -> dict:
+        """Snapshot form: count / total / min / max / mean seconds."""
+        return {
+            "count": self.count,
+            "total_s": self.total_s,
+            "min_s": self.min_s if self.count else None,
+            "max_s": self.max_s if self.count else None,
+            "mean_s": self.total_s / self.count if self.count else 0.0,
+        }
+
+
+#: The process table: span path -> :class:`SpanStats`, guarded by
+#: ``_TABLE_LOCK`` (spans close on the batch worker thread while the
+#: event loop snapshots).
+_TABLE: dict[str, SpanStats] = {}
+_TABLE_LOCK = threading.Lock()
+
+
 class Span:
     """One timed, attributed node of a trace tree.
 
     ``trace_id`` is set on root spans only; children identify through
     their tree position.  ``duration_s`` is filled by whoever owns the
-    span's lifetime (:func:`child_span`, :meth:`Tracer.finish`, or the
-    batcher for fan-out spans).
+    span's lifetime (:func:`span` or :meth:`Tracer.finish`).
     """
 
     __slots__ = (
@@ -151,7 +207,7 @@ class SpanGroup:
     A child created on the group is a **single shared span** appended to
     every member's children — honest about amortization (each trace sees
     the same node with the same timing) without per-member duplication
-    of the engine/cache work records.
+    of the batch/engine/cache work records.
     """
 
     __slots__ = ("members",)
@@ -285,17 +341,103 @@ class Tracer:
                 self._jsonl_handle = None
 
 
+# -- spans ----------------------------------------------------------------------
+
+
+class _SpanContext:
+    """Context manager around one execution of a span."""
+
+    __slots__ = ("_name", "_attrs", "_path", "_node", "_token", "_t0")
+
+    def __init__(self, name: str, attrs: dict):
+        self._name = name
+        self._attrs = attrs
+
+    def __enter__(self) -> Span | None:
+        path, parent = _CURRENT.get()
+        name = self._name
+        self._path = path = f"{path}/{name}" if path else name
+        self._node = node = (
+            None if parent is None else parent.child(name, **self._attrs)
+        )
+        self._token = _CURRENT.set((path, node))
+        self._t0 = time.perf_counter()
+        return node
+
+    def __exit__(self, *exc_info):
+        elapsed = time.perf_counter() - self._t0
+        _CURRENT.reset(self._token)
+        if self._node is not None:
+            self._node.duration_s = elapsed
+        with _TABLE_LOCK:
+            stats = _TABLE.get(self._path)
+            if stats is None:
+                stats = _TABLE[self._path] = SpanStats()
+            stats.record(elapsed)
+        return False
+
+
+def span(name: str, **attrs):
+    """Time a region under ``name``, nested below the current span.
+
+    Usable around any unit of work::
+
+        with tracing.span("figure1/bw10/ttp"):
+            ...
+
+    The elapsed time is always recorded under the span's path.  When a
+    trace node is current the span also becomes its child (``attrs`` are
+    its trace attributes) and the ``with`` target is that child; under a
+    :class:`SpanGroup` (the batch worker) it is one shared node attached
+    to every member trace.  Untraced, the target is ``None``.
+    """
+    return _SpanContext(name, attrs)
+
+
+def snapshot() -> dict:
+    """Every span path as a plain picklable ``{path: dict}`` mapping."""
+    with _TABLE_LOCK:
+        return {path: stats.to_dict() for path, stats in sorted(_TABLE.items())}
+
+
+def merge(snap: dict) -> None:
+    """Fold a :func:`snapshot` (e.g. from a worker process) into the
+    process table: counts and totals add, min/max combine."""
+    with _TABLE_LOCK:
+        for path, data in snap.items():
+            if not data["count"]:
+                continue
+            stats = _TABLE.get(path)
+            if stats is None:
+                stats = _TABLE[path] = SpanStats()
+            stats.count += data["count"]
+            stats.total_s += data["total_s"]
+            stats.min_s = min(stats.min_s, data["min_s"])
+            stats.max_s = max(stats.max_s, data["max_s"])
+
+
+def reset() -> None:
+    """Drop every recorded path (open spans still record on exit)."""
+    with _TABLE_LOCK:
+        _TABLE.clear()
+
+
 # -- context propagation --------------------------------------------------------
 
 
 def current() -> Span | SpanGroup | None:
-    """The span (or fan-out group) active on this thread/task."""
-    return _CURRENT.get()
+    """The trace node (span or fan-out group) current on this thread/task."""
+    return _CURRENT.get()[1]
 
 
-def use(span: Span | SpanGroup | None):
-    """Install ``span`` as the current one; returns the reset token."""
-    return _CURRENT.set(span)
+def use(node: Span | SpanGroup | None, path: str | None = None):
+    """Install ``node`` as the current trace node; returns the reset token.
+
+    ``path`` replaces the aggregation path new spans nest under; by
+    default the current one is kept.
+    """
+    current_path, _ = _CURRENT.get()
+    return _CURRENT.set((current_path if path is None else path, node))
 
 
 def release(token) -> None:
@@ -303,60 +445,9 @@ def release(token) -> None:
     _CURRENT.reset(token)
 
 
-class _NullSpanContext:
-    """The no-trace fast path: nothing is allocated, nothing is timed."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc_info):
-        return False
-
-
-_NULL_CONTEXT = _NullSpanContext()
-
-
-class _SpanContext:
-    """Context manager around one live child span."""
-
-    __slots__ = ("_span", "_token")
-
-    def __init__(self, parent, name: str, attrs: dict):
-        self._span = parent.child(name, **attrs)
-
-    def __enter__(self) -> Span:
-        self._token = _CURRENT.set(self._span)
-        return self._span
-
-    def __exit__(self, *exc_info):
-        span = self._span
-        span.duration_s = time.perf_counter() - span._t0
-        _CURRENT.reset(self._token)
-        return False
-
-
-def child_span(name: str, **attrs):
-    """A timed child of the current span; a free no-op when untraced.
-
-    Usable around any unit of work::
-
-        with tracing.child_span("exact", candidates=4):
-            ...
-
-    Under a :class:`SpanGroup` (the batch worker) the child is a shared
-    node attached to every member trace.
-    """
-    parent = _CURRENT.get()
-    if parent is None:
-        return _NULL_CONTEXT
-    return _SpanContext(parent, name, attrs)
-
-
 def annotate(**attrs) -> None:
-    """Set attributes on the current span (no-op when untraced)."""
-    target = _CURRENT.get()
+    """Set attributes on the current trace node (no-op when untraced)."""
+    target = _CURRENT.get()[1]
     if target is None:
         return
     if isinstance(target, SpanGroup):
@@ -367,13 +458,13 @@ def annotate(**attrs) -> None:
 
 
 def add(**counts) -> None:
-    """Accumulate numeric attributes on the current span.
+    """Accumulate numeric attributes on the current trace node.
 
     The cache tier calls this once per lookup — ``add(cache_hits=1)`` —
     so a span wrapping many lookups ends up with honest totals without
     one span per lookup.
     """
-    target = _CURRENT.get()
+    target = _CURRENT.get()[1]
     if target is None:
         return
     target.add(counts)

@@ -22,21 +22,20 @@ requests were never evaluated — no admission state is consumed.
 
 The batch itself runs on a dedicated single-thread executor: admission
 decisions are CPU-bound numpy work that must not stall the event loop,
-and keeping *one* worker thread preserves batch ordering and keeps the
-``service/batch`` timing spans on a single coherent span stack.
+and keeping *one* worker thread preserves batch ordering.
 
 Tracing crosses the thread hop explicitly: context vars do not follow
 ``run_in_executor``, so each queued operation carries its request span
 (``None`` when unsampled) and the worker installs a
 :class:`~repro.obs.tracing.SpanGroup` over the sampled members — the
-engine/cache spans the controller produces underneath are shared nodes
-attached to every traced request the batch served.
+batch span and the engine/cache spans the controller produces
+underneath are shared nodes attached to every traced request the batch
+served.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.admission import (
@@ -47,7 +46,7 @@ from repro.admission import (
     ReleaseOutcome,
 )
 from repro.errors import ServiceError
-from repro.obs import metrics, timing, tracing
+from repro.obs import metrics, tracing
 
 #: Batch sizes are powers-of-two-ish small integers bounded by
 #: ``batch_max``; these buckets cover the default 64 with headroom.
@@ -100,9 +99,7 @@ class MicroBatcher:
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=int(queue_limit))
         self._dispatcher: asyncio.Task | None = None
         self._draining = False
-        # One worker thread, by design: batches stay ordered and the
-        # span recorder's stack stays coherent (it is not thread-safe
-        # across interleaved spans).
+        # One worker thread, by design: batches stay ordered.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-admit"
         )
@@ -231,25 +228,19 @@ class MicroBatcher:
             self._queue.task_done()
 
     def _process(self, ops: "list[AdmissionOp]", spans=()):
-        # One "batch" child per sampled request, grouped so the engine
-        # and cache spans produced inside process_batch land (as shared
-        # nodes) on every traced member.
-        members = [
-            span.child("batch", batch_size=len(ops))
-            for span in spans
-            if span is not None
-        ]
-        token = tracing.use(tracing.SpanGroup(members)) if members else None
-        t0 = time.perf_counter()
+        # One span times the batch: under ``service/batch`` in the span
+        # table, and — grouped over the sampled requests — as one shared
+        # "batch" node in every traced member, with the engine and cache
+        # spans process_batch opens beneath it.
+        members = [span for span in spans if span is not None]
+        token = tracing.use(
+            tracing.SpanGroup(members) if members else None, path="service"
+        )
         try:
-            with timing.span("service/batch"):
+            with tracing.span("batch", batch_size=len(ops)):
                 results = self._controller.process_batch(ops)
         finally:
-            elapsed = time.perf_counter() - t0
-            for member in members:
-                member.duration_s = elapsed
-            if token is not None:
-                tracing.release(token)
+            tracing.release(token)
         with metrics.registry().hold():
             self._m_batches.inc()
             self._m_batch_size.observe(len(ops))

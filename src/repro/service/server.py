@@ -43,7 +43,7 @@ from urllib.parse import parse_qs
 from repro.admission import AdmissionOp, OpFault
 from repro.analysis.breakdown import breakdown_scale
 from repro.errors import ReproError, ServiceError
-from repro.obs import metrics, prometheus, timing, tracing
+from repro.obs import metrics, prometheus, tracing
 from repro.obs.logging import get_logger
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_S
 from repro.obs.tracing import Tracer
@@ -250,7 +250,7 @@ class AdmissionServer:
             "metrics": metrics.snapshot(prefix=_METRIC_PREFIXES),
             "spans": {
                 path: stats
-                for path, stats in timing.snapshot().items()
+                for path, stats in tracing.snapshot().items()
                 if path.startswith("service/")
             },
         }

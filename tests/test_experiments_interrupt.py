@@ -15,7 +15,7 @@ import signal
 import pytest
 
 from repro.experiments import parallel, runner
-from repro.obs import metrics, timing
+from repro.obs import metrics
 
 
 class TestSigtermRouting:

@@ -8,19 +8,19 @@ from repro.experiments import runner
 from repro.experiments.config import PaperParameters
 from repro.obs import logging as obslog
 from repro.obs import manifest as obsmanifest
-from repro.obs import metrics, timing
+from repro.obs import metrics, tracing
 
 
 @pytest.fixture(autouse=True)
 def clean_obs_state():
-    """Isolate global logging/metrics/timing state per test."""
+    """Isolate global logging/metrics/span state per test."""
     obslog.teardown_logging()
     metrics.reset()
-    timing.reset()
+    tracing.reset()
     yield
     obslog.teardown_logging()
     metrics.reset()
-    timing.reset()
+    tracing.reset()
 
 
 class TestGitRevision:

@@ -1,23 +1,184 @@
-"""Tracing primitives: spans, fan-out groups, sampling, sinks.
+"""Spans: path aggregation, fan-out groups, sampling, sinks.
 
-The load-bearing properties: sampling is deterministic (systematic, not
-random — the ``admission_tracing_equiv`` fuzz property depends on being
-able to reason about which requests are traced), the no-trace path
-allocates nothing, and a :class:`SpanGroup` child is one *shared* node
-(same ``span_id``) in every member trace — the marker for amortized
-batch work.
+The load-bearing properties: every span aggregates by path on its own
+thread, whether or not it is traced; sampling is deterministic
+(systematic, not random — the ``admission_tracing_equiv`` fuzz property
+depends on being able to reason about which requests are traced) and
+never changes what is aggregated; and a :class:`SpanGroup` child is one
+*shared* node (same ``span_id``) in every member trace — the marker for
+amortized batch work.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import pickle
+import sys
+import threading
 
 import pytest
 
+from repro.admission import AdmissionController, AdmissionOp, AdmissionPolicy
+from repro.analysis.pdp import PDPAnalysis, PDPVariant
 from repro.errors import ConfigurationError
+from repro.network.standards import ieee_802_5_ring, paper_frame_format
 from repro.obs import tracing
-from repro.obs.tracing import TRACE_SCHEMA_VERSION, Span, SpanGroup, Tracer
+from repro.obs.tracing import (
+    TRACE_SCHEMA_VERSION,
+    Span,
+    SpanGroup,
+    SpanStats,
+    Tracer,
+)
+from repro.service.batcher import MicroBatcher
+from repro.units import mbps
+
+
+@pytest.fixture(autouse=True)
+def clean_table():
+    """Each test starts and ends with an empty span table."""
+    tracing.reset()
+    yield
+    tracing.reset()
+
+
+class TestSpanStats:
+    def test_record_accumulates(self):
+        stats = SpanStats()
+        stats.record(1.0)
+        stats.record(3.0)
+        assert stats.count == 2
+        assert stats.total_s == 4.0
+        assert stats.min_s == 1.0 and stats.max_s == 3.0
+
+    def test_to_dict_empty(self):
+        d = SpanStats().to_dict()
+        assert d["count"] == 0
+        assert d["min_s"] is None and d["max_s"] is None
+
+
+class TestAggregation:
+    def test_nested_spans_build_paths(self):
+        with tracing.span("outer"):
+            with tracing.span("inner"):
+                pass
+            with tracing.span("inner"):
+                pass
+        snap = tracing.snapshot()
+        assert set(snap) == {"outer", "outer/inner"}
+        assert snap["outer"]["count"] == 1
+        assert snap["outer/inner"]["count"] == 2
+
+    def test_sibling_spans_do_not_nest(self):
+        with tracing.span("a"):
+            pass
+        with tracing.span("b"):
+            pass
+        assert set(tracing.snapshot()) == {"a", "b"}
+
+    def test_inner_time_bounded_by_outer(self):
+        with tracing.span("outer"):
+            with tracing.span("inner"):
+                sum(range(1000))
+        snap = tracing.snapshot()
+        assert snap["outer/inner"]["total_s"] <= snap["outer"]["total_s"]
+
+    def test_exception_still_recorded(self):
+        with pytest.raises(ValueError):
+            with tracing.span("risky"):
+                raise ValueError("boom")
+        assert tracing.snapshot()["risky"]["count"] == 1
+        # The frame unwound: the next span is top-level again.
+        with tracing.span("after"):
+            pass
+        assert "after" in tracing.snapshot()
+
+    def test_spans_on_two_threads_do_not_nest(self):
+        a_open = threading.Event()
+        b_done = threading.Event()
+
+        def thread_a():
+            with tracing.span("a"):
+                a_open.set()
+                b_done.wait(10.0)
+
+        def thread_b():
+            a_open.wait(10.0)
+            with tracing.span("b"):
+                pass
+            b_done.set()
+
+        threads = [threading.Thread(target=fn) for fn in (thread_a, thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+            assert not thread.is_alive()
+        assert set(tracing.snapshot()) == {"a", "b"}
+
+    def test_concurrent_spans_lose_no_update(self):
+        def work():
+            for _ in range(500):
+                with tracing.span("hot"):
+                    pass
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        snap = tracing.snapshot()
+        assert set(snap) == {"hot"}
+        assert snap["hot"]["count"] == 8 * 500
+
+    def test_snapshot_is_picklable(self):
+        with tracing.span("cell"):
+            pass
+        snap = tracing.snapshot()
+        assert pickle.loads(pickle.dumps(snap)) == snap
+
+    def test_merge_adds_counts_and_combines_extremes(self):
+        with tracing.span("cell"):
+            pass
+        first = tracing.snapshot()["cell"]
+        tracing.reset()
+        with tracing.span("cell"):
+            sum(range(2000))
+        second = tracing.snapshot()["cell"]
+        tracing.merge({"cell": first})
+        merged = tracing.snapshot()["cell"]
+        assert merged["count"] == 2
+        assert merged["total_s"] == first["total_s"] + second["total_s"]
+        assert merged["min_s"] == min(first["min_s"], second["min_s"])
+        assert merged["max_s"] == max(first["max_s"], second["max_s"])
+
+    def test_merge_skips_empty_entries(self):
+        tracing.merge({"ghost": SpanStats().to_dict()})
+        assert tracing.snapshot() == {}
+
+    def test_reset_clears_spans(self):
+        with tracing.span("x"):
+            pass
+        tracing.reset()
+        assert tracing.snapshot() == {}
+
+    def test_use_path_roots_the_spans_below_it(self):
+        token = tracing.use(None, path="service")
+        try:
+            with tracing.span("batch"):
+                pass
+        finally:
+            tracing.release(token)
+        with tracing.span("after"):
+            pass
+        assert set(tracing.snapshot()) == {"service/batch", "after"}
 
 
 class TestSpan:
@@ -154,23 +315,24 @@ class TestTracerSinks:
 
 
 class TestContextPropagation:
-    def test_child_span_is_noop_when_untraced(self):
+    def test_span_is_untraced_but_aggregated_without_a_root(self):
         assert tracing.current() is None
-        with tracing.child_span("engine", candidates=4) as span:
+        with tracing.span("engine", candidates=4) as span:
             assert span is None
         tracing.annotate(op="check")  # must not raise
         tracing.add(cache_hits=1)
+        assert tracing.snapshot()["engine"]["count"] == 1
 
-    def test_child_span_nests_under_installed_root(self):
+    def test_span_nests_under_installed_root(self):
         root = Span("request", trace_id="t1")
         token = tracing.use(root)
         try:
-            with tracing.child_span("engine", candidates=2) as engine:
+            with tracing.span("engine", candidates=2) as engine:
                 assert tracing.current() is engine
                 tracing.annotate(policy="exact")
                 tracing.add(cache_hits=1)
                 tracing.add(cache_hits=1)
-                with tracing.child_span("cache"):
+                with tracing.span("cache"):
                     pass
             assert tracing.current() is root
         finally:
@@ -184,12 +346,16 @@ class TestContextPropagation:
         assert engine.duration_s > 0.0
         assert [c.name for c in root.children] == ["engine"]
         assert [c.name for c in engine.children] == ["cache"]
+        snap = tracing.snapshot()
+        assert set(snap) == {"engine", "engine/cache"}
+        # the trace node and the table read the same clock
+        assert snap["engine"]["total_s"] == engine.duration_s
 
-    def test_group_child_span_shares_one_node(self):
+    def test_group_span_shares_one_node(self):
         members = [Span("batch"), Span("batch")]
         token = tracing.use(SpanGroup(members))
         try:
-            with tracing.child_span("engine") as engine:
+            with tracing.span("engine") as engine:
                 tracing.add(levels_computed=3)
         finally:
             tracing.release(token)
@@ -197,3 +363,36 @@ class TestContextPropagation:
         assert members[1].children == [engine]
         # the add() landed on the shared engine span, once, not per member
         assert engine.attrs == {"levels_computed": 3}
+        assert tracing.snapshot()["engine"]["count"] == 1
+
+
+def _path_counts(sample_rate: float) -> dict:
+    """Span path counts of a fixed run of batches through the batcher's
+    worker step, with requests traced at ``sample_rate``."""
+    analysis = PDPAnalysis(
+        ieee_802_5_ring(mbps(16), n_stations=8),
+        paper_frame_format(),
+        PDPVariant.MODIFIED,
+    )
+    batcher = MicroBatcher(AdmissionController(analysis, AdmissionPolicy.HYBRID))
+    tracer = Tracer(sample_rate)
+    tracing.reset()
+    for size in (1, 3, 2, 4):
+        ops = [
+            AdmissionOp.check(0.008 * (1 + index % 4), 256.0 * (1 + index))
+            for index in range(size)
+        ]
+        ops.append(AdmissionOp.admit(0.032, 512.0))
+        spans = [tracer.begin("request") for _ in ops]
+        batcher._process(ops, spans)
+        for span in spans:
+            tracer.finish(span)
+    return {path: data["count"] for path, data in tracing.snapshot().items()}
+
+
+def test_sampling_never_changes_aggregation():
+    counts = {rate: _path_counts(rate) for rate in (0.0, 0.5, 1.0)}
+    assert counts[0.0] == counts[0.5] == counts[1.0]
+    assert counts[1.0]["service/batch"] == 4
+    assert counts[1.0]["service/batch/engine"] == 4
+    assert "service/batch/engine/cache" in counts[1.0]

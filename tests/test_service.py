@@ -32,7 +32,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.network.standards import ieee_802_5_ring, paper_frame_format
-from repro.obs import metrics
+from repro.obs import metrics, tracing
 from repro.obs.benchjson import summarize_benchmark_json
 from repro.service import (
     AdmissionServer,
@@ -586,6 +586,19 @@ class TestLoadgen:
         stats = document["benchmarks"][0]["stats"]
         assert stats["rounds"] == len(report.latencies)
         assert stats["ops"] == pytest.approx(report.throughput_rps)
+
+    def test_summary_spans_ignore_the_enclosing_span(self):
+        # runner loadgen --spawn serves from inside its runner/loadgen
+        # span; the batch worker's spans must still read service/...
+        tracing.reset()
+        service_config = ServiceConfig(port=0, n_stations=8, policy="exact")
+        load_config = LoadConfig(duration_s=0.3, workers=2, seed=11)
+        with tracing.span("runner/loadgen"):
+            _, summary = asyncio.run(
+                run_against_spawned_server(service_config, load_config)
+            )
+        assert "service/batch" in summary["spans"]
+        assert "service/batch/engine" in summary["spans"]
 
     def test_workload_is_seed_deterministic(self):
         from repro.service.loadgen import _catalogue

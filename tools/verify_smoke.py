@@ -334,7 +334,8 @@ def run_service_canary() -> None:
     run completes, zero requests are shed (429) or refused (503), zero
     transport errors, p99 latency under the bound, and at least half the
     paced request budget actually served — a stalled batcher cannot hide
-    behind a green exit code.
+    behind a green exit code — and the server summary's spans hold one
+    ``service/batch`` execution per counted batch.
     """
     with tempfile.TemporaryDirectory(prefix="repro-service-") as tmp:
         bench_path = os.path.join(tmp, "BENCH_service.json")
@@ -403,10 +404,23 @@ def run_service_canary() -> None:
                 f"misses={cache['misses']:.0f} — decisions are bypassing "
                 "the cache or their keys never repeat"
             )
+        # Span guard: the batch worker's spans must reach the server
+        # summary whatever span the runner serves from, one service/batch
+        # execution per counted batch.
+        server = document["benchmarks"][0]["extra_info"]["server"]
+        batch_spans = server["spans"].get("service/batch", {}).get("count")
+        batches = server["metrics"]["service.batches"]["value"]
+        if batch_spans != batches:
+            raise AssertionError(
+                f"server summary spans count {batch_spans!r} service/batch "
+                f"executions for {batches:.0f} batches — batch spans are "
+                "lost or filed under another path"
+            )
     print(
         "verify_smoke: ok (service canary, "
         f"{report['requests']} requests, p99 {p99 * 1e3:.1f} ms, 0 shed, "
-        f"cache hit ratio {cache['hit_ratio']:.2f})"
+        f"cache hit ratio {cache['hit_ratio']:.2f}, "
+        f"{batch_spans} service/batch spans)"
     )
 
 
