@@ -7,8 +7,6 @@ and prints the gap — the price of admission-test-free operation.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.montecarlo import average_breakdown_utilization
 from repro.analysis.pdp import PDPVariant
 from repro.analysis.worstcase import pdp_minimum_breakdown, ttp_minimum_breakdown
@@ -19,7 +17,7 @@ from repro.units import mbps
 def test_bench_min_vs_avg_breakdown(benchmark, bench_params):
     dist = bench_params.period_distribution()
     low, high = dist.bounds
-    sampler = bench_params.sampler()
+    population = bench_params.sample_population()
 
     def compute() -> list[list[object]]:
         rows: list[list[object]] = []
@@ -29,17 +27,13 @@ def test_bench_min_vs_avg_breakdown(benchmark, bench_params):
             ttp = bench_params.ttp_analysis(bandwidth_mbps)
 
             pdp_avg = average_breakdown_utilization(
-                pdp, sampler, bandwidth, bench_params.monte_carlo_sets,
-                np.random.default_rng(bench_params.seed), rel_tol=1e-3,
+                pdp, population, bandwidth, rel_tol=1e-3
             ).mean
             pdp_min = pdp_minimum_breakdown(
                 pdp, (low, high), bench_params.n_stations,
                 restarts=3, iterations=15, rng=0,
             ).utilization
-            ttp_avg = average_breakdown_utilization(
-                ttp, sampler, bandwidth, bench_params.monte_carlo_sets,
-                np.random.default_rng(bench_params.seed),
-            ).mean
+            ttp_avg = average_breakdown_utilization(ttp, population, bandwidth).mean
             ttp_min = ttp_minimum_breakdown(
                 ttp, (low, high), bench_params.n_stations, grid_points=200
             ).utilization

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 
 from repro.analysis.breakdown import (
@@ -26,6 +28,7 @@ from repro.analysis.breakdown import (
 )
 from repro.errors import ConfigurationError
 from repro.messages.generators import MessageSetSampler
+from repro.messages.message_set import MessageSet
 from repro.obs import metrics as _metrics
 
 #: Monte Carlo accounting: sampled sets and the two degenerate breakdown
@@ -41,7 +44,6 @@ __all__ = [
     "StreamingBreakdownEstimate",
     "BATCH_CHUNK_SETS",
     "average_breakdown_utilization",
-    "breakdown_samples",
     "breakdown_samples_for_sets",
     "streaming_average_breakdown_utilization",
 ]
@@ -92,55 +94,9 @@ class AverageBreakdownEstimate:
 BATCH_CHUNK_SETS = 16
 
 
-def breakdown_samples(
-    predicate: SchedulabilityPredicate | SupportsSaturationScale,
-    sampler: MessageSetSampler,
-    bandwidth_bps: float,
-    n_sets: int,
-    rng: np.random.Generator,
-    rel_tol: float = 1e-4,
-) -> tuple[list[float], int]:
-    """Per-set breakdown utilizations for ``n_sets`` sampled workloads.
-
-    Returns ``(samples, degenerate_count)``.  The two degenerate breakdown
-    scales are accounted *asymmetrically*, and both are counted in
-    ``degenerate_count``:
-
-    * scale ``inf`` (all-zero payloads): the set is **skipped** — it
-      contributes no sample and does not enter the mean;
-    * scale ``0``: the set is counted into ``degenerate_count`` **and**
-      appended to ``samples`` with utilization exactly 0, so it *does*
-      drag the mean down — the protocol cannot carry even infinitesimal
-      synchronous load under those overheads, which is real behaviour (it
-      happens to TTP at very low bandwidth), not a sampling artifact.
-
-    This double accounting is deliberate and load-bearing: Figure 1's
-    low-bandwidth means depend on scale-0 sets contributing zeros.
-    ``len(samples) + degenerate_count`` can therefore exceed ``n_sets``.
-
-    Analyses that support batched probing
-    (:class:`~repro.analysis.breakdown.SupportsBatchScaleProbe`) or
-    closed-form saturation are evaluated through the lockstep batched
-    search in chunks of :data:`BATCH_CHUNK_SETS`; the verdicts and scales
-    are identical to the scalar path either way.
-    """
-    if n_sets < 1:
-        raise ConfigurationError(f"need at least one sample, got {n_sets!r}")
-    message_sets = sampler.sample_many(rng, n_sets)
-    samples, zero_scale, inf_scale = breakdown_samples_for_sets(
-        predicate, message_sets, bandwidth_bps, rel_tol
-    )
-    degenerate = zero_scale + inf_scale
-    _ZERO_SCALE.inc(zero_scale)
-    _INF_SCALE.inc(inf_scale)
-    _SETS_SAMPLED.inc(n_sets)
-    _DEGENERATE.inc(degenerate)
-    return samples, degenerate
-
-
 def breakdown_samples_for_sets(
     predicate: SchedulabilityPredicate | SupportsSaturationScale,
-    message_sets,
+    message_sets: Sequence[MessageSet],
     bandwidth_bps: float,
     rel_tol: float = 1e-4,
 ) -> tuple[list[float], int, int]:
@@ -148,8 +104,9 @@ def breakdown_samples_for_sets(
     the fixed-N and streaming estimators.
 
     Returns ``(samples, zero_scale_count, infinite_scale_count)`` with the
-    degenerate accounting of :func:`breakdown_samples` (zero-scale sets
-    appear in ``samples`` as exact 0.0, infinite-scale sets are skipped).
+    degenerate accounting of :func:`average_breakdown_utilization`
+    (zero-scale sets appear in ``samples`` as exact 0.0, infinite-scale
+    sets are skipped).
     Deliberately increments **no** Monte Carlo metrics — the callers
     account folded work themselves, so speculative streaming chunks that
     end up discarded never inflate the counters.
@@ -417,33 +374,58 @@ def streaming_average_breakdown_utilization(
 
 def average_breakdown_utilization(
     predicate: SchedulabilityPredicate | SupportsSaturationScale,
-    sampler: MessageSetSampler,
+    message_sets: Sequence[MessageSet],
     bandwidth_bps: float,
-    n_sets: int,
-    rng: np.random.Generator | int | None = None,
     rel_tol: float = 1e-4,
 ) -> AverageBreakdownEstimate:
     """Estimate the average breakdown utilization of a protocol.
+
+    Every set of ``message_sets`` (a population drawn once, e.g. with
+    :meth:`MessageSetSampler.sample_many`, and shared by every protocol
+    and bandwidth it is compared across — paired sampling) is scaled to
+    its saturation boundary, and the saturated utilizations are averaged.
+
+    The two degenerate breakdown scales are accounted *asymmetrically*,
+    and both are counted in ``degenerate_sets``:
+
+    * scale ``inf`` (all-zero payloads): the set is **skipped** — it
+      contributes no sample and does not enter the mean;
+    * scale ``0``: the set is counted into ``degenerate_sets`` **and**
+      contributes a sample of utilization exactly 0, so it *does* drag
+      the mean down — the protocol cannot carry even infinitesimal
+      synchronous load under those overheads, which is real behaviour (it
+      happens to TTP at very low bandwidth), not a sampling artifact.
+
+    This double accounting is deliberate and load-bearing: Figure 1's
+    low-bandwidth means depend on scale-0 sets contributing zeros.
+    ``n_sets + degenerate_sets`` can therefore exceed the population size.
+
+    Analyses that support batched probing
+    (:class:`~repro.analysis.breakdown.SupportsBatchScaleProbe`) or
+    closed-form saturation are evaluated through the lockstep batched
+    search in chunks of :data:`BATCH_CHUNK_SETS`; the verdicts and scales
+    are identical to the scalar path either way.
 
     Args:
         predicate: a schedulability test — an analysis object
             (:class:`~repro.analysis.pdp.PDPAnalysis`,
             :class:`~repro.analysis.ttp.TTPAnalysis`) or a plain callable
             over message sets.
-        sampler: the workload distribution.
+        message_sets: the sampled workload population (at least one set).
         bandwidth_bps: bandwidth at which utilizations are evaluated (must
             match the ring inside the predicate for meaningful results).
-        n_sets: Monte Carlo sample count.
-        rng: a numpy Generator, a seed, or None for fresh entropy.
         rel_tol: relative tolerance of the bisection saturation search.
     """
-    if isinstance(rng, np.random.Generator):
-        generator = rng
-    else:
-        generator = np.random.default_rng(rng)
-    samples, degenerate = breakdown_samples(
-        predicate, sampler, bandwidth_bps, n_sets, generator, rel_tol
+    if len(message_sets) < 1:
+        raise ConfigurationError("need at least one sampled message set")
+    samples, zero_scale, inf_scale = breakdown_samples_for_sets(
+        predicate, message_sets, bandwidth_bps, rel_tol
     )
+    degenerate = zero_scale + inf_scale
+    _ZERO_SCALE.inc(zero_scale)
+    _INF_SCALE.inc(inf_scale)
+    _SETS_SAMPLED.inc(len(message_sets))
+    _DEGENERATE.inc(degenerate)
     if not samples:
         return AverageBreakdownEstimate(
             mean=0.0, std=0.0, n_sets=0, samples=(), degenerate_sets=degenerate

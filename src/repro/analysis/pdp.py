@@ -432,58 +432,56 @@ class PDPAnalysis:
         :class:`ExactRMTest` structure, payload vector) and returns
         ``probe(indices, scales) -> verdicts``: for each position ``j``,
         whether ``message_sets[indices[j]]`` with payloads scaled by
-        ``scales[j]`` passes Theorem 4.1.  A probe computes the augmented
-        lengths of *all* requested sets in one concatenated vectorized
-        call; probes of the same set (same period vector) are evaluated
-        through :meth:`ExactRMTest.is_schedulable_batch` as one stacked
-        operation.  This is the engine behind the lockstep batched
-        bisection of :func:`repro.analysis.breakdown.breakdown_scales_batch`.
+        ``scales[j]`` passes Theorem 4.1.  A probe stably sorts its
+        positions by set, scales one payload row per position (rows are
+        zero-padded to the widest set) and computes every augmented
+        length in one vectorized call.  Each set's run of rows is then
+        one block: a single row goes through the scalar evaluation,
+        several through :meth:`ExactRMTest.is_schedulable_batch` in
+        probe order — the same dispatch as probing each set on its own,
+        so every verdict is bit-identical.  This is the engine behind the
+        lockstep batched bisection of
+        :func:`repro.analysis.breakdown.breakdown_scales_batch`.
         """
-        prepared: list[tuple[np.ndarray, ExactRMTest | None]] = []
+        tests: list[ExactRMTest | None] = []
+        widths: list[int] = []
+        ordered_sets = []
         for message_set in message_sets:
-            if len(message_set) == 0:
-                prepared.append((np.empty(0), None))
-                continue
             ordered = message_set.rate_monotonic()
-            payloads = np.asarray(ordered.payloads_bits, dtype=float)
-            prepared.append((payloads, self._exact_test_for(ordered)))
+            ordered_sets.append(ordered)
+            widths.append(len(ordered))
+            tests.append(self._exact_test_for(ordered) if len(ordered) else None)
+        # One payload row per set, zero-padded to the widest set; padding
+        # columns are computed and then ignored.
+        payload_rows = np.zeros((len(ordered_sets), max(widths, default=0)))
+        for row, ordered in zip(payload_rows, ordered_sets):
+            row[: len(ordered)] = ordered.payloads_bits
         blocking = self.blocking
 
         def probe(indices: Sequence[int], scales: np.ndarray) -> np.ndarray:
-            scale_arr = np.asarray(scales, dtype=float)
-            segments: list[np.ndarray] = []
-            offsets = [0]
-            for idx, scale in zip(indices, scale_arr):
-                segments.append(prepared[idx][0] * scale)
-                offsets.append(offsets[-1] + segments[-1].size)
-            if not segments:
-                return np.empty(0, dtype=bool)
+            idx = np.asarray(indices, dtype=np.intp)
+            verdicts = np.ones(idx.size, dtype=bool)
+            if idx.size == 0:
+                return verdicts
+            order = np.argsort(idx, kind="stable")
+            by_set = idx[order]
+            scaled = payload_rows[by_set]
+            scaled *= np.asarray(scales, dtype=float)[order, None]
             lengths = pdp_augmented_lengths(
-                np.concatenate(segments), self._ring, self._frame, self._variant
+                scaled, self._ring, self._frame, self._variant
             )
-            verdicts = np.empty(len(segments), dtype=bool)
-            # Group probes that target the same set so they share one
-            # stacked is_schedulable_batch evaluation.
-            by_set: dict[int, list[int]] = {}
-            for j, idx in enumerate(indices):
-                by_set.setdefault(idx, []).append(j)
-            for idx, positions in by_set.items():
-                test = prepared[idx][1]
+            runs = np.flatnonzero(by_set[1:] != by_set[:-1]) + 1
+            bounds = [0, *runs.tolist(), idx.size]
+            for lo, hi in zip(bounds, bounds[1:]):
+                test = tests[by_set[lo]]
                 if test is None:
-                    for j in positions:
-                        verdicts[j] = True
-                    continue
-                if len(positions) == 1:
-                    j = positions[0]
-                    verdicts[j] = test._evaluate(
-                        lengths[offsets[j] : offsets[j + 1]], blocking
-                    )
+                    continue  # empty sets are trivially schedulable
+                block = lengths[lo:hi, : widths[by_set[lo]]]
+                if hi - lo == 1:
+                    verdicts[order[lo]] = test._evaluate(block[0], blocking)
                 else:
-                    stacked = np.stack(
-                        [lengths[offsets[j] : offsets[j + 1]] for j in positions]
-                    )
-                    verdicts[list(positions)] = test.is_schedulable_batch(
-                        stacked, blocking
+                    verdicts[order[lo:hi]] = test.is_schedulable_batch(
+                        np.ascontiguousarray(block), blocking
                     )
             return verdicts
 

@@ -18,12 +18,15 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from repro.analysis.pdp import PDPAnalysis, PDPVariant
 from repro.analysis.rm import ExactRMTest
 from repro.analysis.ttp import TTPAnalysis
 from repro.analysis.ttrt import SqrtRuleTTRT, TTRTPolicy
 from repro.errors import ConfigurationError
 from repro.messages.generators import MessageSetSampler, PeriodDistribution
+from repro.messages.message_set import MessageSet
 from repro.network.frames import FrameFormat
 from repro.network.ring import RingNetwork
 from repro.network.standards import fddi_ring, ieee_802_5_ring
@@ -167,6 +170,17 @@ class PaperParameters:
         """A message-set sampler with one stream per station."""
         return MessageSetSampler(
             n_streams=self.n_stations, periods=self.period_distribution()
+        )
+
+    def sample_population(self) -> list[MessageSet]:
+        """The ``monte_carlo_sets`` workloads drawn from ``seed``.
+
+        A sweep draws this once and hands it to every cell it compares,
+        so all protocols and bandwidths see the same sets (paired
+        sampling).  Each call draws afresh from a new generator.
+        """
+        return self.sampler().sample_many(
+            np.random.default_rng(self.seed), self.monte_carlo_sets
         )
 
     # -- observability -----------------------------------------------------------

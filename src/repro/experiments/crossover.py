@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.analysis.montecarlo import average_breakdown_utilization
 from repro.analysis.pdp import PDPVariant
 from repro.errors import ConfigurationError
@@ -78,13 +76,17 @@ def crossover_map(
         1.0, 1.6, 2.5, 4.0, 6.3, 10.0, 16.0, 25.0, 40.0, 63.0, 100.0,
     ),
 ) -> CrossoverMap:
-    """Locate the PDP→TTP handover bandwidth for each ring size."""
+    """Locate the PDP→TTP handover bandwidth for each ring size.
+
+    Each ring size draws one population, shared by every bandwidth and
+    protocol of its scan.
+    """
     if not station_counts or not bandwidth_grid_mbps:
         raise ConfigurationError("need at least one station count and bandwidth")
     points: list[CrossoverPoint] = []
     for n in station_counts:
         varied = parameters.scaled_down(n, parameters.monte_carlo_sets)
-        sampler = varied.sampler()
+        population = varied.sample_population()
         crossover: float | None = None
         pdp_value = ttp_value = 0.0
         for bandwidth in bandwidth_grid_mbps:
@@ -92,20 +94,14 @@ def crossover_map(
             pdp_best = max(
                 average_breakdown_utilization(
                     varied.pdp_analysis(bandwidth, variant),
-                    sampler,
+                    population,
                     bw_bps,
-                    varied.monte_carlo_sets,
-                    np.random.default_rng(varied.seed),
                     rel_tol=1e-3,
                 ).mean
                 for variant in (PDPVariant.STANDARD, PDPVariant.MODIFIED)
             )
             ttp = average_breakdown_utilization(
-                varied.ttp_analysis(bandwidth),
-                sampler,
-                bw_bps,
-                varied.monte_carlo_sets,
-                np.random.default_rng(varied.seed),
+                varied.ttp_analysis(bandwidth), population, bw_bps
             ).mean
             if ttp > pdp_best:
                 crossover, pdp_value, ttp_value = bandwidth, pdp_best, ttp

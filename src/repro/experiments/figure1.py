@@ -7,12 +7,12 @@ The paper's single evaluation figure sweeps the link bandwidth from 1 to
 * the modified IEEE 802.5 variant, and
 * FDDI's timed token protocol.
 
-For each bandwidth and protocol, random message sets are drawn from the
-paper's distributions, each set is scaled to its saturation boundary, and
-the saturated utilizations are averaged (see
-:mod:`repro.analysis.montecarlo`).  The same RNG seed is used for every
-protocol at every bandwidth, so the three curves are evaluated on the
-*same* workload population — paired sampling, which sharpens the
+One population of random message sets is drawn from the paper's
+distributions per sweep; for each bandwidth and protocol every set is
+scaled to its saturation boundary and the saturated utilizations are
+averaged (see :mod:`repro.analysis.montecarlo`).  Every cell receives
+that one population, so the three curves are evaluated on the *same*
+workloads at every bandwidth — paired sampling, which sharpens the
 cross-protocol comparison exactly as in the paper's methodology.
 
 The shape assertions that define a successful reproduction live in
@@ -42,6 +42,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import PaperParameters
 from repro.experiments.parallel import parallel_map
 from repro.experiments.reporting import ascii_plot, format_table
+from repro.messages.message_set import MessageSet
 from repro.obs import tracing
 from repro.units import mbps
 
@@ -215,22 +216,27 @@ class Figure1Result:
 
 
 def _figure1_cell(
-    params: PaperParameters, task: tuple[float, str, float]
+    shared: "tuple[PaperParameters, list[MessageSet] | None]",
+    task: tuple[float, str, float],
 ) -> "AverageBreakdownEstimate | StreamingBreakdownEstimate":
     """One (bandwidth, protocol) cell of the Figure 1 grid.
 
-    Module-level so worker processes can import it by name; self-seeding
-    (a fresh generator from ``params.seed``) so the estimate is identical
-    no matter which worker runs it or in what order — the paired-sampling
-    guarantee the figure's cross-protocol comparison rests on.
+    Module-level so worker processes can import it by name.  ``shared``
+    is the parameters plus the sweep's population, drawn once by
+    :func:`run_figure1`; every cell evaluates those same sets, so the
+    estimate does not depend on which worker runs it or in what order —
+    the paired-sampling guarantee the figure's cross-protocol comparison
+    rests on.
 
-    With ``params.mc_eps`` set the cell runs the accuracy-targeted
-    streaming estimator instead of fixed-N sampling: ``monte_carlo_sets``
-    becomes the chunk size and the cell stops at the target CI half-width.
-    Chunks derive from ``params.seed`` exactly like the fixed path, so the
-    three protocols still see identical workload chunks (paired sampling
-    — and with it, paired stratification/antithetic twins — is preserved).
+    With ``params.mc_eps`` set the population is None and the cell runs
+    the accuracy-targeted streaming estimator instead of fixed-N
+    sampling: ``monte_carlo_sets`` becomes the chunk size and the cell
+    stops at the target CI half-width.  Chunks derive from
+    ``params.seed`` and the chunk index alone, so the three protocols
+    still see identical workload chunks (paired sampling — and with it,
+    paired stratification/antithetic twins — is preserved).
     """
+    params, population = shared
     bandwidth, protocol, rel_tol = task
     if protocol == "pdp_standard":
         analysis = params.pdp_analysis(bandwidth, PDPVariant.STANDARD)
@@ -241,7 +247,7 @@ def _figure1_cell(
     else:  # pragma: no cover - protocol list is closed
         raise ConfigurationError(f"unknown Figure 1 protocol: {protocol!r}")
     with tracing.span(f"figure1/bw{bandwidth:g}/{protocol}"):
-        if params.mc_eps is not None:
+        if population is None:
             return streaming_average_breakdown_utilization(
                 analysis,
                 params.sampler(),
@@ -255,12 +261,7 @@ def _figure1_cell(
                 rel_tol=rel_tol,
             )
         return average_breakdown_utilization(
-            analysis,
-            params.sampler(),
-            mbps(bandwidth),
-            params.monte_carlo_sets,
-            np.random.default_rng(params.seed),
-            rel_tol=rel_tol,
+            analysis, population, mbps(bandwidth), rel_tol=rel_tol
         )
 
 
@@ -277,18 +278,26 @@ def run_figure1(
         bandwidths_mbps: the bandwidth grid to sweep.
         rel_tol: saturation-search tolerance for the PDP bisection.
         jobs: worker processes for the (bandwidth × protocol) grid;
-            1 runs sequentially in-process, 0 uses all cores.  The cells
-            are independent and self-seeding, so every ``jobs`` value
-            produces the identical result.
+            1 runs sequentially in-process, 0 uses all cores.  The
+            population is drawn once per call, before the grid, and sent
+            to each worker once; every cell evaluates that same
+            population, so every ``jobs`` value produces the identical
+            result.
     """
     params = parameters if parameters is not None else PaperParameters()
+    # Streaming cells draw their own chunks by index (see _figure1_cell).
+    population = None if params.mc_eps is not None else params.sample_population()
     tasks = [
         (bandwidth, protocol, rel_tol)
         for bandwidth in bandwidths_mbps
         for protocol in FIGURE1_PROTOCOLS
     ]
     estimates = parallel_map(
-        _figure1_cell, tasks, shared=params, jobs=jobs, label="figure1"
+        _figure1_cell,
+        tasks,
+        shared=(params, population),
+        jobs=jobs,
+        label="figure1",
     )
     points = [
         Figure1Point(

@@ -1,19 +1,22 @@
 """Process-parallel execution of experiment grids.
 
 Every experiment in this reproduction is a grid of independent cells —
-Figure 1 alone is 16 bandwidths × 3 protocols — and paired sampling makes
-each cell self-seeding (``np.random.default_rng(params.seed)`` inside the
-cell), so cells can run in any order on any worker and produce results
-identical to the sequential loop.  :func:`parallel_map` exploits that: it
-fans a list of picklable tasks across a :class:`ProcessPoolExecutor` and
-returns results in task order.
+Figure 1 alone is 16 bandwidths × 3 protocols.  A cell depends only on
+its task and the shared context: the sweep draws its workload population
+once, before the grid, and every cell evaluates that same population
+(paired sampling), so cells can run in any order on any worker and
+produce results identical to the sequential loop.  :func:`parallel_map`
+exploits that: it fans a list of picklable tasks across a
+:class:`ProcessPoolExecutor` and returns results in task order.
 
 The shared context (typically a
-:class:`~repro.experiments.config.PaperParameters`) is shipped to each
-worker once, through the pool initializer, rather than per task; within a
-worker it persists across cells, so the parameter object's shared
-exact-test structure cache keeps working there too.  ``PaperParameters``
-drops its cache on pickling, so the payload stays small.
+:class:`~repro.experiments.config.PaperParameters`, plus the sweep's
+population) is shipped to each worker once, through the pool
+initializer, rather than per task; within a worker it persists across
+cells, so the parameter object's shared exact-test structure cache and
+each set's memoised rate-monotonic order keep working there too.
+``PaperParameters`` drops its cache on pickling, so the payload stays
+small.
 
 With ``jobs=1`` (the default) no pool is created at all — the tasks run
 inline in the calling process, which preserves single-process profiling
@@ -82,11 +85,12 @@ def resolve_jobs(jobs: int | None) -> int:
 def assert_compact_tasks(tasks: "Sequence[object]") -> None:
     """Reject task lists that pickle stream-object payloads per worker.
 
-    Every cell is self-seeding, so tasks should be compact specs — seeds,
-    chunk indices, grid coordinates, array columns — never materialized
+    Populations travel once per worker in the shared context, so tasks
+    should be compact specs — seeds, chunk indices, grid coordinates,
+    array columns — never materialized
     :class:`~repro.messages.message_set.MessageSet` /
     :class:`~repro.messages.stream.SynchronousStream` collections, whose
-    per-object pickling once dominated worker start-up at large stream
+    per-task pickling once dominated worker start-up at large stream
     counts.  Checks each task and one container level inside it; raises
     :class:`~repro.errors.ConfigurationError` on a violation.  Enforced
     by :func:`parallel_map` whenever a pool (and therefore pickling) is

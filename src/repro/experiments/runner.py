@@ -50,8 +50,9 @@ shrunk and written as replayable repro files under ``--repro-dir``.
 preserving every qualitative shape.
 
 ``--jobs N`` fans the independent grid cells of an experiment across N
-worker processes (0 = all cores).  Each cell reseeds from the base seed,
-so the output is bit-identical for every ``--jobs`` value.  On a
+worker processes (0 = all cores).  Cells evaluate populations drawn once
+from the base seed, so the output is bit-identical for every ``--jobs``
+value.  On a
 single-core machine the cells run inline regardless of ``N`` — a worker
 pool there only adds fork/pickle overhead.
 

@@ -71,15 +71,11 @@ class SweepResult:
 
 def _ttrt_cell(shared, policy) -> tuple[float, float]:
     """One TTRT-policy estimate (module-level so workers can import it)."""
-    parameters, bandwidth_mbps = shared
+    parameters, bandwidth_mbps, population = shared
     analysis = parameters.ttp_analysis(bandwidth_mbps, policy)
     with tracing.span(f"ttrt-sweep/{type(policy).__name__}"):
         result = average_breakdown_utilization(
-            analysis,
-            parameters.sampler(),
-            mbps(bandwidth_mbps),
-            parameters.monte_carlo_sets,
-            np.random.default_rng(parameters.seed),
+            analysis, population, mbps(bandwidth_mbps)
         )
     return result.mean, result.stderr
 
@@ -94,7 +90,8 @@ def ttrt_sweep(
 
     ``ttrt_fractions`` are fractions of ``P_min / 2`` (the feasibility
     ceiling).  The sqrt-rule, half-min, and numeric-optimal policies are
-    appended as labelled rows for comparison.
+    appended as labelled rows for comparison.  Every policy is evaluated
+    on one population drawn once per sweep.
     """
     p_min = parameters.period_distribution().bounds[0]
     reference = parameters.ttp_analysis(bandwidth_mbps)
@@ -114,7 +111,7 @@ def ttrt_sweep(
     estimates = parallel_map(
         _ttrt_cell,
         [policy for policy, _, _ in labelled],
-        shared=(parameters, bandwidth_mbps),
+        shared=(parameters, bandwidth_mbps, parameters.sample_population()),
         jobs=jobs,
         label="ttrt-sweep",
     )
@@ -131,16 +128,14 @@ def ttrt_sweep(
 
 def _frame_size_cell(shared, task) -> tuple[object, ...]:
     """One (payload size, variant) estimate of the frame-size sweep."""
-    parameters, bandwidth_mbps = shared
+    parameters, bandwidth_mbps, population = shared
     size, variant = task
     varied = parameters.with_frame(payload_bytes=size)
     with tracing.span(f"frame-size-sweep/{size:g}B/{variant.value}"):
         result = average_breakdown_utilization(
             varied.pdp_analysis(bandwidth_mbps, variant),
-            parameters.sampler(),
+            population,
             mbps(bandwidth_mbps),
-            varied.monte_carlo_sets,
-            np.random.default_rng(varied.seed),
             rel_tol=1e-3,
         )
     return variant.value, size, result.mean, result.stderr
@@ -157,7 +152,8 @@ def frame_size_sweep(
     Small frames approximate preemption better (less blocking) but pay the
     112-bit overhead more often; large frames amortize overhead but block
     high-priority messages longer.  The sweep exposes the resulting
-    interior optimum.
+    interior optimum.  Every frame size is evaluated on one population
+    drawn once per sweep.
     """
     rows = parallel_map(
         _frame_size_cell,
@@ -166,7 +162,7 @@ def frame_size_sweep(
             for size in payload_bytes
             for variant in (PDPVariant.STANDARD, PDPVariant.MODIFIED)
         ],
-        shared=(parameters, bandwidth_mbps),
+        shared=(parameters, bandwidth_mbps, parameters.sample_population()),
         jobs=jobs,
         label="frame-size-sweep",
     )
@@ -177,28 +173,36 @@ def frame_size_sweep(
     )
 
 
-def _period_cell(shared, task) -> float:
-    """One (period law, protocol) mean of the period sweep."""
+def _protocol_means(
+    varied: PaperParameters, bandwidth_mbps: float, span: str
+) -> tuple[float, ...]:
+    """The three protocols' means on one population drawn from ``varied``."""
+    population = varied.sample_population()
+    analyses = (
+        ("pdp_standard", varied.pdp_analysis(bandwidth_mbps, PDPVariant.STANDARD)),
+        ("pdp_modified", varied.pdp_analysis(bandwidth_mbps, PDPVariant.MODIFIED)),
+        ("ttp", varied.ttp_analysis(bandwidth_mbps)),
+    )
+    means = []
+    for protocol, analysis in analyses:
+        with tracing.span(f"{span}/{protocol}"):
+            means.append(
+                average_breakdown_utilization(
+                    analysis, population, mbps(bandwidth_mbps), rel_tol=1e-3
+                ).mean
+            )
+    return tuple(means)
+
+
+def _period_cell(shared, task) -> tuple[float, ...]:
+    """One period law of the period sweep: the three protocol means."""
     parameters, bandwidth_mbps = shared
-    mean_period, ratio, protocol = task
-    varied = parameters.with_periods(mean_period, ratio)
-    if protocol == "pdp_standard":
-        analysis = varied.pdp_analysis(bandwidth_mbps, PDPVariant.STANDARD)
-    elif protocol == "pdp_modified":
-        analysis = varied.pdp_analysis(bandwidth_mbps, PDPVariant.MODIFIED)
-    else:
-        analysis = varied.ttp_analysis(bandwidth_mbps)
-    with tracing.span(
-        f"period-sweep/mp{mean_period:g}/r{ratio:g}/{protocol}"
-    ):
-        return average_breakdown_utilization(
-            analysis,
-            varied.sampler(),
-            mbps(bandwidth_mbps),
-            varied.monte_carlo_sets,
-            np.random.default_rng(varied.seed),
-            rel_tol=1e-3,
-        ).mean
+    mean_period, ratio = task
+    return _protocol_means(
+        parameters.with_periods(mean_period, ratio),
+        bandwidth_mbps,
+        f"period-sweep/mp{mean_period:g}/r{ratio:g}",
+    )
 
 
 def period_sweep(
@@ -211,25 +215,22 @@ def period_sweep(
     """The three-protocol comparison across period distributions.
 
     Reproduces Section 6.2's claim that the qualitative comparison is
-    stable across the period parameters.
+    stable across the period parameters.  Each period law draws one
+    population, shared by the three protocols.
     """
     grid = [
         (mean_period, ratio)
         for mean_period in mean_periods_s
         for ratio in ratios
     ]
-    protocols = ("pdp_standard", "pdp_modified", "ttp")
     means = parallel_map(
         _period_cell,
-        [(mp, ratio, protocol) for mp, ratio in grid for protocol in protocols],
+        grid,
         shared=(parameters, bandwidth_mbps),
         jobs=jobs,
         label="period-sweep",
     )
-    rows = [
-        (mp, ratio, *means[3 * i : 3 * i + 3])
-        for i, (mp, ratio) in enumerate(grid)
-    ]
+    rows = [(mp, ratio, *row) for (mp, ratio), row in zip(grid, means)]
     return SweepResult(
         name=f"period-sweep@{bandwidth_mbps}Mbps",
         headers=(
@@ -254,14 +255,13 @@ def sba_comparison(
     population, using the robust grid-scan saturation search (the
     proportional scheme's feasible region is not downward closed).
     """
-    sampler = parameters.sampler()
     bw = mbps(bandwidth_mbps)
     analysis = parameters.ttp_analysis(bandwidth_mbps)
+    population = parameters.sample_population()
     rows: list[tuple[object, ...]] = []
     for scheme in schemes:
-        rng = np.random.default_rng(parameters.seed)
         utilizations = []
-        for message_set in sampler.sample_many(rng, parameters.monte_carlo_sets):
+        for message_set in population:
             ttrt = analysis.select_ttrt(message_set)
             scale = sba_breakdown_scale(
                 scheme,
@@ -286,26 +286,14 @@ def sba_comparison(
     )
 
 
-def _ring_size_cell(shared, task) -> float:
-    """One (ring size, protocol) mean of the ring-size sweep."""
+def _ring_size_cell(shared, n: int) -> tuple[float, ...]:
+    """One ring size of the ring-size sweep: the three protocol means."""
     parameters, bandwidth_mbps = shared
-    n, protocol = task
-    varied = parameters.scaled_down(n, parameters.monte_carlo_sets)
-    if protocol == "pdp_standard":
-        analysis = varied.pdp_analysis(bandwidth_mbps, PDPVariant.STANDARD)
-    elif protocol == "pdp_modified":
-        analysis = varied.pdp_analysis(bandwidth_mbps, PDPVariant.MODIFIED)
-    else:
-        analysis = varied.ttp_analysis(bandwidth_mbps)
-    with tracing.span(f"ring-size-sweep/n{n}/{protocol}"):
-        return average_breakdown_utilization(
-            analysis,
-            varied.sampler(),
-            mbps(bandwidth_mbps),
-            varied.monte_carlo_sets,
-            np.random.default_rng(varied.seed),
-            rel_tol=1e-3,
-        ).mean
+    return _protocol_means(
+        parameters.scaled_down(n, parameters.monte_carlo_sets),
+        bandwidth_mbps,
+        f"ring-size-sweep/n{n}",
+    )
 
 
 def ring_size_sweep(
@@ -314,18 +302,18 @@ def ring_size_sweep(
     station_counts: Sequence[int] = (10, 25, 50, 100, 200),
     jobs: int | None = 1,
 ) -> SweepResult:
-    """The three-protocol comparison versus the number of stations."""
-    protocols = ("pdp_standard", "pdp_modified", "ttp")
+    """The three-protocol comparison versus the number of stations.
+
+    Each ring size draws one population, shared by the three protocols.
+    """
     means = parallel_map(
         _ring_size_cell,
-        [(n, protocol) for n in station_counts for protocol in protocols],
+        list(station_counts),
         shared=(parameters, bandwidth_mbps),
         jobs=jobs,
         label="ring-size-sweep",
     )
-    rows = [
-        (n, *means[3 * i : 3 * i + 3]) for i, n in enumerate(station_counts)
-    ]
+    rows = [(n, *row) for n, row in zip(station_counts, means)]
     return SweepResult(
         name=f"ring-size-sweep@{bandwidth_mbps}Mbps",
         headers=("stations", "IEEE 802.5", "Mod 802.5", "FDDI"),

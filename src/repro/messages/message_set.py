@@ -16,19 +16,27 @@ from repro.units import transmission_time
 
 __all__ = ["MessageSet"]
 
+#: ``MessageSet._rm`` marker for a set already in rate-monotonic order
+#: (a sentinel rather than a self-reference, so no set is in a cycle and
+#: populations are freed as soon as they are dropped).
+_IN_RM_ORDER = object()
+
 
 class MessageSet(Sequence[SynchronousStream]):
     """An immutable collection of synchronous streams.
 
     The constructor preserves the given order (stations keep their
     identity); :meth:`rate_monotonic` returns a copy sorted into RM
-    priority order, which is what the PDP analysis consumes.
+    priority order, which is what the PDP analysis consumes.  That copy
+    is computed once per set and remembered, so a population analysed
+    under many rings and protocols is sorted once.
     """
 
-    __slots__ = ("_streams",)
+    __slots__ = ("_streams", "_rm")
 
     def __init__(self, streams: Iterable[SynchronousStream]):
         self._streams: tuple[SynchronousStream, ...] = tuple(streams)
+        self._rm: MessageSet | object | None = None
         for stream in self._streams:
             if not isinstance(stream, SynchronousStream):
                 raise MessageSetError(
@@ -55,6 +63,10 @@ class MessageSet(Sequence[SynchronousStream]):
 
     def __hash__(self) -> int:
         return hash(self._streams)
+
+    def __reduce__(self):
+        # The RM memo is derived state: pickles carry the streams only.
+        return (MessageSet, (self._streams,))
 
     def __repr__(self) -> str:
         return f"MessageSet({list(self._streams)!r})"
@@ -102,9 +114,18 @@ class MessageSet(Sequence[SynchronousStream]):
         """The set sorted into rate-monotonic priority order.
 
         Shorter period = higher priority (appears first).  Ties break on
-        payload then station index so the order is deterministic.
+        payload then station index so the order is deterministic.  The
+        result is memoised: repeated calls return the same object, and an
+        already-ordered set returns itself.
         """
-        return MessageSet(sorted(self._streams))
+        if self._rm is None:
+            ordered = tuple(sorted(self._streams))
+            if ordered == self._streams:
+                self._rm = _IN_RM_ORDER
+            else:
+                self._rm = MessageSet(ordered)
+                self._rm._rm = _IN_RM_ORDER
+        return self if self._rm is _IN_RM_ORDER else self._rm
 
     def is_rate_monotonic_ordered(self) -> bool:
         """True when the streams are already in non-decreasing period order."""

@@ -344,17 +344,46 @@ def check_scalar_vector_visits(case: FuzzCase) -> Violation | None:
 
 
 def check_breakdown_batch(case: FuzzCase) -> Violation | None:
-    """Single and batched breakdown searches must agree bit for bit."""
+    """Single and batched breakdown searches must agree bit for bit.
+
+    The batch is a small population, so the probe's grouping of rows by
+    set is exercised: the case's set, a sibling with the same period
+    vector but perturbed payloads (it shares the cached exact-test
+    structure, so rows must not be grouped by structure), and a set
+    with different periods.
+    """
     message_set = case.message_set()
+    population = [
+        message_set,
+        case.with_streams(
+            case.periods_s,
+            tuple(
+                c * (1.25 if i % 2 == 0 else 0.75)
+                for i, c in enumerate(case.payloads_bits)
+            ),
+        ).message_set(),
+        case.with_streams(
+            tuple(p * 1.5 for p in case.periods_s), case.payloads_bits
+        ).message_set(),
+    ]
     analysis = _pdp_analysis(case, PDPVariant.STANDARD)
-    scalar, _ = breakdown_scale(message_set, analysis, rel_tol=1e-3)
-    ((batched, _),) = breakdown_scales_batch([message_set], analysis, rel_tol=1e-3)
-    if not (scalar == batched or (math.isnan(scalar) and math.isnan(batched))):
-        return Violation(
-            "breakdown_batch",
-            case,
-            f"breakdown scale scalar={scalar!r} != batched={batched!r}",
-        )
+    batched = breakdown_scales_batch(population, analysis, rel_tol=1e-3)
+    for label, member, (batch_scale, _) in zip(
+        ("case set", "payload-perturbed sibling", "re-periodized set"),
+        population,
+        batched,
+    ):
+        scalar, _ = breakdown_scale(member, analysis, rel_tol=1e-3)
+        if not (
+            scalar == batch_scale
+            or (math.isnan(scalar) and math.isnan(batch_scale))
+        ):
+            return Violation(
+                "breakdown_batch",
+                case,
+                f"{label}: breakdown scale scalar={scalar!r} != "
+                f"batched={batch_scale!r}",
+            )
     return None
 
 
@@ -1314,10 +1343,8 @@ def check_mc_streaming_equiv(case: FuzzCase) -> Violation | None:
     )
     fixed_chunk = montecarlo_mod.average_breakdown_utilization(
         analysis,
-        sampler,
+        sampler.sample_many(np.random.default_rng([mc_seed, 0]), _MC_CHUNK_SETS),
         bandwidth,
-        _MC_CHUNK_SETS,
-        np.random.default_rng([mc_seed, 0]),
         rel_tol=_MC_REL_TOL,
     )
     # If chunk 0 produced no samples (every set had infinite scale) the
@@ -1335,10 +1362,10 @@ def check_mc_streaming_equiv(case: FuzzCase) -> Violation | None:
 
     fixed = montecarlo_mod.average_breakdown_utilization(
         analysis,
-        sampler,
+        sampler.sample_many(
+            np.random.default_rng([mc_seed, 1000]), 4 * _MC_CHUNK_SETS
+        ),
         bandwidth,
-        4 * _MC_CHUNK_SETS,
-        np.random.default_rng([mc_seed, 1000]),
         rel_tol=_MC_REL_TOL,
     )
     reduced = montecarlo_mod.streaming_average_breakdown_utilization(

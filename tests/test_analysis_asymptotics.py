@@ -64,7 +64,7 @@ class TestPDPCeiling:
             n_streams=10, periods=PeriodDistribution(0.1, 10.0)
         )
         estimate = average_breakdown_utilization(
-            analysis, sampler, bandwidth, 10, np.random.default_rng(0)
+            analysis, sampler.sample_many(np.random.default_rng(0), 10), bandwidth
         )
         ceiling = pdp_utilization_ceiling(ring, FRAME, PDPVariant.STANDARD)
         assert max(estimate.samples) <= ceiling + 1e-6

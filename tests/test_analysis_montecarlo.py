@@ -6,7 +6,6 @@ import pytest
 from repro.analysis.montecarlo import (
     AverageBreakdownEstimate,
     average_breakdown_utilization,
-    breakdown_samples,
 )
 from repro.analysis.pdp import PDPAnalysis, PDPVariant
 from repro.analysis.ttp import TTPAnalysis
@@ -16,6 +15,17 @@ from repro.units import mbps
 
 
 BW = mbps(100)
+
+
+def _population(sampler, n_sets, seed):
+    """``n_sets`` sets drawn from a generator (or seed)."""
+    return sampler.sample_many(np.random.default_rng(seed), n_sets)
+
+
+def _samples(predicate, message_sets, bandwidth=BW):
+    """``(samples, degenerate)`` of the estimate over ``message_sets``."""
+    estimate = average_breakdown_utilization(predicate, message_sets, bandwidth)
+    return list(estimate.samples), estimate.degenerate_sets
 
 
 @pytest.fixture
@@ -34,33 +44,38 @@ def pdp_analysis():
 
 class TestDeterminism:
     def test_same_seed_same_estimate(self, ttp_analysis, sampler):
-        a = average_breakdown_utilization(ttp_analysis, sampler, BW, 10, 42)
-        b = average_breakdown_utilization(ttp_analysis, sampler, BW, 10, 42)
-        assert a.samples == b.samples
-
-    def test_generator_and_seed_agree(self, ttp_analysis, sampler):
         a = average_breakdown_utilization(
-            ttp_analysis, sampler, BW, 5, np.random.default_rng(7)
+            ttp_analysis, _population(sampler, 10, 42), BW
         )
-        b = average_breakdown_utilization(ttp_analysis, sampler, BW, 5, 7)
+        b = average_breakdown_utilization(
+            ttp_analysis, _population(sampler, 10, 42), BW
+        )
         assert a.samples == b.samples
 
     def test_different_seeds_differ(self, ttp_analysis, sampler):
-        a = average_breakdown_utilization(ttp_analysis, sampler, BW, 5, 1)
-        b = average_breakdown_utilization(ttp_analysis, sampler, BW, 5, 2)
+        a = average_breakdown_utilization(
+            ttp_analysis, _population(sampler, 5, 1), BW
+        )
+        b = average_breakdown_utilization(
+            ttp_analysis, _population(sampler, 5, 2), BW
+        )
         assert a.samples != b.samples
 
 
 class TestStatistics:
     def test_estimate_fields(self, ttp_analysis, sampler):
-        estimate = average_breakdown_utilization(ttp_analysis, sampler, BW, 20, 0)
+        estimate = average_breakdown_utilization(
+            ttp_analysis, _population(sampler, 20, 0), BW
+        )
         assert estimate.n_sets == 20
         assert 0.0 < estimate.mean < 1.0
         assert estimate.std > 0.0
         assert estimate.stderr == pytest.approx(estimate.std / np.sqrt(20))
 
     def test_confidence_interval_brackets_mean(self, ttp_analysis, sampler):
-        estimate = average_breakdown_utilization(ttp_analysis, sampler, BW, 20, 0)
+        estimate = average_breakdown_utilization(
+            ttp_analysis, _population(sampler, 20, 0), BW
+        )
         low, high = estimate.confidence_interval()
         assert low < estimate.mean < high
 
@@ -73,32 +88,34 @@ class TestStatistics:
 
     def test_breakdown_in_unit_interval(self, ttp_analysis, sampler):
         """Breakdown utilizations can never exceed 1 (capacity)."""
-        estimate = average_breakdown_utilization(ttp_analysis, sampler, BW, 20, 3)
+        estimate = average_breakdown_utilization(
+            ttp_analysis, _population(sampler, 20, 3), BW
+        )
         assert all(0.0 <= s <= 1.0 for s in estimate.samples)
 
     def test_pdp_breakdown_in_unit_interval(self, pdp_analysis, sampler):
         estimate = average_breakdown_utilization(
-            pdp_analysis, sampler, mbps(10), 10, 3
+            pdp_analysis, _population(sampler, 10, 3), mbps(10)
         )
         assert all(0.0 <= s <= 1.0 + 1e-3 for s in estimate.samples)
 
 
 class TestDegenerateHandling:
     def test_always_unschedulable_counts_zeroes(self, sampler, rng):
-        samples, degenerate = breakdown_samples(
-            lambda m: False, sampler, BW, 5, rng
+        samples, degenerate = _samples(
+            lambda m: False, sampler.sample_many(rng, 5)
         )
         assert samples == [0.0] * 5
         assert degenerate == 5
 
     def test_rejects_zero_sets(self, sampler, rng):
         with pytest.raises(ConfigurationError):
-            breakdown_samples(lambda m: True, sampler, BW, 0, rng)
+            average_breakdown_utilization(lambda m: True, [], BW)
 
     def test_empty_estimate_when_all_infinite(self, sampler):
         """A predicate that never saturates yields an empty estimate."""
         estimate = average_breakdown_utilization(
-            lambda m: True, sampler, BW, 3, 0
+            lambda m: True, _population(sampler, 3, 0), BW
         )
         assert estimate.n_sets == 0
         assert estimate.degenerate_sets == 3
@@ -106,7 +123,7 @@ class TestDegenerateHandling:
 
 
 class TestScaleZeroDoubleAccounting:
-    """The deliberate asymmetry documented on breakdown_samples.
+    """The deliberate asymmetry documented on average_breakdown_utilization.
 
     A scale-0 set is counted in ``degenerate`` *and* appended to
     ``samples`` as exactly 0.0 (it must drag the mean down); a scale-inf
@@ -127,8 +144,8 @@ class TestScaleZeroDoubleAccounting:
 
     def test_scale_zero_sets_counted_twice(self, sampler, rng):
         n_sets = 30
-        samples, degenerate = breakdown_samples(
-            self._mixed_predicate, sampler, BW, n_sets, rng
+        samples, degenerate = _samples(
+            self._mixed_predicate, sampler.sample_many(rng, n_sets)
         )
         # Positive payload laws make scale-inf impossible, so every set
         # contributes a sample; the scale-0 ones are *also* degenerate.
@@ -139,7 +156,7 @@ class TestScaleZeroDoubleAccounting:
 
     def test_zeros_drag_the_mean_down(self, sampler):
         estimate = average_breakdown_utilization(
-            self._mixed_predicate, sampler, BW, 30, 12345
+            self._mixed_predicate, _population(sampler, 30, 12345), BW
         )
         positive = [s for s in estimate.samples if s > 0.0]
         assert estimate.degenerate_sets > 0
@@ -147,9 +164,7 @@ class TestScaleZeroDoubleAccounting:
         assert estimate.n_sets == 30  # zeros stay in the denominator
 
     def test_infinite_scale_excluded_from_mean(self, sampler, rng):
-        samples, degenerate = breakdown_samples(
-            lambda m: True, sampler, BW, 4, rng
-        )
+        samples, degenerate = _samples(lambda m: True, sampler.sample_many(rng, 4))
         assert samples == []  # inf sets contribute nothing to the mean
         assert degenerate == 4
 
@@ -159,7 +174,10 @@ class TestScaleZeroDoubleAccounting:
 
         rng_a = np.random.default_rng(99)
         rng_b = np.random.default_rng(99)
-        batch = breakdown_samples(pdp_analysis, sampler, mbps(10), 20, rng_a)
+        estimate = average_breakdown_utilization(
+            pdp_analysis, sampler.sample_many(rng_a, 20), mbps(10), 1e-4
+        )
+        batch = (list(estimate.samples), estimate.degenerate_sets)
         message_sets = sampler.sample_many(rng_b, 20)
         from repro.analysis.breakdown import breakdown_utilization
 

@@ -77,10 +77,8 @@ class TestFixedNEquivalence:
         for k in range(3):
             fixed = average_breakdown_utilization(
                 pdp_analysis,
-                sampler,
+                sampler.sample_many(np.random.default_rng([42, k]), 5),
                 BW,
-                5,
-                np.random.default_rng([42, k]),
                 rel_tol=REL_TOL,
             )
             assert streaming.chunk_means[k] == fixed.mean

@@ -6,12 +6,14 @@ CI) every qualitative property of the paper's figure must hold.
 
 import pytest
 
+import repro.experiments.figure1 as figure1_mod
 from repro.experiments.config import PaperParameters
 from repro.experiments.figure1 import (
     PAPER_BANDWIDTHS_MBPS,
     Figure1Result,
     run_figure1,
 )
+from repro.messages.generators import MessageSetSampler
 
 
 @pytest.fixture(scope="module")
@@ -86,14 +88,51 @@ class TestDeterminism:
         assert a.points == b.points
 
     def test_paired_sampling_across_protocols(self):
-        """All protocols at one bandwidth see identical workloads: the same
-        seed drives each estimate."""
+        """All protocols at one bandwidth see identical workloads: every
+        estimate evaluates the one population the sweep draws."""
         params = PaperParameters().scaled_down(n_stations=8, monte_carlo_sets=3)
         result = run_figure1(params, bandwidths_mbps=(100.0,))
         point = result.points[0]
         # Different protocols, same number of non-degenerate samples drawn
         # from the same population (weak but cheap pairing evidence).
         assert point.pdp_standard.n_sets == point.ttp.n_sets
+
+
+class TestDrawOnce:
+    """One population per sweep, evaluated by one estimator call per cell.
+
+    The benchmark harness times cells by wrapping
+    ``repro.experiments.figure1.average_breakdown_utilization`` and
+    sampling by wrapping ``MessageSetSampler.sample_many``; both hooks
+    must see every call.
+    """
+
+    def test_one_draw_and_one_estimate_per_cell(self, monkeypatch):
+        calls = {"cell": 0, "sample": 0}
+        cell = figure1_mod.average_breakdown_utilization
+        sample_many = MessageSetSampler.sample_many
+
+        def counting_cell(*args, **kwargs):
+            calls["cell"] += 1
+            return cell(*args, **kwargs)
+
+        def counting_sample_many(self, *args, **kwargs):
+            calls["sample"] += 1
+            return sample_many(self, *args, **kwargs)
+
+        monkeypatch.setattr(figure1_mod, "average_breakdown_utilization", counting_cell)
+        monkeypatch.setattr(MessageSetSampler, "sample_many", counting_sample_many)
+        params = PaperParameters().scaled_down(n_stations=8, monte_carlo_sets=3)
+        bandwidths = (2.5, 10.0, 100.0)
+        means = []
+        for _ in range(2):
+            calls.update(cell=0, sample=0)
+            result = run_figure1(params, bandwidths_mbps=bandwidths, jobs=1)
+            assert calls == {"cell": 3 * len(bandwidths), "sample": 1}
+            means.append(
+                [result.series(name) for name in ("pdp_standard", "pdp_modified", "ttp")]
+            )
+        assert means[0] == means[1]
 
 
 class TestParallelExecution:

@@ -151,10 +151,8 @@ class TestMonteCarloPipeline:
         bandwidth = mbps(25)
         estimate = average_breakdown_utilization(
             params.ttp_analysis(25.0),
-            params.sampler(),
+            params.sampler().sample_many(np.random.default_rng(0), 5),
             bandwidth,
-            5,
-            np.random.default_rng(0),
         )
         assert estimate.n_sets == 5
         assert 0.0 <= estimate.mean <= 1.0

@@ -1,5 +1,6 @@
 """MessageSet: sequence behaviour, aggregates, RM ordering."""
 
+import pickle
 import random
 
 import pytest
@@ -89,6 +90,45 @@ class TestRateMonotonic:
 
     def test_empty_is_trivially_ordered(self):
         assert MessageSet([]).is_rate_monotonic_ordered()
+
+
+class TestRateMonotonicMemo:
+    """rate_monotonic() sorts once per set and remembers the result."""
+
+    def test_repeated_call_returns_same_object(self):
+        original = make_set()
+        first = original.rate_monotonic()
+        assert original.rate_monotonic() is first
+        assert first.rate_monotonic() is first
+
+    def test_ordered_set_returns_itself(self):
+        ordered = MessageSet(sorted(make_set()))
+        assert ordered.rate_monotonic() is ordered
+        assert MessageSet([]).rate_monotonic() == MessageSet([])
+
+    def test_equality_hash_and_pickle_unchanged(self):
+        memoised, fresh = make_set(), make_set()
+        memoised.rate_monotonic()
+        assert memoised == fresh
+        assert hash(memoised) == hash(fresh)
+        restored = pickle.loads(pickle.dumps(memoised))
+        assert restored == fresh
+        assert pickle.dumps(memoised) == pickle.dumps(fresh)
+        assert restored.rate_monotonic() == memoised.rate_monotonic()
+
+    def test_copies_do_not_inherit_the_memo(self):
+        original = make_set()
+        ordered = original.rate_monotonic()
+        head = original[:2]
+        assert [s.period_s for s in head.rate_monotonic()] == sorted(head.periods)
+        assert head.rate_monotonic() is not ordered
+        scaled = original.scaled(2.0)
+        assert scaled.rate_monotonic() is not ordered
+        assert scaled.rate_monotonic() == ordered.scaled(2.0)
+        assert [s.station for s in scaled.rate_monotonic()] == [1, 2, 0]
+        tail = ordered[1:]
+        assert tail.rate_monotonic() is tail
+        assert tail == MessageSet(list(ordered)[1:])
 
 
 class TestTransformations:
