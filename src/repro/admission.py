@@ -22,7 +22,8 @@ Station assignment is handled by the controller (one stream per station,
 as in the paper's model); releases free their stations for reuse.
 
 Concurrency contract (the admission *service* of :mod:`repro.service`
-drives one controller from a batching dispatcher plus request handlers):
+drives one controller from its event loop — micro-batches plus inline
+request handlers — and library callers may share one across threads):
 
 * every state transition — :meth:`AdmissionController.request`,
   :meth:`~AdmissionController.release`,

@@ -33,10 +33,10 @@ Propagation has two legs:
 * On one thread or task, the current *frame* — the aggregation path plus
   the trace node, if any — lives in one :class:`contextvars.ContextVar`,
   so paths never leak across threads.
-* Across the batcher's thread hop, context vars do not follow
-  ``run_in_executor``, so the server hands its request span to
+* Into a micro-batch: the batcher's flush is an event-loop callback
+  outside every request's task, so the server hands its request span to
   :meth:`~repro.service.batcher.MicroBatcher.submit` explicitly and the
-  worker installs a :class:`SpanGroup` — one batch may serve many
+  flush installs a :class:`SpanGroup` — one batch may serve many
   traces, and the batch span it opens is a *shared node* attached to
   every sampled member (same ``span_id`` in each tree, so a reader can
   tell amortized work from per-request work).
@@ -132,8 +132,9 @@ class SpanStats:
 
 
 #: The process table: span path -> :class:`SpanStats`, guarded by
-#: ``_TABLE_LOCK`` (spans close on the batch worker thread while the
-#: event loop snapshots).
+#: ``_TABLE_LOCK``: spans may close on a server's event-loop thread
+#: (``runner top --spawn`` and the service tests run one beside the
+#: caller's thread) while another thread snapshots.
 _TABLE: dict[str, SpanStats] = {}
 _TABLE_LOCK = threading.Lock()
 
@@ -388,7 +389,7 @@ def span(name: str, **attrs):
     The elapsed time is always recorded under the span's path.  When a
     trace node is current the span also becomes its child (``attrs`` are
     its trace attributes) and the ``with`` target is that child; under a
-    :class:`SpanGroup` (the batch worker) it is one shared node attached
+    :class:`SpanGroup` (a micro-batch) it is one shared node attached
     to every member trace.  Untraced, the target is ``None``.
     """
     return _SpanContext(name, attrs)

@@ -1,42 +1,38 @@
-"""Dynamic micro-batching dispatcher for the admission service.
+"""Dynamic micro-batching for the admission service, on the event loop.
 
 Concurrent requests are coalesced into one
-:meth:`~repro.admission.AdmissionController.process_batch` call: the
-dispatcher takes the first queued operation, then greedily drains
-whatever else is already queued (up to ``batch_max``) and dispatches
-immediately.  Batching emerges from backpressure alone — operations
-pile up while the previous batch is on the worker thread and ship
-together — so an idle service adds zero artificial latency, while under
-load one stacked exact-test evaluation amortizes over up to
-``batch_max`` requests.
+:meth:`~repro.admission.AdmissionController.process_batch` call.
+:meth:`MicroBatcher.submit` appends the operation to a pending list and,
+if no flush is pending yet, schedules one with ``loop.call_soon``.  The
+flush runs on the event loop after every request parsed in the same
+loop tick has been submitted, so those requests share one batch
+(sliced at ``batch_max``).  An idle service adds no artificial latency;
+under load, one stacked exact-test evaluation amortizes over the whole
+tick.
 
 Correctness is delegated entirely to the controller:
 ``process_batch`` serializes its operations in arrival order, so batching
 is invisible in the results — only in the throughput.
 
-Backpressure: the intake queue is bounded at ``queue_limit``.
-:meth:`MicroBatcher.submit` never blocks the event loop waiting for
-room; a full queue raises :class:`QueueFullError` immediately, carrying a
-``retry_after_s`` hint, and the server maps that to **429**.  Shed
-requests were never evaluated — no admission state is consumed.
+Backpressure: the pending list is bounded at ``queue_limit``.
+:meth:`MicroBatcher.submit` never waits for room; a full list raises
+:class:`QueueFullError` immediately, carrying a ``retry_after_s`` hint,
+and the server maps that to **429**.  Shed requests were never
+evaluated — no admission state is consumed.
 
-The batch itself runs on a dedicated single-thread executor: admission
-decisions are CPU-bound numpy work that must not stall the event loop,
-and keeping *one* worker thread preserves batch ordering.
-
-Tracing crosses the thread hop explicitly: context vars do not follow
-``run_in_executor``, so each queued operation carries its request span
-(``None`` when unsampled) and the worker installs a
-:class:`~repro.obs.tracing.SpanGroup` over the sampled members — the
-batch span and the engine/cache spans the controller produces
-underneath are shared nodes attached to every traced request the batch
-served.
+The batch runs on the loop thread, with no thread hop: one decision is
+tens of microseconds, far less than a handoff to a worker thread and
+back.  The flush runs as a loop callback, not inside any request's
+task, so each pending operation carries its request span (``None`` when
+unsampled) and the flush installs a :class:`~repro.obs.tracing.SpanGroup`
+over the sampled members — the batch span and the engine/cache spans the
+controller produces underneath are shared nodes attached to every traced
+request the batch served.
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.admission import (
     AdmissionController,
@@ -47,6 +43,7 @@ from repro.admission import (
 )
 from repro.errors import ServiceError
 from repro.obs import metrics, tracing
+from repro.obs.logging import get_logger
 
 #: Batch sizes are powers-of-two-ish small integers bounded by
 #: ``batch_max``; these buckets cover the default 64 with headroom.
@@ -54,9 +51,11 @@ BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 __all__ = ["QueueFullError", "MicroBatcher"]
 
+_LOG = get_logger("repro.service.batcher")
+
 
 class QueueFullError(ServiceError):
-    """The intake queue is at ``queue_limit``; the request was shed.
+    """The pending list is at ``queue_limit``; the request was shed.
 
     ``retry_after_s`` estimates when the backlog will have drained enough
     to try again (the server surfaces it as a ``Retry-After`` header).
@@ -67,6 +66,13 @@ class QueueFullError(ServiceError):
         self.retry_after_s = retry_after_s
 
 
+def _answer(batch, results) -> None:
+    """Resolve each pending future of ``batch`` with its own result."""
+    for (_, future, _), result in zip(batch, results):
+        if not future.done():  # client may have disconnected
+            future.set_result(result)
+
+
 class MicroBatcher:
     """Coalesces concurrent admission operations into controller batches.
 
@@ -74,15 +80,14 @@ class MicroBatcher:
         controller: the :class:`AdmissionController` all batches run
             against.
         batch_window_s: nominal batch cadence, used only to scale the
-            ``retry_after_s`` backoff hint on shed requests (dispatch
+            ``retry_after_s`` backoff hint on shed requests (the flush
             itself never waits — see the module docstring).
         batch_max: largest batch handed to ``process_batch``.
-        queue_limit: bound on queued-but-unbatched operations.
+        queue_limit: bound on submitted-but-unflushed operations.
 
-    Lifecycle: :meth:`start` spawns the dispatcher task; :meth:`drain`
-    stops intake, answers **every** queued operation, and only then
-    shuts the dispatcher down — a drained batcher has no silently
-    dropped requests.
+    Lifecycle: :meth:`start` binds the running event loop; :meth:`drain`
+    stops intake and returns once every pending operation is answered —
+    a drained batcher has no silently dropped requests.
     """
 
     def __init__(
@@ -96,13 +101,10 @@ class MicroBatcher:
         self._controller = controller
         self._window = float(batch_window_s)
         self._batch_max = int(batch_max)
-        self._queue: asyncio.Queue = asyncio.Queue(maxsize=int(queue_limit))
-        self._dispatcher: asyncio.Task | None = None
+        self._queue_limit = int(queue_limit)
+        self._pending: list = []  # (op, future, span), in arrival order
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._draining = False
-        # One worker thread, by design: batches stay ordered.
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-admit"
-        )
         self._m_submitted = metrics.counter("service.requests")
         self._m_shed = metrics.counter("service.shed")
         self._m_batches = metrics.counter("service.batches")
@@ -118,114 +120,75 @@ class MicroBatcher:
 
     @property
     def queue_depth(self) -> int:
-        """Operations queued but not yet dispatched."""
-        return self._queue.qsize()
+        """Operations submitted but not yet flushed."""
+        return len(self._pending)
 
     def start(self) -> None:
-        """Spawn the dispatcher task on the running event loop."""
-        if self._dispatcher is None:
-            self._dispatcher = asyncio.get_running_loop().create_task(
-                self._dispatch_forever(), name="repro-admit-dispatcher"
-            )
+        """Bind the running event loop; batches run on its thread."""
+        self._loop = asyncio.get_running_loop()
 
     async def submit(
         self, op: AdmissionOp, span: "tracing.Span | None" = None
     ) -> AdmissionDecision | ReleaseOutcome | OpFault:
-        """Queue one operation and wait for its batch to answer it.
+        """Add one operation to the pending batch and wait for its answer.
 
         ``span`` is the request's trace span (``None`` when unsampled);
-        it rides the queue so the worker thread can attach the batch
-        subtree to it despite the executor hop.
+        it rides the pending list so the flush can attach the batch
+        subtree to it.
 
-        Raises :class:`QueueFullError` when the queue is at capacity and
-        :class:`ServiceError` when the batcher is draining; neither
-        touches admission state.
+        Raises :class:`QueueFullError` when the pending list is at
+        capacity and :class:`ServiceError` when the batcher is draining;
+        neither touches admission state.
         """
-        if self._dispatcher is None:
+        loop = self._loop
+        if loop is None:
             raise ServiceError("batcher is not started")
         if self._draining:
             raise ServiceError("service is draining; not accepting requests")
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        try:
-            self._queue.put_nowait((op, future, span))
-        except asyncio.QueueFull:
+        pending = self._pending
+        if len(pending) >= self._queue_limit:
             self._m_shed.inc()
             # Rough time for the standing backlog to clear: one window
             # per batch_max operations ahead of us, floored at one window.
-            backlog_batches = max(1.0, self._queue.qsize() / self._batch_max)
+            backlog_batches = max(1.0, len(pending) / self._batch_max)
             raise QueueFullError(
-                f"admission queue full ({self._queue.maxsize} pending)",
+                f"admission queue full ({self._queue_limit} pending)",
                 retry_after_s=max(self._window, 0.001) * backlog_batches,
-            ) from None
+            )
+        future = loop.create_future()
+        if not pending:  # first of this tick: one flush serves them all
+            loop.call_soon(self._flush)
+        pending.append((op, future, span))
         self._m_submitted.inc()
-        self._m_queue_depth.set(self._queue.qsize())
+        self._m_queue_depth.set(len(pending))
         return await future
 
-    async def run_on_worker(self, fn, *args):
-        """Run ``fn(*args)`` on the batch worker thread.
-
-        Serializes with batch execution (one worker thread), which is
-        what the breakdown endpoint wants: it reads a consistent admitted
-        snapshot and its numpy work never lands on the event loop.
-        """
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, fn, *args
-        )
-
     async def drain(self) -> None:
-        """Close intake, answer everything queued, stop the dispatcher."""
+        """Close intake and return once every pending operation is answered."""
         self._draining = True
-        if self._dispatcher is None:
-            self._executor.shutdown(wait=True)
-            return
-        await self._queue.join()
-        self._dispatcher.cancel()
-        try:
-            await self._dispatcher
-        except asyncio.CancelledError:
-            pass
-        self._dispatcher = None
-        self._executor.shutdown(wait=True)
+        while self._pending:
+            await asyncio.sleep(0)  # the scheduled flush runs meanwhile
 
-    # -- dispatcher ------------------------------------------------------------
+    # -- the flush -------------------------------------------------------------
 
-    async def _dispatch_forever(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            first = await self._queue.get()
-            batch = [first]
-            # Natural coalescing: take everything already queued —
-            # the arrivals that piled up while the previous batch was
-            # processing — and dispatch immediately.  An idle worker
-            # adds zero artificial latency (the old fixed window made
-            # every closed-loop client convoy behind the slowest one),
-            # while under load batches fill from backpressure alone.
-            while len(batch) < self._batch_max and not self._queue.empty():
-                batch.append(self._queue.get_nowait())
-            self._m_queue_depth.set(self._queue.qsize())
-            await self._run_batch(loop, batch)
-
-    async def _run_batch(self, loop, batch) -> None:
-        ops = [op for op, _, _ in batch]
-        spans = [span for _, _, span in batch]
-        try:
-            results = await loop.run_in_executor(
-                self._executor, self._process, ops, spans
-            )
-        except BaseException as exc:  # defensive: answer rather than hang
-            for _, future, _ in batch:
-                if not future.done():
-                    future.set_exception(
-                        ServiceError(f"batch execution failed: {exc}")
-                    )
-                self._queue.task_done()
-            if isinstance(exc, asyncio.CancelledError):
-                raise
-            return
-        for (_, future, _), result in zip(batch, results):
-            if not future.done():  # client may have disconnected
-                future.set_result(result)
-            self._queue.task_done()
+    def _flush(self) -> None:
+        batch_all, self._pending = self._pending, []
+        self._m_queue_depth.set(0)
+        for start in range(0, len(batch_all), self._batch_max):
+            batch = batch_all[start : start + self._batch_max]
+            try:
+                results = self._process(
+                    [op for op, _, _ in batch], [span for _, _, span in batch]
+                )
+            except Exception as exc:  # answer rather than hang
+                _LOG.warning("batch of %d failed", len(batch), exc_info=True)
+                for _, future, _ in batch:
+                    if not future.done():
+                        future.set_exception(
+                            ServiceError(f"batch execution failed: {exc}")
+                        )
+                continue
+            _answer(batch, results)
 
     def _process(self, ops: "list[AdmissionOp]", spans=()):
         # One span times the batch: under ``service/batch`` in the span

@@ -311,8 +311,7 @@ async def run_against_spawned_cluster(cluster_config, load_config: LoadConfig):
     from repro.cluster.supervisor import WorkerPool
 
     pool = WorkerPool(cluster_config)
-    loop = asyncio.get_running_loop()
-    await loop.run_in_executor(None, pool.start)
+    pool.start()  # nothing else runs on this loop yet: block until up
     router = ClusterRouter(cluster_config, pool)
     fleet_summary: dict = {}
     try:

@@ -14,7 +14,10 @@ Request path for ``/v1/check``, ``/v1/admit``, ``/v1/release``::
 
 so every decision flows through the micro-batcher and is bit-identical
 to a direct controller call (the batcher only changes *when* work runs,
-never its serialization order).
+never its serialization order).  Everything runs on the one event-loop
+thread: the batch flushed at the end of a loop tick, and the
+``/v1/breakdown`` search computed inline, so no two decisions ever
+overlap and no request pays a thread handoff.
 
 Every request is a candidate for **tracing** (systematic sampling at
 ``config.trace_sample_rate``): a sampled request gets a root span whose
@@ -156,7 +159,7 @@ class AdmissionServer:
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listening socket and start the dispatcher."""
+        """Bind the listening socket and the batcher to the running loop."""
         self.batcher.start()
         self._server = await asyncio.start_server(
             self._serve_connection, self.config.host, self.config.port
@@ -405,7 +408,7 @@ class AdmissionServer:
                     return self._method_not_allowed("GET")
                 if self._draining:
                     return self._draining_response()
-                return 200, await self._breakdown(), []
+                return 200, self._breakdown(), []
             if path in ("/v1/check", "/v1/admit", "/v1/release"):
                 if method != "POST":
                     return self._method_not_allowed("POST")
@@ -615,28 +618,29 @@ class AdmissionServer:
             [],
         )
 
-    async def _breakdown(self) -> dict:
-        """Headroom of the admitted population (off the event loop)."""
+    def _breakdown(self) -> dict:
+        """Headroom of the admitted population.
 
-        def compute():
-            current = self.controller.current_set()
-            report = {
-                "schema_version": WIRE_SCHEMA_VERSION,
-                "streams": len(current),
-                "utilization": current.utilization(
-                    self.controller.analysis.ring.bandwidth_bps
-                ),
-            }
-            if len(current) == 0:
-                report.update(scale=None, evaluations=0)
-                return report
-            scale, evaluations = breakdown_scale(
-                current, self.controller.analysis, rel_tol=1e-3
-            )
-            report.update(scale=scale, evaluations=evaluations)
+        Computed inline on the event loop, between batches, so it reads
+        a consistent admitted snapshot; the search holds the loop for a
+        few milliseconds at 40 streams.
+        """
+        current = self.controller.current_set()
+        report = {
+            "schema_version": WIRE_SCHEMA_VERSION,
+            "streams": len(current),
+            "utilization": current.utilization(
+                self.controller.analysis.ring.bandwidth_bps
+            ),
+        }
+        if len(current) == 0:
+            report.update(scale=None, evaluations=0)
             return report
-
-        return await self.batcher.run_on_worker(compute)
+        scale, evaluations = breakdown_scale(
+            current, self.controller.analysis, rel_tol=1e-3
+        )
+        report.update(scale=scale, evaluations=evaluations)
+        return report
 
     @staticmethod
     def _method_not_allowed(allowed: str):

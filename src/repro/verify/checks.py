@@ -57,13 +57,14 @@ The properties:
     busy total, and verdict — on every supported configuration.  Like
     the scalar/vector pairs, the fast paths are pure performance work.
 ``service_batch_equiv``
-    The admission service's micro-batched dispatch
-    (:meth:`~repro.admission.AdmissionController.process_batch`) must
-    answer a derived op sequence — interleaved checks, admits, and
-    releases, including invalid ones — **identically** to issuing the
-    same calls one at a time on a fresh controller: same decisions,
-    same station/id assignments, same faults.  Batching is pure
-    performance work too.
+    The admission service's micro-batcher
+    (:class:`~repro.service.batcher.MicroBatcher`, coalescing concurrent
+    submits into :meth:`~repro.admission.AdmissionController.process_batch`
+    calls of up to a seeded ``batch_max``) must answer a derived op
+    sequence — interleaved checks, admits, and releases, including
+    invalid ones — **identically** to issuing the same calls one at a
+    time on a fresh controller: same decisions, same station/id
+    assignments, same faults.  Batching is pure performance work too.
 ``admission_cache_equiv``
     The decision cache is pure performance work: a controller fronted by
     the shared result cache (``cache_namespace="admission"``, keys built
@@ -115,6 +116,7 @@ The properties:
 
 from __future__ import annotations
 
+import asyncio
 import math
 import random
 from dataclasses import dataclass, replace
@@ -141,6 +143,7 @@ from repro.faults.plan import FaultPlan, rate_for_loss_fraction
 from repro.messages import table as table_mod
 from repro.messages.generators import MessageSetSampler, PeriodDistribution
 from repro.obs import tracing as tracing_mod
+from repro.service import batcher as batcher_mod
 from repro.network.standards import fddi_ring, ieee_802_5_ring, paper_frame_format
 from repro.sim import dispatch as dispatch_mod
 from repro.sim import fastpath as fastpath_mod
@@ -598,7 +601,13 @@ def check_ttp_fastpath_equiv(case: FuzzCase) -> Violation | None:
 
 
 def check_service_batch_equiv(case: FuzzCase) -> Violation | None:
-    """Batched admission dispatch must equal sequential direct calls."""
+    """Micro-batched admission dispatch must equal sequential direct calls.
+
+    The ops run through a real :class:`~repro.service.batcher.MicroBatcher`
+    under ``asyncio.run``: seeded groups of concurrent submits (each group
+    lands in one loop tick, so one flush), with a seeded ``batch_max``
+    slicing each flush.
+    """
     policy = (
         admission_mod.AdmissionPolicy.EXACT,
         admission_mod.AdmissionPolicy.SUFFICIENT,
@@ -631,7 +640,26 @@ def check_service_batch_equiv(case: FuzzCase) -> Violation | None:
                     idempotent=rng.random() < 0.5,
                 )
             )
-    batch_results = batched.process_batch(list(ops))
+    batch_max = rng.choice((1, 3, 64))
+    groups: list[list[admission_mod.AdmissionOp]] = []
+    remaining = list(ops)
+    while remaining:
+        size = rng.randint(1, 8)
+        groups.append(remaining[:size])
+        remaining = remaining[size:]
+
+    async def serve():
+        batcher = batcher_mod.MicroBatcher(batched, batch_max=batch_max)
+        batcher.start()
+        answers = []
+        for group in groups:
+            answers += await asyncio.gather(
+                *(batcher.submit(op) for op in group), return_exceptions=True
+            )
+        await batcher.drain()
+        return answers
+
+    batch_results = asyncio.run(serve())
 
     def issue_directly(op):
         try:
@@ -649,8 +677,8 @@ def check_service_batch_equiv(case: FuzzCase) -> Violation | None:
             return Violation(
                 "service_batch_equiv",
                 case,
-                f"op {position} ({op.kind}) diverged: batched={got!r}, "
-                f"sequential={want!r}",
+                f"op {position} ({op.kind}) diverged at batch_max="
+                f"{batch_max}: batched={got!r}, sequential={want!r}",
             )
     return None
 

@@ -68,6 +68,12 @@ The mutants, and the property expected to catch each:
     up to the next longer period, and a set whose busy period ends just
     late passes → caught by ``rm_exact_vs_rta`` against response-time
     analysis.
+``batcher_batch_reordered``
+    The micro-batcher's flush resolves a batch's futures in reversed
+    order, so each request of a multi-op batch receives another
+    request's answer, while ``process_batch`` itself stays correct →
+    caught by ``service_batch_equiv``, which drives a real batcher with
+    concurrent submits against sequential direct calls.
 """
 
 from __future__ import annotations
@@ -208,6 +214,12 @@ def _buggy_union_points(original):
     return union_points
 
 
+def _buggy_answer(batch, results):
+    for (_, future, _), result in zip(batch, reversed(results)):  # BUG
+        if not future.done():
+            future.set_result(result)
+
+
 def _patch_sites(mutant: str) -> list[tuple[object, str, object]]:
     """(owner, attribute, replacement) triples for one mutant.
 
@@ -264,6 +276,10 @@ def _patch_sites(mutant: str) -> list[tuple[object, str, object]]:
         return [
             (rm_mod, "_union_points", _buggy_union_points(rm_mod._union_points))
         ]
+    if mutant == "batcher_batch_reordered":
+        from repro.service import batcher as batcher_mod
+
+        return [(batcher_mod, "_answer", _buggy_answer)]
     raise KeyError(mutant)
 
 
@@ -277,6 +293,7 @@ MUTANTS: tuple[str, ...] = (
     "fault_recovery_swallowed",
     "router_stale_lease",
     "rm_prefix_cut_overrun",
+    "batcher_batch_reordered",
 )
 
 

@@ -240,39 +240,135 @@ class TestMicroBatcher:
         expected = [issue_directly(sequential_controller, op) for op in ops]
         assert batched == expected
 
+    @staticmethod
+    def record_batches(controller):
+        """Wrap ``controller.process_batch``; returns the list of batches
+        it is called with, each as ``(ops, thread_ident)``."""
+        calls = []
+        process_batch = controller.process_batch
+
+        def recording(ops):
+            calls.append((list(ops), threading.get_ident()))
+            return process_batch(ops)
+
+        controller.process_batch = recording
+        return calls
+
     def test_queue_full_sheds_with_retry_hint(self):
         controller = make_controller()
+        calls = self.record_batches(controller)
         shed_before = metrics.counter("service.shed").value
+        accepted = AdmissionOp.check(0.032, 512.0)
+        overflow = AdmissionOp.check(0.064, 256.0)
 
         async def go():
             batcher = MicroBatcher(
                 controller, batch_window_s=0.0, batch_max=1, queue_limit=4
             )
             batcher.start()
-            gate = threading.Event()
-            blocker = asyncio.ensure_future(batcher.run_on_worker(gate.wait))
-            await asyncio.sleep(0.02)  # worker thread now parked on the gate
-            op = AdmissionOp.check(0.032, 512.0)
-            head = asyncio.ensure_future(batcher.submit(op))
-            await asyncio.sleep(0.02)  # dispatcher took it, stuck behind gate
-            backlog = [
-                asyncio.ensure_future(batcher.submit(op)) for _ in range(4)
+            # queue_limit + 1 submits, all run within one tick: the flush
+            # the first one scheduled runs only after the fifth is shed.
+            tasks = [
+                asyncio.ensure_future(batcher.submit(accepted)) for _ in range(4)
             ]
-            await asyncio.sleep(0)  # all four enqueue: queue is now full
-            with pytest.raises(QueueFullError) as err:
-                await batcher.submit(op)
-            assert err.value.retry_after_s > 0
-            gate.set()
-            results = await asyncio.gather(head, *backlog)
-            await blocker
+            tasks.append(asyncio.ensure_future(batcher.submit(overflow)))
+            results = await asyncio.gather(*tasks, return_exceptions=True)
             await batcher.drain()
             return results
 
         results = asyncio.run(go())
+        *answered, shed = results
+        assert isinstance(shed, QueueFullError)
+        assert shed.retry_after_s > 0
         # Shed request was never evaluated; everything accepted was answered.
-        assert len(results) == 5
-        assert all(isinstance(r, AdmissionDecision) for r in results)
+        assert all(isinstance(r, AdmissionDecision) for r in answered)
+        assert [ops for ops, _ in calls] == [[accepted]] * 4
         assert metrics.counter("service.shed").value == shed_before + 1
+
+    def test_one_tick_is_one_batch(self):
+        controller = make_controller()
+        calls = self.record_batches(controller)
+        batches_before = metrics.counter("service.batches").value
+        sizes = metrics.histogram("service.batch_size")
+        count_before, total_before = sizes.count, sizes.total
+        ops = [AdmissionOp.check(0.008 * (1 + i), 256.0 * (1 + i)) for i in range(5)]
+
+        async def go():
+            batcher = MicroBatcher(controller, batch_max=64)
+            batcher.start()
+            results = await asyncio.gather(*(batcher.submit(op) for op in ops))
+            await batcher.drain()
+            return results
+
+        results = asyncio.run(go())
+        assert [batch for batch, _ in calls] == [ops]
+        assert results == [issue_directly(make_controller(), op) for op in ops]
+        assert metrics.counter("service.batches").value == batches_before + 1
+        assert sizes.count == count_before + 1
+        assert sizes.total == total_before + len(ops)
+
+    def test_batch_max_slices_a_burst_in_order(self):
+        controller = make_controller()
+        calls = self.record_batches(controller)
+        ops = [AdmissionOp.check(0.008 * (1 + i % 4), 64.0 * (1 + i)) for i in range(8)]
+
+        async def go():
+            batcher = MicroBatcher(controller, batch_max=3)
+            batcher.start()
+            results = await asyncio.gather(*(batcher.submit(op) for op in ops))
+            await batcher.drain()
+            return results
+
+        results = asyncio.run(go())
+        assert [batch for batch, _ in calls] == [ops[0:3], ops[3:6], ops[6:8]]
+        assert results == [issue_directly(make_controller(), op) for op in ops]
+
+    def test_batches_run_on_the_loop_thread(self):
+        controller = make_controller()
+        calls = self.record_batches(controller)
+
+        async def go():
+            batcher = MicroBatcher(controller)
+            batcher.start()
+            await batcher.submit(AdmissionOp.check(0.032, 512.0))
+            names = [thread.name for thread in threading.enumerate()]
+            await batcher.drain()
+            return threading.get_ident(), names
+
+        loop_thread, names = asyncio.run(go())
+        assert not any(name.startswith("repro-admit") for name in names)
+        assert [ident for _, ident in calls] == [loop_thread]
+
+    def test_failed_batch_answers_every_member_and_next_runs(self):
+        controller = make_controller()
+        process_batch = controller.process_batch
+        failures = [RuntimeError("engine exploded")]
+
+        def flaky(ops):
+            if failures:
+                raise failures.pop()
+            return process_batch(ops)
+
+        controller.process_batch = flaky
+        op = AdmissionOp.check(0.032, 512.0)
+
+        async def go():
+            batcher = MicroBatcher(controller, batch_max=2)
+            batcher.start()
+            first = await asyncio.gather(
+                *(batcher.submit(op) for _ in range(3)), return_exceptions=True
+            )
+            second = await batcher.submit(op)
+            await batcher.drain()
+            return first, second
+
+        first, second = asyncio.run(go())
+        # The whole failed slice is answered with ServiceError; the next
+        # slice of the same flush and later flushes still run.
+        assert all(isinstance(r, ServiceError) for r in first[:2])
+        assert "engine exploded" in str(first[0])
+        assert isinstance(first[2], AdmissionDecision)
+        assert isinstance(second, AdmissionDecision)
 
     def test_drain_answers_everything_then_refuses(self):
         controller = make_controller()
@@ -589,7 +685,7 @@ class TestLoadgen:
 
     def test_summary_spans_ignore_the_enclosing_span(self):
         # runner loadgen --spawn serves from inside its runner/loadgen
-        # span; the batch worker's spans must still read service/...
+        # span; the batch flush's spans must still read service/...
         tracing.reset()
         service_config = ServiceConfig(port=0, n_stations=8, policy="exact")
         load_config = LoadConfig(duration_s=0.3, workers=2, seed=11)

@@ -404,7 +404,7 @@ def run_service_canary() -> None:
                 f"misses={cache['misses']:.0f} — decisions are bypassing "
                 "the cache or their keys never repeat"
             )
-        # Span guard: the batch worker's spans must reach the server
+        # Span guard: the batch flush's spans must reach the server
         # summary whatever span the runner serves from, one service/batch
         # execution per counted batch.
         server = document["benchmarks"][0]["extra_info"]["server"]
