@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.analysis.rm import ExactRMTest, GroupedExactRMTest, StreamTestDetail
+from repro.analysis.rm import ExactRMTest, StreamTestDetail
 from repro.errors import MessageSetError
 from repro.messages.message_set import MessageSet
 from repro.network.frames import FrameFormat
@@ -295,11 +295,6 @@ class PDPAnalysis:
 
     # -- core computations ------------------------------------------------------------
 
-    #: Columnar sets at or above this size use :class:`GroupedExactRMTest`
-    #: (matrix sized by distinct periods); smaller sets keep the dense
-    #: test, whose per-stream ``details`` report stays available.
-    _GROUPED_MIN_STREAMS = 512
-
     def augmented_lengths(self, message_set: MessageSet) -> np.ndarray:
         """``C'_i`` for every stream of ``message_set`` in *its own* order."""
         if getattr(message_set, "is_columnar", False):
@@ -318,9 +313,8 @@ class PDPAnalysis:
 
         Object sets key on the period tuple directly; columnar sets key
         on the raw bytes of the period column (hashing a million-float
-        tuple would cost more than the lookup saves), namespaced so an
-        object set and a table with equal periods never collide — they
-        may be backed by different test classes.
+        tuple would cost more than the lookup saves), namespaced so the
+        two key shapes never collide.
         """
         if getattr(ordered, "is_columnar", False):
             return ("columnar", len(ordered), ordered.period_key())
@@ -331,13 +325,7 @@ class PDPAnalysis:
         test = self._test_cache.get(key)
         if test is None:
             _CACHE_MISSES.inc()
-            if (
-                getattr(ordered, "is_columnar", False)
-                and len(ordered) >= self._GROUPED_MIN_STREAMS
-            ):
-                test = GroupedExactRMTest(ordered.periods)
-            else:
-                test = ExactRMTest(ordered.periods)
+            test = ExactRMTest(ordered.periods)
             self._test_cache[key] = test
             while len(self._test_cache) > self._cache_size:
                 self._test_cache.popitem(last=False)
@@ -436,7 +424,8 @@ class PDPAnalysis:
         positions by set, scales one payload row per position (rows are
         zero-padded to the widest set) and computes every augmented
         length in one vectorized call.  Each set's run of rows is then
-        one block: a single row goes through the scalar evaluation,
+        one block: a single row goes through the evaluation behind
+        :meth:`ExactRMTest.is_schedulable` (without re-validating),
         several through :meth:`ExactRMTest.is_schedulable_batch` in
         probe order — the same dispatch as probing each set on its own,
         so every verdict is bit-identical.  This is the engine behind the
@@ -493,13 +482,6 @@ class PDPAnalysis:
         if len(ordered) == 0:
             return PDPSetResult(True, (), (), self.blocking)
         test = self._exact_test_for(ordered)
-        if not hasattr(test, "details"):
-            raise MessageSetError(
-                "per-stream analyze() needs the dense exact test; this "
-                f"{len(ordered)}-stream columnar set routed to the grouped "
-                "test, which only produces verdicts — analyze "
-                "table.to_message_set() (or a slice) instead"
-            )
         lengths = self.augmented_lengths(ordered)
         details = tuple(test.details(lengths, self.blocking))
         return PDPSetResult(

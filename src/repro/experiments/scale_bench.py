@@ -4,15 +4,14 @@ Two performance claims of the columnar engine are tracked as a canary:
 
 1. **Columnar throughput.**  One process builds a :class:`StreamTable` of
    a million streams (periods drawn from a small catalogue of distinct
-   values, the regime the grouped exact test is built for), orders it
-   rate-monotonically, runs the full Theorem 4.1 exact test and the
-   closed-form TTP saturation scale — and the whole pipeline is timed.
-   The same pipeline over object-path :class:`MessageSet` streams is
-   timed at a much smaller size (the dense exact-test matrix is
-   O(points x streams); at a million streams it would not fit in
-   memory), and the per-stream throughput ratio is reported.  The small
-   object baseline is *generous* to the object path — its per-stream
-   cost grows with set size — so the reported speedup is a floor.
+   values, so the exact test's structure stays small: it is sized by
+   distinct periods, not streams), orders it rate-monotonically, runs
+   the full Theorem 4.1 exact test and the closed-form TTP saturation
+   scale — and the whole pipeline is timed.  The same pipeline over
+   object-path :class:`MessageSet` streams is timed at a much smaller
+   size (building a million stream objects and sorting them is what the
+   columnar engine avoids), and the per-stream throughput ratio is
+   reported.
 
 2. **Streaming Monte Carlo efficiency.**  The accuracy-targeted
    estimator runs twice to the same CI half-width target from the same
@@ -167,11 +166,11 @@ def run_scale_bench(
         parameters: operating conditions (paper defaults when None); the
             period distribution and seed come from here.
         n_streams: columnar set size (the million-stream claim).
-        baseline_streams: object-path set size (kept small because the
-            dense exact-test matrix grows with streams x points; small is
-            *favourable* to the baseline's per-stream cost).
-        distinct_periods: period-catalogue size — the grouped exact test
-            is sized by distinct periods, not streams.
+        baseline_streams: object-path set size (kept small because
+            every stream is a Python object; the exact test costs the
+            same for both paths, sized by distinct periods).
+        distinct_periods: period-catalogue size — the exact test's
+            structure is sized by distinct periods, not streams.
         bandwidth_mbps: link bandwidth for both analyses.
         target_utilization: workload utilization the payloads are scaled
             to, so the exact test walks real scheduling points.

@@ -31,9 +31,9 @@ The properties:
     pure performance work: tables must round-trip to object sets
     losslessly, order identically under rate-monotonic sorting, produce
     **bit-identical** per-stream utilizations, wire-bit totals, and PDP
-    augmented lengths, and move no verdict — PDP (both variants, dense
-    *and* grouped exact tests) and TTP (verdict and saturation scale)
-    must answer object and columnar forms identically.
+    augmented lengths, and move no verdict — PDP (both variants, verdict
+    and the bitwise per-stream ``analyze`` details) and TTP (verdict and
+    saturation scale) must answer object and columnar forms identically.
 ``rm_exact_vs_rta``
     The exact RM test of Theorem 4.1 answers like its independent
     oracle: :class:`~repro.analysis.rm.ExactRMTest` verdicts
@@ -1182,15 +1182,17 @@ def check_columnar_equiv(case: FuzzCase) -> Violation | None:
                 f"{variant.name}: PDP verdict moved between object "
                 f"({verdict_set}) and columnar ({verdict_table}) inputs"
             )
-        dense = rm_mod.ExactRMTest(ordered_table.periods)
-        grouped = rm_mod.GroupedExactRMTest(ordered_table.periods)
-        blocking = analysis.blocking
-        if dense.is_schedulable(costs_table, blocking) != grouped.is_schedulable(
-            costs_table, blocking
-        ):
+        details_set, details_table = (
+            [
+                (d.schedulable, d.min_load_ratio.hex(), d.critical_point.hex())
+                for d in analysis.analyze(argument).details
+            ]
+            for argument in (message_set, table)
+        )
+        if details_set != details_table:
             return fail(
-                f"{variant.name}: dense and grouped exact RM tests disagree "
-                "on the same cost vector"
+                f"{variant.name}: per-stream analyze() details differ "
+                "between the object and columnar inputs"
             )
 
     ttp = _ttp_analysis(case)

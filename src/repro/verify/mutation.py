@@ -68,6 +68,14 @@ The mutants, and the property expected to catch each:
     up to the next longer period, and a set whose busy period ends just
     late passes → caught by ``rm_exact_vs_rta`` against response-time
     analysis.
+``rm_details_group_prefix``
+    The exact RM test's per-stream report charges every stream the
+    prefix sum up to the *last* member of its period group instead of
+    its own, so an earlier member of a shared-period group inherits the
+    binding member's load ratio and is reported unschedulable when only
+    the group's tail misses → caught by ``rm_exact_vs_rta``'s
+    ``details`` comparison on the harmonic family, whose periods repeat
+    and whose loads run to 2.0.
 ``batcher_batch_reordered``
     The micro-batcher's flush resolves a batch's futures in reversed
     order, so each request of a multi-op batch receives another
@@ -214,6 +222,15 @@ def _buggy_union_points(original):
     return union_points
 
 
+def _buggy_load_ratios(original):
+    def load_ratios(self, arr, blocking, indices):
+        ends = np.searchsorted(self.periods, self.periods, side="right") - 1
+        # BUG: each stream reports its group's last member (same points,
+        # group-end prefix sum)
+        return original(self, arr, blocking, [ends[i] for i in indices])
+    return load_ratios
+
+
 def _buggy_answer(batch, results):
     for (_, future, _), result in zip(batch, reversed(results)):  # BUG
         if not future.done():
@@ -276,6 +293,16 @@ def _patch_sites(mutant: str) -> list[tuple[object, str, object]]:
         return [
             (rm_mod, "_union_points", _buggy_union_points(rm_mod._union_points))
         ]
+    if mutant == "rm_details_group_prefix":
+        from repro.analysis import rm as rm_mod
+
+        return [
+            (
+                rm_mod.ExactRMTest,
+                "_load_ratios",
+                _buggy_load_ratios(rm_mod.ExactRMTest._load_ratios),
+            )
+        ]
     if mutant == "batcher_batch_reordered":
         from repro.service import batcher as batcher_mod
 
@@ -293,6 +320,7 @@ MUTANTS: tuple[str, ...] = (
     "fault_recovery_swallowed",
     "router_stale_lease",
     "rm_prefix_cut_overrun",
+    "rm_details_group_prefix",
     "batcher_batch_reordered",
 )
 

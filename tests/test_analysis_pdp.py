@@ -4,6 +4,7 @@ The hand-computed cases use synthetic rings with zero propagation distance
 so that ``Θ`` is an exact rational number of bit-times.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from repro.analysis.rm import response_time_analysis
 from repro.errors import MessageSetError
 from repro.messages.message_set import MessageSet
 from repro.messages.stream import SynchronousStream
+from repro.messages.table import StreamTable
 from repro.network.frames import FrameFormat
 from repro.network.ring import RingNetwork
 from repro.units import mbps
@@ -198,6 +200,19 @@ class TestPDPAnalysis:
         )
         rta_ok = all(r <= p for r, p in zip(responses, ordered.periods))
         assert analysis.is_schedulable(message_set) == rta_ok
+
+    def test_analyze_large_columnar_table_matches_object_set(self):
+        """Per-stream details of a 600-stream table over a tied period
+        catalogue equal those of its object form."""
+        rng = np.random.default_rng(5)
+        periods = rng.choice([0.05, 0.1, 0.2, 0.4], size=600)
+        payloads = rng.uniform(10.0, 200.0, size=600)
+        table = StreamTable(periods, payloads)
+        analysis = self.make_analysis()
+        got = analysis.analyze(table)
+        want = analysis.analyze(table.to_message_set())
+        assert got.details == want.details
+        assert got.schedulable == want.schedulable
 
     def test_with_ring_rebinds_bandwidth(self):
         analysis = self.make_analysis()

@@ -129,8 +129,131 @@ class TestExactTestValidation:
         with pytest.raises(MessageSetError):
             ExactRMTest([1.0]).is_schedulable([0.5], blocking=-1.0)
 
+    def test_rejects_mis_shaped_costs(self):
+        test = ExactRMTest([0.1, 0.2])
+        with pytest.raises(MessageSetError):
+            test.is_schedulable([[0.01, 0.01]])
+        with pytest.raises(MessageSetError):
+            test.is_schedulable_batch([0.01, 0.01])
+        with pytest.raises(MessageSetError):
+            test.is_schedulable_batch([[0.01, 0.01, 0.01]])
+        with pytest.raises(MessageSetError):
+            test.details([0.01, 0.01], blocking=-1e-9)
+
     def test_zero_costs_always_schedulable(self):
         assert ExactRMTest([1.0, 2.0, 3.0]).is_schedulable([0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("index", [-1, 3, 10])
+    def test_stream_load_ratio_rejects_out_of_range_index(self, index):
+        with pytest.raises(MessageSetError):
+            ExactRMTest([4.0, 6.0, 10.0]).stream_load_ratio(index, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("index", [-1, 3, 5])
+    def test_scheduling_points_rejects_out_of_range_index(self, index):
+        with pytest.raises(MessageSetError):
+            ExactRMTest([4.0, 6.0, 10.0]).scheduling_points(index)
+
+
+def _tied_instance(rng, n, catalogue_size):
+    catalogue = rng.uniform(0.01, 1.0, size=catalogue_size)
+    periods = np.sort(catalogue[rng.integers(0, catalogue_size, size=n)])
+    costs = rng.uniform(0.0, 1.2, size=n) * periods / n
+    return periods, costs
+
+
+def _rta_verdicts(costs, periods, blocking=0.0):
+    """Per-stream RTA verdicts, or None when a response lies within 1e-9
+    relative of its deadline (the float knife edge, as in the
+    ``rm_exact_vs_rta`` fuzz property)."""
+    responses = np.array(response_time_analysis(costs, periods, blocking))
+    if np.any(np.abs(responses - periods) <= 1e-9 * periods):
+        return None
+    return (responses <= periods).tolist()
+
+
+class TestGroupSums:
+    """Verdicts run on per-period group sums and details on each stream's
+    own prefix; both must match response-time analysis when periods tie,
+    and when they are all distinct (the sums are then the costs)."""
+
+    def assert_matches_rta(self, test, costs, periods, blocking=0.0):
+        oracle = _rta_verdicts(costs, periods, blocking)
+        if oracle is None:
+            return False
+        assert test.is_schedulable(costs, blocking) == all(oracle)
+        details = test.details(costs, blocking)
+        assert [d.schedulable for d in details] == oracle
+        return True
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_tied_catalogues(self, seed):
+        rng = np.random.default_rng(seed)
+        periods, costs = _tied_instance(rng, n=40, catalogue_size=5)
+        test = ExactRMTest(periods)
+        for blocking in (0.0, 1e-4, 1e-2):
+            self.assert_matches_rta(test, costs, periods, blocking)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_near_boundary_scales(self, seed):
+        """Sweep a load scale through the feasibility boundary: the test
+        flips from accept to reject where response-time analysis does."""
+        rng = np.random.default_rng(100 + seed)
+        periods, costs = _tied_instance(rng, n=24, catalogue_size=4)
+        test = ExactRMTest(periods)
+        verdicts = []
+        for scale in np.linspace(0.1, 3.0, 30):
+            if self.assert_matches_rta(test, costs * scale, periods):
+                verdicts.append(test.is_schedulable(costs * scale))
+        assert True in verdicts and False in verdicts
+
+    @given(st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_property_verdicts_agree(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        m = int(rng.integers(1, 6))
+        periods, costs = _tied_instance(rng, n=n, catalogue_size=m)
+        self.assert_matches_rta(ExactRMTest(periods), costs, periods)
+
+    def test_all_distinct_periods(self):
+        rng = np.random.default_rng(7)
+        periods = np.sort(rng.uniform(0.01, 1.0, size=12))
+        test = ExactRMTest(periods)
+        for scale in (0.5, 1.0, 2.0, 4.0):
+            costs = rng.uniform(0.0, 0.02, size=12) * scale
+            self.assert_matches_rta(test, costs, periods)
+
+    def test_single_stream(self):
+        assert ExactRMTest([0.5]).is_schedulable([0.4])
+        assert not ExactRMTest([0.5]).is_schedulable([0.6])
+
+    def test_all_equal_periods(self):
+        test = ExactRMTest([0.1] * 16)
+        assert test.is_schedulable([0.005] * 16)
+        assert not test.is_schedulable([0.007] * 16)
+        # Only the members whose own prefix passes 0.1 miss.
+        ok = [d.schedulable for d in test.details([0.007] * 16)]
+        assert ok == [True] * 14 + [False] * 2
+
+    def test_batch_matches_scalar(self):
+        rng = np.random.default_rng(3)
+        periods, _ = _tied_instance(rng, n=20, catalogue_size=4)
+        test = ExactRMTest(periods)
+        batch = rng.uniform(0.0, 0.1, size=(16, 20)) * periods
+        got = test.is_schedulable_batch(batch, 1e-4)
+        assert got.tolist() == [test.is_schedulable(row, 1e-4) for row in batch]
+        assert True in got.tolist() and False in got.tolist()
+
+    def test_structure_size_tracks_distinct_periods(self):
+        """12 000 streams over 3 periods cost the same structure as 3
+        streams over 3 periods."""
+        small = ExactRMTest([0.1, 0.2, 0.4])
+        periods = np.sort(np.tile([0.1, 0.2, 0.4], 4000))
+        big = ExactRMTest(periods)
+        assert big._kernel.matrix.shape == small._kernel.matrix.shape
+        assert np.array_equal(big._kernel.points, small._kernel.points)
+        costs = np.full(periods.size, 0.4 / periods.size / 3.0)
+        assert isinstance(big.is_schedulable(costs), bool)
 
 
 class TestResponseTimeAnalysis:

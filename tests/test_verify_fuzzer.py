@@ -132,6 +132,9 @@ class TestMutationSmoke:
             "decision_key_stale_base"
         ]
         assert "rm_exact_vs_rta" in report.fired_checks["rm_prefix_cut_overrun"]
+        assert "rm_exact_vs_rta" in report.fired_checks[
+            "rm_details_group_prefix"
+        ]
         assert "service_batch_equiv" in report.fired_checks[
             "batcher_batch_reordered"
         ]
