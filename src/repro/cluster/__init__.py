@@ -6,8 +6,7 @@ The single-process admission service (:mod:`repro.service`) answers
 admission server on its own port, behind one router process:
 
 * :mod:`repro.cluster.hashring` — consistent-hash routing over stream
-  keys (plus ``random`` / ``least-loaded`` / ``power-of-two`` alternate
-  policies), so repeat candidates land on the same shard and its
+  keys, so repeat candidates land on the same shard and its
   prefix-keyed verdict cache stays hot;
 * :mod:`repro.cluster.budget` — the lease-based global utilization
   budget.  Capacity on a token ring is a *global* quantity (Theorems
@@ -24,7 +23,9 @@ admission server on its own port, behind one router process:
 * :mod:`repro.cluster.worker` — the worker entry point
   (``python -m repro.cluster.worker``);
 * :mod:`repro.cluster.router` — the asyncio front process: forwards
-  requests, retries around dead workers after a ring rebalance,
+  requests (its HTTP framing is :mod:`repro.service.http`, shared with
+  the admission server), retries around dead workers after a ring
+  rebalance,
   aggregates ``/healthz`` and ``/metrics`` fleet-wide (per-shard
   labels), and reconciles the budget split.
 

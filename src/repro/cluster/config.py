@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.cluster.hashring import ROUTE_POLICIES
 from repro.errors import ConfigurationError
 from repro.service.protocol import ServiceConfig
 
@@ -38,7 +37,6 @@ class ClusterConfig:
     n_workers: int = 4
     host: str = "127.0.0.1"
     router_port: int = 0  # 0 → ephemeral
-    route_policy: str = "hash"
     utilization_cap: float = 0.9
     cache_dir: str | None = None
     runtime_dir: str | None = None  # port files + worker logs; None → temp
@@ -48,17 +46,11 @@ class ClusterConfig:
     heartbeat_s: float = 0.5  # router health/lease reconciliation cadence
     restart_backoff_s: float = 0.2  # supervisor delay before a respawn
     max_restarts: int = 5  # per worker, per session
-    seed: int = 0  # router rng (random / power-of-two policies)
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ConfigurationError(
                 f"n_workers must be at least 1, got {self.n_workers!r}"
-            )
-        if self.route_policy not in ROUTE_POLICIES:
-            raise ConfigurationError(
-                f"route_policy must be one of {ROUTE_POLICIES}, "
-                f"got {self.route_policy!r}"
             )
         if not self.utilization_cap >= 0.0:
             raise ConfigurationError(

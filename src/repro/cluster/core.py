@@ -5,8 +5,8 @@ differential-fuzz harness need them, and they must be the same code —
 a property pinned against a test-only re-implementation of routing
 would pin nothing:
 
-* :class:`ClusterDirectory` — per-request shard selection (all four
-  routing policies) plus the fleet stream-id table.  Worker-local
+* :class:`ClusterDirectory` — per-request shard selection (consistent
+  hash over the stream key) plus the fleet stream-id table.  Worker-local
   stream ids are per-process counters, so two shards both hand out id
   ``1``; the front translates every admitted stream to a fleet-unique
   id and back on release.  Clients see one id space, exactly as if a
@@ -24,12 +24,11 @@ would pin nothing:
 
 from __future__ import annotations
 
-import random
 from dataclasses import replace
 
 from repro.admission import AdmissionOp, OpFault, ReleaseOutcome
 from repro.cluster.budget import BudgetLedger
-from repro.cluster.hashring import HashRing, choose_shard, stream_key
+from repro.cluster.hashring import HashRing, stream_key
 from repro.errors import ConfigurationError
 
 __all__ = ["ClusterDirectory", "InProcessCluster"]
@@ -42,11 +41,8 @@ class ClusterDirectory:
     in-process harness from its single thread.
     """
 
-    def __init__(self, shard_ids, *, policy: str = "hash", seed: int = 0):
+    def __init__(self, shard_ids):
         self.ring = HashRing(shard_ids)
-        self.policy = policy
-        self.loads: dict[str, int] = {shard: 0 for shard in shard_ids}
-        self._rng = random.Random(seed)
         self._next_fleet_id = 1
         self._streams: dict[int, tuple[str, int]] = {}
 
@@ -59,10 +55,7 @@ class ClusterDirectory:
 
     def route_stream(self, period_s: float, payload_bits: float) -> str:
         """The shard a check/admit for this candidate goes to."""
-        key = stream_key(period_s, payload_bits)
-        return choose_shard(
-            self.policy, self.ring, key, self.loads, self._rng
-        )
+        return self.ring.lookup(stream_key(period_s, payload_bits))
 
     def owner_of(self, fleet_id: int) -> tuple | None:
         """``(shard_id, local_id)`` for a fleet stream id, or None."""
@@ -104,7 +97,6 @@ class ClusterDirectory:
                 "cannot drop the last shard from the directory"
             )
         self.ring = self.ring.without(shard_id)
-        self.loads.pop(shard_id, None)
         dead = self.streams_of(shard_id)
         for fleet_id in dead:
             self._streams.pop(fleet_id, None)
@@ -113,7 +105,6 @@ class ClusterDirectory:
     def add_shard(self, shard_id: str) -> None:
         """Admit a (re)started worker to the ring."""
         self.ring = self.ring.with_shard(shard_id)
-        self.loads.setdefault(shard_id, 0)
 
 
 class InProcessCluster:
@@ -135,12 +126,8 @@ class InProcessCluster:
         controller_factory,
         *,
         utilization_cap: float = 0.9,
-        policy: str = "hash",
-        seed: int = 0,
     ):
-        self.directory = ClusterDirectory(
-            shard_ids, policy=policy, seed=seed
-        )
+        self.directory = ClusterDirectory(shard_ids)
         self.ledger = BudgetLedger(utilization_cap)
         self.workers = {shard: controller_factory() for shard in shard_ids}
         self.histories: dict[str, list] = {shard: [] for shard in shard_ids}

@@ -1,7 +1,7 @@
-"""Consistent-hash ring and the router's shard-selection policies.
+"""Consistent-hash ring: how the router picks a shard for each stream.
 
-The default routing policy hashes a request's *stream key* onto a ring
-of virtual nodes.  Consistent hashing buys two things the admission
+The router hashes a request's *stream key* onto a ring of virtual
+nodes.  Consistent hashing buys two things the admission
 tier actually needs:
 
 * **cache affinity** — a repeat candidate (same period/payload against
@@ -19,10 +19,6 @@ Hashing is SHA-256 over UTF-8 text — deterministic across processes and
 interpreter runs (``PYTHONHASHSEED`` does not reach it), which the
 router, the load generator's direct-to-shard mode, and the differential
 fuzz harness all rely on to agree about placement without talking.
-
-Alternate policies (``random``, ``least-loaded``, ``power-of-two``)
-trade cache affinity for load spreading; :func:`choose_shard` is the
-single selection function the router calls for all four.
 """
 
 from __future__ import annotations
@@ -32,10 +28,7 @@ import hashlib
 
 from repro.errors import ConfigurationError
 
-__all__ = ["ROUTE_POLICIES", "HashRing", "stream_key", "choose_shard"]
-
-#: Routing policies the cluster router accepts.
-ROUTE_POLICIES = ("hash", "random", "least-loaded", "power-of-two")
+__all__ = ["HashRing", "stream_key"]
 
 
 def _hash64(text: str) -> int:
@@ -117,38 +110,3 @@ class HashRing:
             return self
         return HashRing([*self._shards, shard], replicas=self._replicas)
 
-
-def choose_shard(
-    policy: str,
-    ring: HashRing,
-    key: str,
-    loads: dict,
-    rng,
-) -> str:
-    """One shard id under the given routing policy.
-
-    ``loads`` maps shard id to its current router-side in-flight count
-    (used by ``least-loaded`` and ``power-of-two``); ``rng`` is the
-    router's seeded :class:`random.Random` (used by ``random`` and
-    ``power-of-two``).  ``hash`` ignores both and is the only policy
-    that preserves per-key placement (and so cache affinity and the
-    shard-equivalence pin); ties break by shard order for determinism.
-    """
-    shards = ring.shards
-    if policy == "hash":
-        return ring.lookup(key)
-    if policy == "random":
-        return shards[rng.randrange(len(shards))]
-    if policy == "least-loaded":
-        return min(shards, key=lambda s: (loads.get(s, 0), shards.index(s)))
-    if policy == "power-of-two":
-        if len(shards) == 1:
-            return shards[0]
-        first, second = rng.sample(range(len(shards)), 2)
-        a, b = shards[first], shards[second]
-        if loads.get(a, 0) <= loads.get(b, 0):
-            return a
-        return b
-    raise ConfigurationError(
-        f"unknown routing policy {policy!r}; expected one of {ROUTE_POLICIES}"
-    )

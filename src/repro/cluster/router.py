@@ -6,12 +6,13 @@ sync/async service clients, the load generator, ``runner top`` — works
 against a cluster unchanged.  Behind the listener it:
 
 * **routes** ``/v1/check`` and ``/v1/admit`` by consistent hash over
-  the stream key (or the ``random`` / ``least-loaded`` /
-  ``power-of-two`` alternates), and ``/v1/release`` by the fleet
-  stream-id directory (the router translates worker-local stream ids
-  to fleet-unique ones, so clients see a single id space);
+  the stream key, and ``/v1/release`` by the fleet stream-id directory
+  (the router translates worker-local stream ids to fleet-unique ones,
+  so clients see a single id space);
 * **pools** keep-alive connections per backend (each pooled connection
-  carries one in-flight request at a time);
+  carries one in-flight request at a time); the HTTP framing on both
+  sides — clients in front, workers behind — is
+  :mod:`repro.service.http`, the codec the admission server uses;
 * **retries around death**: a connection failure to a worker drops it
   from the hash ring (:meth:`ClusterDirectory.drop_shard` — only that
   worker's hash range moves) and the request is re-dispatched to the
@@ -47,25 +48,12 @@ from repro.errors import ServiceError
 from repro.obs import metrics, prometheus
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
+from repro.service import http
 from repro.service.protocol import WIRE_SCHEMA_VERSION, dump_body
 
 __all__ = ["ClusterRouter"]
 
 _LOG = get_logger("repro.cluster.router")
-
-_MAX_BODY_BYTES = 64 * 1024
-
-_STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    422: "Unprocessable Entity",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    502: "Bad Gateway",
-    503: "Service Unavailable",
-}
 
 
 class _Backend:
@@ -75,6 +63,7 @@ class _Backend:
         self.shard_id = shard_id
         self.host = host
         self.port = port
+        self.address = f"{host}:{port}"
         self.pid = pid
         self.idle: list = []  # [(reader, writer)]
         #: Last lease cap this worker acknowledged over /v1/lease, or
@@ -144,11 +133,7 @@ class ClusterRouter:
         """Register one worker backend (and its shard on the ring)."""
         self.backends[shard_id] = _Backend(shard_id, host, port, pid)
         if self.directory is None:
-            self.directory = ClusterDirectory(
-                [shard_id],
-                policy=self.config.route_policy,
-                seed=self.config.seed,
-            )
+            self.directory = ClusterDirectory([shard_id])
         else:
             self.directory.add_shard(shard_id)
         self._m_workers.set(len(self.backends))
@@ -179,8 +164,6 @@ class ClusterRouter:
         if self.pool is not None:
             for shard_id, (pid, port) in sorted(self.pool.running().items()):
                 self.add_backend(shard_id, self.config.host, port, pid)
-        if self.directory is None and self.backends:
-            pass  # add_backend built it
         if self.backends:
             await self._adopt_leases()
         self._server = await asyncio.start_server(
@@ -189,12 +172,10 @@ class ClusterRouter:
         self.port = self._server.sockets[0].getsockname()[1]
         self._heartbeat_task = asyncio.create_task(self._heartbeat_loop())
         _LOG.info(
-            "cluster router on %s:%d fronting %d worker(s), policy=%s, "
-            "cap=%g",
+            "cluster router on %s:%d fronting %d worker(s), cap=%g",
             self.config.host,
             self.port,
             len(self.backends),
-            self.config.route_policy,
             self.config.utilization_cap,
         )
 
@@ -202,7 +183,7 @@ class ClusterRouter:
         """Fold the workers' boot-time lease caps into the ledger."""
         for shard_id in sorted(self.backends):
             try:
-                status, payload, _ = await self._backend_request(
+                status, payload = await self._backend_request(
                     self.backends[shard_id], "GET", "/v1/lease", None
                 )
             except OSError:
@@ -312,7 +293,7 @@ class ClusterRouter:
         if backend is None:
             return
         try:
-            status, payload, _ = await self._backend_request(
+            status, payload = await self._backend_request(
                 backend, "POST", "/v1/lease", {"utilization_cap": target}
             )
         except OSError:
@@ -330,145 +311,65 @@ class ClusterRouter:
     ):
         """One request over a pooled backend connection.
 
-        Returns ``(status, payload_or_bytes, content_type)``; raises
-        ``OSError`` / ``ConnectionError`` when the backend is
-        unreachable or hangs up mid-exchange (callers decide whether
-        that means a retry, a rebalance, or a 502).
+        Returns ``(status, payload)``: the decoded JSON object, or the
+        raw bytes of any other content type.  Raises ``OSError`` (a
+        ``ConnectionError`` for bad framing) when the backend is
+        unreachable or hangs up mid-exchange; callers decide whether
+        that means a retry, a rebalance, or a 502.
         """
-        payload = dump_body(body) if body is not None else b""
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {backend.host}:{backend.port}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"Connection: keep-alive\r\n\r\n"
-        ).encode("latin-1")
+        request = http.encode_request(
+            method,
+            path,
+            backend.address,
+            dump_body(body) if body is not None else b"",
+        )
         reader, writer = await backend.acquire()
         try:
-            writer.write(head + payload)
+            writer.write(request)
             await writer.drain()
-            status_line = await reader.readline()
-            if not status_line:
-                raise ConnectionError("backend closed the connection")
-            parts = status_line.decode("latin-1").split(" ", 2)
-            if len(parts) < 2:
-                raise ConnectionError(
-                    f"malformed backend status line: {status_line!r}"
-                )
-            status = int(parts[1])
-            headers: dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or 0)
-            raw = await reader.readexactly(length) if length else b""
+            status, headers, raw = await http.read_response(reader)
         except BaseException:
             writer.close()
             raise
         backend.release(reader, writer)
-        content_type = headers.get("content-type", "application/json")
-        if content_type.startswith("application/json"):
-            return status, (json.loads(raw) if raw else {}), content_type
-        return status, raw, content_type
+        if headers.get("content-type", "application/json").startswith(
+            "application/json"
+        ):
+            return status, (json.loads(raw) if raw else {})
+        return status, raw
 
     # -- front: serving clients ----------------------------------------------
 
     async def _serve_connection(self, reader, writer) -> None:
-        try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                method, target, headers, body = request
-                path, _, query = target.partition("?")
-                try:
-                    status, payload, extra = await self._route(
-                        method, path, query, body
-                    )
-                except ServiceError as exc:
-                    status, payload, extra = (
-                        400,
-                        {"error": "ServiceError", "detail": str(exc)},
-                        [],
-                    )
-                except Exception as exc:  # noqa: BLE001 - keep serving
-                    self._m_errors.inc()
-                    _LOG.warning(
-                        "router error on %s %s: %s",
-                        method,
-                        path,
-                        exc,
-                        exc_info=True,
-                    )
-                    status, payload, extra = (
-                        500,
-                        {"error": "InternalError", "detail": str(exc)},
-                        [],
-                    )
-                self._m_requests.inc()
-                keep_alive = (
-                    headers.get("connection", "keep-alive").lower() != "close"
-                )
-                await self._write_response(
-                    writer, status, payload, extra, keep_alive
-                )
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+        await http.serve_connection(reader, writer, self._handle, dump_body)
 
-    async def _read_request(self, reader):
+    async def _handle(self, request: http.Request):
         try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError:
-            return None
-        except (asyncio.LimitOverrunError, ConnectionError, OSError):
-            return None
-        request_line, _, header_block = head.partition(b"\r\n")
-        parts = request_line.decode("latin-1").split(" ")
-        if len(parts) != 3:
-            raise asyncio.IncompleteReadError(request_line, None)
-        method, target, _version = parts
-        headers: dict[str, str] = {}
-        for line in header_block.decode("latin-1").split("\r\n"):
-            if line:
-                name, _, value = line.partition(":")
-                headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
-        if length > _MAX_BODY_BYTES:
-            raise asyncio.IncompleteReadError(b"", None)
-        body = await reader.readexactly(length) if length else b""
-        return method, target, headers, body
-
-    async def _write_response(
-        self, writer, status, payload, extra_headers, keep_alive
-    ) -> None:
-        if isinstance(payload, tuple):  # (content_type, bytes) raw body
-            content_type, body = payload
-        else:
-            content_type = "application/json"
-            body = dump_body(payload)
-        lines = [
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        for name, value in extra_headers:
-            lines.append(f"{name}: {value}")
-        writer.write(
-            ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-        )
-        await writer.drain()
+            status, payload, extra = await self._route(
+                request.method, request.path, request.query, request.body
+            )
+        except ServiceError as exc:
+            status, payload, extra = (
+                400,
+                {"error": "ServiceError", "detail": str(exc)},
+                [],
+            )
+        except Exception as exc:  # noqa: BLE001 - keep serving
+            self._m_errors.inc()
+            _LOG.warning(
+                "router error on %s %s: %s",
+                request.method,
+                request.path,
+                exc,
+                exc_info=True,
+            )
+            status, payload, extra = (
+                500,
+                {"error": "InternalError", "detail": str(exc)},
+                [],
+            )
+        self._m_requests.inc()
+        return status, payload, extra
 
     async def _route(self, method, path, query, body):
         if path == "/healthz":
@@ -559,20 +460,14 @@ class ClusterRouter:
                 # Ring and backend set disagree transiently; rebalance.
                 self._drop_backend(shard_id)
                 continue
-            self.directory.loads[shard_id] = (
-                self.directory.loads.get(shard_id, 0) + 1
-            )
             try:
-                status, payload, _ = await self._backend_request(
+                status, payload = await self._backend_request(
                     backend, "POST", path, parsed
                 )
-            except (OSError, ConnectionError, asyncio.IncompleteReadError):
+            except OSError:
                 self._m_retries.inc()
                 self._drop_backend(shard_id)
                 continue
-            finally:
-                if shard_id in self.directory.loads:
-                    self.directory.loads[shard_id] -= 1
             if (
                 status == 503
                 and isinstance(payload, dict)
@@ -651,13 +546,13 @@ class ClusterRouter:
         if backend is None:
             return self._unknown_stream_response(fleet_id, idempotent)
         try:
-            status, payload, _ = await self._backend_request(
+            status, payload = await self._backend_request(
                 backend,
                 "POST",
                 "/v1/release",
                 {"stream_id": local_id, "idempotent": bool(idempotent)},
             )
-        except (OSError, ConnectionError, asyncio.IncompleteReadError):
+        except OSError:
             # The owner died with the stream: the release's goal state
             # (stream gone) holds, so answer as for an unknown stream.
             self._m_retries.inc()
@@ -701,11 +596,11 @@ class ClusterRouter:
 
         async def fetch(shard_id: str, backend: _Backend):
             try:
-                status, payload, _ = await self._backend_request(
+                status, payload = await self._backend_request(
                     backend, method, path, None
                 )
                 results[shard_id] = (status, payload)
-            except (OSError, ConnectionError, asyncio.IncompleteReadError):
+            except OSError:
                 results[shard_id] = (None, None)
 
         await asyncio.gather(
@@ -746,7 +641,6 @@ class ClusterRouter:
                 "utilization_cap": self.ledger.cap,
                 "lease_granted_total": self.ledger.granted_total(),
                 "budget_sound": self.ledger.sound(),
-                "route_policy": self.config.route_policy,
             },
             "leases": {
                 shard: {"granted": lease.granted, "target": lease.target}
@@ -777,7 +671,7 @@ class ClusterRouter:
             text = _dedupe_family_headers("".join(chunks))
             return (
                 200,
-                (prometheus.CONTENT_TYPE, text.encode("utf-8")),
+                http.RawBody(prometheus.CONTENT_TYPE, text.encode("utf-8")),
                 [],
             )
         if fmt != "json":

@@ -45,7 +45,6 @@ def run_cluster_bench(
     worker_counts=DEFAULT_WORKER_COUNTS,
     duration_s: float = 4.0,
     load_workers: int = 8,
-    route_policy: str = "hash",
     utilization_cap: float = 0.9,
     catalogue_size: int = 64,
     service: ServiceConfig | None = None,
@@ -64,11 +63,9 @@ def run_cluster_bench(
         ) as cache_dir:
             cluster = ClusterConfig(
                 n_workers=n_workers,
-                route_policy=route_policy,
                 utilization_cap=utilization_cap,
                 cache_dir=cache_dir,
                 service=template,
-                seed=seed,
             )
             load = LoadConfig(
                 duration_s=duration_s,
@@ -82,7 +79,6 @@ def run_cluster_bench(
         results.append(
             {
                 "n_workers": n_workers,
-                "route_policy": route_policy,
                 "report": report,
                 "fleet": fleet,
             }
@@ -137,7 +133,6 @@ def cluster_bench_document(results: list[dict]) -> dict:
         n_workers = result["n_workers"]
         extra_info = {
             "n_workers": n_workers,
-            "route_policy": result["route_policy"],
             "cpu_count": os.cpu_count(),
             "report": report.to_dict(),
             "fleet": result["fleet"],

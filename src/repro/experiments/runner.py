@@ -15,7 +15,7 @@ Usage::
     python -m repro.experiments.runner serve --port 8711 --policy exact
     python -m repro.experiments.runner loadgen --spawn --duration 5 [--churn]
     python -m repro.experiments.runner loadgen --workers 4 --duration 5
-    python -m repro.experiments.runner cluster --workers 4 --route-policy hash
+    python -m repro.experiments.runner cluster --workers 4
     python -m repro.experiments.runner bench-cluster --duration 4
     python -m repro.experiments.runner top --port 8711 --interval 2
     python -m repro.experiments.runner bench-admission
@@ -56,9 +56,8 @@ value.  On a
 single-core machine the cells run inline regardless of ``N`` — a worker
 pool there only adds fork/pickle overhead.
 
-``--sim-engine {scalar,fast,auto}`` pins the simulator implementation
-and ``--cache-dir DIR`` persists the content-addressed result cache
-across runs; both are documented in USAGE.md §13.  Cache traffic shows
+``--cache-dir DIR`` persists the content-addressed result cache across
+runs (USAGE.md §13).  Cache traffic shows
 up as ``cache.*`` metrics in the manifest.  ``bench-admission``
 measures the admission controller directly (cold vs warm decision
 cache, check-heavy vs churn-heavy mixes; USAGE.md §15) and writes the
@@ -177,7 +176,6 @@ def _service_config(args: argparse.Namespace, *, port: int | None = None):
         bandwidth_mbps=args.bandwidth,
         n_stations=args.stations if args.stations is not None else 40,
         policy=args.policy,
-        batch_window_s=args.batch_window,
         batch_max=args.batch_max,
         queue_limit=args.queue_limit,
         rate_limit_rps=args.rate_limit,
@@ -221,7 +219,6 @@ def _cluster_config(
         n_workers=n_workers if n_workers is not None else args.workers or 4,
         host=args.host,
         router_port=args.port if router_port is None else router_port,
-        route_policy=args.route_policy,
         utilization_cap=args.utilization_cap,
         cache_dir=args.cache_dir,
         service=_service_config(args, port=0),
@@ -244,7 +241,7 @@ def _run_cluster(args: argparse.Namespace, manifest_extra: dict) -> list[str]:
         await router.start()
         console(
             f"admission cluster on {config.host}:{router.port} — "
-            f"{config.n_workers} worker(s), policy={config.route_policy}, "
+            f"{config.n_workers} worker(s), "
             f"fleet cap={config.utilization_cap:g}; SIGTERM or ctrl-c drains"
         )
         for shard, (pid, port) in sorted(pool.running().items()):
@@ -254,7 +251,6 @@ def _run_cluster(args: argparse.Namespace, manifest_extra: dict) -> list[str]:
     asyncio.run(session())
     manifest_extra["cluster"] = {
         "n_workers": config.n_workers,
-        "route_policy": config.route_policy,
         "utilization_cap": config.utilization_cap,
     }
     return []
@@ -280,7 +276,6 @@ def _run_bench_cluster(
         worker_counts=counts,
         duration_s=args.duration,
         load_workers=args.load_workers,
-        route_policy=args.route_policy,
         utilization_cap=args.utilization_cap,
         catalogue_size=args.catalogue,
         service=_service_config(args, port=0),
@@ -678,8 +673,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=["exact", "sufficient", "hybrid"],
         help="serve: admission policy",
     )
-    service.add_argument("--batch-window", type=float, default=0.002,
-                         help="serve: micro-batch coalescing window (s)")
     service.add_argument("--batch-max", type=int, default=64,
                          help="serve: largest coalesced batch")
     service.add_argument("--queue-limit", type=int, default=256,
@@ -721,12 +714,6 @@ def main(argv: list[str] | None = None) -> int:
         "--workers", type=int, default=0, metavar="N",
         help="cluster: worker processes (default 4); loadgen: spawn an "
         "N-worker cluster and drive its router (0 = no cluster)",
-    )
-    cluster.add_argument(
-        "--route-policy", type=str, default="hash",
-        choices=["hash", "random", "least-loaded", "power-of-two"],
-        help="cluster: how the router picks a shard per request "
-        "(default: consistent hash over the stream key)",
     )
     cluster.add_argument(
         "--utilization-cap", type=float, default=0.9,
@@ -848,12 +835,6 @@ def main(argv: list[str] | None = None) -> int:
         "results are identical for every value",
     )
     parser.add_argument(
-        "--sim-engine", type=str, default=None,
-        choices=["scalar", "fast", "auto"],
-        help="simulator engine: the scalar oracles, the event-compressing "
-        "fast paths, or auto (fast where supported; the default)",
-    )
-    parser.add_argument(
         "--cache-dir", type=str, default=None, metavar="DIR",
         help="persist the content-addressed result cache under DIR "
         "(default: in-memory only; see USAGE.md §13)",
@@ -886,12 +867,6 @@ def main(argv: list[str] | None = None) -> int:
         level=args.log_level, json_path=args.log_json, quiet=args.quiet
     )
     log = obslog.get_logger("experiments.runner")
-    if args.sim_engine is not None:
-        from repro.sim import dispatch as sim_dispatch
-
-        sim_dispatch.set_default_engine(args.sim_engine)
-        log.info("sim engine forced to %s", args.sim_engine,
-                 extra={"sim_engine": args.sim_engine})
     if args.cache_dir is not None:
         from repro import cache as result_cache_mod
 

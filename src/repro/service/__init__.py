@@ -6,6 +6,8 @@ now?" — over JSON/HTTP, fast enough to sit in a connection-setup path:
 
 * :mod:`repro.service.protocol` — wire schema, :class:`ServiceConfig`,
   controller construction;
+* :mod:`repro.service.http` — the HTTP/1.1 framing shared by the
+  server, the cluster router and the asyncio client;
 * :mod:`repro.service.batcher` — dynamic micro-batching into
   :meth:`~repro.admission.AdmissionController.process_batch`;
 * :mod:`repro.service.server` — the asyncio HTTP server with rate

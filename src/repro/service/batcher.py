@@ -53,6 +53,9 @@ __all__ = ["QueueFullError", "MicroBatcher"]
 
 _LOG = get_logger("repro.service.batcher")
 
+#: Seconds the shed hint allows per ``batch_max`` operations of backlog.
+SHED_SECONDS_PER_BATCH = 0.002
+
 
 class QueueFullError(ServiceError):
     """The pending list is at ``queue_limit``; the request was shed.
@@ -79,9 +82,6 @@ class MicroBatcher:
     Args:
         controller: the :class:`AdmissionController` all batches run
             against.
-        batch_window_s: nominal batch cadence, used only to scale the
-            ``retry_after_s`` backoff hint on shed requests (the flush
-            itself never waits — see the module docstring).
         batch_max: largest batch handed to ``process_batch``.
         queue_limit: bound on submitted-but-unflushed operations.
 
@@ -94,12 +94,10 @@ class MicroBatcher:
         self,
         controller: AdmissionController,
         *,
-        batch_window_s: float = 0.002,
         batch_max: int = 64,
         queue_limit: int = 256,
     ):
         self._controller = controller
-        self._window = float(batch_window_s)
         self._batch_max = int(batch_max)
         self._queue_limit = int(queue_limit)
         self._pending: list = []  # (op, future, span), in arrival order
@@ -148,12 +146,12 @@ class MicroBatcher:
         pending = self._pending
         if len(pending) >= self._queue_limit:
             self._m_shed.inc()
-            # Rough time for the standing backlog to clear: one window
-            # per batch_max operations ahead of us, floored at one window.
+            # Rough time for the standing backlog to clear: one step per
+            # batch_max operations ahead of us, floored at one step.
             backlog_batches = max(1.0, len(pending) / self._batch_max)
             raise QueueFullError(
                 f"admission queue full ({self._queue_limit} pending)",
-                retry_after_s=max(self._window, 0.001) * backlog_batches,
+                retry_after_s=SHED_SECONDS_PER_BATCH * backlog_batches,
             )
         future = loop.create_future()
         if not pending:  # first of this tick: one flush serves them all

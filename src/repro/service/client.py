@@ -3,8 +3,8 @@
 :class:`ServiceClient` wraps :mod:`http.client` with a persistent
 keep-alive connection — the natural fit for scripts and tests.
 :class:`AsyncServiceClient` speaks the same wire protocol over one
-asyncio stream and is what the load generator multiplexes by the
-hundreds.
+asyncio stream, framed by :mod:`repro.service.http`, and is what the
+load generator multiplexes by the hundreds.
 
 Both expose the same surface:
 
@@ -39,6 +39,7 @@ import json
 import math
 
 from repro.errors import AdmissionError, ServiceError
+from repro.service.http import encode_request, read_response
 
 __all__ = ["Backoff", "ServiceClient", "AsyncServiceClient"]
 
@@ -286,7 +287,10 @@ class AsyncServiceClient(_EndpointMixin):
     ):
         self._host = host
         self._port = port
-        self._client_id = client_id
+        self._address = f"{host}:{port}"
+        self._extra_headers = (
+            () if client_id is None else (("X-Client-Id", client_id),)
+        )
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self.last_headers: dict[str, str] = {}
@@ -329,45 +333,20 @@ class AsyncServiceClient(_EndpointMixin):
             if body is not None
             else b""
         )
-        lines = [
-            f"{method} {path} HTTP/1.1",
-            f"Host: {self._host}:{self._port}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(data)}",
-            "Connection: keep-alive",
-        ]
-        if self._client_id is not None:
-            lines.append(f"X-Client-Id: {self._client_id}")
         try:
             self._writer.write(
-                ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + data
+                encode_request(
+                    method, path, self._address, data, self._extra_headers
+                )
             )
             await self._writer.drain()
-            return await self._read_response(decode=decode)
-        except (ConnectionError, asyncio.IncompleteReadError, OSError) as exc:
+            status, headers, raw = await read_response(self._reader)
+        except OSError as exc:
             await self.close()
             raise ServiceError(
-                f"admission service at {self._host}:{self._port} "
+                f"admission service at {self._address} "
                 f"dropped the connection: {exc}"
             ) from exc
-
-    async def _read_response(self, decode: bool = True):
-        # One readuntil for the whole header block (the server always
-        # terminates headers with CRLF CRLF) — the per-line loop was a
-        # measurable slice of load-generator CPU at serving rates.
-        head = await self._reader.readuntil(b"\r\n\r\n")
-        status_line, _, header_block = head.partition(b"\r\n")
-        parts = status_line.decode("latin-1").split(" ", 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ServiceError(f"malformed status line: {status_line!r}")
-        status = int(parts[1])
-        headers: dict[str, str] = {}
-        for line in header_block.decode("latin-1").split("\r\n"):
-            if line:
-                name, _, value = line.partition(":")
-                headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
-        raw = await self._reader.readexactly(length) if length else b""
         if headers.get("connection", "").lower() == "close":
             await self.close()
         self.last_headers = headers

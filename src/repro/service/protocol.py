@@ -73,7 +73,7 @@ class ServiceConfig:
     """Everything one admission-server session needs.
 
     The analysis side (protocol, bandwidth, ring size, policy) mirrors
-    the library constructors; the serving side (batch window, queue
+    the library constructors; the serving side (batch size, queue
     bound, rate limit) tunes the micro-batcher and backpressure.  The
     defaults favour the exact test — the batched
     :meth:`~repro.analysis.rm.ExactRMTest.is_schedulable_batch` dispatch
@@ -89,7 +89,6 @@ class ServiceConfig:
     bandwidth_mbps: float = 16.0
     n_stations: int = 40
     policy: str = "exact"  # "exact" | "sufficient" | "hybrid"
-    batch_window_s: float = 0.002
     batch_max: int = 64
     queue_limit: int = 256
     rate_limit_rps: float = 0.0  # per client; 0 disables
@@ -125,10 +124,6 @@ class ServiceConfig:
         if self.queue_limit < 1:
             raise ConfigurationError(
                 f"queue_limit must be at least 1, got {self.queue_limit!r}"
-            )
-        if self.batch_window_s < 0:
-            raise ConfigurationError(
-                f"batch_window_s must be non-negative, got {self.batch_window_s!r}"
             )
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ConfigurationError(

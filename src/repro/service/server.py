@@ -3,10 +3,9 @@
 One :class:`AdmissionServer` owns one :class:`AdmissionController`, one
 :class:`~repro.service.batcher.MicroBatcher`, and one per-client rate
 limiter, and serves the endpoints documented in
-:mod:`repro.service.protocol`.  HTTP/1.1 with keep-alive is hand-rolled
-over asyncio streams — the protocol subset is tiny (request line,
-headers, Content-Length bodies) and taking it on keeps the service free
-of new dependencies.
+:mod:`repro.service.protocol`.  The keep-alive HTTP framing is
+:mod:`repro.service.http`, shared with the cluster router; this module
+routes each parsed request and encodes its JSON answer.
 
 Request path for ``/v1/check``, ``/v1/admit``, ``/v1/release``::
 
@@ -37,10 +36,10 @@ dropped.
 from __future__ import annotations
 
 import asyncio
+import functools
 import math
 import os
 import signal
-from dataclasses import dataclass
 from urllib.parse import parse_qs
 
 from repro.admission import AdmissionOp, OpFault
@@ -50,6 +49,7 @@ from repro.obs import metrics, prometheus, tracing
 from repro.obs.logging import get_logger
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_S
 from repro.obs.tracing import Tracer
+from repro.service import http
 from repro.service.batcher import MicroBatcher, QueueFullError
 from repro.service.protocol import (
     ServiceConfig,
@@ -70,41 +70,12 @@ __all__ = ["AdmissionServer"]
 
 _LOG = get_logger("repro.service.server")
 
-_STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    422: "Unprocessable Entity",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
-
-#: Request bodies above this are rejected outright (no admission body is
-#: more than a few dozen bytes of JSON).
-_MAX_BODY_BYTES = 64 * 1024
-
 #: Metric-name prefixes the service exposes (summary, ``/metrics``).
 _METRIC_PREFIXES = (
     "service.",
     "cache.admission.",
     "trace.",
 )
-
-
-@dataclass(frozen=True)
-class _RawBody:
-    """A pre-encoded response body with its own Content-Type.
-
-    The JSON path stays the default; the Prometheus exposition returns
-    one of these so ``_write_response`` serves ``text/plain`` instead of
-    mislabelling text as ``application/json``.
-    """
-
-    content_type: str
-    data: bytes
 
 
 class AdmissionServer:
@@ -130,7 +101,6 @@ class AdmissionServer:
         )
         self.batcher = MicroBatcher(
             self.controller,
-            batch_window_s=config.batch_window_s,
             batch_max=config.batch_max,
             queue_limit=config.queue_limit,
         )
@@ -263,116 +233,52 @@ class AdmissionServer:
     async def _serve_connection(self, reader, writer) -> None:
         peer = writer.get_extra_info("peername")
         peer_host = peer[0] if isinstance(peer, tuple) else str(peer)
-        try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                method, target, headers, body = request
-                path, _, query = target.partition("?")
-                trace = self.tracer.begin("request", method=method, path=path)
-                token = tracing.use(trace) if trace is not None else None
-                started = asyncio.get_running_loop().time()
-                try:
-                    status, payload, extra_headers = await self._route(
-                        method, path, query, headers, body, peer_host
-                    )
-                finally:
-                    if token is not None:
-                        tracing.release(token)
-                elapsed = asyncio.get_running_loop().time() - started
-                if trace is not None:
-                    trace.attrs["status"] = status
-                    extra_headers = list(extra_headers) + [
-                        ("X-Trace-Id", trace.trace_id)
-                    ]
-                if self.config.shard_id is not None:
-                    extra_headers = list(extra_headers) + [
-                        ("X-Shard-Id", self.config.shard_id)
-                    ]
-                # Group the per-request updates so a concurrent snapshot
-                # never sees the counter without its latency observation.
-                with metrics.registry().hold():
-                    self._m_http.inc()
-                    if status >= 400:
-                        self._m_errors.inc()
-                    self._m_latency.observe(
-                        elapsed,
-                        exemplar=trace.trace_id if trace is not None else None,
-                    )
-                self.tracer.finish(trace, duration_s=elapsed)
-                keep_alive = (
-                    headers.get("connection", "keep-alive").lower() != "close"
-                )
-                await self._write_response(
-                    writer, status, payload, extra_headers, keep_alive
-                )
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-request; nothing to answer
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    async def _read_request(self, reader):
-        """One HTTP request as ``(method, target, headers, body)``; None at EOF.
-
-        The whole header block is taken in a single ``readuntil`` — one
-        stream operation instead of one per header line, which matters on
-        this hot path (every served decision pays this parse).
-        """
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError:
-            return None  # EOF between requests, or client died mid-header
-        except (asyncio.LimitOverrunError, ConnectionError, OSError):
-            return None
-        request_line, _, header_block = head.partition(b"\r\n")
-        parts = request_line.decode("latin-1").split(" ")
-        if len(parts) != 3:
-            raise asyncio.IncompleteReadError(request_line, None)
-        method, target, _version = parts
-        headers: dict[str, str] = {}
-        for line in header_block.decode("latin-1").split("\r\n"):
-            if line:
-                name, _, value = line.partition(":")
-                headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
-        if length > _MAX_BODY_BYTES:
-            raise asyncio.IncompleteReadError(b"", None)
-        body = await reader.readexactly(length) if length else b""
-        return method, target, headers, body
-
-    async def _write_response(
-        self, writer, status, payload, extra_headers, keep_alive
-    ) -> None:
-        if isinstance(payload, _RawBody):
-            content_type = payload.content_type
-            body = payload.data
-        else:
-            content_type = "application/json"
-            body = dump_body(payload)
-        lines = [
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        for name, value in extra_headers:
-            lines.append(f"{name}: {value}")
-        writer.write(
-            ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+        await http.serve_connection(
+            reader, writer, functools.partial(self._handle, peer_host), dump_body
         )
-        await writer.drain()
+
+    async def _handle(self, peer_host: str, request: http.Request):
+        """Route one request under its trace; record its metrics."""
+        trace = self.tracer.begin(
+            "request", method=request.method, path=request.path
+        )
+        token = tracing.use(trace) if trace is not None else None
+        started = asyncio.get_running_loop().time()
+        try:
+            status, payload, extra_headers = await self._route(
+                request, peer_host
+            )
+        finally:
+            if token is not None:
+                tracing.release(token)
+        elapsed = asyncio.get_running_loop().time() - started
+        if trace is not None:
+            trace.attrs["status"] = status
+            extra_headers = list(extra_headers) + [
+                ("X-Trace-Id", trace.trace_id)
+            ]
+        if self.config.shard_id is not None:
+            extra_headers = list(extra_headers) + [
+                ("X-Shard-Id", self.config.shard_id)
+            ]
+        # Group the per-request updates so a concurrent snapshot never
+        # sees the counter without its latency observation.
+        with metrics.registry().hold():
+            self._m_http.inc()
+            if status >= 400:
+                self._m_errors.inc()
+            self._m_latency.observe(
+                elapsed,
+                exemplar=trace.trace_id if trace is not None else None,
+            )
+        self.tracer.finish(trace, duration_s=elapsed)
+        return status, payload, extra_headers
 
     # -- routing ---------------------------------------------------------------
 
-    async def _route(self, method, path, query, headers, body, peer_host):
+    async def _route(self, request: http.Request, peer_host: str):
         """Dispatch one request; returns (status, payload, extra_headers)."""
+        method, path, query = request.method, request.path, request.query
         try:
             if path == "/healthz":
                 if method != "GET":
@@ -402,7 +308,7 @@ class AdmissionServer:
                     )
                 if method != "POST":
                     return self._method_not_allowed("GET, POST")
-                return self._lease_endpoint(body)
+                return self._lease_endpoint(request.body)
             if path == "/v1/breakdown":
                 if method != "GET":
                     return self._method_not_allowed("GET")
@@ -412,9 +318,7 @@ class AdmissionServer:
             if path in ("/v1/check", "/v1/admit", "/v1/release"):
                 if method != "POST":
                     return self._method_not_allowed("POST")
-                return await self._admission_endpoint(
-                    path, headers, body, peer_host
-                )
+                return await self._admission_endpoint(request, peer_host)
             return (
                 404,
                 {"error": "NotFound", "detail": f"no such endpoint: {path}"},
@@ -439,10 +343,10 @@ class AdmissionServer:
             )
             return 500, {"error": "InternalError", "detail": str(exc)}, []
 
-    async def _admission_endpoint(self, path, headers, body, peer_host):
+    async def _admission_endpoint(self, request: http.Request, peer_host: str):
         if self._draining or self.batcher.draining:
             return self._draining_response()
-        client = headers.get("x-client-id", peer_host)
+        client = request.headers.get("x-client-id", peer_host)
         wait = self.limiter.check(
             client, asyncio.get_running_loop().time()
         )
@@ -460,15 +364,15 @@ class AdmissionServer:
                 },
                 [("Retry-After", str(max(1, math.ceil(wait))))],
             )
-        parsed = load_body(body)
-        if path == "/v1/release":
+        parsed = load_body(request.body)
+        if request.path == "/v1/release":
             stream_id, idempotent = parse_release_body(parsed)
             op = AdmissionOp.release(stream_id, idempotent=idempotent)
         else:
             period_s, payload_bits = parse_stream_body(parsed)
             op = (
                 AdmissionOp.check(period_s, payload_bits)
-                if path == "/v1/check"
+                if request.path == "/v1/check"
                 else AdmissionOp.admit(period_s, payload_bits)
             )
         tracing.annotate(op=op.kind)
@@ -519,7 +423,7 @@ class AdmissionServer:
             text = prometheus.render(snap, labels=labels)
             return (
                 200,
-                _RawBody(prometheus.CONTENT_TYPE, text.encode("utf-8")),
+                http.RawBody(prometheus.CONTENT_TYPE, text.encode("utf-8")),
                 [],
             )
         return (

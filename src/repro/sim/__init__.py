@@ -24,8 +24,9 @@ times, medium utilization — for the examples and ablation studies.
 * :mod:`~repro.sim.fastpath` / :mod:`~repro.sim.fastpath_ttp` — the
   event-compressing fast paths, bit identical to the scalar oracles on
   every supported configuration (USAGE.md §13).
-* :mod:`~repro.sim.dispatch` — engine selection (``scalar``/``fast``/
-  ``auto``) and the content-addressed result cache wrappers.
+* :mod:`~repro.sim.dispatch` — runs each input on its fast path where
+  supported, else on the scalar oracle, plus the content-addressed
+  result cache wrappers.
 * :mod:`~repro.sim.validate` — analysis-versus-simulation cross checks.
 """
 
@@ -37,15 +38,7 @@ from repro.sim.traffic import ArrivalPhasing, SynchronousTraffic
 from repro.sim.ttp_sim import TTPRingSimulator, TTPSimConfig
 from repro.sim.fastpath import run_pdp_fast
 from repro.sim.fastpath_ttp import run_ttp_fast
-from repro.sim.dispatch import (
-    SimEngine,
-    cached_run_pdp,
-    cached_run_ttp,
-    resolve_engine,
-    run_pdp,
-    run_ttp,
-    set_default_engine,
-)
+from repro.sim.dispatch import cached_run_pdp, cached_run_ttp, run_pdp, run_ttp
 from repro.sim.validate import cross_validate_pdp, cross_validate_ttp
 
 __all__ = [
@@ -60,15 +53,12 @@ __all__ = [
     "ArrivalPhasing",
     "DeadlineStats",
     "SimulationReport",
-    "SimEngine",
     "run_pdp_fast",
     "run_ttp_fast",
     "run_pdp",
     "run_ttp",
     "cached_run_pdp",
     "cached_run_ttp",
-    "resolve_engine",
-    "set_default_engine",
     "cross_validate_pdp",
     "cross_validate_ttp",
 ]

@@ -1,40 +1,31 @@
-"""Engine selection and cached execution for the ring simulators.
+"""Fast-path dispatch and cached execution for the ring simulators.
 
-Three engines (USAGE.md §13):
-
-* ``scalar`` — the discrete-event oracles
-  (:class:`~repro.sim.pdp_sim.PDPRingSimulator`,
-  :class:`~repro.sim.ttp_sim.TTPRingSimulator`).
-* ``fast`` — the event-compressing fast paths
-  (:mod:`repro.sim.fastpath`, :mod:`repro.sim.fastpath_ttp`), bit
-  identical to the oracles on every supported configuration; forcing
-  ``fast`` on an unsupported configuration raises
-  :class:`~repro.errors.ConfigurationError`.
-* ``auto`` (default) — ``fast`` where supported, ``scalar`` otherwise
-  (fallbacks are counted in ``sim.fastpath.fallbacks`` and logged).
-
-The default engine resolves, in order: explicit ``engine=`` argument,
-:func:`set_default_engine` (the runner's ``--sim-engine``), the
-``REPRO_SIM_ENGINE`` environment variable, then ``auto``.
+Each run takes the event-compressing fast path
+(:mod:`repro.sim.fastpath`, :mod:`repro.sim.fastpath_ttp`) when its
+input supports one, and the discrete-event oracle
+(:class:`~repro.sim.pdp_sim.PDPRingSimulator`,
+:class:`~repro.sim.ttp_sim.TTPRingSimulator`) otherwise.  The two are bit
+identical on every supported configuration, so the choice follows from
+the input alone: :func:`pdp_fastpath_unsupported` /
+:func:`ttp_fastpath_unsupported` name the reason a configuration needs
+the oracle, and each such fallback is counted in
+``sim.fastpath.fallbacks`` and logged (USAGE.md §13).
 
 :func:`cached_run_pdp` / :func:`cached_run_ttp` wrap the dispatch with
 the content-addressed result cache (:mod:`repro.cache`): the key hashes
 the full simulation input — ring, frame format, streams, configuration,
-allocation, horizon, the *effective* engine, and the code-version salt —
-and a hit replays the stored :class:`~repro.sim.trace.SimulationReport`
-bit for bit.  Cache hits do **not** re-publish ``sim.*`` run metrics
-(metrics never feed results; ``cache.sim.*`` counters record the hit).
+allocation, horizon, and the code-version salt — and a hit replays the
+stored :class:`~repro.sim.trace.SimulationReport` bit for bit.  Cache
+hits do **not** re-publish ``sim.*`` run metrics (metrics never feed
+results; ``cache.sim.*`` counters record the hit).
 """
 
 from __future__ import annotations
 
-import enum
-import os
 from dataclasses import asdict
 
 from repro import cache as _cache
 from repro.analysis.ttp import TTPAllocation
-from repro.errors import ConfigurationError
 from repro.messages.message_set import MessageSet
 from repro.network.frames import FrameFormat
 from repro.network.ring import RingNetwork
@@ -51,9 +42,6 @@ from repro.sim.trace import (
 from repro.sim.ttp_sim import TTPRingSimulator, TTPSimConfig
 
 __all__ = [
-    "SimEngine",
-    "set_default_engine",
-    "resolve_engine",
     "pdp_fastpath_unsupported",
     "ttp_fastpath_unsupported",
     "run_pdp",
@@ -67,47 +55,6 @@ __all__ = [
 _LOG = obslog.get_logger("sim.dispatch")
 
 
-class SimEngine(enum.Enum):
-    """Which simulator implementation executes a run."""
-
-    SCALAR = "scalar"
-    FAST = "fast"
-    AUTO = "auto"
-
-
-_DEFAULT_ENGINE: SimEngine | None = None
-
-
-def _coerce(engine: "SimEngine | str") -> SimEngine:
-    if isinstance(engine, SimEngine):
-        return engine
-    try:
-        return SimEngine(str(engine).lower())
-    except ValueError:
-        raise ConfigurationError(
-            f"unknown sim engine {engine!r}; "
-            f"expected one of {[e.value for e in SimEngine]}"
-        ) from None
-
-
-def set_default_engine(engine: "SimEngine | str | None") -> None:
-    """Set the process default (the runner's ``--sim-engine``)."""
-    global _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = None if engine is None else _coerce(engine)
-
-
-def resolve_engine(engine: "SimEngine | str | None" = None) -> SimEngine:
-    """Explicit argument > process default > ``REPRO_SIM_ENGINE`` > auto."""
-    if engine is not None:
-        return _coerce(engine)
-    if _DEFAULT_ENGINE is not None:
-        return _DEFAULT_ENGINE
-    env = os.environ.get("REPRO_SIM_ENGINE")
-    if env:
-        return _coerce(env)
-    return SimEngine.AUTO
-
-
 def pdp_fastpath_unsupported(
     message_set: MessageSet, config: PDPSimConfig
 ) -> str | None:
@@ -115,7 +62,7 @@ def pdp_fastpath_unsupported(
     if config.faults is not None:
         # The event-compressing sweeps have no notion of mid-run recovery
         # stalls; silently ignoring a fault plan would be unsound, so the
-        # fast path refuses and AUTO falls back to the scalar oracle.
+        # run falls back to the scalar oracle.
         return "fault injection"
     if config.async_poisson is not None:
         return "Poisson asynchronous traffic"
@@ -137,7 +84,7 @@ def ttp_fastpath_unsupported(config: TTPSimConfig) -> str | None:
 def _fallback(protocol: str, reason: str) -> None:
     _metrics.counter("sim.fastpath.fallbacks").inc()
     _LOG.debug(
-        "%s fast path unsupported (%s); falling back to the scalar engine",
+        "%s fast path unsupported (%s); falling back to the scalar oracle",
         protocol, reason,
         extra={"protocol": protocol, "reason": reason},
     )
@@ -150,22 +97,15 @@ def run_pdp(
     config: PDPSimConfig,
     duration_s: float,
     *,
-    engine: "SimEngine | str | None" = None,
     max_events: int = 50_000_000,
 ) -> SimulationReport:
-    """One PDP run through the engine dispatch (uncached)."""
-    choice = resolve_engine(engine)
-    if choice is not SimEngine.SCALAR:
-        reason = pdp_fastpath_unsupported(message_set, config)
-        if reason is None:
-            return fastpath.run_pdp_fast(
-                ring, frame, message_set, config, duration_s, max_events
-            )
-        if choice is SimEngine.FAST:
-            raise ConfigurationError(
-                f"sim engine 'fast' cannot run this configuration: {reason}"
-            )
-        _fallback("pdp", reason)
+    """One PDP run: the fast path where supported, else the oracle (uncached)."""
+    reason = pdp_fastpath_unsupported(message_set, config)
+    if reason is None:
+        return fastpath.run_pdp_fast(
+            ring, frame, message_set, config, duration_s, max_events
+        )
+    _fallback("pdp", reason)
     return PDPRingSimulator(ring, frame, message_set, config).run(
         duration_s, max_events
     )
@@ -179,23 +119,16 @@ def run_ttp(
     config: TTPSimConfig,
     duration_s: float,
     *,
-    engine: "SimEngine | str | None" = None,
     max_events: int = 50_000_000,
 ) -> SimulationReport:
-    """One TTP run through the engine dispatch (uncached)."""
-    choice = resolve_engine(engine)
-    if choice is not SimEngine.SCALAR:
-        reason = ttp_fastpath_unsupported(config)
-        if reason is None:
-            return fastpath_ttp.run_ttp_fast(
-                ring, frame, message_set, allocation, config, duration_s,
-                max_events,
-            )
-        if choice is SimEngine.FAST:
-            raise ConfigurationError(
-                f"sim engine 'fast' cannot run this configuration: {reason}"
-            )
-        _fallback("ttp", reason)
+    """One TTP run: the fast path where supported, else the oracle (uncached)."""
+    reason = ttp_fastpath_unsupported(config)
+    if reason is None:
+        return fastpath_ttp.run_ttp_fast(
+            ring, frame, message_set, allocation, config, duration_s,
+            max_events,
+        )
+    _fallback("ttp", reason)
     return TTPRingSimulator(ring, frame, message_set, allocation, config).run(
         duration_s, max_events
     )
@@ -315,13 +248,11 @@ def _pdp_key(
     message_set: MessageSet,
     config: PDPSimConfig,
     duration_s: float,
-    effective_engine: str,
     max_events: int,
 ) -> str:
     return _cache.content_key(
         {
             "kind": "sim.pdp",
-            "engine": effective_engine,
             "ring": asdict(ring),
             "frame": asdict(frame),
             "streams": _streams_key(message_set),
@@ -347,13 +278,11 @@ def _ttp_key(
     allocation: TTPAllocation,
     config: TTPSimConfig,
     duration_s: float,
-    effective_engine: str,
     max_events: int,
 ) -> str:
     return _cache.content_key(
         {
             "kind": "sim.ttp",
-            "engine": effective_engine,
             "ring": asdict(ring),
             "frame": asdict(frame),
             "streams": _streams_key(message_set),
@@ -379,14 +308,6 @@ def _ttp_key(
     )
 
 
-def _effective_engine(choice: SimEngine, unsupported: str | None) -> str:
-    if choice is SimEngine.SCALAR or (
-        choice is SimEngine.AUTO and unsupported is not None
-    ):
-        return SimEngine.SCALAR.value
-    return SimEngine.FAST.value
-
-
 def cached_run_pdp(
     ring: RingNetwork,
     frame: FrameFormat,
@@ -394,9 +315,7 @@ def cached_run_pdp(
     config: PDPSimConfig,
     duration_s: float,
     *,
-    engine: "SimEngine | str | None" = None,
     max_events: int = 50_000_000,
-    use_cache: bool = True,
 ) -> SimulationReport:
     """:func:`run_pdp` with content-addressed memoisation.
 
@@ -404,24 +323,17 @@ def cached_run_pdp(
     the cache key does not hash the fault plan, and lossy-run results
     are study artifacts, not reusable oracles.
     """
-    if not use_cache or config.async_poisson is not None or config.faults is not None:
+    if config.async_poisson is not None or config.faults is not None:
         return run_pdp(
-            ring, frame, message_set, config, duration_s,
-            engine=engine, max_events=max_events,
+            ring, frame, message_set, config, duration_s, max_events=max_events
         )
-    choice = resolve_engine(engine)
-    key = _pdp_key(
-        ring, frame, message_set, config, duration_s,
-        _effective_engine(choice, pdp_fastpath_unsupported(message_set, config)),
-        max_events,
-    )
+    key = _pdp_key(ring, frame, message_set, config, duration_s, max_events)
     store = _cache.result_cache()
     hit = store.get(key, namespace="sim")
     if hit is not None:
         return report_from_payload(hit)
     report = run_pdp(
-        ring, frame, message_set, config, duration_s,
-        engine=choice, max_events=max_events,
+        ring, frame, message_set, config, duration_s, max_events=max_events
     )
     store.put(key, report_to_payload(report), namespace="sim")
     return report
@@ -435,25 +347,20 @@ def cached_run_ttp(
     config: TTPSimConfig,
     duration_s: float,
     *,
-    engine: "SimEngine | str | None" = None,
     max_events: int = 50_000_000,
-    use_cache: bool = True,
 ) -> SimulationReport:
     """:func:`run_ttp` with content-addressed memoisation.
 
     Fault-injected runs bypass the cache entirely (see
     :func:`cached_run_pdp`).
     """
-    if not use_cache or config.async_poisson is not None or config.faults is not None:
+    if config.async_poisson is not None or config.faults is not None:
         return run_ttp(
             ring, frame, message_set, allocation, config, duration_s,
-            engine=engine, max_events=max_events,
+            max_events=max_events,
         )
-    choice = resolve_engine(engine)
     key = _ttp_key(
-        ring, frame, message_set, allocation, config, duration_s,
-        _effective_engine(choice, ttp_fastpath_unsupported(config)),
-        max_events,
+        ring, frame, message_set, allocation, config, duration_s, max_events
     )
     store = _cache.result_cache()
     hit = store.get(key, namespace="sim")
@@ -461,7 +368,7 @@ def cached_run_ttp(
         return report_from_payload(hit)
     report = run_ttp(
         ring, frame, message_set, allocation, config, duration_s,
-        engine=choice, max_events=max_events,
+        max_events=max_events,
     )
     store.put(key, report_to_payload(report), namespace="sim")
     return report

@@ -25,8 +25,8 @@ operation.
 Unsupported configurations (Poisson asynchronous traffic, several
 streams on one station — the scalar queue's head-of-line blocking across
 streams has no per-stream closed form) raise
-:class:`~repro.errors.ConfigurationError`; the dispatcher falls back to
-the scalar engine for them under ``auto``.
+:class:`~repro.errors.ConfigurationError`; the dispatcher runs them on
+the scalar oracle instead.
 """
 
 from __future__ import annotations
@@ -81,10 +81,15 @@ def run_pdp_fast(
                 f"stream at station {station!r} does not fit a "
                 f"{ring.n_stations!r}-station ring"
             )
+    if config.faults is not None:
+        raise ConfigurationError(
+            "the fast path does not model fault injection; "
+            "use the scalar oracle"
+        )
     if config.async_poisson is not None:
         raise ConfigurationError(
             "the fast path does not model Poisson asynchronous traffic; "
-            "use the scalar engine"
+            "use the scalar oracle"
         )
     if len(set(stations)) != len(stations):
         raise ConfigurationError(

@@ -19,8 +19,8 @@ Every accumulation is sequential (``np.cumsum`` or the same scalar
 ``+=`` chain), every comparison uses the scalar code's own expressions.
 
 Unsupported configurations (Poisson asynchronous traffic) raise
-:class:`~repro.errors.ConfigurationError`; ``auto`` dispatch falls back
-to the scalar engine for them.
+:class:`~repro.errors.ConfigurationError`; the dispatcher runs them on
+the scalar oracle instead.
 """
 
 from __future__ import annotations
@@ -59,10 +59,15 @@ def run_ttp_fast(
             f"allocation covers {len(allocation.bandwidths_s)} streams "
             f"but the message set has {len(message_set)}"
         )
+    if config.faults is not None:
+        raise ConfigurationError(
+            "the fast path does not model fault injection; "
+            "use the scalar oracle"
+        )
     if config.async_poisson is not None:
         raise ConfigurationError(
             "the fast path does not model Poisson asynchronous traffic; "
-            "use the scalar engine"
+            "use the scalar oracle"
         )
     if duration_s <= 0:
         raise ConfigurationError(f"duration must be positive, got {duration_s!r}")

@@ -245,9 +245,6 @@ def cross_validate_pdp(
     message_set: MessageSet,
     duration_periods: float = 4.0,
     phasing: ArrivalPhasing = ArrivalPhasing.SIMULTANEOUS,
-    *,
-    engine: "dispatch.SimEngine | str | None" = None,
-    use_cache: bool = True,
 ) -> CrossValidation:
     """Check Theorem 4.1 against the PDP simulator.
 
@@ -255,8 +252,8 @@ def cross_validate_pdp(
     the ``Θ/2`` expected token cost the theorem itself assumes — plus
     saturating asynchronous traffic and (by default) critical-instant
     phasing.  ``duration_periods`` is the *minimum* horizon in units of
-    ``P_max``; see :func:`default_validation_horizon`.  ``engine`` and
-    ``use_cache`` route through :mod:`repro.sim.dispatch` (USAGE.md §13).
+    ``P_max``; see :func:`default_validation_horizon`.  The run goes
+    through :func:`repro.sim.dispatch.cached_run_pdp` (USAGE.md §13).
     """
     schedulable = analysis.is_schedulable(message_set)
     config = PDPSimConfig(
@@ -272,8 +269,6 @@ def cross_validate_pdp(
         message_set,
         config,
         duration,
-        engine=engine,
-        use_cache=use_cache,
     )
     expected = expected_invocations(message_set, duration, phasing)
     _assert_coverage(report, expected)
@@ -289,9 +284,6 @@ def cross_validate_ttp(
     message_set: MessageSet,
     duration_periods: float = 4.0,
     phasing: ArrivalPhasing = ArrivalPhasing.SIMULTANEOUS,
-    *,
-    engine: "dispatch.SimEngine | str | None" = None,
-    use_cache: bool = True,
 ) -> CrossValidation:
     """Check Theorem 5.1 against the TTP simulator.
 
@@ -300,8 +292,8 @@ def cross_validate_ttp(
     unallocatable set (``q_i < 2``) is reported as analysis-unschedulable
     with a zero-length report, since there is no allocation to simulate.
     ``duration_periods`` is the *minimum* horizon in units of ``P_max``;
-    see :func:`default_validation_horizon`.  ``engine`` and ``use_cache``
-    route through :mod:`repro.sim.dispatch` (USAGE.md §13).
+    see :func:`default_validation_horizon`.  The run goes through
+    :func:`repro.sim.dispatch.cached_run_ttp` (USAGE.md §13).
     """
     result = analysis.analyze(message_set)
     if result.allocation is None:
@@ -318,8 +310,6 @@ def cross_validate_ttp(
         result.allocation,
         config,
         duration,
-        engine=engine,
-        use_cache=use_cache,
     )
     expected = expected_invocations(message_set, duration, phasing)
     _assert_coverage(report, expected)

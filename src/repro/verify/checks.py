@@ -1489,8 +1489,6 @@ def check_cluster_shard_equiv(case: FuzzCase) -> Violation | None:
         shard_ids,
         lambda: admission_mod.AdmissionController(make_analysis(), policy),
         utilization_cap=cap,
-        policy="hash",
-        seed=case.seed,
     )
     oracles = {}
     for shard in shard_ids:
@@ -1597,8 +1595,6 @@ def check_cluster_budget_sound(case: FuzzCase) -> Violation | None:
             make_analysis(), admission_mod.AdmissionPolicy.EXACT
         ),
         utilization_cap=cap,
-        policy="hash",
-        seed=case.seed,
     )
     ops = _cluster_op_stream(case)
     kill_at = len(ops) // 2

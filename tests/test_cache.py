@@ -233,10 +233,10 @@ def test_cached_run_pdp_corruption_still_gives_right_answer(
     ]
 
 
-def test_cached_run_pdp_use_cache_false_bypasses(harmonic_set, disk_cache):
+def test_run_pdp_bypasses_the_cache(harmonic_set, disk_cache):
     ring, frame, ms, config, duration = _pdp_inputs(harmonic_set)
     before = (_counter("cache.sim.hits"), _counter("cache.sim.misses"))
-    cached_run_pdp(ring, frame, ms, config, duration, use_cache=False)
+    run_pdp(ring, frame, ms, config, duration)
     assert (_counter("cache.sim.hits"), _counter("cache.sim.misses")) == before
 
 

@@ -35,12 +35,7 @@ from repro.cache.store import ResultCache
 from repro.cluster.budget import BudgetLedger
 from repro.cluster.config import ClusterConfig, shard_name, worker_service_config
 from repro.cluster.core import ClusterDirectory, InProcessCluster
-from repro.cluster.hashring import (
-    HashRing,
-    ROUTE_POLICIES,
-    choose_shard,
-    stream_key,
-)
+from repro.cluster.hashring import HashRing, stream_key
 from repro.cluster.router import ClusterRouter
 from repro.cluster.supervisor import WorkerPool
 from repro.errors import ConfigurationError
@@ -113,21 +108,6 @@ class TestHashRing:
             HashRing([])
         with pytest.raises(ConfigurationError):
             HashRing(["w0"]).without("w0")
-
-    def test_policies_pick_live_shards(self):
-        import random
-
-        ring = HashRing(["w0", "w1", "w2"])
-        loads = {"w0": 5, "w1": 0, "w2": 3}
-        rng = random.Random(7)
-        for policy in ROUTE_POLICIES:
-            pick = choose_shard(policy, ring, "some-key", loads, rng)
-            assert pick in ring.shards
-        assert (
-            choose_shard("least-loaded", ring, "k", loads, rng) == "w1"
-        )
-        with pytest.raises(ConfigurationError):
-            choose_shard("round-robin", ring, "k", loads, rng)
 
 
 # -- the budget ledger -----------------------------------------------------------
@@ -208,8 +188,6 @@ class TestClusterConfig:
         with pytest.raises(ConfigurationError):
             ClusterConfig(n_workers=0)
         with pytest.raises(ConfigurationError):
-            ClusterConfig(route_policy="round-robin")
-        with pytest.raises(ConfigurationError):
             ClusterConfig(utilization_cap=-1.0)
 
 
@@ -276,9 +254,7 @@ def op_stream(seed: int, n: int = 40):
 class TestInProcessCluster:
     def test_shard_local_replay_is_bit_identical(self):
         shard_ids = ["w0", "w1", "w2"]
-        cluster = InProcessCluster(
-            shard_ids, make_controller, utilization_cap=0.6, seed=3
-        )
+        cluster = InProcessCluster(shard_ids, make_controller, utilization_cap=0.6)
         for op in op_stream(11):
             cluster.dispatch(op)
         for shard in shard_ids:
@@ -360,13 +336,11 @@ class TestInProcessCluster:
 
 
 def _worker_config(shard_id: str, cap: float) -> ServiceConfig:
-    return ServiceConfig(
-        port=0, shard_id=shard_id, utilization_cap=cap, batch_window_s=0.0
-    )
+    return ServiceConfig(port=0, shard_id=shard_id, utilization_cap=cap)
 
 
 class TestClusterRouter:
-    def run_router(self, coro_fn, n_workers=2, cap=0.6, policy="hash"):
+    def run_router(self, coro_fn, n_workers=2, cap=0.6):
         """Start n in-process servers behind a router; run the probe."""
 
         async def main():
@@ -379,7 +353,6 @@ class TestClusterRouter:
                 servers.append(server)
             config = ClusterConfig(
                 n_workers=n_workers,
-                route_policy=policy,
                 utilization_cap=cap,
                 service=ServiceConfig(port=0),
             )

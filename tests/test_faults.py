@@ -41,7 +41,7 @@ from repro.messages.message_set import MessageSet
 from repro.messages.stream import SynchronousStream
 from repro.network.standards import fddi_ring, ieee_802_5_ring, paper_frame_format
 from repro.obs import metrics
-from repro.sim import dispatch
+from repro.sim import dispatch, fastpath
 from repro.sim.pdp_sim import PDPRingSimulator, PDPSimConfig
 from repro.sim.ttp_sim import TTPRingSimulator, TTPSimConfig
 from repro.units import mbps, milliseconds
@@ -428,9 +428,7 @@ class TestDispatchRefusal:
         ring = ieee_802_5_ring(mbps(10), n_stations=len(workload))
         config = PDPSimConfig(faults=FaultPlan(seed=1, token_loss_rate_hz=1.0))
         with pytest.raises(ConfigurationError, match="fault injection"):
-            dispatch.run_pdp(
-                ring, FRAME, workload, config, 0.1, engine="fast"
-            )
+            fastpath.run_pdp_fast(ring, FRAME, workload, config, 0.1)
 
     def test_auto_engine_counts_fallback_and_injects(self):
         workload = make_set([(20, 4_000)])
@@ -440,9 +438,7 @@ class TestDispatchRefusal:
         )
         counter = metrics.counter("sim.fastpath.fallbacks")
         before = counter.value
-        report = dispatch.run_pdp(
-            ring, FRAME, workload, config, 0.2, engine="auto"
-        )
+        report = dispatch.run_pdp(ring, FRAME, workload, config, 0.2)
         assert counter.value == before + 1
         assert report.faults is not None
         assert report.faults.token_losses > 0
@@ -480,9 +476,7 @@ class TestDispatchRefusal:
     def test_payload_missing_faults_key_degrades_to_none(self):
         workload = make_set([(20, 4_000)])
         ring = ieee_802_5_ring(mbps(10), n_stations=len(workload))
-        report = dispatch.run_pdp(
-            ring, FRAME, workload, PDPSimConfig(), 0.2, engine="scalar"
-        )
+        report = PDPRingSimulator(ring, FRAME, workload, PDPSimConfig()).run(0.2)
         payload = dispatch.report_to_payload(report)
         del payload["faults"]
         assert dispatch.report_from_payload(payload).faults is None

@@ -99,8 +99,6 @@ class TestProtocol:
             ServiceConfig(queue_limit=0)
         with pytest.raises(ConfigurationError):
             ServiceConfig(batch_max=0)
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(batch_window_s=-0.001)
 
     def test_build_controller_both_protocols(self):
         pdp = build_controller(ServiceConfig(protocol="pdp", n_stations=8))
@@ -233,9 +231,7 @@ class TestMicroBatcher:
     def test_bit_identical_to_sequential(self, encoded, batch_max):
         """Any interleaving, any batch size: results equal direct calls."""
         ops = _decode_ops(encoded)
-        batched = self.run_batched(
-            ops, batch_window_s=0.001, batch_max=batch_max, queue_limit=256
-        )
+        batched = self.run_batched(ops, batch_max=batch_max, queue_limit=256)
         sequential_controller = make_controller()
         expected = [issue_directly(sequential_controller, op) for op in ops]
         assert batched == expected
@@ -262,9 +258,7 @@ class TestMicroBatcher:
         overflow = AdmissionOp.check(0.064, 256.0)
 
         async def go():
-            batcher = MicroBatcher(
-                controller, batch_window_s=0.0, batch_max=1, queue_limit=4
-            )
+            batcher = MicroBatcher(controller, batch_max=1, queue_limit=4)
             batcher.start()
             # queue_limit + 1 submits, all run within one tick: the flush
             # the first one scheduled runs only after the fifth is shed.
@@ -375,7 +369,7 @@ class TestMicroBatcher:
 
         async def go():
             batcher = MicroBatcher(
-                controller, batch_window_s=0.05, batch_max=128, queue_limit=256
+                controller, batch_max=128, queue_limit=256
             )
             batcher.start()
             op = AdmissionOp.check(0.032, 512.0)
@@ -400,7 +394,7 @@ class TestMicroBatcher:
             controller = make_controller(cache_namespace=namespace)
 
             async def go():
-                batcher = MicroBatcher(controller, batch_window_s=0.001)
+                batcher = MicroBatcher(controller)
                 batcher.start()
                 results = await asyncio.gather(
                     *(batcher.submit(op) for op in ops)
@@ -572,9 +566,7 @@ class TestServer:
 
     def test_overload_sheds_and_recovers(self):
         inner = make_controller(policy=AdmissionPolicy.SUFFICIENT)
-        config = ServiceConfig(
-            port=0, queue_limit=2, batch_max=1, batch_window_s=0.0
-        )
+        config = ServiceConfig(port=0, queue_limit=2, batch_max=1)
         controller = _SlowController(inner, delay_s=0.05)
 
         async def one_request(port, index):

@@ -4,8 +4,9 @@ The contract under test is *bit identity*: on every supported
 configuration the event-compressing fast paths must reproduce the scalar
 oracles' reports exactly — same busy times, same response samples, same
 rotation statistics — so they can replace the oracles anywhere without a
-tolerance budget.  Unsupported configurations must either fall back
-(``auto``) or refuse loudly (``fast``), never silently approximate.
+tolerance budget.  On unsupported configurations the dispatch falls back
+to the oracle and the fast paths themselves refuse loudly, never
+silently approximate.
 """
 
 from __future__ import annotations
@@ -21,28 +22,14 @@ from repro.messages.message_set import MessageSet
 from repro.messages.stream import SynchronousStream
 from repro.network.standards import ieee_802_5_ring, paper_frame_format
 from repro.obs import metrics
-from repro.sim import dispatch, fastpath, fastpath_ttp
-from repro.sim.dispatch import (
-    SimEngine,
-    report_from_payload,
-    report_to_payload,
-    resolve_engine,
-    run_pdp,
-    run_ttp,
-    set_default_engine,
-)
+from repro.sim import fastpath, fastpath_ttp
+from repro.sim.dispatch import report_from_payload, report_to_payload, run_pdp
 from repro.sim.pdp_sim import PDPRingSimulator, PDPSimConfig, TokenWalkModel
 from repro.sim.trace import DeadlineStats, RotationStats, SimulationReport
 from repro.sim.traffic import ArrivalPhasing, PoissonAsyncTraffic
 from repro.sim.ttp_sim import TTPRingSimulator, TTPSimConfig
 from repro.sim import validate as validate_mod
 from repro.units import mbps
-
-
-@pytest.fixture(autouse=True)
-def _reset_default_engine():
-    yield
-    set_default_engine(None)
 
 
 def assert_reports_identical(scalar: SimulationReport, fast: SimulationReport):
@@ -159,24 +146,6 @@ def test_ttp_fast_sweeps_empty_rotations(small_ring_fddi, frame):
 # -- dispatch -----------------------------------------------------------------
 
 
-def test_resolve_engine_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-    assert resolve_engine(None) is SimEngine.AUTO
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "fast")
-    assert resolve_engine(None) is SimEngine.FAST
-    set_default_engine("scalar")  # process default beats the environment
-    assert resolve_engine(None) is SimEngine.SCALAR
-    assert resolve_engine("auto") is SimEngine.AUTO  # explicit beats both
-    assert resolve_engine(SimEngine.FAST) is SimEngine.FAST
-
-
-def test_resolve_engine_rejects_unknown_names():
-    with pytest.raises(ConfigurationError):
-        resolve_engine("warp")
-    with pytest.raises(ConfigurationError):
-        set_default_engine("turbo")
-
-
 def test_auto_falls_back_on_poisson_and_matches_scalar(
     harmonic_set, small_ring_802_5, frame
 ):
@@ -185,10 +154,10 @@ def test_auto_falls_back_on_poisson_and_matches_scalar(
         async_poisson=PoissonAsyncTraffic(offered_load=0.1, frame_bits=1_000.0),
     )
     fallbacks = _counter("sim.fastpath.fallbacks")
-    auto = run_pdp(small_ring_802_5, frame, harmonic_set, config, 0.1, engine="auto")
+    dispatched = run_pdp(small_ring_802_5, frame, harmonic_set, config, 0.1)
     assert _counter("sim.fastpath.fallbacks") == fallbacks + 1
     scalar = PDPRingSimulator(small_ring_802_5, frame, harmonic_set, config).run(0.1)
-    assert_reports_identical(scalar, auto)
+    assert_reports_identical(scalar, dispatched)
 
 
 def test_forced_fast_refuses_poisson(harmonic_set, small_ring_802_5, frame):
@@ -197,7 +166,7 @@ def test_forced_fast_refuses_poisson(harmonic_set, small_ring_802_5, frame):
         async_poisson=PoissonAsyncTraffic(offered_load=0.1, frame_bits=1_000.0),
     )
     with pytest.raises(ConfigurationError, match="Poisson"):
-        run_pdp(small_ring_802_5, frame, harmonic_set, config, 0.1, engine="fast")
+        fastpath.run_pdp_fast(small_ring_802_5, frame, harmonic_set, config, 0.1)
 
 
 def test_forced_fast_refuses_shared_stations(small_ring_802_5, frame):
@@ -207,10 +176,10 @@ def test_forced_fast_refuses_shared_stations(small_ring_802_5, frame):
             SynchronousStream(period_s=0.04, payload_bits=1_000, station=3),
         ]
     )
-    with pytest.raises(ConfigurationError, match="multiple streams"):
-        run_pdp(small_ring_802_5, frame, shared, PDPSimConfig(), 0.1, engine="fast")
-    # auto quietly routes the same workload to the scalar oracle
-    report = run_pdp(small_ring_802_5, frame, shared, PDPSimConfig(), 0.1, engine="auto")
+    with pytest.raises(ConfigurationError, match="one stream per station"):
+        fastpath.run_pdp_fast(small_ring_802_5, frame, shared, PDPSimConfig(), 0.1)
+    # the dispatch quietly routes the same workload to the scalar oracle
+    report = run_pdp(small_ring_802_5, frame, shared, PDPSimConfig(), 0.1)
     assert report.duration == 0.1
 
 
@@ -221,16 +190,14 @@ def test_ttp_forced_fast_refuses_poisson(harmonic_set, small_ring_fddi, frame):
         async_poisson=PoissonAsyncTraffic(offered_load=0.1, frame_bits=1_000.0),
     )
     with pytest.raises(ConfigurationError, match="Poisson"):
-        run_ttp(
-            small_ring_fddi, frame, harmonic_set, allocation, config, 0.1,
-            engine=SimEngine.FAST,
+        fastpath_ttp.run_ttp_fast(
+            small_ring_fddi, frame, harmonic_set, allocation, config, 0.1
         )
 
 
 def test_scalar_engine_ignores_fastpath_support(harmonic_set, small_ring_802_5, frame):
     runs = _counter("sim.fastpath.pdp.runs")
-    run_pdp(small_ring_802_5, frame, harmonic_set, PDPSimConfig(), 0.05,
-            engine="scalar")
+    PDPRingSimulator(small_ring_802_5, frame, harmonic_set, PDPSimConfig()).run(0.05)
     assert _counter("sim.fastpath.pdp.runs") == runs
 
 
