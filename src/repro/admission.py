@@ -52,10 +52,24 @@ release changes the admitted set), so a key costs O(1) in the number of
 admitted streams.  Cached verdicts are replayed values of the same
 computation, so results stay bit-identical with the cache on, off, warm,
 or cold.
+
+The same two transitions maintain a snapshot of the population that
+every decision reads: the admitted streams in rate-monotonic order
+(one bisect insertion or removal per change, never a re-sort) and each
+one's utilization term, in admission order.  A candidate's
+``utilization_after`` is ``sum`` over those terms and its own — the
+same floats in the same order as ``MessageSet([*admitted, candidate])
+.utilization``, so bit-identical without recomputing a stream's
+utilization — and it feeds both the budget gate and the decision.  Only
+a cache miss builds the candidate set, by one bisect insertion into the
+RM-ordered snapshot for PDP (whose analysis reads the set through its
+RM order) and in admission order for TTP (whose allocation sums in set
+order).
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import threading
@@ -235,6 +249,12 @@ class AdmissionController:
         # changes (``_commit``, ``release``): every candidate key then
         # costs one digest copy instead of re-hashing the population.
         self._base_digest = None
+        # The population snapshot, updated at the same two places (see
+        # ``_snapshot_insert``/``_snapshot_remove``): the admitted streams
+        # in RM order and each one's utilization term by id, in
+        # ``_streams`` order.
+        self._ordered: list[SynchronousStream] = []
+        self._terms: dict[int, float] = {}
 
     # -- views ---------------------------------------------------------------
 
@@ -284,8 +304,11 @@ class AdmissionController:
             return MessageSet(self._streams.values())
 
     def utilization(self) -> float:
-        """Admitted utilization at the ring's bandwidth."""
-        return self.current_set().utilization(self._analysis.ring.bandwidth_bps)
+        """Admitted utilization at the ring's bandwidth: the sum of the
+        snapshot's terms, bit-identical to
+        ``current_set().utilization(bandwidth)``."""
+        with self._lock:
+            return sum(self._terms.values())
 
     # -- internals --------------------------------------------------------------
 
@@ -293,6 +316,38 @@ class AdmissionController:
         if isinstance(self._analysis, PDPAnalysis):
             return pdp_sufficient_test(self._analysis, candidate).admitted
         return ttp_sufficient_test(self._analysis, candidate).admitted
+
+    def _snapshot_insert(self, stream_id: int, stream: SynchronousStream) -> None:
+        """Add a just-installed stream to the snapshot; lock held."""
+        bisect.insort(self._ordered, stream)
+        self._terms[stream_id] = stream.utilization(
+            self._analysis.ring.bandwidth_bps
+        )
+
+    def _snapshot_remove(self, stream_id: int, stream: SynchronousStream) -> None:
+        """Drop a just-released stream from the snapshot; lock held.
+
+        Stations are unique among admitted streams, so the RM order is
+        total and the bisect lands on the stream itself.
+        """
+        del self._ordered[bisect.bisect_left(self._ordered, stream)]
+        del self._terms[stream_id]
+
+    def _candidate_set(self, stream: SynchronousStream) -> MessageSet:
+        """The admitted population plus ``stream``; lock held.
+
+        PDP reads a set only through its rate-monotonic order (a total
+        order, stations being unique), so the candidate is built in that
+        order by one bisect insertion into the snapshot and its
+        ``rate_monotonic()`` check is one pass.  TTP sums its allocation
+        in set order, so its candidate keeps admission order with the
+        stream last.
+        """
+        if isinstance(self._analysis, PDPAnalysis):
+            members = self._ordered.copy()
+            bisect.insort(members, stream)
+            return MessageSet(members)
+        return MessageSet([*self._streams.values(), stream])
 
     def _cache_key(self, period_s: float, payload_bits: float) -> str | None:
         """Content key for one decision, or None when caching is off.
@@ -303,7 +358,9 @@ class AdmissionController:
         Stations are deliberately excluded: both criteria and both
         sufficient bounds depend only on the multiset, so keying on
         placements would shrink the hit rate for nothing.  The population
-        part is hashed once per population; lock held by callers.
+        part is hashed once per population, like the snapshot; a key is
+        computed before the candidate set exists, so a cache hit never
+        builds it.  Lock held by callers.
         """
         if self._cache_signature is None:
             return None
@@ -332,21 +389,22 @@ class AdmissionController:
         return self._analysis.is_schedulable_many(candidates)
 
     def _evaluate_many(
-        self, candidates: list[MessageSet], keys: list
+        self, streams: list[SynchronousStream], keys: list
     ) -> list[tuple[bool, str] | ReproError]:
-        """(schedulable, which-test-decided) per candidate, or the error
-        deciding it would have raised.  Read-only; lock held by callers.
+        """(schedulable, which-test-decided) per candidate stream, or the
+        error deciding it would have raised.  Read-only; lock held by
+        callers.
 
         Exactly the sequential policy logic, vectorized: cache hits
-        short-circuit, the sufficient bound screens HYBRID/SUFFICIENT,
-        and every exact evaluation left over goes through one
-        ``is_schedulable_many`` dispatch (stacked
+        short-circuit, each miss builds its candidate set, the sufficient
+        bound screens HYBRID/SUFFICIENT, and every exact evaluation left
+        over goes through one ``is_schedulable_many`` dispatch (stacked
         :meth:`ExactRMTest.is_schedulable_batch` rows for PDP candidates
         sharing a period vector).
         """
         from repro.cache.store import result_cache
 
-        n = len(candidates)
+        n = len(streams)
         out: list[tuple[bool, str] | ReproError | None] = [None] * n
         cache = result_cache() if self._cache_namespace is not None else None
         with tracing.span("engine", candidates=n):
@@ -361,6 +419,7 @@ class AdmissionController:
                         if hit is not None:
                             out[i] = (bool(hit[0]), str(hit[1]))
             misses = [i for i in range(n) if out[i] is None]
+            candidates = {i: self._candidate_set(streams[i]) for i in misses}
 
             computed: dict[int, tuple[bool, str]] = {}
             if self._policy is not AdmissionPolicy.EXACT:
@@ -414,39 +473,42 @@ class AdmissionController:
         if not requests:
             return []
         n_stations = self._analysis.ring.n_stations
-        if not self._free_stations:
-            utilization = self.utilization()
-            return [
-                AdmissionDecision(
-                    admitted=False,
-                    stream_id=None,
-                    station=None,
-                    reason=f"all {n_stations} stations occupied",
-                    tested_by="capacity",
-                    utilization_after=utilization,
-                )
-                for _ in requests
-            ]
-        station = self._free_stations[-1]
-        base = list(self._streams.values())
+        station = self._free_stations[-1] if self._free_stations else None
         bandwidth = self._analysis.ring.bandwidth_bps
         cap = self._utilization_cap
 
         decisions: list[AdmissionDecision | OpFault | None] = [None] * len(requests)
-        candidates: list[MessageSet] = []
+        streams: list[SynchronousStream] = []
+        utilizations: list[float] = []
         keys: list = []
         positions: list[int] = []
         for j, (period_s, payload_bits) in enumerate(requests):
             try:
+                # Validated on a full ring too: whether a request is
+                # well-formed must not depend on occupancy.
                 stream = SynchronousStream(
-                    period_s=period_s, payload_bits=payload_bits, station=station
+                    period_s=period_s,
+                    payload_bits=payload_bits,
+                    station=0 if station is None else station,
                 )
             except ReproError as exc:
                 if not faults:
                     raise
                 decisions[j] = OpFault(type(exc).__name__, str(exc))
                 continue
-            candidate = MessageSet([*base, stream])
+            if station is None:
+                decisions[j] = AdmissionDecision(
+                    admitted=False,
+                    stream_id=None,
+                    station=None,
+                    reason=f"all {n_stations} stations occupied",
+                    tested_by="capacity",
+                    utilization_after=sum(self._terms.values()),
+                )
+                continue
+            utilization_after = sum(
+                (*self._terms.values(), stream.utilization(bandwidth))
+            )
             if cap is not None:
                 # Budget gate: a lease overrun is rejected before (and
                 # instead of) the schedulability test, and is never
@@ -454,7 +516,6 @@ class AdmissionController:
                 # message set.  Bit-identity with a single-controller
                 # twin holds because the twin applies the same gate to
                 # the same float.
-                utilization_after = candidate.utilization(bandwidth)
                 if utilization_after > cap:
                     decisions[j] = AdmissionDecision(
                         admitted=False,
@@ -469,12 +530,13 @@ class AdmissionController:
                         utilization_after=utilization_after,
                     )
                     continue
-            candidates.append(candidate)
+            streams.append(stream)
+            utilizations.append(utilization_after)
             keys.append(self._cache_key(stream.period_s, stream.payload_bits))
             positions.append(j)
 
-        for j, candidate, verdict in zip(
-            positions, candidates, self._evaluate_many(candidates, keys)
+        for j, utilization_after, verdict in zip(
+            positions, utilizations, self._evaluate_many(streams, keys)
         ):
             if isinstance(verdict, ReproError):
                 if not faults:
@@ -492,7 +554,7 @@ class AdmissionController:
                     else "admission would make the set unschedulable"
                 ),
                 tested_by=tested_by,
-                utilization_after=candidate.utilization(bandwidth),
+                utilization_after=utilization_after,
             )
         return decisions
 
@@ -503,10 +565,12 @@ class AdmissionController:
         ``decision`` was computed."""
         station = self._free_stations.pop()
         stream_id = next(self._ids)
-        self._streams[stream_id] = SynchronousStream(
+        stream = SynchronousStream(
             period_s=period_s, payload_bits=payload_bits, station=station
         )
+        self._streams[stream_id] = stream
         self._base_digest = None
+        self._snapshot_insert(stream_id, stream)
         return AdmissionDecision(
             admitted=True,
             stream_id=stream_id,
@@ -561,6 +625,7 @@ class AdmissionController:
                 )
             self._free_stations.append(stream.station)
             self._base_digest = None
+            self._snapshot_remove(stream_id, stream)
             return ReleaseOutcome(released=True, stream_id=stream_id)
 
     def process_batch(

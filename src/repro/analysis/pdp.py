@@ -43,11 +43,14 @@ from repro.network.ring import RingNetwork
 from repro.obs import metrics as _metrics
 
 #: Structure-cache accounting (see ``PDPAnalysis._exact_test_for``): hits
-#: and misses count lookups, evictions count LRU drops.  ``hits + misses``
-#: is invariant across ``--jobs`` partitionings; the hit/miss split is not
-#: (each worker process warms its own cache).
+#: and misses count the analysis's lookups of a set's period vector,
+#: kernel builds count the ``_PointKernel`` structures built (one per
+#: cached test without a repeated period), evictions count LRU drops.
+#: ``hits + misses`` is invariant across ``--jobs`` partitionings; the
+#: hit/miss split is not (each worker process warms its own cache).
 _CACHE_HITS = _metrics.counter("pdp.exact_cache.hits")
 _CACHE_MISSES = _metrics.counter("pdp.exact_cache.misses")
+_KERNEL_BUILDS = _metrics.counter("pdp.exact_cache.kernel_builds")
 _CACHE_EVICTIONS = _metrics.counter("pdp.exact_cache.evictions")
 _CACHE_SIZE = _metrics.gauge("pdp.exact_cache.size")
 
@@ -59,6 +62,15 @@ __all__ = [
     "PDPAnalysis",
     "PDPSetResult",
 ]
+
+
+def _distinct_key(distinct: np.ndarray, columnar: bool) -> tuple:
+    """Structure-cache key of a distinct-period vector: the key
+    :meth:`PDPAnalysis._structure_key` gives a set with exactly these
+    periods, so such a set's cached test lends its kernel too."""
+    if columnar:
+        return ("columnar", distinct.size, distinct.tobytes())
+    return tuple(distinct.tolist())
 
 
 class PDPVariant(enum.Enum):
@@ -199,15 +211,21 @@ class PDPSetResult:
 class PDPAnalysis:
     """Theorem 4.1 schedulability test bound to one ring + frame format.
 
-    The expensive part of the exact test depends only on the stream
-    periods, so an instance caches the :class:`ExactRMTest` structure per
+    The expensive part of the exact test depends only on the distinct
+    stream periods, so an instance caches the :class:`ExactRMTest` per
     period vector and reuses it across payload scalings and bandwidth
     changes (via :meth:`with_ring`).  This makes saturation searches and
     bandwidth sweeps hundreds of times faster than rebuilding per query.
-    The cache is an LRU (a 100-stream structure is about 0.2 MB, so one
-    per Monte Carlo sample would still grow without bound over a long
-    sweep); interleaved protocol comparisons over the same
-    workload population benefit from a larger, shared cache — pass
+    A period vector that repeats a period takes its point kernel from the
+    cached test of its distinct periods (stored under the key a set of
+    exactly those periods would have), so vectors differing only in
+    multiplicities — every admission candidate over a catalogue of
+    stream classes — build only their stream cuts and group starts.
+    The cache is an LRU over both kinds of entry (a 100-stream structure
+    is about 0.2 MB, so one per Monte Carlo sample would still grow
+    without bound over a long sweep); interleaved protocol comparisons
+    over the same workload population benefit from a larger, shared
+    cache — pass
     ``cache_size`` and ``shared_cache`` (see
     :meth:`repro.experiments.config.PaperParameters.pdp_analysis`, which
     shares one cache between the STANDARD and MODIFIED analyses because
@@ -217,7 +235,8 @@ class PDPAnalysis:
         ring: the physical ring (bandwidth included).
         frame: the MAC frame format.
         variant: which protocol variant to analyse.
-        cache_size: LRU capacity in period vectors (default
+        cache_size: LRU capacity in cached tests, the distinct-period
+            tests that lend their kernels included (default
             :attr:`_CACHE_SIZE`).
         shared_cache: an existing cache to attach to instead of a private
             one, so several analyses reuse each other's structures.
@@ -320,20 +339,53 @@ class PDPAnalysis:
             return ("columnar", len(ordered), ordered.period_key())
         return ordered.periods
 
-    def _exact_test_for(self, ordered: MessageSet) -> ExactRMTest:
-        key = self._structure_key(ordered)
+    def _exact_test_for(self, ordered: MessageSet, key=None) -> ExactRMTest:
+        """The cached exact test of an RM-ordered set (``key``: its
+        :meth:`_structure_key`, when the caller already has it)."""
+        if key is None:
+            key = self._structure_key(ordered)
         test = self._test_cache.get(key)
         if test is None:
             _CACHE_MISSES.inc()
-            test = ExactRMTest(ordered.periods)
-            self._test_cache[key] = test
-            while len(self._test_cache) > self._cache_size:
-                self._test_cache.popitem(last=False)
-                _CACHE_EVICTIONS.inc()
-            _CACHE_SIZE.set(len(self._test_cache))
-        else:
-            _CACHE_HITS.inc()
-            self._test_cache.move_to_end(key)
+            columnar = getattr(ordered, "is_columnar", False)
+            # An object set's key is its period tuple.
+            periods = ordered.periods if columnar else key
+            return self._build_test(key, periods, columnar)
+        _CACHE_HITS.inc()
+        self._test_cache.move_to_end(key)
+        return test
+
+    def _build_test(self, key, periods, columnar: bool) -> ExactRMTest:
+        """Build the exact test of ``periods`` and cache it under ``key``.
+
+        A vector that repeats a period borrows the kernel of the cached
+        test over its distinct periods (:meth:`_distinct_test`), which is
+        inserted first, so it sits just behind this test in LRU order.
+        """
+        test = ExactRMTest(
+            periods,
+            kernel_for=lambda distinct: self._distinct_test(
+                distinct, columnar
+            )._kernel,
+        )
+        if test._group_starts is None:  # no repeated period: own kernel
+            _KERNEL_BUILDS.inc()
+        cache = self._test_cache
+        cache[key] = test
+        while len(cache) > self._cache_size:
+            cache.popitem(last=False)
+            _CACHE_EVICTIONS.inc()
+        _CACHE_SIZE.set(len(cache))
+        return test
+
+    def _distinct_test(self, distinct: np.ndarray, columnar: bool) -> ExactRMTest:
+        """The cached test over ``distinct`` (sorted, no repeats), built
+        on a miss; these lookups are not counted as hits or misses."""
+        key = _distinct_key(distinct, columnar)
+        test = self._test_cache.get(key)
+        if test is None:
+            return self._build_test(key, distinct, columnar)
+        self._test_cache.move_to_end(key)
         return test
 
     def is_schedulable(self, message_set: MessageSet) -> bool:
@@ -367,8 +419,8 @@ class PDPAnalysis:
             ordered.append(ordered_set)
             groups.setdefault(self._structure_key(ordered_set), []).append(i)
         blocking = self.blocking
-        for indices in groups.values():
-            test = self._exact_test_for(ordered[indices[0]])
+        for key, indices in groups.items():
+            test = self._exact_test_for(ordered[indices[0]], key)
             if len(indices) == 1:
                 i = indices[0]
                 verdicts[i] = test.is_schedulable(

@@ -15,8 +15,11 @@ This module implements the underlying theory in task-level terms:
   structure (scheduling points and the ``ceil(t/P)`` interference
   coefficients) depends only on the distinct periods, so it is precomputed
   once and then evaluated for many cost vectors — the breakdown search and
-  the bandwidth sweep both exploit this heavily.  Verdicts run on
-  per-period group cost sums; per-stream reports are derived on demand.
+  the bandwidth sweep both exploit this heavily.  Period vectors that
+  differ only in how often each period repeats share that structure (a
+  caller may pass a ``kernel_for`` memo); each test adds only its stream
+  cuts and group starts.  Verdicts run on per-period group cost sums;
+  per-stream reports are derived on demand.
 * :func:`response_time_analysis` — the equivalent iterative fixed-point
   test, kept as an independent oracle for property tests.
 
@@ -27,7 +30,7 @@ index 0 has the shortest period (highest priority).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -214,15 +217,25 @@ class ExactRMTest:
         periods: task periods in *non-decreasing* order (RM priority
             order).  A non-monotone sequence is rejected: silently sorting
             would desynchronize the caller's cost vector.
+        kernel_for: optional memo mapping the distinct periods (sorted,
+            as a float array) to their :class:`_PointKernel`.  It is
+            consulted only when ``periods`` repeats a period, so a memo
+            that caches whole tests can hand out the kernel of the test
+            over the distinct periods.  Without it the kernel is built.
     """
 
-    def __init__(self, periods: Sequence[float]):
+    def __init__(
+        self,
+        periods: Sequence[float],
+        *,
+        kernel_for: Callable[[np.ndarray], _PointKernel] | None = None,
+    ):
         periods_arr = np.asarray(periods, dtype=float)
         if periods_arr.ndim != 1 or periods_arr.size == 0:
             raise MessageSetError("periods must be a non-empty 1-D sequence")
-        if np.any(periods_arr <= 0):
+        if (periods_arr <= 0).any():
             raise MessageSetError("periods must be positive")
-        if np.any(np.diff(periods_arr) < 0):
+        if (periods_arr[1:] < periods_arr[:-1]).any():
             raise MessageSetError(
                 "periods must be in non-decreasing (rate-monotonic) order"
             )
@@ -233,9 +246,13 @@ class ExactRMTest:
         distinct, starts, counts = np.unique(
             periods_arr, return_index=True, return_counts=True
         )
-        self._kernel = _PointKernel(distinct)
+        repeats = distinct.size < periods_arr.size
+        if repeats and kernel_for is not None:
+            self._kernel = kernel_for(distinct)
+        else:
+            self._kernel = _PointKernel(distinct)
         self._stream_cuts = np.repeat(self._kernel.cuts, counts)
-        self._group_starts = starts if distinct.size < periods_arr.size else None
+        self._group_starts = starts if repeats else None
 
     @property
     def periods(self) -> np.ndarray:

@@ -65,6 +65,16 @@ The properties:
     invalid ones — **identically** to issuing the same calls one at a
     time on a fresh controller: same decisions, same station/id
     assignments, same faults.  Batching is pure performance work too.
+``admission_snapshot_equiv``
+    The controller's population snapshot (streams in RM order, their
+    utilization terms) and the exact test's shared point kernels are pure
+    performance work: seeded admit/check/release interleavings, with
+    and without a utilization cap, on a small ring that fills up, must
+    be decided exactly as the from-scratch specification decides them —
+    ``MessageSet([*admitted, candidate])`` judged by a fresh analysis
+    with a cold structure cache, its ``.utilization`` as
+    ``utilization_after`` and as the budget gate's operand, and request
+    validation before the capacity check.
 ``admission_cache_equiv``
     The decision cache is pure performance work: a controller fronted by
     the shared result cache (``cache_namespace="admission"``, keys built
@@ -130,18 +140,21 @@ from repro.cluster import core as cluster_core_mod
 from repro.cluster import hashring as cluster_hashring_mod
 
 from repro.analysis import boundary as boundary_mod
+from repro.analysis import bounds as bounds_mod
 from repro.analysis import montecarlo as montecarlo_mod
 from repro.analysis import pdp as pdp_mod
 from repro.analysis import rm as rm_mod
 from repro.analysis.breakdown import breakdown_scale, breakdown_scales_batch
 from repro.analysis.pdp import PDPAnalysis, PDPVariant
 from repro.analysis.ttp import TTPAnalysis
-from repro.errors import AllocationError, ReproError
+from repro.errors import AdmissionError, AllocationError, ReproError
 from repro.faults import analysis as faults_analysis_mod
 from repro.faults.analysis import FaultBudget
 from repro.faults.plan import FaultPlan, rate_for_loss_fraction
 from repro.messages import table as table_mod
 from repro.messages.generators import MessageSetSampler, PeriodDistribution
+from repro.messages.message_set import MessageSet
+from repro.messages.stream import SynchronousStream
 from repro.obs import tracing as tracing_mod
 from repro.service import batcher as batcher_mod
 from repro.network.standards import fddi_ring, ieee_802_5_ring, paper_frame_format
@@ -808,6 +821,184 @@ def check_admission_cache_equiv(case: FuzzCase) -> Violation | None:
                     )
                 )
     return compare(cached, oracle, ops, "random")[0]
+
+
+class _AdmissionSpec:
+    """The admission contract from scratch, one operation at a time.
+
+    State is the admitted streams in admission order, the free-station
+    stack and the id counter.  Every decision builds
+    ``MessageSet([*admitted, candidate])`` and judges it with a fresh
+    analysis (cold structure cache) under the policy; the set's
+    ``.utilization`` is both ``utilization_after`` and the budget gate's
+    operand.  A malformed request raises whether or not a station is
+    free.
+    """
+
+    def __init__(self, new_analysis, policy, cap):
+        self.new_analysis = new_analysis
+        self.policy = policy
+        self.cap = cap
+        self.n_stations = new_analysis().ring.n_stations
+        self.streams: dict[int, SynchronousStream] = {}
+        self.free = list(range(self.n_stations - 1, -1, -1))
+        self.next_id = 1
+
+    def _decide(self, period_s, payload_bits):
+        analysis = self.new_analysis()
+        bandwidth = analysis.ring.bandwidth_bps
+        station = self.free[-1] if self.free else 0
+        stream = SynchronousStream(
+            period_s=period_s, payload_bits=payload_bits, station=station
+        )
+        if not self.free:
+            utilization = MessageSet(self.streams.values()).utilization(bandwidth)
+            return (False, None, None, "capacity", repr(utilization))
+        candidate = MessageSet([*self.streams.values(), stream])
+        after = candidate.utilization(bandwidth)
+        if self.cap is not None and after > self.cap:
+            return (False, None, None, "budget", repr(after))
+        AdmissionPolicy = admission_mod.AdmissionPolicy
+        tested_by = "exact"
+        if self.policy is not AdmissionPolicy.EXACT:
+            if isinstance(analysis, PDPAnalysis):
+                report = bounds_mod.pdp_sufficient_test(analysis, candidate)
+            else:
+                report = bounds_mod.ttp_sufficient_test(analysis, candidate)
+            if report.admitted or self.policy is AdmissionPolicy.SUFFICIENT:
+                ok, tested_by = report.admitted, "sufficient"
+        if tested_by == "exact":
+            ok = bool(analysis.is_schedulable(candidate))
+        return (ok, None, station if ok else None, tested_by, repr(after))
+
+    def apply(self, op):
+        """The answer to ``op`` in the projection :func:`_admission_view`
+        gives, updating the state on a successful admit or release."""
+        try:
+            if op.kind == "release":
+                stream = self.streams.pop(op.stream_id, None)
+                if stream is None:
+                    if op.idempotent:
+                        return admission_mod.ReleaseOutcome(False, op.stream_id)
+                    raise AdmissionError(
+                        f"unknown or already-released stream id: {op.stream_id!r}"
+                    )
+                self.free.append(stream.station)
+                return admission_mod.ReleaseOutcome(True, op.stream_id)
+            view = self._decide(op.period_s, op.payload_bits)
+        except ReproError as exc:
+            return admission_mod.OpFault(type(exc).__name__, str(exc))
+        if op.kind == "admit" and view[0]:
+            stream_id, self.next_id = self.next_id, self.next_id + 1
+            station = self.free.pop()
+            self.streams[stream_id] = SynchronousStream(
+                period_s=op.period_s, payload_bits=op.payload_bits, station=station
+            )
+            view = (True, stream_id, station, view[3], view[4])
+        return view
+
+
+def _admission_view(answer):
+    """A decision as ``(admitted, stream_id, station, tested_by,
+    repr(utilization_after))``; other answers as they are."""
+    if isinstance(answer, admission_mod.AdmissionDecision):
+        return (
+            answer.admitted,
+            answer.stream_id,
+            answer.station,
+            answer.tested_by,
+            repr(answer.utilization_after),
+        )
+    return answer
+
+
+def check_admission_snapshot_equiv(case: FuzzCase) -> Violation | None:
+    """The population snapshot and shared kernels never move a decision.
+
+    One controller (one analysis, so its structure cache stays warm and
+    kernels are shared across period vectors) answers a seeded
+    interleaving against :class:`_AdmissionSpec`.  Candidate periods
+    come from a small catalogue, so period vectors repeat periods in
+    changing multiplicities, and per-stream utilizations of 4-45% fill
+    the six-station ring to and past the exact test's boundary; a few
+    requests are malformed, so validation meets both a free and a full
+    ring.  Each sequence runs uncapped and under a cap of 0.8.
+    """
+    policy = (
+        admission_mod.AdmissionPolicy.EXACT,
+        admission_mod.AdmissionPolicy.SUFFICIENT,
+        admission_mod.AdmissionPolicy.HYBRID,
+    )[case.index % 3]
+    n_stations = 6
+    bandwidth = case.bandwidth_bps
+    if case.index % 2:
+        new_analysis = lambda: TTPAnalysis(  # noqa: E731
+            fddi_ring(bandwidth, n_stations=n_stations), _frame()
+        )
+    else:
+        new_analysis = lambda: _pdp_analysis_stations(case, n_stations)  # noqa: E731
+    base = sorted(set(case.periods_s))[:3]
+    catalogue = base + [2.0 * p for p in base]
+
+    rng = random.Random(case.seed * 5_000_011 + case.index)
+    ops: list[admission_mod.AdmissionOp] = []
+    admitted_guess = 0
+    while len(ops) < 40:
+        roll = rng.random()
+        if roll < 0.25 and admitted_guess:
+            # Release ids from a window that mostly holds live streams.
+            ops.append(
+                admission_mod.AdmissionOp.release(
+                    rng.randrange(max(1, admitted_guess - 6), admitted_guess + 2),
+                    idempotent=rng.random() < 0.5,
+                )
+            )
+            continue
+        period_s = rng.choice(catalogue)
+        payload_bits = rng.uniform(0.04, 0.45) * period_s * bandwidth
+        if rng.random() < 0.08:
+            payload_bits = -payload_bits  # malformed
+        if roll < 0.7:
+            ops.append(admission_mod.AdmissionOp.admit(period_s, payload_bits))
+            admitted_guess += 1
+        else:
+            ops.append(admission_mod.AdmissionOp.check(period_s, payload_bits))
+
+    for cap in (None, 0.8):
+        controller = admission_mod.AdmissionController(
+            new_analysis(), policy, utilization_cap=cap
+        )
+        spec = _AdmissionSpec(new_analysis, policy, cap)
+        for position, op in enumerate(ops):
+            try:
+                if op.kind == "check":
+                    got = controller.check(op.period_s, op.payload_bits)
+                elif op.kind == "admit":
+                    got = controller.request(op.period_s, op.payload_bits)
+                else:
+                    got = controller.release(op.stream_id, idempotent=op.idempotent)
+            except ReproError as exc:
+                got = admission_mod.OpFault(type(exc).__name__, str(exc))
+            got, want = _admission_view(got), spec.apply(op)
+            if got != want:
+                return Violation(
+                    "admission_snapshot_equiv",
+                    case,
+                    f"op {position} ({op.kind}, cap={cap}) diverged from the "
+                    f"specification: controller={got!r}, spec={want!r}",
+                )
+        utilization = repr(controller.utilization())
+        want = repr(
+            MessageSet(spec.streams.values()).utilization(bandwidth)
+        )
+        if utilization != want:
+            return Violation(
+                "admission_snapshot_equiv",
+                case,
+                f"utilization() {utilization} differs from the admitted "
+                f"set's {want} (cap={cap})",
+            )
+    return None
 
 
 def check_admission_tracing_equiv(case: FuzzCase) -> Violation | None:
@@ -1662,6 +1853,7 @@ CHECKS: dict[str, Callable[[FuzzCase], Violation | None]] = {
     "pdp_fastpath_equiv": check_pdp_fastpath_equiv,
     "ttp_fastpath_equiv": check_ttp_fastpath_equiv,
     "service_batch_equiv": check_service_batch_equiv,
+    "admission_snapshot_equiv": check_admission_snapshot_equiv,
     "admission_cache_equiv": check_admission_cache_equiv,
     "admission_tracing_equiv": check_admission_tracing_equiv,
     "analysis_sound_under_loss": check_analysis_sound_under_loss,

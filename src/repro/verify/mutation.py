@@ -40,12 +40,25 @@ The mutants, and the property expected to catch each:
     ``pdp_fastpath_equiv`` against the scalar oracle.
 ``decision_key_stale_base``
     :meth:`~repro.admission.AdmissionController.release` forgets to drop
-    the memoised population digest of the decision key, so after a
-    release every candidate is keyed as if the freed stream were still
-    admitted.  A rejection cached against the full population then
-    answers a candidate that now fits → caught by
-    ``admission_cache_equiv``'s fill/reject/release/re-check ladder
-    against the uncached oracle.
+    the memoised population digest of the decision key (the population
+    snapshot is still updated), so after a release every candidate is
+    keyed as if the freed stream were still admitted.  A rejection
+    cached against the full population then answers a candidate that
+    now fits → caught by ``admission_cache_equiv``'s
+    fill/reject/release/re-check ladder against the uncached oracle.
+``admission_snapshot_stale``
+    :meth:`~repro.admission.AdmissionController.release` drops the
+    decision-key digest but not the population snapshot, so every later
+    candidate is judged, and its ``utilization_after`` summed, with the
+    released stream still in the set → caught by
+    ``admission_snapshot_equiv`` against the from-scratch specification.
+``rm_kernel_key_by_count``
+    The PDP structure cache files the point kernel a repeated-period
+    vector borrows under the *number* of distinct periods instead of the
+    periods themselves, so a later vector with as many, but different,
+    distinct periods is evaluated on the wrong scheduling points →
+    caught by ``admission_snapshot_equiv``, whose controller keeps one
+    warm cache across candidates drawn from a small period catalogue.
 ``fault_recovery_swallowed``
     The fault injector consumes ring fault events (the counters still
     tick) but charges zero recovery stall — a lossy-medium run silently
@@ -204,7 +217,30 @@ def _buggy_release(self, stream_id, idempotent=False):
             )
         self._free_stations.append(stream.station)
         # BUG: the memoised decision-key digest keeps the old population
+        self._snapshot_remove(stream_id, stream)
         return ReleaseOutcome(released=True, stream_id=stream_id)
+
+
+def _buggy_release_stale_snapshot(self, stream_id, idempotent=False):
+    from repro.admission import ReleaseOutcome
+    from repro.errors import AdmissionError
+
+    with self._lock:
+        stream = self._streams.pop(stream_id, None)
+        if stream is None:
+            if idempotent:
+                return ReleaseOutcome(released=False, stream_id=stream_id)
+            raise AdmissionError(
+                f"unknown or already-released stream id: {stream_id!r}"
+            )
+        self._free_stations.append(stream.station)
+        self._base_digest = None
+        # BUG: the population snapshot keeps the released stream
+        return ReleaseOutcome(released=True, stream_id=stream_id)
+
+
+def _buggy_distinct_key(distinct, columnar):
+    return ("kernel", distinct.size)  # BUG: keyed by count, not periods
 
 
 def _buggy_stall_cost(recovery_time_s):
@@ -279,6 +315,12 @@ def _patch_sites(mutant: str) -> list[tuple[object, str, object]]:
         from repro.admission import AdmissionController
 
         return [(AdmissionController, "release", _buggy_release)]
+    if mutant == "admission_snapshot_stale":
+        from repro.admission import AdmissionController
+
+        return [(AdmissionController, "release", _buggy_release_stale_snapshot)]
+    if mutant == "rm_kernel_key_by_count":
+        return [(pdp_mod, "_distinct_key", _buggy_distinct_key)]
     if mutant == "fault_recovery_swallowed":
         from repro.faults import injector as faults_injector_mod
 
@@ -317,6 +359,8 @@ MUTANTS: tuple[str, ...] = (
     "split_counts_overshoot",
     "pdp_fastpath_short_frame",
     "decision_key_stale_base",
+    "admission_snapshot_stale",
+    "rm_kernel_key_by_count",
     "fault_recovery_swallowed",
     "router_stale_lease",
     "rm_prefix_cut_overrun",

@@ -5,10 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.admission import AdmissionController, AdmissionPolicy
+from repro.admission import (
+    AdmissionController,
+    AdmissionOp,
+    AdmissionPolicy,
+    OpFault,
+)
 from repro.analysis.pdp import PDPAnalysis, PDPVariant
 from repro.analysis.ttp import TTPAnalysis
 from repro.errors import AdmissionError, ConfigurationError, MessageSetError
+from repro.messages.message_set import MessageSet
+from repro.messages.stream import SynchronousStream
 from repro.network.standards import fddi_ring, ieee_802_5_ring, paper_frame_format
 from repro.units import mbps, milliseconds
 
@@ -314,3 +321,85 @@ class TestDecisionKey:
         faster, _ = cached_pair(bandwidth=100.0)
         assert self.key(exact) != self.key(hybrid)
         assert self.key(exact) != self.key(faster)
+
+
+class TestPopulationSnapshot:
+    """Decisions read a per-population snapshot: the admitted streams in
+    RM order and their utilization summed in admission order."""
+
+    @pytest.mark.parametrize("full", [False, True], ids=["free", "full"])
+    @pytest.mark.parametrize("path", ["direct", "batch"])
+    def test_request_validity_does_not_depend_on_occupancy(self, full, path):
+        controller = pdp_controller(n=2)
+        if full:
+            assert controller.request(milliseconds(50), 100).admitted
+            assert controller.request(milliseconds(60), 100).admitted
+            assert controller.check(milliseconds(70), 100).tested_by == "capacity"
+        if path == "direct":
+            with pytest.raises(MessageSetError):
+                controller.check(-1.0, 100.0)
+        else:
+            (answer,) = controller.process_batch([AdmissionOp.check(-1.0, 100.0)])
+            assert isinstance(answer, OpFault)
+            assert answer.error == "MessageSetError"
+
+    def churn(self, controller, steps=40, seed=5):
+        """Admit/check/release from a small catalogue, yielding each
+        decision with the set it was judged against."""
+        rng = np.random.default_rng(seed)
+        live = []
+        catalogue = [milliseconds(p) for p in (8, 16, 20, 32, 64)]
+        for _ in range(steps):
+            if live and rng.random() < 0.3:
+                controller.release(live.pop(int(rng.integers(len(live)))))
+                continue
+            period = catalogue[int(rng.integers(len(catalogue)))]
+            payload = float(rng.uniform(0.02, 0.3)) * period * mbps(4.0)
+            before = controller.current_set()
+            decision = controller.request(period, payload)
+            if decision.admitted:
+                live.append(decision.stream_id)
+            yield decision, before, (period, payload)
+
+    @pytest.mark.parametrize("cap", [None, 0.7])
+    @pytest.mark.parametrize("make", [pdp_controller, ttp_controller])
+    def test_utilization_after_is_the_candidate_sets_sum(self, make, cap):
+        controller = make(n=6, bandwidth=4.0, policy=AdmissionPolicy.EXACT)
+        controller.set_utilization_cap(cap)
+        bandwidth = controller.analysis.ring.bandwidth_bps
+        outcomes = set()
+        for decision, before, (period, payload) in self.churn(controller):
+            outcomes.add(decision.tested_by)
+            if decision.tested_by == "capacity":
+                want = before.utilization(bandwidth)
+            else:
+                stream = SynchronousStream(period_s=period, payload_bits=payload)
+                want = MessageSet([*before, stream]).utilization(bandwidth)
+            assert repr(decision.utilization_after) == repr(want)
+        assert "exact" in outcomes and len(outcomes) > 1
+
+    @pytest.mark.parametrize("make", [pdp_controller, ttp_controller])
+    def test_snapshot_tracks_the_admitted_set(self, make):
+        controller = make(n=6, bandwidth=4.0)
+        bandwidth = controller.analysis.ring.bandwidth_bps
+        for _ in self.churn(controller, steps=60):
+            current = controller.current_set()
+            assert controller._ordered == sorted(current)
+            assert repr(controller.utilization()) == repr(
+                current.utilization(bandwidth)
+            )
+
+    def test_cache_hit_builds_no_candidate_set(self, monkeypatch):
+        ctrl, _ = cached_pair()
+        assert ctrl.request(milliseconds(50), 8000).admitted
+        built = []
+        original = AdmissionController._candidate_set
+        monkeypatch.setattr(
+            AdmissionController,
+            "_candidate_set",
+            lambda self, stream: built.append(stream) or original(self, stream),
+        )
+        first = ctrl.check(milliseconds(20), 2048.0)
+        assert len(built) == 1
+        assert ctrl.check(milliseconds(20), 2048.0) == first
+        assert len(built) == 1

@@ -4,6 +4,8 @@ The hand-computed cases use synthetic rings with zero propagation distance
 so that ``Θ`` is an exact rational number of bit-times.
 """
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,13 +16,14 @@ from repro.analysis.pdp import (
     pdp_augmented_length,
     pdp_blocking_time,
 )
-from repro.analysis.rm import response_time_analysis
+from repro.analysis.rm import ExactRMTest, response_time_analysis
 from repro.errors import MessageSetError
 from repro.messages.message_set import MessageSet
 from repro.messages.stream import SynchronousStream
 from repro.messages.table import StreamTable
 from repro.network.frames import FrameFormat
 from repro.network.ring import RingNetwork
+from repro.obs import metrics
 from repro.units import mbps
 
 
@@ -237,3 +240,102 @@ class TestPDPAnalysis:
             )
             if std.is_schedulable(message_set):
                 assert mod.is_schedulable(message_set)
+
+
+class TestSharedKernels:
+    """Period vectors with the same distinct periods share one point kernel."""
+
+    DISTINCT = (0.02, 0.05, 0.1)
+
+    def make_analysis(self, variant=PDPVariant.STANDARD, **kwargs) -> PDPAnalysis:
+        return PDPAnalysis(make_ring(25.0), FRAME, variant, **kwargs)
+
+    def make_set(self, counts, distinct=DISTINCT) -> MessageSet:
+        """``counts[k]`` streams of period ``distinct[k]``, in mixed order."""
+        periods = [p for p, k in zip(distinct, counts) for _ in range(k)]
+        return MessageSet(
+            SynchronousStream(period_s=p, payload_bits=500.0 + 10 * i, station=i)
+            for i, p in enumerate(reversed(periods))
+        )
+
+    def structure(self, analysis, counts, distinct=DISTINCT) -> ExactRMTest:
+        return analysis._exact_test_for(
+            self.make_set(counts, distinct).rate_monotonic()
+        )
+
+    def test_multiplicities_share_one_kernel(self):
+        analysis = self.make_analysis()
+        tests = [
+            self.structure(analysis, counts)
+            for counts in ((1, 1, 1), (2, 1, 1), (1, 3, 2), (4, 1, 4))
+        ]
+        assert len({id(test) for test in tests}) == 4
+        assert all(test._kernel is tests[0]._kernel for test in tests)
+        other = self.structure(analysis, (2, 1, 1), (0.02, 0.05, 0.2))
+        assert other._kernel is not tests[0]._kernel
+
+    def test_shared_kernel_answers_like_a_cold_test(self):
+        """Verdicts, batch rows, details and load ratios are bitwise those
+        of an ``ExactRMTest`` built from scratch, across the boundary."""
+        analysis = self.make_analysis()
+        rng = np.random.default_rng(11)
+        blocking = 0.0005
+        self.structure(analysis, (1, 1, 1))  # warm the distinct kernel
+        for counts in ((2, 1, 1), (1, 3, 2), (4, 4, 4), (1, 1, 5)):
+            ordered = self.make_set(counts).rate_monotonic()
+            shared = analysis._exact_test_for(ordered)
+            cold = ExactRMTest(ordered.periods)
+            assert shared._kernel is not cold._kernel
+            periods = np.asarray(ordered.periods)
+            rows = rng.uniform(0.1, 1.0, size=(24, periods.size))
+            loads = (rows / periods).sum(axis=1)
+            rows *= (np.linspace(0.4, 1.4, 24) / loads)[:, None]
+            batch = shared.is_schedulable_batch(rows, blocking)
+            assert np.array_equal(batch, cold.is_schedulable_batch(rows, blocking))
+            assert 0 < batch.sum() < batch.size
+            for row in rows:
+                assert shared.is_schedulable(row, blocking) == cold.is_schedulable(
+                    row, blocking
+                )
+                assert shared.details(row, blocking) == cold.details(row, blocking)
+                for i in range(periods.size):
+                    got = shared.stream_load_ratio(i, row, blocking)
+                    want = cold.stream_load_ratio(i, row, blocking)
+                    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_lru_bound_holds_with_kernel_entries(self):
+        analysis = self.make_analysis(cache_size=3)
+        catalogues = [self.DISTINCT, (0.02, 0.05, 0.2), (0.01, 0.05, 0.1)]
+        for _ in range(3):
+            for distinct in catalogues:
+                for counts in ((2, 1, 1), (1, 2, 1), (1, 1, 2)):
+                    ordered = self.make_set(counts, distinct).rate_monotonic()
+                    analysis.is_schedulable(ordered)
+                    assert len(analysis._test_cache) <= 3
+                    # The borrowed kernel's entry sits right behind its user.
+                    assert list(analysis._test_cache)[-2:] == [
+                        tuple(sorted(set(ordered.periods))),
+                        ordered.periods,
+                    ]
+
+    def test_shared_cache_shares_kernels_between_variants(self):
+        cache = OrderedDict()
+        std = self.make_analysis(PDPVariant.STANDARD, shared_cache=cache)
+        mod = self.make_analysis(PDPVariant.MODIFIED, shared_cache=cache)
+        a = self.structure(std, (2, 1, 1))
+        assert self.structure(mod, (2, 1, 1)) is a
+        assert self.structure(mod, (1, 1, 3))._kernel is a._kernel
+        assert len(cache) == 3  # two vectors plus the distinct-period test
+
+    def test_kernel_builds_are_counted(self):
+        metrics.reset()
+        analysis = self.make_analysis()
+        for counts in ((2, 1, 1), (1, 3, 2), (1, 1, 1), (2, 1, 1)):
+            analysis.is_schedulable(self.make_set(counts))
+        snap = metrics.snapshot("pdp.exact_cache")
+        assert snap["pdp.exact_cache.kernel_builds"]["value"] == 1
+        assert snap["pdp.exact_cache.misses"]["value"] == 2
+        assert snap["pdp.exact_cache.hits"]["value"] == 2
+        analysis.is_schedulable(self.make_set((2, 1, 1), (0.02, 0.05, 0.2)))
+        snap = metrics.snapshot("pdp.exact_cache")
+        assert snap["pdp.exact_cache.kernel_builds"]["value"] == 2

@@ -131,6 +131,12 @@ class TestMutationSmoke:
         assert "admission_cache_equiv" in report.fired_checks[
             "decision_key_stale_base"
         ]
+        assert "admission_snapshot_equiv" in report.fired_checks[
+            "admission_snapshot_stale"
+        ]
+        assert "admission_snapshot_equiv" in report.fired_checks[
+            "rm_kernel_key_by_count"
+        ]
         assert "rm_exact_vs_rta" in report.fired_checks["rm_prefix_cut_overrun"]
         assert "rm_exact_vs_rta" in report.fired_checks[
             "rm_details_group_prefix"
