@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: help install test verify fuzz-quick bench bench-quick bench-sim bench-service bench-admission bench-loss bench-scale bench-cluster bench-trend top serve examples report fast-report figure1 all-experiments clean
+.PHONY: help install test verify fuzz-quick bench bench-quick bench-sim bench-service bench-admission bench-loss bench-cluster bench-trend top serve examples report fast-report figure1 all-experiments clean
 
 help:
 	@echo "Targets:"
@@ -35,12 +35,6 @@ help:
 	@echo "                   loss fraction for both protocols under the"
 	@echo "                   retransmission-aware bounds -> BENCH_loss.json"
 	@echo "                   (the verify loss canary checks its shape)"
-	@echo "  bench-scale      columnar-engine canary: million-stream exact"
-	@echo "                   analysis vs the object path (streams/sec +"
-	@echo "                   speedup) and streaming Monte Carlo naive vs"
-	@echo "                   variance-reduced (evaluations to target CI)"
-	@echo "                   -> BENCH_scale.json (the verify scale guard"
-	@echo "                   checks the speedup floor against it)"
 	@echo "  bench-cluster    sharded-cluster canary: spawn worker fleets at"
 	@echo "                   1 and 4 workers behind the consistent-hash"
 	@echo "                   router, drive the same seeded load through"
@@ -108,11 +102,6 @@ bench-loss:
 	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.experiments.runner \
 		loss-sweep --fast --no-manifest --log-level warning \
 		--loss-bench-json BENCH_loss.json
-
-bench-scale:
-	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.experiments.runner \
-		bench-scale --no-manifest --log-level warning \
-		--scale-bench-json BENCH_scale.json
 
 bench-cluster:
 	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.experiments.runner \

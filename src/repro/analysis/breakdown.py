@@ -189,14 +189,7 @@ def _breakdown_cache_keys(
                 "kind": "breakdown",
                 "entry": entry,
                 "predicate": signature,
-                # Columnar sets produce the same [period, payload, station]
-                # rows straight from their arrays (native scalars via
-                # tolist), so a table and its object twin share entries.
-                "streams": (
-                    ms.signature_rows()
-                    if getattr(ms, "is_columnar", False)
-                    else [[s.period_s, s.payload_bits, s.station] for s in ms]
-                ),
+                "streams": [[s.period_s, s.payload_bits, s.station] for s in ms],
                 "rel_tol": rel_tol,
                 "max_doublings": max_doublings,
             }

@@ -64,12 +64,10 @@ __all__ = [
 ]
 
 
-def _distinct_key(distinct: np.ndarray, columnar: bool) -> tuple:
-    """Structure-cache key of a distinct-period vector: the key
-    :meth:`PDPAnalysis._structure_key` gives a set with exactly these
-    periods, so such a set's cached test lends its kernel too."""
-    if columnar:
-        return ("columnar", distinct.size, distinct.tobytes())
+def _distinct_key(distinct: np.ndarray) -> tuple:
+    """Structure-cache key of a distinct-period vector: the period tuple
+    a set with exactly these periods is keyed on, so such a set's cached
+    test lends its kernel too."""
     return tuple(distinct.tolist())
 
 
@@ -316,46 +314,27 @@ class PDPAnalysis:
 
     def augmented_lengths(self, message_set: MessageSet) -> np.ndarray:
         """``C'_i`` for every stream of ``message_set`` in *its own* order."""
-        if getattr(message_set, "is_columnar", False):
-            payloads = np.asarray(message_set.payloads_bits, dtype=float)
-        else:
-            payloads = np.fromiter(
-                (s.payload_bits for s in message_set),
-                dtype=float,
-                count=len(message_set),
-            )
+        payloads = np.fromiter(
+            (s.payload_bits for s in message_set),
+            dtype=float,
+            count=len(message_set),
+        )
         return pdp_augmented_lengths(payloads, self._ring, self._frame, self._variant)
 
-    @staticmethod
-    def _structure_key(ordered) -> tuple:
-        """Hashable structure-cache key for object or columnar sets.
-
-        Object sets key on the period tuple directly; columnar sets key
-        on the raw bytes of the period column (hashing a million-float
-        tuple would cost more than the lookup saves), namespaced so the
-        two key shapes never collide.
-        """
-        if getattr(ordered, "is_columnar", False):
-            return ("columnar", len(ordered), ordered.period_key())
-        return ordered.periods
-
     def _exact_test_for(self, ordered: MessageSet, key=None) -> ExactRMTest:
-        """The cached exact test of an RM-ordered set (``key``: its
-        :meth:`_structure_key`, when the caller already has it)."""
+        """The cached exact test of an RM-ordered set, keyed on its
+        period tuple (``key``, when the caller already has it)."""
         if key is None:
-            key = self._structure_key(ordered)
+            key = ordered.periods
         test = self._test_cache.get(key)
         if test is None:
             _CACHE_MISSES.inc()
-            columnar = getattr(ordered, "is_columnar", False)
-            # An object set's key is its period tuple.
-            periods = ordered.periods if columnar else key
-            return self._build_test(key, periods, columnar)
+            return self._build_test(key, key)
         _CACHE_HITS.inc()
         self._test_cache.move_to_end(key)
         return test
 
-    def _build_test(self, key, periods, columnar: bool) -> ExactRMTest:
+    def _build_test(self, key, periods) -> ExactRMTest:
         """Build the exact test of ``periods`` and cache it under ``key``.
 
         A vector that repeats a period borrows the kernel of the cached
@@ -364,9 +343,7 @@ class PDPAnalysis:
         """
         test = ExactRMTest(
             periods,
-            kernel_for=lambda distinct: self._distinct_test(
-                distinct, columnar
-            )._kernel,
+            kernel_for=lambda distinct: self._distinct_test(distinct)._kernel,
         )
         if test._group_starts is None:  # no repeated period: own kernel
             _KERNEL_BUILDS.inc()
@@ -378,13 +355,13 @@ class PDPAnalysis:
         _CACHE_SIZE.set(len(cache))
         return test
 
-    def _distinct_test(self, distinct: np.ndarray, columnar: bool) -> ExactRMTest:
+    def _distinct_test(self, distinct: np.ndarray) -> ExactRMTest:
         """The cached test over ``distinct`` (sorted, no repeats), built
         on a miss; these lookups are not counted as hits or misses."""
-        key = _distinct_key(distinct, columnar)
+        key = _distinct_key(distinct)
         test = self._test_cache.get(key)
         if test is None:
-            return self._build_test(key, distinct, columnar)
+            return self._build_test(key, distinct)
         self._test_cache.move_to_end(key)
         return test
 
@@ -417,7 +394,7 @@ class PDPAnalysis:
                 continue
             ordered_set = message_set.rate_monotonic()
             ordered.append(ordered_set)
-            groups.setdefault(self._structure_key(ordered_set), []).append(i)
+            groups.setdefault(ordered_set.periods, []).append(i)
         blocking = self.blocking
         for key, indices in groups.items():
             test = self._exact_test_for(ordered[indices[0]], key)

@@ -135,29 +135,6 @@ def local_scheme_allocation(
         raise ConfigurationError(
             f"frame overhead time must be non-negative, got {frame_overhead_time_s!r}"
         )
-    if getattr(message_set, "is_columnar", False):
-        periods = np.asarray(message_set.periods, dtype=float)
-        q = token_visit_counts(periods, ttrt_s)
-        if np.any(q < 2):
-            bad = int(np.argmax(q < 2))
-            raise AllocationError(
-                f"stream with period {float(periods[bad])!r}s sees the token "
-                f"only {int(q[bad])} time(s) per period at TTRT={ttrt_s!r}s; "
-                "the local scheme requires floor(P_i/TTRT) >= 2"
-            )
-        # Elementwise the same float operations as the scalar loop below
-        # (q holds exact small integers, so q - 1.0 is exact), making the
-        # whole allocation bit-identical to the object path.
-        c = np.asarray(message_set.payloads_bits, dtype=float) / float(bandwidth_bps)
-        return TTPAllocation(
-            ttrt_s=ttrt_s,
-            token_visits=tuple(int(v) for v in q),
-            bandwidths_s=tuple((c / (q - 1.0) + frame_overhead_time_s).tolist()),
-            augmented_lengths_s=tuple(
-                (c + (q - 1.0) * frame_overhead_time_s).tolist()
-            ),
-            delta_s=delta_s,
-        )
     visits: list[int] = []
     bandwidths: list[float] = []
     augmented: list[float] = []

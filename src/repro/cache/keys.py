@@ -68,8 +68,8 @@ _SALT_BY_VERSION: dict[int, str] = {}
 
 def _unserialisable(value: object):
     # Numpy scalars/arrays coerce to their exact native equivalents rather
-    # than failing: columnar message sets hand payloads built from array
-    # columns, and those must hash identically to object-built payloads.
+    # than failing: a payload built from array columns must hash
+    # identically to the same payload built from Python floats.
     # (``np.float64`` never reaches here — it subclasses ``float`` and
     # ``json`` serialises it natively, with the same ``repr`` exactness.)
     if isinstance(value, np.integer):

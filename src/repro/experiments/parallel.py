@@ -98,16 +98,12 @@ def assert_compact_tasks(tasks: "Sequence[object]") -> None:
     """
     from repro.messages.message_set import MessageSet
     from repro.messages.stream import SynchronousStream
-    from repro.messages.table import StreamTable
 
     heavy = (MessageSet, SynchronousStream)
 
     def _offending(value: object) -> str | None:
         if isinstance(value, heavy):
             return type(value).__name__
-        if isinstance(value, StreamTable):
-            # Columnar tables are exactly the compact form we want.
-            return None
         if isinstance(value, (list, tuple, set, frozenset)):
             for item in value:
                 if isinstance(item, heavy):
@@ -123,7 +119,7 @@ def assert_compact_tasks(tasks: "Sequence[object]") -> None:
         if name is not None:
             raise ConfigurationError(
                 f"task {index} carries a {name}; ship a compact spec "
-                "(seed, chunk index, columnar arrays) and rebuild the "
+                "(seed, chunk index, array columns) and rebuild the "
                 "message sets inside the worker instead of pickling "
                 "stream objects per task"
             )

@@ -515,38 +515,6 @@ def _run_loss_sweep(
     return artifacts
 
 
-def _run_scale_bench(
-    args: argparse.Namespace, params: PaperParameters, manifest_extra: dict
-) -> list[str]:
-    import json
-
-    from repro.experiments.scale_bench import (
-        run_scale_bench,
-        scale_bench_document,
-    )
-
-    result = run_scale_bench(
-        params,
-        n_streams=args.scale_streams,
-        bandwidth_mbps=args.bandwidth,
-        mc_eps=args.mc_eps if args.mc_eps is not None else 5e-4,
-        mc_strata=args.mc_strata if args.mc_strata is not None else 8,
-        mc_antithetic=args.antithetic,
-    )
-    console("columnar scale benchmark")
-    console(result.summary())
-    document = scale_bench_document(result)
-    out_path = args.scale_bench_json
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    console(f"wrote {out_path}")
-    manifest_extra["scale_bench"] = {
-        bench["name"]: bench["extra_info"] for bench in document["benchmarks"]
-    }
-    return [out_path]
-
-
 def _dispatch(
     args: argparse.Namespace,
     params: PaperParameters,
@@ -569,8 +537,6 @@ def _dispatch(
         artifacts.extend(_run_admission_bench(args, params.seed, manifest_extra))
     if args.experiment == "loss-sweep":
         artifacts.extend(_run_loss_sweep(args, params, manifest_extra))
-    if args.experiment == "bench-scale":
-        artifacts.extend(_run_scale_bench(args, params, manifest_extra))
     if args.experiment == "fuzz":
         from repro.verify import FuzzConfig, run_fuzz, run_mutation_smoke
 
@@ -648,7 +614,7 @@ def main(argv: list[str] | None = None) -> int:
             "figure1", "ttrt", "frames", "periods", "sba", "ringsize",
             "throughput", "crossover", "sharpness", "report", "fuzz",
             "serve", "loadgen", "top", "bench-admission", "loss-sweep",
-            "bench-scale", "cluster", "bench-cluster", "all",
+            "cluster", "bench-cluster", "all",
         ],
     )
     service = parser.add_argument_group(
@@ -773,23 +739,14 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH", help="loss-sweep: canary output path",
     )
     parser.add_argument(
-        "--scale-bench-json", type=str, default="BENCH_scale.json",
-        metavar="PATH", help="bench-scale: canary output path",
-    )
-    parser.add_argument(
-        "--scale-streams", type=int, default=1_000_000, metavar="N",
-        help="bench-scale: columnar set size (default: one million)",
-    )
-    parser.add_argument(
         "--mc-eps", type=float, default=None, metavar="EPS",
         help="run Monte Carlo cells as streaming estimates stopping at "
-        "CI half-width EPS (default: fixed-N paper sampling); "
-        "bench-scale uses 5e-4 when unset",
+        "CI half-width EPS (default: fixed-N paper sampling)",
     )
     parser.add_argument(
         "--mc-strata", type=int, default=None, metavar="S",
         help="Latin-hypercube period strata per streaming chunk "
-        "(default: 1; bench-scale's variance-reduced run uses 8)",
+        "(default: 1)",
     )
     parser.add_argument(
         "--antithetic", action="store_true",
@@ -880,10 +837,9 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     params = build_parameters(args.fast, args.sets, args.stations)
-    if args.mc_eps is not None and args.experiment != "bench-scale":
-        # bench-scale drives the streaming estimator itself (it compares
-        # both modes); everywhere else --mc-eps switches the Monte Carlo
-        # cells to accuracy-targeted streaming estimation.
+    if args.mc_eps is not None:
+        # --mc-eps switches the Monte Carlo cells to accuracy-targeted
+        # streaming estimation.
         params = params.with_streaming_mc(
             args.mc_eps,
             strata=args.mc_strata if args.mc_strata is not None else 1,

@@ -20,7 +20,6 @@ from repro.messages.generators import (
 )
 from repro.messages.message_set import MessageSet
 from repro.messages.stream import SynchronousStream
-from repro.messages.table import StreamTable
 from repro.messages.transforms import (
     scale_payloads,
     set_utilization,
@@ -30,7 +29,6 @@ from repro.messages.transforms import (
 __all__ = [
     "SynchronousStream",
     "MessageSet",
-    "StreamTable",
     "MessageSetSampler",
     "PeriodDistribution",
     "uniform_period_bounds",

@@ -20,7 +20,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.messages.message_set import MessageSet
 from repro.messages.stream import SynchronousStream
-from repro.messages.table import StreamTable
 
 __all__ = [
     "PeriodDistribution",
@@ -183,18 +182,6 @@ class MessageSetSampler:
         periods = self.periods.sample(rng, self.n_streams)
         payloads = self._draw_payloads(rng, periods)
         return self._assemble(periods, payloads)
-
-    def sample_table(self, rng: np.random.Generator) -> StreamTable:
-        """Draw one message set directly as a columnar :class:`StreamTable`.
-
-        Consumes the generator stream exactly like :meth:`sample`, and the
-        resulting columns are bit-identical to columnarizing the object
-        sample (``StreamTable.from_message_set(self.sample(rng))`` with an
-        identically seeded generator).
-        """
-        periods = self.periods.sample(rng, self.n_streams)
-        payloads = self._draw_payloads(rng, periods)
-        return StreamTable(periods, payloads)
 
     def sample_many(
         self, rng: np.random.Generator, count: int

@@ -8,6 +8,7 @@ the rate-monotonic ordering used by the priority driven protocol.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import MessageSetError
@@ -143,10 +144,13 @@ class MessageSet(Sequence[SynchronousStream]):
 
         Bit-identical to ``scaled(factor).utilization(bandwidth_bps)``:
         the same payload product, the same two divisions, summed in
-        stream order.
+        stream order.  A NaN or infinite factor is rejected, as the
+        scaled set would reject the NaN or infinite payloads it makes.
         """
-        if factor < 0:
-            raise MessageSetError(f"scale factor must be non-negative, got {factor!r}")
+        if not math.isfinite(factor) or factor < 0:
+            raise MessageSetError(
+                f"scale factor must be non-negative and finite, got {factor!r}"
+            )
         return sum(
             transmission_time(s.payload_bits * factor, bandwidth_bps) / s.period_s
             for s in self._streams

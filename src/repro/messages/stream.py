@@ -7,6 +7,7 @@ transmission by the end of the period in which they arrive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.errors import MessageSetError
@@ -24,9 +25,11 @@ class SynchronousStream:
     (shorter period = higher priority) with a deterministic tie-break.
 
     Attributes:
-        period_s: inter-arrival time ``P_i`` in seconds; also the relative
-            deadline of every message in the stream.
-        payload_bits: message payload length ``C_i^b`` in bits.
+        period_s: inter-arrival time ``P_i`` in seconds (positive and
+            finite); also the relative deadline of every message in the
+            stream.
+        payload_bits: message payload length ``C_i^b`` in bits
+            (non-negative and finite).
         station: index of the ring station the stream arrives at.  Purely
             informational for the analyses; the simulators use it for
             placement on the ring.
@@ -37,13 +40,17 @@ class SynchronousStream:
     station: int = 0
 
     def __post_init__(self) -> None:
-        if self.period_s <= 0:
+        # NaN compares false against every bound, so finiteness is
+        # checked first: a NaN or infinite stream would otherwise reach
+        # the exact test and fail there for a whole admission batch.
+        if not math.isfinite(self.period_s) or self.period_s <= 0:
             raise MessageSetError(
-                f"stream period must be positive, got {self.period_s!r}"
+                f"stream period must be positive and finite, got {self.period_s!r}"
             )
-        if self.payload_bits < 0:
+        if not math.isfinite(self.payload_bits) or self.payload_bits < 0:
             raise MessageSetError(
-                f"stream payload must be non-negative, got {self.payload_bits!r}"
+                "stream payload must be non-negative and finite, "
+                f"got {self.payload_bits!r}"
             )
         if self.station < 0:
             raise MessageSetError(

@@ -179,16 +179,3 @@ class FrameFormat:
     def message_wire_bits(self, payload_bits: float) -> float:
         """Total bits on the wire for a message: payload + per-frame overhead."""
         return float(payload_bits) + self.frames_needed(payload_bits) * self.overhead_bits
-
-    def message_wire_bits_array(self, payloads_bits: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`message_wire_bits` over a payload array.
-
-        Elementwise bit-identical to the scalar version: the frame counts
-        come from :meth:`split_counts` (pinned against :meth:`split`) and
-        the ``payload + K_i * F_ovhd^b`` arithmetic is the same float
-        multiply-add.  Used by the columnar paths, with the scalar method
-        as oracle.
-        """
-        arr = np.asarray(payloads_bits, dtype=float)
-        total, _ = self.split_counts(arr)
-        return arr + total * self.overhead_bits

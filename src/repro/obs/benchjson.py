@@ -24,9 +24,9 @@ With one path, the file is summarized in place.
 The summarized document shape is also the *native* format for canaries
 that never pass through pytest-benchmark: the service load generator
 (``BENCH_service.json``), the admission canary (``BENCH_admission.json``),
-the loss sweep (``BENCH_loss.json``), and the columnar scale bench
-(``BENCH_scale.json`` via :mod:`repro.experiments.scale_bench`) emit this
-schema directly — ``schema_version`` + ``machine`` (with :func:`cpu_info`)
+the loss sweep (``BENCH_loss.json``), and the cluster bench
+(``BENCH_cluster.json`` via :mod:`repro.experiments.cluster_bench`) emit
+this schema directly — ``schema_version`` + ``machine`` (with :func:`cpu_info`)
 + ``benchmarks[]`` rows of ``{group, name, fullname, params, extra_info,
 stats}`` — so ``tools/bench_trend.py`` can treat every ``BENCH_*.json``
 uniformly.

@@ -89,9 +89,9 @@ def _rational_hyperperiod(
     — the usual case for randomly drawn floats — or when the LCM blows
     up beyond any useful horizon.  Memoised on the *distinct* period
     values: the LCM is invariant under duplicates and order, and large
-    tables draw from a small period catalogue, so deduplicating first
+    sets draw from a small period catalogue, so deduplicating first
     turns an ``O(n)`` Fraction walk (the quadratic tail of validating a
-    10^5-stream table, via the per-stream limit_denominator cost) into an
+    10^5-stream set, via the per-stream limit_denominator cost) into an
     ``O(m)`` one with ``m`` distinct periods.
     """
     distinct = tuple(sorted(set(float(p) for p in periods)))

@@ -26,14 +26,6 @@ The properties:
     breakdown *utilization* is invariant under payload scaling; scaling
     by powers of two must preserve ``λ(s·M)·s == λ(M)`` to float
     round-off.
-``columnar_equiv``
-    The columnar :class:`~repro.messages.table.StreamTable` engine is
-    pure performance work: tables must round-trip to object sets
-    losslessly, order identically under rate-monotonic sorting, produce
-    **bit-identical** per-stream utilizations, wire-bit totals, and PDP
-    augmented lengths, and move no verdict — PDP (both variants, verdict
-    and the bitwise per-stream ``analyze`` details) and TTP (verdict and
-    saturation scale) must answer object and columnar forms identically.
 ``rm_exact_vs_rta``
     The exact RM test of Theorem 4.1 answers like its independent
     oracle: :class:`~repro.analysis.rm.ExactRMTest` verdicts
@@ -151,7 +143,6 @@ from repro.errors import AdmissionError, AllocationError, ReproError
 from repro.faults import analysis as faults_analysis_mod
 from repro.faults.analysis import FaultBudget
 from repro.faults.plan import FaultPlan, rate_for_loss_fraction
-from repro.messages import table as table_mod
 from repro.messages.generators import MessageSetSampler, PeriodDistribution
 from repro.messages.message_set import MessageSet
 from repro.messages.stream import SynchronousStream
@@ -921,8 +912,8 @@ def check_admission_snapshot_equiv(case: FuzzCase) -> Violation | None:
     come from a small catalogue, so period vectors repeat periods in
     changing multiplicities, and per-stream utilizations of 4-45% fill
     the six-station ring to and past the exact test's boundary; a few
-    requests are malformed, so validation meets both a free and a full
-    ring.  Each sequence runs uncapped and under a cap of 0.8.
+    requests are malformed (a negative, NaN or infinite period or
+    payload), so validation meets both a free and a full ring.  Each sequence runs uncapped and under a cap of 0.8.
     """
     policy = (
         admission_mod.AdmissionPolicy.EXACT,
@@ -956,8 +947,12 @@ def check_admission_snapshot_equiv(case: FuzzCase) -> Violation | None:
             continue
         period_s = rng.choice(catalogue)
         payload_bits = rng.uniform(0.04, 0.45) * period_s * bandwidth
-        if rng.random() < 0.08:
-            payload_bits = -payload_bits  # malformed
+        if rng.random() < 0.08:  # malformed: negative or non-finite
+            bad = rng.choice((-payload_bits, math.nan, math.inf, -math.inf))
+            if rng.random() < 0.5:
+                payload_bits = bad
+            else:
+                period_s = bad
         if roll < 0.7:
             ops.append(admission_mod.AdmissionOp.admit(period_s, payload_bits))
             admitted_guess += 1
@@ -1307,116 +1302,6 @@ def check_fault_plan_determinism(case: FuzzCase) -> Violation | None:
             f"recovery time was charged (stats={stats!r}); the injector "
             "is swallowing faults",
         )
-    return None
-
-
-# -- columnar engine equivalence ------------------------------------------------
-
-
-def check_columnar_equiv(case: FuzzCase) -> Violation | None:
-    """The columnar StreamTable pipeline is bit-identical to the object path."""
-    message_set = case.message_set()
-    table = table_mod.StreamTable.from_message_set(message_set)
-
-    def fail(detail: str) -> Violation:
-        return Violation("columnar_equiv", case, detail)
-
-    if table.to_message_set() != message_set:
-        return fail(
-            "StreamTable.from_message_set/to_message_set round trip lost "
-            "information"
-        )
-
-    ordered_set = message_set.rate_monotonic()
-    ordered_table = table.rate_monotonic()
-    if ordered_table.to_message_set() != ordered_set:
-        return fail(
-            "columnar rate_monotonic produced a different ordering than the "
-            "object sort"
-        )
-
-    bandwidth = case.bandwidth_bps
-    table_u = table.utilizations(bandwidth)
-    object_u = np.array([s.utilization(bandwidth) for s in message_set])
-    if not np.array_equal(table_u, object_u):
-        return fail(
-            "per-stream utilizations differ bitwise between the table and "
-            "object paths"
-        )
-
-    frame = _frame()
-    vector_bits = frame.message_wire_bits_array(
-        np.asarray(case.payloads_bits, dtype=float)
-    )
-    scalar_bits = np.array(
-        [frame.message_wire_bits(c) for c in case.payloads_bits], dtype=float
-    )
-    if not np.array_equal(vector_bits, scalar_bits):
-        return fail(
-            "message_wire_bits_array diverges bitwise from the scalar "
-            "wire-bit rule"
-        )
-
-    for variant in (PDPVariant.STANDARD, PDPVariant.MODIFIED):
-        analysis = _pdp_analysis(case, variant)
-        costs_set = analysis.augmented_lengths(ordered_set)
-        costs_table = analysis.augmented_lengths(ordered_table)
-        if not np.array_equal(costs_set, costs_table):
-            return fail(
-                f"{variant.name}: augmented lengths differ bitwise between "
-                "the table and object paths"
-            )
-        verdict_set = analysis.is_schedulable(message_set)
-        verdict_table = analysis.is_schedulable(table)
-        if verdict_set != verdict_table:
-            return fail(
-                f"{variant.name}: PDP verdict moved between object "
-                f"({verdict_set}) and columnar ({verdict_table}) inputs"
-            )
-        details_set, details_table = (
-            [
-                (d.schedulable, d.min_load_ratio.hex(), d.critical_point.hex())
-                for d in analysis.analyze(argument).details
-            ]
-            for argument in (message_set, table)
-        )
-        if details_set != details_table:
-            return fail(
-                f"{variant.name}: per-stream analyze() details differ "
-                "between the object and columnar inputs"
-            )
-
-    ttp = _ttp_analysis(case)
-
-    def outcome(fn, argument):
-        try:
-            return ("ok", fn(argument))
-        except ReproError as exc:
-            return (type(exc).__name__, None)
-
-    verdict_set = outcome(ttp.is_schedulable, message_set)
-    verdict_table = outcome(ttp.is_schedulable, table)
-    if verdict_set != verdict_table:
-        return fail(
-            f"TTP verdict moved between object ({verdict_set!r}) and "
-            f"columnar ({verdict_table!r}) inputs"
-        )
-    scale_set = outcome(ttp.saturation_scale, message_set)
-    scale_table = outcome(ttp.saturation_scale, table)
-    if scale_set[0] != scale_table[0]:
-        return fail(
-            f"TTP saturation outcomes differ: object {scale_set!r} vs "
-            f"columnar {scale_table!r}"
-        )
-    if scale_set[0] == "ok":
-        same = scale_set[1] == scale_table[1] or (
-            math.isnan(scale_set[1]) and math.isnan(scale_table[1])
-        )
-        if not same:
-            return fail(
-                f"TTP saturation scales differ bitwise: object "
-                f"{scale_set[1]!r} vs columnar {scale_table[1]!r}"
-            )
     return None
 
 
@@ -1858,7 +1743,6 @@ CHECKS: dict[str, Callable[[FuzzCase], Violation | None]] = {
     "admission_tracing_equiv": check_admission_tracing_equiv,
     "analysis_sound_under_loss": check_analysis_sound_under_loss,
     "fault_plan_determinism": check_fault_plan_determinism,
-    "columnar_equiv": check_columnar_equiv,
     "rm_exact_vs_rta": check_rm_exact_vs_rta,
     "mc_streaming_equiv": check_mc_streaming_equiv,
     "cluster_shard_equiv": check_cluster_shard_equiv,

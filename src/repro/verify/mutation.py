@@ -239,7 +239,7 @@ def _buggy_release_stale_snapshot(self, stream_id, idempotent=False):
         return ReleaseOutcome(released=True, stream_id=stream_id)
 
 
-def _buggy_distinct_key(distinct, columnar):
+def _buggy_distinct_key(distinct):
     return ("kernel", distinct.size)  # BUG: keyed by count, not periods
 
 

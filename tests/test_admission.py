@@ -343,6 +343,37 @@ class TestPopulationSnapshot:
             assert isinstance(answer, OpFault)
             assert answer.error == "MessageSetError"
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            AdmissionOp.check(float("nan"), 100.0),
+            AdmissionOp.admit(float("inf"), 100.0),
+            AdmissionOp.check(float("-inf"), 100.0),
+            AdmissionOp.admit(milliseconds(10), float("nan")),
+            AdmissionOp.check(milliseconds(10), float("inf")),
+            AdmissionOp.admit(milliseconds(10), float("-inf")),
+        ],
+        ids=["nan-period", "inf-period", "-inf-period",
+             "nan-payload", "inf-payload", "-inf-payload"],
+    )
+    def test_non_finite_op_faults_alone(self, bad):
+        """A NaN or infinite request is answered with its own fault; its
+        batchmates get exactly the answers of a batch without it."""
+        valid = [
+            AdmissionOp.admit(milliseconds(50), 100.0),
+            AdmissionOp.check(milliseconds(10), 100.0),
+            AdmissionOp.admit(milliseconds(20), 2000.0),
+            AdmissionOp.check(milliseconds(30), 500.0),
+        ]
+        clean = pdp_controller(policy=AdmissionPolicy.EXACT).process_batch(valid)
+        mixed = pdp_controller(policy=AdmissionPolicy.EXACT).process_batch(
+            [*valid[:2], bad, *valid[2:]]
+        )
+        fault = mixed.pop(2)
+        assert isinstance(fault, OpFault)
+        assert fault.error == "MessageSetError"
+        assert mixed == clean
+
     def churn(self, controller, steps=40, seed=5):
         """Admit/check/release from a small catalogue, yielding each
         decision with the set it was judged against."""

@@ -19,6 +19,7 @@ from repro.analysis.montecarlo import (
 from repro.analysis.pdp import PDPAnalysis, PDPVariant
 from repro.analysis.ttp import TTPAnalysis
 from repro.errors import ConfigurationError
+from repro.experiments.config import PaperParameters
 from repro.messages.generators import MessageSetSampler, PeriodDistribution
 from repro.network.standards import fddi_ring, ieee_802_5_ring, paper_frame_format
 from repro.units import mbps
@@ -228,6 +229,31 @@ class TestVarianceReduction:
             strata=16,
         )
         assert np.std(stratified.chunk_means) < np.std(plain.chunk_means)
+
+    def test_stratified_run_needs_no_more_evaluations_than_plain(self):
+        """At the paper's operating point (PDP standard, 10 Mbps, 20
+        streams per set), stratified sampling must reach the same CI
+        target with no more evaluations than plain sampling, both runs
+        must converge before the cap, and the two estimates must agree
+        within the sum of their half-widths (same estimand)."""
+        params = PaperParameters()
+        analysis = params.pdp_analysis(10.0, PDPVariant.STANDARD)
+        sampler = MessageSetSampler(
+            n_streams=20, periods=params.period_distribution()
+        )
+        settings = dict(
+            seed=params.seed, eps=5e-4, chunk_sets=16, min_chunks=8,
+            max_sets=4096,
+        )
+        naive = streaming_average_breakdown_utilization(
+            analysis, sampler, BW, **settings
+        )
+        vr = streaming_average_breakdown_utilization(
+            analysis, sampler, BW, strata=8, **settings
+        )
+        assert naive.converged and vr.converged
+        assert vr.evaluations <= naive.evaluations
+        assert abs(naive.mean - vr.mean) <= naive.half_width + vr.half_width
 
 
 class TestValidation:

@@ -20,7 +20,6 @@ from repro.analysis.rm import ExactRMTest, response_time_analysis
 from repro.errors import MessageSetError
 from repro.messages.message_set import MessageSet
 from repro.messages.stream import SynchronousStream
-from repro.messages.table import StreamTable
 from repro.network.frames import FrameFormat
 from repro.network.ring import RingNetwork
 from repro.obs import metrics
@@ -204,18 +203,30 @@ class TestPDPAnalysis:
         rta_ok = all(r <= p for r, p in zip(responses, ordered.periods))
         assert analysis.is_schedulable(message_set) == rta_ok
 
-    def test_analyze_large_columnar_table_matches_object_set(self):
-        """Per-stream details of a 600-stream table over a tied period
-        catalogue equal those of its object form."""
+    @pytest.mark.parametrize(
+        "variant", [PDPVariant.STANDARD, PDPVariant.MODIFIED]
+    )
+    def test_analyze_large_tied_set_matches_rta(self, variant):
+        """A 600-stream set over a four-period catalogue (heavy ties, so
+        the exact test judges per-period group sums) gets the per-stream
+        verdicts of response-time analysis over its augmented lengths."""
         rng = np.random.default_rng(5)
         periods = rng.choice([0.05, 0.1, 0.2, 0.4], size=600)
         payloads = rng.uniform(10.0, 200.0, size=600)
-        table = StreamTable(periods, payloads)
-        analysis = self.make_analysis()
-        got = analysis.analyze(table)
-        want = analysis.analyze(table.to_message_set())
-        assert got.details == want.details
-        assert got.schedulable == want.schedulable
+        analysis = self.make_analysis(variant)
+        message_set = self.make_set(payloads.tolist(), periods.tolist())
+        ordered = message_set.rate_monotonic()
+        responses = response_time_analysis(
+            list(analysis.augmented_lengths(ordered)),
+            list(ordered.periods),
+            analysis.blocking,
+        )
+        result = analysis.analyze(message_set)
+        assert len(result.details) == 600
+        assert result.schedulable == all(
+            r <= p for r, p in zip(responses, ordered.periods)
+        )
+        assert result.schedulable == analysis.is_schedulable(message_set)
 
     def test_with_ring_rebinds_bandwidth(self):
         analysis = self.make_analysis()

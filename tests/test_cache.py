@@ -300,6 +300,40 @@ def test_breakdown_scale_cached_roundtrip(harmonic_set, disk_cache):
     assert third[0] != first[0] or third[1] != first[1]
 
 
+def test_numpy_scalar_twin_shares_breakdown_cache_entries(
+    harmonic_set, disk_cache
+):
+    """A set whose streams hold numpy scalars keys to the same breakdown
+    row as its native-float twin: the key payload coerces them."""
+    from repro.messages.message_set import MessageSet
+    from repro.messages.stream import SynchronousStream
+
+    analysis = _pdp_analysis()
+    native = MessageSet(
+        SynchronousStream(
+            period_s=float(s.period_s),
+            payload_bits=float(s.payload_bits),
+            station=int(s.station),
+        )
+        for s in harmonic_set
+    )
+    twin = MessageSet(
+        SynchronousStream(
+            period_s=np.float64(s.period_s),
+            payload_bits=np.float64(s.payload_bits),
+            station=np.int64(s.station),
+        )
+        for s in native
+    )
+    before_misses = _counter("cache.breakdown.misses")
+    scale_obj, _ = breakdown_scale(native, analysis, rel_tol=1e-3)
+    assert _counter("cache.breakdown.misses") == before_misses + 1
+    before_hits = _counter("cache.breakdown.hits")
+    scale_twin, _ = breakdown_scale(twin, analysis, rel_tol=1e-3)
+    assert _counter("cache.breakdown.hits") == before_hits + 1
+    assert scale_twin == scale_obj
+
+
 def test_breakdown_batch_partial_miss_merges(sampler, rng, disk_cache, tmp_path):
     analysis = _pdp_analysis()
     sets = [sampler.sample(rng) for _ in range(3)]
@@ -346,12 +380,12 @@ def test_mutation_injection_clears_cached_results(harmonic_set, disk_cache):
     assert [vars(s) for s in replay.streams] == [vars(s) for s in clean.streams]
 
 
-# -- numpy payloads (columnar callers) ----------------------------------------
+# -- numpy payloads ------------------------------------------------------------
 
 
 def test_numpy_scalars_key_like_native_values():
-    """Columnar callers hand numpy scalars/arrays into key payloads; they
-    must hash identically to the native equivalents, not crash or drift."""
+    """Numpy scalars/arrays in key payloads must hash identically to the
+    native equivalents, not crash or drift."""
     arr_f = np.array([0.1, 0.25])
     arr_i = np.array([3, 4], dtype=np.int32)
     native = {"f": 0.1, "i": 3, "b": True, "v": [0.1, 0.25], "w": [3, 4]}
@@ -375,27 +409,3 @@ def test_unserialisable_payload_rejected():
     with pytest.raises(ConfigurationError):
         canonical_json({"x": object()})
 
-
-def test_table_and_object_twin_share_breakdown_cache_entries(disk_cache):
-    """A StreamTable and its object twin must hit the same cache rows —
-    the regression that motivated the numpy coercion in the first place."""
-    from repro.messages.message_set import MessageSet
-    from repro.messages.stream import SynchronousStream
-    from repro.messages.table import StreamTable
-
-    analysis = _pdp_analysis()
-    message_set = MessageSet(
-        SynchronousStream(period_s=p, payload_bits=c, station=s)
-        for p, c, s in [(0.1, 800.0, 0), (0.2, 1600.0, 1), (0.4, 800.0, 2)]
-    )
-    table = StreamTable.from_message_set(message_set)
-    assert table.signature_rows() == [
-        [s.period_s, s.payload_bits, s.station] for s in message_set
-    ]
-    before_misses = _counter("cache.breakdown.misses")
-    scale_obj, _ = breakdown_scale(message_set, analysis, rel_tol=1e-3)
-    assert _counter("cache.breakdown.misses") == before_misses + 1
-    before_hits = _counter("cache.breakdown.hits")
-    scale_tab, _ = breakdown_scale(table, analysis, rel_tol=1e-3)
-    assert _counter("cache.breakdown.hits") == before_hits + 1
-    assert scale_tab == scale_obj

@@ -4,11 +4,21 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import MessageSetError
 from repro.messages.message_set import MessageSet
 from repro.messages.stream import SynchronousStream
 from repro.units import mbps, milliseconds
+
+
+def from_columns(periods, payloads, stations=None) -> MessageSet:
+    if stations is None:
+        stations = range(len(periods))
+    return MessageSet(
+        SynchronousStream(period_s=p, payload_bits=c, station=s)
+        for p, c, s in zip(periods, payloads, stations)
+    )
 
 
 def make_set() -> MessageSet:
@@ -70,6 +80,17 @@ class TestAggregates:
         # At 1 Mbps: 4000/40ms + 1000/10ms + 2000/20ms bits/s = 0.3.
         assert make_set().utilization(mbps(1)) == pytest.approx(0.3)
 
+    def test_utilization_is_the_stream_sum_bitwise(self):
+        rng = random.Random(5)
+        message_set = from_columns(
+            [rng.uniform(0.01, 1.0) for _ in range(50)],
+            [rng.uniform(0.0, 8000.0) for _ in range(50)],
+        )
+        total = 0.0
+        for stream in message_set:
+            total += stream.utilization(mbps(10))
+        assert message_set.utilization(mbps(10)) == total
+
     def test_total_payload_bits(self):
         assert make_set().total_payload_bits() == 7000
 
@@ -90,6 +111,79 @@ class TestRateMonotonic:
 
     def test_empty_is_trivially_ordered(self):
         assert MessageSet([]).is_rate_monotonic_ordered()
+
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.05, 0.1, 0.1, 0.25, 1.0 / 3.0]),
+                st.sampled_from([0.0, 64.0, 64.0, 512.0]),
+                st.integers(min_value=0, max_value=3),
+            ),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_order_is_the_period_payload_station_sort(self, rows):
+        """Property: with heavy ties from tiny catalogues, the RM order is
+        the sort on ``(period, payload, station)`` and is RM-ordered."""
+        message_set = from_columns(*zip(*rows))
+        ordered = message_set.rate_monotonic()
+        assert [(s.period_s, s.payload_bits, s.station) for s in ordered] == sorted(
+            rows
+        )
+        assert ordered.is_rate_monotonic_ordered()
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize(
+        "periods, payloads",
+        [
+            ([0.125], [1024.0]),
+            ([0.1, 0.1, 0.1], [64.0, 64.0, 64.0]),
+            ([0.05, 0.2], [0.0, 0.0]),
+            ([0.3, 0.1, 0.2], [10.5, 0.0, 7.25]),
+        ],
+        ids=["single", "equal-periods", "zero-payloads", "mixed"],
+    )
+    def test_degenerate_sets_round_trip(self, periods, payloads):
+        """Rebuilding from the streams and pickling both give an equal set
+        with an equal hash and the same RM order."""
+        message_set = from_columns(periods, payloads)
+        rebuilt = MessageSet(list(message_set))
+        unpickled = pickle.loads(pickle.dumps(message_set))
+        for copy in (rebuilt, unpickled):
+            assert copy == message_set
+            assert hash(copy) == hash(message_set)
+            assert copy.rate_monotonic() == message_set.rate_monotonic()
+
+    def test_round_trip_preserves_stations(self):
+        message_set = from_columns([0.2, 0.1], [64.0, 32.0], stations=[7, 3])
+        copy = pickle.loads(pickle.dumps(message_set))
+        assert [s.station for s in copy] == [7, 3]
+        assert [s.station for s in copy.rate_monotonic()] == [3, 7]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=1e-6, max_value=1e3),
+                st.floats(min_value=0.0, max_value=1e6),
+            ),
+            min_size=1,
+            max_size=32,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_columns_are_bit_identical(self, rows):
+        """Property: the period and payload columns hand back exactly the
+        floats the set was built from, also after a pickle round trip."""
+        periods = tuple(p for p, _ in rows)
+        payloads = tuple(c for _, c in rows)
+        message_set = from_columns(periods, payloads)
+        copy = pickle.loads(pickle.dumps(message_set))
+        assert message_set.periods == copy.periods == periods
+        assert message_set.payloads_bits == copy.payloads_bits == payloads
 
 
 class TestRateMonotonicMemo:
@@ -159,6 +253,14 @@ class TestTransformations:
             make_set().scaled_utilization(-1.0, mbps(1))
         with pytest.raises(ValueError):
             make_set().scaled_utilization(1.0, 0.0)
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_scaled_utilization_rejects_non_finite_factor(self, factor):
+        """The shortcut refuses what the scaled set refuses."""
+        with pytest.raises(MessageSetError):
+            make_set().scaled(factor)
+        with pytest.raises(MessageSetError, match="finite"):
+            make_set().scaled_utilization(factor, mbps(1))
 
     def test_assigned_to_stations(self):
         renumbered = make_set().rate_monotonic().assigned_to_stations()

@@ -21,6 +21,20 @@ class TestValidation:
         with pytest.raises(MessageSetError):
             SynchronousStream(period_s=1.0, payload_bits=-1)
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_rejects_non_finite_period(self, value):
+        with pytest.raises(MessageSetError, match="finite"):
+            SynchronousStream(period_s=value, payload_bits=100)
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_rejects_non_finite_payload(self, value):
+        with pytest.raises(MessageSetError, match="finite"):
+            SynchronousStream(period_s=1.0, payload_bits=value)
+
     def test_rejects_negative_station(self):
         with pytest.raises(MessageSetError):
             SynchronousStream(period_s=1.0, payload_bits=1, station=-1)
@@ -67,9 +81,22 @@ class TestTransformations:
         with pytest.raises(MessageSetError):
             SynchronousStream(period_s=0.1, payload_bits=100).scaled(-1)
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("payload", [0.0, 100.0])
+    def test_scaled_rejects_non_finite_factor(self, factor, payload):
+        """A NaN or infinite factor makes a NaN or infinite payload (0 × inf
+        is NaN), which the stream validator refuses."""
+        with pytest.raises(MessageSetError):
+            SynchronousStream(period_s=0.1, payload_bits=payload).scaled(factor)
+
     def test_with_payload(self):
         stream = SynchronousStream(period_s=0.1, payload_bits=100)
         assert stream.with_payload(7).payload_bits == 7
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_with_payload_rejects_non_finite(self, value):
+        with pytest.raises(MessageSetError):
+            SynchronousStream(period_s=0.1, payload_bits=100).with_payload(value)
 
     def test_with_station(self):
         stream = SynchronousStream(period_s=0.1, payload_bits=100, station=0)

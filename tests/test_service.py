@@ -10,6 +10,8 @@ transport semantics (429 shedding, 503 draining, typed faults).
 from __future__ import annotations
 
 import asyncio
+import http.client
+import json
 import threading
 import time
 
@@ -528,6 +530,33 @@ class TestServer:
                 )
                 assert status == 404
                 assert payload["error"] == "AdmissionError"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"period_s": NaN, "payload_bits": 100}',
+            b'{"period_s": Infinity, "payload_bits": 100}',
+            b'{"period_s": 0.01, "payload_bits": -Infinity}',
+        ],
+        ids=["nan-period", "inf-period", "-inf-payload"],
+    )
+    def test_non_finite_stream_is_unprocessable(self, body):
+        """JSON ``NaN``/``Infinity`` parse as floats; the stream validator
+        rejects them, so the wire answer is 422, not a batch failure."""
+        config = ServiceConfig(port=0, n_stations=8)
+        with _ServerThread(config) as server:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+            try:
+                conn.request(
+                    "POST", "/v1/check", body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+            finally:
+                conn.close()
+        assert response.status == 422
+        assert payload["error"] == "MessageSetError"
 
     def test_server_decisions_match_direct_controller(self):
         """The wire answer equals a direct controller call, field for field."""

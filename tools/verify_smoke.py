@@ -46,13 +46,6 @@ monotone non-increasing in the loss fraction.  A committed
 ``BENCH_loss.json`` (from ``make bench-loss``) is held to the same shape
 invariants.
 
-The columnar scale guard runs a reduced-size ``bench-scale`` in-process:
-the columnar pipeline must analyse streams at least 5x faster per
-stream than the object path, the variance-reduced streaming Monte Carlo
-run must reach the target CI with no more evaluations than plain
-sampling (and agree with it within the combined CI), and a committed
-``BENCH_scale.json`` must record the same floors.
-
 The cluster canary spawns a real 2-worker sharded fleet (worker
 subprocesses behind the consistent-hash router) and drives paced load
 through the front: zero transport errors, traffic on every shard, and
@@ -665,124 +658,6 @@ def run_loss_canary() -> None:
     )
 
 
-#: Scale-guard floors.  The object path shares the union-point exact
-#: test, so the columnar-vs-object throughput ratio measures what the
-#: columnar layout saves on set building, ordering and TTP saturation:
-#: 7-18x live at the guard's sizes on a 2-vCPU Xeon guest (about 10x at
-#: ``bench-scale``'s full size).  Columnar runs that fall back to
-#: per-stream work read 0.8-2.5x there (the table converted to stream
-#: objects, or only the TTP saturation taken through them), so 5x trips
-#: on a fallback, not on scheduler noise; the committed canary must
-#: carry the same floor.  Ratios compare two pipelines measured in the
-#: same process, so unlike the wall-clock guards they are checked
-#: off-baseline-hardware too.
-_SCALE_SPEEDUP_FLOOR = 5.0
-_SCALE_GUARD_STREAMS = 100_000
-_SCALE_GUARD_BASELINE = 256
-
-
-def run_scale_guard() -> None:
-    """Columnar throughput and MC variance reduction must hold.
-
-    * a live reduced-size scale bench must analyse columnar streams at
-      least ``_SCALE_SPEEDUP_FLOOR`` times faster per stream than the
-      object path (both pipelines run the full order + exact RM + TTP
-      saturation sequence);
-    * the variance-reduced streaming estimator must reach the same CI
-      target with no more evaluations than plain sampling, both runs
-      must converge before the cap, and their means must agree within
-      the sum of their CI half-widths (they estimate the same quantity);
-    * a committed ``BENCH_scale.json`` (from ``make bench-scale``) must
-      report the same speedup floor and an evaluations ratio >= 1.
-    """
-    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
-    from repro.experiments.config import PaperParameters
-    from repro.experiments.scale_bench import run_scale_bench
-
-    result = run_scale_bench(
-        PaperParameters(),
-        n_streams=_SCALE_GUARD_STREAMS,
-        baseline_streams=_SCALE_GUARD_BASELINE,
-        bandwidth_mbps=10.0,
-    )
-    if result.speedup < _SCALE_SPEEDUP_FLOOR:
-        raise AssertionError(
-            f"columnar pipeline is only {result.speedup:.1f}x the object "
-            f"path ({result.columnar_streams_per_sec:,.0f} vs "
-            f"{result.object_streams_per_sec:,.0f} streams/s); the "
-            f"{_SCALE_SPEEDUP_FLOOR:.0f}x floor means the columnar fast "
-            "path has fallen back to per-stream work"
-        )
-    if not result.naive.converged or not result.vr.converged:
-        raise AssertionError(
-            "streaming estimator hit the evaluation cap before the CI "
-            f"target (naive converged={result.naive.converged}, "
-            f"vr converged={result.vr.converged})"
-        )
-    if result.vr.evaluations > result.naive.evaluations:
-        raise AssertionError(
-            "variance-reduced streaming run needed MORE evaluations than "
-            f"plain sampling ({result.vr.evaluations} vs "
-            f"{result.naive.evaluations}) to reach half-width "
-            f"{result.mc_eps:g} — stratification stopped reducing variance"
-        )
-    tolerance = result.naive.half_width + result.vr.half_width
-    if abs(result.naive.mean - result.vr.mean) > tolerance:
-        raise AssertionError(
-            "plain and variance-reduced estimates disagree beyond their "
-            f"combined CI half-widths ({result.naive.mean:.5f} vs "
-            f"{result.vr.mean:.5f}, tolerance {tolerance:.5f}) — the "
-            "stratified/antithetic sampler is biased"
-        )
-
-    baseline_path = os.path.join(REPO_ROOT, "BENCH_scale.json")
-    suffix = "no committed BENCH_scale.json"
-    if os.path.exists(baseline_path):
-        with open(baseline_path, encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        by_group: dict = {}
-        for bench in baseline.get("benchmarks", []):
-            by_group.setdefault(bench["group"], []).append(bench)
-        columnar = [
-            bench for bench in by_group.get("scale", [])
-            if "speedup_vs_object" in bench["extra_info"]
-        ]
-        if not columnar:
-            raise AssertionError(
-                "BENCH_scale.json has no columnar scale entry"
-            )
-        committed_speedup = columnar[0]["extra_info"]["speedup_vs_object"]
-        if committed_speedup < _SCALE_SPEEDUP_FLOOR:
-            raise AssertionError(
-                f"committed BENCH_scale.json records a {committed_speedup:.1f}x "
-                f"speedup, below the {_SCALE_SPEEDUP_FLOOR:.0f}x floor"
-            )
-        vr_cells = [
-            bench for bench in by_group.get("mc", [])
-            if "eval_ratio_vs_naive" in bench["extra_info"]
-        ]
-        if not vr_cells:
-            raise AssertionError(
-                "BENCH_scale.json has no variance-reduced mc entry"
-            )
-        committed_ratio = vr_cells[0]["extra_info"]["eval_ratio_vs_naive"]
-        if committed_ratio < 1.0:
-            raise AssertionError(
-                "committed BENCH_scale.json records an evaluations ratio "
-                f"of {committed_ratio:.2f} (< 1): variance reduction cost "
-                "evaluations instead of saving them"
-            )
-        suffix = (
-            f"committed canary holds ({committed_speedup:,.0f}x, "
-            f"mc ratio {committed_ratio:.2f})"
-        )
-    print(
-        f"verify_smoke: ok (scale guard: {result.speedup:,.0f}x columnar "
-        f"speedup live, vr {result.vr.evaluations} <= naive "
-        f"{result.naive.evaluations} evaluations; {suffix})"
-    )
-
-
 #: Cluster canary shape: a 2-worker fleet driven for a couple of paced
 #: seconds — enough to prove routing, budget accounting, and per-shard
 #: telemetry without turning verify into a benchmark run.
@@ -1003,7 +878,6 @@ if __name__ == "__main__":
     run_service_canary()
     run_admission_guard()
     run_loss_canary()
-    run_scale_guard()
     run_cluster_canary()
     run_bench_guard()
     run_top_smoke()
