@@ -65,6 +65,13 @@ a cache miss builds the candidate set, by one bisect insertion into the
 RM-ordered snapshot for PDP (whose analysis reads the set through its
 RM order) and in admission order for TTP (whose allocation sums in set
 order).
+
+On a PDP ring the exact test's size is bounded per request: Theorem
+4.1's scheduling points grow with the period ratio, so a candidate
+whose set would need more than :data:`MAX_EXACT_POINTS` of them is
+refused with :class:`~repro.errors.MessageSetError` (an
+:class:`OpFault` in a batch, HTTP 422 on the wire) before anything is
+built.
 """
 
 from __future__ import annotations
@@ -72,13 +79,19 @@ from __future__ import annotations
 import bisect
 import enum
 import itertools
+import math
 import threading
 from dataclasses import dataclass
 
 from repro.analysis.bounds import pdp_sufficient_test, ttp_sufficient_test
 from repro.analysis.pdp import PDPAnalysis
 from repro.analysis.ttp import TTPAnalysis
-from repro.errors import AdmissionError, ConfigurationError, ReproError
+from repro.errors import (
+    AdmissionError,
+    ConfigurationError,
+    MessageSetError,
+    ReproError,
+)
 from repro.messages.message_set import MessageSet
 from repro.messages.stream import SynchronousStream
 from repro.obs import tracing
@@ -90,7 +103,15 @@ __all__ = [
     "ReleaseOutcome",
     "OpFault",
     "AdmissionController",
+    "MAX_EXACT_POINTS",
 ]
+
+#: Most Theorem 4.1 scheduling points a PDP candidate set may need:
+#: ``sum(floor(P_max/P_j))`` over its distinct periods, the size of the
+#: union :class:`~repro.analysis.rm.ExactRMTest` builds.  A build of
+#: this size takes about 0.02 s; the count grows with the period ratio,
+#: and a 1 ms stream beside a 10 s one already needs 10^4.
+MAX_EXACT_POINTS = 100_000
 
 
 class AdmissionPolicy(enum.Enum):
@@ -349,6 +370,32 @@ class AdmissionController:
             return MessageSet(members)
         return MessageSet([*self._streams.values(), stream])
 
+    def _exact_test_too_large(self, period_s: float) -> bool:
+        """Whether the candidate set with a stream of ``period_s`` needs
+        more than :data:`MAX_EXACT_POINTS` Theorem 4.1 scheduling points,
+        counted as ``_union_points`` builds them over its distinct
+        periods.  Lock held.
+
+        ``(m + 1)·P_max/P_min`` bounds the count, so while that stays
+        within the limit (every catalogue the service benchmarks) the
+        answer costs O(1) from the RM-ordered snapshot's ends; otherwise
+        the count is taken in O(m).  Each period's term is capped at
+        ``MAX_EXACT_POINTS + 1``, which keeps an infinite ratio (a
+        1e308 s or subnormal period) finite without changing the answer.
+        """
+        ordered = self._ordered
+        if not ordered:
+            return False  # a lone stream has one scheduling point
+        p_min = min(ordered[0].period_s, period_s)
+        p_max = max(ordered[-1].period_s, period_s)
+        if (len(ordered) + 1) * (p_max / p_min + 1e-12) <= MAX_EXACT_POINTS:
+            return False
+        distinct = {s.period_s for s in ordered}
+        distinct.add(period_s)
+        cap = MAX_EXACT_POINTS + 1
+        points = sum(math.floor(min(p_max / d + 1e-12, cap)) for d in distinct)
+        return points > MAX_EXACT_POINTS
+
     def _cache_key(self, period_s: float, payload_bits: float) -> str | None:
         """Content key for one decision, or None when caching is off.
 
@@ -473,6 +520,7 @@ class AdmissionController:
         if not requests:
             return []
         n_stations = self._analysis.ring.n_stations
+        bounded = isinstance(self._analysis, PDPAnalysis)
         station = self._free_stations[-1] if self._free_stations else None
         bandwidth = self._analysis.ring.bandwidth_bps
         cap = self._utilization_cap
@@ -491,6 +539,11 @@ class AdmissionController:
                     payload_bits=payload_bits,
                     station=0 if station is None else station,
                 )
+                if bounded and self._exact_test_too_large(stream.period_s):
+                    raise MessageSetError(
+                        f"the exact test would need more than "
+                        f"{MAX_EXACT_POINTS} scheduling points"
+                    )
             except ReproError as exc:
                 if not faults:
                     raise

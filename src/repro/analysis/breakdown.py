@@ -12,6 +12,11 @@ exponential bracketing followed by bisection.  Analyses that can do better
 — the timed token protocol's Theorem 5.1 is *linear* in the payloads for
 any scale-invariant TTRT policy — may expose a ``saturation_scale`` method,
 which :func:`breakdown_scale` will use instead.
+
+:func:`breakdown_scales_batch` runs the same search for a whole
+population: each set's search is a generator stepping through the
+scalar iterates, and one batched probe per step answers every live set.
+Both paths return the same ``(scale, evaluations)`` pair per set.
 """
 
 from __future__ import annotations
@@ -26,11 +31,13 @@ from repro.messages.message_set import MessageSet
 from repro.obs import metrics as _metrics
 
 #: Saturation-search accounting.  ``probes`` counts physical scale
-#: evaluations (speculative ones included), ``batch_calls`` the batched
-#: predicate invocations of the lockstep search, and ``evals_per_set``
-#: the per-set probe-chain lengths.  All of these are partitioning
-#: invariant: the lockstep search runs per Monte Carlo chunk inside one
-#: grid cell, so every ``--jobs`` value reports identical totals.
+#: evaluations, including the bracketing look-ahead the lockstep search
+#: discards; ``batch_calls`` the batched predicate invocations of the
+#: lockstep search; ``evals_per_set`` the per-set evaluation counts,
+#: which are the scalar search's on both paths.  All of these are
+#: partitioning invariant: the lockstep search runs per Monte Carlo
+#: chunk inside one grid cell, so every ``--jobs`` value reports
+#: identical totals.
 _PROBES = _metrics.counter("breakdown.probes")
 _BATCH_CALLS = _metrics.counter("breakdown.batch_calls")
 _SCALAR_SEARCHES = _metrics.counter("breakdown.scalar_searches")
@@ -157,7 +164,6 @@ def _breakdown_cache_keys(
     message_sets: "Sequence[MessageSet]",
     rel_tol: float,
     max_doublings: int,
-    entry: str,
 ):
     """``(store, per-set keys)`` when breakdown caching engages, else ``(None, None)``.
 
@@ -168,9 +174,11 @@ def _breakdown_cache_keys(
     compares the scalar and lockstep searches, and a memory-only memo
     would collapse that comparison into a cache lookup of itself.
 
-    ``entry`` ("scale" vs "batch") keeps the two search paths' entries
-    apart: their scales are bit-identical but their evaluation counts are
-    not (the lockstep search reports speculative probes too).
+    The scalar and lockstep searches return the same pair, so they share
+    one row per set.  Streams are keyed as ``float`` period and payload
+    and ``int`` station, as :func:`repro.cache.keys.set_signature`
+    coerces, so equal sets written with ``int`` or ``float`` payloads
+    share a row.
     """
     describe = getattr(predicate, "cache_signature", None)
     if describe is None:
@@ -187,9 +195,11 @@ def _breakdown_cache_keys(
         cache_mod.content_key(
             {
                 "kind": "breakdown",
-                "entry": entry,
                 "predicate": signature,
-                "streams": [[s.period_s, s.payload_bits, s.station] for s in ms],
+                "streams": [
+                    [float(s.period_s), float(s.payload_bits), int(s.station)]
+                    for s in ms
+                ],
                 "rel_tol": rel_tol,
                 "max_doublings": max_doublings,
             }
@@ -224,7 +234,7 @@ def breakdown_scale(
     if rel_tol <= 0:
         raise MessageSetError(f"relative tolerance must be positive, got {rel_tol!r}")
     store, keys = _breakdown_cache_keys(
-        predicate, (message_set,), rel_tol, max_doublings, "scale"
+        predicate, (message_set,), rel_tol, max_doublings
     )
     if store is not None:
         hit = store.get(keys[0], namespace="breakdown")
@@ -272,49 +282,49 @@ def _breakdown_scale_uncached(
 
 # -- lockstep batched search --------------------------------------------------
 
-# Phases of the per-set search state machine.  The transitions replicate
-# _bisect_scale step for step, so the batched search returns bit-identical
-# scales as running breakdown_scale on each set independently.
-_INIT, _UP, _DOWN, _BISECT, _ZERO, _DONE = range(6)
-
-#: Speculative doubling probes per bracketing step.  The bracket phase
-#: asks for several successive doublings (or halvings) in one batched
-#: call and walks the verdicts sequentially, discarding the tail once the
-#: bracket closes.  Deep speculation here is cheap relative to the
-#: per-call overhead it removes: paper-scale sets rarely need more than
-#: a handful of doublings, so most of the chain resolves in one step.
-_SPEC_DOUBLINGS = 12
-
-#: Speculative bisection depth: each step probes the full dyadic
-#: candidate tree of this many future bisection levels in one batched
-#: call (2^levels - 1 scales), then replays the sequential walk over the
-#: precomputed verdicts.  The exact-test structure matrix — the dominant
-#: memory traffic at paper scale — is read once per *step* instead of
-#: once per level.  Five levels (31 candidate scales) resolves a
-#: rel_tol=1e-3 bisection in two steps; deeper trees waste FLOPs.
-_SPEC_BISECT_LEVELS = 5
+#: Bracketing look-ahead: each bracketing step probes this many
+#: successive doublings (or halvings) in one batched call, and the
+#: verdicts past the one that closes the bracket are discarded.  Picked
+#: from the committed sweep over 1, 2, 4, 8 and 12 in EXPERIMENTS.md
+#: ("Performance of the evaluation pipeline"); bisection probes one
+#: midpoint per step.
+_SPEC_DOUBLINGS = 4
 
 
-def _bisect_candidates(lo: float, hi: float, levels: int) -> list[float]:
-    """Every midpoint the next ``levels`` sequential bisection steps could
-    visit, in breadth-first order (children of index ``j`` at ``2j+1``,
-    ``2j+2``).
+def _search_steps(rel_tol: float, max_doublings: int):
+    """:func:`_bisect_scale` for one set, as a generator.
 
-    Each point is computed with the identical float expression the scalar
-    loop uses — ``(a + b) / 2.0`` on the walked bracket — so replaying
-    the walk over these candidates reproduces its iterates bit for bit.
+    Yields the list of scales to probe next and receives their verdicts;
+    returns ``(scale, evaluations)`` through ``StopIteration``.  Every
+    iterate is the float expression of the scalar search, and only the
+    verdicts the scalar search would have asked for are counted, so
+    the result equals ``_bisect_scale``'s pair.
     """
-    brackets = [(lo, hi)]
-    points: list[float] = []
-    for _ in range(levels):
-        next_brackets: list[tuple[float, float]] = []
-        for a, b in brackets:
-            mid = (a + b) / 2.0
-            points.append(mid)
-            next_brackets.append((a, mid))
-            next_brackets.append((mid, b))
-        brackets = next_brackets
-    return points
+    evaluations = 1
+    up = bool((yield [1.0])[0])
+    inner, edge = 1.0, (2.0 if up else 0.5)
+    ahead: list[bool] = []  # look-ahead verdicts, next one last
+    for doubling in range(max_doublings):
+        if not ahead:
+            chunk = [edge]
+            while len(chunk) < min(_SPEC_DOUBLINGS, max_doublings - doubling):
+                chunk.append(chunk[-1] * 2.0 if up else chunk[-1] / 2.0)
+            ahead = (yield chunk)[::-1]
+        evaluations += 1
+        if ahead.pop() != up:
+            break
+        inner, edge = edge, (edge * 2.0 if up else edge / 2.0)
+    else:
+        return (float("inf") if up else 0.0), evaluations
+    lo, hi = (inner, edge) if up else (edge, inner)
+    while hi - lo > rel_tol * hi:
+        mid = (lo + hi) / 2.0
+        evaluations += 1
+        if (yield [mid])[0]:
+            lo = mid
+        else:
+            hi = mid
+    return lo, evaluations
 
 
 def _lockstep_bisect(
@@ -323,123 +333,40 @@ def _lockstep_bisect(
     rel_tol: float,
     max_doublings: int,
 ) -> list[tuple[float, int]]:
-    """Advance every set's bracket simultaneously, one batched call per step.
+    """Run every set's :func:`_search_steps` with one batched probe per step.
 
-    Each step emits a *speculative chunk* of scales per active set — the
-    next few doublings while bracketing, the dyadic candidate tree while
-    bisecting — so one batched predicate call covers several sequential
-    iterations.  The walk over the returned verdicts replays
-    ``_bisect_scale`` exactly and discards unused speculation, which keeps
-    the scales bit-identical to the scalar search; only the reported
-    evaluation counts include the extra speculative probes.
+    Each step gathers the scales every live search asks for into one
+    ``probe(indices, scales)`` call and hands each search its own slice
+    of the verdicts.  An all-zero-payload set is searched with no
+    doublings: one probe at 1.0 classifies it, as in the scalar path.
     """
-    n = len(message_sets)
     probe = predicate.scale_prober(message_sets)
-    phase = [
-        _ZERO if ms.total_payload_bits() == 0 else _INIT for ms in message_sets
-    ]
-    lo = [0.0] * n
-    hi = [0.0] * n
-    doublings = [0] * n
-    evals = [0] * n
-    results: list[tuple[float, int]] = [(0.0, 0)] * n
-
-    while True:
-        indices: list[int] = []
-        scales: list[float] = []
-        owners: list[tuple[int, int, int]] = []  # (set, chunk start, length)
-        for i in range(n):
-            if phase[i] == _DONE:
-                continue
-            if phase[i] == _BISECT and hi[i] - lo[i] <= rel_tol * hi[i]:
-                results[i] = (lo[i], evals[i])
-                phase[i] = _DONE
-                continue
-            if phase[i] in (_INIT, _ZERO):
-                chunk = [1.0]
-            elif phase[i] == _UP:
-                # Successive doublings, exactly the values the scalar loop
-                # would compute (repeated * 2.0 is exact in binary).
-                chunk, scale = [], hi[i]
-                for _ in range(
-                    max(1, min(_SPEC_DOUBLINGS, max_doublings - doublings[i]))
-                ):
-                    chunk.append(scale)
-                    scale = scale * 2.0
-            elif phase[i] == _DOWN:
-                chunk, scale = [], lo[i]
-                for _ in range(
-                    max(1, min(_SPEC_DOUBLINGS, max_doublings - doublings[i]))
-                ):
-                    chunk.append(scale)
-                    scale = scale / 2.0
-            else:
-                chunk = _bisect_candidates(lo[i], hi[i], _SPEC_BISECT_LEVELS)
-            owners.append((i, len(scales), len(chunk)))
-            indices.extend([i] * len(chunk))
-            scales.extend(chunk)
-        if not owners:
-            _SETS_SATURATED.inc(n)
-            for _, n_evals in results:
-                _EVALS_PER_SET.observe(n_evals)
-            return results
-
+    results: list[tuple[float, int]] = [(0.0, 0)] * len(message_sets)
+    searches = {
+        i: _search_steps(
+            rel_tol, 0 if ms.total_payload_bits() == 0 else max_doublings
+        )
+        for i, ms in enumerate(message_sets)
+    }
+    pending = {i: next(search) for i, search in searches.items()}
+    while pending:
+        indices = [i for i, chunk in pending.items() for _ in chunk]
+        scales = [scale for chunk in pending.values() for scale in chunk]
         _BATCH_CALLS.inc()
         _PROBES.inc(len(scales))
-        verdicts = probe(indices, np.asarray(scales))
-        for i, start, length in owners:
-            chunk = scales[start : start + length]
-            vchunk = verdicts[start : start + length]
-            evals[i] += length
-            if phase[i] == _ZERO:
-                results[i] = (float("inf") if vchunk[0] else 0.0, evals[i])
-                phase[i] = _DONE
-            elif phase[i] == _INIT:
-                if vchunk[0]:
-                    lo[i], hi[i], phase[i] = 1.0, 2.0, _UP
-                else:
-                    hi[i], lo[i], phase[i] = 1.0, 0.5, _DOWN
-                if max_doublings == 0:
-                    results[i] = (
-                        float("inf") if vchunk[0] else 0.0,
-                        evals[i],
-                    )
-                    phase[i] = _DONE
-            elif phase[i] == _UP:
-                for ok in vchunk:
-                    if not ok:
-                        phase[i] = _BISECT
-                        break
-                    lo[i], hi[i] = hi[i], hi[i] * 2.0
-                    doublings[i] += 1
-                    if doublings[i] == max_doublings:
-                        results[i] = (float("inf"), evals[i])
-                        phase[i] = _DONE
-                        break
-            elif phase[i] == _DOWN:
-                for ok in vchunk:
-                    if ok:
-                        phase[i] = _BISECT
-                        break
-                    hi[i], lo[i] = lo[i], lo[i] / 2.0
-                    doublings[i] += 1
-                    if doublings[i] == max_doublings:
-                        results[i] = (0.0, evals[i])
-                        phase[i] = _DONE
-                        break
-            else:  # _BISECT: walk the candidate tree along the verdicts
-                idx = 0
-                while idx < length:
-                    ok = bool(vchunk[idx])
-                    if ok:
-                        lo[i] = chunk[idx]
-                    else:
-                        hi[i] = chunk[idx]
-                    if hi[i] - lo[i] <= rel_tol * hi[i]:
-                        results[i] = (lo[i], evals[i])
-                        phase[i] = _DONE
-                        break
-                    idx = 2 * idx + 1 + (1 if ok else 0)
+        verdicts = probe(indices, np.asarray(scales)).tolist()
+        start = 0
+        asked, pending = pending, {}
+        for i, chunk in asked.items():
+            try:
+                pending[i] = searches[i].send(verdicts[start : start + len(chunk)])
+            except StopIteration as done:
+                results[i] = done.value
+            start += len(chunk)
+    _SETS_SATURATED.inc(len(message_sets))
+    for _, evaluations in results:
+        _EVALS_PER_SET.observe(evaluations)
+    return results
 
 
 def breakdown_scales_batch(
@@ -450,14 +377,14 @@ def breakdown_scales_batch(
 ) -> list[tuple[float, int]]:
     """Breakdown scales of many message sets with batched evaluations.
 
-    Returns the **bit-identical scales** of ``[breakdown_scale(ms,
-    predicate, ...) for ms in message_sets]``, but executed in *lockstep*:
-    every step advances the bracket of every still-active set with a
-    single batched predicate call, and each set's chunk probes several
-    future iterations speculatively (one structure-matrix read covers a
-    whole dyadic subtree of bisection candidates).  The reported per-set
-    evaluation counts therefore *exceed* the scalar search's — they count
-    physical probes, including discarded speculation.
+    Returns exactly ``[breakdown_scale(ms, predicate, ...) for ms in
+    message_sets]`` — scales *and* evaluation counts — but executed in
+    *lockstep*: every step advances the search of every still-active set
+    with a single batched predicate call.  While bracketing, a set asks
+    for its next few doublings (or halvings) at once; while bisecting,
+    for one midpoint.  Look-ahead probes past the one that closes the
+    bracket are counted by the ``breakdown.probes`` metric but not in
+    the returned evaluation counts.
 
     Dispatch, in order of preference:
 
@@ -468,10 +395,9 @@ def breakdown_scales_batch(
     * anything else — per-set :func:`breakdown_scale` fallback.
 
     With a persistent result cache configured (USAGE.md §13), hits are
-    served per set and only the missing sets are searched; every set's
-    lockstep result — scale *and* evaluation count — is independent of
-    which other sets share the batch (each set's bracket advances on its
-    own chunks), so subsetting cannot change any returned pair.
+    served per set and only the missing sets are searched, sharing one
+    row per set with :func:`breakdown_scale`; no returned pair depends on
+    which other sets share the batch.
     """
     if rel_tol <= 0:
         raise MessageSetError(f"relative tolerance must be positive, got {rel_tol!r}")
@@ -481,7 +407,7 @@ def breakdown_scales_batch(
     if not message_sets:
         return []
     store, keys = _breakdown_cache_keys(
-        predicate, message_sets, rel_tol, max_doublings, "batch"
+        predicate, message_sets, rel_tol, max_doublings
     )
     if store is None:
         return _breakdown_scales_batch_uncached(
@@ -517,7 +443,7 @@ def _breakdown_scales_batch_uncached(
     if isinstance(predicate, SupportsBatchScaleProbe):
         return _lockstep_bisect(message_sets, predicate, rel_tol, max_doublings)
     return [
-        breakdown_scale(ms, predicate, rel_tol, max_doublings)
+        _breakdown_scale_uncached(ms, predicate, rel_tol, max_doublings)
         for ms in message_sets
     ]
 

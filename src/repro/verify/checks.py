@@ -139,7 +139,12 @@ from repro.analysis import rm as rm_mod
 from repro.analysis.breakdown import breakdown_scale, breakdown_scales_batch
 from repro.analysis.pdp import PDPAnalysis, PDPVariant
 from repro.analysis.ttp import TTPAnalysis
-from repro.errors import AdmissionError, AllocationError, ReproError
+from repro.errors import (
+    AdmissionError,
+    AllocationError,
+    MessageSetError,
+    ReproError,
+)
 from repro.faults import analysis as faults_analysis_mod
 from repro.faults.analysis import FaultBudget
 from repro.faults.plan import FaultPlan, rate_for_loss_fraction
@@ -351,7 +356,8 @@ def check_scalar_vector_visits(case: FuzzCase) -> Violation | None:
 
 
 def check_breakdown_batch(case: FuzzCase) -> Violation | None:
-    """Single and batched breakdown searches must agree bit for bit.
+    """Single and batched breakdown searches must return the same
+    ``(scale, evaluations)`` pair, scales bit for bit.
 
     The batch is a small population, so the probe's grouping of rows by
     set is exercised: the case's set, a sibling with the same period
@@ -375,12 +381,12 @@ def check_breakdown_batch(case: FuzzCase) -> Violation | None:
     ]
     analysis = _pdp_analysis(case, PDPVariant.STANDARD)
     batched = breakdown_scales_batch(population, analysis, rel_tol=1e-3)
-    for label, member, (batch_scale, _) in zip(
+    for label, member, (batch_scale, batch_evals) in zip(
         ("case set", "payload-perturbed sibling", "re-periodized set"),
         population,
         batched,
     ):
-        scalar, _ = breakdown_scale(member, analysis, rel_tol=1e-3)
+        scalar, scalar_evals = breakdown_scale(member, analysis, rel_tol=1e-3)
         if not (
             scalar == batch_scale
             or (math.isnan(scalar) and math.isnan(batch_scale))
@@ -390,6 +396,13 @@ def check_breakdown_batch(case: FuzzCase) -> Violation | None:
                 case,
                 f"{label}: breakdown scale scalar={scalar!r} != "
                 f"batched={batch_scale!r}",
+            )
+        if scalar_evals != batch_evals:
+            return Violation(
+                "breakdown_batch",
+                case,
+                f"{label}: evaluations scalar={scalar_evals} != "
+                f"batched={batch_evals}",
             )
     return None
 
@@ -823,7 +836,8 @@ class _AdmissionSpec:
     analysis (cold structure cache) under the policy; the set's
     ``.utilization`` is both ``utilization_after`` and the budget gate's
     operand.  A malformed request raises whether or not a station is
-    free.
+    free, and so does a PDP candidate whose distinct periods need more
+    than ``MAX_EXACT_POINTS`` Theorem 4.1 scheduling points.
     """
 
     def __init__(self, new_analysis, policy, cap):
@@ -842,6 +856,15 @@ class _AdmissionSpec:
         stream = SynchronousStream(
             period_s=period_s, payload_bits=payload_bits, station=station
         )
+        if isinstance(analysis, PDPAnalysis):
+            periods = sorted({s.period_s for s in self.streams.values()} | {period_s})
+            points = sum(math.floor(periods[-1] / d + 1e-12) for d in periods)
+            limit = admission_mod.MAX_EXACT_POINTS
+            if points > limit:
+                raise MessageSetError(
+                    f"the exact test would need more than {limit} "
+                    f"scheduling points"
+                )
         if not self.free:
             utilization = MessageSet(self.streams.values()).utilization(bandwidth)
             return (False, None, None, "capacity", repr(utilization))
@@ -913,7 +936,11 @@ def check_admission_snapshot_equiv(case: FuzzCase) -> Violation | None:
     changing multiplicities, and per-stream utilizations of 4-45% fill
     the six-station ring to and past the exact test's boundary; a few
     requests are malformed (a negative, NaN or infinite period or
-    payload), so validation meets both a free and a full ring.  Each sequence runs uncapped and under a cap of 0.8.
+    payload) or carry a period 10^6 times shorter than the catalogue's
+    shortest (beside any admitted stream, too many scheduling points for
+    a PDP exact test; alone, far too heavy), so validation meets
+    both a free and a full ring.  Each sequence runs uncapped and under
+    a cap of 0.8.
     """
     policy = (
         admission_mod.AdmissionPolicy.EXACT,
@@ -947,8 +974,10 @@ def check_admission_snapshot_equiv(case: FuzzCase) -> Violation | None:
             continue
         period_s = rng.choice(catalogue)
         payload_bits = rng.uniform(0.04, 0.45) * period_s * bandwidth
-        if rng.random() < 0.08:  # malformed: negative or non-finite
-            bad = rng.choice((-payload_bits, math.nan, math.inf, -math.inf))
+        if rng.random() < 0.08:  # malformed, or too large an exact test
+            bad = rng.choice(
+                (-payload_bits, math.nan, math.inf, -math.inf, 1e-6 * catalogue[0])
+            )
             if rng.random() < 0.5:
                 payload_bits = bad
             else:

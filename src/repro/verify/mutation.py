@@ -89,6 +89,13 @@ The mutants, and the property expected to catch each:
     the group's tail misses → caught by ``rm_exact_vs_rta``'s
     ``details`` comparison on the harmonic family, whose periods repeat
     and whose loads run to 2.0.
+``breakdown_lockstep_bracket``
+    The lockstep saturation search starts bisecting from a bracket one
+    doubling too wide (the last schedulable scale halved, or the last
+    unschedulable one doubled), so it converges through different
+    midpoints than the scalar search and usually spends one more
+    evaluation → caught by ``breakdown_batch``, which compares every
+    batched ``(scale, evaluations)`` pair with scalar ``breakdown_scale``.
 ``batcher_batch_reordered``
     The micro-batcher's flush resolves a batch's futures in reversed
     order, so each request of a multi-op batch receives another
@@ -267,6 +274,37 @@ def _buggy_load_ratios(original):
     return load_ratios
 
 
+def _buggy_search_steps(rel_tol, max_doublings):
+    from repro.analysis.breakdown import _SPEC_DOUBLINGS
+
+    evaluations = 1
+    up = bool((yield [1.0])[0])
+    inner, edge = 1.0, (2.0 if up else 0.5)
+    ahead: list[bool] = []  # look-ahead verdicts, next one last
+    for doubling in range(max_doublings):
+        if not ahead:
+            chunk = [edge]
+            while len(chunk) < min(_SPEC_DOUBLINGS, max_doublings - doubling):
+                chunk.append(chunk[-1] * 2.0 if up else chunk[-1] / 2.0)
+            ahead = (yield chunk)[::-1]
+        evaluations += 1
+        if ahead.pop() != up:
+            break
+        inner, edge = edge, (edge * 2.0 if up else edge / 2.0)
+    else:
+        return (float("inf") if up else 0.0), evaluations
+    # BUG: the bracket is one doubling too wide
+    lo, hi = (inner / 2.0, edge) if up else (edge, inner * 2.0)
+    while hi - lo > rel_tol * hi:
+        mid = (lo + hi) / 2.0
+        evaluations += 1
+        if (yield [mid])[0]:
+            lo = mid
+        else:
+            hi = mid
+    return lo, evaluations
+
+
 def _buggy_answer(batch, results):
     for (_, future, _), result in zip(batch, reversed(results)):  # BUG
         if not future.done():
@@ -345,6 +383,10 @@ def _patch_sites(mutant: str) -> list[tuple[object, str, object]]:
                 _buggy_load_ratios(rm_mod.ExactRMTest._load_ratios),
             )
         ]
+    if mutant == "breakdown_lockstep_bracket":
+        from repro.analysis import breakdown as breakdown_mod
+
+        return [(breakdown_mod, "_search_steps", _buggy_search_steps)]
     if mutant == "batcher_batch_reordered":
         from repro.service import batcher as batcher_mod
 
@@ -365,6 +407,7 @@ MUTANTS: tuple[str, ...] = (
     "router_stale_lease",
     "rm_prefix_cut_overrun",
     "rm_details_group_prefix",
+    "breakdown_lockstep_bracket",
     "batcher_batch_reordered",
 )
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.admission import (
+    MAX_EXACT_POINTS,
     AdmissionController,
     AdmissionOp,
     AdmissionPolicy,
@@ -17,6 +18,7 @@ from repro.errors import AdmissionError, ConfigurationError, MessageSetError
 from repro.messages.message_set import MessageSet
 from repro.messages.stream import SynchronousStream
 from repro.network.standards import fddi_ring, ieee_802_5_ring, paper_frame_format
+from repro.obs import metrics
 from repro.units import mbps, milliseconds
 
 
@@ -372,6 +374,53 @@ class TestPopulationSnapshot:
         fault = mixed.pop(2)
         assert isinstance(fault, OpFault)
         assert fault.error == "MessageSetError"
+        assert mixed == clean
+
+    def test_exact_size_bound_faults_before_building(self):
+        """A 10^4 s period beside an admitted 1 ms stream needs 10^7
+        scheduling points: refused without building the exact test."""
+        controller = pdp_controller(policy=AdmissionPolicy.EXACT)
+        assert controller.request(milliseconds(1), 100.0).admitted
+        counters = ("pdp.exact_cache.misses", "pdp.exact_cache.kernel_builds")
+        before = [metrics.counter(name).value for name in counters]
+        with pytest.raises(MessageSetError, match="scheduling points"):
+            controller.check(1e4, 100.0)
+        assert [metrics.counter(name).value for name in counters] == before
+
+    def test_exact_size_bound_is_inclusive(self):
+        controller = pdp_controller(policy=AdmissionPolicy.EXACT)
+        assert controller.request(0.5, 100.0).admitted
+        # 0.5 s divides both candidates exactly: 99999 + 1 and 100000 + 1
+        # points.
+        assert controller.check(0.5 * (MAX_EXACT_POINTS - 1), 100.0).admitted
+        with pytest.raises(MessageSetError):
+            controller.check(0.5 * MAX_EXACT_POINTS, 100.0)
+
+    def test_exact_size_bound_is_pdp_only(self):
+        controller = ttp_controller(policy=AdmissionPolicy.EXACT)
+        assert controller.request(milliseconds(10), 100.0).admitted
+        assert controller.check(1e4, 100.0).tested_by == "exact"
+
+    @pytest.mark.parametrize(
+        "period_s", [1e4, 1e308, 5e-324], ids=["1e4", "1e308", "subnormal"]
+    )
+    def test_oversized_exact_test_faults_alone(self, period_s):
+        """Batchmates of a request over the point bound get exactly the
+        answers of a batch without it, also where the period ratio
+        overflows to infinity."""
+        valid = [
+            AdmissionOp.admit(milliseconds(1), 100.0),
+            AdmissionOp.check(milliseconds(10), 100.0),
+            AdmissionOp.admit(milliseconds(20), 2000.0),
+            AdmissionOp.check(milliseconds(30), 500.0),
+        ]
+        clean = pdp_controller(policy=AdmissionPolicy.EXACT).process_batch(valid)
+        mixed = pdp_controller(policy=AdmissionPolicy.EXACT).process_batch(
+            [*valid[:2], AdmissionOp.check(period_s, 100.0), *valid[2:]]
+        )
+        fault = mixed.pop(2)
+        assert fault.error == "MessageSetError"
+        assert "scheduling points" in fault.detail
         assert mixed == clean
 
     def churn(self, controller, steps=40, seed=5):

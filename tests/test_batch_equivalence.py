@@ -8,7 +8,8 @@ stays in the codebase as the oracle.  These tests pin the equivalences:
 
 * verdicts are **bit-identical** (booleans, not approximately equal);
 * breakdown scales and evaluation counts match the scalar search exactly
-  (the lockstep machine replays the same probes in the same order);
+  (each set's lockstep search consumes the scalar search's verdicts in
+  the same order);
 * both agree with the independent response-time-analysis oracle;
 * edge cases — zero payloads, scale-0 / scale-inf degenerate sets,
   single-stream sets — take the same branch in both paths.
@@ -26,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.breakdown import (
+    _SPEC_DOUBLINGS,
     breakdown_scale,
     breakdown_scales_batch,
     breakdown_utilization,
@@ -43,6 +45,7 @@ from repro.messages.generators import MessageSetSampler, PeriodDistribution
 from repro.messages.message_set import MessageSet
 from repro.messages.stream import SynchronousStream
 from repro.network.standards import fddi_ring, ieee_802_5_ring, paper_frame_format
+from repro.obs import metrics
 from repro.units import mbps
 
 #: Message sets per randomized sweep; the sweeps below multiply this by
@@ -164,14 +167,53 @@ class TestLockstepBisection:
         scalar = [
             breakdown_scale(ms, analysis, rel_tol=1e-4) for ms in message_sets
         ]
-        # Scales are bit-identical (the speculative walk replays the
-        # scalar iterates exactly); evaluation counts are larger in the
-        # batched path because they include discarded speculation.
-        assert [s for s, _ in batch] == [s for s, _ in scalar]
-        assert all(
-            b_evals >= s_evals
-            for (_, b_evals), (_, s_evals) in zip(batch, scalar)
+        assert batch == scalar
+
+    def test_probes_exceed_evaluations_only_by_bracket_look_ahead(self):
+        analysis = _pdp(10.0, PDPVariant.STANDARD)
+        message_sets = _random_sets(seed=37, n_sets=N_RANDOM_SETS)
+        probes = metrics.counter("breakdown.probes")
+        before = probes.value
+        breakdown_scales_batch(message_sets, analysis, rel_tol=1e-4)
+        physical = probes.value - before
+        scalar_evaluations = sum(
+            breakdown_scale(ms, analysis, rel_tol=1e-4)[1] for ms in message_sets
         )
+        discarded = physical - scalar_evaluations
+        assert 0 <= discarded <= (_SPEC_DOUBLINGS - 1) * len(message_sets)
+
+    @pytest.mark.parametrize(
+        "max_doublings", [0, 1, 2, _SPEC_DOUBLINGS, _SPEC_DOUBLINGS + 1, 128]
+    )
+    def test_degenerate_mix_matches_scalar(self, max_doublings):
+        analysis = _pdp(10.0, PDPVariant.STANDARD)
+        population = [
+            *_random_sets(seed=41, n_sets=4),
+            # all-zero payloads: one probe classifies the set
+            MessageSet(
+                [
+                    SynchronousStream(period_s=0.1 * (i + 1), payload_bits=0.0)
+                    for i in range(3)
+                ]
+            ),
+            # never saturates: schedulable at every doubling up to 2^128
+            MessageSet([SynchronousStream(period_s=10.0, payload_bits=1e-40)]),
+            # overheads alone miss a 1 us deadline: halves down to 0.0
+            MessageSet([SynchronousStream(period_s=1e-6, payload_bits=1.0)]),
+            # needs halving, then bisection
+            MessageSet([SynchronousStream(period_s=0.01, payload_bits=1e6)]),
+        ]
+        batch = breakdown_scales_batch(
+            population, analysis, rel_tol=1e-3, max_doublings=max_doublings
+        )
+        scalar = [
+            breakdown_scale(ms, analysis, rel_tol=1e-3, max_doublings=max_doublings)
+            for ms in population
+        ]
+        assert batch == scalar
+        if max_doublings == 128:
+            assert [s for s, _ in batch[4:7]] == [float("inf"), float("inf"), 0.0]
+            assert 0.0 < batch[7][0] < 1.0
 
     def test_ttp_closed_form_matches_scalar(self):
         analysis = TTPAnalysis(

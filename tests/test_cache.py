@@ -334,6 +334,44 @@ def test_numpy_scalar_twin_shares_breakdown_cache_entries(
     assert scale_twin == scale_obj
 
 
+def test_int_float_payload_twin_shares_breakdown_cache_entries(
+    harmonic_set, disk_cache
+):
+    """``harmonic_set`` holds int payloads; its float-payload twin is an
+    equal set and keys to the same breakdown row."""
+    from repro.messages.message_set import MessageSet
+    from repro.messages.stream import SynchronousStream
+
+    analysis = _pdp_analysis()
+    twin = MessageSet(
+        SynchronousStream(
+            period_s=s.period_s,
+            payload_bits=float(s.payload_bits),
+            station=s.station,
+        )
+        for s in harmonic_set
+    )
+    assert twin == harmonic_set
+    assert isinstance(harmonic_set[0].payload_bits, int)
+    first = breakdown_scale(harmonic_set, analysis, rel_tol=1e-3)
+    before_hits = _counter("cache.breakdown.hits")
+    assert breakdown_scale(twin, analysis, rel_tol=1e-3) == first
+    assert _counter("cache.breakdown.hits") == before_hits + 1
+
+
+def test_scalar_and_batch_searches_share_breakdown_rows(
+    sampler, rng, disk_cache
+):
+    """Both searches return the same (scale, evaluations) pair, so a
+    batch replays the rows the scalar search wrote."""
+    analysis = _pdp_analysis()
+    sets = [sampler.sample(rng) for _ in range(3)]
+    scalar = [breakdown_scale(ms, analysis, rel_tol=1e-3) for ms in sets]
+    before_hits = _counter("cache.breakdown.hits")
+    assert breakdown_scales_batch(sets, analysis, rel_tol=1e-3) == scalar
+    assert _counter("cache.breakdown.hits") == before_hits + 3
+
+
 def test_breakdown_batch_partial_miss_merges(sampler, rng, disk_cache, tmp_path):
     analysis = _pdp_analysis()
     sets = [sampler.sample(rng) for _ in range(3)]

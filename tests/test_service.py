@@ -558,6 +558,29 @@ class TestServer:
         assert response.status == 422
         assert payload["error"] == "MessageSetError"
 
+    def test_oversized_exact_test_is_unprocessable(self):
+        """A check whose PDP exact test would need more than
+        ``MAX_EXACT_POINTS`` scheduling points is answered 422."""
+        config = ServiceConfig(port=0, n_stations=8, policy="exact")
+        answers = []
+        with _ServerThread(config) as server:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+            try:
+                for path, period in (("/v1/admit", 0.001), ("/v1/check", 1e4)):
+                    conn.request(
+                        "POST", path,
+                        body=json.dumps({"period_s": period, "payload_bits": 100}),
+                        headers={"Content-Type": "application/json"},
+                    )
+                    response = conn.getresponse()
+                    answers.append((response.status, json.loads(response.read())))
+            finally:
+                conn.close()
+        (admit_status, _), (status, payload) = answers
+        assert admit_status == 200
+        assert status == 422
+        assert payload["error"] == "MessageSetError"
+
     def test_server_decisions_match_direct_controller(self):
         """The wire answer equals a direct controller call, field for field."""
         config = ServiceConfig(port=0, n_stations=8, policy="exact")
