@@ -38,33 +38,41 @@ request handlers — and library callers may share one across threads):
   operations in arrival order and answers each against exactly the state
   its predecessors left — decisions are **bit-identical** to issuing the
   same calls sequentially, while read-only runs of the batch are
-  evaluated through one stacked
-  :meth:`~repro.analysis.rm.ExactRMTest.is_schedulable_batch` pass.
+  evaluated together (one exact-test pass per candidate period).
 
 Decisions can optionally be fronted by the content-addressed result
 cache (:mod:`repro.cache`): pass ``cache_namespace`` and every computed
 ``(schedulable, tested_by)`` verdict is stored under a key covering the
 analysis signature, policy, admitted population, and candidate — a
 repeat query against the same population short-circuits both tests.
-The population part of the key is hashed once per population (the
-running digest is dropped only when a committed admit or a successful
-release changes the admitted set), so a key costs O(1) in the number of
-admitted streams.  Cached verdicts are replayed values of the same
-computation, so results stay bit-identical with the cache on, off, warm,
-or cold.
+The population part of the key is hashed once per population change
+(one update over the snapshot's sorted key fragments, see
+:meth:`AdmissionController._cache_key`), so a key costs O(1) in the
+number of admitted streams.  Cached verdicts are replayed values of the
+same computation, so results stay bit-identical with the cache on, off,
+warm, or cold.
 
-The same two transitions maintain a snapshot of the population that
-every decision reads: the admitted streams in rate-monotonic order
-(one bisect insertion or removal per change, never a re-sort) and each
-one's utilization term, in admission order.  A candidate's
-``utilization_after`` is ``sum`` over those terms and its own — the
-same floats in the same order as ``MessageSet([*admitted, candidate])
-.utilization``, so bit-identical without recomputing a stream's
-utilization — and it feeds both the budget gate and the decision.  Only
-a cache miss builds the candidate set, by one bisect insertion into the
-RM-ordered snapshot for PDP (whose analysis reads the set through its
-RM order) and in admission order for TTP (whose allocation sums in set
-order).
+The two transitions that change the admitted set — a committed admit
+and a successful release — maintain a snapshot of the population that
+every decision reads, one bisect insertion or removal per change:
+
+* each stream's utilization term, in admission order.  A candidate's
+  ``utilization_after`` is ``sum`` over those terms and its own — the
+  same floats in the same order as ``MessageSet([*admitted, candidate])
+  .utilization``, so bit-identical without recomputing a stream's
+  utilization — and it feeds both the budget gate and the decision;
+* on a PDP ring, a :class:`~repro.analysis.pdp.PDPPopulation`: the
+  streams in rate-monotonic order with their augmented lengths ``C'_i``
+  and per-period cost sums.  Every policy's exact step asks it, so a
+  PDP decision costs one ``C'`` and one re-summed period group, and
+  builds no candidate set;
+* with the decision cache on, each stream's canonical key fragment, in
+  sorted order.
+
+A candidate :class:`MessageSet` is built only on a cache miss that
+needs it: for the TTP analysis (in admission order, since its
+allocation sums in set order) and for the PDP sufficient bound (by one
+bisect insertion into the RM-ordered population).
 
 On a PDP ring the exact test's size is bounded per request: Theorem
 4.1's scheduling points grow with the period ratio, so a candidate
@@ -84,7 +92,7 @@ import threading
 from dataclasses import dataclass
 
 from repro.analysis.bounds import pdp_sufficient_test, ttp_sufficient_test
-from repro.analysis.pdp import PDPAnalysis
+from repro.analysis.pdp import PDPAnalysis, PDPPopulation
 from repro.analysis.ttp import TTPAnalysis
 from repro.errors import (
     AdmissionError,
@@ -265,17 +273,33 @@ class AdmissionController:
         self._cache_signature = (
             analysis.cache_signature() if cache_namespace is not None else None
         )
-        # Running digest of the decision key's population part, built on
-        # the first keyed decision and dropped whenever ``_streams``
-        # changes (``_commit``, ``release``): every candidate key then
-        # costs one digest copy instead of re-hashing the population.
+        # The decision key's seed (salt, signature, policy), hashed once,
+        # and its population part: the running digest over the sorted
+        # key fragments, built on the first keyed decision and dropped
+        # whenever ``_streams`` changes (``_commit``, ``release``), so
+        # every candidate key costs one digest copy.
+        self._key_seed = None
+        self._fragments: list[bytes] | None = None
+        if self._cache_signature is not None:
+            from repro.cache import keys
+
+            self._key_seed = keys.prefix_chain_seed(
+                {
+                    "admission": 2,
+                    "signature": self._cache_signature,
+                    "policy": self._policy.value,
+                }
+            )
+            self._fragments = []
         self._base_digest = None
         # The population snapshot, updated at the same two places (see
-        # ``_snapshot_insert``/``_snapshot_remove``): the admitted streams
-        # in RM order and each one's utilization term by id, in
-        # ``_streams`` order.
-        self._ordered: list[SynchronousStream] = []
+        # ``_snapshot_insert``/``_snapshot_remove``): each admitted
+        # stream's utilization term by id, in ``_streams`` order, and on
+        # a PDP ring the population the exact test reads.
         self._terms: dict[int, float] = {}
+        self._population = (
+            PDPPopulation(analysis) if isinstance(analysis, PDPAnalysis) else None
+        )
 
     # -- views ---------------------------------------------------------------
 
@@ -340,32 +364,41 @@ class AdmissionController:
 
     def _snapshot_insert(self, stream_id: int, stream: SynchronousStream) -> None:
         """Add a just-installed stream to the snapshot; lock held."""
-        bisect.insort(self._ordered, stream)
         self._terms[stream_id] = stream.utilization(
             self._analysis.ring.bandwidth_bps
         )
+        if self._population is not None:
+            self._population.insert(stream)
+        if self._fragments is not None:
+            bisect.insort(self._fragments, self._fragment(stream))
 
     def _snapshot_remove(self, stream_id: int, stream: SynchronousStream) -> None:
-        """Drop a just-released stream from the snapshot; lock held.
-
-        Stations are unique among admitted streams, so the RM order is
-        total and the bisect lands on the stream itself.
-        """
-        del self._ordered[bisect.bisect_left(self._ordered, stream)]
+        """Drop a just-released stream from the snapshot; lock held."""
         del self._terms[stream_id]
+        if self._population is not None:
+            self._population.remove(stream)
+        if self._fragments is not None:
+            fragment = self._fragment(stream)
+            del self._fragments[bisect.bisect_left(self._fragments, fragment)]
+
+    @staticmethod
+    def _fragment(stream: SynchronousStream) -> bytes:
+        from repro.cache import keys
+
+        return keys.chain_fragment(stream.period_s, stream.payload_bits)
 
     def _candidate_set(self, stream: SynchronousStream) -> MessageSet:
         """The admitted population plus ``stream``; lock held.
 
         PDP reads a set only through its rate-monotonic order (a total
         order, stations being unique), so the candidate is built in that
-        order by one bisect insertion into the snapshot and its
+        order by one bisect insertion into the population and its
         ``rate_monotonic()`` check is one pass.  TTP sums its allocation
         in set order, so its candidate keeps admission order with the
         stream last.
         """
-        if isinstance(self._analysis, PDPAnalysis):
-            members = self._ordered.copy()
+        if self._population is not None:
+            members = list(self._population.streams)
             bisect.insort(members, stream)
             return MessageSet(members)
         return MessageSet([*self._streams.values(), stream])
@@ -383,7 +416,7 @@ class AdmissionController:
         ``MAX_EXACT_POINTS + 1``, which keeps an infinite ratio (a
         1e308 s or subnormal period) finite without changing the answer.
         """
-        ordered = self._ordered
+        ordered = self._population.streams
         if not ordered:
             return False  # a lone stream has one scheduling point
         p_min = min(ordered[0].period_s, period_s)
@@ -400,40 +433,40 @@ class AdmissionController:
         """Content key for one decision, or None when caching is off.
 
         Covers the analysis signature, the policy, the admitted
-        ``(period, payload)`` multiset (its canonical
-        :func:`~repro.cache.keys.set_signature`) and the candidate.
-        Stations are deliberately excluded: both criteria and both
-        sufficient bounds depend only on the multiset, so keying on
-        placements would shrink the hit rate for nothing.  The population
-        part is hashed once per population, like the snapshot; a key is
-        computed before the candidate set exists, so a cache hit never
-        builds it.  Lock held by callers.
+        ``(period, payload)`` multiset and the candidate.  Stations are
+        deliberately excluded: both criteria and both sufficient bounds
+        depend only on the multiset, so keying on placements would
+        shrink the hit rate for nothing.  The seed (salt, signature,
+        policy) is hashed once per controller; the multiset is the
+        snapshot's sorted fragments (:func:`~repro.cache.keys
+        .chain_fragment`, one bisect per change), folded into a copy of
+        the seed in one update on the first key after a change.  Sorting
+        makes the key permutation-invariant, and the fragments' field
+        and record separators make every multiset a distinct byte string,
+        so the key changes on every admit or release.  A key is computed
+        before anything is evaluated, so a cache hit builds nothing.
+        Lock held by callers.
         """
-        if self._cache_signature is None:
+        if self._key_seed is None:
             return None
         from repro.cache import keys
 
         if self._base_digest is None:
-            self._base_digest = keys.prefix_chain_seed(
-                {
-                    "admission": 1,
-                    "signature": self._cache_signature,
-                    "policy": self._policy.value,
-                    "base": keys.set_signature(
-                        (s.period_s, s.payload_bits)
-                        for s in self._streams.values()
-                    ),
-                }
-            )
+            digest = self._key_seed.copy()
+            digest.update(b"".join(self._fragments))
+            self._base_digest = digest
         return keys.prefix_chain_extend(
             self._base_digest.copy(), period_s, payload_bits
         )
 
-    def _exact_verdicts(self, candidates: list[MessageSet]):
-        """Exact-test verdicts, one per candidate set: the analysis's
-        batched dispatch, so a raising candidate raises exactly the error
-        the analysis would have raised."""
-        return self._analysis.is_schedulable_many(candidates)
+    def _exact_verdicts(self, candidates: list) -> list[bool]:
+        """Exact-test verdicts, one per candidate: a candidate stream
+        against the PDP population, or a TTP candidate set (Theorem 5.1
+        is a closed form per set).  A raising candidate raises exactly
+        the error the analysis would have raised."""
+        if self._population is not None:
+            return self._population.verdicts(candidates)
+        return [self._analysis.is_schedulable(ms) for ms in candidates]
 
     def _evaluate_many(
         self, streams: list[SynchronousStream], keys: list
@@ -443,11 +476,11 @@ class AdmissionController:
         callers.
 
         Exactly the sequential policy logic, vectorized: cache hits
-        short-circuit, each miss builds its candidate set, the sufficient
-        bound screens HYBRID/SUFFICIENT, and every exact evaluation left
-        over goes through one ``is_schedulable_many`` dispatch (stacked
-        :meth:`ExactRMTest.is_schedulable_batch` rows for PDP candidates
-        sharing a period vector).
+        short-circuit, the sufficient bound screens HYBRID/SUFFICIENT
+        misses (each on its candidate set), and every exact evaluation
+        left over goes through one :meth:`_exact_verdicts` call — PDP
+        candidates as streams against the population, TTP candidates as
+        sets.  A candidate whose test raises gets the error alone.
         """
         from repro.cache.store import result_cache
 
@@ -466,17 +499,30 @@ class AdmissionController:
                         if hit is not None:
                             out[i] = (bool(hit[0]), str(hit[1]))
             misses = [i for i in range(n) if out[i] is None]
-            candidates = {i: self._candidate_set(streams[i]) for i in misses}
+            sets = (
+                {i: self._candidate_set(streams[i]) for i in misses}
+                if self._population is None
+                or self._policy is not AdmissionPolicy.EXACT
+                else {}
+            )
+            candidates = streams if self._population is not None else sets
 
             computed: dict[int, tuple[bool, str]] = {}
             if self._policy is not AdmissionPolicy.EXACT:
                 with tracing.span("sufficient", candidates=len(misses)):
                     for i in misses:
-                        if self._sufficient_test(candidates[i]):
+                        try:
+                            admitted = self._sufficient_test(sets[i])
+                        except ReproError as exc:
+                            out[i] = exc
+                            continue
+                        if admitted:
                             computed[i] = (True, "sufficient")
                         elif self._policy is AdmissionPolicy.SUFFICIENT:
                             computed[i] = (False, "sufficient")
-                misses = [i for i in misses if i not in computed]
+                misses = [
+                    i for i in misses if i not in computed and out[i] is None
+                ]
             if misses:
                 with tracing.span("exact", candidates=len(misses)):
                     try:

@@ -26,7 +26,11 @@ quotient magnitude that matters.
 
 Scalar and vectorized variants use the identical sequence of float
 operations, so their results agree bit for bit; the differential fuzzer
-(:mod:`repro.verify`) cross-checks that invariant continuously.
+(:mod:`repro.verify`) cross-checks that invariant continuously.  A
+quotient that overflows to infinity (a 1e308 s period) or is otherwise
+not finite has no visit count: both raise
+:class:`~repro.errors.MessageSetError`, so an admission request carrying
+such a period is refused on its own.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ import math
 from typing import Sequence
 
 import numpy as np
+
+from repro.errors import MessageSetError
 
 __all__ = ["Q_REL_TOL", "token_visit_count", "token_visit_counts"]
 
@@ -46,6 +52,13 @@ __all__ = ["Q_REL_TOL", "token_visit_count", "token_visit_counts"]
 Q_REL_TOL = 1e-14
 
 
+def _not_finite(period_s: float, ttrt_s: float) -> MessageSetError:
+    return MessageSetError(
+        f"period {period_s!r} s over TTRT {ttrt_s!r} s has no finite "
+        f"token visit count"
+    )
+
+
 def token_visit_count(period_s: float, ttrt_s: float) -> int:
     """``q = floor(period / ttrt)`` with the relative exact-multiple snap.
 
@@ -53,6 +66,8 @@ def token_visit_count(period_s: float, ttrt_s: float) -> int:
     same float operations in the same order and agree bit for bit.
     """
     ratio = period_s / ttrt_s
+    if not math.isfinite(ratio):
+        raise _not_finite(period_s, ttrt_s)
     q = math.floor(ratio)
     nearest = math.floor(ratio + 0.5)
     if nearest > q and nearest - ratio <= Q_REL_TOL * nearest:
@@ -68,7 +83,11 @@ def token_visit_counts(
     Returns a float array (the values are exact integers) of the same
     shape as ``periods_s``, elementwise bit-identical to the scalar rule.
     """
-    ratio = np.asarray(periods_s, dtype=float) / ttrt_s
+    periods = np.asarray(periods_s, dtype=float)
+    ratio = periods / ttrt_s
+    finite = np.isfinite(ratio)
+    if not finite.all():
+        raise _not_finite(float(periods[~finite][0]), ttrt_s)
     q = np.floor(ratio)
     nearest = np.floor(ratio + 0.5)
     snap = (nearest > q) & (nearest - ratio <= Q_REL_TOL * nearest)

@@ -34,7 +34,10 @@ from repro.obs import metrics as _metrics
 #: evaluations, including the bracketing look-ahead the lockstep search
 #: discards; ``batch_calls`` the batched predicate invocations of the
 #: lockstep search; ``evals_per_set`` the per-set evaluation counts,
-#: which are the scalar search's on both paths.  All of these are
+#: which are the scalar search's on both paths; ``sets_saturated`` the
+#: searched sets whose scale ends finite and positive (an all-zero set,
+#: a never-saturating one or a hopeless one ends at ``inf`` or 0 and is
+#: not counted), on both paths alike.  All of these are
 #: partitioning invariant: the lockstep search runs per Monte Carlo
 #: chunk inside one grid cell, so every ``--jobs`` value reports
 #: identical totals.
@@ -277,7 +280,14 @@ def _breakdown_scale_uncached(
     _SCALAR_SEARCHES.inc()
     _PROBES.inc(evaluations)
     _EVALS_PER_SET.observe(evaluations)
+    if _saturated(scale):
+        _SETS_SATURATED.inc()
     return scale, evaluations
+
+
+def _saturated(scale: float) -> bool:
+    """Whether a search ended at a finite, positive breakdown scale."""
+    return 0.0 < scale < float("inf")
 
 
 # -- lockstep batched search --------------------------------------------------
@@ -363,7 +373,7 @@ def _lockstep_bisect(
             except StopIteration as done:
                 results[i] = done.value
             start += len(chunk)
-    _SETS_SATURATED.inc(len(message_sets))
+    _SETS_SATURATED.inc(sum(_saturated(scale) for scale, _ in results))
     for _, evaluations in results:
         _EVALS_PER_SET.observe(evaluations)
     return results

@@ -17,7 +17,10 @@ The analysis folds every protocol overhead into an *augmented message
 length* ``C'_i`` (:func:`pdp_augmented_length`), bounds priority-inversion
 blocking by ``B = 2 max(F, Θ)`` (Lemma 4.1), and then applies the
 Lehoczky–Sha–Ding exact test of :class:`repro.analysis.rm.ExactRMTest`,
-which is precisely the paper's equation (4).
+which is precisely the paper's equation (4).  Online admission asks the
+same test of an admitted population plus one stream;
+:class:`PDPPopulation` keeps that population's per-period ``C'`` sums so
+each such question costs one period group, not one set.
 
 Effective frame transmission time (Section 4.3): a transmitting station
 must see its own frame header return before the medium is free for the
@@ -28,6 +31,7 @@ F_ovhd, Θ)``.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
@@ -35,9 +39,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.analysis.rm import ExactRMTest, StreamTestDetail
+from repro.analysis.rm import ExactRMTest, StreamTestDetail, _PointKernel
 from repro.errors import MessageSetError
 from repro.messages.message_set import MessageSet
+from repro.messages.stream import SynchronousStream
 from repro.network.frames import FrameFormat
 from repro.network.ring import RingNetwork
 from repro.obs import metrics as _metrics
@@ -60,6 +65,7 @@ __all__ = [
     "pdp_augmented_lengths",
     "pdp_blocking_time",
     "PDPAnalysis",
+    "PDPPopulation",
     "PDPSetResult",
 ]
 
@@ -217,14 +223,15 @@ class PDPAnalysis:
     A period vector that repeats a period takes its point kernel from the
     cached test of its distinct periods (stored under the key a set of
     exactly those periods would have), so vectors differing only in
-    multiplicities — every admission candidate over a catalogue of
-    stream classes — build only their stream cuts and group starts.
-    The cache is an LRU over both kinds of entry (a 100-stream structure
-    is about 0.2 MB, so one per Monte Carlo sample would still grow
-    without bound over a long sweep); interleaved protocol comparisons
-    over the same workload population benefit from a larger, shared
-    cache — pass
-    ``cache_size`` and ``shared_cache`` (see
+    multiplicities build only their stream cuts and group starts.  An
+    admitted population (:class:`PDPPopulation`) reads the kernels of
+    its distinct periods straight from this cache and judges admission
+    candidates on its own per-period cost sums, building no test per
+    candidate.  The cache is an LRU over both kinds of entry (a
+    100-stream structure is about 0.2 MB, so one per Monte Carlo sample
+    would still grow without bound over a long sweep); interleaved
+    protocol comparisons over the same workload population benefit from
+    a larger, shared cache — pass ``cache_size`` and ``shared_cache`` (see
     :meth:`repro.experiments.config.PaperParameters.pdp_analysis`, which
     shares one cache between the STANDARD and MODIFIED analyses because
     both are evaluated on identical period vectors).
@@ -321,11 +328,10 @@ class PDPAnalysis:
         )
         return pdp_augmented_lengths(payloads, self._ring, self._frame, self._variant)
 
-    def _exact_test_for(self, ordered: MessageSet, key=None) -> ExactRMTest:
+    def _exact_test_for(self, ordered: MessageSet) -> ExactRMTest:
         """The cached exact test of an RM-ordered set, keyed on its
-        period tuple (``key``, when the caller already has it)."""
-        if key is None:
-            key = ordered.periods
+        period tuple."""
+        key = ordered.periods
         test = self._test_cache.get(key)
         if test is None:
             _CACHE_MISSES.inc()
@@ -372,46 +378,6 @@ class PDPAnalysis:
         ordered = message_set.rate_monotonic()
         test = self._exact_test_for(ordered)
         return test.is_schedulable(self.augmented_lengths(ordered), self.blocking)
-
-    def is_schedulable_many(self, message_sets: "Sequence[MessageSet]") -> np.ndarray:
-        """Theorem 4.1 verdicts for many independent message sets at once.
-
-        Sets sharing a period vector (after rate-monotonic ordering) are
-        stacked through one :meth:`ExactRMTest.is_schedulable_batch`
-        evaluation; singleton period vectors take the scalar path.  Both
-        paths are pinned bit-identical to calling :meth:`is_schedulable`
-        per set (the batched exact test and the vectorized ``C'_i`` are
-        pure performance work), which is what lets the admission service's
-        micro-batcher coalesce concurrent requests without moving a single
-        verdict.
-        """
-        verdicts = np.ones(len(message_sets), dtype=bool)
-        ordered: list[MessageSet | None] = []
-        groups: dict[tuple, list[int]] = {}
-        for i, message_set in enumerate(message_sets):
-            if len(message_set) == 0:
-                ordered.append(None)  # empty sets are trivially schedulable
-                continue
-            ordered_set = message_set.rate_monotonic()
-            ordered.append(ordered_set)
-            groups.setdefault(ordered_set.periods, []).append(i)
-        blocking = self.blocking
-        for key, indices in groups.items():
-            test = self._exact_test_for(ordered[indices[0]], key)
-            if len(indices) == 1:
-                i = indices[0]
-                verdicts[i] = test.is_schedulable(
-                    self.augmented_lengths(ordered[i]), blocking
-                )
-                continue
-            payloads = np.stack(
-                [np.asarray(ordered[i].payloads_bits, dtype=float) for i in indices]
-            )
-            costs = pdp_augmented_lengths(
-                payloads, self._ring, self._frame, self._variant
-            )
-            verdicts[indices] = test.is_schedulable_batch(costs, blocking)
-        return verdicts
 
     def schedulable_at_scales(
         self, message_set: MessageSet, scales: Sequence[float]
@@ -519,3 +485,128 @@ class PDPAnalysis:
             augmented_lengths=tuple(float(c) for c in lengths),
             blocking=self.blocking,
         )
+
+
+class PDPPopulation:
+    """An admitted PDP population, kept ready for add-one verdicts.
+
+    Theorem 4.1 reads a set only through its distinct periods, the
+    per-period sums of the augmented lengths ``C'_i`` (summed in RM order
+    within each period) and the blocking term.  A population keeps its
+    streams in rate-monotonic order with each one's ``C'_i`` beside it,
+    computed once on :meth:`insert` by the scalar
+    :func:`pdp_augmented_length`, which is bit-equal to the vector form.
+    The distinct periods and their group sums are refreshed lazily, once
+    per change, with the ``np.add.reduceat`` of
+    :meth:`ExactRMTest._group_sums`.
+
+    :meth:`verdicts` judges each candidate stream as if it alone were
+    added: one scalar ``C'``, then a copy of the group sums with only the
+    candidate's group re-summed (the candidate at its RM position inside
+    the tie), or with one sum inserted for a period not yet admitted,
+    evaluated on the analysis's point kernel for those distinct periods.
+    Each verdict equals ``analysis.is_schedulable(MessageSet([*streams,
+    candidate]))`` bit for bit, without building, sorting or re-summing
+    that set.
+
+    Args:
+        analysis: supplies the ring, frame format, variant and blocking
+            term, and the LRU of distinct-period kernels.
+    """
+
+    def __init__(self, analysis: PDPAnalysis):
+        self._analysis = analysis
+        self._blocking = analysis.blocking
+        self._streams: list[SynchronousStream] = []
+        self._costs: list[float] = []
+        # (distinct periods, group bounds into _streams, group sums),
+        # rebuilt on the first read after a change; the kernel over the
+        # distinct periods is fetched when a candidate first joins one.
+        self._groups: tuple[np.ndarray, list[int], np.ndarray] | None = None
+        self._kernel: _PointKernel | None = None
+
+    @property
+    def streams(self) -> Sequence[SynchronousStream]:
+        """The admitted streams in rate-monotonic order (read-only)."""
+        return self._streams
+
+    def _cost(self, stream: SynchronousStream) -> float:
+        analysis = self._analysis
+        return pdp_augmented_length(
+            stream.payload_bits, analysis.ring, analysis.frame, analysis.variant
+        )
+
+    def insert(self, stream: SynchronousStream) -> None:
+        """Admit ``stream``: one bisect insertion and one ``C'``."""
+        cost = self._cost(stream)
+        at = bisect.bisect_right(self._streams, stream)
+        self._streams.insert(at, stream)
+        self._costs.insert(at, cost)
+        self._groups = None
+
+    def remove(self, stream: SynchronousStream) -> None:
+        """Release ``stream``, which must be admitted."""
+        at = bisect.bisect_left(self._streams, stream)
+        if at == len(self._streams) or self._streams[at] != stream:
+            raise MessageSetError(f"{stream!r} is not in the population")
+        del self._streams[at]
+        del self._costs[at]
+        self._groups = None
+
+    def _group_state(self) -> tuple[np.ndarray, list[int], np.ndarray]:
+        if self._groups is None:
+            periods = [s.period_s for s in self._streams]
+            starts = [
+                i for i, p in enumerate(periods) if not i or p != periods[i - 1]
+            ]
+            distinct = np.array([periods[i] for i in starts], dtype=float)
+            sums = np.add.reduceat(self._costs, starts) if starts else np.zeros(0)
+            self._groups = (distinct, [*starts, len(periods)], sums)
+            self._kernel = None
+        return self._groups
+
+    def verdicts(self, candidates: Sequence[SynchronousStream]) -> list[bool]:
+        """Theorem 4.1 verdict of the population plus each candidate alone.
+
+        Candidates sharing a period share a kernel: a lone one is
+        evaluated as one sum vector and several as stacked rows, the
+        dispatch of :meth:`ExactRMTest.is_schedulable` and
+        :meth:`~ExactRMTest.is_schedulable_batch` for sets with equal
+        period vectors.
+        """
+        distinct, bounds, sums = self._group_state()
+        blocking = self._blocking
+        by_period: dict[float, list[int]] = {}
+        for i, stream in enumerate(candidates):
+            by_period.setdefault(stream.period_s, []).append(i)
+        out = [False] * len(candidates)
+        for period, indices in by_period.items():
+            g = int(np.searchsorted(distinct, period))
+            rows = []
+            if g < distinct.size and distinct[g] == period:
+                lo, hi = bounds[g], bounds[g + 1]
+                for i in indices:
+                    at = bisect.bisect_right(self._streams, candidates[i], lo, hi)
+                    group = [
+                        *self._costs[lo:at],
+                        self._cost(candidates[i]),
+                        *self._costs[at:hi],
+                    ]
+                    row = sums.copy()
+                    row[g] = np.add.reduceat(group, [0])[0]
+                    rows.append(row)
+                if self._kernel is None:
+                    self._kernel = self._analysis._distinct_test(distinct)._kernel
+                kernel = self._kernel
+            else:
+                for i in indices:
+                    rows.append(np.insert(sums, g, self._cost(candidates[i])))
+                kernel = self._analysis._distinct_test(
+                    np.insert(distinct, g, period)
+                )._kernel
+            if len(rows) == 1:
+                out[indices[0]] = bool(kernel.verdicts(rows[0], blocking))
+                continue
+            for i, ok in zip(indices, kernel.verdicts(np.stack(rows), blocking)):
+                out[i] = bool(ok)
+        return out

@@ -322,22 +322,6 @@ class TTPAnalysis:
         """Theorem 5.1: can every synchronous deadline be guaranteed?"""
         return self.analyze(message_set, ttrt_s).schedulable
 
-    def is_schedulable_many(self, message_sets: Sequence[MessageSet]) -> np.ndarray:
-        """Theorem 5.1 verdicts for many independent message sets.
-
-        Unlike the PDP exact test there is no shared precomputed structure
-        to batch over — equation (13) is a closed form per set — so this
-        is a plain sweep; it exists so the admission service can dispatch
-        either protocol through one batched entry point.  An empty set is
-        trivially schedulable; sets the local scheme cannot allocate
-        (``q_i < 2``) raise :class:`~repro.errors.AllocationError` exactly
-        as :meth:`is_schedulable` does, from the offending set's position.
-        """
-        return np.asarray(
-            [len(ms) == 0 or self.is_schedulable(ms) for ms in message_sets],
-            dtype=bool,
-        )
-
     def saturation_scale(self, message_set: MessageSet) -> float:
         """Closed-form breakdown scale for Theorem 5.1.
 

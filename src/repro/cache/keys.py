@@ -26,6 +26,7 @@ from repro.errors import ConfigurationError
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "canonical_json",
+    "chain_fragment",
     "code_salt",
     "content_key",
     "set_signature",
@@ -159,8 +160,8 @@ def prefix_chain_seed(seed_payload: object):
     :func:`content_key`, so chained keys share the same invalidation
     behaviour.  The returned object is a ``hashlib`` digest; callers may
     ``.copy()`` it to branch a chain cheaply (the admission controller
-    seeds one chain per admitted population and extends a copy per
-    candidate instead of re-hashing the population).
+    seeds one chain per controller, folds in its population's sorted
+    fragments once per change and extends a copy per candidate).
     """
     digest = hashlib.sha256()
     digest.update(code_salt().encode("ascii"))
@@ -169,13 +170,22 @@ def prefix_chain_seed(seed_payload: object):
     return digest
 
 
+def chain_fragment(period: float, payload: float) -> bytes:
+    """The bytes one ``(period, payload)`` pair adds to a key chain.
+
+    Floats go through ``repr`` (the same exactness contract as
+    :func:`canonical_json`), behind a record separator and split by a
+    field separator, so a concatenation of fragments parses back into
+    its pairs and no two multisets' sorted concatenations alias.
+    """
+    return f"\x00{float(period)!r}\x1f{float(payload)!r}".encode("ascii")
+
+
 def prefix_chain_extend(digest, period: float, payload: float) -> str:
     """Fold one ``(period, payload)`` pair into a chain; the prefix's key.
 
-    Mutates ``digest`` in place and returns the content key of the
-    multiset consumed so far.  Floats are folded through ``repr`` (the
-    same exactness contract as :func:`canonical_json`), with field and
-    record separators so pair boundaries cannot alias.
+    Mutates ``digest`` in place by the pair's :func:`chain_fragment` and
+    returns the content key of the multiset consumed so far.
     """
-    digest.update(f"\x00{float(period)!r}\x1f{float(payload)!r}".encode("ascii"))
+    digest.update(chain_fragment(period, payload))
     return digest.hexdigest()

@@ -858,8 +858,11 @@ class _AdmissionSpec:
         )
         if isinstance(analysis, PDPAnalysis):
             periods = sorted({s.period_s for s in self.streams.values()} | {period_s})
-            points = sum(math.floor(periods[-1] / d + 1e-12) for d in periods)
             limit = admission_mod.MAX_EXACT_POINTS
+            # Capped per period so an overflowing ratio stays countable.
+            points = sum(
+                math.floor(min(periods[-1] / d + 1e-12, limit + 1)) for d in periods
+            )
             if points > limit:
                 raise MessageSetError(
                     f"the exact test would need more than {limit} "
@@ -939,8 +942,13 @@ def check_admission_snapshot_equiv(case: FuzzCase) -> Violation | None:
     payload) or carry a period 10^6 times shorter than the catalogue's
     shortest (beside any admitted stream, too many scheduling points for
     a PDP exact test; alone, far too heavy), so validation meets
-    both a free and a full ring.  Each sequence runs uncapped and under
-    a cap of 0.8.
+    both a free and a full ring.  A few checks carry a 1e308 s or a
+    subnormal period, whose ratio to any admitted period overflows: past
+    the point bound on a PDP ring, no finite token visit count (or no
+    positive TTRT) on a TTP one.  Each sequence runs uncapped and under
+    a cap of 0.8, and an exception other than a
+    :class:`~repro.errors.ReproError` escaping the controller is a
+    violation.
     """
     policy = (
         admission_mod.AdmissionPolicy.EXACT,
@@ -974,6 +982,7 @@ def check_admission_snapshot_equiv(case: FuzzCase) -> Violation | None:
             continue
         period_s = rng.choice(catalogue)
         payload_bits = rng.uniform(0.04, 0.45) * period_s * bandwidth
+        extreme = False
         if rng.random() < 0.08:  # malformed, or too large an exact test
             bad = rng.choice(
                 (-payload_bits, math.nan, math.inf, -math.inf, 1e-6 * catalogue[0])
@@ -982,7 +991,9 @@ def check_admission_snapshot_equiv(case: FuzzCase) -> Violation | None:
                 payload_bits = bad
             else:
                 period_s = bad
-        if roll < 0.7:
+        elif rng.random() < 0.06:  # overflowing period ratio, checked only
+            period_s, extreme = rng.choice((1e308, 5e-324)), True
+        if roll < 0.7 and not extreme:
             ops.append(admission_mod.AdmissionOp.admit(period_s, payload_bits))
             admitted_guess += 1
         else:
@@ -1003,6 +1014,13 @@ def check_admission_snapshot_equiv(case: FuzzCase) -> Violation | None:
                     got = controller.release(op.stream_id, idempotent=op.idempotent)
             except ReproError as exc:
                 got = admission_mod.OpFault(type(exc).__name__, str(exc))
+            except Exception as exc:  # noqa: BLE001 - escaped: poisons a batch
+                return Violation(
+                    "admission_snapshot_equiv",
+                    case,
+                    f"op {position} ({op.kind} {op.period_s!r}, cap={cap}) "
+                    f"raised {type(exc).__name__}: {exc}",
+                )
             got, want = _admission_view(got), spec.apply(op)
             if got != want:
                 return Violation(

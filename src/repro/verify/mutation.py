@@ -48,10 +48,24 @@ The mutants, and the property expected to catch each:
     fill/reject/release/re-check ladder against the uncached oracle.
 ``admission_snapshot_stale``
     :meth:`~repro.admission.AdmissionController.release` drops the
-    decision-key digest but not the population snapshot, so every later
-    candidate is judged, and its ``utilization_after`` summed, with the
-    released stream still in the set → caught by
+    decision-key digest but never updates the population snapshot (the
+    utilization terms, the PDP population and the key fragments), so
+    every later candidate is judged, and its ``utilization_after``
+    summed, with the released stream still in the set → caught by
     ``admission_snapshot_equiv`` against the from-scratch specification.
+``admission_group_sum_stale``
+    :meth:`~repro.analysis.pdp.PDPPopulation.remove` drops the released
+    stream and its ``C'`` but leaves its period group's cost sum as it
+    was, so until the next change every candidate is judged as if the
+    released stream still loaded its group → caught by
+    ``admission_snapshot_equiv``.
+``admission_exact_bound_dropped``
+    The controller skips the :data:`~repro.admission.MAX_EXACT_POINTS`
+    refusal, so a PDP candidate whose period ratio is out of all
+    proportion reaches the exact test (an overflowing ratio raises
+    ``OverflowError`` from the scheduling-point builder and would fail a
+    whole batch) → caught by ``admission_snapshot_equiv``, whose
+    specification refuses it.
 ``rm_kernel_key_by_count``
     The PDP structure cache files the point kernel a repeated-period
     vector borrows under the *number* of distinct periods instead of the
@@ -170,8 +184,10 @@ def _buggy_local_scheme_allocation(
 ):
     from repro.analysis import boundary as boundary_mod
     from repro.analysis.ttp import TTPAllocation
-    from repro.errors import AllocationError
+    from repro.errors import AllocationError, ConfigurationError
 
+    if ttrt_s <= 0:
+        raise ConfigurationError(f"TTRT must be positive, got {ttrt_s!r}")
     visits, bandwidths, augmented = [], [], []
     for stream in message_set:
         q_i = boundary_mod.token_visit_count(stream.period_s, ttrt_s)
@@ -242,8 +258,25 @@ def _buggy_release_stale_snapshot(self, stream_id, idempotent=False):
             )
         self._free_stations.append(stream.station)
         self._base_digest = None
-        # BUG: the population snapshot keeps the released stream
+        # BUG: no _snapshot_remove, so the utilization terms, the PDP
+        # population and the key fragments keep the released stream
         return ReleaseOutcome(released=True, stream_id=stream_id)
+
+
+def _buggy_population_remove(original):
+    def remove(self, stream):
+        distinct, _, sums = self._group_state()
+        stale = sums[np.searchsorted(distinct, stream.period_s)]
+        original(self, stream)
+        distinct, _, sums = self._group_state()
+        g = np.searchsorted(distinct, stream.period_s)
+        if g < distinct.size and distinct[g] == stream.period_s:
+            sums[g] = stale  # BUG: the group keeps the released stream's cost
+    return remove
+
+
+def _buggy_exact_test_too_large(self, period_s):
+    return False  # BUG: no candidate is refused for its exact-test size
 
 
 def _buggy_distinct_key(distinct):
@@ -357,6 +390,24 @@ def _patch_sites(mutant: str) -> list[tuple[object, str, object]]:
         from repro.admission import AdmissionController
 
         return [(AdmissionController, "release", _buggy_release_stale_snapshot)]
+    if mutant == "admission_group_sum_stale":
+        return [
+            (
+                pdp_mod.PDPPopulation,
+                "remove",
+                _buggy_population_remove(pdp_mod.PDPPopulation.remove),
+            )
+        ]
+    if mutant == "admission_exact_bound_dropped":
+        from repro.admission import AdmissionController
+
+        return [
+            (
+                AdmissionController,
+                "_exact_test_too_large",
+                _buggy_exact_test_too_large,
+            )
+        ]
     if mutant == "rm_kernel_key_by_count":
         return [(pdp_mod, "_distinct_key", _buggy_distinct_key)]
     if mutant == "fault_recovery_swallowed":
@@ -402,6 +453,8 @@ MUTANTS: tuple[str, ...] = (
     "pdp_fastpath_short_frame",
     "decision_key_stale_base",
     "admission_snapshot_stale",
+    "admission_group_sum_stale",
+    "admission_exact_bound_dropped",
     "rm_kernel_key_by_count",
     "fault_recovery_swallowed",
     "router_stale_lease",

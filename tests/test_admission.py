@@ -317,6 +317,15 @@ class TestDecisionKey:
         assert placements(a) != placements(b)  # same multiset, other stations
         assert self.key(a) == self.key(b)
 
+    def test_release_returns_to_the_smaller_populations_key(self):
+        ctrl, _ = cached_pair()
+        assert ctrl.request(milliseconds(50), 8000.0).admitted
+        one = self.key(ctrl)
+        extra = ctrl.request(milliseconds(50), 8000.0)  # a twin pair
+        two = self.key(ctrl)
+        assert ctrl.release(extra.stream_id).released
+        assert self.key(ctrl) == one != two
+
     def test_policy_and_signature_separate_keys(self):
         exact, _ = cached_pair(policy=AdmissionPolicy.EXACT)
         hybrid, _ = cached_pair(policy=AdmissionPolicy.HYBRID)
@@ -423,6 +432,30 @@ class TestPopulationSnapshot:
         assert "scheduling points" in fault.detail
         assert mixed == clean
 
+    @pytest.mark.parametrize("policy", list(AdmissionPolicy), ids=lambda p: p.value)
+    @pytest.mark.parametrize(
+        "period_s, error",
+        [(1e308, "MessageSetError"), (5e-324, "ConfigurationError")],
+        ids=["1e308", "subnormal"],
+    )
+    def test_ttp_extreme_period_faults_alone(self, policy, period_s, error):
+        """On a TTP ring beside an admitted 10 ms stream, a period with no
+        finite token visit count (or no positive TTRT) faults alone, on
+        the sufficient and exact steps alike."""
+        valid = [
+            AdmissionOp.admit(milliseconds(10), 100.0),
+            AdmissionOp.check(milliseconds(10), 100.0),
+            AdmissionOp.admit(milliseconds(20), 2000.0),
+        ]
+        clean = ttp_controller(policy=policy).process_batch(valid)
+        mixed = ttp_controller(policy=policy).process_batch(
+            [*valid[:2], AdmissionOp.check(period_s, 100.0), *valid[2:]]
+        )
+        fault = mixed.pop(2)
+        assert isinstance(fault, OpFault)
+        assert fault.error == error
+        assert mixed == clean
+
     def churn(self, controller, steps=40, seed=5):
         """Admit/check/release from a small catalogue, yielding each
         decision with the set it was judged against."""
@@ -464,22 +497,32 @@ class TestPopulationSnapshot:
         bandwidth = controller.analysis.ring.bandwidth_bps
         for _ in self.churn(controller, steps=60):
             current = controller.current_set()
-            assert controller._ordered == sorted(current)
+            if controller._population is not None:
+                assert list(controller._population.streams) == sorted(current)
             assert repr(controller.utilization()) == repr(
                 current.utilization(bandwidth)
             )
 
     def test_cache_hit_builds_no_candidate_set(self, monkeypatch):
+        """A hit calls no exact hook; a PDP miss calls ``_exact_verdicts``
+        once and builds no candidate ``MessageSet``."""
         ctrl, _ = cached_pair()
         assert ctrl.request(milliseconds(50), 8000).admitted
-        built = []
-        original = AdmissionController._candidate_set
+        exact_calls, built = [], []
+        exact = AdmissionController._exact_verdicts
+        monkeypatch.setattr(
+            AdmissionController,
+            "_exact_verdicts",
+            lambda self, candidates: exact_calls.append(len(candidates))
+            or exact(self, candidates),
+        )
         monkeypatch.setattr(
             AdmissionController,
             "_candidate_set",
-            lambda self, stream: built.append(stream) or original(self, stream),
+            lambda self, stream: built.append(stream),
         )
         first = ctrl.check(milliseconds(20), 2048.0)
-        assert len(built) == 1
+        assert first.tested_by == "exact"
+        assert exact_calls == [1] and built == []
         assert ctrl.check(milliseconds(20), 2048.0) == first
-        assert len(built) == 1
+        assert exact_calls == [1] and built == []

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.pdp import (
     PDPAnalysis,
+    PDPPopulation,
     PDPVariant,
     pdp_augmented_length,
     pdp_blocking_time,
@@ -22,6 +23,7 @@ from repro.messages.message_set import MessageSet
 from repro.messages.stream import SynchronousStream
 from repro.network.frames import FrameFormat
 from repro.network.ring import RingNetwork
+from repro.network.standards import ieee_802_5_ring, paper_frame_format
 from repro.obs import metrics
 from repro.units import mbps
 
@@ -350,3 +352,108 @@ class TestSharedKernels:
         analysis.is_schedulable(self.make_set((2, 1, 1), (0.02, 0.05, 0.2)))
         snap = metrics.snapshot("pdp.exact_cache")
         assert snap["pdp.exact_cache.kernel_builds"]["value"] == 2
+
+
+class TestPDPPopulation:
+    """Add-one verdicts on the admitted-population snapshot equal a fresh
+    analysis judging ``MessageSet([*admitted, candidate])``."""
+
+    BANDWIDTH = mbps(4.0)
+
+    def analysis(self, variant):
+        return PDPAnalysis(
+            ieee_802_5_ring(self.BANDWIDTH, n_stations=64),
+            paper_frame_format(),
+            variant,
+        )
+
+    def admitted(self):
+        """Periods 8, 16 (three streams, mid-sized payloads) and 32 ms."""
+        return [
+            SynchronousStream(period_s=period, payload_bits=bits, station=i)
+            for i, (period, bits) in enumerate(
+                [
+                    (0.008, 3000.0),
+                    (0.016, 4000.0),
+                    (0.016, 6000.0),
+                    (0.016, 8000.0),
+                    (0.032, 5000.0),
+                ]
+            )
+        ]
+
+    def sweep(self, period_s, lo, hi, n=40, station=40):
+        """Candidates of one period with payloads from ``lo`` to ``hi``."""
+        return [
+            SynchronousStream(period_s=period_s, payload_bits=bits, station=station)
+            for bits in np.linspace(lo, hi, n)
+        ]
+
+    def assert_fresh(self, variant, admitted, candidates):
+        population = PDPPopulation(self.analysis(variant))
+        for stream in admitted:
+            population.insert(stream)
+        assert list(population.streams) == sorted(admitted)
+        want = [
+            self.analysis(variant).is_schedulable(MessageSet([*admitted, c]))
+            for c in candidates
+        ]
+        assert population.verdicts(candidates) == want
+        assert [population.verdicts([c])[0] for c in candidates] == want
+        return want
+
+    @pytest.mark.parametrize("variant", list(PDPVariant))
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(100.0, 3999.0), (4001.0, 5999.0), (8001.0, 60_000.0)],
+        ids=["first-in-tie", "middle-of-tie", "last-in-tie"],
+    )
+    def test_candidate_inside_a_tied_period_group(self, variant, lo, hi):
+        admitted = self.admitted()
+        want = self.assert_fresh(variant, admitted, self.sweep(0.016, lo, hi))
+        if lo > 8000.0:
+            assert True in want and False in want
+
+    @pytest.mark.parametrize("variant", list(PDPVariant))
+    @pytest.mark.parametrize("period_s", [0.004, 0.012, 0.064])
+    def test_period_not_yet_admitted(self, variant, period_s):
+        want = self.assert_fresh(
+            variant,
+            self.admitted(),
+            self.sweep(period_s, 100.0, 0.9 * period_s * self.BANDWIDTH),
+        )
+        assert True in want and False in want
+
+    @pytest.mark.parametrize("variant", list(PDPVariant))
+    def test_empty_population(self, variant):
+        want = self.assert_fresh(
+            variant, [], self.sweep(0.016, 100.0, 1.2 * 0.016 * self.BANDWIDTH)
+        )
+        assert True in want and False in want
+
+    @pytest.mark.parametrize("variant", list(PDPVariant))
+    def test_after_releases(self, variant):
+        admitted = self.admitted()
+        population = PDPPopulation(self.analysis(variant))
+        for stream in admitted:
+            population.insert(stream)
+        # Release the middle of the tie, then the lone 8 ms stream.
+        for gone in (admitted.pop(2), admitted.pop(0)):
+            population.remove(gone)
+        candidates = [
+            *self.sweep(0.016, 100.0, 60_000.0, n=30),
+            *self.sweep(0.008, 100.0, 30_000.0, n=30),
+        ]
+        want = [
+            self.analysis(variant).is_schedulable(MessageSet([*admitted, c]))
+            for c in candidates
+        ]
+        assert list(population.streams) == sorted(admitted)
+        assert population.verdicts(candidates) == want
+        assert True in want and False in want
+
+    def test_remove_unknown_stream_raises(self):
+        population = PDPPopulation(self.analysis(PDPVariant.MODIFIED))
+        population.insert(SynchronousStream(period_s=0.016, payload_bits=1.0))
+        with pytest.raises(MessageSetError):
+            population.remove(SynchronousStream(period_s=0.016, payload_bits=2.0))

@@ -215,6 +215,29 @@ class TestLockstepBisection:
             assert [s for s, _ in batch[4:7]] == [float("inf"), float("inf"), 0.0]
             assert 0.0 < batch[7][0] < 1.0
 
+    def test_sets_saturated_counts_finite_positive_scales(self):
+        """An all-zero set (scale inf), a hopeless 1 us set (scale 0) and
+        an ordinary set count one saturated set on either path."""
+        analysis = _pdp(10.0, PDPVariant.STANDARD)
+        population = [
+            MessageSet(
+                [
+                    SynchronousStream(period_s=0.1 * (i + 1), payload_bits=0.0)
+                    for i in range(3)
+                ]
+            ),
+            MessageSet([SynchronousStream(period_s=1e-6, payload_bits=1.0)]),
+            MessageSet([SynchronousStream(period_s=0.01, payload_bits=1e6)]),
+        ]
+        counter = metrics.counter("breakdown.sets_saturated")
+        before = counter.value
+        batch = breakdown_scales_batch(population, analysis, rel_tol=1e-3)
+        assert counter.value - before == 1
+        scalar = [breakdown_scale(ms, analysis, rel_tol=1e-3) for ms in population]
+        assert counter.value - before == 2
+        assert batch == scalar
+        assert [s for s, _ in batch[:2]] == [float("inf"), 0.0]
+
     def test_ttp_closed_form_matches_scalar(self):
         analysis = TTPAnalysis(
             fddi_ring(mbps(100), n_stations=10), paper_frame_format()

@@ -581,6 +581,37 @@ class TestServer:
         assert status == 422
         assert payload["error"] == "MessageSetError"
 
+    @pytest.mark.parametrize("policy", ["exact", "hybrid"])
+    def test_ttp_overflowing_period_is_unprocessable(self, policy):
+        """On a TTP ring beside an admitted stream, a 1e308 s period has no
+        finite token visit count: 422, and the server keeps answering."""
+        config = ServiceConfig(
+            port=0, n_stations=8, protocol="ttp", policy=policy
+        )
+        answers = []
+        with _ServerThread(config) as server:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+            try:
+                for path, period in (
+                    ("/v1/admit", 0.01),
+                    ("/v1/check", 1e308),
+                    ("/v1/check", 0.01),
+                ):
+                    conn.request(
+                        "POST", path,
+                        body=json.dumps({"period_s": period, "payload_bits": 100}),
+                        headers={"Content-Type": "application/json"},
+                    )
+                    response = conn.getresponse()
+                    answers.append((response.status, json.loads(response.read())))
+            finally:
+                conn.close()
+        (admit_status, _), (status, payload), (after_status, after) = answers
+        assert admit_status == 200
+        assert status == 422
+        assert payload["error"] == "MessageSetError"
+        assert after_status == 200 and after["admitted"]
+
     def test_server_decisions_match_direct_controller(self):
         """The wire answer equals a direct controller call, field for field."""
         config = ServiceConfig(port=0, n_stations=8, policy="exact")
