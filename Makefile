@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: help install test verify fuzz-quick bench bench-quick bench-sim bench-service bench-admission bench-loss bench-cluster bench-trend top serve examples report fast-report figure1 all-experiments clean
+.PHONY: help install test verify fuzz-quick bench bench-sim bench-loss bench-cluster bench-record top serve examples report fast-report figure1 all-experiments clean
 
 help:
 	@echo "Targets:"
@@ -10,27 +10,14 @@ help:
 	@echo "  test             run the unit test suite"
 	@echo "  verify           tier-1 tests + runner smoke test (manifest"
 	@echo "                   written, JSONL logs parse, cache hits > 0)"
-	@echo "                   + fuzz-quick"
+	@echo "                   + the perfbench trend check + fuzz-quick"
 	@echo "  fuzz-quick       deterministic differential fuzz (fixed seed,"
 	@echo "                   <60s) + mutation smoke: every injected bug"
 	@echo "                   must be flagged; nonzero exit otherwise"
 	@echo "  bench            run every benchmark"
-	@echo "  bench-quick      perf canary: single Figure-1 point + analysis"
-	@echo "                   micro-benches -> BENCH_figure1.json (tracked"
-	@echo "                   across PRs for the perf trajectory; the"
-	@echo "                   verify bench guard compares against it)"
 	@echo "  bench-sim        simulator canary: cross-validation + fast-path"
 	@echo "                   micro-benches -> BENCH_sim.json (events/sec"
 	@echo "                   and compression ratios in extra_info)"
-	@echo "  bench-service    admission-service canary: spawn the server,"
-	@echo "                   5 s closed-loop load -> BENCH_service.json"
-	@echo "                   (throughput + per-op latency percentiles +"
-	@echo "                   admission-cache hit ratio)"
-	@echo "  bench-admission  admission-controller canary: cold vs warm"
-	@echo "                   decision cache x check- vs churn-heavy mixes"
-	@echo "                   (check_heavy_cold ... churn_heavy_warm)"
-	@echo "                   -> BENCH_admission.json (the verify guard"
-	@echo "                   checks warm hit ratios against it)"
 	@echo "  bench-loss       lossy-medium canary: breakdown utilization vs"
 	@echo "                   loss fraction for both protocols under the"
 	@echo "                   retransmission-aware bounds -> BENCH_loss.json"
@@ -42,9 +29,12 @@ help:
 	@echo "                   per-shard latency percentiles, measured"
 	@echo "                   scaling ratio + cpu_count for the hardware-"
 	@echo "                   aware verify guard)"
-	@echo "  bench-trend      append the current BENCH_*.json summaries to"
-	@echo "                   BENCH_history.jsonl (the verify trend guard"
-	@echo "                   compares future runs against this history)"
+	@echo "  bench-record     fresh perfbench runs of figure1_paper,"
+	@echo "                   serve_check_warm and serve_admit_churn ->"
+	@echo "                   one BENCH_history.jsonl line each, the"
+	@echo "                   median of three runs (the"
+	@echo "                   verify trend check compares against the"
+	@echo "                   newest line of the same host)"
 	@echo "  top              live terminal dashboard over a spawned server"
 	@echo "                   (req/s, p50/p99, cache hit ratio, batch sizes)"
 	@echo "  serve            run the admission service on localhost:8787"
@@ -73,30 +63,12 @@ fuzz-quick:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-bench-quick:
-	$(PYTHON) -m pytest \
-		benchmarks/test_bench_figure1.py::test_bench_figure1_single_point \
-		benchmarks/test_bench_analysis_micro.py \
-		--benchmark-only --benchmark-json=BENCH_figure1.json
-	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.obs.benchjson BENCH_figure1.json
-
 bench-sim:
 	$(PYTHON) -m pytest \
 		benchmarks/test_bench_sim_validation.py \
 		benchmarks/test_bench_sim_fastpath.py \
 		--benchmark-only --benchmark-json=BENCH_sim.json
 	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.obs.benchjson BENCH_sim.json
-
-bench-service:
-	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.experiments.runner loadgen \
-		--spawn --duration 5 --load-workers 8 --no-manifest \
-		--log-level warning --bench-json BENCH_service.json
-	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.obs.benchjson BENCH_service.json
-
-bench-admission:
-	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.experiments.runner \
-		bench-admission --no-manifest --log-level warning \
-		--bench-admission-json BENCH_admission.json
 
 bench-loss:
 	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.experiments.runner \
@@ -108,8 +80,8 @@ bench-cluster:
 		bench-cluster --no-manifest --log-level warning \
 		--cluster-bench-json BENCH_cluster.json
 
-bench-trend:
-	$(PYTHON) tools/bench_trend.py append
+bench-record:
+	$(PYTHON) tools/bench_trend.py record
 
 top:
 	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.experiments.runner top \

@@ -82,8 +82,10 @@ def pdp_augmented_utilization(
     """``Σ C'_i / P_i``: the utilization of the augmented message lengths."""
     ordered = message_set.rate_monotonic()
     lengths = analysis.augmented_lengths(ordered)
+    # Python floats: a subnormal period gives an ``inf`` share (a load
+    # no threshold admits) without numpy's overflow warning.
     return float(
-        sum(c / p for c, p in zip(lengths, ordered.periods))
+        sum(c / p for c, p in zip(lengths.tolist(), ordered.periods))
     )
 
 

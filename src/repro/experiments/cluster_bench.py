@@ -5,8 +5,8 @@ subprocesses + router) at each requested worker count, drives the same
 seeded workload through the router, and reports fleet throughput,
 per-shard latency percentiles, and the scaling ratio between the
 largest and the single-worker fleet.  The result lands in
-``BENCH_cluster.json`` in the standard canary schema, so
-``tools/bench_trend.py`` tracks it like every other benchmark.
+``BENCH_cluster.json`` in the standard canary schema, where the verify
+cluster canary checks its budget and scaling entries.
 
 Honesty note: the scaling ratio is *measured*, never assumed.  On a
 single-core host a 4-worker fleet cannot beat one worker (every process

@@ -18,16 +18,17 @@ Usage::
     python -m repro.experiments.runner cluster --workers 4
     python -m repro.experiments.runner bench-cluster --duration 4
     python -m repro.experiments.runner top --port 8711 --interval 2
-    python -m repro.experiments.runner bench-admission
     python -m repro.experiments.runner loss-sweep --fast [--recovery-time 1e-3]
 
 ``serve`` runs the admission-control service of :mod:`repro.service`
 (USAGE.md §14) until SIGTERM/ctrl-c, then drains gracefully; ``loadgen``
 drives a running server (or spawns one in-process on an ephemeral port
-with ``--spawn``) and writes the latency/throughput canary
-``BENCH_service.json`` (plus, with ``--latency-csv``, every measured
-latency with its server-side trace id).  ``top`` is the live telemetry
-dashboard over ``/metrics`` (USAGE.md §16).  ``cluster`` runs the
+with ``--spawn``), prints throughput and latency percentiles, and
+with ``--bench-json PATH`` writes them as a bench document (with
+``--latency-csv``, every measured latency with its server-side trace
+id).  The committed service performance record is perfbench's
+(``perfbench/run.py``), not a loadgen document.  ``top`` is the live
+telemetry dashboard over ``/metrics`` (USAGE.md §16).  ``cluster`` runs the
 sharded admission cluster of :mod:`repro.cluster` (USAGE.md §19) — a
 prefork worker pool behind a consistent-hash router — until
 SIGTERM/ctrl-c; ``loadgen --workers N`` spawns such a cluster and
@@ -58,10 +59,7 @@ pool there only adds fork/pickle overhead.
 
 ``--cache-dir DIR`` persists the content-addressed result cache across
 runs (USAGE.md §13).  Cache traffic shows
-up as ``cache.*`` metrics in the manifest.  ``bench-admission``
-measures the admission controller directly (cold vs warm decision
-cache, check-heavy vs churn-heavy mixes; USAGE.md §15) and writes the
-``BENCH_admission.json`` canary.
+up as ``cache.*`` metrics in the manifest.
 
 ``loss-sweep`` estimates average breakdown utilization for both
 protocols under the retransmission-aware criteria of
@@ -405,14 +403,14 @@ def _run_loadgen(args: argparse.Namespace, seed: int, manifest_extra: dict) -> l
             f"misses={cache['misses']:.0f} hit_ratio="
             + (f"{ratio:.3f}" if ratio is not None else "n/a")
         )
-    with open(args.bench_json, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    console(f"wrote {args.bench_json}")
     manifest_extra["loadgen"] = report.to_dict()
-    artifacts = [args.bench_json]
-    if args.latency_csv:
-        artifacts.append(args.latency_csv)
+    artifacts = [args.latency_csv] if args.latency_csv else []
+    if args.bench_json:
+        with open(args.bench_json, "w", encoding="utf-8") as handle:
+            json.dump(document, handle, indent=2)
+            handle.write("\n")
+        console(f"wrote {args.bench_json}")
+        artifacts.append(args.bench_json)
     return artifacts
 
 
@@ -435,33 +433,6 @@ def _run_top(args: argparse.Namespace, manifest_extra: dict) -> int:
         "spawned": args.spawn,
     }
     return code
-
-
-def _run_admission_bench(
-    args: argparse.Namespace, seed: int, manifest_extra: dict
-) -> list[str]:
-    import json
-
-    from repro.experiments.admission_bench import run_admission_bench
-
-    document = run_admission_bench(seed)
-    for bench in document["benchmarks"]:
-        stats = bench["stats"]
-        ratio = bench["extra_info"]["cache_hit_ratio"]
-        console(
-            f"  {bench['name']:<28} mean={stats['mean'] * 1e6:8.1f} us  "
-            f"p50={stats['median'] * 1e6:8.1f} us  hit_ratio="
-            + (f"{ratio:.3f}" if ratio is not None else "  n/a")
-        )
-    out_path = args.bench_admission_json
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    console(f"wrote {out_path}")
-    manifest_extra["admission_bench"] = {
-        bench["name"]: bench["extra_info"] for bench in document["benchmarks"]
-    }
-    return [out_path]
 
 
 def _run_loss_sweep(
@@ -533,8 +504,6 @@ def _dispatch(
         artifacts.extend(_run_bench_cluster(args, params.seed, manifest_extra))
     if args.experiment == "top":
         exit_code = _run_top(args, manifest_extra)
-    if args.experiment == "bench-admission":
-        artifacts.extend(_run_admission_bench(args, params.seed, manifest_extra))
     if args.experiment == "loss-sweep":
         artifacts.extend(_run_loss_sweep(args, params, manifest_extra))
     if args.experiment == "fuzz":
@@ -613,7 +582,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=[
             "figure1", "ttrt", "frames", "periods", "sba", "ringsize",
             "throughput", "crossover", "sharpness", "report", "fuzz",
-            "serve", "loadgen", "top", "bench-admission", "loss-sweep",
+            "serve", "loadgen", "top", "loss-sweep",
             "cluster", "bench-cluster", "all",
         ],
     )
@@ -669,8 +638,8 @@ def main(argv: list[str] | None = None) -> int:
         "releases) instead of the 5%%/5%% serving trickle",
     )
     service.add_argument(
-        "--bench-json", type=str, default="BENCH_service.json",
-        metavar="PATH", help="loadgen: canary output path",
+        "--bench-json", type=str, default=None, metavar="PATH",
+        help="loadgen: also write the run as a bench document",
     )
     cluster = parser.add_argument_group(
         "admission cluster", "options for the cluster/bench-cluster "
@@ -729,10 +698,6 @@ def main(argv: list[str] | None = None) -> int:
     service.add_argument(
         "--once", action="store_true",
         help="top: print a single frame (no ANSI redraw) and exit",
-    )
-    service.add_argument(
-        "--bench-admission-json", type=str, default="BENCH_admission.json",
-        metavar="PATH", help="bench-admission: canary output path",
     )
     parser.add_argument(
         "--loss-bench-json", type=str, default="BENCH_loss.json",

@@ -1,7 +1,7 @@
 """Summarize pytest-benchmark JSON into a compact, versioned canary.
 
-``make bench-quick`` tracks the performance trajectory of the library
-across PRs in ``BENCH_figure1.json``.  The raw pytest-benchmark output is
+``make bench-sim`` keeps the simulator canary in ``BENCH_sim.json``.
+The raw pytest-benchmark output is
 tens of thousands of lines — every individual sample of every round plus
 the host's full CPU flag list — which swamps diffs and buries the signal.
 This module reduces it to what trajectory comparison needs:
@@ -23,13 +23,14 @@ With one path, the file is summarized in place.
 
 The summarized document shape is also the *native* format for canaries
 that never pass through pytest-benchmark: the service load generator
-(``BENCH_service.json``), the admission canary (``BENCH_admission.json``),
-the loss sweep (``BENCH_loss.json``), and the cluster bench
-(``BENCH_cluster.json`` via :mod:`repro.experiments.cluster_bench`) emit
-this schema directly — ``schema_version`` + ``machine`` (with :func:`cpu_info`)
-+ ``benchmarks[]`` rows of ``{group, name, fullname, params, extra_info,
-stats}`` — so ``tools/bench_trend.py`` can treat every ``BENCH_*.json``
-uniformly.
+(``runner loadgen --bench-json``), the loss sweep (``BENCH_loss.json``),
+and the cluster bench (``BENCH_cluster.json`` via
+:mod:`repro.experiments.cluster_bench`) emit this schema directly —
+``schema_version`` + ``machine`` (with :func:`cpu_info`) +
+``benchmarks[]`` rows of ``{group, name, fullname, params, extra_info,
+stats}``.  The performance record of Figure 1 and of the admission
+service is perfbench's (``perfbench/run.py``, trended by
+``tools/bench_trend.py``), not a document of this schema.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ def summarize_benchmark_json(raw: dict) -> dict:
     """Reduce a raw pytest-benchmark document to the tracked summary.
 
     Idempotent: summarizing an already-summarized document returns it
-    unchanged, so re-running ``make bench-quick`` post-processing is safe.
+    unchanged, so re-running the ``make bench-sim`` post-processing is
+    safe.
     """
     if raw.get("schema_version") == BENCH_SCHEMA_VERSION:
         return raw

@@ -14,7 +14,8 @@ now?" — over JSON/HTTP, fast enough to sit in a connection-setup path:
   limiting, load shedding, and graceful drain;
 * :mod:`repro.service.client` — blocking and asyncio clients;
 * :mod:`repro.service.loadgen` — the closed-loop load generator behind
-  ``runner loadgen`` and ``make bench-service``.
+  ``runner loadgen`` (the committed performance record of the service is
+  perfbench's ``serve_*`` workloads).
 
 Everything is stdlib + numpy; there is no new dependency surface.
 """

@@ -3,10 +3,11 @@
 ``runner loadgen`` drives a live server with a configurable worker fleet
 and reports what the service actually sustained: throughput, latency
 percentiles, shed (429) and drain (503) counts, and the server's own
-``service.*`` metrics.  The report lands in ``BENCH_service.json`` using
-the same summarized canary schema as the other ``BENCH_*.json`` files
-(:mod:`repro.obs.benchjson` schema version 2), so the performance
-trajectory of the service is tracked exactly like the figures'.
+``service.*`` metrics.  With ``--bench-json PATH`` the report is written
+in the summarized canary schema of :mod:`repro.obs.benchjson` (version
+2); the verify service and cluster canaries read it.  The committed
+performance record of the service is perfbench's ``serve_*`` workloads,
+not a loadgen document.
 
 Workload model: each worker owns one keep-alive connection and issues
 requests back to back (closed loop) or paced to a target rate.  Streams

@@ -1,6 +1,8 @@
 """Online admission controller: policies, lifecycle, invariants, and the
 memoised decision-cache key."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from repro.admission import (
 )
 from repro.analysis.pdp import PDPAnalysis, PDPVariant
 from repro.analysis.ttp import TTPAnalysis
+from repro.cache import store
 from repro.errors import AdmissionError, ConfigurationError, MessageSetError
 from repro.messages.message_set import MessageSet
 from repro.messages.stream import SynchronousStream
@@ -526,3 +529,82 @@ class TestPopulationSnapshot:
         assert exact_calls == [1] and built == []
         assert ctrl.check(milliseconds(20), 2048.0) == first
         assert exact_calls == [1] and built == []
+
+
+class TestColdWarmReplay:
+    """One seeded op sequence replayed on a fresh controller against a
+    cleared decision cache (cold), then on another fresh controller with
+    that cache kept (warm): the keys are canonical population digests, so
+    the warm pass must decide identically and mostly from the cache."""
+
+    NAMESPACE = "admission-replay"
+
+    @staticmethod
+    def ops(admit_fraction, release_fraction, seed=1993, n_ops=400):
+        rng = random.Random(seed)
+        catalogue = [
+            (
+                rng.choice([0.008, 0.016, 0.032, 0.064, 0.128, 0.256]),
+                float(rng.randrange(64, 2048, 64)),
+            )
+            for _ in range(32)
+        ]
+        ops = []
+        for _ in range(n_ops):
+            roll = rng.random()
+            candidate = rng.choice(catalogue)
+            if roll < release_fraction:
+                ops.append(("release", rng.randrange(1 << 30)))
+            elif roll < release_fraction + admit_fraction:
+                ops.append(("admit", *candidate))
+            else:
+                ops.append(("check", *candidate))
+        return ops
+
+    def replay(self, ops):
+        """Every op's answer and the pass's decision-cache hit ratio."""
+        controller = AdmissionController(
+            PDPAnalysis(
+                ieee_802_5_ring(mbps(16.0), n_stations=40),
+                FRAME,
+                PDPVariant.MODIFIED,
+                cache_size=128,
+            ),
+            AdmissionPolicy.EXACT,
+            cache_namespace=self.NAMESPACE,
+        )
+        counters = [
+            metrics.counter(f"cache.{self.NAMESPACE}.{event}")
+            for event in ("hits", "misses")
+        ]
+        before = [counter.value for counter in counters]
+        admitted, answers = [], []
+        for kind, *args in ops:
+            if kind == "check":
+                answers.append(controller.check(*args))
+            elif kind == "admit":
+                decision = controller.request(*args)
+                if decision.admitted:
+                    admitted.append(decision.stream_id)
+                answers.append(decision)
+            elif admitted:
+                stream_id = admitted.pop(args[0] % len(admitted))
+                answers.append(controller.release(stream_id, idempotent=True))
+        hits, misses = (c.value - b for c, b in zip(counters, before))
+        return answers, hits / (hits + misses)
+
+    @pytest.mark.parametrize(
+        "admit_fraction, release_fraction",
+        [(0.05, 0.05), (0.40, 0.30)],
+        ids=["check_heavy", "churn_heavy"],
+    )
+    def test_warm_pass_decides_identically_from_the_cache(
+        self, monkeypatch, admit_fraction, release_fraction
+    ):
+        monkeypatch.setattr(store, "_CACHE", store.ResultCache())
+        ops = self.ops(admit_fraction, release_fraction)
+        cold, _ = self.replay(ops)
+        warm, warm_hit_ratio = self.replay(ops)
+        assert any(a.admitted for a in cold if hasattr(a, "admitted"))
+        assert warm == cold
+        assert warm_hit_ratio > 0.5

@@ -1,5 +1,7 @@
 """Sufficient admission bounds: values, soundness against the exact tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,6 +85,23 @@ class TestPDPBound:
         augmented = pdp_augmented_utilization(analysis, light_set)
         raw = light_set.utilization(analysis.ring.bandwidth_bps)
         assert augmented > raw
+
+    def test_subnormal_period_is_an_infinite_load_without_warning(self):
+        from repro.messages.stream import SynchronousStream
+
+        analysis = PDPAnalysis(ieee_802_5_ring(16e6), FRAME)
+        message_set = MessageSet(
+            [
+                SynchronousStream(5e-324, 100.0, 0),
+                SynchronousStream(0.01, 100.0, 1),
+            ]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            load = pdp_augmented_utilization(analysis, message_set)
+            report = pdp_sufficient_test(analysis, message_set)
+        assert load == float("inf")
+        assert report.load == float("inf") and not report.admitted
 
     def test_margin_sign_matches_admission(self, light_set):
         report = pdp_sufficient_test(self.make_analysis(), light_set)

@@ -1,11 +1,8 @@
-"""The bench-trend guard: history append, regression detection, skips.
+"""The perfbench trend tool: correctness gate, 2x bounds, host keys, record.
 
-``tools/bench_trend.py`` is what keeps ``make verify`` honest about the
-performance trajectory: the committed ``BENCH_*.json`` canaries only
-hold the latest run, the JSONL history holds the trend.  These tests pin
-the comparison semantics — same-machine baselines only, relative
-threshold with absolute jitter floors, tolerant of malformed history
-lines.
+``tools/bench_trend.py`` runs perfbench as subprocesses; these tests
+replace that runner with synthetic perfbench result lines, so the suite
+runs no benchmark.
 """
 
 from __future__ import annotations
@@ -13,6 +10,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -27,209 +25,211 @@ _SPEC = importlib.util.spec_from_file_location(
 bench_trend = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_trend)
 
+HOST = "TestCPU|x86_64"
 
-MACHINE = {
-    "node": "vm",
-    "machine": "x86_64",
-    "cpu": {"brand": "TestCPU", "count": 4, "arch": "x86_64"},
+#: Per-workload (throughput, latency_p90_ms) of the synthetic record.
+BASE = {
+    "figure1_paper": (60.0, 20.0),
+    "serve_check_warm": (5000.0, 0.2),
+    "serve_admit_churn": (3000.0, 0.4),
 }
 
 
-def write_bench(
-    root,
-    name,
-    mean,
-    ops,
-    machine=MACHINE,
-    stamp="2026-08-08T00:00:00+00:00",
-    commit=None,
-    dirty=False,
-):
-    document = {
-        "datetime": stamp,
-        "machine": machine,
-        **({"commit_info": {"id": commit, "dirty": dirty}} if commit else {}),
-        "benchmarks": [
-            {
-                "fullname": "repro.bench::case",
-                "stats": {"mean": mean, "ops": ops},
-            }
-        ],
+def result_line(throughput, p90, correct=True, failed=0):
+    """One perfbench ``--trace 0`` result line."""
+    return {
+        "correct": correct,
+        "attempted": 100,
+        "failed": failed,
+        "metrics": {
+            "throughput": {"value": throughput, "unit": "1/s"},
+            "latency_p50_ms": {"value": p90 / 2, "unit": "ms"},
+            "latency_p90_ms": {"value": p90, "unit": "ms"},
+            "setup_s": {"value": 0.3, "unit": "s"},
+            "peak_rss_mb": {"value": 50.0, "unit": "MB"},
+        },
     }
-    path = os.path.join(root, name)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle)
-    return path
 
 
 @pytest.fixture
-def trend_dir(tmp_path):
-    root = str(tmp_path)
-    return root, os.path.join(root, "BENCH_history.jsonl")
-
-
-def run(command, root, history, threshold=0.25):
-    return bench_trend.main(
-        [
-            command,
-            "--root",
-            root,
-            "--history",
-            history,
-            "--threshold",
-            str(threshold),
-        ]
+def trend(tmp_path, monkeypatch):
+    """Run the tool against synthetic results; returns (run, history)."""
+    results = {w: result_line(*BASE[w]) for w in bench_trend.WORKLOADS}
+    monkeypatch.setattr(
+        bench_trend, "run_perfbench", lambda workload, root: results[workload]
     )
+    monkeypatch.setattr(bench_trend, "host_key", lambda: HOST)
+    history = tmp_path / "BENCH_history.jsonl"
 
-
-class TestAppend:
-    def test_append_writes_one_line_per_bench_file(self, trend_dir):
-        root, history = trend_dir
-        write_bench(root, "BENCH_a.json", 0.010, 100.0)
-        write_bench(root, "BENCH_b.json", 0.020, 50.0)
-        assert run("append", root, history) == 0
-        entries = [
-            json.loads(line)
-            for line in open(history, encoding="utf-8")
-        ]
-        assert [e["file"] for e in entries] == [
-            "BENCH_a.json",
-            "BENCH_b.json",
-        ]
-        assert entries[0]["machine"] == "TestCPU|x86_64|4"
-        assert entries[0]["benchmarks"]["repro.bench::case"]["mean"] == 0.010
-
-    def test_append_without_bench_files_is_a_noop(self, trend_dir):
-        root, history = trend_dir
-        assert run("append", root, history) == 0
-        assert not os.path.exists(history)
-
-    def test_appending_unchanged_files_again_adds_nothing(self, trend_dir):
-        root, history = trend_dir
-        write_bench(root, "BENCH_a.json", 0.010, 100.0)
-        write_bench(root, "BENCH_b.json", 0.020, 50.0)
-        assert run("append", root, history) == 0
-        first = open(history, encoding="utf-8").read()
-        assert run("append", root, history) == 0
-        assert open(history, encoding="utf-8").read() == first
-        # a fresh run of one file is new; the other is still a duplicate
-        write_bench(
-            root, "BENCH_a.json", 0.011, 95.0, stamp="2026-08-09T00:00:00+00:00"
+    def run(command):
+        return bench_trend.main(
+            [command, "--root", str(tmp_path), "--history", str(history)]
         )
-        assert run("append", root, history) == 0
-        lines = open(history, encoding="utf-8").read().splitlines()
-        assert len(lines) == 3
 
-    def test_commit_is_part_of_the_run_key(self, trend_dir):
-        root, history = trend_dir
-        write_bench(root, "BENCH_a.json", 0.010, 100.0, commit="aaa111")
-        assert run("append", root, history) == 0
-        assert run("append", root, history) == 0  # same run: refused
-        # the same file and datetime measured on another commit is a
-        # different run
-        write_bench(root, "BENCH_a.json", 0.009, 110.0, commit="bbb222")
-        assert run("append", root, history) == 0
-        entries = [
-            json.loads(line) for line in open(history, encoding="utf-8")
-        ]
-        assert [e["commit"] for e in entries] == ["aaa111", "bbb222"]
-
-    def test_dirty_runs_are_marked(self, trend_dir):
-        root, history = trend_dir
-        write_bench(root, "BENCH_a.json", 0.010, 100.0, commit="aaa111", dirty=True)
-        write_bench(root, "BENCH_b.json", 0.010, 100.0, commit="aaa111")
-        write_bench(root, "BENCH_c.json", 0.010, 100.0)
-        assert run("append", root, history) == 0
-        entries = {
-            entry["file"]: entry
-            for entry in map(json.loads, open(history, encoding="utf-8"))
-        }
-        assert entries["BENCH_a.json"]["dirty"] is True
-        assert entries["BENCH_b.json"]["dirty"] is False
-        assert entries["BENCH_c.json"]["dirty"] is None
-
-    def test_legacy_lines_without_commit_still_block_reappends(self, trend_dir):
-        root, history = trend_dir
-        write_bench(root, "BENCH_a.json", 0.010, 100.0)
-        assert run("append", root, history) == 0
-        (entry,) = [
-            json.loads(line) for line in open(history, encoding="utf-8")
-        ]
-        assert entry["commit"] is None
-        entry.pop("commit")  # a line written before commits were recorded
-        with open(history, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry) + "\n")
-        write_bench(root, "BENCH_a.json", 0.010, 100.0, commit="aaa111")
-        assert run("append", root, history) == 0
-        assert len(open(history, encoding="utf-8").read().splitlines()) == 1
-
-    def test_append_refuses_documents_without_datetime(self, trend_dir):
-        root, history = trend_dir
-        write_bench(root, "BENCH_a.json", 0.010, 100.0, stamp=None)
-        assert run("append", root, history) == 0
-        assert not os.path.exists(history)
+    run.results = results
+    return run, history
 
 
-class TestCheck:
-    def test_steady_state_passes(self, trend_dir):
-        root, history = trend_dir
-        write_bench(root, "BENCH_a.json", 0.010, 100.0)
-        run("append", root, history)
-        write_bench(root, "BENCH_a.json", 0.011, 95.0)  # within 25%
-        assert run("check", root, history) == 0
+def test_record_appends_one_line_per_workload(trend):
+    run, history = trend
+    assert run("record") == 0
+    assert run("record") == 0
+    entries = [json.loads(line) for line in history.read_text().splitlines()]
+    assert [e["workload"] for e in entries] == list(bench_trend.WORKLOADS) * 2
+    first = entries[0]
+    assert first["host"] == HOST
+    assert "commit" in first and "dirty" in first
+    assert first["metrics"]["throughput"] == BASE["figure1_paper"][0]
 
-    def test_mean_regression_fails(self, trend_dir):
-        root, history = trend_dir
-        write_bench(root, "BENCH_a.json", 0.010, 100.0)
-        run("append", root, history)
-        write_bench(root, "BENCH_a.json", 0.030, 100.0)  # 3x slower
-        assert run("check", root, history) == 1
 
-    def test_throughput_regression_fails(self, trend_dir):
-        root, history = trend_dir
-        write_bench(root, "BENCH_a.json", 0.010, 100.0)
-        run("append", root, history)
-        write_bench(root, "BENCH_a.json", 0.010, 40.0)  # -60% ops
-        assert run("check", root, history) == 1
+def test_record_stores_the_median_of_its_runs(trend, monkeypatch):
+    run, history = trend
+    throughputs = iter([3000.0, 5000.0, 1000.0] * len(bench_trend.WORKLOADS))
+    monkeypatch.setattr(
+        bench_trend,
+        "run_perfbench",
+        lambda workload, root: result_line(next(throughputs), 0.4),
+    )
+    assert run("record") == 0
+    entries = [json.loads(line) for line in history.read_text().splitlines()]
+    assert len(entries) == len(bench_trend.WORKLOADS)
+    for entry in entries:
+        assert entry["runs"] == bench_trend.RECORD_RUNS == 3
+    # Rounds run every workload in turn, so each sees a different trio.
+    assert sorted(e["metrics"]["throughput"] for e in entries) == [
+        1000.0, 3000.0, 5000.0,
+    ]
 
-    def test_jitter_below_absolute_floor_passes(self, trend_dir):
-        """A 2x blowup on a microsecond benchmark is noise, not signal."""
-        root, history = trend_dir
-        write_bench(root, "BENCH_a.json", 0.0001, 1e6)
-        run("append", root, history)
-        write_bench(root, "BENCH_a.json", 0.0002, 1e6)
-        assert run("check", root, history) == 0
 
-    def test_no_history_skips(self, trend_dir, capsys):
-        root, history = trend_dir
-        write_bench(root, "BENCH_a.json", 0.010, 100.0)
-        assert run("check", root, history) == 0
-        assert "no history" in capsys.readouterr().out
+def test_record_refuses_an_incorrect_run(trend):
+    run, history = trend
+    run.results["serve_admit_churn"]["correct"] = False
+    assert run("record") == 1
+    assert not history.exists()
 
-    def test_machine_mismatch_skips(self, trend_dir, capsys):
-        root, history = trend_dir
-        write_bench(root, "BENCH_a.json", 0.010, 100.0)
-        run("append", root, history)
-        other = dict(MACHINE, cpu={"brand": "OtherCPU", "count": 1})
-        write_bench(root, "BENCH_a.json", 0.900, 1.0, machine=other)
-        assert run("check", root, history) == 0
-        assert "no same-machine history" in capsys.readouterr().out
 
-    def test_newest_same_machine_entry_wins(self, trend_dir):
-        """The baseline is the latest entry, not the first."""
-        root, history = trend_dir
-        write_bench(root, "BENCH_a.json", 0.010, 100.0)
-        run("append", root, history)
-        write_bench(
-            root, "BENCH_a.json", 0.030, 100.0, stamp="2026-08-09T00:00:00+00:00"
-        )
-        run("append", root, history)  # the regression becomes the baseline
-        assert run("check", root, history) == 0
+def test_steady_runs_pass_and_print_against_the_record(trend, capsys):
+    run, _ = trend
+    run("record")
+    capsys.readouterr()
+    assert run("check") == 0
+    out = capsys.readouterr().out
+    for workload in bench_trend.WORKLOADS:
+        assert f"{workload}: throughput" in out
 
-    def test_malformed_history_lines_are_ignored(self, trend_dir):
-        root, history = trend_dir
-        write_bench(root, "BENCH_a.json", 0.010, 100.0)
-        run("append", root, history)
-        with open(history, "a", encoding="utf-8") as handle:
-            handle.write("{not json\n")
-        assert run("check", root, history) == 0
+
+def test_halved_throughput_fails_naming_workload_and_metric(trend, capsys):
+    run, _ = trend
+    run("record")
+    capsys.readouterr()
+    run.results["serve_admit_churn"] = result_line(1499.0, 0.4)
+    assert run("check") == 1
+    out = capsys.readouterr().out
+    assert "serve_admit_churn: throughput" in out
+    assert "FAIL  serve_admit_churn" in out
+    assert "serve_check_warm: throughput" not in out.split("problem(s)")[1]
+
+
+def test_doubled_p90_fails_naming_workload_and_metric(trend, capsys):
+    run, _ = trend
+    run("record")
+    capsys.readouterr()
+    run.results["figure1_paper"] = result_line(60.0, 41.0)
+    assert run("check") == 1
+    assert "FAIL  figure1_paper: latency_p90_ms" in capsys.readouterr().out
+
+
+def test_drop_of_1_9x_passes(trend):
+    run, _ = trend
+    run("record")
+    for workload, (throughput, p90) in BASE.items():
+        run.results[workload] = result_line(throughput / 1.9, p90 * 1.9)
+    assert run("check") == 0
+
+
+def test_newest_record_of_the_host_is_the_baseline(trend):
+    run, _ = trend
+    run("record")
+    run.results["serve_check_warm"] = result_line(2000.0, 0.2)
+    run("record")  # the slower run becomes the record
+    assert run("check") == 0
+
+
+@pytest.mark.parametrize(
+    "correct, failed", [(False, 0), (True, 3)], ids=["incorrect", "failed"]
+)
+def test_incorrect_or_failed_run_fails(trend, capsys, correct, failed):
+    run, _ = trend
+    run("record")
+    capsys.readouterr()
+    run.results["serve_check_warm"]["correct"] = correct
+    run.results["serve_check_warm"]["failed"] = failed
+    assert run("check") == 1
+    assert "FAIL  serve_check_warm: correct=" in capsys.readouterr().out
+
+
+def test_incorrect_run_fails_without_history(trend):
+    run, _ = trend
+    run.results["figure1_paper"]["failed"] = 1
+    assert run("check") == 1
+
+
+def test_other_host_skips_with_a_notice(trend, monkeypatch, capsys):
+    run, _ = trend
+    run("record")
+    monkeypatch.setattr(bench_trend, "host_key", lambda: "OtherCPU|arm64")
+    run.results["serve_admit_churn"] = result_line(1.0, 100.0)
+    capsys.readouterr()
+    assert run("check") == 0
+    assert "no record for host 'OtherCPU|arm64'" in capsys.readouterr().out
+
+
+def test_malformed_history_lines_are_ignored(trend, capsys):
+    run, history = trend
+    run("record")
+    with open(history, "a", encoding="utf-8") as handle:
+        handle.write("{not json\n")
+    run.results["serve_admit_churn"] = result_line(1499.0, 0.4)
+    capsys.readouterr()
+    assert run("check") == 1  # still compared against the record
+    out = capsys.readouterr().out
+    assert "ignoring malformed line 4" in out
+    assert "FAIL  serve_admit_churn: throughput" in out
+
+
+def test_empty_history_prints_a_notice(trend, capsys):
+    run, history = trend
+    history.write_text("")
+    assert run("check") == 0
+    assert "no history at" in capsys.readouterr().out
+
+
+def test_host_key_has_no_cpu_count_or_kernel_release():
+    key = bench_trend.host_key()
+    assert key.count("|") == 1
+    assert key.endswith(f"|{os.uname().machine}")
+    assert os.uname().release not in key
+
+
+@pytest.mark.parametrize(
+    "outcome, error",
+    [
+        (subprocess.TimeoutExpired("run.py", 1), "no result within"),
+        (
+            subprocess.CompletedProcess([], 0, "warming up\nDone.\n", ""),
+            "not JSON",
+        ),
+        (subprocess.CompletedProcess([], 2, "", "Traceback"), "exit 2"),
+    ],
+    ids=["timeout", "not-json", "exit-status"],
+)
+def test_a_broken_run_is_a_failed_stand_in(monkeypatch, outcome, error):
+    def fake_run(*args, **kwargs):
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(bench_trend.subprocess, "run", fake_run)
+    result = bench_trend.run_perfbench("serve_check_warm", ".")
+    assert result["correct"] is False and result["failed"] is None
+    assert error in result["error"]

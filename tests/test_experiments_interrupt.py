@@ -93,7 +93,7 @@ class TestRunnerInterrupt:
                 "--log-level",
                 "error",
                 "--bench-json",
-                str(tmp_path / "BENCH_service.json"),
+                str(tmp_path / "service.json"),
                 "--manifest",
                 str(manifest_path),
             ]
@@ -103,6 +103,20 @@ class TestRunnerInterrupt:
         assert "interrupted" not in document.get("extra", {})
         assert "loadgen" in document["extra"]
         assert document["extra"]["loadgen"]["errors"] == 0
-        bench = json.loads((tmp_path / "BENCH_service.json").read_text())
+        bench = json.loads((tmp_path / "service.json").read_text())
         assert bench["schema_version"] == 2
         assert bench["benchmarks"][0]["group"] == "service"
+
+    def test_loadgen_writes_a_bench_document_only_on_request(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = runner.main(
+            [
+                "loadgen", "--spawn", "--duration", "0.2",
+                "--load-workers", "1", "--quiet", "--log-level", "error",
+                "--no-manifest",
+            ]
+        )
+        assert code == 0
+        assert os.listdir(tmp_path) == []

@@ -1,231 +1,248 @@
 #!/usr/bin/env python
-"""Track and guard the performance trajectory across ``BENCH_*.json`` files.
+"""The perfbench trend: fresh benchmark runs against recorded fresh runs.
 
-The committed canaries (``BENCH_figure1.json``, ``BENCH_sim.json``,
-``BENCH_service.json``, ``BENCH_admission.json``) each hold only the
-*latest* run — good for a point-in-time guard, blind to slow drift.
-This tool keeps a history:
-
-``append``
-    Summarize every current ``BENCH_*.json`` into one JSONL line each
-    (per-benchmark mean and ops, plus the machine identity and the
-    commit the run was made on) appended to ``BENCH_history.jsonl``.
-    The commit is the document's ``commit_info.id`` when it has one;
-    ``dirty`` copies ``commit_info.dirty`` — a dirty run measured
-    uncommitted changes on top of that commit, not the commit itself.
-    A run is identified by ``(file, datetime, commit)``.  A document whose run
-    is already in the history (an unchanged file appended again) or
-    that carries no ``datetime`` is refused, so the history cannot count
-    one run twice.  History lines written before the commit was recorded
-    match on ``(file, datetime)`` alone.  ``make bench-trend`` runs this
-    after regenerating the canaries.
+Both verbs run ``python3 perfbench/run.py --workload W --seed 1
+--seconds 2 --trace 0`` from the repository root, one subprocess per
+workload of :data:`WORKLOADS` (``check`` takes about 20 s on a 2-vCPU
+host, ``record`` three times that).
+perfbench replays every answer against its oracle (each admission
+decision, and the 48 Figure 1 means bit for bit), so whether a run is
+``correct`` does not depend on the host.
 
 ``check``
-    Compare every current ``BENCH_*.json`` against the **newest
-    same-machine** history entry for that file.  A benchmark whose mean
-    grew by more than ``--threshold`` (default 25%) — with an absolute
-    floor so microsecond jitter cannot trip it — or whose throughput
-    (``ops``) dropped by more than the same fraction is a regression:
-    nonzero exit, one diagnostic line per offender.  No history or a
-    machine mismatch skips with a notice (a trend against somebody
-    else's hardware is noise, same rule as the verify bench guard).
-    ``make verify`` runs this.
+    Fails when any run is not ``correct`` or has ``failed > 0``.  Then
+    compares each workload with the newest ``BENCH_history.jsonl`` line
+    for the same workload and host key (CPU brand|arch), and
+    fails, naming the workload and the metric, when ``throughput`` fell
+    below half the recorded value or ``latency_p90_ms`` more than
+    doubled.  Without a line for this host it prints a notice and skips
+    the comparison.  ``make verify`` runs this through
+    ``tools/verify_smoke.py``.
 
-History entries are plain JSON objects — one per (BENCH file, run
-datetime, commit) — so the file diffs cleanly and tolerates
-hand-pruning.
+``record``
+    Runs every workload :data:`RECORD_RUNS` times and appends one history
+    line per workload: the median of each end-to-end metric, the host
+    key, the commit (``dirty`` when the tree held uncommitted changes)
+    and the time.  Nothing is recorded if any run is not correct.
+    ``make bench-record`` runs this.
+
+perfbench reports times in reference seconds (``perfbench/hostprobe.py``),
+which cancels most of a host's changes of speed; the host key still keeps
+records from other hardware out of the comparison.  The key has no CPU
+count and no kernel release: perfbench pins itself and its children to
+one CPU, so neither bears on the figures compared.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
+import datetime
 import json
 import os
+import platform
+import statistics
+import subprocess
 import sys
+import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-HISTORY_SCHEMA_VERSION = 1
+from repro.obs.benchjson import cpu_info  # noqa: E402
 
-#: Mean-time regressions smaller than this are jitter, not signal.
-ABS_FLOOR_S = 0.001
+#: The perfbench workloads the trend runs: the Figure 1 sweep, and the
+#: service under a check-heavy and a churn-heavy admission mix.
+WORKLOADS = ("figure1_paper", "serve_check_warm", "serve_admit_churn")
 
-#: Throughput (ops) drops smaller than this many ops/s are jitter.
-ABS_FLOOR_OPS = 1.0
+#: perfbench arguments after ``--workload W``.
+RUN_ARGS = ("--seed", "1", "--seconds", "2", "--trace", "0")
+
+#: A fresh run regresses when its throughput is below this share of the
+#: record's, or its p90 latency above this multiple of the record's.
+MIN_THROUGHPUT_RATIO = 0.5
+MAX_P90_RATIO = 2.0
+
+#: ``record`` stores the per-metric median of this many runs, so one
+#: noisy run does not set the baseline (``serve_admit_churn`` spreads
+#: about 1.6x between 2 s runs on one host).
+RECORD_RUNS = 3
+
+#: Seconds one perfbench run may take; three fit within the 900 s that
+#: ``tools/verify_smoke.py`` gives the whole ``check``.
+RUN_TIMEOUT_S = 280
 
 
-def _machine_key(machine: dict | None) -> str:
-    """A comparable hardware identity (brand + arch + core count)."""
-    machine = machine or {}
-    cpu = machine.get("cpu") or {}
-    return "|".join(
-        str(part)
-        for part in (
-            cpu.get("brand"),
-            machine.get("machine"),
-            cpu.get("count"),
-        )
-    )
+def host_key() -> str:
+    """The hardware a record is comparable on: CPU brand|arch."""
+    cpu = cpu_info(arch=platform.machine())
+    return f"{cpu['brand']}|{cpu['arch']}"
 
 
-def _summarize(path: str) -> dict | None:
-    """One BENCH document as a history entry (None if unreadable)."""
+def run_perfbench(workload: str, root: str) -> dict:
+    """One fresh perfbench run: its result line, or a failed stand-in."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"bench-trend: skipping {path}: {exc}")
-        return None
-    benchmarks = {}
-    for bench in document.get("benchmarks", []):
-        stats = bench.get("stats") or {}
-        if stats.get("mean") is None:
-            continue
-        benchmarks[bench["fullname"]] = {
-            "mean": stats["mean"],
-            "ops": stats.get("ops"),
-        }
-    if not benchmarks:
-        return None
-    commit_info = document.get("commit_info") or {}
+        proc = subprocess.run(
+            [sys.executable, os.path.join("perfbench", "run.py"),
+             "--workload", workload, *RUN_ARGS],
+            cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return _failed(f"no result within {RUN_TIMEOUT_S} s")
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return _failed(f"exit {proc.returncode}: {proc.stderr.strip()[-400:]}")
+    try:
+        return json.loads(lines[-1])
+    except json.JSONDecodeError as exc:
+        return _failed(f"last stdout line is not JSON: {exc}")
+
+
+def _failed(error: str) -> dict:
+    return {"correct": False, "failed": None, "error": error}
+
+
+def _fresh_runs(root: str) -> dict[str, dict]:
+    results = {}
+    for workload in WORKLOADS:
+        started = time.monotonic()
+        results[workload] = run_perfbench(workload, root)
+        print(
+            f"bench-trend: ran {workload} in "
+            f"{time.monotonic() - started:.1f} s"
+        )
+    return results
+
+
+def _incorrect(results: dict[str, dict]) -> dict[str, str]:
     return {
-        "schema_version": HISTORY_SCHEMA_VERSION,
-        "file": os.path.basename(path),
-        "datetime": document.get("datetime"),
-        "commit": commit_info.get("id"),
-        "dirty": commit_info.get("dirty"),
-        "machine": _machine_key(document.get("machine")),
-        "benchmarks": benchmarks,
+        workload: f"{workload}: correct={result.get('correct')} "
+        f"failed={result.get('failed')} {result.get('error', '')}".rstrip()
+        for workload, result in results.items()
+        if result.get("correct") is not True or result.get("failed") != 0
     }
 
 
-def _bench_paths(root: str) -> list[str]:
-    return sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
-
-
 def _load_history(path: str) -> list[dict]:
-    entries: list[dict] = []
     if not os.path.exists(path):
-        return entries
+        return []
+    entries = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(handle, 1):
+            if not line.strip():
                 continue
             try:
                 entries.append(json.loads(line))
             except json.JSONDecodeError as exc:
-                print(
-                    f"bench-trend: ignoring malformed history line "
-                    f"{line_number}: {exc}"
-                )
+                print(f"bench-trend: ignoring malformed line {number}: {exc}")
     return entries
 
 
-def cmd_append(root: str, history_path: str) -> int:
-    """Append one history line per BENCH file run not yet recorded."""
-    seen = {
-        (entry.get("file"), entry.get("datetime"), entry.get("commit"))
-        for entry in _load_history(history_path)
+def _commit(root: str) -> tuple[str | None, bool | None]:
+    def git(*args):
+        proc = subprocess.run(
+            ["git", *args], cwd=root, capture_output=True, text=True
+        )
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    sha = git("rev-parse", "HEAD")
+    if sha is None:
+        return None, None
+    return sha, bool(git("status", "--porcelain", "--untracked-files=no"))
+
+
+def _value(result: dict, metric: str) -> float:
+    return result["metrics"][metric]["value"]
+
+
+def cmd_check(root: str, history_path: str) -> int:
+    """Fresh runs must be correct and within 2x of this host's record."""
+    results = _fresh_runs(root)
+    incorrect = _incorrect(results)
+    problems = [f"{line} (incorrect run)" for line in incorrect.values()]
+    history = _load_history(history_path)
+    host = host_key()
+    # Later lines overwrite earlier ones: the newest record wins.
+    records = {
+        entry["workload"]: entry
+        for entry in history
+        if entry.get("host") == host and "workload" in entry
     }
-    entries = []
-    for entry in (_summarize(path) for path in _bench_paths(root)):
-        if entry is None:
+    if not history:
+        print(
+            f"bench-trend: no history at {history_path}; run "
+            "`make bench-record` to start one -- comparison skipped"
+        )
+    elif not records:
+        print(
+            f"bench-trend: no record for host {host!r} -- comparison "
+            "skipped (records from other hardware are not comparable)"
+        )
+    for workload, result in results.items():
+        record = records.get(workload)
+        if record is None or workload in incorrect:
             continue
-        run = (entry["file"], entry["datetime"])
-        if entry["datetime"] is None:
-            print(f"bench-trend: refusing {entry['file']}: no datetime")
-        elif run + (entry["commit"],) in seen or run + (None,) in seen:
-            print(
-                f"bench-trend: refusing {entry['file']}: run "
-                f"{entry['datetime']} is already in the history"
+        throughput = _value(result, "throughput")
+        p90 = _value(result, "latency_p90_ms")
+        base_throughput = record["metrics"]["throughput"]
+        base_p90 = record["metrics"]["latency_p90_ms"]
+        print(
+            f"bench-trend: {workload}: throughput {throughput:.1f}/s "
+            f"(record {base_throughput:.1f}/s), p90 {p90:.3f} ms "
+            f"(record {base_p90:.3f} ms)"
+        )
+        if throughput < MIN_THROUGHPUT_RATIO * base_throughput:
+            problems.append(
+                f"{workload}: throughput {base_throughput:.1f} -> "
+                f"{throughput:.1f}/s, below half the record"
             )
-        else:
-            entries.append(entry)
-    if not entries:
-        print("bench-trend: no new BENCH_*.json runs to append")
-        return 0
-    with open(history_path, "a", encoding="utf-8") as handle:
-        for entry in entries:
-            json.dump(entry, handle, separators=(",", ":"), sort_keys=True)
-            handle.write("\n")
-    print(
-        f"bench-trend: appended {len(entries)} entries "
-        f"({', '.join(e['file'] for e in entries)}) to {history_path}"
-    )
+        if p90 > MAX_P90_RATIO * base_p90:
+            problems.append(
+                f"{workload}: latency_p90_ms {base_p90:.3f} -> "
+                f"{p90:.3f} ms, more than double the record"
+            )
+    if problems:
+        print(f"bench-trend: {len(problems)} problem(s):")
+        for line in problems:
+            print(f"  FAIL  {line}")
+        return 1
+    print(f"bench-trend: ok ({len(results)} fresh perfbench runs)")
     return 0
 
 
-def cmd_check(root: str, history_path: str, threshold: float) -> int:
-    """Compare current BENCH files against their newest same-machine entry."""
-    history = _load_history(history_path)
-    if not history:
-        print(
-            f"bench-trend: no history at {history_path}; "
-            "run `make bench-trend` to seed it -- skipping"
-        )
-        return 0
-    regressions: list[str] = []
-    compared = 0
-    for path in _bench_paths(root):
-        current = _summarize(path)
-        if current is None:
-            continue
-        baseline = next(
-            (
-                entry
-                for entry in reversed(history)
-                if entry.get("file") == current["file"]
-                and entry.get("machine") == current["machine"]
-            ),
-            None,
-        )
-        if baseline is None:
-            print(
-                f"bench-trend: no same-machine history for "
-                f"{current['file']}; skipping"
-            )
-            continue
-        for fullname, stats in sorted(current["benchmarks"].items()):
-            base = baseline["benchmarks"].get(fullname)
-            if base is None:
-                continue
-            compared += 1
-            mean, base_mean = stats["mean"], base["mean"]
-            if (
-                base_mean
-                and mean > base_mean * (1.0 + threshold)
-                and mean - base_mean > ABS_FLOOR_S
-            ):
-                regressions.append(
-                    f"{current['file']}: {fullname} mean "
-                    f"{base_mean * 1e3:.3f} ms -> {mean * 1e3:.3f} ms "
-                    f"(+{(mean / base_mean - 1.0):.0%})"
-                )
-            ops, base_ops = stats.get("ops"), base.get("ops")
-            if (
-                ops is not None
-                and base_ops
-                and ops < base_ops * (1.0 - threshold)
-                and base_ops - ops > ABS_FLOOR_OPS
-            ):
-                regressions.append(
-                    f"{current['file']}: {fullname} throughput "
-                    f"{base_ops:.1f} -> {ops:.1f} ops/s "
-                    f"({(ops / base_ops - 1.0):.0%})"
-                )
-    if regressions:
-        print(
-            f"bench-trend: {len(regressions)} regression(s) beyond "
-            f"{threshold:.0%} against {history_path}:"
-        )
-        for line in regressions:
-            print(f"  REGRESSION  {line}")
+def cmd_record(root: str, history_path: str) -> int:
+    """Append one history line per workload: medians of correct runs."""
+    rounds = [_fresh_runs(root) for _ in range(RECORD_RUNS)]
+    incorrect = [
+        line for results in rounds for line in _incorrect(results).values()
+    ]
+    if incorrect:
+        print("bench-trend: not recording incorrect runs:")
+        for line in incorrect:
+            print(f"  {line}")
         return 1
+    commit, dirty = _commit(root)
+    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    with open(history_path, "a", encoding="utf-8") as handle:
+        for workload in WORKLOADS:
+            entry = {
+                "workload": workload,
+                "host": host_key(),
+                "commit": commit,
+                "dirty": dirty,
+                "datetime": stamp,
+                "runs": RECORD_RUNS,
+                "metrics": {
+                    name: statistics.median(
+                        _value(results[workload], name) for results in rounds
+                    )
+                    for name in rounds[0][workload]["metrics"]
+                },
+            }
+            json.dump(entry, handle, separators=(",", ":"), sort_keys=True)
+            handle.write("\n")
     print(
-        f"bench-trend: {compared} benchmark(s) within {threshold:.0%} "
-        f"of their history baselines"
+        f"bench-trend: recorded {', '.join(WORKLOADS)} "
+        f"at {commit}{' (dirty)' if dirty else ''} to {history_path}"
     )
     return 0
 
@@ -233,28 +250,24 @@ def cmd_check(root: str, history_path: str, threshold: float) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="bench_trend",
-        description="Append to / check against the BENCH_*.json history",
+        description="Check or record fresh perfbench runs",
     )
-    parser.add_argument("command", choices=["append", "check"])
+    parser.add_argument("command", choices=["check", "record"])
     parser.add_argument(
         "--root", default=REPO_ROOT,
-        help="directory holding the BENCH_*.json files",
+        help="checkout root perfbench runs from",
     )
     parser.add_argument(
         "--history", default=None, metavar="PATH",
         help="history JSONL path (default: <root>/BENCH_history.jsonl)",
     )
-    parser.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="fractional regression tolerance (default 0.25 = 25%%)",
-    )
     args = parser.parse_args(argv)
     history_path = args.history or os.path.join(
         args.root, "BENCH_history.jsonl"
     )
-    if args.command == "append":
-        return cmd_append(args.root, history_path)
-    return cmd_check(args.root, history_path, args.threshold)
+    if args.command == "record":
+        return cmd_record(args.root, history_path)
+    return cmd_check(args.root, history_path)
 
 
 if __name__ == "__main__":
