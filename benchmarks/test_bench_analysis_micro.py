@@ -81,6 +81,19 @@ def test_bench_batch_lsd_evaluation_64x100(benchmark):
     benchmark(test.is_schedulable_batch, costs, 0.001)
 
 
+def test_bench_stacked_probe_16x100(benchmark):
+    """One scale_prober probe over 16 paper-scale sets, one row each: the
+    step of the lockstep breakdown search in Figure 1."""
+    analysis = PDPAnalysis(ieee_802_5_ring(mbps(10)), FRAME, PDPVariant.STANDARD)
+    sampler = MessageSetSampler(
+        n_streams=100, periods=PeriodDistribution(mean_period_s=0.1, ratio=10.0)
+    )
+    probe = analysis.scale_prober(sampler.sample_many(np.random.default_rng(0), 16))
+    indices = np.arange(16)
+    scales = np.linspace(0.5, 2.0, 16)
+    benchmark(probe, indices, scales)
+
+
 def test_bench_vectorized_augmented_lengths_64x100(benchmark):
     """The vectorized C'_i kernel over a (64, 100) payload matrix."""
     from repro.analysis.pdp import pdp_augmented_lengths

@@ -87,7 +87,7 @@ class AverageBreakdownEstimate:
 
 #: Maximum number of sets whose precomputed exact-test structures are held
 #: live at once by the lockstep batched search.  At paper scale (100
-#: streams) each structure is about 0.2 MB, so memory no longer forces the
+#: streams) each structure is about 10 kB, so memory does not force the
 #: chunking; the size stays because it also sets how many batched
 #: predicate calls a cell makes (the ``breakdown.batch_calls`` count).
 #: Within a chunk every bisection step is one batched predicate call.

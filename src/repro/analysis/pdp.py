@@ -228,7 +228,7 @@ class PDPAnalysis:
     its distinct periods straight from this cache and judges admission
     candidates on its own per-period cost sums, building no test per
     candidate.  The cache is an LRU over both kinds of entry (a
-    100-stream structure is about 0.2 MB, so one per Monte Carlo sample
+    100-stream structure is about 10 kB, so one per Monte Carlo sample
     would still grow without bound over a long sweep); interleaved
     protocol comparisons over the same workload population benefit from
     a larger, shared cache — pass ``cache_size`` and ``shared_cache`` (see
@@ -351,7 +351,7 @@ class PDPAnalysis:
             periods,
             kernel_for=lambda distinct: self._distinct_test(distinct)._kernel,
         )
-        if test._group_starts is None:  # no repeated period: own kernel
+        if not test._repeats:  # own kernel
             _KERNEL_BUILDS.inc()
         cache = self._test_cache
         cache[key] = test
@@ -411,63 +411,57 @@ class PDPAnalysis:
     ) -> "Callable[[Sequence[int], np.ndarray], np.ndarray]":
         """A batched payload-scale predicate over a fixed population.
 
-        Prepares each set once (rate-monotonic ordering, cached
-        :class:`ExactRMTest` structure, payload vector) and returns
-        ``probe(indices, scales) -> verdicts``: for each position ``j``,
-        whether ``message_sets[indices[j]]`` with payloads scaled by
-        ``scales[j]`` passes Theorem 4.1.  A probe stably sorts its
-        positions by set, scales one payload row per position (rows are
-        zero-padded to the widest set) and computes every augmented
-        length in one vectorized call.  Each set's run of rows is then
-        one block: a single row goes through the evaluation behind
-        :meth:`ExactRMTest.is_schedulable` (without re-validating),
-        several through :meth:`ExactRMTest.is_schedulable_batch` in
-        probe order — the same dispatch as probing each set on its own,
-        so every verdict is bit-identical.  This is the engine behind the
-        lockstep batched bisection of
+        Prepares the population once: each set's rate-monotonic order,
+        cached :class:`ExactRMTest` and payload vector, stacked into one
+        payload matrix, one matrix of period-group bounds and one
+        :meth:`_PointKernel.stacked` kernel, each padded to the widest
+        set.  Returns ``probe(indices, scales) -> verdicts``: for each
+        position ``j``, whether ``message_sets[indices[j]]`` with
+        payloads scaled by ``scales[j]`` passes Theorem 4.1.  A probe
+        scales one payload row per position, computes every augmented
+        length in one vectorized call, forms every row's period-group
+        sums in one ``np.add.reduceat`` over the flattened rows (the
+        segments :meth:`ExactRMTest._group_sums` would sum), and judges
+        all rows in one kernel evaluation.  A row's floats do not depend
+        on the rows beside it, so every verdict is bit-identical to
+        :meth:`ExactRMTest.is_schedulable` on that set alone.  This is
+        the engine behind the lockstep batched bisection of
         :func:`repro.analysis.breakdown.breakdown_scales_batch`.
         """
-        tests: list[ExactRMTest | None] = []
-        widths: list[int] = []
-        ordered_sets = []
-        for message_set in message_sets:
-            ordered = message_set.rate_monotonic()
-            ordered_sets.append(ordered)
-            widths.append(len(ordered))
-            tests.append(self._exact_test_for(ordered) if len(ordered) else None)
-        # One payload row per set, zero-padded to the widest set; padding
-        # columns are computed and then ignored.
-        payload_rows = np.zeros((len(ordered_sets), max(widths, default=0)))
-        for row, ordered in zip(payload_rows, ordered_sets):
-            row[: len(ordered)] = ordered.payloads_bits
+        ordered_sets = [message_set.rate_monotonic() for message_set in message_sets]
+        tests = [
+            self._exact_test_for(ordered) if len(ordered) else None
+            for ordered in ordered_sets
+        ]
+        kernel = _PointKernel.stacked(
+            [None if test is None else test._kernel for test in tests]
+        )
+        # One payload row per set, zero-padded past the widest set so that
+        # every row ends in padding: a padded length is 0.0, and a padded
+        # group's bounds repeat the set's width, which reduceat answers
+        # with that 0.0 column.
+        width = max((len(ordered) for ordered in ordered_sets), default=0)
+        payload_rows = np.zeros((len(ordered_sets), width + 1))
+        bounds = np.zeros((len(ordered_sets), kernel._last.shape[-1] + 1), np.intp)
+        for s, (ordered, test) in enumerate(zip(ordered_sets, tests)):
+            payload_rows[s, : len(ordered)] = ordered.payloads_bits
+            bounds[s] = len(ordered)
+            if test is not None:
+                bounds[s, : test._group_starts.size] = test._group_starts
         blocking = self.blocking
 
         def probe(indices: Sequence[int], scales: np.ndarray) -> np.ndarray:
-            idx = np.asarray(indices, dtype=np.intp)
-            verdicts = np.ones(idx.size, dtype=bool)
-            if idx.size == 0:
-                return verdicts
-            order = np.argsort(idx, kind="stable")
-            by_set = idx[order]
-            scaled = payload_rows[by_set]
-            scaled *= np.asarray(scales, dtype=float)[order, None]
+            which = np.asarray(indices, dtype=np.intp)
+            scaled = payload_rows[which]
+            scaled *= np.asarray(scales, dtype=float)[:, None]
             lengths = pdp_augmented_lengths(
                 scaled, self._ring, self._frame, self._variant
             )
-            runs = np.flatnonzero(by_set[1:] != by_set[:-1]) + 1
-            bounds = [0, *runs.tolist(), idx.size]
-            for lo, hi in zip(bounds, bounds[1:]):
-                test = tests[by_set[lo]]
-                if test is None:
-                    continue  # empty sets are trivially schedulable
-                block = lengths[lo:hi, : widths[by_set[lo]]]
-                if hi - lo == 1:
-                    verdicts[order[lo]] = test._evaluate(block[0], blocking)
-                else:
-                    verdicts[order[lo:hi]] = test.is_schedulable_batch(
-                        np.ascontiguousarray(block), blocking
-                    )
-            return verdicts
+            segments = bounds[which]
+            segments += lengths.shape[-1] * np.arange(which.size)[:, None]
+            sums = np.add.reduceat(lengths.ravel(), segments.ravel())
+            sums = np.ascontiguousarray(sums.reshape(segments.shape)[:, :-1])
+            return kernel.verdicts(sums, blocking, which)
 
         return probe
 
@@ -568,11 +562,10 @@ class PDPPopulation:
     def verdicts(self, candidates: Sequence[SynchronousStream]) -> list[bool]:
         """Theorem 4.1 verdict of the population plus each candidate alone.
 
-        Candidates sharing a period share a kernel: a lone one is
-        evaluated as one sum vector and several as stacked rows, the
-        dispatch of :meth:`ExactRMTest.is_schedulable` and
-        :meth:`~ExactRMTest.is_schedulable_batch` for sets with equal
-        period vectors.
+        Candidates sharing a period share a kernel and are evaluated as
+        stacked sum rows in one call; a row's verdict does not depend on
+        the rows beside it, so asking for one candidate or many gives the
+        same answers.
         """
         distinct, bounds, sums = self._group_state()
         blocking = self._blocking
@@ -604,9 +597,6 @@ class PDPPopulation:
                 kernel = self._analysis._distinct_test(
                     np.insert(distinct, g, period)
                 )._kernel
-            if len(rows) == 1:
-                out[indices[0]] = bool(kernel.verdicts(rows[0], blocking))
-                continue
             for i, ok in zip(indices, kernel.verdicts(np.stack(rows), blocking)):
                 out[i] = bool(ok)
         return out

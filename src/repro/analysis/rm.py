@@ -12,13 +12,16 @@ This module implements the underlying theory in task-level terms:
 * :class:`ExactRMTest` — the LSD exact test over the scheduling points
   ``R_i = { l·P_k : k <= i, 1 <= l <= floor(P_i/P_k) }`` with an additive
   blocking term, exactly the form of the paper's equation (4).  The test
-  structure (scheduling points and the ``ceil(t/P)`` interference
-  coefficients) depends only on the distinct periods, so it is precomputed
-  once and then evaluated for many cost vectors — the breakdown search and
-  the bandwidth sweep both exploit this heavily.  Period vectors that
-  differ only in how often each period repeats share that structure (a
-  caller may pass a ``kernel_for`` memo); each test adds only its stream
-  cuts and group starts.  Verdicts run on per-period group cost sums;
+  structure (scheduling points, and the period multiples each point
+  charges as interference) depends only on the distinct periods, so it is
+  precomputed once and then evaluated for many cost vectors — the
+  breakdown search and the bandwidth sweep both exploit this heavily.
+  An evaluation is gathers, prefix sums and a running minimum; there is
+  no matrix product, so a row's verdict does not depend on the rows
+  evaluated beside it.  Period vectors that differ only in how often
+  each period repeats share that structure (a caller may pass a
+  ``kernel_for`` memo); each test adds only its stream cuts and group
+  starts.  Verdicts run on per-period group cost sums;
   per-stream reports are derived on demand.
 * :func:`response_time_analysis` — the equivalent iterative fixed-point
   test, kept as an independent oracle for property tests.
@@ -90,6 +93,31 @@ class StreamTestDetail:
     critical_point: float
 
 
+def _ladder(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(unit, multiple)``: the pairs ``(u, l)`` for ``l = 1..counts[u]``,
+    flat and in ``(u, l)`` order."""
+    unit = np.repeat(np.arange(counts.size), counts)
+    offsets = np.repeat(np.cumsum(counts) - counts, counts)
+    return unit, np.arange(1, unit.size + 1) - offsets
+
+
+def _first_true(
+    holds: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Per element, the least index in ``[lo, hi]`` where ``holds`` is true.
+
+    ``holds`` maps an index array to a boolean array, must be false-then-
+    true along each range and must hold at ``hi``.  One vectorised
+    bisection step per halving of the widest range.
+    """
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) // 2
+        ok = holds(mid)
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid + 1)
+    return hi
+
+
 def _union_points(distinct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The union ``T`` of every group's scheduling points, in prefix order.
 
@@ -99,8 +127,10 @@ def _union_points(distinct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     where ``first[p]`` is the first group ``g`` whose ``R_g`` holds
     ``points[p]``.  A multiple ``l·d_u`` belongs to ``R_g`` iff ``u <= g``
     and ``l <= floor(d_g/d_u + 1e-12)``, and that reach is non-decreasing
-    in ``g``, so one ``arange`` and one ``searchsorted`` per distinct
-    period find every point's group.
+    in ``g``, so one vectorised bisection over the groups files every
+    multiple at once.  A period ratio whose point count is not finite or
+    beyond any index (a subnormal or huge period) raises
+    :class:`MessageSetError`, without a floating-point warning.
 
     The points come back ordered by ``(first, value)``, which makes each
     ``R_g`` exactly the prefix with ``first <= g``.  That order is the
@@ -109,15 +139,22 @@ def _union_points(distinct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     point one group early is the ``rm_prefix_cut_overrun`` mutant; the
     ``rm_exact_vs_rta`` fuzz property catches it.
     """
-    values: list[np.ndarray] = []
-    groups: list[np.ndarray] = []
-    for u, d_u in enumerate(distinct):
-        reach = np.floor(distinct[u:] / d_u + 1e-12)
-        multiples = np.arange(1, int(reach[-1]) + 1)
-        values.append(d_u * multiples)
-        groups.append(u + np.searchsorted(reach, multiples))
-    points = np.concatenate(values)
-    first = np.concatenate(groups)
+    with np.errstate(over="ignore"):
+        reach = np.floor(distinct[-1] / distinct + 1e-12)
+        total = reach.sum()
+    if not total < np.iinfo(np.intp).max:
+        raise MessageSetError(
+            f"periods {distinct[0]:g} .. {distinct[-1]:g} need {total:g} "
+            "scheduling points, more than can be counted"
+        )
+    unit, multiple = _ladder(reach.astype(np.intp))
+    period = distinct[unit]
+    first = _first_true(
+        lambda g: np.floor(distinct[g] / period + 1e-12) >= multiple,
+        unit,
+        np.full(unit.size, distinct.size - 1),
+    )
+    points = period * multiple
     # Equal values from different (u, l) pairs are one point, owned by
     # the earliest group that reaches it.
     order = np.lexsort((first, points))
@@ -130,64 +167,148 @@ def _union_points(distinct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return points[order], first[order]
 
 
+def _counted_multiples(t: np.ndarray | float, period: np.ndarray) -> np.ndarray:
+    """How many multiples ``l·period`` (``l >= 1``) lie strictly below
+    ``t``: ``ceil(t/period) - 1``, with a tolerance so that noise in an
+    integral ``t/period`` cannot count the multiple at ``t`` itself."""
+    return np.ceil(t / period - 1e-9) - 1.0
+
+
+def _event_table(
+    points: np.ndarray, distinct: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(events, counts)``: equation (4)'s interference as prefix sums.
+
+    An *event* is a multiple ``l·d_u`` (``l >= 1``) of a distinct
+    period; a point ``t`` counts it iff ``l <= ceil(t/d_u) - 1``
+    (:func:`_counted_multiples`), and then the group sum ``S_u`` is
+    charged once more at ``t``.  Counting is monotone in ``t``, so with
+    the events ordered by the first point (in ascending value) that
+    counts them, every point counts a prefix of that order.  Returns each
+    event's group, in that order, and per point (in ``points``' order)
+    the length of its prefix.  Only multiples the largest point counts
+    are events; one vectorised bisection over the sorted points finds
+    each event's first counting point.
+    """
+    ascending = np.sort(points)
+    unit, multiple = _ladder(
+        _counted_multiples(ascending[-1], distinct).astype(np.intp)
+    )
+    period = distinct[unit]
+    first = _first_true(
+        lambda i: _counted_multiples(ascending[i], period) >= multiple,
+        np.zeros(unit.size, dtype=np.intp),
+        np.full(unit.size, ascending.size - 1),
+    )
+    order = np.argsort(first, kind="stable")
+    counts = np.searchsorted(
+        first[order], np.searchsorted(ascending, points), side="right"
+    )
+    return unit[order], counts
+
+
 class _PointKernel:
     """Equation (4) for every period group at once, over the union points ``T``.
 
-    There is one column per distinct period ``d_u``, and costs are the
-    per-group sums ``S_u``.  At a point ``t`` every group from ``k(t)``
-    on — the first whose ``ceil(t/d)`` is 1 — contributes its sum once,
-    so the demand on group ``g`` at a point ``t`` of its ``R`` is
+    Costs are the per-group sums ``S_u`` over the distinct periods
+    ``d_u``.  At a point ``t`` every group is charged ``ceil(t/d_u)``
+    times, and ``ceil(t/d_u)`` is 1 for every group from the first one
+    whose period reaches ``t``, so the demand on group ``g`` at a point
+    ``t`` of its ``R`` is
 
-        ``A(t) + S_{g+1} - S_{k(t)} + B``
+        ``I(t) + S_{g+1} + B``,  ``I(t) = sum_u (ceil(t/d_u) - 1)·S_u``
 
-    with ``A(t) = sum_{u<k(t)} ceil(t/d_u)·S_u`` (one product with
-    :attr:`matrix`, which is zero from ``k(t)`` on) and ``S`` the prefix
-    sums of the group costs.  Group ``g`` passes iff some point of its
-    prefix has ``A(t) - S_{k(t)} - t(1+1e-12) <= -(S_{g+1} + B)``: one
-    running minimum over ``T`` answers every group.
+    with ``S`` the prefix sums of the group costs.  ``I(t)`` charges
+    ``S_u`` once per multiple of ``d_u`` strictly below ``t``; those
+    multiples are the *events* of :func:`_event_table`, and each point
+    counts a prefix of them, so one gather of the sums in event order,
+    one prefix sum and one gather at the per-point counts give ``I`` at
+    every point — no product, no BLAS call, and a row's floats do not
+    depend on the rows evaluated beside it.  Group ``g`` passes iff some
+    point of its prefix has ``I(t) - t(1+1e-12) <= -(S_{g+1} + B)``:
+    one running minimum over ``T`` answers every group.
+
+    :meth:`stacked` joins several kernels into one whose tables carry a
+    leading structure axis; its evaluations take ``which``, the
+    structure of each row, so rows of different period vectors are
+    judged in one pass with the same arithmetic.
 
     Attributes:
         points: ``T`` in prefix order (see :func:`_union_points`).
         thresholds: ``points * (1 + 1e-12)``, the comparison tolerance.
-        matrix: ``(|T|, groups)`` interference coefficients
-            ``ceil(t/d_u)`` where they exceed 1, else 0.
-        unit_start: per point, the group index ``k(t)`` into the
-            prefix sums.
+        events: per event, the group it charges (see :func:`_event_table`).
+        counts: per point, the number of events it counts.
         cuts: per group, the length of its prefix of ``points``.
     """
 
-    __slots__ = ("points", "thresholds", "matrix", "unit_start", "cuts", "_last")
+    __slots__ = ("points", "thresholds", "events", "counts", "cuts", "_last")
 
     def __init__(self, distinct: np.ndarray):
         points, first = _union_points(distinct)
-        # ceil with a tolerance: t is an exact multiple of some P_k, and
-        # floating-point noise must not push ceil(t/P_j) up a step when
-        # t/P_j is integral.  Coefficients are non-increasing along the
-        # sorted periods, so counting those above 1 locates k(t).
-        coef = np.ceil(points[:, None] / distinct[None, :] - 1e-9)
-        above = coef > 1.0
         self.points = points
         self.thresholds = points * (1.0 + 1e-12)
-        self.matrix = np.where(above, coef, 0.0)
-        self.unit_start = np.count_nonzero(above, axis=1)
+        self.events, self.counts = _event_table(points, distinct)
         self.cuts = np.searchsorted(first, np.arange(distinct.size), side="right")
         self._last = self.cuts - 1
 
-    def interference(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(A(t) - S_{k(t)}, S)`` for a group-sum vector or a batch of rows."""
-        prefix = np.zeros(sums.shape[:-1] + (sums.shape[-1] + 1,))
-        np.add.accumulate(sums, axis=-1, out=prefix[..., 1:])
-        base = sums @ self.matrix.T
-        base -= np.take(prefix, self.unit_start, axis=-1)
-        return base, prefix
+    @classmethod
+    def stacked(cls, kernels: Sequence["_PointKernel | None"]) -> "_PointKernel":
+        """One kernel whose structure ``s`` is ``kernels[s]`` (None: a set
+        without streams).
 
-    def verdicts(self, sums: np.ndarray, blocking: float) -> np.ndarray:
+        Tables are padded to the widest structure.  A padded event is
+        never counted; a padded point counts nothing and has an infinite
+        threshold, and every padded group's last point is one of those
+        (there is always one), so its running minimum is ``-inf`` and it
+        passes.  Points and cuts are not kept.
+        """
+        real = [k for k in kernels if k is not None]
+        n_events = max((k.events.size for k in real), default=0)
+        n_points = max((k.points.size for k in real), default=0) + 1
+        n_groups = max((k.cuts.size for k in real), default=0)
+        stack = cls.__new__(cls)
+        stack.points = stack.cuts = None
+        stack.events = np.zeros((len(kernels), n_events), dtype=np.intp)
+        stack.counts = np.zeros((len(kernels), n_points), dtype=np.intp)
+        stack.thresholds = np.full((len(kernels), n_points), np.inf)
+        stack._last = np.full((len(kernels), n_groups), n_points - 1)
+        for s, kernel in enumerate(kernels):
+            if kernel is not None:
+                stack.events[s, : kernel.events.size] = kernel.events
+                stack.counts[s, : kernel.counts.size] = kernel.counts
+                stack.thresholds[s, : kernel.thresholds.size] = kernel.thresholds
+                stack._last[s, : kernel._last.size] = kernel._last
+        return stack
+
+    @staticmethod
+    def _take(values: np.ndarray, table: np.ndarray, which) -> np.ndarray:
+        """``values[..., table]``, or with ``which`` row ``r`` of the
+        ``(rows, width)`` values read through ``table[which[r]]``."""
+        if which is None:
+            return values.take(table, axis=-1)
+        flat = table[which]
+        flat += values.shape[-1] * np.arange(which.size)[:, None]
+        return values.take(flat)
+
+    def interference(
+        self, sums: np.ndarray, which: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``I(t)`` at every point, for a group-sum vector or a batch of rows."""
+        charges = self._take(sums, self.events, which)
+        running = np.zeros(charges.shape[:-1] + (charges.shape[-1] + 1,))
+        np.add.accumulate(charges, axis=-1, out=running[..., 1:])
+        return self._take(running, self.counts, which)
+
+    def verdicts(
+        self, sums: np.ndarray, blocking: float, which: np.ndarray | None = None
+    ) -> np.ndarray:
         """Whether every group passes, per group-sum row (0-d for one vector)."""
-        slack, prefix = self.interference(sums)
-        slack -= self.thresholds
+        slack = self.interference(sums, which)
+        slack -= self.thresholds if which is None else self.thresholds[which]
         np.minimum.accumulate(slack, axis=-1, out=slack)
-        limits = prefix[..., 1:] + blocking
-        return (np.take(slack, self._last, axis=-1) <= -limits).all(axis=-1)
+        limits = np.add.accumulate(sums, axis=-1)
+        limits += blocking
+        return (self._take(slack, self._last, which) <= -limits).all(axis=-1)
 
 
 class ExactRMTest:
@@ -195,10 +316,11 @@ class ExactRMTest:
 
     Every stream's scheduling points ``R_i`` are a prefix of one union
     ``T`` (the lowest-priority stream's points), and streams sharing a
-    period share their points and their ``ceil(t/P)`` coefficients.  The
-    structure is therefore a ``|T| × m`` coefficient matrix over the
-    ``m`` distinct periods plus per-group prefix lengths, independent of
-    the stream count.
+    period share their points and their interference.  The structure is
+    therefore the points, the period multiples that charge interference
+    (each point counts a prefix of them) and per-group prefix lengths,
+    all over the ``m`` distinct periods and independent of the stream
+    count.
 
     Verdicts run on per-period group cost sums.  Within a group the last
     member in RM order is binding: its demand is the group's base plus
@@ -206,10 +328,11 @@ class ExactRMTest:
     plus a prefix of that sum.  The periods are sorted, so each group is
     a contiguous run and one ``np.add.reduceat`` forms the sums; when
     every period is distinct the costs already are the sums.  Evaluating
-    a cost vector is then one matrix–vector product, one prefix sum and
-    one running minimum over ``T`` (see :class:`_PointKernel`), and a
-    batch (:meth:`is_schedulable_batch`) is one matrix–matrix product
-    and the same row-wise scans.  Per-stream reports (:meth:`details`,
+    a cost vector is then a gather of the sums in event order, two
+    prefix sums and one running minimum over ``T`` (see
+    :class:`_PointKernel`); a batch (:meth:`is_schedulable_batch`) runs
+    the same scans row-wise, so each row's verdict is bit-identical to
+    :meth:`is_schedulable` on it.  Per-stream reports (:meth:`details`,
     :meth:`stream_load_ratio`) are derived on demand from the group base
     plus each stream's own prefix sum of the raw costs.
 
@@ -252,7 +375,8 @@ class ExactRMTest:
         else:
             self._kernel = _PointKernel(distinct)
         self._stream_cuts = np.repeat(self._kernel.cuts, counts)
-        self._group_starts = starts if repeats else None
+        self._group_starts = starts
+        self._repeats = repeats
 
     @property
     def periods(self) -> np.ndarray:
@@ -297,19 +421,16 @@ class ExactRMTest:
 
     def _group_sums(self, costs: np.ndarray) -> np.ndarray:
         """Per-period cost sums of a cost vector or a batch of rows."""
-        if self._group_starts is None:
+        if not self._repeats:
             return costs
         return np.add.reduceat(costs, self._group_starts, axis=-1)
-
-    def _evaluate(self, arr: np.ndarray, blocking: float) -> bool:
-        """:meth:`is_schedulable` on an already-validated cost array."""
-        return bool(self._kernel.verdicts(self._group_sums(arr), blocking))
 
     def is_schedulable(
         self, costs: Sequence[float], blocking: float = 0.0
     ) -> bool:
         """True iff every stream passes the exact test."""
-        return self._evaluate(self._validate(costs, blocking), blocking)
+        arr = self._validate(costs, blocking)
+        return bool(self._kernel.verdicts(self._group_sums(arr), blocking))
 
     def is_schedulable_batch(
         self, costs_matrix: Sequence[Sequence[float]], blocking: float = 0.0
@@ -319,9 +440,10 @@ class ExactRMTest:
         ``costs_matrix`` has one row per candidate cost vector (shape
         ``(batch, n_streams)``); the return value is a boolean array with
         one verdict per row.  Validation runs once for the whole batch and
-        the evaluation is one matrix product plus row-wise prefix sums and
+        the evaluation is one pass of row-wise gathers, prefix sums and
         running minima, so a batch of ``B`` evaluations costs far less
-        than ``B`` calls to :meth:`is_schedulable`.
+        than ``B`` calls to :meth:`is_schedulable`, and each row's verdict
+        equals that call's bit for bit.
         """
         mat = self._validate(costs_matrix, blocking, batch=True)
         return self._kernel.verdicts(self._group_sums(mat), blocking)
@@ -330,9 +452,9 @@ class ExactRMTest:
         self, arr: np.ndarray, blocking: float, indices: Sequence[int]
     ) -> list[tuple[float, float]]:
         """``(min_ratio, critical_point)`` per stream in ``indices``: the
-        group base ``A(t) - S_{k(t)}`` plus the stream's own prefix sum
-        ``S_{i+1}`` of the raw costs, plus ``B``."""
-        base, _ = self._kernel.interference(self._group_sums(arr))
+        interference ``I(t)`` plus the stream's own prefix sum ``S_{i+1}``
+        of the raw costs, plus ``B``."""
+        base = self._kernel.interference(self._group_sums(arr))
         own = np.cumsum(arr)
         out = []
         for i in indices:

@@ -359,30 +359,41 @@ def check_breakdown_batch(case: FuzzCase) -> Violation | None:
     """Single and batched breakdown searches must return the same
     ``(scale, evaluations)`` pair, scales bit for bit.
 
-    The batch is a small population, so the probe's grouping of rows by
-    set is exercised: the case's set, a sibling with the same period
-    vector but perturbed payloads (it shares the cached exact-test
-    structure, so rows must not be grouped by structure), and a set
-    with different periods.
+    The batch is a small population of mixed widths, so one probe
+    stacks rows of different structures: the case's set, a sibling with
+    the same period vector but perturbed payloads (it shares the cached
+    exact-test structure, so rows must not be grouped by structure), a
+    set with different periods, a narrower prefix of the case whose
+    first half shares the first period, and a set twice as wide with
+    every period repeated (period groups of several streams).
     """
-    message_set = case.message_set()
+    periods, payloads = case.periods_s, case.payloads_bits
+    width = max(1, 3 * len(periods) // 4)
     population = [
-        message_set,
+        case.message_set(),
         case.with_streams(
-            case.periods_s,
-            tuple(
-                c * (1.25 if i % 2 == 0 else 0.75)
-                for i, c in enumerate(case.payloads_bits)
-            ),
+            periods,
+            tuple(c * (1.25 if i % 2 == 0 else 0.75) for i, c in enumerate(payloads)),
+        ).message_set(),
+        case.with_streams(tuple(p * 1.5 for p in periods), payloads).message_set(),
+        case.with_streams(
+            periods[:1] * (width // 2) + periods[width // 2 : width],
+            payloads[:width],
         ).message_set(),
         case.with_streams(
-            tuple(p * 1.5 for p in case.periods_s), case.payloads_bits
+            periods + periods, tuple(c * 0.5 for c in payloads + payloads)
         ).message_set(),
     ]
     analysis = _pdp_analysis(case, PDPVariant.STANDARD)
     batched = breakdown_scales_batch(population, analysis, rel_tol=1e-3)
     for label, member, (batch_scale, batch_evals) in zip(
-        ("case set", "payload-perturbed sibling", "re-periodized set"),
+        (
+            "case set",
+            "payload-perturbed sibling",
+            "re-periodized set",
+            "narrow tied prefix",
+            "doubled set",
+        ),
         population,
         batched,
     ):

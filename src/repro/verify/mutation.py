@@ -95,6 +95,13 @@ The mutants, and the property expected to catch each:
     up to the next longer period, and a set whose busy period ends just
     late passes → caught by ``rm_exact_vs_rta`` against response-time
     analysis.
+``rm_event_count_off_by_one``
+    The exact RM test's event table gives each scheduling point the
+    event count of the next larger point, so a point also counts the
+    period multiples that lie at it: the demand at ``t`` charges the
+    releases at ``t`` itself, the test turns pessimistic at every
+    scheduling point, and sets that meet every deadline fail → caught by
+    ``rm_exact_vs_rta`` against response-time analysis.
 ``rm_details_group_prefix``
     The exact RM test's per-stream report charges every stream the
     prefix sum up to the *last* member of its period group instead of
@@ -298,6 +305,17 @@ def _buggy_union_points(original):
     return union_points
 
 
+def _buggy_event_table(original):
+    def event_table(points, distinct):
+        events, counts = original(points, distinct)
+        ascending = np.argsort(points)
+        # BUG: each point takes the next larger point's count, so it also
+        # counts the multiples that lie at it
+        counts[ascending[:-1]] = counts[ascending[1:]]
+        return events, counts
+    return event_table
+
+
 def _buggy_load_ratios(original):
     def load_ratios(self, arr, blocking, indices):
         ends = np.searchsorted(self.periods, self.periods, side="right") - 1
@@ -424,6 +442,10 @@ def _patch_sites(mutant: str) -> list[tuple[object, str, object]]:
         return [
             (rm_mod, "_union_points", _buggy_union_points(rm_mod._union_points))
         ]
+    if mutant == "rm_event_count_off_by_one":
+        from repro.analysis import rm as rm_mod
+
+        return [(rm_mod, "_event_table", _buggy_event_table(rm_mod._event_table))]
     if mutant == "rm_details_group_prefix":
         from repro.analysis import rm as rm_mod
 
@@ -459,6 +481,7 @@ MUTANTS: tuple[str, ...] = (
     "fault_recovery_swallowed",
     "router_stale_lease",
     "rm_prefix_cut_overrun",
+    "rm_event_count_off_by_one",
     "rm_details_group_prefix",
     "breakdown_lockstep_bracket",
     "batcher_batch_reordered",

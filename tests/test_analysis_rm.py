@@ -1,5 +1,7 @@
 """Rate-monotonic substrate: Liu–Layland, LSD exact test, RTA equivalence."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -63,6 +65,17 @@ class TestExactTestConstruction:
     def test_rejects_nonpositive_period(self):
         with pytest.raises(MessageSetError):
             ExactRMTest([0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "periods", [[5e-324, 0.01], [1e-300, 1e300]], ids=["subnormal", "huge"]
+    )
+    def test_uncountable_scheduling_points_raise_without_warning(self, periods):
+        """A period ratio that overflows the scheduling-point count is a
+        bad input (MessageSetError), not a float overflow."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MessageSetError, match="scheduling points"):
+                ExactRMTest(periods)
 
     def test_scheduling_points_single_task(self):
         test = ExactRMTest([4.0])
@@ -250,8 +263,12 @@ class TestGroupSums:
         small = ExactRMTest([0.1, 0.2, 0.4])
         periods = np.sort(np.tile([0.1, 0.2, 0.4], 4000))
         big = ExactRMTest(periods)
-        assert big._kernel.matrix.shape == small._kernel.matrix.shape
-        assert np.array_equal(big._kernel.points, small._kernel.points)
+        for table in ("points", "events", "counts", "cuts"):
+            assert np.array_equal(
+                getattr(big._kernel, table), getattr(small._kernel, table)
+            )
+        # 0.4 counts the multiples 0.1, 0.2, 0.3 of 0.1 and 0.2 of 0.2.
+        assert big._kernel.events.size == small._kernel.events.size == 4
         costs = np.full(periods.size, 0.4 / periods.size / 3.0)
         assert isinstance(big.is_schedulable(costs), bool)
 

@@ -7,7 +7,8 @@ segment per stream, built by a per-group loop over the distinct periods.
 Its points must match the prefix layout bit for bit on the period
 families that stress the float tolerances — paper-style uniform draws,
 harmonic catalogues whose multiples collide, and near-equal periods one
-ulp apart — and its stacked mat-vec must give the same verdicts.
+ulp apart — its stacked mat-vec must give the same verdicts, and the
+period multiples each union point counts must equal its coefficients.
 """
 
 from __future__ import annotations
@@ -160,3 +161,21 @@ def test_verdicts_match_stacked_matvec(family):
             assert test.is_schedulable(costs, blocking) == _stacked_verdict(
                 structure, costs, blocking
             )
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_event_counts_equal_ceil_coefficients(family):
+    """Every point counts exactly ``ceil(t/d_u - 1e-9) - 1`` multiples of
+    each distinct period ``d_u``: the coefficients the stacked matrix
+    holds, less each group's own first instance."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        periods = FAMILIES[family](rng)
+        distinct = np.unique(periods)
+        kernel = ExactRMTest(periods)._kernel
+        coef = np.ceil(kernel.points[:, None] / distinct[None, :] - 1e-9)
+        counted = np.array(
+            [np.bincount(kernel.events[:c], minlength=distinct.size)
+             for c in kernel.counts]
+        )
+        assert np.array_equal(counted, np.maximum(coef - 1.0, 0.0)), periods

@@ -35,6 +35,7 @@ from repro.analysis.breakdown import (
 )
 from repro.analysis.pdp import (
     PDPAnalysis,
+    PDPPopulation,
     PDPVariant,
     pdp_augmented_length,
     pdp_augmented_lengths,
@@ -155,6 +156,141 @@ class TestBatchedLSDTest:
         test = ExactRMTest((0.05, 0.1, 0.2))
         batch = test.is_schedulable_batch(np.zeros((3, 3)), 0.0)
         assert batch.tolist() == [True, True, True]
+
+
+class TestOneKernelForEveryCaller:
+    """Every caller of the exact test reads one kernel, and a row's floats
+    do not depend on the rows evaluated beside it: a set's verdict is the
+    same bit alone, in ``is_schedulable_batch``, in a ``scale_prober``
+    probe over a mixed population, and through ``PDPPopulation`` asked
+    about one candidate or several."""
+
+    BANDWIDTH = mbps(10.0)
+
+    def analysis(self, variant):
+        return PDPAnalysis(
+            ieee_802_5_ring(self.BANDWIDTH, n_stations=100),
+            paper_frame_format(),
+            variant,
+        )
+
+    def population(self):
+        """Widths 1–100, repeated periods, an empty and an all-zero set."""
+        rng = np.random.default_rng(2025)
+        catalogue = np.array([0.008, 0.016, 0.024, 0.032, 0.064, 0.1])
+        sets = [MessageSet([])]
+        for k, width in enumerate((1, 2, 3, 7, 16, 33, 64, 100, 100)):
+            if k % 3 == 0:
+                periods = rng.choice(catalogue, size=width)
+            else:
+                periods = rng.uniform(0.01, 0.1, size=width)
+            payloads = rng.uniform(100.0, 4000.0, size=width)
+            sets.append(
+                MessageSet(
+                    SynchronousStream(period_s=p, payload_bits=c, station=i)
+                    for i, (p, c) in enumerate(zip(periods, payloads))
+                )
+            )
+        sets.append(
+            MessageSet(
+                SynchronousStream(period_s=p, payload_bits=0.0, station=i)
+                for i, p in enumerate((0.01, 0.01, 0.05, 0.2))
+            )
+        )
+        return sets
+
+    @pytest.mark.parametrize("variant", list(PDPVariant))
+    def test_probe_rows_equal_lone_and_batch_rows(self, variant):
+        analysis = self.analysis(variant)
+        sets = self.population()
+        scales = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
+        for message_set in sets[1:]:
+            scale, _ = breakdown_scale(message_set, analysis, rel_tol=1e-6)
+            if 0.0 < scale < math.inf:
+                scales += [scale, scale * (1 + 1e-6)]
+        rng = np.random.default_rng(7)
+        pairs = [(i, s) for i in range(len(sets)) for s in scales]
+        pairs = [pairs[k] for k in rng.permutation(len(pairs))]
+        probe = analysis.scale_prober(sets)
+        probed = probe([i for i, _ in pairs], np.array([s for _, s in pairs]))
+        for i, message_set in enumerate(sets):
+            rows = [k for k, (j, _) in enumerate(pairs) if j == i]
+            ordered = message_set.rate_monotonic()
+            if not len(ordered):
+                assert probed[rows].all()
+                continue
+            test = ExactRMTest(ordered.periods)
+            payloads = np.asarray(ordered.payloads_bits)
+            costs = pdp_augmented_lengths(
+                np.array([pairs[k][1] for k in rows])[:, None] * payloads,
+                analysis.ring,
+                analysis.frame,
+                variant,
+            )
+            alone = [test.is_schedulable(row, analysis.blocking) for row in costs]
+            batch = test.is_schedulable_batch(costs, analysis.blocking)
+            assert batch.tolist() == alone
+            assert probed[rows].tolist() == alone
+            # One row per probe, as the lockstep search sends a live set.
+            for k in rows:
+                assert probe([i], np.array([pairs[k][1]]))[0] == probed[k]
+        assert True in probed.tolist() and False in probed.tolist()
+
+    def test_probe_over_empty_sets_and_no_rows(self):
+        probe = self.analysis(PDPVariant.STANDARD).scale_prober(
+            [MessageSet([]), MessageSet([])]
+        )
+        assert probe([1, 0, 1], np.array([1.0, 2.0, 1e9])).tolist() == [True] * 3
+        assert probe([], np.array([])).tolist() == []
+
+    @pytest.mark.parametrize("variant", list(PDPVariant))
+    def test_population_rows_equal_lone_and_batch_rows(self, variant):
+        analysis = self.analysis(variant)
+        for message_set in self.population()[1:]:
+            ordered = message_set.rate_monotonic()
+            admitted, last = list(ordered)[:-1], list(ordered)[-1]
+            population = PDPPopulation(analysis)
+            for stream in admitted:
+                population.insert(stream)
+            candidates = [
+                SynchronousStream(
+                    period_s=last.period_s, payload_bits=bits, station=last.station
+                )
+                for bits in np.geomspace(1.0, 2e5, 24)
+            ]
+            many = population.verdicts(candidates)
+            assert [population.verdicts([c])[0] for c in candidates] == many
+            whole = [MessageSet([*admitted, c]).rate_monotonic() for c in candidates]
+            test = ExactRMTest(whole[0].periods)
+            costs = np.stack([analysis.augmented_lengths(w) for w in whole])
+            alone = [test.is_schedulable(row, analysis.blocking) for row in costs]
+            assert test.is_schedulable_batch(costs, analysis.blocking).tolist() == alone
+            assert many == alone
+
+    @pytest.mark.parametrize(
+        "periods",
+        [
+            (0.125, 0.25, 0.5, 1.0),
+            (0.125, 0.125, 0.25, 1.0, 1.0),
+            (0.01, 0.03, 0.09, 0.27),
+            (0.01, 0.02, 0.02, 0.04, 0.08),
+        ],
+    )
+    def test_harmonic_sets_at_exact_saturation_agree_with_rta(self, periods):
+        """A harmonic set whose utilization is exactly 1 (in exact
+        arithmetic) is schedulable: its lowest-priority response meets
+        the period.  A hair more load misses."""
+        periods = np.asarray(periods)
+        costs = periods / periods.size  # each stream takes 1/n of the ring
+        test = ExactRMTest(periods)
+        rows = np.stack([costs, costs * (1 + 1e-6)])
+        alone = [test.is_schedulable(row) for row in rows]
+        assert test.is_schedulable_batch(rows).tolist() == alone
+        for row, verdict in zip(rows, alone):
+            responses = response_time_analysis(row, periods)
+            oracle = all(r <= p * (1 + 1e-12) for r, p in zip(responses, periods))
+            assert verdict == oracle
+        assert alone == [True, False]
 
 
 class TestLockstepBisection:

@@ -139,6 +139,9 @@ class TestMutationSmoke:
         ]
         assert "rm_exact_vs_rta" in report.fired_checks["rm_prefix_cut_overrun"]
         assert "rm_exact_vs_rta" in report.fired_checks[
+            "rm_event_count_off_by_one"
+        ]
+        assert "rm_exact_vs_rta" in report.fired_checks[
             "rm_details_group_prefix"
         ]
         assert "service_batch_equiv" in report.fired_checks[
