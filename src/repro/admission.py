@@ -8,15 +8,18 @@ this use ("schedulability tests are not needed as long as the offered
 load is below this bound"); this module turns that sketch into an API.
 
 :class:`AdmissionController` wraps either protocol analysis and maintains
-the admitted set.  Three admission policies:
+the admitted set.  The policy selects semantics, not speed:
 
-* ``EXACT`` — run the full schedulability test on every request (most
-  admissive, costs an exact-test evaluation).
-* ``SUFFICIENT`` — run only the utilization-based sufficient bound of
-  :mod:`repro.analysis.bounds` (cheapest; rejects some feasible sets).
-* ``HYBRID`` — try the sufficient bound first and fall back to the exact
-  test only when it rejects (exact admissivity at amortized bound cost —
-  the run-time administration pattern the paper recommends).
+* ``EXACT`` (the default) — the exact criterion, Theorem 4.1 or 5.1, on
+  every request: the most admissive policy.
+* ``SUFFICIENT`` — only the utilization-based sufficient bound of
+  :mod:`repro.analysis.bounds`, the §2 run-time rule itself: more
+  conservative, it rejects some feasible sets.
+
+There is no bound-then-exact screen: it would admit exactly what
+``EXACT`` admits, and since the bound needs a candidate set built first,
+the screen costs more than the exact test it spares unless the bound
+admits nearly every request (EXPERIMENTS.md, "Admission policy sizing").
 
 Station assignment is handled by the controller (one stream per station,
 as in the paper's model); releases free their stations for reuse.
@@ -44,7 +47,7 @@ Decisions can optionally be fronted by the content-addressed result
 cache (:mod:`repro.cache`): pass ``cache_namespace`` and every computed
 ``(schedulable, tested_by)`` verdict is stored under a key covering the
 analysis signature, policy, admitted population, and candidate — a
-repeat query against the same population short-circuits both tests.
+repeat query against the same population short-circuits the test.
 The population part of the key is hashed once per population change
 (one update over the snapshot's sorted key fragments, see
 :meth:`AdmissionController._cache_key`), so a key costs O(1) in the
@@ -63,9 +66,9 @@ every decision reads, one bisect insertion or removal per change:
   utilization — and it feeds both the budget gate and the decision;
 * on a PDP ring, a :class:`~repro.analysis.pdp.PDPPopulation`: the
   streams in rate-monotonic order with their augmented lengths ``C'_i``
-  and per-period cost sums.  Every policy's exact step asks it, so a
-  PDP decision costs one ``C'`` and one re-summed period group, and
-  builds no candidate set;
+  and per-period cost sums.  ``EXACT`` asks it, so a PDP decision
+  costs one ``C'`` and one re-summed period group, and builds no
+  candidate set;
 * with the decision cache on, each stream's canonical key fragment, in
   sorted order.
 
@@ -127,7 +130,6 @@ class AdmissionPolicy(enum.Enum):
 
     EXACT = "exact"
     SUFFICIENT = "sufficient"
-    HYBRID = "hybrid"
 
 
 @dataclass(frozen=True)
@@ -221,7 +223,7 @@ class AdmissionController:
     Args:
         analysis: a :class:`PDPAnalysis` or :class:`TTPAnalysis`; the
             controller dispatches the matching sufficient bound.
-        policy: the admission policy (default HYBRID).
+        policy: the admission policy (default EXACT).
         cache_namespace: when set, front decisions with the
             content-addressed result cache under this namespace (the
             admission service passes ``"admission"``); None — the
@@ -243,7 +245,7 @@ class AdmissionController:
     def __init__(
         self,
         analysis: PDPAnalysis | TTPAnalysis,
-        policy: AdmissionPolicy = AdmissionPolicy.HYBRID,
+        policy: AdmissionPolicy = AdmissionPolicy.EXACT,
         *,
         cache_namespace: str | None = None,
         utilization_cap: float | None = None,
@@ -357,11 +359,6 @@ class AdmissionController:
 
     # -- internals --------------------------------------------------------------
 
-    def _sufficient_test(self, candidate: MessageSet) -> bool:
-        if isinstance(self._analysis, PDPAnalysis):
-            return pdp_sufficient_test(self._analysis, candidate).admitted
-        return ttp_sufficient_test(self._analysis, candidate).admitted
-
     def _snapshot_insert(self, stream_id: int, stream: SynchronousStream) -> None:
         """Add a just-installed stream to the snapshot; lock held."""
         self._terms[stream_id] = stream.utilization(
@@ -468,6 +465,15 @@ class AdmissionController:
             return self._population.verdicts(candidates)
         return [self._analysis.is_schedulable(ms) for ms in candidates]
 
+    def _sufficient_verdicts(self, candidates: list[MessageSet]) -> list[bool]:
+        """Sufficient-bound verdicts, one per candidate set."""
+        test = (
+            pdp_sufficient_test
+            if self._population is not None
+            else ttp_sufficient_test
+        )
+        return [test(self._analysis, ms).admitted for ms in candidates]
+
     def _evaluate_many(
         self, streams: list[SynchronousStream], keys: list
     ) -> list[tuple[bool, str] | ReproError]:
@@ -476,11 +482,11 @@ class AdmissionController:
         callers.
 
         Exactly the sequential policy logic, vectorized: cache hits
-        short-circuit, the sufficient bound screens HYBRID/SUFFICIENT
-        misses (each on its candidate set), and every exact evaluation
-        left over goes through one :meth:`_exact_verdicts` call — PDP
-        candidates as streams against the population, TTP candidates as
-        sets.  A candidate whose test raises gets the error alone.
+        short-circuit, and every miss goes to the policy's one test in
+        one call — :meth:`_exact_verdicts` (PDP candidates as streams
+        against the population, TTP candidates as sets) or
+        :meth:`_sufficient_verdicts`.  A candidate whose test raises gets
+        the error alone.
         """
         from repro.cache.store import result_cache
 
@@ -499,55 +505,34 @@ class AdmissionController:
                         if hit is not None:
                             out[i] = (bool(hit[0]), str(hit[1]))
             misses = [i for i in range(n) if out[i] is None]
-            sets = (
-                {i: self._candidate_set(streams[i]) for i in misses}
-                if self._population is None
-                or self._policy is not AdmissionPolicy.EXACT
-                else {}
-            )
-            candidates = streams if self._population is not None else sets
-
-            computed: dict[int, tuple[bool, str]] = {}
-            if self._policy is not AdmissionPolicy.EXACT:
-                with tracing.span("sufficient", candidates=len(misses)):
-                    for i in misses:
+            if not misses:
+                return out
+            exact = self._policy is AdmissionPolicy.EXACT
+            tested_by = "exact" if exact else "sufficient"
+            test = self._exact_verdicts if exact else self._sufficient_verdicts
+            if exact and self._population is not None:
+                candidates = [streams[i] for i in misses]
+            else:
+                candidates = [self._candidate_set(streams[i]) for i in misses]
+            with tracing.span(tested_by, candidates=len(misses)):
+                try:
+                    verdicts = list(zip(misses, test(candidates)))
+                except ReproError:
+                    # A degenerate candidate (e.g. TTP q_i < 2) aborts the
+                    # batched call without naming the culprit; re-evaluate
+                    # one by one so only the faulting candidates carry the
+                    # error, exactly as sequential calls would.
+                    verdicts = []
+                    for i, candidate in zip(misses, candidates):
                         try:
-                            admitted = self._sufficient_test(sets[i])
+                            verdicts.append((i, test([candidate])[0]))
                         except ReproError as exc:
                             out[i] = exc
-                            continue
-                        if admitted:
-                            computed[i] = (True, "sufficient")
-                        elif self._policy is AdmissionPolicy.SUFFICIENT:
-                            computed[i] = (False, "sufficient")
-                misses = [
-                    i for i in misses if i not in computed and out[i] is None
-                ]
-            if misses:
-                with tracing.span("exact", candidates=len(misses)):
-                    try:
-                        verdicts = self._exact_verdicts(
-                            [candidates[i] for i in misses]
-                        )
-                        for i, ok in zip(misses, verdicts):
-                            computed[i] = (bool(ok), "exact")
-                    except ReproError:
-                        # A degenerate candidate (e.g. TTP q_i < 2) aborts
-                        # the batched call without naming the culprit;
-                        # re-evaluate one by one so only the faulting
-                        # candidates carry the error, exactly as
-                        # sequential calls would.
-                        for i in misses:
-                            try:
-                                ok = self._exact_verdicts([candidates[i]])[0]
-                                computed[i] = (bool(ok), "exact")
-                            except ReproError as exc:
-                                out[i] = exc
-            for i, value in computed.items():
-                out[i] = value
+            for i, ok in verdicts:
+                out[i] = (bool(ok), tested_by)
                 if cache is not None and keys[i] is not None:
                     cache.put(
-                        keys[i], list(value), namespace=self._cache_namespace
+                        keys[i], list(out[i]), namespace=self._cache_namespace
                     )
         return out
 
@@ -747,7 +732,15 @@ class AdmissionController:
 
         Operations that would have raised when issued directly come back
         as :class:`OpFault` instead, so one malformed request never
-        poisons its batchmates.
+        poisons its batchmates.  That covers every
+        :class:`~repro.errors.ReproError`: the errors a request can
+        provoke.  Any other exception is a program fault, not an answer
+        to one request: it propagates and fails the whole batch (the
+        service answers each member ``500 InternalError``), and the
+        ``admission_snapshot_equiv`` fuzz property counts it as a
+        violation.  Isolating it per operation would answer the rest of
+        the batch from whatever state the fault left half-updated.
+        Operations the batch committed before the fault stay committed.
         """
         results: dict[int, AdmissionDecision | ReleaseOutcome | OpFault] = {}
         with self._lock:

@@ -379,33 +379,6 @@ class PDPAnalysis:
         test = self._exact_test_for(ordered)
         return test.is_schedulable(self.augmented_lengths(ordered), self.blocking)
 
-    def schedulable_at_scales(
-        self, message_set: MessageSet, scales: Sequence[float]
-    ) -> np.ndarray:
-        """Theorem 4.1 verdicts for ``message_set`` at many payload scales.
-
-        One vectorized augmented-length evaluation over the
-        ``(n_scales, n_streams)`` payload matrix plus one
-        :meth:`ExactRMTest.is_schedulable_batch` call — the period
-        structure is shared by every row, so the whole batch costs little
-        more than a single scalar probe.
-        """
-        scale_arr = np.asarray(scales, dtype=float)
-        if np.any(scale_arr < 0):
-            raise MessageSetError("scales must be non-negative")
-        if len(message_set) == 0:
-            return np.ones(scale_arr.size, dtype=bool)
-        ordered = message_set.rate_monotonic()
-        test = self._exact_test_for(ordered)
-        payloads = np.asarray(ordered.payloads_bits, dtype=float)
-        costs = pdp_augmented_lengths(
-            scale_arr[:, None] * payloads[None, :],
-            self._ring,
-            self._frame,
-            self._variant,
-        )
-        return test.is_schedulable_batch(costs, self.blocking)
-
     def scale_prober(
         self, message_sets: Sequence[MessageSet]
     ) -> "Callable[[Sequence[int], np.ndarray], np.ndarray]":

@@ -605,7 +605,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     service.add_argument(
         "--policy", type=str, default="exact",
-        choices=["exact", "sufficient", "hybrid"],
+        choices=["exact", "sufficient"],
         help="serve: admission policy",
     )
     service.add_argument("--batch-max", type=int, default=64,

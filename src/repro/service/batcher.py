@@ -136,7 +136,8 @@ class MicroBatcher:
 
         Raises :class:`QueueFullError` when the pending list is at
         capacity and :class:`ServiceError` when the batcher is draining;
-        neither touches admission state.
+        neither touches admission state.  A batch whose ``process_batch``
+        raises re-raises that exception in every member.
         """
         loop = self._loop
         if loop is None:
@@ -179,12 +180,12 @@ class MicroBatcher:
                     [op for op, _, _ in batch], [span for _, _, span in batch]
                 )
             except Exception as exc:  # answer rather than hang
+                # The original exception, not a ServiceError: the server
+                # answers it 500 InternalError, not 503 Draining.
                 _LOG.warning("batch of %d failed", len(batch), exc_info=True)
                 for _, future, _ in batch:
                     if not future.done():
-                        future.set_exception(
-                            ServiceError(f"batch execution failed: {exc}")
-                        )
+                        future.set_exception(exc)
                 continue
             _answer(batch, results)
 

@@ -36,7 +36,7 @@ encode/decode helpers shared by the server, both clients, and the tests.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.admission import (
     AdmissionController,
@@ -74,12 +74,11 @@ class ServiceConfig:
 
     The analysis side (protocol, bandwidth, ring size, policy) mirrors
     the library constructors; the serving side (batch size, queue
-    bound, rate limit) tunes the micro-batcher and backpressure.  The
-    defaults favour the exact test — the batched
-    :meth:`~repro.analysis.rm.ExactRMTest.is_schedulable_batch` dispatch
-    plus the content-addressed cache is the fast path this service
-    exists to exercise — while ``policy="hybrid"`` restores the paper's
-    amortized-bound pattern.
+    bound, rate limit) tunes the micro-batcher and backpressure.
+    ``policy`` selects semantics: ``"exact"`` (the default, Theorems 4.1
+    and 5.1) or ``"sufficient"`` (the utilization bound only, more
+    conservative).  Decisions are always fronted by the content-addressed
+    result cache under the ``"admission"`` namespace.
     """
 
     host: str = "127.0.0.1"
@@ -88,12 +87,11 @@ class ServiceConfig:
     variant: str = "modified"  # PDP only: "standard" | "modified"
     bandwidth_mbps: float = 16.0
     n_stations: int = 40
-    policy: str = "exact"  # "exact" | "sufficient" | "hybrid"
+    policy: str = "exact"  # "exact" | "sufficient"
     batch_max: int = 64
     queue_limit: int = 256
     rate_limit_rps: float = 0.0  # per client; 0 disables
     rate_limit_burst: float = 50.0
-    cache_namespace: str | None = "admission"
     drain_grace_s: float = 5.0
     shard_id: str | None = None  # cluster worker identity; None standalone
     utilization_cap: float | None = None  # budget lease; None unbounded
@@ -101,7 +99,6 @@ class ServiceConfig:
     trace_buffer: int = 256  # traces retained for /v1/traces
     trace_jsonl: str | None = None  # append finished traces here
     slow_trace_s: float = 0.0  # log full span tree above this; 0 off
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.protocol not in ("pdp", "ttp"):
@@ -112,10 +109,9 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"variant must be 'standard' or 'modified', got {self.variant!r}"
             )
-        if self.policy not in ("exact", "sufficient", "hybrid"):
+        if self.policy not in ("exact", "sufficient"):
             raise ConfigurationError(
-                f"policy must be 'exact', 'sufficient', or 'hybrid', "
-                f"got {self.policy!r}"
+                f"policy must be 'exact' or 'sufficient', got {self.policy!r}"
             )
         if self.batch_max < 1:
             raise ConfigurationError(
@@ -178,7 +174,7 @@ def build_controller(config: ServiceConfig) -> AdmissionController:
     return AdmissionController(
         analysis,
         AdmissionPolicy(config.policy),
-        cache_namespace=config.cache_namespace,
+        cache_namespace="admission",
         utilization_cap=config.utilization_cap,
     )
 

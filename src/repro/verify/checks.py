@@ -214,6 +214,17 @@ def _ttp_analysis(case: FuzzCase) -> TTPAnalysis:
     return TTPAnalysis(ring, _frame())
 
 
+def _admission_policy(case: FuzzCase):
+    """The admission policy a case exercises.  The admission checks pick
+    the protocol by ``case.index % 2``, so the policy alternates every
+    two cases: consecutive cases cover all four (protocol, policy)
+    pairs."""
+    return (
+        admission_mod.AdmissionPolicy.EXACT,
+        admission_mod.AdmissionPolicy.SUFFICIENT,
+    )[(case.index // 2) % 2]
+
+
 # -- analysis versus simulation -------------------------------------------------
 
 
@@ -636,11 +647,7 @@ def check_service_batch_equiv(case: FuzzCase) -> Violation | None:
     lands in one loop tick, so one flush), with a seeded ``batch_max``
     slicing each flush.
     """
-    policy = (
-        admission_mod.AdmissionPolicy.EXACT,
-        admission_mod.AdmissionPolicy.SUFFICIENT,
-        admission_mod.AdmissionPolicy.HYBRID,
-    )[case.index % 3]
+    policy = _admission_policy(case)
     if case.index % 2:
         analyses = (_ttp_analysis(case), _ttp_analysis(case))
     else:
@@ -713,11 +720,7 @@ def check_service_batch_equiv(case: FuzzCase) -> Violation | None:
 
 def check_admission_cache_equiv(case: FuzzCase) -> Violation | None:
     """The decision cache must never move an admission decision."""
-    policy = (
-        admission_mod.AdmissionPolicy.EXACT,
-        admission_mod.AdmissionPolicy.SUFFICIENT,
-        admission_mod.AdmissionPolicy.HYBRID,
-    )[case.index % 3]
+    policy = _admission_policy(case)
     if case.index % 2:
         analysis_factory = lambda n: TTPAnalysis(  # noqa: E731
             fddi_ring(case.bandwidth_bps, n_stations=n), _frame()
@@ -886,17 +889,15 @@ class _AdmissionSpec:
         after = candidate.utilization(bandwidth)
         if self.cap is not None and after > self.cap:
             return (False, None, None, "budget", repr(after))
-        AdmissionPolicy = admission_mod.AdmissionPolicy
-        tested_by = "exact"
-        if self.policy is not AdmissionPolicy.EXACT:
-            if isinstance(analysis, PDPAnalysis):
-                report = bounds_mod.pdp_sufficient_test(analysis, candidate)
-            else:
-                report = bounds_mod.ttp_sufficient_test(analysis, candidate)
-            if report.admitted or self.policy is AdmissionPolicy.SUFFICIENT:
-                ok, tested_by = report.admitted, "sufficient"
-        if tested_by == "exact":
-            ok = bool(analysis.is_schedulable(candidate))
+        if self.policy is admission_mod.AdmissionPolicy.EXACT:
+            ok, tested_by = bool(analysis.is_schedulable(candidate)), "exact"
+        else:
+            test = (
+                bounds_mod.pdp_sufficient_test
+                if isinstance(analysis, PDPAnalysis)
+                else bounds_mod.ttp_sufficient_test
+            )
+            ok, tested_by = test(analysis, candidate).admitted, "sufficient"
         return (ok, None, station if ok else None, tested_by, repr(after))
 
     def apply(self, op):
@@ -961,11 +962,7 @@ def check_admission_snapshot_equiv(case: FuzzCase) -> Violation | None:
     :class:`~repro.errors.ReproError` escaping the controller is a
     violation.
     """
-    policy = (
-        admission_mod.AdmissionPolicy.EXACT,
-        admission_mod.AdmissionPolicy.SUFFICIENT,
-        admission_mod.AdmissionPolicy.HYBRID,
-    )[case.index % 3]
+    policy = _admission_policy(case)
     n_stations = 6
     bandwidth = case.bandwidth_bps
     if case.index % 2:
@@ -1062,11 +1059,7 @@ def check_admission_tracing_equiv(case: FuzzCase) -> Violation | None:
     op sequence identically at every sample rate — 0.0 (never sampled),
     0.5 (systematic every-other), and 1.0 (every request).
     """
-    policy = (
-        admission_mod.AdmissionPolicy.EXACT,
-        admission_mod.AdmissionPolicy.SUFFICIENT,
-        admission_mod.AdmissionPolicy.HYBRID,
-    )[case.index % 3]
+    policy = _admission_policy(case)
     sample_rate = (0.0, 0.5, 1.0)[case.index % 3]
     if case.index % 2:
         analysis_factory = lambda: _ttp_analysis(case)  # noqa: E731
@@ -1605,11 +1598,7 @@ def check_cluster_shard_equiv(case: FuzzCase) -> Violation | None:
     hash ring's minimal-disruption contract: removing one shard may only
     move keys that shard owned.
     """
-    policy = (
-        admission_mod.AdmissionPolicy.EXACT,
-        admission_mod.AdmissionPolicy.SUFFICIENT,
-        admission_mod.AdmissionPolicy.HYBRID,
-    )[case.index % 3]
+    policy = _admission_policy(case)
     if case.index % 2:
         make_analysis = lambda: _ttp_analysis(case)  # noqa: E731
     else:

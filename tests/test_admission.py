@@ -28,14 +28,14 @@ from repro.units import mbps, milliseconds
 FRAME = paper_frame_format()
 
 
-def pdp_controller(n=8, bandwidth=16.0, policy=AdmissionPolicy.HYBRID):
+def pdp_controller(n=8, bandwidth=16.0, policy=AdmissionPolicy.EXACT):
     analysis = PDPAnalysis(
         ieee_802_5_ring(mbps(bandwidth), n_stations=n), FRAME, PDPVariant.MODIFIED
     )
     return AdmissionController(analysis, policy)
 
 
-def ttp_controller(n=8, bandwidth=100.0, policy=AdmissionPolicy.HYBRID):
+def ttp_controller(n=8, bandwidth=100.0, policy=AdmissionPolicy.EXACT):
     analysis = TTPAnalysis(fddi_ring(mbps(bandwidth), n_stations=n), FRAME)
     return AdmissionController(analysis, policy)
 
@@ -123,27 +123,19 @@ class TestPolicies:
         )
         assert exact_admits >= sufficient_admits
 
-    def test_hybrid_matches_exact_decisions(self):
-        """HYBRID must admit exactly what EXACT admits (it only changes
-        which test runs, never the verdict)."""
-        rng = np.random.default_rng(3)
-        requests = [
-            (float(rng.uniform(0.02, 0.2)), float(rng.uniform(1e3, 3e5)))
-            for _ in range(12)
-        ]
-        hybrid = pdp_controller(n=12, bandwidth=10.0, policy=AdmissionPolicy.HYBRID)
-        exact = pdp_controller(n=12, bandwidth=10.0, policy=AdmissionPolicy.EXACT)
-        for period, payload in requests:
-            assert (
-                hybrid.request(period, payload).admitted
-                == exact.request(period, payload).admitted
-            )
-
-    def test_hybrid_uses_cheap_path_when_light(self):
-        controller = pdp_controller()
-        decision = controller.request(milliseconds(100), 1000)
-        assert decision.admitted
-        assert decision.tested_by == "sufficient"
+    @pytest.mark.parametrize("make", [pdp_controller, ttp_controller])
+    def test_sufficient_policy_never_runs_the_exact_test(self, make, monkeypatch):
+        """Every SUFFICIENT decision, admit or reject, is the bound's."""
+        monkeypatch.setattr(
+            AdmissionController,
+            "_exact_verdicts",
+            lambda self, candidates: pytest.fail("exact test ran"),
+        )
+        controller = make(policy=AdmissionPolicy.SUFFICIENT)
+        light = controller.request(milliseconds(100), 1000)
+        heavy = controller.check(milliseconds(10), 5_000_000)
+        assert light.admitted and not heavy.admitted
+        assert light.tested_by == heavy.tested_by == "sufficient"
 
     def test_ttp_controller_works(self):
         controller = ttp_controller()
@@ -331,9 +323,9 @@ class TestDecisionKey:
 
     def test_policy_and_signature_separate_keys(self):
         exact, _ = cached_pair(policy=AdmissionPolicy.EXACT)
-        hybrid, _ = cached_pair(policy=AdmissionPolicy.HYBRID)
+        sufficient, _ = cached_pair(policy=AdmissionPolicy.SUFFICIENT)
         faster, _ = cached_pair(bandwidth=100.0)
-        assert self.key(exact) != self.key(hybrid)
+        assert self.key(exact) != self.key(sufficient)
         assert self.key(exact) != self.key(faster)
 
 

@@ -374,7 +374,7 @@ def _path_counts(sample_rate: float) -> dict:
         paper_frame_format(),
         PDPVariant.MODIFIED,
     )
-    batcher = MicroBatcher(AdmissionController(analysis, AdmissionPolicy.HYBRID))
+    batcher = MicroBatcher(AdmissionController(analysis, AdmissionPolicy.EXACT))
     tracer = Tracer(sample_rate)
     tracing.reset()
     for size in (1, 3, 2, 4):

@@ -93,8 +93,10 @@ class TestProtocol:
             ServiceConfig(protocol="atm")
 
     def test_config_rejects_unknown_policy(self):
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(policy="optimistic")
+        # "hybrid" (bound first, exact on rejection) was a policy once.
+        for policy in ("optimistic", "hybrid"):
+            with pytest.raises(ConfigurationError):
+                ServiceConfig(policy=policy)
 
     def test_config_rejects_degenerate_limits(self):
         with pytest.raises(ConfigurationError):
@@ -359,9 +361,11 @@ class TestMicroBatcher:
             return first, second
 
         first, second = asyncio.run(go())
-        # The whole failed slice is answered with ServiceError; the next
-        # slice of the same flush and later flushes still run.
-        assert all(isinstance(r, ServiceError) for r in first[:2])
+        # The whole failed slice is answered with the controller's own
+        # exception (not a ServiceError, which the server would answer
+        # 503 Draining); the next slice of the same flush and later
+        # flushes still run.
+        assert all(isinstance(r, RuntimeError) for r in first[:2])
         assert "engine exploded" in str(first[0])
         assert isinstance(first[2], AdmissionDecision)
         assert isinstance(second, AdmissionDecision)
@@ -463,9 +467,49 @@ class _SlowController:
         return getattr(self._inner, name)
 
 
+class _FaultOnceController:
+    """Delegates to a real controller, but its first batch raises a
+    non-``ReproError``: a program fault, not an answer to any request."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self._faulted = False
+
+    def process_batch(self, ops):
+        if not self._faulted:
+            self._faulted = True
+            raise RuntimeError("injected controller fault")
+        return self._inner.process_batch(ops)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
 class TestServer:
+    def test_failed_batch_is_an_internal_error_not_a_drain(self):
+        """A batch whose controller raises answers 500 InternalError.  A
+        503 Draining would make a cluster router retract a healthy
+        worker; the server keeps serving."""
+        controller = _FaultOnceController(make_controller())
+        internal = metrics.counter("service.errors.internal")
+        before = internal.value
+        with _ServerThread(ServiceConfig(port=0, n_stations=8), controller) as server:
+            with ServiceClient(port=server.port) as client:
+                status, payload, headers = client.request(
+                    "POST", "/v1/check", {"period_s": 0.032, "payload_bits": 512}
+                )
+                health = client.healthz()
+                after = client.check(0.032, 512.0)
+        assert status == 500
+        assert payload["error"] == "InternalError"
+        assert "injected controller fault" in payload["detail"]
+        assert "Retry-After" not in headers
+        assert internal.value == before + 1
+        assert health["status"] == "ok"
+        assert after["admitted"] is True
+
     def test_sync_client_full_tour(self):
-        config = ServiceConfig(port=0, n_stations=8, policy="hybrid")
+        config = ServiceConfig(port=0, n_stations=8, policy="sufficient")
         with _ServerThread(config) as server:
             with ServiceClient(port=server.port) as client:
                 health = client.healthz()
@@ -581,7 +625,7 @@ class TestServer:
         assert status == 422
         assert payload["error"] == "MessageSetError"
 
-    @pytest.mark.parametrize("policy", ["exact", "hybrid"])
+    @pytest.mark.parametrize("policy", ["exact", "sufficient"])
     def test_ttp_overflowing_period_is_unprocessable(self, policy):
         """On a TTP ring beside an admitted stream, a 1e308 s period has no
         finite token visit count: 422, and the server keeps answering."""

@@ -69,6 +69,18 @@ class TestCaseGeneration:
         assert case.kind == "exact_multiple"
         assert case.ttrt_hint_s is not None and case.ttrt_hint_s > 0
 
+    def test_admission_cases_cover_every_protocol_and_policy(self):
+        """The admission properties take the protocol from ``index % 2``
+        and the policy from :func:`_admission_policy`; four consecutive
+        cases meet all four pairs."""
+        from repro.verify.checks import _admission_policy
+
+        pairs = {
+            (index % 2, _admission_policy(build_case(PINNED_SEED, index)))
+            for index in range(4)
+        }
+        assert len(pairs) == 4
+
     def test_n1_cases_have_one_stream(self):
         case = build_case(PINNED_SEED, CASE_KINDS.index("n1"))
         assert case.kind == "n1"
