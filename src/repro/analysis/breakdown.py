@@ -162,56 +162,6 @@ def _bisect_scale(
     return lo, evaluations
 
 
-def _breakdown_cache_keys(
-    predicate: object,
-    message_sets: "Sequence[MessageSet]",
-    rel_tol: float,
-    max_doublings: int,
-):
-    """``(store, per-set keys)`` when breakdown caching engages, else ``(None, None)``.
-
-    Caching engages only when the predicate can describe itself — a
-    ``cache_signature()`` method returning a JSON payload (``None`` opts
-    out) — *and* a persistent cache directory is configured.  With no
-    disk layer the searches always run: the differential fuzz harness
-    compares the scalar and lockstep searches, and a memory-only memo
-    would collapse that comparison into a cache lookup of itself.
-
-    The scalar and lockstep searches return the same pair, so they share
-    one row per set.  Streams are keyed as ``float`` period and payload
-    and ``int`` station, as :func:`repro.cache.keys.set_signature`
-    coerces, so equal sets written with ``int`` or ``float`` payloads
-    share a row.
-    """
-    describe = getattr(predicate, "cache_signature", None)
-    if describe is None:
-        return None, None
-    from repro import cache as cache_mod  # deferred: analysis stays import-light
-
-    store = cache_mod.result_cache()
-    if store.directory is None:
-        return None, None
-    signature = describe()
-    if signature is None:
-        return None, None
-    keys = [
-        cache_mod.content_key(
-            {
-                "kind": "breakdown",
-                "predicate": signature,
-                "streams": [
-                    [float(s.period_s), float(s.payload_bits), int(s.station)]
-                    for s in ms
-                ],
-                "rel_tol": rel_tol,
-                "max_doublings": max_doublings,
-            }
-        )
-        for ms in message_sets
-    ]
-    return store, keys
-
-
 def breakdown_scale(
     message_set: MessageSet,
     predicate: SchedulabilityPredicate | SupportsSaturationScale,
@@ -225,38 +175,12 @@ def breakdown_scale(
     boundary) are used directly, others fall back to their
     ``is_schedulable`` method under bisection.
 
-    When a persistent result cache is configured (USAGE.md §13) and the
-    predicate exposes ``cache_signature()``, the search is memoised under
-    a content key; the ``breakdown.*`` metrics then count only the
-    searches actually run.
-
     Returns ``(scale, predicate_evaluations)``.
     """
     if len(message_set) == 0:
         raise MessageSetError("cannot saturate an empty message set")
     if rel_tol <= 0:
         raise MessageSetError(f"relative tolerance must be positive, got {rel_tol!r}")
-    store, keys = _breakdown_cache_keys(
-        predicate, (message_set,), rel_tol, max_doublings
-    )
-    if store is not None:
-        hit = store.get(keys[0], namespace="breakdown")
-        if hit is not None:
-            return float(hit[0]), int(hit[1])
-    scale, evaluations = _breakdown_scale_uncached(
-        message_set, predicate, rel_tol, max_doublings
-    )
-    if store is not None:
-        store.put(keys[0], [scale, evaluations], namespace="breakdown")
-    return scale, evaluations
-
-
-def _breakdown_scale_uncached(
-    message_set: MessageSet,
-    predicate: SchedulabilityPredicate | SupportsSaturationScale,
-    rel_tol: float,
-    max_doublings: int,
-) -> tuple[float, int]:
     if isinstance(predicate, SupportsSaturationScale):
         _metrics.counter("breakdown.closed_form_sets").inc()
         return float(predicate.saturation_scale(message_set)), 1
@@ -403,11 +327,6 @@ def breakdown_scales_batch(
     * batch-probing analyses (:class:`SupportsBatchScaleProbe`, e.g.
       :class:`~repro.analysis.pdp.PDPAnalysis`) — the lockstep search;
     * anything else — per-set :func:`breakdown_scale` fallback.
-
-    With a persistent result cache configured (USAGE.md §13), hits are
-    served per set and only the missing sets are searched, sharing one
-    row per set with :func:`breakdown_scale`; no returned pair depends on
-    which other sets share the batch.
     """
     if rel_tol <= 0:
         raise MessageSetError(f"relative tolerance must be positive, got {rel_tol!r}")
@@ -416,44 +335,13 @@ def breakdown_scales_batch(
             raise MessageSetError("cannot saturate an empty message set")
     if not message_sets:
         return []
-    store, keys = _breakdown_cache_keys(
-        predicate, message_sets, rel_tol, max_doublings
-    )
-    if store is None:
-        return _breakdown_scales_batch_uncached(
-            message_sets, predicate, rel_tol, max_doublings
-        )
-    results: "list[tuple[float, int] | None]" = [None] * len(message_sets)
-    missing: list[int] = []
-    for index, key in enumerate(keys):
-        hit = store.get(key, namespace="breakdown")
-        if hit is not None:
-            results[index] = (float(hit[0]), int(hit[1]))
-        else:
-            missing.append(index)
-    if missing:
-        computed = _breakdown_scales_batch_uncached(
-            [message_sets[i] for i in missing], predicate, rel_tol, max_doublings
-        )
-        for index, (scale, evaluations) in zip(missing, computed):
-            results[index] = (scale, evaluations)
-            store.put(keys[index], [scale, evaluations], namespace="breakdown")
-    return results  # type: ignore[return-value]
-
-
-def _breakdown_scales_batch_uncached(
-    message_sets: Sequence[MessageSet],
-    predicate: SchedulabilityPredicate | SupportsSaturationScale | SupportsBatchScaleProbe,
-    rel_tol: float,
-    max_doublings: int,
-) -> list[tuple[float, int]]:
     if isinstance(predicate, SupportsSaturationScale):
         _metrics.counter("breakdown.closed_form_sets").inc(len(message_sets))
         return [(float(predicate.saturation_scale(ms)), 1) for ms in message_sets]
     if isinstance(predicate, SupportsBatchScaleProbe):
         return _lockstep_bisect(message_sets, predicate, rel_tol, max_doublings)
     return [
-        _breakdown_scale_uncached(ms, predicate, rel_tol, max_doublings)
+        breakdown_scale(ms, predicate, rel_tol, max_doublings)
         for ms in message_sets
     ]
 

@@ -212,7 +212,6 @@ class _StreamingSpec:
     rel_tol: float
     chunk_sets: int
     strata: int
-    antithetic: bool
     seed: tuple[int, ...]
 
 
@@ -222,7 +221,7 @@ def _streaming_chunk(
     """Generate and evaluate one chunk (module-level for pool pickling)."""
     rng = np.random.default_rng([*spec.seed, chunk_index])
     message_sets = spec.sampler.sample_many_stratified(
-        rng, spec.chunk_sets, strata=spec.strata, antithetic=spec.antithetic
+        rng, spec.chunk_sets, strata=spec.strata
     )
     return breakdown_samples_for_sets(
         spec.predicate, message_sets, spec.bandwidth_bps, spec.rel_tol
@@ -241,7 +240,6 @@ def streaming_average_breakdown_utilization(
     min_chunks: int = 4,
     max_sets: int = 4096,
     strata: int = 1,
-    antithetic: bool = False,
     rel_tol: float = 1e-4,
     jobs: int | None = 1,
 ) -> StreamingBreakdownEstimate:
@@ -255,14 +253,13 @@ def streaming_average_breakdown_utilization(
     cap is hit — whichever comes first.
 
     Variance reduction: ``strata`` applies Latin-hypercube period
-    stratification within each chunk and ``antithetic`` pairs every set
-    with its period-reflected twin (see
+    stratification within each chunk (see
     :meth:`MessageSetSampler.sample_many_stratified`).  Because paired
     protocol comparisons evaluate PDP and TTP on the *same* sampled sets
-    (same seed → same chunks), stratification and antithetic pairing are
-    automatically paired across protocols too.  With ``strata=1`` and
-    ``antithetic=False`` chunk ``k`` is bit-identical to the fixed-N
-    path's first ``chunk_sets`` draws from ``default_rng([*seed, k])``.
+    (same seed → same chunks), stratification is automatically paired
+    across protocols too.  With ``strata=1`` chunk ``k`` is
+    bit-identical to the fixed-N path's first ``chunk_sets`` draws from
+    ``default_rng([*seed, k])``.
 
     Determinism: chunk ``k`` depends only on ``(seed, k)`` and chunks are
     folded strictly in index order, so the returned estimate is identical
@@ -310,7 +307,6 @@ def streaming_average_breakdown_utilization(
         rel_tol=rel_tol,
         chunk_sets=int(chunk_sets),
         strata=int(strata),
-        antithetic=bool(antithetic),
         seed=seed_tuple,
     )
     max_chunks = max(1, max_sets // chunk_sets)

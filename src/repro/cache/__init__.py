@@ -1,9 +1,9 @@
 """Content-addressed result cache (see USAGE.md §13).
 
-Simulation verdicts and breakdown results are memoised under a canonical
-hash of their full inputs plus a code-version salt, so identical
-recomputations — fuzz rounds, repeated validations, incremental
-experiment re-runs — are answered from the cache with bit-identical
+Simulation reports and admission decisions are memoised under a
+canonical hash of their full inputs plus a code-version salt, so
+identical recomputations — fuzz rounds, repeated validations, repeated
+admission checks — are answered from the cache with bit-identical
 payloads.  Hit/miss counters surface as ``cache.*`` metrics in manifests.
 """
 
@@ -14,7 +14,7 @@ from repro.cache.keys import (
     content_key,
     set_signature,
 )
-from repro.cache.store import ResultCache, clear, configure, result_cache
+from repro.cache.store import ResultCache, clear, configure, detached, result_cache
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -24,6 +24,7 @@ __all__ = [
     "code_salt",
     "configure",
     "content_key",
+    "detached",
     "result_cache",
     "set_signature",
 ]

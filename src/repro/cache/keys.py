@@ -38,9 +38,8 @@ CACHE_SCHEMA_VERSION = 1
 
 #: Modules whose source participates in the code-version salt: an edit to
 #: any simulation, analysis, or admission semantics must orphan memoised
-#: verdicts.  The analysis modules matter twice over — the breakdown
-#: searches memoise through them, and the admission service caches
-#: ``(schedulable, tested_by)`` decisions they compute.
+#: verdicts.  The analysis modules are here because the admission
+#: service caches ``(schedulable, tested_by)`` decisions they compute.
 _SALT_MODULES: tuple[str, ...] = (
     "repro.sim.engine",
     "repro.sim.token_ring",
@@ -52,7 +51,6 @@ _SALT_MODULES: tuple[str, ...] = (
     "repro.sim.fastpath_ttp",
     "repro.sim.dispatch",
     "repro.sim.validate",
-    "repro.analysis.breakdown",
     "repro.analysis.rm",
     "repro.analysis.pdp",
     "repro.analysis.ttp",
@@ -92,7 +90,7 @@ def canonical_json(payload: object) -> str:
         payload,
         sort_keys=True,
         separators=(",", ":"),
-        allow_nan=True,  # breakdown scales can legitimately be inf/nan
+        allow_nan=True,  # an inf or nan input hashes like any other float
         default=_unserialisable,
     )
 

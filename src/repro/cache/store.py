@@ -21,6 +21,7 @@ Safety rules:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -30,7 +31,7 @@ from repro.obs import logging as obslog
 from repro.obs import metrics as _metrics
 from repro.obs import tracing
 
-__all__ = ["ResultCache", "clear", "configure", "result_cache"]
+__all__ = ["ResultCache", "clear", "configure", "detached", "result_cache"]
 
 _LOG = obslog.get_logger("cache")
 
@@ -180,3 +181,19 @@ def clear() -> None:
     """Drop the process-wide cache's in-memory entries."""
     if _CACHE is not None:
         _CACHE.clear()
+
+
+@contextlib.contextmanager
+def detached():
+    """Run with a fresh memory-only process-wide cache, then reinstate the caller's.
+
+    Nothing stored inside reaches the caller's memory or disk layers, and
+    nothing the caller stored answers inside.
+    """
+    global _CACHE
+    saved = result_cache()
+    configure(directory=None)
+    try:
+        yield
+    finally:
+        _CACHE = saved

@@ -55,8 +55,6 @@ class PaperParameters:
             path bit-identical to earlier revisions.
         mc_strata: Latin-hypercube period strata per streaming chunk
             (1 = plain sampling; only used when ``mc_eps`` is set).
-        mc_antithetic: pair every streaming sample with its
-            period-reflected antithetic twin (only when ``mc_eps`` set).
     """
 
     n_stations: int = 100
@@ -70,7 +68,6 @@ class PaperParameters:
     seed: int = 20_260_704
     mc_eps: float | None = None
     mc_strata: int = 1
-    mc_antithetic: bool = False
 
     #: Exact-test structures keyed by period vector, shared by every
     #: analysis this parameter object hands out.  The paired-sampling
@@ -214,12 +211,7 @@ class PaperParameters:
             self, mean_period_s=mean_period_s, period_ratio=period_ratio
         )
 
-    def with_streaming_mc(
-        self,
-        eps: float,
-        strata: int = 1,
-        antithetic: bool = False,
-    ) -> "PaperParameters":
+    def with_streaming_mc(self, eps: float, strata: int = 1) -> "PaperParameters":
         """A copy that runs Monte Carlo cells as streaming estimates.
 
         ``monte_carlo_sets`` becomes the per-chunk size; the cell stops
@@ -227,9 +219,7 @@ class PaperParameters:
         :func:`repro.analysis.montecarlo
         .streaming_average_breakdown_utilization`).
         """
-        return replace(
-            self, mc_eps=eps, mc_strata=strata, mc_antithetic=antithetic
-        )
+        return replace(self, mc_eps=eps, mc_strata=strata)
 
     def with_frame(
         self, payload_bytes: float, overhead_bits: float | None = None

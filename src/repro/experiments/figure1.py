@@ -234,7 +234,7 @@ def _figure1_cell(
     stops at the target CI half-width.  Chunks derive from
     ``params.seed`` and the chunk index alone, so the three protocols
     still see identical workload chunks (paired sampling — and with it,
-    paired stratification/antithetic twins — is preserved).
+    paired stratification — is preserved).
     """
     params, population = shared
     bandwidth, protocol, rel_tol = task
@@ -257,7 +257,6 @@ def _figure1_cell(
                 chunk_sets=params.monte_carlo_sets,
                 max_sets=params.monte_carlo_sets * 64,
                 strata=params.mc_strata,
-                antithetic=params.mc_antithetic,
                 rel_tol=rel_tol,
             )
         return average_breakdown_utilization(

@@ -714,11 +714,6 @@ def main(argv: list[str] | None = None) -> int:
         "(default: 1)",
     )
     parser.add_argument(
-        "--antithetic", action="store_true",
-        help="pair every streaming Monte Carlo sample with its "
-        "period-reflected antithetic twin",
-    )
-    parser.add_argument(
         "--loss-fractions", type=str, default=None, metavar="L0,L1,...",
         help="loss-sweep: comma-separated loss fractions "
         "(default: 0,0.005,0.01,0.02,0.05,0.1)",
@@ -808,14 +803,12 @@ def main(argv: list[str] | None = None) -> int:
         params = params.with_streaming_mc(
             args.mc_eps,
             strata=args.mc_strata if args.mc_strata is not None else 1,
-            antithetic=args.antithetic,
         )
         log.info(
             "streaming Monte Carlo enabled",
             extra={
                 "mc_eps": args.mc_eps,
                 "mc_strata": params.mc_strata,
-                "mc_antithetic": params.mc_antithetic,
             },
         )
     started = time.perf_counter()

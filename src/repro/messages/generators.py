@@ -197,14 +197,12 @@ class MessageSetSampler:
         count: int,
         *,
         strata: int = 1,
-        antithetic: bool = False,
     ) -> list[MessageSet]:
-        """Draw ``count`` sets with optional variance-reduction structure.
+        """Draw ``count`` sets with optional period stratification.
 
-        With ``strata == 1`` and ``antithetic == False`` this is *exactly*
-        :meth:`sample_many` — same generator consumption, bit-identical
-        sets — so the streaming estimator's plain mode matches the fixed-N
-        path sample for sample.
+        With ``strata == 1`` this is *exactly* :meth:`sample_many` — same
+        generator consumption, bit-identical sets — so the streaming
+        estimator's plain mode matches the fixed-N path sample for sample.
 
         ``strata = S > 1`` applies Latin-hypercube stratification to the
         *periods*: sets are produced in rounds of ``S``, and within a
@@ -214,24 +212,14 @@ class MessageSetSampler:
         sample is still exactly Uniform(P_min, P_max), so the estimator
         stays unbiased while the period-driven variance component shrinks.
 
-        ``antithetic = True`` follows every drawn set with its antithetic
-        twin: periods reflected to ``P_min + P_max - P``, payload lengths
-        *shared* with the base set, which pairs the protocols' common
-        period sensitivity across the reflection.  Each twin is again
-        marginally a legitimate sample (the reflection of Uniform is
-        Uniform; weights are exchangeable), preserving unbiasedness.
-        For a degenerate distribution (ratio 1, ``P_min == P_max``) the
-        twin coincides with its base, so antithetic pairing is a no-op.
-
         Rounds are truncated to ``count`` sets; pass a ``count`` that is a
-        multiple of ``strata`` (times 2 when antithetic) to keep whole
-        rounds.
+        multiple of ``strata`` to keep whole rounds.
         """
         if count < 0:
             raise ConfigurationError(f"count must be non-negative, got {count!r}")
         if strata < 1:
             raise ConfigurationError(f"strata must be >= 1, got {strata!r}")
-        if strata == 1 and not antithetic:
+        if strata == 1:
             return [self.sample(rng) for _ in range(count)]
         low, high = self.periods.bounds
         span = high - low
@@ -251,12 +239,6 @@ class MessageSetSampler:
                     periods = low + span * u[k]
                 payloads = self._draw_payloads(rng, periods)
                 sets.append(self._assemble(periods, payloads))
-                if antithetic and len(sets) < count:
-                    if span == 0.0:
-                        anti = periods
-                    else:
-                        anti = low + span * (1.0 - u[k])
-                    sets.append(self._assemble(anti, payloads))
                 if len(sets) >= count:
                     break
         return sets[:count]

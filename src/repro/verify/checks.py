@@ -38,10 +38,9 @@ The properties:
     The streaming Monte Carlo estimator must be the fixed-N estimator
     when asked to be: its first chunk (plain sampling) is
     **bit-identical** to a fixed-N run from the same derived seed, and
-    its variance-reduced mode (stratified + antithetic) must agree with
-    an independent fixed-N estimate within the combined confidence
-    intervals — stratification may reshuffle *where* periods land, never
-    *what* is being estimated.
+    its stratified mode must agree with an independent fixed-N estimate
+    within the combined confidence intervals — stratification may
+    reshuffle *where* periods land, never *what* is being estimated.
 ``pdp_fastpath_equiv`` / ``ttp_fastpath_equiv``
     The event-compressing fast paths (:mod:`repro.sim.fastpath`,
     :mod:`repro.sim.fastpath_ttp`) must reproduce the scalar oracles'
@@ -1467,11 +1466,11 @@ _MC_REL_TOL = 1e-3
 def check_mc_streaming_equiv(case: FuzzCase) -> Violation | None:
     """The streaming estimator *is* the fixed-N estimator.
 
-    Two obligations: (1) in plain mode (``strata=1``, no antithetic) the
+    Two obligations: (1) in plain mode (``strata=1``) the
     streaming chunk ``k`` consumes the sample stream of
     ``default_rng([seed, k])`` bit-identically, so chunk 0's mean must
     equal the fixed-N mean over the same ``chunk_sets`` sets exactly;
-    (2) the variance-reduced mode changes *where* period samples land,
+    (2) the stratified mode changes *where* period samples land,
     never what is estimated, so its mean must agree with an independent
     fixed-N estimate within the combined confidence intervals.
     """
@@ -1535,7 +1534,6 @@ def check_mc_streaming_equiv(case: FuzzCase) -> Violation | None:
         min_chunks=2,
         max_sets=4 * _MC_CHUNK_SETS,
         strata=_MC_CHUNK_SETS,
-        antithetic=True,
         rel_tol=_MC_REL_TOL,
     )
     if fixed.n_sets >= 2 and reduced.n_chunks >= 2:
@@ -1543,13 +1541,13 @@ def check_mc_streaming_equiv(case: FuzzCase) -> Violation | None:
         if math.isfinite(combined):
             # 6x the combined stderr: loose enough that a clean estimator
             # never trips it (samples are bounded in [0, 1]), tight enough
-            # that a biased stratification or twin-pairing rule does.
+            # that a biased stratification rule does.
             tolerance = 6.0 * combined + 1e-12
             if abs(fixed.mean - reduced.mean) > tolerance:
                 return Violation(
                     "mc_streaming_equiv",
                     case,
-                    f"variance-reduced streaming mean {reduced.mean!r} and "
+                    f"stratified streaming mean {reduced.mean!r} and "
                     f"fixed-N mean {fixed.mean!r} disagree beyond 6x the "
                     f"combined stderr ({combined!r})",
                 )

@@ -492,10 +492,11 @@ MUTANTS: tuple[str, ...] = (
 def inject_mutant(mutant: str):
     """Apply one deliberate bug for the duration of the context.
 
-    The content-addressed result cache is dropped on entry *and* exit:
-    a mutant changes results without changing inputs, so entries written
-    while it is live would poison identical-keyed runs after the
-    restore (and vice versa).
+    A mutant changes results without changing inputs, so no cached row
+    may cross the boundary in either direction.  The result cache's
+    memory layer is dropped on entry *and* exit, and the mutant runs
+    against a detached memory-only cache: a row a clean run persisted
+    to disk never answers for it, and nothing it computes is persisted.
     """
     from repro import cache as cache_mod
 
@@ -503,9 +504,10 @@ def inject_mutant(mutant: str):
     saved = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in sites]
     cache_mod.clear()
     try:
-        for owner, attr, replacement in sites:
-            setattr(owner, attr, replacement)
-        yield
+        with cache_mod.detached():
+            for owner, attr, replacement in sites:
+                setattr(owner, attr, replacement)
+            yield
     finally:
         for owner, attr, original in saved:
             setattr(owner, attr, original)

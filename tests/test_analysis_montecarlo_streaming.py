@@ -1,10 +1,10 @@
-"""Streaming Monte Carlo estimator: stopping rule, determinism, VR modes.
+"""Streaming Monte Carlo estimator: stopping rule, determinism, stratification.
 
 The streaming estimator's contract is that it *is* the fixed-N estimator
 with a stopping rule bolted on: plain-mode chunk ``k`` consumes the sample
 stream of ``default_rng([seed, k])`` bit-identically, the estimate is
-independent of ``jobs``, and the variance-reduction modes (stratified
-periods, antithetic twins) change sampling layout, never the estimand.
+independent of ``jobs``, and stratified periods change sampling layout,
+never the estimand.
 """
 
 from __future__ import annotations
@@ -182,27 +182,6 @@ class TestVarianceReduction:
         )
         combined = float(np.hypot(plain.stderr, stratified.stderr))
         assert abs(plain.mean - stratified.mean) <= 6.0 * combined
-
-    def test_antithetic_mean_agrees_with_plain(self, ttp_analysis, sampler):
-        plain = _stream(
-            ttp_analysis,
-            sampler,
-            seed=31,
-            eps=1e-12,
-            chunk_sets=16,
-            max_sets=256,
-        )
-        antithetic = _stream(
-            ttp_analysis,
-            sampler,
-            seed=32,
-            eps=1e-12,
-            chunk_sets=16,
-            max_sets=256,
-            antithetic=True,
-        )
-        combined = float(np.hypot(plain.stderr, antithetic.stderr))
-        assert abs(plain.mean - antithetic.mean) <= 6.0 * combined
 
     def test_stratification_reduces_ttp_chunk_variance(self, ttp_analysis):
         """TTP breakdown utilization is smooth in the periods, so Latin

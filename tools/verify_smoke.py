@@ -10,13 +10,15 @@ supposed to honour:
   exact-test cache shows *nonzero hits* (the paired-sampling design makes
   the structure cache pay off after the first bandwidth — zero hits means
   the cache or its accounting broke);
-* the run is given ``--cache-dir``, so the content-addressed result
-  cache must surface ``cache.breakdown.*`` traffic in the manifest
-  (USAGE.md §13) — writes on the first pass, and the persisted entries
-  must actually exist on disk;
 * every line of the JSONL log parses as JSON and carries the mandatory
   fields;
 * the CSV uses the current 10-column schema.
+
+Two short ``runner fuzz --cache-dir D`` runs then hold the result
+cache's cross-process disk contract (USAGE.md §13): the first must
+show ``cache.sim.writes`` in its manifest and leave entries under
+``D/sim``, the second, a fresh process against the same ``D``, must
+show ``cache.sim.hits``.
 
 It then smoke-tests the verification harness itself
 (:mod:`repro.verify`): the mutation smoke must flag **every**
@@ -89,7 +91,6 @@ def run_smoke() -> None:
             [
                 sys.executable, "-m", "repro.experiments.runner",
                 "figure1", "--fast", "--jobs", "2",
-                "--cache-dir", cache_dir,
                 "--csv", csv_path, "--log-json", jsonl_path, "--quiet",
             ],
             cwd=REPO_ROOT,
@@ -130,49 +131,6 @@ def run_smoke() -> None:
             )
         if not any("/bw" in key for key in manifest["spans"]):
             raise AssertionError("manifest spans carry no per-cell timings")
-        cache_writes = manifest["metrics"].get("cache.breakdown.writes", {})
-        if not cache_writes.get("value", 0) > 0:
-            raise AssertionError(
-                "--cache-dir run shows no cache.breakdown.writes in the "
-                "manifest — result-cache accounting broke"
-            )
-        persisted = [
-            name
-            for _, _, files in os.walk(os.path.join(cache_dir, "breakdown"))
-            for name in files if name.endswith(".json")
-        ]
-        if not persisted:
-            raise AssertionError(
-                f"--cache-dir wrote no breakdown entries under {cache_dir}"
-            )
-
-        # A second process against the same cache dir must *hit*: the keys
-        # are content-addressed, so nothing about process identity may
-        # change them, and the hit rate must be visible in its manifest.
-        manifest2_path = os.path.join(tmp, "manifest2.json")
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "repro.experiments.runner",
-                "figure1", "--fast", "--cache-dir", cache_dir,
-                "--manifest", manifest2_path, "--quiet",
-            ],
-            cwd=REPO_ROOT, env=env, capture_output=True, text=True,
-            timeout=600,
-        )
-        if proc.returncode != 0:
-            raise AssertionError(
-                f"cached re-run exited {proc.returncode}\n"
-                f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
-            )
-        with open(manifest2_path, encoding="utf-8") as handle:
-            manifest2 = json.load(handle)
-        cache_hits = manifest2["metrics"].get("cache.breakdown.hits", {})
-        if not cache_hits.get("value", 0) > 0:
-            raise AssertionError(
-                "re-run against a warm --cache-dir shows no "
-                "cache.breakdown.hits in the manifest"
-            )
-
         # -- structured log ---------------------------------------------
         with open(jsonl_path, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
@@ -197,7 +155,49 @@ def run_smoke() -> None:
         if len(header) != 10 or header[-1] != "deg_ttp":
             raise AssertionError(f"unexpected CSV schema: {header}")
 
+        # -- result cache across processes ------------------------------
+        # Keys are content-addressed, so nothing about process identity
+        # may change them: a second process against the same directory
+        # must hit what the first one persisted.
+        for run, event in ((1, "writes"), (2, "hits")):
+            fuzz_manifest = _run_cached_fuzz(env, cache_dir, tmp, run)
+            count = fuzz_manifest["metrics"].get(f"cache.sim.{event}", {})
+            if not count.get("value", 0) > 0:
+                raise AssertionError(
+                    f"fuzz run {run} against --cache-dir shows no "
+                    f"cache.sim.{event} in its manifest"
+                )
+            if run == 1 and not any(
+                name.endswith(".json")
+                for _, _, files in os.walk(os.path.join(cache_dir, "sim"))
+                for name in files
+            ):
+                raise AssertionError(
+                    f"--cache-dir wrote no sim entries under {cache_dir}"
+                )
+
     print("verify_smoke: ok (manifest, JSONL log, CSV schema, cache hits)")
+
+
+def _run_cached_fuzz(env: dict, cache_dir: str, tmp: str, run: int) -> dict:
+    """Run a short fuzz campaign against ``cache_dir``; return its manifest."""
+    manifest_path = os.path.join(tmp, f"fuzz-manifest{run}.json")
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "repro.experiments.runner",
+            "fuzz", "--fuzz-cases", "4", "--cache-dir", cache_dir,
+            "--repro-dir", tmp, "--manifest", manifest_path, "--quiet",
+        ],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True,
+        timeout=600,
+    )
+    if proc.returncode != 0:
+        raise AssertionError(
+            f"cached fuzz run {run} exited {proc.returncode}\n"
+            f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
+        )
+    with open(manifest_path, encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def run_mutation_smoke_check() -> None:
