@@ -13,10 +13,10 @@ exponential bracketing followed by bisection.  Analyses that can do better
 any scale-invariant TTRT policy — may expose a ``saturation_scale`` method,
 which :func:`breakdown_scale` will use instead.
 
-:func:`breakdown_scales_batch` runs the same search for a whole
-population: each set's search is a generator stepping through the
-scalar iterates, and one batched probe per step answers every live set.
-Both paths return the same ``(scale, evaluations)`` pair per set.
+:func:`breakdown_scales_batch` runs the same search for a population,
+its state in arrays and one batched probe per step; by the same
+monotonicity one far-edge probe settles a set that never saturates or
+always fails.  Each batched result equals the scalar one bit for bit.
 """
 
 from __future__ import annotations
@@ -27,20 +27,18 @@ from typing import Callable, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.errors import MessageSetError
-from repro.messages.message_set import MessageSet
+from repro.messages.message_set import MessageSet, scaled_utilizations
 from repro.obs import metrics as _metrics
 
 #: Saturation-search accounting.  ``probes`` counts physical scale
-#: evaluations, including the bracketing look-ahead the lockstep search
-#: discards; ``batch_calls`` the batched predicate invocations of the
-#: lockstep search; ``evals_per_set`` the per-set evaluation counts,
-#: which are the scalar search's on both paths; ``sets_saturated`` the
-#: searched sets whose scale ends finite and positive (an all-zero set,
-#: a never-saturating one or a hopeless one ends at ``inf`` or 0 and is
-#: not counted), on both paths alike.  All of these are
-#: partitioning invariant: the lockstep search runs per Monte Carlo
-#: chunk inside one grid cell, so every ``--jobs`` value reports
-#: identical totals.
+#: evaluations, including those the lockstep search discards (look-ahead
+#: past the rung that closes a bracket, a far edge that settles nothing);
+#: ``batch_calls`` its batched predicate calls; ``evals_per_set`` the
+#: per-set evaluation counts, the scalar search's on both paths;
+#: ``sets_saturated`` the searched sets whose scale ends finite and
+#: positive, on both paths alike.  All are partitioning invariant: the
+#: lockstep search runs per Monte Carlo chunk inside one grid cell, so
+#: every ``--jobs`` value reports identical totals.
 _PROBES = _metrics.counter("breakdown.probes")
 _BATCH_CALLS = _metrics.counter("breakdown.batch_calls")
 _SCALAR_SEARCHES = _metrics.counter("breakdown.scalar_searches")
@@ -80,9 +78,10 @@ class SupportsBatchScaleProbe(Protocol):
     """Analyses that can evaluate many (set, payload-scale) probes at once.
 
     ``scale_prober(message_sets)`` prepares per-set state once and returns
-    ``probe(indices, scales) -> verdicts``; the lockstep batched bisection
-    issues one such call per search step instead of one scalar predicate
-    call per set per step.
+    ``probe(indices, scales) -> verdicts`` with a boolean array attribute
+    ``probe.all_zero`` (per set, whether every payload is zero); the
+    lockstep batched bisection issues one such call per search step
+    instead of one scalar predicate call per set per step.
     """
 
     def scale_prober(
@@ -102,9 +101,9 @@ class BreakdownResult:
 
     Attributes:
         scale: the breakdown scale λ* (``inf`` if the set never saturates —
-            only possible for all-zero payloads; ``0.0`` if even
-            arbitrarily short messages are unschedulable, e.g. when fixed
-            overheads alone exhaust the ring).
+            all-zero payloads, or payloads still schedulable at the last
+            doubling; ``0.0`` if even arbitrarily short messages are
+            unschedulable, e.g. when fixed overheads exhaust the ring).
         utilization: ``U(λ*·M)`` at the given bandwidth (0 when ``scale``
             is 0 or infinite).
         evaluations: number of predicate evaluations performed.
@@ -204,61 +203,33 @@ def breakdown_scale(
     _SCALAR_SEARCHES.inc()
     _PROBES.inc(evaluations)
     _EVALS_PER_SET.observe(evaluations)
-    if _saturated(scale):
+    if 0.0 < scale < float("inf"):
         _SETS_SATURATED.inc()
     return scale, evaluations
 
 
-def _saturated(scale: float) -> bool:
-    """Whether a search ended at a finite, positive breakdown scale."""
-    return 0.0 < scale < float("inf")
-
-
 # -- lockstep batched search --------------------------------------------------
 
-#: Bracketing look-ahead: each bracketing step probes this many
-#: successive doublings (or halvings) in one batched call, and the
-#: verdicts past the one that closes the bracket are discarded.  Picked
-#: from the committed sweep over 1, 2, 4, 8 and 12 in EXPERIMENTS.md
-#: ("Performance of the evaluation pipeline"); bisection probes one
-#: midpoint per step.
+#: Bracketing look-ahead: rungs probed per bracketing step; verdicts past
+#: the one closing a bracket are discarded.  Picked from the 1/2/4/8/12
+#: sweep in EXPERIMENTS.md ("Performance of the evaluation pipeline").
 _SPEC_DOUBLINGS = 4
 
 
-def _search_steps(rel_tol: float, max_doublings: int):
-    """:func:`_bisect_scale` for one set, as a generator.
+def _far_edges(max_doublings: int) -> tuple[float, float, int]:
+    """The bracketing loop's last doubling and last halving, each built
+    by its own repeated ``* 2.0`` or ``/ 2.0``, and the evaluations of a
+    search that runs out there (the probe at 1.0 plus every rung)."""
+    up = down = 1.0
+    for _ in range(max_doublings):
+        up, down = up * 2.0, down / 2.0
+    return up, down, 1 + max_doublings
 
-    Yields the list of scales to probe next and receives their verdicts;
-    returns ``(scale, evaluations)`` through ``StopIteration``.  Every
-    iterate is the float expression of the scalar search, and only the
-    verdicts the scalar search would have asked for are counted, so
-    the result equals ``_bisect_scale``'s pair.
-    """
-    evaluations = 1
-    up = bool((yield [1.0])[0])
-    inner, edge = 1.0, (2.0 if up else 0.5)
-    ahead: list[bool] = []  # look-ahead verdicts, next one last
-    for doubling in range(max_doublings):
-        if not ahead:
-            chunk = [edge]
-            while len(chunk) < min(_SPEC_DOUBLINGS, max_doublings - doubling):
-                chunk.append(chunk[-1] * 2.0 if up else chunk[-1] / 2.0)
-            ahead = (yield chunk)[::-1]
-        evaluations += 1
-        if ahead.pop() != up:
-            break
-        inner, edge = edge, (edge * 2.0 if up else edge / 2.0)
-    else:
-        return (float("inf") if up else 0.0), evaluations
-    lo, hi = (inner, edge) if up else (edge, inner)
-    while hi - lo > rel_tol * hi:
-        mid = (lo + hi) / 2.0
-        evaluations += 1
-        if (yield [mid])[0]:
-            lo = mid
-        else:
-            hi = mid
-    return lo, evaluations
+
+def _bracket(inner: np.ndarray, edge: np.ndarray, up: np.ndarray):
+    """``(lo, hi)`` of closed brackets: ``inner`` is the last rung with
+    the verdict at 1.0 (``up``), ``edge`` the first rung without it."""
+    return np.where(up, inner, edge), np.where(up, edge, inner)
 
 
 def _lockstep_bisect(
@@ -267,40 +238,80 @@ def _lockstep_bisect(
     rel_tol: float,
     max_doublings: int,
 ) -> list[tuple[float, int]]:
-    """Run every set's :func:`_search_steps` with one batched probe per step.
+    """:func:`_bisect_scale` for every set, one batched probe per step.
 
-    Each step gathers the scales every live search asks for into one
-    ``probe(indices, scales)`` call and hands each search its own slice
-    of the verdicts.  An all-zero-payload set is searched with no
-    doublings: one probe at 1.0 classifies it, as in the scalar path.
+    State: each set's evaluation count and verdict at 1.0, the indices
+    of the sets bracketing, and the indices, ``lo`` and ``hi`` of the sets
+    bisecting.  Bracketing sets share their rung, so each step builds the
+    next block of at most ``_SPEC_DOUBLINGS`` rungs once per direction by
+    the scalar loop's ``* 2.0`` or ``/ 2.0``; bisecting sets ask for
+    ``(lo + hi) / 2.0``.  The first block also asks for each far edge
+    (:func:`_far_edges`): a far verdict equal to the one at 1.0 holds on
+    every rung between (the predicate is monotone in the scale), so the
+    set ends where the scalar loop runs out.  Counting only the verdicts
+    the scalar search asks for gives its pairs.  An all-zero set
+    (``probe.all_zero``) gets no doublings, as in the scalar path.
     """
     probe = predicate.scale_prober(message_sets)
-    results: list[tuple[float, int]] = [(0.0, 0)] * len(message_sets)
-    searches = {
-        i: _search_steps(
-            rel_tol, 0 if ms.total_payload_bits() == 0 else max_doublings
-        )
-        for i, ms in enumerate(message_sets)
-    }
-    pending = {i: next(search) for i, search in searches.items()}
-    while pending:
-        indices = [i for i, chunk in pending.items() for _ in chunk]
-        scales = [scale for chunk in pending.values() for scale in chunk]
+
+    def ask(indices: np.ndarray, scales: np.ndarray) -> np.ndarray:
         _BATCH_CALLS.inc()
-        _PROBES.inc(len(scales))
-        verdicts = probe(indices, np.asarray(scales)).tolist()
-        start = 0
-        asked, pending = pending, {}
-        for i, chunk in asked.items():
-            try:
-                pending[i] = searches[i].send(verdicts[start : start + len(chunk)])
-            except StopIteration as done:
-                results[i] = done.value
-            start += len(chunk)
-    _SETS_SATURATED.inc(sum(_saturated(scale) for scale, _ in results))
-    for _, evaluations in results:
-        _EVALS_PER_SET.observe(evaluations)
-    return results
+        _PROBES.inc(scales.size)
+        return probe(indices, scales)
+
+    n = len(message_sets)
+    up = ask(np.arange(n), np.ones(n)).astype(bool)
+    scales = np.where(up, np.inf, 0.0)  # where a search that runs out ends
+    evaluations = np.ones(n, dtype=np.int64)
+    far_up, far_down, ran_out = _far_edges(max_doublings)
+    left, far, rung_up, rung_down = max_doublings, True, 1.0, 1.0
+    bracketing = np.flatnonzero(~probe.all_zero) if left > 0 else np.arange(0)
+    bisecting, lo, hi = np.arange(0), np.zeros(0), np.zeros(0)
+    while bracketing.size or bisecting.size:
+        b, mid = bracketing, (lo + hi) / 2.0
+        if not b.size:
+            went = ask(bisecting, mid)
+        else:
+            width = min(left, _SPEC_DOUBLINGS)
+            far &= left > width  # a block that reaches the far edge probes it
+            ups, downs = [rung_up], [rung_down]
+            for _ in range(width):
+                ups.append(ups[-1] * 2.0)
+                downs.append(downs[-1] / 2.0)
+            ladder = np.where(up[b, None], ups, downs)  # last rung, then block
+            block, tail = b.size * width, (b if far else b[:0])
+            verdicts = ask(
+                np.concatenate([np.repeat(b, width), bisecting, tail]),
+                np.concatenate(
+                    [ladder[:, 1:].ravel(), mid, np.where(up[tail], far_up, far_down)]
+                ),
+            )
+            agree = verdicts[:block].reshape(b.size, width) == up[b, None]
+            first = agree.argmin(axis=1)
+            closed = ~agree[np.arange(b.size), first]
+            rows, first = np.flatnonzero(closed), first[closed]
+            evaluations[b[rows]] = 2 + max_doublings - left + first
+            new_lo, new_hi = _bracket(
+                ladder[rows, first], ladder[rows, first + 1], up[b[rows]]
+            )
+            left, rung_up, rung_down = left - width, ups[-1], downs[-1]
+            went, far_verdicts = np.split(verdicts[block:], [bisecting.size])
+            stop = far_verdicts == up[b] if far else np.full(b.size, left == 0)
+            evaluations[b[~closed & stop]] = ran_out
+            bracketing, far = b[~closed & ~stop], False
+        lo, hi = np.where(went, mid, lo), np.where(went, hi, mid)
+        evaluations[bisecting] += 1
+        if b.size:
+            bisecting = np.concatenate([bisecting, b[rows]])
+            lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
+        going = hi - lo > rel_tol * hi
+        if not going.all():
+            scales[bisecting[~going]] = lo[~going]
+            bisecting, lo, hi = bisecting[going], lo[going], hi[going]
+    _SETS_SATURATED.inc(int(np.count_nonzero((scales > 0.0) & (scales < np.inf))))
+    for count in evaluations.tolist():
+        _EVALS_PER_SET.observe(count)
+    return list(zip(scales.tolist(), evaluations.tolist()))
 
 
 def breakdown_scales_batch(
@@ -312,21 +323,13 @@ def breakdown_scales_batch(
     """Breakdown scales of many message sets with batched evaluations.
 
     Returns exactly ``[breakdown_scale(ms, predicate, ...) for ms in
-    message_sets]`` — scales *and* evaluation counts — but executed in
-    *lockstep*: every step advances the search of every still-active set
-    with a single batched predicate call.  While bracketing, a set asks
-    for its next few doublings (or halvings) at once; while bisecting,
-    for one midpoint.  Look-ahead probes past the one that closes the
-    bracket are counted by the ``breakdown.probes`` metric but not in
-    the returned evaluation counts.
-
-    Dispatch, in order of preference:
-
-    * closed-form analyses (:class:`SupportsSaturationScale`, e.g. the
-      TTP) — one exact evaluation per set, nothing to batch;
-    * batch-probing analyses (:class:`SupportsBatchScaleProbe`, e.g.
-      :class:`~repro.analysis.pdp.PDPAnalysis`) — the lockstep search;
-    * anything else — per-set :func:`breakdown_scale` fallback.
+    message_sets]``, scales *and* evaluation counts.  Dispatch, in order
+    of preference: closed-form analyses (:class:`SupportsSaturationScale`,
+    e.g. the TTP) take one exact evaluation per set; batch-probing ones
+    (:class:`SupportsBatchScaleProbe`, e.g.
+    :class:`~repro.analysis.pdp.PDPAnalysis`) run the *lockstep* search
+    of :func:`_lockstep_bisect`, one batched call per step for every live
+    set; anything else falls back to per-set :func:`breakdown_scale`.
     """
     if rel_tol <= 0:
         raise MessageSetError(f"relative tolerance must be positive, got {rel_tol!r}")
@@ -358,12 +361,6 @@ def breakdown_utilization(
     this is the quantity averaged by the Monte Carlo study of Section 6.
     """
     scale, evaluations = breakdown_scale(message_set, predicate, rel_tol)
-    return _result_from_scale(message_set, scale, evaluations, bandwidth_bps)
-
-
-def _result_from_scale(
-    message_set: MessageSet, scale: float, evaluations: int, bandwidth_bps: float
-) -> BreakdownResult:
     if scale <= 0.0 or scale == float("inf"):
         return BreakdownResult(scale=scale, utilization=0.0, evaluations=evaluations)
     utilization = message_set.scaled_utilization(scale, bandwidth_bps)
@@ -376,14 +373,17 @@ def breakdown_utilizations_batch(
     bandwidth_bps: float,
     rel_tol: float = 1e-4,
 ) -> list[BreakdownResult]:
-    """Batched counterpart of :func:`breakdown_utilization`.
-
-    Runs :func:`breakdown_scales_batch` over the whole population, then
-    evaluates the saturated utilizations exactly as the scalar path does
-    (one scaled-set construction per set, not per probe).
+    """Batched counterpart of :func:`breakdown_utilization`: the scales
+    of :func:`breakdown_scales_batch`, then every saturated utilization in
+    one :func:`~repro.messages.message_set.scaled_utilizations` array pass,
+    bit for bit the scalar one (an unsaturated set gets factor 0, hence 0).
     """
     pairs = breakdown_scales_batch(message_sets, predicate, rel_tol)
+    factors = [0.0 if s <= 0.0 or s == float("inf") else s for s, _ in pairs]
+    utilizations = [0.0] * len(pairs)
+    if any(factors):  # the scalar path checks the bandwidth only then
+        utilizations = scaled_utilizations(message_sets, factors, bandwidth_bps)
     return [
-        _result_from_scale(ms, scale, evaluations, bandwidth_bps)
-        for ms, (scale, evaluations) in zip(message_sets, pairs)
+        BreakdownResult(scale=scale, utilization=utilization, evaluations=evaluations)
+        for (scale, evaluations), utilization in zip(pairs, utilizations)
     ]

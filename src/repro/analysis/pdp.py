@@ -399,7 +399,9 @@ class PDPAnalysis:
         on the rows beside it, so every verdict is bit-identical to
         :meth:`ExactRMTest.is_schedulable` on that set alone.  This is
         the engine behind the lockstep batched bisection of
-        :func:`repro.analysis.breakdown.breakdown_scales_batch`.
+        :func:`repro.analysis.breakdown.breakdown_scales_batch`, which
+        also reads ``probe.all_zero``: per set, whether its payload row
+        is all zero (scaling such a set changes nothing).
         """
         ordered_sets = [message_set.rate_monotonic() for message_set in message_sets]
         tests = [
@@ -436,6 +438,7 @@ class PDPAnalysis:
             sums = np.ascontiguousarray(sums.reshape(segments.shape)[:, :-1])
             return kernel.verdicts(sums, blocking, which)
 
+        probe.all_zero = ~payload_rows.any(axis=1)
         return probe
 
     def analyze(self, message_set: MessageSet) -> PDPSetResult:

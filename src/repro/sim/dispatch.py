@@ -236,8 +236,9 @@ def report_from_payload(payload: dict) -> SimulationReport:
 
 
 def _streams_key(message_set: MessageSet) -> list:
+    # Coerced, so equal streams key alike (an int payload and its float twin).
     return [
-        [stream.period_s, stream.payload_bits, stream.station]
+        [float(stream.period_s), float(stream.payload_bits), int(stream.station)]
         for stream in message_set
     ]
 

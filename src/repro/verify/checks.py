@@ -374,8 +374,11 @@ def check_breakdown_batch(case: FuzzCase) -> Violation | None:
     the same period vector but perturbed payloads (it shares the cached
     exact-test structure, so rows must not be grouped by structure), a
     set with different periods, a narrower prefix of the case whose
-    first half shares the first period, and a set twice as wide with
-    every period repeated (period groups of several streams).
+    first half shares the first period, a set twice as wide with every
+    period repeated (period groups of several streams), and the two sets
+    the far-edge shortcut settles: the case with every period ×1e-6
+    (fails at every scale) and with every payload ×1e-60 (schedulable at
+    every doubling).
     """
     periods, payloads = case.periods_s, case.payloads_bits
     width = max(1, 3 * len(periods) // 4)
@@ -393,6 +396,8 @@ def check_breakdown_batch(case: FuzzCase) -> Violation | None:
         case.with_streams(
             periods + periods, tuple(c * 0.5 for c in payloads + payloads)
         ).message_set(),
+        case.with_streams(tuple(p * 1e-6 for p in periods), payloads).message_set(),
+        case.with_streams(periods, tuple(c * 1e-60 for c in payloads)).message_set(),
     ]
     analysis = _pdp_analysis(case, PDPVariant.STANDARD)
     batched = breakdown_scales_batch(population, analysis, rel_tol=1e-3)
@@ -403,6 +408,8 @@ def check_breakdown_batch(case: FuzzCase) -> Violation | None:
             "re-periodized set",
             "narrow tied prefix",
             "doubled set",
+            "hopeless set",
+            "never-saturating set",
         ),
         population,
         batched,

@@ -117,6 +117,13 @@ The mutants, and the property expected to catch each:
     midpoints than the scalar search and usually spends one more
     evaluation → caught by ``breakdown_batch``, which compares every
     batched ``(scale, evaluations)`` pair with scalar ``breakdown_scale``.
+``breakdown_far_edge_evaluations``
+    The lockstep search's far-edge shortcut reports ``max_doublings``
+    evaluations instead of ``1 + max_doublings`` for a set it settles
+    (one that never saturates, or fails at every scale), while every
+    scale stays right → caught by ``breakdown_batch``, whose population
+    includes the case with its periods ×1e-6 (hopeless) and with its
+    payloads ×1e-60 (never saturating).
 ``batcher_batch_reordered``
     The micro-batcher's flush resolves a batch's futures in reversed
     order, so each request of a multi-op batch receives another
@@ -325,35 +332,19 @@ def _buggy_load_ratios(original):
     return load_ratios
 
 
-def _buggy_search_steps(rel_tol, max_doublings):
-    from repro.analysis.breakdown import _SPEC_DOUBLINGS
+def _buggy_bracket(original):
+    def bracket(inner, edge, up):
+        lo, hi = original(inner, edge, up)
+        # BUG: the bracket is one doubling too wide
+        return np.where(up, lo / 2.0, lo), np.where(up, hi, hi * 2.0)
+    return bracket
 
-    evaluations = 1
-    up = bool((yield [1.0])[0])
-    inner, edge = 1.0, (2.0 if up else 0.5)
-    ahead: list[bool] = []  # look-ahead verdicts, next one last
-    for doubling in range(max_doublings):
-        if not ahead:
-            chunk = [edge]
-            while len(chunk) < min(_SPEC_DOUBLINGS, max_doublings - doubling):
-                chunk.append(chunk[-1] * 2.0 if up else chunk[-1] / 2.0)
-            ahead = (yield chunk)[::-1]
-        evaluations += 1
-        if ahead.pop() != up:
-            break
-        inner, edge = edge, (edge * 2.0 if up else edge / 2.0)
-    else:
-        return (float("inf") if up else 0.0), evaluations
-    # BUG: the bracket is one doubling too wide
-    lo, hi = (inner / 2.0, edge) if up else (edge, inner * 2.0)
-    while hi - lo > rel_tol * hi:
-        mid = (lo + hi) / 2.0
-        evaluations += 1
-        if (yield [mid])[0]:
-            lo = mid
-        else:
-            hi = mid
-    return lo, evaluations
+
+def _buggy_far_edges(original):
+    def far_edges(max_doublings):
+        up, down, evaluations = original(max_doublings)
+        return up, down, evaluations - 1  # BUG: the probe at 1.0 goes uncounted
+    return far_edges
 
 
 def _buggy_answer(batch, results):
@@ -459,7 +450,13 @@ def _patch_sites(mutant: str) -> list[tuple[object, str, object]]:
     if mutant == "breakdown_lockstep_bracket":
         from repro.analysis import breakdown as breakdown_mod
 
-        return [(breakdown_mod, "_search_steps", _buggy_search_steps)]
+        return [(breakdown_mod, "_bracket", _buggy_bracket(breakdown_mod._bracket))]
+    if mutant == "breakdown_far_edge_evaluations":
+        from repro.analysis import breakdown as breakdown_mod
+
+        return [
+            (breakdown_mod, "_far_edges", _buggy_far_edges(breakdown_mod._far_edges))
+        ]
     if mutant == "batcher_batch_reordered":
         from repro.service import batcher as batcher_mod
 
@@ -484,6 +481,7 @@ MUTANTS: tuple[str, ...] = (
     "rm_event_count_off_by_one",
     "rm_details_group_prefix",
     "breakdown_lockstep_bracket",
+    "breakdown_far_edge_evaluations",
     "batcher_batch_reordered",
 )
 

@@ -1,5 +1,7 @@
-"""Saturation search: bisection correctness and the closed-form fast path."""
+"""Saturation search: bisection correctness, the closed-form fast path
+and the batched utilization pass."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,10 +9,15 @@ from repro.analysis.breakdown import (
     BreakdownResult,
     breakdown_scale,
     breakdown_utilization,
+    breakdown_utilizations_batch,
 )
+from repro.analysis.pdp import PDPAnalysis, PDPVariant
+from repro.analysis.ttp import TTPAnalysis
 from repro.errors import MessageSetError
-from repro.messages.message_set import MessageSet
+from repro.messages.generators import MessageSetSampler, PeriodDistribution
+from repro.messages.message_set import MessageSet, scaled_utilizations
 from repro.messages.stream import SynchronousStream
+from repro.network.standards import fddi_ring, ieee_802_5_ring, paper_frame_format
 from repro.units import mbps
 
 
@@ -148,3 +155,106 @@ class TestBreakdownUtilization:
         assert result.scale == float("inf")
         assert result.utilization == 0.0
         assert not result.saturated
+
+
+class TestArrayUtilizationPass:
+    """``scaled_utilizations`` (one ``np.add.accumulate`` over zero-padded
+    rows, as ``breakdown_utilizations_batch`` uses it) equals
+    ``MessageSet.scaled_utilization`` and ``scaled(f).utilization`` bit
+    for bit.
+
+    Premise: the builtin ``sum`` of floats is a plain left fold on
+    CPython before 3.12, and the project supports 3.10 on.  From 3.12
+    ``sum`` of floats is compensated, so the scalar sums move in their
+    last bits; this test must then fail loudly, not let the batched
+    Figure 1 means drift from the scalar ones.
+    """
+
+    BW = mbps(10)
+
+    @staticmethod
+    def population() -> list[MessageSet]:
+        """Ragged widths in one batch, tied periods and a 1-stream set."""
+        rng = np.random.default_rng(11)
+        periods = PeriodDistribution(mean_period_s=0.1, ratio=10.0)
+        sets = [
+            MessageSetSampler(n_streams=n, periods=periods).sample_many(rng, 1)[0]
+            for n in (1, 3, 7, 40, 100)
+        ]
+        wide = sets[-2]
+        tied = MessageSet(
+            SynchronousStream(
+                period_s=wide[i // 4].period_s,
+                payload_bits=s.payload_bits,
+                station=i,
+            )
+            for i, s in enumerate(wide)
+        )
+        return [*sets, tied]
+
+    @staticmethod
+    def assert_scalar_sums(message_sets, factors, utilizations, bandwidth):
+        for ms, factor, utilization in zip(message_sets, factors, utilizations):
+            scalar = ms.scaled_utilization(factor, bandwidth)
+            rebuilt = ms.scaled(factor).utilization(bandwidth)
+            assert utilization.hex() == scalar.hex() == rebuilt.hex()
+
+    def test_non_dyadic_factors_match_the_scalar_sums(self):
+        sets = self.population()
+        for factors in (
+            [0.1, 1 / 3, np.e, 1e-3 * np.pi, 12345.678, 7 / 11],
+            [float(f) for f in np.random.default_rng(3).uniform(1e-3, 1e3, 6)],
+        ):
+            got = scaled_utilizations(sets, factors, self.BW)
+            self.assert_scalar_sums(sets, factors, got, self.BW)
+
+    @pytest.mark.parametrize(
+        "analysis",
+        [
+            PDPAnalysis(
+                ieee_802_5_ring(mbps(10), n_stations=10),
+                paper_frame_format(),
+                PDPVariant.STANDARD,
+            ),
+            TTPAnalysis(fddi_ring(mbps(10), n_stations=10), paper_frame_format()),
+        ],
+        ids=["pdp", "ttp"],
+    )
+    def test_batched_breakdown_utilizations_match_the_scalar_sums(self, analysis):
+        sets = self.population()
+        batch = breakdown_utilizations_batch(sets, analysis, self.BW, 1e-4)
+        saturated = [(ms, r) for ms, r in zip(sets, batch) if r.saturated]
+        assert len(saturated) == len(sets)
+        self.assert_scalar_sums(
+            [ms for ms, _ in saturated],
+            [r.scale for _, r in saturated],
+            [r.utilization for _, r in saturated],
+            self.BW,
+        )
+        scalar = [breakdown_utilization(ms, analysis, self.BW, 1e-4) for ms in sets]
+        assert batch == scalar
+
+    def test_errors_are_the_scalar_ones(self):
+        ms = make_set()
+        for factor in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(MessageSetError) as scalar:
+                ms.scaled_utilization(factor, mbps(1))
+            with pytest.raises(MessageSetError) as batched:
+                scaled_utilizations([ms, ms], [1.0, factor], mbps(1))
+            assert str(batched.value) == str(scalar.value)
+        for bandwidth in (0.0, -1.0):
+            with pytest.raises(ValueError) as scalar:
+                ms.scaled_utilization(1.0, bandwidth)
+            with pytest.raises(ValueError) as batched:
+                scaled_utilizations([ms], [1.0], bandwidth)
+            assert str(batched.value) == str(scalar.value)
+        assert scaled_utilizations([], [], 0.0) == []
+
+    def test_unsaturated_batch_skips_the_bandwidth_check(self):
+        """As in the scalar path, a batch with no saturated set reads no
+        bandwidth."""
+        sets = [make_set(), make_set(payloads=(0, 0))]
+        for predicate in (lambda m: False, lambda m: True):
+            batch = breakdown_utilizations_batch(sets, predicate, 0.0)
+            assert batch == [breakdown_utilization(ms, predicate, 0.0) for ms in sets]
+            assert [r.utilization for r in batch] == [0.0, 0.0]

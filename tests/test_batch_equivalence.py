@@ -338,6 +338,10 @@ class TestLockstepBisection:
             MessageSet([SynchronousStream(period_s=1e-6, payload_bits=1.0)]),
             # needs halving, then bisection
             MessageSet([SynchronousStream(period_s=0.01, payload_bits=1e6)]),
+            # far verdicts that differ from the one at 1.0, so the far-edge
+            # shortcut must not fire: the last halving closes the bracket,
+            # and the last doubling does
+            *self._last_rung_sets(analysis, max_doublings),
         ]
         batch = breakdown_scales_batch(
             population, analysis, rel_tol=1e-3, max_doublings=max_doublings
@@ -350,6 +354,43 @@ class TestLockstepBisection:
         if max_doublings == 128:
             assert [s for s, _ in batch[4:7]] == [float("inf"), float("inf"), 0.0]
             assert 0.0 < batch[7][0] < 1.0
+        if max_doublings >= 1:
+            (halved, _), (doubled, _) = batch[-2:]
+            assert 0.5**max_doublings <= halved < 0.5 ** (max_doublings - 1)
+            assert 2.0 ** (max_doublings - 1) <= doubled < 2.0**max_doublings
+
+    @staticmethod
+    def _last_rung_sets(analysis, max_doublings):
+        """A set first schedulable after exactly ``max_doublings`` halvings
+        and one that saturates at exactly ``2**(max_doublings - 1)``.
+
+        ``base.scaled(boundary / t)`` passes up to scale ``t``, so ``t``
+        is put halfway up the last rung in each direction.
+        """
+        base = MessageSet([SynchronousStream(period_s=0.01, payload_bits=1e4)])
+        boundary, _ = breakdown_scale(base, analysis, rel_tol=1e-9)
+        return [
+            base.scaled(boundary / (1.5 * 0.5**max_doublings)),
+            base.scaled(boundary / (0.75 * 2.0**max_doublings)),
+        ]
+
+    def test_far_edge_settles_sets_that_never_change_verdict(self):
+        """A hopeless set and a never-saturating one end after the probe
+        at 1.0 and one block plus far edge: two batched calls, not 33,
+        with the scalar search's 129 evaluations each."""
+        analysis = _pdp(10.0, PDPVariant.STANDARD)
+        population = [
+            MessageSet([SynchronousStream(period_s=1e-6, payload_bits=1.0)]),
+            MessageSet([SynchronousStream(period_s=10.0, payload_bits=1e-40)]),
+        ]
+        probes = metrics.counter("breakdown.probes")
+        calls = metrics.counter("breakdown.batch_calls")
+        before = probes.value, calls.value
+        batch = breakdown_scales_batch(population, analysis, rel_tol=1e-3)
+        assert batch == [(0.0, 129), (float("inf"), 129)]
+        assert probes.value - before[0] == 2 * (1 + _SPEC_DOUBLINGS + 1)
+        assert calls.value - before[1] == 2
+        assert batch == [breakdown_scale(ms, analysis, rel_tol=1e-3) for ms in population]
 
     def test_sets_saturated_counts_finite_positive_scales(self):
         """An all-zero set (scale inf), a hopeless 1 us set (scale 0) and

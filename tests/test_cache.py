@@ -295,6 +295,31 @@ def test_numpy_scalar_twin_shares_sim_cache_entries(harmonic_set, disk_cache):
     assert [vars(s) for s in replay.streams] == [vars(s) for s in first.streams]
 
 
+def test_int_float_payload_twin_shares_sim_cache_entries(harmonic_set, disk_cache):
+    """A set with int payloads keys to the same sim row as its equal
+    float twin: the key payload coerces each stream to
+    ``float``/``float``/``int``."""
+    from repro.messages.message_set import MessageSet
+    from repro.messages.stream import SynchronousStream
+
+    assert all(type(s.payload_bits) is int for s in harmonic_set)
+    twin = MessageSet(
+        SynchronousStream(
+            period_s=s.period_s, payload_bits=float(s.payload_bits), station=s.station
+        )
+        for s in harmonic_set
+    )
+    assert twin == harmonic_set
+    ring, frame, _, config, duration = _pdp_inputs(harmonic_set)
+    misses = _counter("cache.sim.misses")
+    first = cached_run_pdp(ring, frame, harmonic_set, config, duration)
+    assert _counter("cache.sim.misses") == misses + 1
+    hits = _counter("cache.sim.hits")
+    replay = cached_run_pdp(ring, frame, twin, config, duration)
+    assert _counter("cache.sim.hits") == hits + 1
+    assert [vars(s) for s in replay.streams] == [vars(s) for s in first.streams]
+
+
 # -- what the cache must not hold --------------------------------------------
 
 

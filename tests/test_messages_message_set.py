@@ -225,6 +225,34 @@ class TestRateMonotonicMemo:
         assert tail == MessageSet(list(ordered)[1:])
 
 
+class TestColumnMemo:
+    """periods and payloads_bits are built once per set and remembered."""
+
+    def test_repeated_reads_return_the_same_tuple(self):
+        message_set = make_set()
+        periods, payloads = message_set.periods, message_set.payloads_bits
+        assert message_set.periods is periods
+        assert message_set.payloads_bits is payloads
+        assert periods == tuple(s.period_s for s in message_set)
+        assert payloads == tuple(s.payload_bits for s in message_set)
+
+    def test_pickle_carries_the_streams_only(self):
+        memoised, fresh = make_set(), make_set()
+        memoised.periods, memoised.payloads_bits
+        assert pickle.dumps(memoised) == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(memoised))
+        assert restored.periods == memoised.periods
+        assert restored.payloads_bits == memoised.payloads_bits
+
+    def test_copies_build_their_own_columns(self):
+        original = make_set()
+        original.periods, original.payloads_bits
+        assert original.scaled(2.0).payloads_bits == (8000, 2000, 4000)
+        assert original[:2].periods == original.periods[:2]
+        ordered = original.rate_monotonic()
+        assert ordered.periods == tuple(sorted(original.periods))
+
+
 class TestTransformations:
     def test_scaled(self):
         doubled = make_set().scaled(2.0)

@@ -159,6 +159,10 @@ class TestMutationSmoke:
         assert "service_batch_equiv" in report.fired_checks[
             "batcher_batch_reordered"
         ]
+        assert "breakdown_batch" in report.fired_checks["breakdown_lockstep_bracket"]
+        assert "breakdown_batch" in report.fired_checks[
+            "breakdown_far_edge_evaluations"
+        ]
 
     def test_inject_mutant_restores_originals(self):
         from repro.analysis import boundary as boundary_mod
