@@ -2,20 +2,24 @@
 
 Concurrent requests are coalesced into one
 :meth:`~repro.admission.AdmissionController.process_batch` call.
-:meth:`MicroBatcher.submit` appends the operation to a pending list and,
-if no flush is pending yet, schedules one with ``loop.call_soon``.  The
-flush runs on the event loop after every request parsed in the same
-loop tick has been submitted, so those requests share one batch
-(sliced at ``batch_max``).  An idle service adds no artificial latency;
-under load, one stacked exact-test evaluation amortizes over the whole
-tick.
+:meth:`MicroBatcher.enqueue` appends ``(op, done, span)`` to a pending
+list and, if no flush is pending yet, schedules one with
+``loop.call_soon``.  The flush runs on the event loop after every request
+parsed in the same loop tick has been enqueued, so those requests share
+one batch (sliced at ``batch_max``), and it answers each member by
+calling its ``done(result)`` in arrival order — the server's ``done``
+encodes the reply and writes it, with no future, no task and no further
+loop tick.  :meth:`MicroBatcher.submit` is the awaitable form: a thin
+wrapper whose ``done`` resolves a future.  An idle service adds no
+artificial latency; under load, one stacked exact-test evaluation
+amortizes over the whole tick.
 
 Correctness is delegated entirely to the controller:
 ``process_batch`` serializes its operations in arrival order, so batching
 is invisible in the results — only in the throughput.
 
 Backpressure: the pending list is bounded at ``queue_limit``.
-:meth:`MicroBatcher.submit` never waits for room; a full list raises
+:meth:`MicroBatcher.enqueue` never waits for room; a full list raises
 :class:`QueueFullError` immediately, carrying a ``retry_after_s`` hint,
 and the server maps that to **429**.  Shed requests were never
 evaluated — no admission state is consumed.
@@ -23,11 +27,11 @@ evaluated — no admission state is consumed.
 The batch runs on the loop thread, with no thread hop: one decision is
 tens of microseconds, far less than a handoff to a worker thread and
 back.  The flush runs as a loop callback, not inside any request's
-task, so each pending operation carries its request span (``None`` when
-unsampled) and the flush installs a :class:`~repro.obs.tracing.SpanGroup`
-over the sampled members — the batch span and the engine/cache spans the
-controller produces underneath are shared nodes attached to every traced
-request the batch served.
+context, so each pending operation carries its request span (``None``
+when unsampled) and the flush installs a
+:class:`~repro.obs.tracing.SpanGroup` over the sampled members — the
+batch span and the engine/cache spans the controller produces underneath
+are shared nodes attached to every traced request the batch served.
 """
 
 from __future__ import annotations
@@ -70,10 +74,17 @@ class QueueFullError(ServiceError):
 
 
 def _answer(batch, results) -> None:
-    """Resolve each pending future of ``batch`` with its own result."""
-    for (_, future, _), result in zip(batch, results):
-        if not future.done():  # client may have disconnected
-            future.set_result(result)
+    """Call each ``done`` of ``batch`` with its own result."""
+    for (_, done, _), result in zip(batch, results):
+        _call(done, result)
+
+
+def _call(done, result) -> None:
+    # One member's failing callback must not leave the rest unanswered.
+    try:
+        done(result)
+    except Exception:  # noqa: BLE001 - the flush must answer every member
+        _LOG.warning("admission answer callback failed", exc_info=True)
 
 
 class MicroBatcher:
@@ -100,7 +111,7 @@ class MicroBatcher:
         self._controller = controller
         self._batch_max = int(batch_max)
         self._queue_limit = int(queue_limit)
-        self._pending: list = []  # (op, future, span), in arrival order
+        self._pending: list = []  # (op, done, span), in arrival order
         self._loop: asyncio.AbstractEventLoop | None = None
         self._draining = False
         self._m_submitted = metrics.counter("service.requests")
@@ -125,19 +136,22 @@ class MicroBatcher:
         """Bind the running event loop; batches run on its thread."""
         self._loop = asyncio.get_running_loop()
 
-    async def submit(
-        self, op: AdmissionOp, span: "tracing.Span | None" = None
-    ) -> AdmissionDecision | ReleaseOutcome | OpFault:
-        """Add one operation to the pending batch and wait for its answer.
+    def enqueue(
+        self, op: AdmissionOp, done, span: "tracing.Span | None" = None
+    ) -> None:
+        """Add one operation to the pending batch; ``done`` gets its answer.
 
-        ``span`` is the request's trace span (``None`` when unsampled);
-        it rides the pending list so the flush can attach the batch
-        subtree to it.
+        The flush calls ``done(result)`` once, on the loop thread, with
+        the op's :class:`AdmissionDecision`, :class:`ReleaseOutcome` or
+        :class:`OpFault` — or with the exception its batch raised, which
+        every member of that batch receives.  ``span`` is the request's
+        trace span (``None`` when unsampled); it rides the pending list so
+        the flush can attach the batch subtree to it.
 
         Raises :class:`QueueFullError` when the pending list is at
         capacity and :class:`ServiceError` when the batcher is draining;
-        neither touches admission state.  A batch whose ``process_batch``
-        raises re-raises that exception in every member.
+        neither touches admission state, and ``done`` is then never
+        called.
         """
         loop = self._loop
         if loop is None:
@@ -154,12 +168,31 @@ class MicroBatcher:
                 f"admission queue full ({self._queue_limit} pending)",
                 retry_after_s=SHED_SECONDS_PER_BATCH * backlog_batches,
             )
-        future = loop.create_future()
         if not pending:  # first of this tick: one flush serves them all
             loop.call_soon(self._flush)
-        pending.append((op, future, span))
+        pending.append((op, done, span))
         self._m_submitted.inc()
         self._m_queue_depth.set(len(pending))
+
+    async def submit(
+        self, op: AdmissionOp, span: "tracing.Span | None" = None
+    ) -> AdmissionDecision | ReleaseOutcome | OpFault:
+        """:meth:`enqueue` one operation and await its answer.
+
+        Raises what :meth:`enqueue` raises, and re-raises the exception of
+        a batch that failed.
+        """
+        future = asyncio.get_running_loop().create_future()
+
+        def done(result) -> None:
+            if future.done():  # the awaiting task was cancelled
+                return
+            if isinstance(result, BaseException):
+                future.set_exception(result)
+            else:
+                future.set_result(result)
+
+        self.enqueue(op, done, span)
         return await future
 
     async def drain(self) -> None:
@@ -183,9 +216,8 @@ class MicroBatcher:
                 # The original exception, not a ServiceError: the server
                 # answers it 500 InternalError, not 503 Draining.
                 _LOG.warning("batch of %d failed", len(batch), exc_info=True)
-                for _, future, _ in batch:
-                    if not future.done():
-                        future.set_exception(exc)
+                for _, done, _ in batch:
+                    _call(done, exc)
                 continue
             _answer(batch, results)
 

@@ -197,9 +197,14 @@ def load_body(raw: bytes) -> dict:
     return body
 
 
+#: The one response encoder: ``json.dumps`` with ``separators`` would
+#: build an equal encoder on every call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def dump_body(payload: dict) -> bytes:
     """Encode a response body (compact separators, UTF-8)."""
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    return _ENCODER.encode(payload).encode("utf-8")
 
 
 def _number(body: dict, key: str) -> float:

@@ -3,15 +3,22 @@
 One :class:`AdmissionServer` owns one :class:`AdmissionController`, one
 :class:`~repro.service.batcher.MicroBatcher`, and one per-client rate
 limiter, and serves the endpoints documented in
-:mod:`repro.service.protocol`.  The keep-alive HTTP framing is
-:mod:`repro.service.http`, shared with the cluster router; this module
-routes each parsed request and encodes its JSON answer.
+:mod:`repro.service.protocol`.  Each connection is a
+:class:`~repro.service.http.ServerConnection` (an
+:class:`asyncio.Protocol`; the framing is shared with the cluster
+router), which calls :meth:`AdmissionServer._handle` — a plain function
+— once per parsed request.  There is no task per connection and no
+future per request.
 
 Request path for ``/v1/check``, ``/v1/admit``, ``/v1/release``::
 
-    parse -> rate limit -> batcher.submit -> (coalesced) process_batch
+    parse -> rate limit -> batcher.enqueue(op, done)
+          -> (coalesced) process_batch -> done(result) -> transport.write
 
-so every decision flows through the micro-batcher and is bit-identical
+``_handle`` returns :data:`~repro.service.http.PENDING` once the op is
+enqueued; the flush at the end of the loop tick calls ``done``, which
+encodes the reply and writes it.  Every other endpoint answers inline.
+So every decision flows through the micro-batcher and is bit-identical
 to a direct controller call (the batcher only changes *when* work runs,
 never its serialization order).  Everything runs on the one event-loop
 thread: the batch flushed at the end of a loop tick, and the
@@ -36,7 +43,6 @@ dropped.
 from __future__ import annotations
 
 import asyncio
-import functools
 import math
 import os
 import signal
@@ -114,6 +120,7 @@ class AdmissionServer:
             slow_threshold_s=config.slow_trace_s,
         )
         self.port: int | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
         self._draining = False
         self._drained = asyncio.Event()
@@ -131,8 +138,9 @@ class AdmissionServer:
     async def start(self) -> None:
         """Bind the listening socket and the batcher to the running loop."""
         self.batcher.start()
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.config.host, self.config.port
+        self._loop = asyncio.get_running_loop()
+        self._server = await self._loop.create_server(
+            self._connection, self.config.host, self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         _LOG.info(
@@ -228,30 +236,36 @@ class AdmissionServer:
             },
         }
 
-    # -- connection handling ---------------------------------------------------
+    # -- request handling ------------------------------------------------------
 
-    async def _serve_connection(self, reader, writer) -> None:
-        peer = writer.get_extra_info("peername")
-        peer_host = peer[0] if isinstance(peer, tuple) else str(peer)
-        await http.serve_connection(
-            reader, writer, functools.partial(self._handle, peer_host), dump_body
-        )
+    def _connection(self) -> http.ServerConnection:
+        """A protocol for one accepted connection."""
+        return http.ServerConnection(self._handle, dump_body)
 
-    async def _handle(self, peer_host: str, request: http.Request):
-        """Route one request under its trace; record its metrics."""
+    def _handle(self, connection: http.ServerConnection, request: http.Request):
+        """Route one request under its trace.
+
+        Returns the answer, or :data:`~repro.service.http.PENDING` for an
+        admission op the batcher's flush answers through ``connection``.
+        """
         trace = self.tracer.begin(
             "request", method=request.method, path=request.path
         )
-        token = tracing.use(trace) if trace is not None else None
-        started = asyncio.get_running_loop().time()
+        # Installed even when unsampled: a request parsed inside the
+        # batcher's flush must not inherit the trace current there.
+        token = tracing.use(trace)
+        started = self._loop.time()
         try:
-            status, payload, extra_headers = await self._route(
-                request, peer_host
-            )
+            answer = self._route(request, connection, trace, started)
         finally:
-            if token is not None:
-                tracing.release(token)
-        elapsed = asyncio.get_running_loop().time() - started
+            tracing.release(token)
+        if answer is http.PENDING:
+            return answer
+        return self._finish(trace, started, *answer)
+
+    def _finish(self, trace, started, status, payload, extra_headers):
+        """Record one answered request's metrics and trace; add headers."""
+        elapsed = self._loop.time() - started
         if trace is not None:
             trace.attrs["status"] = status
             extra_headers = list(extra_headers) + [
@@ -276,10 +290,17 @@ class AdmissionServer:
 
     # -- routing ---------------------------------------------------------------
 
-    async def _route(self, request: http.Request, peer_host: str):
-        """Dispatch one request; returns (status, payload, extra_headers)."""
+    def _route(self, request: http.Request, connection, trace, started):
+        """Dispatch one request; returns (status, payload, extra_headers),
+        or PENDING once an admission op is enqueued."""
         method, path, query = request.method, request.path, request.query
         try:
+            if path in ("/v1/check", "/v1/admit", "/v1/release"):
+                if method != "POST":
+                    return self._method_not_allowed("POST")
+                return self._admission_endpoint(
+                    request, connection, trace, started
+                )
             if path == "/healthz":
                 if method != "GET":
                     return self._method_not_allowed("GET")
@@ -315,41 +336,42 @@ class AdmissionServer:
                 if self._draining:
                     return self._draining_response()
                 return 200, self._breakdown(), []
-            if path in ("/v1/check", "/v1/admit", "/v1/release"):
-                if method != "POST":
-                    return self._method_not_allowed("POST")
-                return await self._admission_endpoint(request, peer_host)
             return (
                 404,
                 {"error": "NotFound", "detail": f"no such endpoint: {path}"},
                 [],
             )
-        except ServiceError as exc:
-            return 400, {"error": "ServiceError", "detail": str(exc)}, []
-        except ReproError as exc:  # pragma: no cover - route-level catch-all
-            return 422, {"error": type(exc).__name__, "detail": str(exc)}, []
-        except Exception as exc:  # noqa: BLE001 - never kill the connection loop
-            self._m_internal.inc()
-            span = tracing.current()
-            trace_id = getattr(span, "trace_id", None)
-            _LOG.warning(
-                "unhandled error serving %s %s (trace=%s): %s",
-                method,
-                path,
-                trace_id or "-",
-                exc,
-                exc_info=True,
-                extra={"path": path, "method": method, "trace_id": trace_id},
-            )
-            return 500, {"error": "InternalError", "detail": str(exc)}, []
+        except Exception as exc:  # noqa: BLE001 - never kill the connection
+            return self._error_answer(exc, request, trace)
 
-    async def _admission_endpoint(self, request: http.Request, peer_host: str):
+    def _error_answer(self, exc: Exception, request: http.Request, trace):
+        """The answer to a request whose handling raised ``exc``."""
+        if isinstance(exc, ServiceError):
+            return 400, {"error": "ServiceError", "detail": str(exc)}, []
+        if isinstance(exc, ReproError):
+            return 422, {"error": type(exc).__name__, "detail": str(exc)}, []
+        self._m_internal.inc()
+        trace_id = getattr(trace, "trace_id", None)
+        _LOG.warning(
+            "unhandled error serving %s %s (trace=%s): %s",
+            request.method,
+            request.path,
+            trace_id or "-",
+            exc,
+            exc_info=exc,
+            extra={
+                "path": request.path,
+                "method": request.method,
+                "trace_id": trace_id,
+            },
+        )
+        return 500, {"error": "InternalError", "detail": str(exc)}, []
+
+    def _admission_endpoint(self, request: http.Request, connection, trace, started):
         if self._draining or self.batcher.draining:
             return self._draining_response()
-        client = request.headers.get("x-client-id", peer_host)
-        wait = self.limiter.check(
-            client, asyncio.get_running_loop().time()
-        )
+        client = request.headers.get("x-client-id", connection.peer_host)
+        wait = self.limiter.check(client, started)
         if wait > 0:
             self._m_limited.inc()
             return (
@@ -376,9 +398,16 @@ class AdmissionServer:
                 else AdmissionOp.admit(period_s, payload_bits)
             )
         tracing.annotate(op=op.kind)
+
+        def done(result) -> None:
+            connection.respond(
+                *self._finish(
+                    trace, started, *self._op_answer(op, result, request, trace)
+                )
+            )
+
         try:
-            span = tracing.current()
-            result = await self.batcher.submit(op, span=span)
+            self.batcher.enqueue(op, done, span=trace)
         except QueueFullError as exc:
             return (
                 429,
@@ -391,11 +420,22 @@ class AdmissionServer:
             )
         except ServiceError:
             return self._draining_response()
-        if isinstance(result, OpFault):
-            return fault_status(result), fault_to_wire(result), []
-        if op.kind == "release":
-            return 200, release_to_wire(result), []
-        return 200, decision_to_wire(result), []
+        return http.PENDING
+
+    def _op_answer(self, op: AdmissionOp, result, request, trace):
+        """The answer to one admission op, from what its batch gave it."""
+        if isinstance(result, ServiceError):
+            return self._draining_response()
+        if isinstance(result, Exception):
+            return self._error_answer(result, request, trace)
+        try:
+            if isinstance(result, OpFault):
+                return fault_status(result), fault_to_wire(result), []
+            if op.kind == "release":
+                return 200, release_to_wire(result), []
+            return 200, decision_to_wire(result), []
+        except Exception as exc:  # noqa: BLE001 - answer, never hang
+            return self._error_answer(exc, request, trace)
 
     def _metrics_endpoint(self, query: str):
         """``/metrics``: JSON snapshot, or Prometheus text exposition.

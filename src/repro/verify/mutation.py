@@ -125,9 +125,9 @@ The mutants, and the property expected to catch each:
     includes the case with its periods ×1e-6 (hopeless) and with its
     payloads ×1e-60 (never saturating).
 ``batcher_batch_reordered``
-    The micro-batcher's flush resolves a batch's futures in reversed
-    order, so each request of a multi-op batch receives another
-    request's answer, while ``process_batch`` itself stays correct →
+    The micro-batcher's flush calls a batch's ``done`` callbacks with
+    the results in reversed order, so each request of a multi-op batch
+    receives another request's answer, while ``process_batch`` itself stays correct →
     caught by ``service_batch_equiv``, which drives a real batcher with
     concurrent submits against sequential direct calls.
 """
@@ -348,9 +348,8 @@ def _buggy_far_edges(original):
 
 
 def _buggy_answer(batch, results):
-    for (_, future, _), result in zip(batch, reversed(results)):  # BUG
-        if not future.done():
-            future.set_result(result)
+    for (_, done, _), result in zip(batch, reversed(results)):  # BUG
+        done(result)
 
 
 def _patch_sites(mutant: str) -> list[tuple[object, str, object]]:
