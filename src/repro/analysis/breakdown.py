@@ -36,8 +36,8 @@ from repro.obs import metrics as _metrics
 #: ``batch_calls`` its batched predicate calls; ``evals_per_set`` the
 #: per-set evaluation counts, the scalar search's on both paths;
 #: ``sets_saturated`` the searched sets whose scale ends finite and
-#: positive, on both paths alike.  All are partitioning invariant: the
-#: lockstep search runs per Monte Carlo chunk inside one grid cell, so
+#: positive, on both paths alike.  All are partitioning invariant: a
+#: grid cell runs one lockstep search over its whole population, so
 #: every ``--jobs`` value reports identical totals.
 _PROBES = _metrics.counter("breakdown.probes")
 _BATCH_CALLS = _metrics.counter("breakdown.batch_calls")
@@ -211,9 +211,10 @@ def breakdown_scale(
 # -- lockstep batched search --------------------------------------------------
 
 #: Bracketing look-ahead: rungs probed per bracketing step; verdicts past
-#: the one closing a bracket are discarded.  Picked from the 1/2/4/8/12
-#: sweep in EXPERIMENTS.md ("Performance of the evaluation pipeline").
-_SPEC_DOUBLINGS = 4
+#: the one closing a bracket are discarded.  Picked from the 1/2/3/4
+#: sweep of the one-search-per-cell pipeline in EXPERIMENTS.md ("One
+#: probe set-up per Figure 1 sweep").
+_SPEC_DOUBLINGS = 2
 
 
 def _far_edges(max_doublings: int) -> tuple[float, float, int]:

@@ -42,7 +42,6 @@ _INF_SCALE = _metrics.counter("montecarlo.infinite_scale_sets")
 __all__ = [
     "AverageBreakdownEstimate",
     "StreamingBreakdownEstimate",
-    "BATCH_CHUNK_SETS",
     "average_breakdown_utilization",
     "breakdown_samples_for_sets",
     "streaming_average_breakdown_utilization",
@@ -85,15 +84,6 @@ class AverageBreakdownEstimate:
         return (self.mean - half, self.mean + half)
 
 
-#: Maximum number of sets whose precomputed exact-test structures are held
-#: live at once by the lockstep batched search.  At paper scale (100
-#: streams) each structure is about 10 kB, so memory does not force the
-#: chunking; the size stays because it also sets how many batched
-#: predicate calls a cell makes (the ``breakdown.batch_calls`` count).
-#: Within a chunk every bisection step is one batched predicate call.
-BATCH_CHUNK_SETS = 16
-
-
 def breakdown_samples_for_sets(
     predicate: SchedulabilityPredicate | SupportsSaturationScale,
     message_sets: Sequence[MessageSet],
@@ -112,16 +102,9 @@ def breakdown_samples_for_sets(
     end up discarded never inflate the counters.
     """
     if isinstance(predicate, (SupportsSaturationScale, SupportsBatchScaleProbe)):
-        results = []
-        for start in range(0, len(message_sets), BATCH_CHUNK_SETS):
-            results.extend(
-                breakdown_utilizations_batch(
-                    message_sets[start : start + BATCH_CHUNK_SETS],
-                    predicate,
-                    bandwidth_bps,
-                    rel_tol,
-                )
-            )
+        results = breakdown_utilizations_batch(
+            message_sets, predicate, bandwidth_bps, rel_tol
+        )
     else:
         results = [
             breakdown_utilization(message_set, predicate, bandwidth_bps, rel_tol)
@@ -236,7 +219,7 @@ def streaming_average_breakdown_utilization(
     seed: "int | tuple[int, ...] | list[int] | None" = None,
     eps: float = 1e-3,
     z: float = 1.96,
-    chunk_sets: int = BATCH_CHUNK_SETS,
+    chunk_sets: int = 16,
     min_chunks: int = 4,
     max_sets: int = 4096,
     strata: int = 1,
@@ -397,10 +380,12 @@ def average_breakdown_utilization(
     ``n_sets + degenerate_sets`` can therefore exceed the population size.
 
     Analyses that support batched probing
-    (:class:`~repro.analysis.breakdown.SupportsBatchScaleProbe`) or
-    closed-form saturation are evaluated through the lockstep batched
-    search in chunks of :data:`BATCH_CHUNK_SETS`; the verdicts and scales
-    are identical to the scalar path either way.
+    (:class:`~repro.analysis.breakdown.SupportsBatchScaleProbe`) search
+    the whole population in one lockstep batched search, and closed-form
+    ones take one exact evaluation per set; the verdicts and scales are
+    identical to the scalar path either way.  A PDP population prepared
+    as :class:`~repro.analysis.pdp.PreparedSets` brings its probe state
+    along, so the search builds none.
 
     Args:
         predicate: a schedulability test — an analysis object

@@ -35,7 +35,7 @@ import bisect
 import enum
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -47,12 +47,14 @@ from repro.network.frames import FrameFormat
 from repro.network.ring import RingNetwork
 from repro.obs import metrics as _metrics
 
-#: Structure-cache accounting (see ``PDPAnalysis._exact_test_for``): hits
-#: and misses count the analysis's lookups of a set's period vector,
-#: kernel builds count the ``_PointKernel`` structures built (one per
-#: cached test without a repeated period), evictions count LRU drops.
-#: ``hits + misses`` is invariant across ``--jobs`` partitionings; the
-#: hit/miss split is not (each worker process warms its own cache).
+#: Structure-cache accounting (see ``_ExactTests._exact_test_for``): hits
+#: and misses count the lookups of a set's period vector, kernel builds
+#: count the ``_PointKernel`` structures built (one per cached test
+#: without a repeated period), evictions count LRU drops.  ``hits +
+#: misses`` is invariant across ``--jobs`` partitionings; the hit/miss
+#: split is not when cells look tests up (each worker process warms its
+#: own cache), but a population prepared once as :class:`PreparedSets`
+#: before the grid is looked up in the parent alone.
 _CACHE_HITS = _metrics.counter("pdp.exact_cache.hits")
 _CACHE_MISSES = _metrics.counter("pdp.exact_cache.misses")
 _KERNEL_BUILDS = _metrics.counter("pdp.exact_cache.kernel_builds")
@@ -67,6 +69,7 @@ __all__ = [
     "PDPAnalysis",
     "PDPPopulation",
     "PDPSetResult",
+    "PreparedSets",
 ]
 
 
@@ -212,24 +215,166 @@ class PDPSetResult:
         return max(d.min_load_ratio for d in self.details)
 
 
-class PDPAnalysis:
-    """Theorem 4.1 schedulability test bound to one ring + frame format.
+class _ExactTests:
+    """An LRU of :class:`ExactRMTest` structures keyed by period vector.
 
     The expensive part of the exact test depends only on the distinct
-    stream periods, so an instance caches the :class:`ExactRMTest` per
-    period vector and reuses it across payload scalings and bandwidth
-    changes (via :meth:`with_ring`).  This makes saturation searches and
-    bandwidth sweeps hundreds of times faster than rebuilding per query.
-    A period vector that repeats a period takes its point kernel from the
-    cached test of its distinct periods (stored under the key a set of
-    exactly those periods would have), so vectors differing only in
-    multiplicities build only their stream cuts and group starts.  An
-    admitted population (:class:`PDPPopulation`) reads the kernels of
-    its distinct periods straight from this cache and judges admission
-    candidates on its own per-period cost sums, building no test per
-    candidate.  The cache is an LRU over both kinds of entry (a
-    100-stream structure is about 10 kB, so one per Monte Carlo sample
-    would still grow without bound over a long sweep); interleaved
+    stream periods, so one test per period vector is reused across
+    payload scalings, bandwidths and protocol variants.  A period vector
+    that repeats a period takes its point kernel from the cached test of
+    its distinct periods (stored under the key a set of exactly those
+    periods would have), so vectors differing only in multiplicities
+    build only their stream cuts and group starts.  The cache is an LRU
+    over both kinds of entry (a 100-stream structure is about 10 kB, so
+    one per Monte Carlo sample would still grow without bound over a
+    long sweep).
+
+    Args:
+        cache_size: LRU capacity in cached tests, the distinct-period
+            tests that lend their kernels included.
+        shared_cache: an existing cache to attach to instead of a private
+            one, so several owners reuse each other's structures.
+    """
+
+    def __init__(
+        self,
+        cache_size: int,
+        shared_cache: "OrderedDict[tuple[float, ...], ExactRMTest] | None" = None,
+    ):
+        self._cache_size = int(cache_size)
+        if self._cache_size < 1:
+            raise MessageSetError(
+                f"cache size must be at least 1, got {cache_size!r}"
+            )
+        self._test_cache: OrderedDict[tuple[float, ...], ExactRMTest] = (
+            OrderedDict() if shared_cache is None else shared_cache
+        )
+
+    def _exact_test_for(self, ordered: MessageSet) -> ExactRMTest:
+        """The cached exact test of an RM-ordered set, keyed on its
+        period tuple."""
+        key = ordered.periods
+        test = self._test_cache.get(key)
+        if test is None:
+            _CACHE_MISSES.inc()
+            return self._build_test(key, key)
+        _CACHE_HITS.inc()
+        self._test_cache.move_to_end(key)
+        return test
+
+    def _build_test(self, key, periods) -> ExactRMTest:
+        """Build the exact test of ``periods`` and cache it under ``key``.
+
+        A vector that repeats a period borrows the kernel of the cached
+        test over its distinct periods (:meth:`_distinct_test`), which is
+        inserted first, so it sits just behind this test in LRU order.
+        """
+        test = ExactRMTest(
+            periods,
+            kernel_for=lambda distinct: self._distinct_test(distinct)._kernel,
+        )
+        if not test._repeats:  # own kernel
+            _KERNEL_BUILDS.inc()
+        cache = self._test_cache
+        cache[key] = test
+        while len(cache) > self._cache_size:
+            cache.popitem(last=False)
+            _CACHE_EVICTIONS.inc()
+        _CACHE_SIZE.set(len(cache))
+        return test
+
+    def _distinct_test(self, distinct: np.ndarray) -> ExactRMTest:
+        """The cached test over ``distinct`` (sorted, no repeats), built
+        on a miss; these lookups are not counted as hits or misses."""
+        key = _distinct_key(distinct)
+        test = self._test_cache.get(key)
+        if test is None:
+            return self._build_test(key, distinct)
+        self._test_cache.move_to_end(key)
+        return test
+
+
+class PreparedSets(tuple):
+    """Message sets with the period half of every Theorem 4.1 payload-scale
+    probe prepared once.
+
+    A probe (:meth:`PDPAnalysis.scale_prober`) reads a set through its
+    rate-monotonic order, its exact-test kernel, its payloads and its
+    period groups, none of which depends on the ring, the frame format or
+    the protocol variant.  This tuple of the sets carries all of that,
+    prepared when it is made: each set's RM order and exact test (looked
+    up with ``exact_test_for``, by default in a cache of this population
+    alone), one :meth:`_PointKernel.stacked` kernel, one payload row per
+    set zero-padded to the widest set, the period-group bounds of each
+    row, and ``all_zero`` (per set, whether every payload is zero).  When
+    no set repeats a period the group bounds are None: the group sums are
+    then the augmented lengths themselves.
+
+    A sweep prepares its drawn population once and hands it to every
+    cell; each PDP cell's ``scale_prober`` only binds its ring, frame,
+    variant and blocking term.  The prepared state pickles with the sets,
+    so a worker process that receives them looks up and builds nothing.
+
+    Args:
+        message_sets: the sets, in the order probes index them.
+        exact_test_for: maps an RM-ordered, non-empty set to its
+            :class:`ExactRMTest`.
+    """
+
+    def __new__(cls, message_sets: Iterable[MessageSet], exact_test_for=None):
+        return super().__new__(cls, message_sets)
+
+    def __init__(
+        self,
+        message_sets: Iterable[MessageSet],
+        exact_test_for: "Callable[[MessageSet], ExactRMTest] | None" = None,
+    ):
+        if exact_test_for is None:
+            # Each set adds at most two entries: its test and the test of
+            # its distinct periods, so nothing is evicted.
+            exact_test_for = _ExactTests(max(1, 2 * len(self)))._exact_test_for
+        ordered_sets = [message_set.rate_monotonic() for message_set in self]
+        tests = [
+            exact_test_for(ordered) if len(ordered) else None
+            for ordered in ordered_sets
+        ]
+        self.kernel = _PointKernel.stacked(
+            [None if test is None else test._kernel for test in tests]
+        )
+        # With repeated periods every row ends in padding: a padded
+        # length is 0.0, and a padded group's bounds repeat the set's
+        # width, which reduceat answers with that 0.0 column.  Without
+        # them the widest set's width is the kernel's group count.
+        repeats = any(test is not None and test._repeats for test in tests)
+        width = max((len(ordered) for ordered in ordered_sets), default=0)
+        self.payload_rows = np.zeros((len(ordered_sets), width + repeats))
+        for s, ordered in enumerate(ordered_sets):
+            self.payload_rows[s, : len(ordered)] = ordered.payloads_bits
+        self.group_bounds = None
+        if repeats:
+            self.group_bounds = np.zeros(
+                (len(ordered_sets), self.kernel._last.shape[-1] + 1), np.intp
+            )
+            for s, (ordered, test) in enumerate(zip(ordered_sets, tests)):
+                self.group_bounds[s] = len(ordered)
+                if test is not None:
+                    self.group_bounds[s, : test._group_starts.size] = (
+                        test._group_starts
+                    )
+        self.all_zero = ~self.payload_rows.any(axis=1)
+
+
+class PDPAnalysis(_ExactTests):
+    """Theorem 4.1 schedulability test bound to one ring + frame format.
+
+    An instance caches the :class:`ExactRMTest` per period vector (see
+    :class:`_ExactTests`) and reuses it across payload scalings and
+    bandwidth changes (via :meth:`with_ring`).  This makes saturation
+    searches and bandwidth sweeps hundreds of times faster than
+    rebuilding per query.  An admitted population
+    (:class:`PDPPopulation`) reads the kernels of its distinct periods
+    straight from this cache and judges admission candidates on its own
+    per-period cost sums, building no test per candidate.  Interleaved
     protocol comparisons over the same workload population benefit from
     a larger, shared cache — pass ``cache_size`` and ``shared_cache`` (see
     :meth:`repro.experiments.config.PaperParameters.pdp_analysis`, which
@@ -258,17 +403,12 @@ class PDPAnalysis:
         cache_size: int | None = None,
         shared_cache: "OrderedDict[tuple[float, ...], ExactRMTest] | None" = None,
     ):
+        super().__init__(
+            self._CACHE_SIZE if cache_size is None else cache_size, shared_cache
+        )
         self._ring = ring
         self._frame = frame
         self._variant = variant
-        self._cache_size = self._CACHE_SIZE if cache_size is None else int(cache_size)
-        if self._cache_size < 1:
-            raise MessageSetError(
-                f"cache size must be at least 1, got {cache_size!r}"
-            )
-        self._test_cache: OrderedDict[tuple[float, ...], ExactRMTest] = (
-            OrderedDict() if shared_cache is None else shared_cache
-        )
 
     # -- accessors ----------------------------------------------------------------
 
@@ -328,49 +468,6 @@ class PDPAnalysis:
         )
         return pdp_augmented_lengths(payloads, self._ring, self._frame, self._variant)
 
-    def _exact_test_for(self, ordered: MessageSet) -> ExactRMTest:
-        """The cached exact test of an RM-ordered set, keyed on its
-        period tuple."""
-        key = ordered.periods
-        test = self._test_cache.get(key)
-        if test is None:
-            _CACHE_MISSES.inc()
-            return self._build_test(key, key)
-        _CACHE_HITS.inc()
-        self._test_cache.move_to_end(key)
-        return test
-
-    def _build_test(self, key, periods) -> ExactRMTest:
-        """Build the exact test of ``periods`` and cache it under ``key``.
-
-        A vector that repeats a period borrows the kernel of the cached
-        test over its distinct periods (:meth:`_distinct_test`), which is
-        inserted first, so it sits just behind this test in LRU order.
-        """
-        test = ExactRMTest(
-            periods,
-            kernel_for=lambda distinct: self._distinct_test(distinct)._kernel,
-        )
-        if not test._repeats:  # own kernel
-            _KERNEL_BUILDS.inc()
-        cache = self._test_cache
-        cache[key] = test
-        while len(cache) > self._cache_size:
-            cache.popitem(last=False)
-            _CACHE_EVICTIONS.inc()
-        _CACHE_SIZE.set(len(cache))
-        return test
-
-    def _distinct_test(self, distinct: np.ndarray) -> ExactRMTest:
-        """The cached test over ``distinct`` (sorted, no repeats), built
-        on a miss; these lookups are not counted as hits or misses."""
-        key = _distinct_key(distinct)
-        test = self._test_cache.get(key)
-        if test is None:
-            return self._build_test(key, distinct)
-        self._test_cache.move_to_end(key)
-        return test
-
     def is_schedulable(self, message_set: MessageSet) -> bool:
         """Theorem 4.1: can every deadline be guaranteed for all phasings?"""
         if len(message_set) == 0:
@@ -384,61 +481,50 @@ class PDPAnalysis:
     ) -> "Callable[[Sequence[int], np.ndarray], np.ndarray]":
         """A batched payload-scale predicate over a fixed population.
 
-        Prepares the population once: each set's rate-monotonic order,
-        cached :class:`ExactRMTest` and payload vector, stacked into one
-        payload matrix, one matrix of period-group bounds and one
-        :meth:`_PointKernel.stacked` kernel, each padded to the widest
-        set.  Returns ``probe(indices, scales) -> verdicts``: for each
-        position ``j``, whether ``message_sets[indices[j]]`` with
-        payloads scaled by ``scales[j]`` passes Theorem 4.1.  A probe
-        scales one payload row per position, computes every augmented
-        length in one vectorized call, forms every row's period-group
-        sums in one ``np.add.reduceat`` over the flattened rows (the
-        segments :meth:`ExactRMTest._group_sums` would sum), and judges
-        all rows in one kernel evaluation.  A row's floats do not depend
-        on the rows beside it, so every verdict is bit-identical to
-        :meth:`ExactRMTest.is_schedulable` on that set alone.  This is
-        the engine behind the lockstep batched bisection of
+        Binds this analysis's ring, frame format, variant and blocking
+        term to the population's :class:`PreparedSets` state: the one
+        ``message_sets`` carries if it is a :class:`PreparedSets`,
+        otherwise one prepared here with this analysis's test cache.
+        Returns ``probe(indices, scales) -> verdicts``: for each position
+        ``j``, whether ``message_sets[indices[j]]`` with payloads scaled by
+        ``scales[j]`` passes Theorem 4.1.  A probe scales one payload row
+        per position, computes every augmented length in one vectorized
+        call, forms every row's period-group sums in one
+        ``np.add.reduceat`` over the flattened rows (the segments
+        :meth:`ExactRMTest._group_sums` would sum; skipped when no set
+        repeats a period, as there), and judges all rows in one kernel
+        evaluation.  A row's floats do not depend on the rows beside it,
+        so every verdict is bit-identical to
+        :meth:`ExactRMTest.is_schedulable` on that set alone.  This is the
+        engine behind the lockstep batched bisection of
         :func:`repro.analysis.breakdown.breakdown_scales_batch`, which
         also reads ``probe.all_zero``: per set, whether its payload row
         is all zero (scaling such a set changes nothing).
         """
-        ordered_sets = [message_set.rate_monotonic() for message_set in message_sets]
-        tests = [
-            self._exact_test_for(ordered) if len(ordered) else None
-            for ordered in ordered_sets
-        ]
-        kernel = _PointKernel.stacked(
-            [None if test is None else test._kernel for test in tests]
+        prepared = (
+            message_sets
+            if isinstance(message_sets, PreparedSets)
+            else PreparedSets(message_sets, self._exact_test_for)
         )
-        # One payload row per set, zero-padded past the widest set so that
-        # every row ends in padding: a padded length is 0.0, and a padded
-        # group's bounds repeat the set's width, which reduceat answers
-        # with that 0.0 column.
-        width = max((len(ordered) for ordered in ordered_sets), default=0)
-        payload_rows = np.zeros((len(ordered_sets), width + 1))
-        bounds = np.zeros((len(ordered_sets), kernel._last.shape[-1] + 1), np.intp)
-        for s, (ordered, test) in enumerate(zip(ordered_sets, tests)):
-            payload_rows[s, : len(ordered)] = ordered.payloads_bits
-            bounds[s] = len(ordered)
-            if test is not None:
-                bounds[s, : test._group_starts.size] = test._group_starts
-        blocking = self.blocking
+        payload_rows, bounds = prepared.payload_rows, prepared.group_bounds
+        kernel = prepared.kernel
+        ring, frame, variant, blocking = (
+            self._ring, self._frame, self._variant, self.blocking
+        )
 
         def probe(indices: Sequence[int], scales: np.ndarray) -> np.ndarray:
             which = np.asarray(indices, dtype=np.intp)
             scaled = payload_rows[which]
             scaled *= np.asarray(scales, dtype=float)[:, None]
-            lengths = pdp_augmented_lengths(
-                scaled, self._ring, self._frame, self._variant
-            )
-            segments = bounds[which]
-            segments += lengths.shape[-1] * np.arange(which.size)[:, None]
-            sums = np.add.reduceat(lengths.ravel(), segments.ravel())
-            sums = np.ascontiguousarray(sums.reshape(segments.shape)[:, :-1])
+            sums = pdp_augmented_lengths(scaled, ring, frame, variant)
+            if bounds is not None:
+                segments = bounds[which]
+                segments += sums.shape[-1] * np.arange(which.size)[:, None]
+                sums = np.add.reduceat(sums.ravel(), segments.ravel())
+                sums = np.ascontiguousarray(sums.reshape(segments.shape)[:, :-1])
             return kernel.verdicts(sums, blocking, which)
 
-        probe.all_zero = ~payload_rows.any(axis=1)
+        probe.all_zero = prepared.all_zero
         return probe
 
     def analyze(self, message_set: MessageSet) -> PDPSetResult:

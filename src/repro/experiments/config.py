@@ -72,9 +72,12 @@ class PaperParameters:
     #: Exact-test structures keyed by period vector, shared by every
     #: analysis this parameter object hands out.  The paired-sampling
     #: design reuses the same seed — hence the same period vectors — for
-    #: every bandwidth and both PDP variants, so one cache turns the
-    #: per-cell structure builds of a sweep into hits after the first
-    #: bandwidth.  Excluded from equality/repr and dropped on pickling.
+    #: every bandwidth and both PDP variants, so a sweep whose cells look
+    #: tests up (``is_schedulable``, or a ``scale_prober`` over a plain
+    #: list of sets) builds each structure once.  Figure 1 looks nothing
+    #: up here: its population is prepared once per sweep
+    #: (:class:`~repro.analysis.pdp.PreparedSets`).  Excluded from
+    #: equality/repr and dropped on pickling.
     _pdp_test_cache: "OrderedDict[tuple[float, ...], ExactRMTest]" = field(
         default_factory=OrderedDict, init=False, compare=False, repr=False
     )

@@ -37,12 +37,11 @@ from repro.analysis.montecarlo import (
     average_breakdown_utilization,
     streaming_average_breakdown_utilization,
 )
-from repro.analysis.pdp import PDPVariant
+from repro.analysis.pdp import PDPVariant, PreparedSets
 from repro.errors import ConfigurationError
 from repro.experiments.config import PaperParameters
 from repro.experiments.parallel import parallel_map
 from repro.experiments.reporting import ascii_plot, format_table
-from repro.messages.message_set import MessageSet
 from repro.obs import tracing
 from repro.units import mbps
 
@@ -216,17 +215,17 @@ class Figure1Result:
 
 
 def _figure1_cell(
-    shared: "tuple[PaperParameters, list[MessageSet] | None]",
+    shared: "tuple[PaperParameters, PreparedSets | None]",
     task: tuple[float, str, float],
 ) -> "AverageBreakdownEstimate | StreamingBreakdownEstimate":
     """One (bandwidth, protocol) cell of the Figure 1 grid.
 
     Module-level so worker processes can import it by name.  ``shared``
-    is the parameters plus the sweep's population, drawn once by
-    :func:`run_figure1`; every cell evaluates those same sets, so the
-    estimate does not depend on which worker runs it or in what order —
-    the paired-sampling guarantee the figure's cross-protocol comparison
-    rests on.
+    is the parameters plus the sweep's population, drawn and prepared
+    once by :func:`run_figure1`; every cell evaluates those same sets,
+    so the estimate does not depend on which worker runs it or in what
+    order — the paired-sampling guarantee the figure's cross-protocol
+    comparison rests on.
 
     With ``params.mc_eps`` set the population is None and the cell runs
     the accuracy-targeted streaming estimator instead of fixed-N
@@ -278,14 +277,21 @@ def run_figure1(
         rel_tol: saturation-search tolerance for the PDP bisection.
         jobs: worker processes for the (bandwidth × protocol) grid;
             1 runs sequentially in-process, 0 uses all cores.  The
-            population is drawn once per call, before the grid, and sent
-            to each worker once; every cell evaluates that same
-            population, so every ``jobs`` value produces the identical
-            result.
+            population is drawn once per call, before the grid, and its
+            PDP probe state is prepared there too
+            (:class:`~repro.analysis.pdp.PreparedSets`: one exact test
+            per set, one stacked kernel); both are sent to each worker
+            once.  Every cell evaluates that same population, so every
+            ``jobs`` value produces the identical result, and no cell
+            looks up or builds an exact test.
     """
     params = parameters if parameters is not None else PaperParameters()
     # Streaming cells draw their own chunks by index (see _figure1_cell).
-    population = None if params.mc_eps is not None else params.sample_population()
+    population = (
+        None
+        if params.mc_eps is not None
+        else PreparedSets(params.sample_population())
+    )
     tasks = [
         (bandwidth, protocol, rel_tol)
         for bandwidth in bandwidths_mbps

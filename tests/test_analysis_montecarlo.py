@@ -169,9 +169,7 @@ class TestScaleZeroDoubleAccounting:
         assert degenerate == 4
 
     def test_batched_path_preserves_accounting(self, pdp_analysis, sampler):
-        """The chunked batch path and the scalar path agree sample-for-sample."""
-        from repro.analysis import montecarlo
-
+        """The batch path and the scalar path agree sample-for-sample."""
         rng_a = np.random.default_rng(99)
         rng_b = np.random.default_rng(99)
         estimate = average_breakdown_utilization(
@@ -192,5 +190,4 @@ class TestScaleZeroDoubleAccounting:
             if result.scale == 0.0:
                 scalar_degenerate += 1
             scalar_samples.append(result.utilization)
-        assert 20 > montecarlo.BATCH_CHUNK_SETS  # the chunk loop is exercised
         assert batch == (scalar_samples, scalar_degenerate)

@@ -22,12 +22,14 @@ them (see the module-level counters asserted in
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.analysis.breakdown import (
     _SPEC_DOUBLINGS,
+    _far_edges,
     breakdown_scale,
     breakdown_scales_batch,
     breakdown_utilization,
@@ -37,6 +39,7 @@ from repro.analysis.pdp import (
     PDPAnalysis,
     PDPPopulation,
     PDPVariant,
+    PreparedSets,
     pdp_augmented_length,
     pdp_augmented_lengths,
 )
@@ -243,6 +246,28 @@ class TestOneKernelForEveryCaller:
         assert probe([1, 0, 1], np.array([1.0, 2.0, 1e9])).tolist() == [True] * 3
         assert probe([], np.array([])).tolist() == []
 
+    @pytest.mark.parametrize("repeats", [True, False])
+    @pytest.mark.parametrize("variant", list(PDPVariant))
+    def test_prepared_sets_probe_like_a_plain_list(self, variant, repeats):
+        """A population prepared once (and pickled, as a worker receives
+        it) answers every probe like the same sets passed as a list, and
+        binding it to an analysis looks up and builds no exact test.
+        Without a repeated period it has no group bounds to sum over."""
+        sets = self.population() if repeats else _random_sets(5, 12, 100)
+        prepared = pickle.loads(pickle.dumps(PreparedSets(sets)))
+        assert list(prepared) == sets
+        assert (prepared.group_bounds is not None) == repeats
+        analysis = self.analysis(variant)
+        rng = np.random.default_rng(11)
+        indices = rng.integers(0, len(sets), size=200)
+        scales = rng.uniform(0.0, 4.0, size=200)
+        metrics.reset()
+        probe = analysis.scale_prober(prepared)
+        assert metrics.snapshot("pdp.exact_cache") == {}
+        plain = analysis.scale_prober(list(sets))
+        assert probe(indices, scales).tolist() == plain(indices, scales).tolist()
+        assert probe.all_zero.tolist() == plain.all_zero.tolist()
+
     @pytest.mark.parametrize("variant", list(PDPVariant))
     def test_population_rows_equal_lone_and_batch_rows(self, variant):
         analysis = self.analysis(variant)
@@ -306,17 +331,38 @@ class TestLockstepBisection:
         assert batch == scalar
 
     def test_probes_exceed_evaluations_only_by_bracket_look_ahead(self):
+        """Beyond the scalar search's evaluations the lockstep search
+        spends one far-edge probe per searched set (counted on its own
+        here: none of these sets saturates near ``2**±128``) and at most
+        ``_SPEC_DOUBLINGS - 1`` discarded look-ahead rungs per set."""
         analysis = _pdp(10.0, PDPVariant.STANDARD)
         message_sets = _random_sets(seed=37, n_sets=N_RANDOM_SETS)
+        far_edges = _far_edges(128)[:2]
+        far_probes = 0
+
+        class FarEdgeCounter:
+            is_schedulable = analysis.is_schedulable
+
+            def scale_prober(self, sets):
+                probe = analysis.scale_prober(sets)
+
+                def counted(indices, scales):
+                    nonlocal far_probes
+                    far_probes += int(np.isin(scales, far_edges).sum())
+                    return probe(indices, scales)
+
+                counted.all_zero = probe.all_zero
+                return counted
+
         probes = metrics.counter("breakdown.probes")
         before = probes.value
-        breakdown_scales_batch(message_sets, analysis, rel_tol=1e-4)
+        batch = breakdown_scales_batch(message_sets, FarEdgeCounter(), rel_tol=1e-4)
         physical = probes.value - before
-        scalar_evaluations = sum(
-            breakdown_scale(ms, analysis, rel_tol=1e-4)[1] for ms in message_sets
-        )
-        discarded = physical - scalar_evaluations
-        assert 0 <= discarded <= (_SPEC_DOUBLINGS - 1) * len(message_sets)
+        scalar = [breakdown_scale(ms, analysis, rel_tol=1e-4) for ms in message_sets]
+        assert batch == scalar
+        assert far_probes == len(message_sets)
+        look_ahead = physical - far_probes - sum(count for _, count in scalar)
+        assert 0 <= look_ahead <= (_SPEC_DOUBLINGS - 1) * len(message_sets)
 
     @pytest.mark.parametrize(
         "max_doublings", [0, 1, 2, _SPEC_DOUBLINGS, _SPEC_DOUBLINGS + 1, 128]

@@ -14,6 +14,7 @@ from repro.experiments.figure1 import (
     run_figure1,
 )
 from repro.messages.generators import MessageSetSampler
+from repro.obs import metrics
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +134,20 @@ class TestDrawOnce:
                 [result.series(name) for name in ("pdp_standard", "pdp_modified", "ttp")]
             )
         assert means[0] == means[1]
+
+    def test_each_kernel_built_once_per_sweep(self):
+        """More sets than the parameters' 64-entry structure cache holds:
+        the sweep still builds each set's kernel once, not once per cell,
+        and a second sweep on the same parameters builds them again."""
+        params = PaperParameters().scaled_down(n_stations=4, monte_carlo_sets=70)
+        population = params.sample_population()
+        distinct = len({ms.rate_monotonic().periods for ms in population})
+        for _ in range(2):
+            metrics.reset()
+            run_figure1(params, bandwidths_mbps=(10.0, 100.0), jobs=1)
+            snap = metrics.snapshot("pdp.exact_cache")
+            assert snap["pdp.exact_cache.kernel_builds"]["value"] == 70
+            assert snap["pdp.exact_cache.misses"]["value"] == distinct == 70
 
 
 class TestParallelExecution:

@@ -217,9 +217,12 @@ class TestCacheOracle:
 
 
 #: Metrics whose totals must not depend on how grid cells are packed into
-#: worker processes.  The exact-cache hit/miss *split* is excluded by
-#: design (each worker warms its own cache) but the lookup total is not.
+#: worker processes.  Figure 1 prepares its population's exact tests once,
+#: in the parent, so its misses and kernel builds are invariant; the
+#: lookup total is checked on its own below.
 INVARIANT_METRICS = (
+    "pdp.exact_cache.misses",
+    "pdp.exact_cache.kernel_builds",
     "breakdown.probes",
     "breakdown.batch_calls",
     "breakdown.sets_saturated",

@@ -7,9 +7,9 @@ supposed to honour:
 
 * ``manifest.json`` exists next to the CSV with the schema version, the
   seed, the parameters, a git SHA, and a metrics snapshot whose
-  exact-test cache shows *nonzero hits* (the paired-sampling design makes
-  the structure cache pay off after the first bandwidth — zero hits means
-  the cache or its accounting broke);
+  exact-test cache shows one miss and one kernel build per distinct
+  period vector of the population (the sweep prepares its population
+  once, in the parent, whatever the number of cells and workers);
 * every line of the JSONL log parses as JSON and carries the mandatory
   fields;
 * the CSV uses the current 10-column schema.
@@ -75,6 +75,15 @@ import tempfile
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _distinct_period_vectors(parameters: dict) -> int:
+    """Distinct period vectors of the population a run's parameters draw."""
+    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+    from repro.experiments.config import PaperParameters
+
+    population = PaperParameters(**parameters).sample_population()
+    return len({ms.rate_monotonic().periods for ms in population})
+
+
 def run_smoke() -> None:
     """Execute the smoke run and assert on its artifacts."""
     with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
@@ -124,10 +133,17 @@ def run_smoke() -> None:
             raise AssertionError("manifest parameters missing the seed")
         if not manifest["git"]["sha"]:
             raise AssertionError("manifest has no git SHA")
-        hits = manifest["metrics"].get("pdp.exact_cache.hits", {})
-        if not hits.get("value", 0) > 0:
+        distinct = _distinct_period_vectors(manifest["parameters"])
+        cache = {
+            name: manifest["metrics"].get(f"pdp.exact_cache.{name}", {}).get("value")
+            for name in ("misses", "kernel_builds")
+        }
+        if cache != {"misses": distinct, "kernel_builds": distinct}:
             raise AssertionError(
-                "exact-test cache shows no hits — cache or accounting broke"
+                f"exact-test cache shows {cache}, not one lookup and one "
+                f"kernel per distinct period vector ({distinct}) — the "
+                "population was not prepared once per sweep, or the "
+                "accounting broke"
             )
         if not any("/bw" in key for key in manifest["spans"]):
             raise AssertionError("manifest spans carry no per-cell timings")
