@@ -9,7 +9,8 @@ help:
 	@echo "  install          editable install of the package"
 	@echo "  test             run the unit test suite"
 	@echo "  verify           tier-1 tests + runner smoke test (manifest"
-	@echo "                   written, JSONL logs parse, cache hits > 0)"
+	@echo "                   written, JSONL logs parse, exact-test misses"
+	@echo "                   == kernel builds == distinct period vectors)"
 	@echo "                   + the perfbench trend check + fuzz-quick"
 	@echo "  fuzz-quick       deterministic differential fuzz (fixed seed,"
 	@echo "                   <60s) + mutation smoke: every injected bug"

@@ -47,19 +47,17 @@ from repro.network.frames import FrameFormat
 from repro.network.ring import RingNetwork
 from repro.obs import metrics as _metrics
 
-#: Structure-cache accounting (see ``_ExactTests._exact_test_for``): hits
+#: Structure-cache accounting (see ``_ExactTests._test_for``): hits
 #: and misses count the lookups of a set's period vector, kernel builds
 #: count the ``_PointKernel`` structures built (one per cached test
-#: without a repeated period), evictions count LRU drops.  ``hits +
-#: misses`` is invariant across ``--jobs`` partitionings; the hit/miss
-#: split is not when cells look tests up (each worker process warms its
-#: own cache), but a population prepared once as :class:`PreparedSets`
-#: before the grid is looked up in the parent alone.
+#: without a repeated period), evictions count LRU drops.  Every cache
+#: has one owner — an analysis, or the private cache a
+#: :class:`PreparedSets` is prepared through — so all four counts are
+#: invariant across ``--jobs`` partitionings.
 _CACHE_HITS = _metrics.counter("pdp.exact_cache.hits")
 _CACHE_MISSES = _metrics.counter("pdp.exact_cache.misses")
 _KERNEL_BUILDS = _metrics.counter("pdp.exact_cache.kernel_builds")
 _CACHE_EVICTIONS = _metrics.counter("pdp.exact_cache.evictions")
-_CACHE_SIZE = _metrics.gauge("pdp.exact_cache.size")
 
 __all__ = [
     "PDPVariant",
@@ -232,25 +230,17 @@ class _ExactTests:
     Args:
         cache_size: LRU capacity in cached tests, the distinct-period
             tests that lend their kernels included.
-        shared_cache: an existing cache to attach to instead of a private
-            one, so several owners reuse each other's structures.
     """
 
-    def __init__(
-        self,
-        cache_size: int,
-        shared_cache: "OrderedDict[tuple[float, ...], ExactRMTest] | None" = None,
-    ):
+    def __init__(self, cache_size: int):
         self._cache_size = int(cache_size)
         if self._cache_size < 1:
             raise MessageSetError(
                 f"cache size must be at least 1, got {cache_size!r}"
             )
-        self._test_cache: OrderedDict[tuple[float, ...], ExactRMTest] = (
-            OrderedDict() if shared_cache is None else shared_cache
-        )
+        self._test_cache: OrderedDict[tuple[float, ...], ExactRMTest] = OrderedDict()
 
-    def _exact_test_for(self, ordered: MessageSet) -> ExactRMTest:
+    def _test_for(self, ordered: MessageSet) -> ExactRMTest:
         """The cached exact test of an RM-ordered set, keyed on its
         period tuple."""
         key = ordered.periods
@@ -280,7 +270,6 @@ class _ExactTests:
         while len(cache) > self._cache_size:
             cache.popitem(last=False)
             _CACHE_EVICTIONS.inc()
-        _CACHE_SIZE.set(len(cache))
         return test
 
     def _distinct_test(self, distinct: np.ndarray) -> ExactRMTest:
@@ -303,39 +292,31 @@ class PreparedSets(tuple):
     period groups, none of which depends on the ring, the frame format or
     the protocol variant.  This tuple of the sets carries all of that,
     prepared when it is made: each set's RM order and exact test (looked
-    up with ``exact_test_for``, by default in a cache of this population
-    alone), one :meth:`_PointKernel.stacked` kernel, one payload row per
-    set zero-padded to the widest set, the period-group bounds of each
-    row, and ``all_zero`` (per set, whether every payload is zero).  When
-    no set repeats a period the group bounds are None: the group sums are
-    then the augmented lengths themselves.
+    up in a cache of this population alone, so sets sharing a period
+    vector share one test), one :meth:`_PointKernel.stacked` kernel, one
+    payload row per set zero-padded to the widest set, the period-group
+    bounds of each row, and ``all_zero`` (per set, whether every payload
+    is zero).  When no set repeats a period the group bounds are None:
+    the group sums are then the augmented lengths themselves.
 
-    A sweep prepares its drawn population once and hands it to every
-    cell; each PDP cell's ``scale_prober`` only binds its ring, frame,
-    variant and blocking term.  The prepared state pickles with the sets,
-    so a worker process that receives them looks up and builds nothing.
+    A sweep prepares its drawn population once
+    (:meth:`repro.experiments.config.PaperParameters.sample_population`)
+    and hands it to every cell; each PDP cell's ``scale_prober`` only
+    binds its ring, frame, variant and blocking term.  The prepared state
+    pickles with the sets, so a worker process that receives them looks
+    up and builds nothing.
 
     Args:
         message_sets: the sets, in the order probes index them.
-        exact_test_for: maps an RM-ordered, non-empty set to its
-            :class:`ExactRMTest`.
     """
 
-    def __new__(cls, message_sets: Iterable[MessageSet], exact_test_for=None):
-        return super().__new__(cls, message_sets)
-
-    def __init__(
-        self,
-        message_sets: Iterable[MessageSet],
-        exact_test_for: "Callable[[MessageSet], ExactRMTest] | None" = None,
-    ):
-        if exact_test_for is None:
-            # Each set adds at most two entries: its test and the test of
-            # its distinct periods, so nothing is evicted.
-            exact_test_for = _ExactTests(max(1, 2 * len(self)))._exact_test_for
+    def __init__(self, message_sets: Iterable[MessageSet]):
+        # Each set adds at most two entries: its test and the test of its
+        # distinct periods, so nothing is evicted.
+        cache = _ExactTests(max(1, 2 * len(self)))
         ordered_sets = [message_set.rate_monotonic() for message_set in self]
         tests = [
-            exact_test_for(ordered) if len(ordered) else None
+            cache._test_for(ordered) if len(ordered) else None
             for ordered in ordered_sets
         ]
         self.kernel = _PointKernel.stacked(
@@ -368,18 +349,14 @@ class PDPAnalysis(_ExactTests):
     """Theorem 4.1 schedulability test bound to one ring + frame format.
 
     An instance caches the :class:`ExactRMTest` per period vector (see
-    :class:`_ExactTests`) and reuses it across payload scalings and
-    bandwidth changes (via :meth:`with_ring`).  This makes saturation
-    searches and bandwidth sweeps hundreds of times faster than
-    rebuilding per query.  An admitted population
-    (:class:`PDPPopulation`) reads the kernels of its distinct periods
-    straight from this cache and judges admission candidates on its own
-    per-period cost sums, building no test per candidate.  Interleaved
-    protocol comparisons over the same workload population benefit from
-    a larger, shared cache — pass ``cache_size`` and ``shared_cache`` (see
-    :meth:`repro.experiments.config.PaperParameters.pdp_analysis`, which
-    shares one cache between the STANDARD and MODIFIED analyses because
-    both are evaluated on identical period vectors).
+    :class:`_ExactTests`) and reuses it across payload scalings, so the
+    probes of one saturation search build the set's test once.  An
+    admitted population (:class:`PDPPopulation`) reads the kernels of its
+    distinct periods straight from this cache and judges admission
+    candidates on its own per-period cost sums, building no test per
+    candidate.  A population compared across several analyses is
+    prepared once instead, as a :class:`PreparedSets`, which
+    :meth:`scale_prober` reads without touching this cache.
 
     Args:
         ring: the physical ring (bandwidth included).
@@ -388,8 +365,6 @@ class PDPAnalysis(_ExactTests):
         cache_size: LRU capacity in cached tests, the distinct-period
             tests that lend their kernels included (default
             :attr:`_CACHE_SIZE`).
-        shared_cache: an existing cache to attach to instead of a private
-            one, so several analyses reuse each other's structures.
     """
 
     _CACHE_SIZE = 4
@@ -401,11 +376,8 @@ class PDPAnalysis(_ExactTests):
         variant: PDPVariant = PDPVariant.STANDARD,
         *,
         cache_size: int | None = None,
-        shared_cache: "OrderedDict[tuple[float, ...], ExactRMTest] | None" = None,
     ):
-        super().__init__(
-            self._CACHE_SIZE if cache_size is None else cache_size, shared_cache
-        )
+        super().__init__(self._CACHE_SIZE if cache_size is None else cache_size)
         self._ring = ring
         self._frame = frame
         self._variant = variant
@@ -431,16 +403,6 @@ class PDPAnalysis(_ExactTests):
     def blocking(self) -> float:
         """The Lemma 4.1 blocking bound at the current bandwidth."""
         return pdp_blocking_time(self._ring, self._frame)
-
-    def with_ring(self, ring: RingNetwork) -> "PDPAnalysis":
-        """A copy bound to a different ring (shares the period-structure cache)."""
-        return PDPAnalysis(
-            ring,
-            self._frame,
-            self._variant,
-            cache_size=self._cache_size,
-            shared_cache=self._test_cache,
-        )
 
     def cache_signature(self) -> dict:
         """JSON-safe identity for content-addressed result-cache keys.
@@ -473,7 +435,7 @@ class PDPAnalysis(_ExactTests):
         if len(message_set) == 0:
             return True
         ordered = message_set.rate_monotonic()
-        test = self._exact_test_for(ordered)
+        test = self._test_for(ordered)
         return test.is_schedulable(self.augmented_lengths(ordered), self.blocking)
 
     def scale_prober(
@@ -484,7 +446,7 @@ class PDPAnalysis(_ExactTests):
         Binds this analysis's ring, frame format, variant and blocking
         term to the population's :class:`PreparedSets` state: the one
         ``message_sets`` carries if it is a :class:`PreparedSets`,
-        otherwise one prepared here with this analysis's test cache.
+        otherwise one prepared here.
         Returns ``probe(indices, scales) -> verdicts``: for each position
         ``j``, whether ``message_sets[indices[j]]`` with payloads scaled by
         ``scales[j]`` passes Theorem 4.1.  A probe scales one payload row
@@ -504,7 +466,7 @@ class PDPAnalysis(_ExactTests):
         prepared = (
             message_sets
             if isinstance(message_sets, PreparedSets)
-            else PreparedSets(message_sets, self._exact_test_for)
+            else PreparedSets(message_sets)
         )
         payload_rows, bounds = prepared.payload_rows, prepared.group_bounds
         kernel = prepared.kernel
@@ -532,7 +494,7 @@ class PDPAnalysis(_ExactTests):
         ordered = message_set.rate_monotonic()
         if len(ordered) == 0:
             return PDPSetResult(True, (), (), self.blocking)
-        test = self._exact_test_for(ordered)
+        test = self._test_for(ordered)
         lengths = self.augmented_lengths(ordered)
         details = tuple(test.details(lengths, self.blocking))
         return PDPSetResult(

@@ -15,21 +15,19 @@ from the parameters, so sweep code never assembles those by hand.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.analysis.pdp import PDPAnalysis, PDPVariant
-from repro.analysis.rm import ExactRMTest
+from repro.analysis.pdp import PDPAnalysis, PDPVariant, PreparedSets
 from repro.analysis.ttp import TTPAnalysis
 from repro.analysis.ttrt import SqrtRuleTTRT, TTRTPolicy
 from repro.errors import ConfigurationError
 from repro.messages.generators import MessageSetSampler, PeriodDistribution
-from repro.messages.message_set import MessageSet
 from repro.network.frames import FrameFormat
 from repro.network.ring import RingNetwork
 from repro.network.standards import fddi_ring, ieee_802_5_ring
+from repro.obs import tracing
 from repro.units import bytes_to_bits, mbps
 
 __all__ = ["PaperParameters"]
@@ -69,19 +67,6 @@ class PaperParameters:
     mc_eps: float | None = None
     mc_strata: int = 1
 
-    #: Exact-test structures keyed by period vector, shared by every
-    #: analysis this parameter object hands out.  The paired-sampling
-    #: design reuses the same seed — hence the same period vectors — for
-    #: every bandwidth and both PDP variants, so a sweep whose cells look
-    #: tests up (``is_schedulable``, or a ``scale_prober`` over a plain
-    #: list of sets) builds each structure once.  Figure 1 looks nothing
-    #: up here: its population is prepared once per sweep
-    #: (:class:`~repro.analysis.pdp.PreparedSets`).  Excluded from
-    #: equality/repr and dropped on pickling.
-    _pdp_test_cache: "OrderedDict[tuple[float, ...], ExactRMTest]" = field(
-        default_factory=OrderedDict, init=False, compare=False, repr=False
-    )
-
     def __post_init__(self) -> None:
         if self.monte_carlo_sets < 1:
             raise ConfigurationError(
@@ -95,14 +80,6 @@ class PaperParameters:
             raise ConfigurationError(
                 f"mc_strata must be >= 1, got {self.mc_strata!r}"
             )
-
-    def __getstate__(self) -> dict:
-        # Worker processes rebuild structures on demand; shipping up to
-        # 64 cached structures (about 0.2 MB each at paper scale) through
-        # pickle would cost more than rebuilding the ones a worker needs.
-        state = dict(self.__dict__)
-        state["_pdp_test_cache"] = OrderedDict()
-        return state
 
     # -- derived factories ------------------------------------------------------
 
@@ -136,19 +113,11 @@ class PaperParameters:
     ) -> PDPAnalysis:
         """A Theorem 4.1 analysis at ``bandwidth_mbps``.
 
-        All analyses built by one parameter object — both variants, every
-        bandwidth — share a single period-structure cache sized to hold
-        the full Monte Carlo population, because the expensive part of the
-        exact test depends only on the periods and paired sampling makes
-        those identical across the whole sweep.
+        The analysis owns a small exact-test cache of its own; a sweep
+        shares the period half of the test across its cells through the
+        prepared population of :meth:`sample_population` instead.
         """
-        return PDPAnalysis(
-            self.pdp_ring(bandwidth_mbps),
-            self.frame_format(),
-            variant,
-            cache_size=min(self.monte_carlo_sets + 2, 64),
-            shared_cache=self._pdp_test_cache,
-        )
+        return PDPAnalysis(self.pdp_ring(bandwidth_mbps), self.frame_format(), variant)
 
     def ttp_analysis(
         self, bandwidth_mbps: float, ttrt_policy: TTRTPolicy | None = None
@@ -172,31 +141,23 @@ class PaperParameters:
             n_streams=self.n_stations, periods=self.period_distribution()
         )
 
-    def sample_population(self) -> list[MessageSet]:
-        """The ``monte_carlo_sets`` workloads drawn from ``seed``.
+    def sample_population(self) -> PreparedSets:
+        """The ``monte_carlo_sets`` workloads drawn from ``seed``, prepared.
 
         A sweep draws this once and hands it to every cell it compares,
         so all protocols and bandwidths see the same sets (paired
-        sampling).  Each call draws afresh from a new generator.
+        sampling).  The sets come as a
+        :class:`~repro.analysis.pdp.PreparedSets`: each set's exact test
+        and the stacked probe kernel are built here, once, under the span
+        ``population/prepare``, and every PDP cell only binds its ring,
+        frame and variant to them.  Each call draws afresh from a new
+        generator.
         """
-        return self.sampler().sample_many(
+        population = self.sampler().sample_many(
             np.random.default_rng(self.seed), self.monte_carlo_sets
         )
-
-    # -- observability -----------------------------------------------------------
-
-    def cache_info(self) -> dict:
-        """Occupancy of the shared exact-test structure cache.
-
-        Returns ``{"entries": ..., "capacity": ...}`` for this parameter
-        object's cache; global hit/miss/eviction counters live in the
-        metrics registry under ``pdp.exact_cache.*`` (see
-        :mod:`repro.obs.metrics`).
-        """
-        return {
-            "entries": len(self._pdp_test_cache),
-            "capacity": min(self.monte_carlo_sets + 2, 64),
-        }
+        with tracing.span("population/prepare"):
+            return PreparedSets(population)
 
     # -- variations ----------------------------------------------------------------
 

@@ -287,11 +287,7 @@ def run_figure1(
     """
     params = parameters if parameters is not None else PaperParameters()
     # Streaming cells draw their own chunks by index (see _figure1_cell).
-    population = (
-        None
-        if params.mc_eps is not None
-        else PreparedSets(params.sample_population())
-    )
+    population = None if params.mc_eps is not None else params.sample_population()
     tasks = [
         (bandwidth, protocol, rel_tol)
         for bandwidth in bandwidths_mbps

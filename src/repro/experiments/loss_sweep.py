@@ -18,9 +18,10 @@ a summarized-canary document (``BENCH_loss.json``) whose per-cell
 ``extra_info`` carries the mean utilizations ``tools/verify_smoke.py``
 guards for monotone degradation.
 
-Every cell reuses the paired-sampling design: the same seed — hence the
-same message sets — at every loss fraction and for both protocols, so
-the curves are directly comparable and deterministic under ``--jobs``.
+Every cell reuses the paired-sampling design: one population, drawn
+from the seed once per sweep, at every loss fraction and for both
+protocols, so the curves are directly comparable and deterministic
+under ``--jobs``.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ HEADERS: tuple[str, ...] = (
 
 def _loss_cell(shared, task) -> tuple[float, float, float]:
     """One (loss fraction, protocol) estimate: (mean, stderr, seconds)."""
-    parameters, bandwidth_mbps, recovery_time_s = shared
+    parameters, bandwidth_mbps, recovery_time_s, population = shared
     loss_fraction, protocol = task
     budget = FaultBudget(
         token_loss_rate_hz=(
@@ -98,12 +99,10 @@ def _loss_cell(shared, task) -> tuple[float, float, float]:
             return ttp_fault_aware_schedulable(analysis, message_set, budget)
 
     bandwidth = mbps(bandwidth_mbps)
-    rng = np.random.default_rng(parameters.seed)
-    sampler = parameters.sampler()
     utilizations: list[float] = []
     started = time.perf_counter()
     with tracing.span(f"loss-sweep/{protocol}/l{loss_fraction:g}"):
-        for message_set in sampler.sample_many(rng, parameters.monte_carlo_sets):
+        for message_set in population:
             scale = fault_aware_breakdown_scale(accepts, message_set, rel_tol=1e-3)
             utilizations.append(
                 message_set.scaled(scale).utilization(bandwidth)
@@ -129,7 +128,8 @@ def loss_sweep(
 
     Returns ``(result, cell_seconds)`` where ``cell_seconds`` maps
     ``(loss_fraction, protocol)`` to that cell's wall time — the bench
-    document reports it so the canary tracks sweep cost too.
+    document reports it so the canary tracks sweep cost too.  Every cell
+    evaluates one population drawn once per sweep.
     """
     protocols = ("pdp", "ttp")
     grid = [
@@ -140,7 +140,12 @@ def loss_sweep(
     cells = parallel_map(
         _loss_cell,
         grid,
-        shared=(parameters, bandwidth_mbps, recovery_time_s),
+        shared=(
+            parameters,
+            bandwidth_mbps,
+            recovery_time_s,
+            parameters.sample_population(),
+        ),
         jobs=jobs,
         label="loss-sweep",
     )

@@ -11,12 +11,10 @@ exploits that: it fans a list of picklable tasks across a
 
 The shared context (typically a
 :class:`~repro.experiments.config.PaperParameters`, plus the sweep's
-population) is shipped to each worker once, through the pool
+prepared population) is shipped to each worker once, through the pool
 initializer, rather than per task; within a worker it persists across
-cells, so the parameter object's shared exact-test structure cache and
-each set's memoised rate-monotonic order keep working there too.
-``PaperParameters`` drops its cache on pickling, so the payload stays
-small.
+cells, so the population's prepared exact-test state and each set's
+memoised rate-monotonic order keep working there too.
 
 With ``jobs=1`` (the default) no pool is created at all — the tasks run
 inline in the calling process, which preserves single-process profiling

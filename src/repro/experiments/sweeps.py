@@ -153,7 +153,8 @@ def frame_size_sweep(
     112-bit overhead more often; large frames amortize overhead but block
     high-priority messages longer.  The sweep exposes the resulting
     interior optimum.  Every frame size is evaluated on one population
-    drawn once per sweep.
+    drawn and prepared once per sweep: the prepared exact tests depend
+    only on the periods, not on the frame format.
     """
     rows = parallel_map(
         _frame_size_cell,

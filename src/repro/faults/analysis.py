@@ -179,10 +179,10 @@ def pdp_fault_aware_schedulable(
     lengths = analysis.augmented_lengths(ordered)
     if not budget.inert:
         lengths = lengths + pdp_fault_inflations(analysis, ordered, budget)
-    # The exact-test structure depends only on the periods, so the cached
-    # test is reused across budgets (private by convention, stable by the
-    # batch-equivalence suite).
-    test = analysis._exact_test_for(ordered)
+    # The exact-test structure depends only on the periods, so the
+    # analysis's cached test is reused across payload scales and budgets
+    # (private by convention, stable by the batch-equivalence suite).
+    test = analysis._test_for(ordered)
     return bool(test.is_schedulable(lengths, analysis.blocking))
 
 

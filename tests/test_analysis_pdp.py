@@ -4,8 +4,6 @@ The hand-computed cases use synthetic rings with zero propagation distance
 so that ``Θ`` is an exact rational number of bit-times.
 """
 
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,12 +228,6 @@ class TestPDPAnalysis:
         )
         assert result.schedulable == analysis.is_schedulable(message_set)
 
-    def test_with_ring_rebinds_bandwidth(self):
-        analysis = self.make_analysis()
-        faster = analysis.with_ring(analysis.ring.with_bandwidth(mbps(100)))
-        assert faster.ring.bandwidth_bps == mbps(100)
-        assert faster.variant == analysis.variant
-
     def test_cache_is_bounded(self):
         analysis = self.make_analysis()
         for i in range(10):
@@ -272,7 +264,7 @@ class TestSharedKernels:
         )
 
     def structure(self, analysis, counts, distinct=DISTINCT) -> ExactRMTest:
-        return analysis._exact_test_for(
+        return analysis._test_for(
             self.make_set(counts, distinct).rate_monotonic()
         )
 
@@ -296,7 +288,7 @@ class TestSharedKernels:
         self.structure(analysis, (1, 1, 1))  # warm the distinct kernel
         for counts in ((2, 1, 1), (1, 3, 2), (4, 4, 4), (1, 1, 5)):
             ordered = self.make_set(counts).rate_monotonic()
-            shared = analysis._exact_test_for(ordered)
+            shared = analysis._test_for(ordered)
             cold = ExactRMTest(ordered.periods)
             assert shared._kernel is not cold._kernel
             periods = np.asarray(ordered.periods)
@@ -330,15 +322,6 @@ class TestSharedKernels:
                         tuple(sorted(set(ordered.periods))),
                         ordered.periods,
                     ]
-
-    def test_shared_cache_shares_kernels_between_variants(self):
-        cache = OrderedDict()
-        std = self.make_analysis(PDPVariant.STANDARD, shared_cache=cache)
-        mod = self.make_analysis(PDPVariant.MODIFIED, shared_cache=cache)
-        a = self.structure(std, (2, 1, 1))
-        assert self.structure(mod, (2, 1, 1)) is a
-        assert self.structure(mod, (1, 1, 3))._kernel is a._kernel
-        assert len(cache) == 3  # two vectors plus the distinct-period test
 
     def test_kernel_builds_are_counted(self):
         metrics.reset()

@@ -1,8 +1,9 @@
 """PaperParameters: defaults, factories, variations."""
 
+import numpy as np
 import pytest
 
-from repro.analysis.pdp import PDPVariant
+from repro.analysis.pdp import PDPAnalysis, PDPVariant, PreparedSets
 from repro.analysis.ttrt import HalfMinPeriodTTRT
 from repro.errors import ConfigurationError
 from repro.experiments.config import PaperParameters
@@ -42,6 +43,21 @@ class TestFactories:
     def test_pdp_analysis(self):
         analysis = PaperParameters().pdp_analysis(10, PDPVariant.MODIFIED)
         assert analysis.variant is PDPVariant.MODIFIED
+
+    def test_pdp_analyses_own_their_caches(self):
+        params = PaperParameters()
+        std = params.pdp_analysis(10, PDPVariant.STANDARD)
+        mod = params.pdp_analysis(10, PDPVariant.MODIFIED)
+        assert std._test_cache is not mod._test_cache
+        assert std._cache_size == PDPAnalysis._CACHE_SIZE
+
+    def test_sample_population_is_prepared(self):
+        params = PaperParameters().scaled_down(6, 4)
+        population = params.sample_population()
+        assert isinstance(population, PreparedSets)
+        assert list(population) == params.sampler().sample_many(
+            np.random.default_rng(params.seed), 4
+        )
 
     def test_ttp_analysis_custom_policy(self):
         analysis = PaperParameters().ttp_analysis(100, HalfMinPeriodTTRT())

@@ -21,6 +21,18 @@ class TestStructure:
         table = frontier.to_table()
         assert "crossover" in table
 
+    def test_points_are_pinned(self, frontier):
+        """Bit-equal to the points computed before sweeps drew prepared
+        populations."""
+        assert [
+            (p.crossover_mbps, p.pdp_at_crossover, p.ttp_at_crossover)
+            for p in frontier.points
+        ] == [
+            (2.5, 0.7099755579506155, 0.7390111661935215),
+            (4.0, 0.7172436905617692, 0.7398606745850015),
+            (6.3, 0.6937682635087905, 0.7207105528185043),
+        ]
+
     def test_frontier_pairs(self, frontier):
         pairs = frontier.frontier()
         assert len(pairs) == 3

@@ -14,7 +14,7 @@ from repro.experiments.figure1 import (
     run_figure1,
 )
 from repro.messages.generators import MessageSetSampler
-from repro.obs import metrics
+from repro.obs import metrics, tracing
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +136,7 @@ class TestDrawOnce:
         assert means[0] == means[1]
 
     def test_each_kernel_built_once_per_sweep(self):
-        """More sets than the parameters' 64-entry structure cache holds:
-        the sweep still builds each set's kernel once, not once per cell,
+        """The sweep builds each set's kernel once, not once per cell,
         and a second sweep on the same parameters builds them again."""
         params = PaperParameters().scaled_down(n_stations=4, monte_carlo_sets=70)
         population = params.sample_population()
@@ -148,6 +147,20 @@ class TestDrawOnce:
             snap = metrics.snapshot("pdp.exact_cache")
             assert snap["pdp.exact_cache.kernel_builds"]["value"] == 70
             assert snap["pdp.exact_cache.misses"]["value"] == distinct == 70
+
+    def test_preparation_is_one_span(self):
+        """The one per-sweep preparation is timed under its own span, not
+        left to the time no cell accounts for."""
+        params = PaperParameters().scaled_down(n_stations=4, monte_carlo_sets=6)
+        tracing.reset()
+        try:
+            run_figure1(params, bandwidths_mbps=(10.0, 100.0), jobs=1)
+            snap = tracing.snapshot()
+        finally:
+            tracing.reset()
+        assert snap["population/prepare"]["count"] == 1
+        assert snap["population/prepare"]["total_s"] > 0.0
+        assert len([path for path in snap if "/bw" in path]) == 2 * 3
 
 
 class TestParallelExecution:

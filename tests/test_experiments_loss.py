@@ -36,6 +36,16 @@ class TestLossSweep:
             for fraction in FRACTIONS
             for protocol in ("pdp", "ttp")
         }
+        # Both protocols' (mean, stderr), bit-equal to the rows computed
+        # when every cell drew its own sets.
+        assert [row[2:] for row in result.rows] == [
+            (0.6592391464517593, 0.012985694446662746,
+             0.8830550663794616, 0.015438314679623227),
+            (0.5430020522539405, 0.013121361464880514,
+             0.8618470204113693, 0.015996316999088496),
+            (0.30537748454111124, 0.016631465729623172,
+             0.8256979080759447, 0.014760155077527539),
+        ]
 
     def test_breakdown_positive_and_monotone_non_increasing(self, fast_params):
         result, _ = run_small(fast_params)

@@ -43,7 +43,6 @@ class TestDescribeParameters:
         desc = obsmanifest.describe_parameters(PaperParameters())
         assert desc["seed"] == PaperParameters().seed
         assert desc["n_stations"] == 100
-        assert "_pdp_test_cache" not in desc
         json.dumps(desc)  # JSON-safe
 
     def test_non_dataclass_falls_back_to_repr(self):

@@ -203,7 +203,6 @@ class TestCacheOracle:
         assert snap["pdp.exact_cache.hits"]["value"] == oracle["hits"]
         assert snap["pdp.exact_cache.misses"]["value"] == oracle["misses"]
         assert snap["pdp.exact_cache.evictions"]["value"] == oracle["evictions"]
-        assert metrics.gauge("pdp.exact_cache.size").value == len(oracle_cache)
 
     def test_repeated_set_hits_after_first_miss(self):
         analysis = self._analysis(4)

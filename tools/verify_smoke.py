@@ -192,7 +192,11 @@ def run_smoke() -> None:
                     f"--cache-dir wrote no sim entries under {cache_dir}"
                 )
 
-    print("verify_smoke: ok (manifest, JSONL log, CSV schema, cache hits)")
+    print(
+        "verify_smoke: ok (manifest, exact-test misses == kernel builds == "
+        "distinct period vectors, JSONL log, CSV schema, sim-cache hits "
+        "across processes)"
+    )
 
 
 def _run_cached_fuzz(env: dict, cache_dir: str, tmp: str, run: int) -> dict:
