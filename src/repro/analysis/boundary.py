@@ -76,18 +76,21 @@ def token_visit_count(period_s: float, ttrt_s: float) -> int:
 
 
 def token_visit_counts(
-    periods_s: Sequence[float] | np.ndarray, ttrt_s: float
+    periods_s: Sequence[float] | np.ndarray, ttrt_s: float | np.ndarray
 ) -> np.ndarray:
     """Vectorized :func:`token_visit_count` over a period array.
 
-    Returns a float array (the values are exact integers) of the same
-    shape as ``periods_s``, elementwise bit-identical to the scalar rule.
+    ``ttrt_s`` is one TTRT or an array of them that broadcasts against
+    the periods (a column gives each row of a period matrix its own).
+    Returns a float array (the values are exact integers) of the
+    broadcast shape, elementwise bit-identical to the scalar rule.
     """
     periods = np.asarray(periods_s, dtype=float)
     ratio = periods / ttrt_s
     finite = np.isfinite(ratio)
     if not finite.all():
-        raise _not_finite(float(periods[~finite][0]), ttrt_s)
+        periods, ttrts = np.broadcast_arrays(periods, ttrt_s)
+        raise _not_finite(float(periods[~finite][0]), float(ttrts[~finite][0]))
     q = np.floor(ratio)
     nearest = np.floor(ratio + 0.5)
     snap = (nearest > q) & (nearest - ratio <= Q_REL_TOL * nearest)

@@ -324,9 +324,11 @@ def breakdown_scales_batch(
     """Breakdown scales of many message sets with batched evaluations.
 
     Returns exactly ``[breakdown_scale(ms, predicate, ...) for ms in
-    message_sets]``, scales *and* evaluation counts.  Dispatch, in order
-    of preference: closed-form analyses (:class:`SupportsSaturationScale`,
-    e.g. the TTP) take one exact evaluation per set; batch-probing ones
+    message_sets]``, scales *and* evaluation counts.  The dispatch is
+    decided here, once per call, in order of preference: closed-form
+    analyses (:class:`SupportsSaturationScale`, e.g. the TTP) take one
+    exact evaluation per set, all of them in one call to the analysis's
+    ``saturation_scales`` where it has one; batch-probing ones
     (:class:`SupportsBatchScaleProbe`, e.g.
     :class:`~repro.analysis.pdp.PDPAnalysis`) run the *lockstep* search
     of :func:`_lockstep_bisect`, one batched call per step for every live
@@ -341,7 +343,13 @@ def breakdown_scales_batch(
         return []
     if isinstance(predicate, SupportsSaturationScale):
         _metrics.counter("breakdown.closed_form_sets").inc(len(message_sets))
-        return [(float(predicate.saturation_scale(ms)), 1) for ms in message_sets]
+        batch = getattr(predicate, "saturation_scales", None)
+        scales = (
+            [predicate.saturation_scale(ms) for ms in message_sets]
+            if batch is None
+            else batch(message_sets).tolist()
+        )
+        return [(float(scale), 1) for scale in scales]
     if isinstance(predicate, SupportsBatchScaleProbe):
         return _lockstep_bisect(message_sets, predicate, rel_tol, max_doublings)
     return [

@@ -21,9 +21,7 @@ import numpy as np
 
 from repro.analysis.breakdown import (
     SchedulabilityPredicate,
-    SupportsBatchScaleProbe,
     SupportsSaturationScale,
-    breakdown_utilization,
     breakdown_utilizations_batch,
 )
 from repro.errors import ConfigurationError
@@ -99,17 +97,15 @@ def breakdown_samples_for_sets(
     sets are skipped).
     Deliberately increments **no** Monte Carlo metrics — the callers
     account folded work themselves, so speculative streaming chunks that
-    end up discarded never inflate the counters.
+    end up discarded never inflate the counters.  Which search serves
+    ``predicate`` is decided once, by
+    :func:`~repro.analysis.breakdown.breakdown_scales_batch`; a plain
+    predicate gets the per-set search there, and every result equals
+    :func:`~repro.analysis.breakdown.breakdown_utilization`'s.
     """
-    if isinstance(predicate, (SupportsSaturationScale, SupportsBatchScaleProbe)):
-        results = breakdown_utilizations_batch(
-            message_sets, predicate, bandwidth_bps, rel_tol
-        )
-    else:
-        results = [
-            breakdown_utilization(message_set, predicate, bandwidth_bps, rel_tol)
-            for message_set in message_sets
-        ]
+    results = breakdown_utilizations_batch(
+        message_sets, predicate, bandwidth_bps, rel_tol
+    )
     samples: list[float] = []
     zero_scale = 0
     inf_scale = 0

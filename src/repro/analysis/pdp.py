@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.analysis.rm import ExactRMTest, StreamTestDetail, _PointKernel
 from repro.errors import MessageSetError
-from repro.messages.message_set import MessageSet
+from repro.messages.message_set import MessageSet, StackedSets
 from repro.messages.stream import SynchronousStream
 from repro.network.frames import FrameFormat
 from repro.network.ring import RingNetwork
@@ -283,7 +283,7 @@ class _ExactTests:
         return test
 
 
-class PreparedSets(tuple):
+class PreparedSets(StackedSets):
     """Message sets with the period half of every Theorem 4.1 payload-scale
     probe prepared once.
 
@@ -297,7 +297,10 @@ class PreparedSets(tuple):
     payload row per set zero-padded to the widest set, the period-group
     bounds of each row, and ``all_zero`` (per set, whether every payload
     is zero).  When no set repeats a period the group bounds are None:
-    the group sums are then the augmented lengths themselves.
+    the group sums are then the augmented lengths themselves.  As a
+    :class:`~repro.messages.message_set.StackedSets` it also carries the
+    construction-order ``periods`` and ``payloads`` matrices and the
+    ``lengths`` that the TTP cells and the saturated utilizations read.
 
     A sweep prepares its drawn population once
     (:meth:`repro.experiments.config.PaperParameters.sample_population`)
@@ -311,6 +314,7 @@ class PreparedSets(tuple):
     """
 
     def __init__(self, message_sets: Iterable[MessageSet]):
+        super().__init__(message_sets)
         # Each set adds at most two entries: its test and the test of its
         # distinct periods, so nothing is evicted.
         cache = _ExactTests(max(1, 2 * len(self)))
@@ -327,7 +331,7 @@ class PreparedSets(tuple):
         # width, which reduceat answers with that 0.0 column.  Without
         # them the widest set's width is the kernel's group count.
         repeats = any(test is not None and test._repeats for test in tests)
-        width = max((len(ordered) for ordered in ordered_sets), default=0)
+        width = int(self.lengths.max(initial=0))
         self.payload_rows = np.zeros((len(ordered_sets), width + repeats))
         for s, ordered in enumerate(ordered_sets):
             self.payload_rows[s, : len(ordered)] = ordered.payloads_bits

@@ -34,9 +34,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.boundary import token_visit_count, token_visit_counts
-from repro.analysis.ttrt import SqrtRuleTTRT, TTRTPolicy, ttp_saturation_scale
+from repro.analysis.ttrt import (
+    SqrtRuleTTRT,
+    TTRTPolicy,
+    ttp_saturation_scale,
+    ttp_saturation_scales,
+)
 from repro.errors import AllocationError, ConfigurationError
-from repro.messages.message_set import MessageSet
+from repro.messages.message_set import MessageSet, StackedSets
 from repro.network.frames import FrameFormat
 from repro.network.ring import RingNetwork
 
@@ -353,15 +358,36 @@ class TTPAnalysis:
         )
 
     def saturation_scales(self, message_sets: Sequence[MessageSet]) -> np.ndarray:
-        """Closed-form breakdown scales for a whole population of sets.
+        """:meth:`saturation_scale` of every set, bit for bit, in one
+        array pass.
 
-        The per-set evaluation is already a handful of vectorized
-        operations (Theorem 5.1 is linear in the payloads), so batching is
-        a simple sweep; this exists so sweep and Monte Carlo drivers can
-        treat both protocols uniformly through one batched entry point.
+        ``δ`` and the frame-overhead time are computed once, the policy
+        selects one TTRT per set, and :func:`ttp_saturation_scales`
+        scores every set on the padded ``periods`` and ``payloads``
+        matrices of ``message_sets`` if it is a
+        :class:`~repro.messages.message_set.StackedSets` (a sweep's
+        prepared population is one), or of one stacked here.
         """
-        return np.asarray(
-            [self.saturation_scale(ms) for ms in message_sets], dtype=float
+        columns = (
+            message_sets
+            if isinstance(message_sets, StackedSets)
+            else StackedSets(message_sets)
+        )
+        if not columns.lengths.all():
+            raise ConfigurationError("cannot saturate an empty message set")
+        bandwidth = self._ring.bandwidth_bps
+        delta, overhead = self.delta, self.frame_overhead_time
+        ttrts = [
+            self._policy.select(message_set, bandwidth, delta, overhead)
+            for message_set in columns
+        ]
+        return ttp_saturation_scales(
+            ttrts,
+            columns.periods,
+            columns.payloads / bandwidth,
+            columns.lengths,
+            delta,
+            overhead,
         )
 
     def theorem_lhs(

@@ -38,7 +38,14 @@ __all__ = [
     "half_min_period_ttrt",
     "optimal_ttrt",
     "ttp_saturation_scale",
+    "ttp_saturation_scales",
 ]
+
+#: Candidate TTRTs scored per array pass of :func:`optimal_ttrt`'s grid
+#: scan.  A memory bound, not a tuning knob: a pass holds a handful of
+#: (candidates x streams) float temporaries, about 1.6 MB each at 100
+#: streams, however many candidates the grid has.
+_SLAB_CANDIDATES = 2048
 
 
 def _validate_delta(delta: float) -> None:
@@ -105,6 +112,62 @@ def ttp_saturation_scale(
     return budget / per_rotation_demand
 
 
+def _visit_starved(q: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per row of visit counts, whether one of its first ``lengths``
+    streams sees the token fewer than twice per period."""
+    live = np.arange(q.shape[-1]) < lengths[:, None]
+    return ((q < 2) & live).any(axis=1)
+
+
+def ttp_saturation_scales(
+    ttrts: Sequence[float] | np.ndarray,
+    periods_s: np.ndarray,
+    payload_times_s: np.ndarray,
+    lengths: Sequence[int] | np.ndarray,
+    delta: float,
+    frame_overhead_time_s: float,
+) -> np.ndarray:
+    """:func:`ttp_saturation_scale` of many sets in one array pass, bit
+    for bit.
+
+    Set ``i`` is the first ``lengths[i]`` columns of row ``i`` of
+    ``periods_s`` and ``payload_times_s`` (one row may stand for all),
+    judged at ``ttrts[i]``; columns past a set's length are never read.
+    One :func:`token_visit_counts` call gives every visit count.  The
+    per-rotation demand is summed over each group of equal-length sets,
+    sliced to that length, so each row's ``np.sum`` adds the terms the
+    scalar path adds, grouped as it groups them: padding would regroup
+    the pairwise sum and move the last bits.  The degenerate outcomes
+    keep the scalar precedence: a set with some ``q_i < 2`` scores 0,
+    else one whose overheads exhaust the budget 0, else one with zero
+    demand ``inf``.
+    """
+    ttrts = np.asarray(ttrts, dtype=float)
+    lengths = np.asarray(lengths)
+    nonpositive = ttrts[ttrts <= 0]
+    if nonpositive.size:
+        raise ConfigurationError(
+            f"TTRT must be positive, got {float(nonpositive[0])!r}"
+        )
+    _validate_delta(delta)
+    q = token_visit_counts(periods_s, ttrts[:, None])
+    payload_times = np.broadcast_to(payload_times_s, q.shape)
+    budget = ttrts - delta - lengths * frame_overhead_time_s
+    feasible = ~_visit_starved(q, lengths) & ~(budget <= 0)
+    scales = np.zeros(ttrts.size)
+    for length in set(lengths[feasible].tolist()):
+        rows = np.flatnonzero(feasible & (lengths == length))
+        demand = np.sum(
+            payload_times[rows, :length] / (q[rows, :length] - 1.0), axis=1
+        )
+        with np.errstate(over="ignore"):  # as the scalar float division
+            scales[rows] = np.divide(
+                budget[rows], demand, out=np.full(rows.size, np.inf),
+                where=demand != 0.0,
+            )
+    return scales
+
+
 def optimal_ttrt(
     periods_s: Sequence[float],
     payload_times_s: Sequence[float],
@@ -118,7 +181,10 @@ def optimal_ttrt(
     The objective :func:`ttp_saturation_scale` is piecewise smooth with
     breakpoints wherever some ``floor(P_i/TTRT)`` steps, so a log-spaced
     grid scan locates the best piece and golden-section refinement polishes
-    within it.  The search space is ``(0, P_min/2]``.
+    within it.  The scan scores its candidates with
+    :func:`ttp_saturation_scales`, :data:`_SLAB_CANDIDATES` per array
+    pass; the refinement calls the scalar :func:`ttp_saturation_scale`.
+    The search space is ``(0, P_min/2]``.
 
     Raises :class:`InfeasibleParameterError` when no feasible TTRT exists
     (the overhead ``δ`` exceeds every candidate rotation budget).
@@ -145,12 +211,21 @@ def optimal_ttrt(
     if breakpoints:
         candidates = np.unique(np.concatenate([candidates, *breakpoints]))
 
-    scales = np.array(
+    payload_times = np.asarray(payload_times_s, dtype=float)
+    scales = np.concatenate(
         [
-            ttp_saturation_scale(
-                t, periods, payload_times_s, delta, frame_overhead_time_s
+            ttp_saturation_scales(
+                slab,
+                periods,
+                payload_times,
+                np.full(slab.size, periods.size),
+                delta,
+                frame_overhead_time_s,
             )
-            for t in candidates
+            for slab in np.split(
+                candidates,
+                range(_SLAB_CANDIDATES, candidates.size, _SLAB_CANDIDATES),
+            )
         ]
     )
     best = int(np.argmax(scales))

@@ -147,10 +147,12 @@ class PaperParameters:
         A sweep draws this once and hands it to every cell it compares,
         so all protocols and bandwidths see the same sets (paired
         sampling).  The sets come as a
-        :class:`~repro.analysis.pdp.PreparedSets`: each set's exact test
-        and the stacked probe kernel are built here, once, under the span
-        ``population/prepare``, and every PDP cell only binds its ring,
-        frame and variant to them.  Each call draws afresh from a new
+        :class:`~repro.analysis.pdp.PreparedSets`: each set's exact test,
+        the stacked probe kernel and the padded period and payload
+        matrices are built here, once, under the span
+        ``population/prepare``; every PDP cell only binds its ring, frame
+        and variant to them, and every TTP cell and saturated-utilization
+        pass reads the matrices.  Each call draws afresh from a new
         generator.
         """
         population = self.sampler().sample_many(

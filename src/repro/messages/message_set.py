@@ -9,6 +9,7 @@ the rate-monotonic ordering used by the priority driven protocol.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -17,12 +18,17 @@ from repro.errors import MessageSetError
 from repro.messages.stream import SynchronousStream
 from repro.units import transmission_time
 
-__all__ = ["MessageSet", "scaled_utilizations"]
+__all__ = ["MessageSet", "StackedSets", "scaled_utilizations"]
 
 #: ``MessageSet._rm`` marker for a set already in rate-monotonic order
 #: (a sentinel rather than a self-reference, so no set is in a cycle and
 #: populations are freed as soon as they are dropped).
 _IN_RM_ORDER = object()
+
+#: The rate-monotonic sort key: the fields ``SynchronousStream`` orders
+#: by, in its field order, so a key sort gives the order its dataclass
+#: comparisons give, without a Python-level ``__lt__`` per comparison.
+_RM_KEY = attrgetter("period_s", "payload_bits", "station")
 
 
 class MessageSet(Sequence[SynchronousStream]):
@@ -130,7 +136,7 @@ class MessageSet(Sequence[SynchronousStream]):
         already-ordered set returns itself.
         """
         if self._rm is None:
-            ordered = tuple(sorted(self._streams))
+            ordered = tuple(sorted(self._streams, key=_RM_KEY))
             if ordered == self._streams:
                 self._rm = _IN_RM_ORDER
             else:
@@ -179,6 +185,33 @@ class MessageSet(Sequence[SynchronousStream]):
             raise MessageSetError("operation requires a non-empty message set")
 
 
+class StackedSets(tuple):
+    """Message sets with their columns stacked once into padded matrices.
+
+    ``periods`` and ``payloads`` hold one row per set, its streams in
+    construction order, padded past the set's length with period 1.0 and
+    payload 0.0 to one column more than the widest set (a padded term
+    ``0.0 / 1.0`` adds nothing), and ``lengths`` the number of streams
+    of each set.  Array passes over a whole population
+    (:func:`scaled_utilizations`,
+    :meth:`~repro.analysis.ttp.TTPAnalysis.saturation_scales`) read
+    these instead of re-reading every set; a sweep builds them once with
+    its population (:class:`~repro.analysis.pdp.PreparedSets` is one).
+
+    Args:
+        message_sets: the sets, in row order.
+    """
+
+    def __init__(self, message_sets: Iterable[MessageSet]):
+        self.lengths = np.fromiter(map(len, self), dtype=np.intp, count=len(self))
+        shape = (len(self), int(self.lengths.max(initial=0)) + 1)
+        self.payloads = np.zeros(shape)
+        self.periods = np.ones(shape)
+        for row, message_set in enumerate(self):
+            self.payloads[row, : len(message_set)] = message_set.payloads_bits
+            self.periods[row, : len(message_set)] = message_set.periods
+
+
 def scaled_utilizations(
     message_sets: Sequence[MessageSet], factors: Sequence[float], bandwidth_bps: float
 ) -> list[float]:
@@ -186,7 +219,9 @@ def scaled_utilizations(
     one array pass, with the same errors.
 
     Row ``i`` holds ``payload·factor / bandwidth / period`` of set ``i``
-    in stream order, zero-padded (``0.0 / 1.0``) past the widest set, and
+    in stream order, zero-padded (``0.0 / 1.0``) past the widest set, as
+    the matrices of a :class:`StackedSets` are (read as they are when
+    ``message_sets`` is one, stacked here otherwise), and
     ``np.add.accumulate`` folds each row left to right, as the builtin
     ``sum`` of floats does before CPython 3.12: each row's last column is
     the scalar sum bit for bit.
@@ -200,10 +235,10 @@ def scaled_utilizations(
             f"scale factor must be non-negative and finite, got {float(bad[0])!r}"
         )
     transmission_time(0.0, bandwidth_bps)  # raises for a non-positive bandwidth
-    payloads = np.zeros((len(message_sets), max(map(len, message_sets)) + 1))
-    periods = np.ones(payloads.shape)
-    for row, message_set in enumerate(message_sets):
-        payloads[row, : len(message_set)] = message_set.payloads_bits
-        periods[row, : len(message_set)] = message_set.periods
-    terms = payloads * scales[:, None] / float(bandwidth_bps) / periods
+    columns = (
+        message_sets
+        if isinstance(message_sets, StackedSets)
+        else StackedSets(message_sets)
+    )
+    terms = columns.payloads * scales[:, None] / float(bandwidth_bps) / columns.periods
     return np.add.accumulate(terms, axis=1)[:, -1].tolist()

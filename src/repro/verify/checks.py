@@ -138,6 +138,7 @@ from repro.analysis import rm as rm_mod
 from repro.analysis.breakdown import breakdown_scale, breakdown_scales_batch
 from repro.analysis.pdp import PDPAnalysis, PDPVariant
 from repro.analysis.ttp import TTPAnalysis
+from repro.analysis.ttrt import FixedTTRT
 from repro.errors import (
     AdmissionError,
     AllocationError,
@@ -375,10 +376,18 @@ def check_breakdown_batch(case: FuzzCase) -> Violation | None:
     exact-test structure, so rows must not be grouped by structure), a
     set with different periods, a narrower prefix of the case whose
     first half shares the first period, a set twice as wide with every
-    period repeated (period groups of several streams), and the two sets
+    period repeated (period groups of several streams), the two sets
     the far-edge shortcut settles: the case with every period ×1e-6
     (fails at every scale) and with every payload ×1e-60 (schedulable at
-    every doubling).
+    every doubling), and the case with every payload zero.
+
+    The same population is scored by the PDP's lockstep search and by
+    the TTP's closed-form batch
+    (:meth:`~repro.analysis.ttp.TTPAnalysis.saturation_scales`, one
+    array pass over rows of several widths), at the sqrt-rule TTRT and
+    at a fixed ``P_min / 2`` of the case, under which the ×1e-6 set sees
+    the token fewer than twice per period (scale 0) and the zero set has
+    no demand (scale ``inf``).
     """
     periods, payloads = case.periods_s, case.payloads_bits
     width = max(1, 3 * len(periods) // 4)
@@ -398,40 +407,53 @@ def check_breakdown_batch(case: FuzzCase) -> Violation | None:
         ).message_set(),
         case.with_streams(tuple(p * 1e-6 for p in periods), payloads).message_set(),
         case.with_streams(periods, tuple(c * 1e-60 for c in payloads)).message_set(),
+        case.with_streams(periods, tuple(0.0 for _ in payloads)).message_set(),
     ]
-    analysis = _pdp_analysis(case, PDPVariant.STANDARD)
-    batched = breakdown_scales_batch(population, analysis, rel_tol=1e-3)
-    for label, member, (batch_scale, batch_evals) in zip(
+    labels = (
+        "case set",
+        "payload-perturbed sibling",
+        "re-periodized set",
+        "narrow tied prefix",
+        "doubled set",
+        "hopeless set",
+        "never-saturating set",
+        "zero-payload set",
+    )
+    analyses = (
+        ("PDP", _pdp_analysis(case, PDPVariant.STANDARD)),
+        ("TTP", _ttp_analysis(case)),
         (
-            "case set",
-            "payload-perturbed sibling",
-            "re-periodized set",
-            "narrow tied prefix",
-            "doubled set",
-            "hopeless set",
-            "never-saturating set",
+            "TTP at P_min/2",
+            TTPAnalysis(
+                fddi_ring(case.bandwidth_bps, n_stations=case.n_stations),
+                _frame(),
+                FixedTTRT(min(periods) / 2.0),
+            ),
         ),
-        population,
-        batched,
-    ):
-        scalar, scalar_evals = breakdown_scale(member, analysis, rel_tol=1e-3)
-        if not (
-            scalar == batch_scale
-            or (math.isnan(scalar) and math.isnan(batch_scale))
+    )
+    for name, analysis in analyses:
+        batched = breakdown_scales_batch(population, analysis, rel_tol=1e-3)
+        for label, member, (batch_scale, batch_evals) in zip(
+            labels, population, batched
         ):
-            return Violation(
-                "breakdown_batch",
-                case,
-                f"{label}: breakdown scale scalar={scalar!r} != "
-                f"batched={batch_scale!r}",
-            )
-        if scalar_evals != batch_evals:
-            return Violation(
-                "breakdown_batch",
-                case,
-                f"{label}: evaluations scalar={scalar_evals} != "
-                f"batched={batch_evals}",
-            )
+            scalar, scalar_evals = breakdown_scale(member, analysis, rel_tol=1e-3)
+            if not (
+                scalar == batch_scale
+                or (math.isnan(scalar) and math.isnan(batch_scale))
+            ):
+                return Violation(
+                    "breakdown_batch",
+                    case,
+                    f"{name}, {label}: breakdown scale scalar={scalar!r} != "
+                    f"batched={batch_scale!r}",
+                )
+            if scalar_evals != batch_evals:
+                return Violation(
+                    "breakdown_batch",
+                    case,
+                    f"{name}, {label}: evaluations scalar={scalar_evals} != "
+                    f"batched={batch_evals}",
+                )
     return None
 
 

@@ -124,6 +124,15 @@ The mutants, and the property expected to catch each:
     scale stays right → caught by ``breakdown_batch``, whose population
     includes the case with its periods ×1e-6 (hopeless) and with its
     payloads ×1e-60 (never saturating).
+``ttp_batch_starved_rows_kept``
+    The TTP closed-form batch
+    (:func:`~repro.analysis.ttrt.ttp_saturation_scales`) forgets the
+    per-row ``q_i < 2`` rule, so a set with a stream that sees the token
+    fewer than twice per period is scored on a demand with ``q_i - 1 <=
+    0`` instead of 0, while the scalar ``ttp_saturation_scale`` still
+    answers 0 → caught by ``breakdown_batch``, whose population, scored
+    at a fixed TTRT of ``P_min / 2``, includes the case with its periods
+    ×1e-6.
 ``batcher_batch_reordered``
     The micro-batcher's flush calls a batch's ``done`` callbacks with
     the results in reversed order, so each request of a multi-op batch
@@ -347,6 +356,10 @@ def _buggy_far_edges(original):
     return far_edges
 
 
+def _buggy_visit_starved(q, lengths):
+    return np.zeros(q.shape[0], dtype=bool)  # BUG: no row is ever starved
+
+
 def _buggy_answer(batch, results):
     for (_, done, _), result in zip(batch, reversed(results)):  # BUG
         done(result)
@@ -456,6 +469,10 @@ def _patch_sites(mutant: str) -> list[tuple[object, str, object]]:
         return [
             (breakdown_mod, "_far_edges", _buggy_far_edges(breakdown_mod._far_edges))
         ]
+    if mutant == "ttp_batch_starved_rows_kept":
+        from repro.analysis import ttrt as ttrt_mod
+
+        return [(ttrt_mod, "_visit_starved", _buggy_visit_starved)]
     if mutant == "batcher_batch_reordered":
         from repro.service import batcher as batcher_mod
 
@@ -481,6 +498,7 @@ MUTANTS: tuple[str, ...] = (
     "rm_details_group_prefix",
     "breakdown_lockstep_bracket",
     "breakdown_far_edge_evaluations",
+    "ttp_batch_starved_rows_kept",
     "batcher_batch_reordered",
 )
 

@@ -258,3 +258,32 @@ class TestArrayUtilizationPass:
             batch = breakdown_utilizations_batch(sets, predicate, 0.0)
             assert batch == [breakdown_utilization(ms, predicate, 0.0) for ms in sets]
             assert [r.utilization for r in batch] == [0.0, 0.0]
+
+
+class TestPreparedPopulationPasses:
+    """Passes over a prepared population read its stacked columns and
+    agree with the list path."""
+
+    def test_scaled_utilizations_of_prepared_sets_equal_the_list_path(self):
+        from repro.analysis.pdp import PreparedSets
+
+        sets = TestArrayUtilizationPass.population()
+        prepared = PreparedSets(sets)
+        factors = [float(f) for f in np.random.default_rng(5).uniform(0, 50, 6)]
+        bw = TestArrayUtilizationPass.BW
+        got = scaled_utilizations(prepared, factors, bw)
+        assert [u.hex() for u in got] == [
+            u.hex() for u in scaled_utilizations(list(sets), factors, bw)
+        ]
+
+    def test_closed_form_without_a_batch_keeps_the_per_set_path(self):
+        """A predicate that has only ``saturation_scale`` is scored set by
+        set."""
+        from repro.analysis.breakdown import breakdown_scales_batch
+
+        fake = TestClosedFormPath.FakeAnalysis()
+        assert not hasattr(fake, "saturation_scales")
+        assert breakdown_scales_batch([make_set(), make_set()], fake) == [
+            (2.5, 1),
+            (2.5, 1),
+        ]

@@ -224,3 +224,90 @@ class TestSaturationScale:
             assert bisected == 0.0
         else:
             assert bisected == pytest.approx(closed, rel=1e-4)
+
+
+class TestSaturationScalesBatch:
+    """``saturation_scales`` over a ragged population equals the scalar
+    ``saturation_scale`` of each set bit for bit, degenerate outcomes
+    included."""
+
+    @staticmethod
+    def population() -> list[MessageSet]:
+        """Widths 7, 15, 100 and 128 (128 is numpy's pairwise-sum block),
+        plus an all-zero-payload set (zero demand)."""
+        import numpy as np
+
+        rng = np.random.default_rng(17)
+        sets = [
+            make_set(
+                np.round(rng.uniform(100, 20_000, size=n)),
+                rng.uniform(0.01, 0.19, size=n),
+            )
+            for n in (7, 15, 100, 128)
+        ]
+        return [*sets, make_set([0.0] * 15, rng.uniform(0.01, 0.19, size=15))]
+
+    @staticmethod
+    def analyses():
+        """The sqrt rule at paper and low bandwidth (overheads exhaust the
+        budget at 128 stations), and a fixed TTRT above some sets'
+        ``P_min / 2`` (some ``q_i < 2``)."""
+        return [
+            TTPAnalysis(fddi_ring(mbps(bw), n_stations=128), FRAME, policy)
+            for bw, policy in (
+                (100.0, None),
+                (16.0, None),
+                (1.0, None),
+                (16.0, FixedTTRT(0.0055)),
+            )
+        ]
+
+    def test_equals_the_scalar_scale(self):
+        from repro.analysis.pdp import PreparedSets
+
+        sets = self.population()
+        prepared = PreparedSets(sets)
+        outcomes = set()
+        for analysis in self.analyses():
+            want = [analysis.saturation_scale(ms).hex() for ms in sets]
+            for population in (prepared, sets):
+                got = analysis.saturation_scales(population)
+                assert [s.hex() for s in got.tolist()] == want
+            for ms, scale in zip(sets, want):
+                scale = float.fromhex(scale)
+                starved = any(
+                    p < 2 * analysis.select_ttrt(ms) for p in ms.periods
+                )
+                if scale == 0.0:
+                    outcomes.add("starved" if starved else "budget")
+                elif scale == float("inf"):
+                    outcomes.add("zero demand")
+        assert outcomes == {"starved", "budget", "zero demand"}
+
+    def test_rejects_an_empty_set(self):
+        analysis = self.analyses()[0]
+        with pytest.raises(ConfigurationError):
+            analysis.saturation_scales([make_set([1000], [0.05]), MessageSet([])])
+        assert analysis.saturation_scales([]).tolist() == []
+
+    def test_batch_search_calls_the_batch_once(self, monkeypatch):
+        """``breakdown_scales_batch`` scores a TTP population in one
+        ``saturation_scales`` call."""
+        from repro.analysis.breakdown import breakdown_scales_batch
+
+        analysis = self.analyses()[0]
+        sets = self.population()
+        calls = []
+        batch = TTPAnalysis.saturation_scales
+
+        def counted(self, message_sets):
+            calls.append(len(message_sets))
+            return batch(self, message_sets)
+
+        monkeypatch.setattr(TTPAnalysis, "saturation_scales", counted)
+        monkeypatch.setattr(
+            TTPAnalysis, "saturation_scale", lambda *a: pytest.fail("per-set path")
+        )
+        pairs = breakdown_scales_batch(sets, analysis)
+        assert calls == [len(sets)]
+        assert [e for _, e in pairs] == [1] * len(sets)

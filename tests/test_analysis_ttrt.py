@@ -15,8 +15,9 @@ from repro.analysis.ttrt import (
     optimal_ttrt,
     sqrt_rule_ttrt,
     ttp_saturation_scale,
+    ttp_saturation_scales,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MessageSetError
 from repro.messages.message_set import MessageSet
 from repro.messages.stream import SynchronousStream
 
@@ -168,3 +169,73 @@ class TestPolicies:
         a = policy.select(base, 1e6, 1e-4, 1e-5)
         b = policy.select(base.scaled(7.0), 1e6, 1e-4, 1e-5)
         assert a == pytest.approx(b, rel=1e-6)
+
+
+class TestBatchedSaturationScales:
+    """``ttp_saturation_scales`` against the scalar oracle, and the slab
+    scan of ``optimal_ttrt`` built on it."""
+
+    @staticmethod
+    def paper_scale_set(n=100, seed=3):
+        rng = np.random.default_rng(seed)
+        periods = rng.uniform(0.01, 0.19, size=n)
+        payload_times = rng.uniform(1e-5, 1e-3, size=n)
+        return periods, payload_times
+
+    def test_rows_equal_the_scalar_scale(self):
+        periods, payload_times = self.paper_scale_set()
+        delta, fovhd = 3e-4, 7e-6
+        # Far below the feasible range (budget exhausted), inside it, and
+        # past P_min/2 (some q < 2).
+        ttrts = np.geomspace(1e-5, 0.2, 400)
+        got = ttp_saturation_scales(
+            ttrts, periods, payload_times, np.full(ttrts.size, periods.size),
+            delta, fovhd,
+        )
+        want = [
+            ttp_saturation_scale(t, periods, payload_times, delta, fovhd)
+            for t in ttrts
+        ]
+        assert [s.hex() for s in got.tolist()] == [s.hex() for s in want]
+        assert 0.0 in want and any(0.0 < s < math.inf for s in want)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_rejects_what_the_scalar_rejects(self):
+        with pytest.raises(ConfigurationError, match="TTRT must be positive"):
+            ttp_saturation_scales([0.01, 0.0], [0.1], [0.01], [1, 1], 0.0, 0.0)
+        with pytest.raises(ConfigurationError, match="delta"):
+            ttp_saturation_scales([0.01], [0.1], [0.01], [1], -1.0, 0.0)
+        periods = np.array([1e300, 0.1])
+        with pytest.raises(MessageSetError) as scalar:
+            ttp_saturation_scale(1e-300, periods, [0.01, 0.01], 0.0, 0.0)
+        with pytest.raises(MessageSetError) as batched:
+            ttp_saturation_scales(
+                [1e-300, 0.01], periods, [0.01, 0.01], [2, 2], 0.0, 0.0
+            )
+        assert str(batched.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_optimum_does_not_depend_on_the_slab_size(self, monkeypatch, seed):
+        """The slab size bounds memory only: the selected TTRT is
+        bit-identical when the grid is scored in many small slabs, in one,
+        or one candidate at a time by the scalar oracle."""
+        from repro.analysis import ttrt as ttrt_mod
+
+        periods, payload_times = self.paper_scale_set(n=20, seed=seed)
+        args = (periods, payload_times, 3e-4, 7e-6)
+        chosen = []
+        for slab in (97, 1 << 20):
+            monkeypatch.setattr(ttrt_mod, "_SLAB_CANDIDATES", slab)
+            chosen.append(optimal_ttrt(*args).hex())
+
+        def scalar_scan(ttrts, periods, payload_times, lengths, delta, fovhd):
+            return np.array(
+                [
+                    ttp_saturation_scale(t, periods, payload_times, delta, fovhd)
+                    for t in ttrts
+                ]
+            )
+
+        monkeypatch.setattr(ttrt_mod, "ttp_saturation_scales", scalar_scan)
+        chosen.append(optimal_ttrt(*args).hex())
+        assert chosen[0] == chosen[1] == chosen[2]

@@ -293,3 +293,60 @@ class TestTransformations:
     def test_assigned_to_stations(self):
         renumbered = make_set().rate_monotonic().assigned_to_stations()
         assert [s.station for s in renumbered] == [0, 1, 2]
+
+
+class TestStackedSets:
+    """The padded construction-order columns a population is stacked into,
+    and the RM order it is prepared in."""
+
+    @staticmethod
+    def tied_sets() -> list[MessageSet]:
+        """Period and payload ties, stations out of order, ragged widths."""
+        rng = random.Random(7)
+        sets = []
+        for width in (1, 5, 24, 60):
+            rows = [
+                (
+                    rng.choice([0.05, 0.1, 0.1, 0.25, 1.0 / 3.0]),
+                    rng.choice([0.0, 64.0, 64.0, 512.0]),
+                    rng.randrange(4),
+                )
+                for _ in range(width)
+            ]
+            sets.append(from_columns(*zip(*rows)))
+        return sets
+
+    def test_columns_are_padded_rows_in_construction_order(self):
+        from repro.messages.message_set import StackedSets
+
+        sets = self.tied_sets()
+        stacked = StackedSets(sets)
+        assert list(stacked) == sets
+        assert stacked.lengths.tolist() == [1, 5, 24, 60]
+        assert stacked.periods.shape == stacked.payloads.shape == (4, 61)
+        for row, message_set in enumerate(sets):
+            n = len(message_set)
+            assert stacked.periods[row, :n].tolist() == list(message_set.periods)
+            assert stacked.payloads[row, :n].tolist() == list(
+                message_set.payloads_bits
+            )
+            assert (stacked.periods[row, n:] == 1.0).all()
+            assert (stacked.payloads[row, n:] == 0.0).all()
+        restored = pickle.loads(pickle.dumps(stacked))
+        assert list(restored) == sets
+        assert restored.periods.tolist() == stacked.periods.tolist()
+        assert restored.lengths.tolist() == stacked.lengths.tolist()
+
+    def test_prepared_rm_order_is_the_dataclass_sort(self):
+        """The key sort the preparation uses orders tied streams exactly as
+        the streams' own comparisons do."""
+        from repro.analysis.pdp import PreparedSets
+
+        sets = self.tied_sets()
+        prepared = PreparedSets(sets)
+        for row, message_set in enumerate(sets):
+            by_lt = sorted(list(message_set.streams))
+            assert message_set.rate_monotonic().streams == tuple(by_lt)
+            assert prepared.payload_rows[row, : len(by_lt)].tolist() == [
+                s.payload_bits for s in by_lt
+            ]
