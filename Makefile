@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: help install test verify fuzz-quick bench bench-sim bench-loss bench-cluster bench-record top serve examples report fast-report figure1 all-experiments clean
+.PHONY: help install test verify fuzz-quick bench-loss bench-cluster bench-record top serve examples report fast-report figure1 all-experiments clean
 
 help:
 	@echo "Targets:"
@@ -15,10 +15,6 @@ help:
 	@echo "  fuzz-quick       deterministic differential fuzz (fixed seed,"
 	@echo "                   <60s) + mutation smoke: every injected bug"
 	@echo "                   must be flagged; nonzero exit otherwise"
-	@echo "  bench            run every benchmark"
-	@echo "  bench-sim        simulator canary: cross-validation + fast-path"
-	@echo "                   micro-benches -> BENCH_sim.json (events/sec"
-	@echo "                   and compression ratios in extra_info)"
 	@echo "  bench-loss       lossy-medium canary: breakdown utilization vs"
 	@echo "                   loss fraction for both protocols under the"
 	@echo "                   retransmission-aware bounds -> BENCH_loss.json"
@@ -61,16 +57,6 @@ fuzz-quick:
 	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.experiments.runner fuzz \
 		--fuzz-cases 60 --mutation-smoke --no-manifest --log-level warning
 
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-sim:
-	$(PYTHON) -m pytest \
-		benchmarks/test_bench_sim_validation.py \
-		benchmarks/test_bench_sim_fastpath.py \
-		--benchmark-only --benchmark-json=BENCH_sim.json
-	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.obs.benchjson BENCH_sim.json
-
 bench-loss:
 	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.experiments.runner \
 		loss-sweep --fast --no-manifest --log-level warning \
@@ -111,5 +97,5 @@ all-experiments:
 	$(PYTHON) -m repro.experiments.runner all
 
 clean:
-	rm -rf build dist src/*.egg-info .pytest_cache .benchmarks
+	rm -rf build dist src/*.egg-info .pytest_cache
 	find . -type d -name __pycache__ -prune -exec rm -rf {} \;

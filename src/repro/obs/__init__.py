@@ -14,9 +14,9 @@ changes results*:
 * :mod:`repro.obs.manifest` — run manifests: a JSON provenance record
   (seed, parameters, git SHA, environment, metrics, spans) written next
   to every experiment artifact.
-* :mod:`repro.obs.benchjson` — the versioned summary format of the
-  ``BENCH_*.json`` canaries (``make bench-sim``, ``bench-loss``,
-  ``bench-cluster``).
+* :mod:`repro.obs.benchjson` — the versioned schema of the
+  ``BENCH_*.json`` canaries (``make bench-loss``, ``bench-cluster``,
+  ``runner loadgen --bench-json``).
 * :mod:`repro.obs.tracing` — one span API: every span aggregates its
   wall time by path (one path per grid cell in the experiment sweeps),
   and sampled requests additionally get trace trees propagated across

@@ -364,9 +364,9 @@ def bench_document(
     """The run as a ``BENCH_*.json`` canary document.
 
     Emitted directly in :data:`~repro.obs.benchjson.BENCH_SCHEMA_VERSION`
-    form — per-request latency statistics in ``stats`` (so the fields
-    line up with the pytest-benchmark-derived canaries), throughput and
-    shed counts in ``extra_info``.
+    form — per-request latency statistics in ``stats`` (the fields the
+    loss and cluster canaries carry), throughput and shed counts in
+    ``extra_info``.
     """
     samples = report.latencies
     if samples:

@@ -1,5 +1,6 @@
 """SBA scheme library: equation (7) fixed point, scheme algebra, searches."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.sba import (
@@ -15,6 +16,7 @@ from repro.analysis.sba import (
 )
 from repro.analysis.ttp import local_scheme_allocation
 from repro.errors import AllocationError, ConfigurationError
+from repro.experiments.config import PaperParameters
 from repro.messages.message_set import MessageSet
 from repro.messages.stream import SynchronousStream
 from repro.units import mbps
@@ -203,3 +205,23 @@ class TestBreakdownScale:
             EqualPartitionScheme(), skewed, TTRT, BW, FOVHD, DELTA
         )
         assert local >= equal
+
+    def test_local_scheme_clears_one_third_on_sampled_sets(self):
+        """At a near-ideal 1 Gbps every sampled set's local-scheme
+        breakdown utilization clears the 33% bound that holds for all
+        sets."""
+        params = PaperParameters().scaled_down(n_stations=20, monte_carlo_sets=10)
+        analysis = params.ttp_analysis(1000.0)
+        bandwidth = mbps(1000.0)
+        rng = np.random.default_rng(params.seed)
+        for message_set in params.sampler().sample_many(rng, params.monte_carlo_sets):
+            scale = sba_breakdown_scale(
+                LocalScheme(),
+                message_set,
+                analysis.select_ttrt(message_set),
+                bandwidth,
+                analysis.frame_overhead_time,
+                analysis.delta,
+            )
+            assert scale > 0
+            assert message_set.scaled(scale).utilization(bandwidth) >= 0.33

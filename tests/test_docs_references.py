@@ -1,8 +1,8 @@
 """Documentation lint: referenced files and modules actually exist.
 
-DESIGN.md, EXPERIMENTS.md, THEORY.md, and README.md point at modules,
-tests, and benchmarks by path; refactors must not silently orphan those
-references.
+DESIGN.md, EXPERIMENTS.md, THEORY.md, USAGE.md and README.md point at
+modules and tests by path and at make targets by name; refactors must
+not silently orphan those references.
 """
 
 import pathlib
@@ -52,12 +52,23 @@ def test_referenced_files_exist(doc):
             ROOT / "src" / "repro" / path,
             ROOT / "src" / path,
             ROOT / "tests" / path,
-            ROOT / "benchmarks" / path,
             ROOT / "docs" / path,
         ]
         if not any(c.exists() for c in candidates):
             missing.append(path)
     assert not missing, f"{doc.name} references missing files: {missing}"
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda p: p.name)
+def test_make_targets_exist(doc):
+    """Every backticked `make <target>` names a target of the Makefile."""
+    makefile = (ROOT / "Makefile").read_text(encoding="utf-8")
+    targets = set(re.findall(r"^([A-Za-z0-9_\-]+):", makefile, re.MULTILINE))
+    text = doc.read_text(encoding="utf-8")
+    missing = sorted(
+        set(re.findall(r"`make ([A-Za-z0-9_\-]+)", text)) - targets
+    )
+    assert not missing, f"{doc.name} names missing make targets: {missing}"
 
 
 def test_module_references_import():

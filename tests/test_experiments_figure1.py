@@ -55,6 +55,20 @@ class TestShape:
         for name in ("pdp_standard", "pdp_modified", "ttp"):
             assert all(0.0 <= v <= 1.0 for v in figure1.series(name))
 
+    def test_paper_scale_anchors(self):
+        """The paper's own configuration (n = 100 stations, 30 sets):
+        every shape check plus the quantitative anchors EXPERIMENTS.md
+        records."""
+        result = run_figure1(PaperParameters())
+        report = result.shape_report()
+        failures = [name for name, ok in report.items() if not ok]
+        assert not failures, f"paper-scale shape checks failed: {failures}"
+        crossover = result.crossover_bandwidth()
+        assert crossover is not None and 4.0 <= crossover <= 100.0
+        assert result.peak_bandwidth("pdp_standard") <= 10.0
+        assert result.series("ttp")[-1] > 0.85
+        assert result.series("pdp_modified")[-1] < 0.05
+
 
 class TestDataset:
     def test_grid_covered(self, figure1):
@@ -77,8 +91,11 @@ class TestDataset:
 
     def test_estimates_carry_uncertainty(self, figure1):
         point = figure1.points[5]
+        assert point.bandwidth_mbps == 10.0
         assert point.pdp_modified.n_sets == 8
         assert point.pdp_modified.stderr >= 0.0
+        assert point.pdp_modified.mean > 0.0
+        assert point.ttp.mean > 0.0
 
 
 class TestDeterminism:

@@ -30,6 +30,7 @@ class TestSharpness:
         ratios = result.ratios("modified-802.5")
         assert ratios
         assert max(ratios) <= 1.10
+        assert sum(ratios) / len(ratios) <= 1.05
 
     def test_ttp_criterion_nearly_tight(self, result):
         """Theorem 5.1's worst-case token-timing assumptions cost only a
@@ -37,6 +38,7 @@ class TestSharpness:
         ratios = result.ratios("fddi")
         assert ratios
         assert max(ratios) <= 1.25
+        assert sum(ratios) / len(ratios) <= 1.15
 
     def test_table_renders(self, result):
         table = result.to_table()

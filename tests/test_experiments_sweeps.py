@@ -58,9 +58,11 @@ class TestTTRTSweep:
         assert utils["optimal"] >= best_other - 1e-6
 
     def test_sqrt_rule_beats_half_min(self, sweep):
-        """The paper's Section 5.2 claim: values well below P_min/2 win."""
+        """The paper's Section 5.2 claim: values well below P_min/2 win,
+        and the sqrt rule comes within 15% of the per-workload optimum."""
         utils = dict(zip(sweep.column("policy"), sweep.column("avg breakdown util")))
         assert utils["sqrt-rule"] > utils["half-min"]
+        assert utils["sqrt-rule"] >= 0.85 * utils["optimal"]
 
     def test_sensitivity_is_visible(self, sweep):
         """Breakdown utilization varies strongly across TTRT values, with an
@@ -102,19 +104,18 @@ class TestFrameSizeSweep:
         assert variants == {"ieee-802.5", "modified-802.5"}
 
     def test_interior_tradeoff_exists(self, sweep):
-        """Neither the smallest nor an extreme frame is uniformly best for
-        the standard protocol — the Section 4.2 trade-off."""
-        rows = [
-            (size, util)
-            for variant, size, util in zip(
-                sweep.column("variant"),
-                sweep.column("payload (bytes)"),
-                sweep.column("avg breakdown util"),
-            )
-            if variant == "ieee-802.5"
-        ]
-        utils = [u for _, u in rows]
-        assert max(utils) > utils[0]  # 16 B frames are not optimal
+        """The smallest frame is never the best choice for either
+        protocol, and the choice is material: the Section 4.2 trade-off."""
+        for variant in ("ieee-802.5", "modified-802.5"):
+            utils = [
+                util
+                for v, util in zip(
+                    sweep.column("variant"), sweep.column("avg breakdown util")
+                )
+                if v == variant
+            ]
+            assert max(utils) > utils[0]  # 16 B frames are not optimal
+            assert max(utils) - min(utils) > 0.05
 
 
 class TestPeriodSweep:
@@ -158,6 +159,15 @@ class TestPeriodSweep:
             __, __, std, mod, fddi = row
             assert max(std, mod) > fddi
 
+    def test_fddi_wins_high_bandwidth_everywhere(self, params):
+        """At 100 Mbps FDDI wins across the whole period grid."""
+        sweep = period_sweep(
+            params, 100.0, mean_periods_s=(0.05, 0.1, 0.2), ratios=(2.0, 10.0)
+        )
+        for row in sweep.rows:
+            __, __, std, mod, fddi = row
+            assert fddi > max(std, mod)
+
 
 class TestSBAComparison:
     @pytest.fixture(scope="class")
@@ -184,6 +194,7 @@ class TestSBAComparison:
         utils = dict(zip(sweep.column("scheme"), sweep.column("avg breakdown util")))
         best = max(utils.values())
         assert utils["local"] >= 0.8 * best
+        assert utils["local"] > utils["equal-partition"] - 1e-6
 
 
 class TestRingSizeSweep:

@@ -46,15 +46,19 @@ class TestStructure:
 class TestPhysics:
     def test_goodput_high_everywhere(self, result):
         for point in result.points:
-            assert point.goodput > 0.7
+            assert point.goodput > 0.75
 
     def test_pdp_overhead_grows_with_bandwidth(self, result):
         pdp = {p.bandwidth_mbps: p for p in result.for_protocol("modified-802.5")}
         assert pdp[100.0].overhead_fraction > pdp[4.0].overhead_fraction
 
     def test_fddi_overhead_small_at_high_bandwidth(self, result):
+        """At 100 Mbps the PDP burns over twice FDDI's share on
+        arbitration: the Figure 1 overhead story in throughput form."""
         fddi = {p.bandwidth_mbps: p for p in result.for_protocol("fddi")}
+        pdp = {p.bandwidth_mbps: p for p in result.for_protocol("modified-802.5")}
         assert fddi[100.0].overhead_fraction < 0.1
+        assert pdp[100.0].overhead_fraction > 2 * fddi[100.0].overhead_fraction
 
 
 class TestValidation:

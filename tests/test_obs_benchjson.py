@@ -1,113 +1,16 @@
-"""The benchmark-canary summarizer: schema, idempotence, CLI."""
+"""The canary machine block: ``cpu_info``."""
 
-import json
+import os
 
 from repro.obs import benchjson
 
 
-def _raw_document() -> dict:
-    """A miniature raw pytest-benchmark document."""
-    return {
-        "datetime": "2026-08-06T00:00:00",
-        "version": "4.0.0",
-        "commit_info": {"id": "abc123", "dirty": False},
-        "machine_info": {
-            "node": "host",
-            "machine": "x86_64",
-            "system": "Linux",
-            "release": "6.0",
-            "python_version": "3.11.7",
-            "python_build": ("main", "today"),  # should be dropped
-            "cpu": {
-                "brand_raw": "TestCPU",
-                "count": 8,
-                "arch": "X86_64",
-                "flags": ["sse", "avx"] * 50,  # should be dropped
-            },
-        },
-        "benchmarks": [
-            {
-                "group": "figure1",
-                "name": "test_bench_point",
-                "fullname": "benchmarks/test_bench.py::test_bench_point",
-                "params": None,
-                "extra_info": {"spans": {"figure1/bw10/ttp": {"count": 1}}},
-                "stats": {
-                    "min": 0.01,
-                    "max": 0.02,
-                    "mean": 0.015,
-                    "stddev": 0.001,
-                    "median": 0.015,
-                    "iqr": 0.001,
-                    "q1": 0.014,
-                    "q3": 0.016,
-                    "ops": 66.6,
-                    "total": 0.15,
-                    "rounds": 10,
-                    "iterations": 1,
-                    "data": [0.015] * 10_000,  # the bulk to drop
-                    "outliers": "1;2",
-                },
-            }
-        ],
-    }
-
-
-class TestSummarize:
-    def test_drops_raw_samples_and_cpu_flags(self):
-        summary = benchjson.summarize_benchmark_json(_raw_document())
-        (bench,) = summary["benchmarks"]
-        assert "data" not in bench["stats"]
-        assert "outliers" not in bench["stats"]
-        assert "flags" not in summary["machine"]["cpu"]
-        assert "python_build" not in summary["machine"]
-
-    def test_keeps_tracked_statistics(self):
-        summary = benchjson.summarize_benchmark_json(_raw_document())
-        (bench,) = summary["benchmarks"]
-        assert bench["stats"]["mean"] == 0.015
-        assert bench["stats"]["rounds"] == 10
-        assert bench["name"] == "test_bench_point"
-        assert bench["extra_info"]["spans"]["figure1/bw10/ttp"]["count"] == 1
-
-    def test_keeps_machine_fingerprint(self):
-        summary = benchjson.summarize_benchmark_json(_raw_document())
-        assert summary["machine"]["system"] == "Linux"
-        assert summary["machine"]["cpu"]["brand"] == "TestCPU"
-        assert summary["commit_info"]["id"] == "abc123"
-
-    def test_schema_version_stamped(self):
-        summary = benchjson.summarize_benchmark_json(_raw_document())
-        assert summary["schema_version"] == benchjson.BENCH_SCHEMA_VERSION
-
-    def test_idempotent(self):
-        once = benchjson.summarize_benchmark_json(_raw_document())
-        twice = benchjson.summarize_benchmark_json(once)
-        assert twice is once
-
-    def test_summary_is_much_smaller(self):
-        raw = _raw_document()
-        summary = benchjson.summarize_benchmark_json(raw)
-        assert len(json.dumps(summary)) < len(json.dumps(raw)) / 10
-
-
-class TestCli:
-    def test_in_place_summarization(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(_raw_document()))
-        assert benchjson.main([str(path)]) == 0
-        summary = json.loads(path.read_text())
-        assert summary["schema_version"] == benchjson.BENCH_SCHEMA_VERSION
-        assert "data" not in summary["benchmarks"][0]["stats"]
-
-    def test_separate_output_path(self, tmp_path):
-        src = tmp_path / "raw.json"
-        dst = tmp_path / "summary.json"
-        src.write_text(json.dumps(_raw_document()))
-        assert benchjson.main([str(src), str(dst)]) == 0
-        assert json.loads(src.read_text())["version"] == "4.0.0"  # untouched
-        assert json.loads(dst.read_text())["schema_version"] == 2
-
-    def test_usage_error(self, capsys):
-        assert benchjson.main([]) == 2
-        assert "usage" in capsys.readouterr().err
+def test_cpu_info_fields():
+    info = benchjson.cpu_info(arch="x86_64")
+    assert set(info) == {"brand", "count", "arch"}
+    assert info["arch"] == "x86_64"
+    assert info["count"] == os.cpu_count()
+    assert info["brand"] is None or (
+        isinstance(info["brand"], str) and info["brand"]
+    )
+    assert benchjson.cpu_info()["arch"] is None

@@ -58,6 +58,23 @@ class TestFidelityComparison:
         assert comparison.faithful.deadline_safe
         assert comparison.verdicts_agree
 
+    @pytest.mark.parametrize("fraction", [0.4, 0.7, 0.9])
+    def test_loaded_eight_stream_ring(self, fraction):
+        """Eight streams at a fraction of their analytic breakdown point:
+        up to 70% both models meet every deadline, and at every load the
+        faithful worst response stays within the analytic factor."""
+        workload = make_set([(20 + 10 * i, 8_000) for i in range(8)])
+        ring = ieee_802_5_ring(mbps(10), n_stations=len(workload))
+        analysis = PDPAnalysis(ring, FRAME, PDPVariant.STANDARD)
+        scale, __ = breakdown_scale(workload, analysis, rel_tol=1e-3)
+        comparison = compare_pdp_fidelity(
+            ring, FRAME, workload.scaled(scale * fraction), duration_s=0.6
+        )
+        if fraction <= 0.7:
+            assert comparison.abstract.total_missed == 0
+            assert comparison.faithful.total_missed == 0
+        assert comparison.worst_response_ratio() < 3.0
+
     def test_faithful_responses_not_dramatically_worse(self):
         """The fidelity gap in worst response stays within the analytic
         factor (the faithful model pays at most a full token lap per frame

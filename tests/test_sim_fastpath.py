@@ -69,10 +69,17 @@ def test_pdp_fast_matches_scalar(
     scalar = PDPRingSimulator(
         small_ring_802_5, frame, harmonic_set, config
     ).run(duration)
+    events = _counter("sim.fastpath.pdp.events")
+    steps = _counter("sim.fastpath.pdp.steps")
     fast = fastpath.run_pdp_fast(
         small_ring_802_5, frame, harmonic_set, config, duration
     )
     assert_reports_identical(scalar, fast)
+    assert fast.total_completed > 0
+    # Compression engaged: fewer compressed steps than logical events.
+    events = _counter("sim.fastpath.pdp.events") - events
+    steps = _counter("sim.fastpath.pdp.steps") - steps
+    assert events > steps > 0
 
 
 def test_pdp_fast_matches_scalar_average_walk(harmonic_set, small_ring_802_5, frame):
@@ -140,6 +147,7 @@ def test_ttp_fast_sweeps_empty_rotations(small_ring_fddi, frame):
         small_ring_fddi, frame, sparse, allocation, config, 0.5
     )
     assert_reports_identical(scalar, fast)
+    assert fast.total_completed > 0
     assert _counter("sim.fastpath.ttp.swept") > swept_before
 
 
