@@ -81,20 +81,23 @@ serve:
 examples:
 	@for script in examples/*.py; do \
 		echo "=== $$script ==="; \
-		$(PYTHON) $$script || exit 1; \
+		PYTHONPATH=src:$$PYTHONPATH $(PYTHON) $$script || exit 1; \
 	done
 
 figure1:
-	$(PYTHON) -m repro.experiments.runner figure1 --csv figure1_full.csv
+	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.experiments.runner figure1 \
+		--csv figure1_full.csv
 
 report:
-	$(PYTHON) -m repro.experiments.runner report --out report.md
+	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.experiments.runner report \
+		--out report.md
 
 fast-report:
-	$(PYTHON) -m repro.experiments.runner report --fast --out report.md
+	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.experiments.runner report \
+		--fast --out report.md
 
 all-experiments:
-	$(PYTHON) -m repro.experiments.runner all
+	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.experiments.runner all
 
 clean:
 	rm -rf build dist src/*.egg-info .pytest_cache

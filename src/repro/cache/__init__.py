@@ -1,10 +1,10 @@
 """Content-addressed result cache (see USAGE.md §13).
 
-Simulation reports and admission decisions are memoised under a
-canonical hash of their full inputs plus a code-version salt, so
-identical recomputations — fuzz rounds, repeated validations, repeated
-admission checks — are answered from the cache with bit-identical
-payloads.  Hit/miss counters surface as ``cache.*`` metrics in manifests.
+Admission decisions are memoised under a canonical hash of their full
+inputs plus a code-version salt, so identical recomputations — repeated
+admission checks, fuzz rounds, restarted workers sharing a disk layer —
+are answered from the cache with bit-identical payloads.  Hit/miss
+counters surface as ``cache.*`` metrics in manifests.
 """
 
 from repro.cache.keys import (

@@ -3,11 +3,11 @@
 Key stability contract: a key depends only on the *values* of the payload
 (dict insertion order is canonicalised away, floats round-trip through
 ``repr`` exactly), on :data:`CACHE_SCHEMA_VERSION`, and on the source
-bytes of the simulation-relevant modules — never on process identity,
-``PYTHONHASHSEED``, or filesystem state.  Two processes hashing the same
-payload against the same checkout therefore produce the same key, and any
-edit to simulation semantics (or a deliberate schema bump) invalidates
-every previously stored entry at once.
+bytes of the modules whose results the cache stores — never on process
+identity, ``PYTHONHASHSEED``, or filesystem state.  Two processes hashing
+the same payload against the same checkout therefore produce the same
+key, and any edit to analysis or admission semantics (or a deliberate
+schema bump) invalidates every previously stored entry at once.
 """
 
 from __future__ import annotations
@@ -36,21 +36,11 @@ __all__ = [
 #: already covers (e.g. when the *meaning* of a stored payload changes).
 CACHE_SCHEMA_VERSION = 1
 
-#: Modules whose source participates in the code-version salt: an edit to
-#: any simulation, analysis, or admission semantics must orphan memoised
-#: verdicts.  The analysis modules are here because the admission
-#: service caches ``(schedulable, tested_by)`` decisions they compute.
+#: Modules whose source participates in the code-version salt: the ones
+#: whose results the cache stores.  The admission service caches
+#: ``(schedulable, tested_by)`` decisions the analysis modules compute, so
+#: an edit to any analysis or admission semantics must orphan them.
 _SALT_MODULES: tuple[str, ...] = (
-    "repro.sim.engine",
-    "repro.sim.token_ring",
-    "repro.sim.traffic",
-    "repro.sim.trace",
-    "repro.sim.pdp_sim",
-    "repro.sim.ttp_sim",
-    "repro.sim.fastpath",
-    "repro.sim.fastpath_ttp",
-    "repro.sim.dispatch",
-    "repro.sim.validate",
     "repro.analysis.rm",
     "repro.analysis.pdp",
     "repro.analysis.ttp",
@@ -110,8 +100,8 @@ def code_salt() -> str:
     """Digest of the schema version plus the salt modules' source bytes.
 
     Computed lazily (never at import time: resolving module specs imports
-    parent packages, which would cycle during ``repro.sim`` init) and
-    memoised per schema version.
+    parent packages, which would cycle during package init) and memoised
+    per schema version.
     """
     version = CACHE_SCHEMA_VERSION
     salt = _SALT_BY_VERSION.get(version)

@@ -1,8 +1,8 @@
 """Content-addressed result store: in-memory LRU plus an optional disk layer.
 
-The in-memory layer is always on and free: repeated validations of the
-same workload inside one process (fuzz rounds, benchmark repetitions,
-mutation campaigns) hit it without any configuration.  The disk layer is
+The in-memory layer is always on and free: repeated admission decisions
+on the same population inside one process (served checks, fuzz rounds)
+hit it without any configuration.  The disk layer is
 opt-in — via :func:`configure`, the runner's ``--cache-dir``, or the
 ``REPRO_CACHE_DIR`` environment variable — and persists entries across
 processes as ``<dir>/<namespace>/<key[:2]>/<key>.json``.
@@ -121,7 +121,7 @@ class ResultCache:
 
     # -- public API -----------------------------------------------------------
 
-    def get(self, key: str, namespace: str = "sim") -> object | None:
+    def get(self, key: str, namespace: str) -> object | None:
         """The stored payload, or None on a miss (including corruption)."""
         mkey = self._memory_key(key, namespace)
         if mkey in self._memory:
@@ -140,7 +140,7 @@ class ResultCache:
         tracing.add(cache_misses=1)
         return None
 
-    def put(self, key: str, payload: object, namespace: str = "sim") -> None:
+    def put(self, key: str, payload: object, namespace: str) -> None:
         """Store a payload under its content key."""
         self._remember(self._memory_key(key, namespace), payload)
         if self.directory is not None:

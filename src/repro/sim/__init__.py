@@ -3,9 +3,13 @@
 The simulators exist to *validate* the schedulability analyses: a message
 set that Theorem 4.1 / 5.1 declares schedulable must never miss a deadline
 in simulation, under critical-instant phasings and saturating asynchronous
-background traffic.  They also expose protocol-level quantities the
-analyses only bound — actual token rotation times, per-message response
-times, medium utilization — for the examples and ablation studies.
+background traffic.  Each protocol has one discrete-event simulator
+(:class:`PDPRingSimulator`, :class:`TTPRingSimulator`), which is the
+specification the analyses are checked against, plus the faithful 802.5
+model for the fidelity comparison.  They also expose protocol-level
+quantities the analyses only bound — actual token rotation times,
+per-message response times, medium utilization — for the examples and
+ablation studies.
 
 * :mod:`~repro.sim.engine` — a from-scratch event-queue kernel (the
   environment has no simpy; see DESIGN.md §5).
@@ -21,12 +25,6 @@ times, medium utilization — for the examples and ablation studies.
 * :mod:`~repro.sim.ttp_sim` — the timed token protocol with the FDDI
   timer rules (TRT, THT, late count) and synchronous bandwidths.
 * :mod:`~repro.sim.trace` — deadline accounting and rotation statistics.
-* :mod:`~repro.sim.fastpath` / :mod:`~repro.sim.fastpath_ttp` — the
-  event-compressing fast paths, bit identical to the scalar oracles on
-  every supported configuration (USAGE.md §13).
-* :mod:`~repro.sim.dispatch` — runs each input on its fast path where
-  supported, else on the scalar oracle, plus the content-addressed
-  result cache wrappers.
 * :mod:`~repro.sim.validate` — analysis-versus-simulation cross checks.
 """
 
@@ -36,9 +34,6 @@ from repro.sim.pdp_sim import PDPRingSimulator, PDPSimConfig
 from repro.sim.trace import DeadlineStats, SimulationReport
 from repro.sim.traffic import ArrivalPhasing, SynchronousTraffic
 from repro.sim.ttp_sim import TTPRingSimulator, TTPSimConfig
-from repro.sim.fastpath import run_pdp_fast
-from repro.sim.fastpath_ttp import run_ttp_fast
-from repro.sim.dispatch import cached_run_pdp, cached_run_ttp, run_pdp, run_ttp
 from repro.sim.validate import cross_validate_pdp, cross_validate_ttp
 
 __all__ = [
@@ -53,12 +48,6 @@ __all__ = [
     "ArrivalPhasing",
     "DeadlineStats",
     "SimulationReport",
-    "run_pdp_fast",
-    "run_ttp_fast",
-    "run_pdp",
-    "run_ttp",
-    "cached_run_pdp",
-    "cached_run_ttp",
     "cross_validate_pdp",
     "cross_validate_ttp",
 ]

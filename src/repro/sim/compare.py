@@ -13,8 +13,8 @@ analysis abstraction hides:
   so its response times are generally *larger*;
 * service-level quantization only exists in the faithful model.
 
-Used by the fidelity benchmark and available as a library utility for
-anyone extending either simulator.
+Pinned by ``tests/test_sim_compare.py`` and available as a library
+utility for anyone extending either simulator.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from repro.analysis.pdp import PDPVariant
 from repro.messages.message_set import MessageSet
 from repro.network.frames import FrameFormat
 from repro.network.ring import RingNetwork
-from repro.sim import dispatch
 from repro.sim.ieee8025 import IEEE8025Config, IEEE8025Simulator
-from repro.sim.pdp_sim import PDPSimConfig, TokenWalkModel
+from repro.sim.pdp_sim import PDPRingSimulator, PDPSimConfig, TokenWalkModel
 from repro.sim.trace import SimulationReport
 from repro.sim.traffic import ArrivalPhasing
 
@@ -79,7 +78,7 @@ def compare_pdp_fidelity(
     phasing: ArrivalPhasing = ArrivalPhasing.SIMULTANEOUS,
 ) -> FidelityComparison:
     """Run both PDP models on the same workload and pair the reports."""
-    abstract = dispatch.run_pdp(
+    abstract = PDPRingSimulator(
         ring,
         frame,
         message_set,
@@ -89,8 +88,7 @@ def compare_pdp_fidelity(
             async_saturating=True,
             token_walk=TokenWalkModel.ACTUAL,
         ),
-        duration_s,
-    )
+    ).run(duration_s)
     faithful = IEEE8025Simulator(
         ring,
         frame,

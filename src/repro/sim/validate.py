@@ -43,11 +43,10 @@ from repro.analysis.ttp import TTPAnalysis
 from repro.errors import SimulationError
 from repro.messages.message_set import MessageSet
 from repro.obs import logging as obslog
-from repro.sim import dispatch
-from repro.sim.pdp_sim import PDPSimConfig, TokenWalkModel
+from repro.sim.pdp_sim import PDPRingSimulator, PDPSimConfig, TokenWalkModel
 from repro.sim.trace import SimulationReport
 from repro.sim.traffic import ArrivalPhasing, SynchronousTraffic
-from repro.sim.ttp_sim import TTPSimConfig
+from repro.sim.ttp_sim import TTPRingSimulator, TTPSimConfig
 
 __all__ = [
     "HORIZON_CAP_PERIODS",
@@ -252,8 +251,7 @@ def cross_validate_pdp(
     the ``Θ/2`` expected token cost the theorem itself assumes — plus
     saturating asynchronous traffic and (by default) critical-instant
     phasing.  ``duration_periods`` is the *minimum* horizon in units of
-    ``P_max``; see :func:`default_validation_horizon`.  The run goes
-    through :func:`repro.sim.dispatch.cached_run_pdp` (USAGE.md §13).
+    ``P_max``; see :func:`default_validation_horizon`.
     """
     schedulable = analysis.is_schedulable(message_set)
     config = PDPSimConfig(
@@ -263,13 +261,9 @@ def cross_validate_pdp(
         token_walk=TokenWalkModel.AVERAGE,
     )
     duration = default_validation_horizon(message_set, duration_periods)
-    report = dispatch.cached_run_pdp(
-        analysis.ring,
-        analysis.frame,
-        message_set,
-        config,
-        duration,
-    )
+    report = PDPRingSimulator(
+        analysis.ring, analysis.frame, message_set, config
+    ).run(duration)
     expected = expected_invocations(message_set, duration, phasing)
     _assert_coverage(report, expected)
     return CrossValidation(
@@ -292,8 +286,7 @@ def cross_validate_ttp(
     unallocatable set (``q_i < 2``) is reported as analysis-unschedulable
     with a zero-length report, since there is no allocation to simulate.
     ``duration_periods`` is the *minimum* horizon in units of ``P_max``;
-    see :func:`default_validation_horizon`.  The run goes through
-    :func:`repro.sim.dispatch.cached_run_ttp` (USAGE.md §13).
+    see :func:`default_validation_horizon`.
     """
     result = analysis.analyze(message_set)
     if result.allocation is None:
@@ -303,14 +296,9 @@ def cross_validate_ttp(
         )
     config = TTPSimConfig(phasing=phasing, async_saturating=True)
     duration = default_validation_horizon(message_set, duration_periods)
-    report = dispatch.cached_run_ttp(
-        analysis.ring,
-        analysis.frame,
-        message_set,
-        result.allocation,
-        config,
-        duration,
-    )
+    report = TTPRingSimulator(
+        analysis.ring, analysis.frame, message_set, result.allocation, config
+    ).run(duration)
     expected = expected_invocations(message_set, duration, phasing)
     _assert_coverage(report, expected)
     return CrossValidation(

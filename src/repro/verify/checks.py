@@ -12,7 +12,12 @@ The properties:
 ``pdp_vs_sim`` / ``ttp_vs_sim``
     The theorems are *sufficient* conditions — an accepted set must never
     miss a deadline in adversarial simulation (critical-instant phasing,
-    saturating asynchronous traffic).
+    saturating asynchronous traffic).  These two, like
+    ``analysis_sound_under_loss`` and ``fault_plan_determinism`` below,
+    run the discrete-event simulators themselves
+    (:class:`~repro.sim.pdp_sim.PDPRingSimulator`,
+    :class:`~repro.sim.ttp_sim.TTPRingSimulator`): they are the
+    specification, and no second implementation stands in for them.
 ``scalar_vector_augmented`` / ``scalar_vector_split`` /
 ``scalar_vector_visits`` / ``breakdown_batch``
     Every scalar/batched implementation pair must agree **bit for bit**;
@@ -41,12 +46,6 @@ The properties:
     its stratified mode must agree with an independent fixed-N estimate
     within the combined confidence intervals — stratification may
     reshuffle *where* periods land, never *what* is being estimated.
-``pdp_fastpath_equiv`` / ``ttp_fastpath_equiv``
-    The event-compressing fast paths (:mod:`repro.sim.fastpath`,
-    :mod:`repro.sim.fastpath_ttp`) must reproduce the scalar oracles'
-    reports **bit for bit** — every response time, rotation statistic,
-    busy total, and verdict — on every supported configuration.  Like
-    the scalar/vector pairs, the fast paths are pure performance work.
 ``service_batch_equiv``
     The admission service's micro-batcher
     (:class:`~repro.service.batcher.MicroBatcher`, coalescing concurrent
@@ -154,9 +153,6 @@ from repro.messages.stream import SynchronousStream
 from repro.obs import tracing as tracing_mod
 from repro.service import batcher as batcher_mod
 from repro.network.standards import fddi_ring, ieee_802_5_ring, paper_frame_format
-from repro.sim import dispatch as dispatch_mod
-from repro.sim import fastpath as fastpath_mod
-from repro.sim import fastpath_ttp as fastpath_ttp_mod
 from repro.sim.pdp_sim import PDPRingSimulator, PDPSimConfig, TokenWalkModel
 from repro.sim.trace import SimulationReport
 from repro.sim.traffic import ArrivalPhasing
@@ -523,147 +519,6 @@ def check_scale_invariance(case: FuzzCase) -> Violation | None:
                 f"TTP breakdown utilization moved under payload scale {s}: "
                 f"λ(M)={base!r} but λ(sM)·s={scaled * s!r}",
             )
-    return None
-
-
-# -- fast path versus scalar oracle --------------------------------------------
-
-
-def _report_diff(scalar: SimulationReport, fast: SimulationReport) -> str | None:
-    """First bit-level difference between two reports, or None."""
-    for name in ("duration", "sync_busy_time", "async_busy_time", "token_time"):
-        a, b = getattr(scalar, name), getattr(fast, name)
-        if a != b:
-            return f"{name}: scalar={a!r} fast={b!r}"
-    if len(scalar.streams) != len(fast.streams):
-        return f"stream count: scalar={len(scalar.streams)} fast={len(fast.streams)}"
-    for a, b in zip(scalar.streams, fast.streams):
-        if vars(a) != vars(b):
-            return f"stream {a.stream_index}: scalar={vars(a)!r} fast={vars(b)!r}"
-    if len(scalar.rotations) != len(fast.rotations):
-        return (
-            f"rotation count: scalar={len(scalar.rotations)} "
-            f"fast={len(fast.rotations)}"
-        )
-    for a, b in zip(scalar.rotations, fast.rotations):
-        if vars(a) != vars(b):
-            return f"rotation {a.station}: scalar={vars(a)!r} fast={vars(b)!r}"
-    return None
-
-
-#: Horizon for the equivalence checks, in periods of the longest stream.
-#: Deliberately *without* the hyperperiod extension the vs-sim checks use:
-#: bit identity holds at any horizon, and a short one keeps the doubled
-#: (scalar + fast) simulation cost inside the fuzz budget.
-_EQUIV_PERIODS = 2.0
-
-#: Scalar-event budget per equivalence run.  The scalar oracles pay a
-#: heap event per frame (PDP, saturating) or per token visit (TTP), so
-#: high-bandwidth cases would burn the whole fuzz budget re-simulating
-#: idle rotations; the horizon is clamped so the scalar side stays under
-#: roughly this many events (the cheap per-event floors below are
-#: conservative, so real runs come in at or below it).
-_EQUIV_EVENT_BUDGET = 1500
-
-
-def _equiv_config_index(case: FuzzCase) -> int:
-    """Which of the two probe configs this case exercises (0 or 1).
-
-    Alternates per *round* of the six-family kind rotation (``index =
-    6·round + family`` → parity of ``round + family``), so every
-    generator family meets both configs across consecutive rounds; a
-    plain index parity would pin each family to a single config.
-    """
-    return (case.index // 6 + case.index) % 2
-
-
-def check_pdp_fastpath_equiv(case: FuzzCase) -> Violation | None:
-    """The PDP fast path must match the scalar oracle bit for bit."""
-    if max(case.periods_s) > _SIM_MAX_PERIOD_S:
-        return None
-    frame = _frame()
-    ring = ieee_802_5_ring(case.bandwidth_bps, n_stations=case.n_stations)
-    message_set = case.message_set()
-    duration = _EQUIV_PERIODS * max(case.periods_s)
-    config = (
-        PDPSimConfig(
-            variant=PDPVariant.STANDARD,
-            phasing=ArrivalPhasing.SIMULTANEOUS,
-            async_saturating=True,
-            token_walk=TokenWalkModel.AVERAGE,
-            collect_responses=True,
-        ),
-        PDPSimConfig(
-            variant=PDPVariant.MODIFIED,
-            phasing=ArrivalPhasing.STAGGERED,
-            async_saturating=False,
-            token_walk=TokenWalkModel.ACTUAL,
-            collect_responses=True,
-        ),
-    )[_equiv_config_index(case)]
-    if config.async_saturating:
-        # Saturating filler sends one full frame per scalar event.
-        occupancy = max(frame.frame_time(ring.bandwidth_bps), ring.theta)
-        duration = min(duration, _EQUIV_EVENT_BUDGET * occupancy)
-    scalar = PDPRingSimulator(ring, frame, message_set, config).run(duration)
-    # Through the module attribute so mutation smoke can hot-patch it.
-    fast = fastpath_mod.run_pdp_fast(ring, frame, message_set, config, duration)
-    diff = _report_diff(scalar, fast)
-    if diff is not None:
-        return Violation(
-            "pdp_fastpath_equiv",
-            case,
-            f"fast path diverged from the scalar oracle "
-            f"({config.variant.value}, saturating="
-            f"{config.async_saturating}): {diff}",
-        )
-    return None
-
-
-def check_ttp_fastpath_equiv(case: FuzzCase) -> Violation | None:
-    """The TTP fast path must match the scalar oracle bit for bit."""
-    if max(case.periods_s) > _SIM_MAX_PERIOD_S:
-        return None
-    analysis = _ttp_analysis(case)
-    message_set = case.message_set()
-    try:
-        allocation = analysis.analyze(message_set).allocation
-    except ReproError:
-        return None
-    if allocation is None:
-        return None  # unallocatable (q_i < 2): nothing to simulate
-    # The scalar oracle pays one event per token visit and a visit takes
-    # at least one Θ/n hop, so this clamp bounds its event count.
-    duration = min(
-        _EQUIV_PERIODS * max(case.periods_s),
-        _EQUIV_EVENT_BUDGET * analysis.ring.theta / case.n_stations,
-    )
-    config = (
-        TTPSimConfig(
-            phasing=ArrivalPhasing.SIMULTANEOUS,
-            async_saturating=True,
-            collect_responses=True,
-        ),
-        TTPSimConfig(
-            phasing=ArrivalPhasing.STAGGERED,
-            async_saturating=False,
-            collect_responses=True,
-        ),
-    )[_equiv_config_index(case)]
-    scalar = TTPRingSimulator(
-        analysis.ring, analysis.frame, message_set, allocation, config
-    ).run(duration)
-    fast = fastpath_ttp_mod.run_ttp_fast(
-        analysis.ring, analysis.frame, message_set, allocation, config, duration
-    )
-    diff = _report_diff(scalar, fast)
-    if diff is not None:
-        return Violation(
-            "ttp_fastpath_equiv",
-            case,
-            f"fast path diverged from the scalar oracle (saturating="
-            f"{config.async_saturating}): {diff}",
-        )
     return None
 
 
@@ -1158,6 +1013,51 @@ def check_admission_tracing_equiv(case: FuzzCase) -> Violation | None:
 # -- lossy medium ---------------------------------------------------------------
 
 
+#: Oracle-event budget per fault-injected run.  The oracles pay a heap
+#: event per frame (PDP, saturating) or per token visit (TTP), so
+#: high-bandwidth cases would burn the whole fuzz budget re-simulating
+#: idle rotations; the horizon is clamped so a run stays near a multiple
+#: of this many events (the cheap per-event floors below are
+#: conservative, so real runs come in at or below it).
+_SIM_EVENT_BUDGET = 1500
+
+
+def _config_parity(case: FuzzCase) -> int:
+    """Which of two configurations this case exercises (0 or 1).
+
+    Alternates per *round* of the six-family kind rotation (``index =
+    6·round + family`` → parity of ``round + family``), so every
+    generator family meets both configurations across consecutive
+    rounds; a plain index parity would pin each family to one.
+    """
+    return (case.index // 6 + case.index) % 2
+
+
+def _report_diff(first: SimulationReport, second: SimulationReport) -> str | None:
+    """First bit-level difference between two reports, or None."""
+    for name in ("duration", "sync_busy_time", "async_busy_time", "token_time"):
+        a, b = getattr(first, name), getattr(second, name)
+        if a != b:
+            return f"{name}: first={a!r} second={b!r}"
+    if len(first.streams) != len(second.streams):
+        return (
+            f"stream count: first={len(first.streams)} "
+            f"second={len(second.streams)}"
+        )
+    for a, b in zip(first.streams, second.streams):
+        if vars(a) != vars(b):
+            return f"stream {a.stream_index}: first={vars(a)!r} second={vars(b)!r}"
+    if len(first.rotations) != len(second.rotations):
+        return (
+            f"rotation count: first={len(first.rotations)} "
+            f"second={len(second.rotations)}"
+        )
+    for a, b in zip(first.rotations, second.rotations):
+        if vars(a) != vars(b):
+            return f"rotation {a.station}: first={vars(a)!r} second={vars(b)!r}"
+    return None
+
+
 def _fault_budget_for(case: FuzzCase) -> FaultBudget:
     """A deterministic fault budget rotated across three shapes per case.
 
@@ -1198,14 +1098,7 @@ def _plan_at_budget(case: FuzzCase, budget: FaultBudget) -> FaultPlan:
 
 
 def check_analysis_sound_under_loss(case: FuzzCase) -> Violation | None:
-    """Fault-aware acceptance must survive fault-injected simulation.
-
-    Routed through :mod:`repro.sim.dispatch` on purpose: fault plans must
-    force the counted fallback to the scalar oracles, so this property
-    also referees the refusal machinery (a fast path that silently
-    ignored the plan would simulate a fault-free ring and could mask an
-    unsound inflation — or miss deadlines the analysis did cover).
-    """
+    """Fault-aware acceptance must survive fault-injected simulation."""
     if max(case.periods_s) > _SIM_MAX_PERIOD_S:
         return None
     message_set = case.message_set()
@@ -1213,7 +1106,7 @@ def check_analysis_sound_under_loss(case: FuzzCase) -> Violation | None:
     plan = _plan_at_budget(case, budget)
     frame = _frame()
 
-    variant = (PDPVariant.STANDARD, PDPVariant.MODIFIED)[_equiv_config_index(case)]
+    variant = (PDPVariant.STANDARD, PDPVariant.MODIFIED)[_config_parity(case)]
     analysis = _pdp_analysis(case, variant)
     if faults_analysis_mod.pdp_fault_aware_schedulable(analysis, message_set, budget):
         config = PDPSimConfig(
@@ -1226,11 +1119,11 @@ def check_analysis_sound_under_loss(case: FuzzCase) -> Violation | None:
         occupancy = max(frame.frame_time(analysis.ring.bandwidth_bps), analysis.ring.theta)
         duration = min(
             _SIM_PERIODS * max(case.periods_s),
-            4 * _EQUIV_EVENT_BUDGET * occupancy,
+            4 * _SIM_EVENT_BUDGET * occupancy,
         )
-        report = dispatch_mod.cached_run_pdp(
-            analysis.ring, frame, message_set, config, duration
-        )
+        report = PDPRingSimulator(
+            analysis.ring, frame, message_set, config
+        ).run(duration)
         if not report.deadline_safe:
             missed = [
                 (s.stream_index, s.missed) for s in report.streams if s.missed
@@ -1258,11 +1151,11 @@ def check_analysis_sound_under_loss(case: FuzzCase) -> Violation | None:
     )
     duration = min(
         _SIM_PERIODS * max(case.periods_s),
-        4 * _EQUIV_EVENT_BUDGET * ttp.ring.theta / case.n_stations,
+        4 * _SIM_EVENT_BUDGET * ttp.ring.theta / case.n_stations,
     )
-    report = dispatch_mod.cached_run_ttp(
-        ttp.ring, frame, message_set, allocation, config, duration
-    )
+    report = TTPRingSimulator(
+        ttp.ring, frame, message_set, allocation, config
+    ).run(duration)
     if not report.deadline_safe:
         missed = [(s.stream_index, s.missed) for s in report.streams if s.missed]
         return Violation(
@@ -1317,7 +1210,7 @@ def check_fault_plan_determinism(case: FuzzCase) -> Violation | None:
     message_set = case.message_set()
     occupancy = max(frame.frame_time(ring.bandwidth_bps), ring.theta)
     duration = min(
-        _EQUIV_PERIODS * max(case.periods_s), _EQUIV_EVENT_BUDGET * occupancy
+        _SIM_PERIODS * max(case.periods_s), _SIM_EVENT_BUDGET * occupancy
     )
 
     def run(faults: FaultPlan | None) -> SimulationReport:
@@ -1809,8 +1702,6 @@ CHECKS: dict[str, Callable[[FuzzCase], Violation | None]] = {
     "breakdown_batch": check_breakdown_batch,
     "shrink_monotonic": check_shrink_monotonic,
     "scale_invariance": check_scale_invariance,
-    "pdp_fastpath_equiv": check_pdp_fastpath_equiv,
-    "ttp_fastpath_equiv": check_ttp_fastpath_equiv,
     "service_batch_equiv": check_service_batch_equiv,
     "admission_snapshot_equiv": check_admission_snapshot_equiv,
     "admission_cache_equiv": check_admission_cache_equiv,

@@ -7,7 +7,10 @@ any property fired.  A harness that cannot flag these deliberate bugs
 would be giving vacuous green lights — ``make fuzz-quick`` therefore
 requires **every** mutant to be detected.
 
-The mutants, and the property expected to catch each:
+The eighteen mutants, and the property expected to catch each (the
+simulation properties run the discrete-event simulators themselves, so
+an analysis bug is caught against the specification, not against a
+second implementation of it):
 
 ``boundary_absolute_epsilon``
     The scalar token-visit rule reverts to the historical
@@ -32,12 +35,6 @@ The mutants, and the property expected to catch each:
     unconditionally, overcounting frames at exact info-field multiples →
     caught bit-for-bit by ``scalar_vector_split`` /
     ``scalar_vector_augmented``.
-``pdp_fastpath_short_frame``
-    The PDP fast path's short-last-frame occupancy drops the ``Θ`` floor
-    (``(chunk + ovh)/bw`` instead of ``max(…, Θ)``) — undercharging
-    every sub-frame tail in the high-bandwidth regime where wire time
-    beats the ring latency → caught bit-for-bit by
-    ``pdp_fastpath_equiv`` against the scalar oracle.
 ``decision_key_stale_base``
     :meth:`~repro.admission.AdmissionController.release` forgets to drop
     the memoised population digest of the decision key (the population
@@ -245,10 +242,6 @@ def _buggy_split_counts(self, payloads_bits):
     return total, full
 
 
-def _buggy_short_frame_occupancy(chunk_bits, overhead_bits, bandwidth_bps, theta):
-    return (chunk_bits + overhead_bits) / bandwidth_bps  # BUG: drops the Θ floor
-
-
 def _buggy_release(self, stream_id, idempotent=False):
     from repro.admission import ReleaseOutcome
     from repro.errors import AdmissionError
@@ -377,7 +370,6 @@ def _patch_sites(mutant: str) -> list[tuple[object, str, object]]:
     from repro.analysis import sba as sba_mod
     from repro.analysis import ttp as ttp_mod
     from repro.network import frames as frames_mod
-    from repro.sim import fastpath as fastpath_mod
 
     if mutant == "boundary_absolute_epsilon":
         return [
@@ -398,10 +390,6 @@ def _patch_sites(mutant: str) -> list[tuple[object, str, object]]:
     if mutant == "split_counts_overshoot":
         return [
             (frames_mod.FrameFormat, "split_counts", _buggy_split_counts)
-        ]
-    if mutant == "pdp_fastpath_short_frame":
-        return [
-            (fastpath_mod, "_short_frame_occupancy", _buggy_short_frame_occupancy)
         ]
     if mutant == "decision_key_stale_base":
         from repro.admission import AdmissionController
@@ -485,7 +473,6 @@ MUTANTS: tuple[str, ...] = (
     "pdp_short_frame_dropped",
     "ttp_budget_off_by_one",
     "split_counts_overshoot",
-    "pdp_fastpath_short_frame",
     "decision_key_stale_base",
     "admission_snapshot_stale",
     "admission_group_sum_stale",

@@ -2,7 +2,8 @@
 
 DESIGN.md, EXPERIMENTS.md, THEORY.md, USAGE.md and README.md point at
 modules and tests by path and at make targets by name; refactors must
-not silently orphan those references.
+not silently orphan those references.  The Makefile's runner and example
+recipes must work in the documented uninstalled checkout.
 """
 
 import pathlib
@@ -69,6 +70,38 @@ def test_make_targets_exist(doc):
         set(re.findall(r"`make ([A-Za-z0-9_\-]+)", text)) - targets
     )
     assert not missing, f"{doc.name} names missing make targets: {missing}"
+
+
+def _recipe_commands(makefile: str) -> list[str]:
+    """Each recipe command of the Makefile, continuation lines joined."""
+    commands, current = [], ""
+    for line in makefile.splitlines():
+        if not (line.startswith("\t") or current):
+            continue
+        current += line.strip().rstrip("\\") + " "
+        if not line.endswith("\\"):
+            commands.append(current.strip())
+            current = ""
+    return commands
+
+
+def test_make_recipes_run_the_package_from_src():
+    """Every recipe that runs the runner or an example puts ``src`` on
+    ``PYTHONPATH``, so the targets work in an uninstalled checkout."""
+    makefile = (ROOT / "Makefile").read_text(encoding="utf-8")
+    commands = [
+        command
+        for command in _recipe_commands(makefile)
+        if "repro.experiments.runner" in command or "examples/" in command
+    ]
+    assert commands
+    bare = [
+        command
+        for command in commands
+        if command.count("$(PYTHON)")
+        != len(re.findall(r"PYTHONPATH=src\S*\s+\$\(PYTHON\)", command))
+    ]
+    assert not bare, f"recipes without PYTHONPATH=src: {bare}"
 
 
 def test_module_references_import():

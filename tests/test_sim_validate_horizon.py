@@ -134,6 +134,21 @@ class TestHyperperiodOverflow:
         assert first <= HORIZON_CAP_PERIODS * 0.103
 
 
+class TestHyperperiodMemo:
+    def test_rational_hyperperiod_memoised(self):
+        periods = (0.02, 0.03, 0.05)
+        first = validate_mod._rational_hyperperiod(periods)
+        assert (periods, 1_000_000) in validate_mod._HYPERPERIOD_MEMO
+        assert validate_mod._rational_hyperperiod(periods) == first
+        # A different denominator bound is a different computation.
+        coarse = validate_mod._rational_hyperperiod(periods, max_denominator=10)
+        assert (periods, 10) in validate_mod._HYPERPERIOD_MEMO
+        assert (
+            validate_mod._rational_hyperperiod(periods, max_denominator=10)
+            == coarse
+        )
+
+
 class TestExpectedInvocations:
     def test_counts_only_in_horizon_deadlines(self):
         # Period 0.4 over 1.0 s: releases at 0, 0.4, 0.8; deadlines at

@@ -15,10 +15,11 @@ supposed to honour:
 * the CSV uses the current 10-column schema.
 
 Two short ``runner fuzz --cache-dir D`` runs then hold the result
-cache's cross-process disk contract (USAGE.md §13): the first must
-show ``cache.sim.writes`` in its manifest and leave entries under
-``D/sim``, the second, a fresh process against the same ``D``, must
-show ``cache.sim.hits``.
+cache's cross-process disk contract (USAGE.md §13) on the admission
+namespace, which the fuzz campaign's admission properties fill: the
+first must show ``cache.admission.writes`` in its manifest and leave
+entries under ``D/admission``, the second, a fresh process against the
+same ``D``, must show ``cache.admission.hits`` and no misses.
 
 It then smoke-tests the verification harness itself
 (:mod:`repro.verify`): the mutation smoke must flag **every**
@@ -174,29 +175,46 @@ def run_smoke() -> None:
         # -- result cache across processes ------------------------------
         # Keys are content-addressed, so nothing about process identity
         # may change them: a second process against the same directory
-        # must hit what the first one persisted.
-        for run, event in ((1, "writes"), (2, "hits")):
-            fuzz_manifest = _run_cached_fuzz(env, cache_dir, tmp, run)
-            count = fuzz_manifest["metrics"].get(f"cache.sim.{event}", {})
-            if not count.get("value", 0) > 0:
-                raise AssertionError(
-                    f"fuzz run {run} against --cache-dir shows no "
-                    f"cache.sim.{event} in its manifest"
-                )
-            if run == 1 and not any(
-                name.endswith(".json")
-                for _, _, files in os.walk(os.path.join(cache_dir, "sim"))
-                for name in files
-            ):
-                raise AssertionError(
-                    f"--cache-dir wrote no sim entries under {cache_dir}"
-                )
+        # must answer every lookup from what the first one persisted.
+        # (The admission properties repeat populations within one run,
+        # so hits alone would not show the disk layer at work.)
+        first = _run_cached_fuzz(env, cache_dir, tmp, 1)
+        if not _admission_count(first, "writes") > 0:
+            raise AssertionError(
+                "fuzz run 1 against --cache-dir shows no "
+                "cache.admission.writes in its manifest"
+            )
+        if not any(
+            name.endswith(".json")
+            for _, _, files in os.walk(os.path.join(cache_dir, "admission"))
+            for name in files
+        ):
+            raise AssertionError(
+                f"--cache-dir wrote no admission entries under {cache_dir}"
+            )
+        second = _run_cached_fuzz(env, cache_dir, tmp, 2)
+        lookups = {
+            event: _admission_count(second, event)
+            for event in ("hits", "misses")
+        }
+        if not (lookups["hits"] > 0 and lookups["misses"] == 0):
+            raise AssertionError(
+                f"fuzz run 2 against the same --cache-dir shows {lookups}: "
+                "a fresh process must answer every admission lookup from "
+                "the first run's entries"
+            )
 
     print(
         "verify_smoke: ok (manifest, exact-test misses == kernel builds == "
-        "distinct period vectors, JSONL log, CSV schema, sim-cache hits "
-        "across processes)"
+        "distinct period vectors, JSONL log, CSV schema, admission-cache "
+        "hits across processes)"
     )
+
+
+def _admission_count(manifest: dict, event: str) -> float:
+    """A manifest's ``cache.admission.<event>`` counter (0 when absent)."""
+    metric = manifest["metrics"].get(f"cache.admission.{event}", {})
+    return metric.get("value", 0)
 
 
 def _run_cached_fuzz(env: dict, cache_dir: str, tmp: str, run: int) -> dict:
@@ -389,8 +407,7 @@ def run_loss_canary() -> None:
         pdp_fault_aware_schedulable,
         rate_for_loss_fraction,
     )
-    from repro.sim import dispatch
-    from repro.sim.pdp_sim import PDPSimConfig
+    from repro.sim.pdp_sim import PDPRingSimulator, PDPSimConfig
 
     params = PaperParameters().scaled_down(n_stations=8, monte_carlo_sets=4)
     result, _ = loss_sweep(
@@ -436,13 +453,12 @@ def run_loss_canary() -> None:
                 token_loss_rate_hz=budget.token_loss_rate_hz,
                 recovery_time_s=_LOSS_RECOVERY_S,
             )
-            report = dispatch.run_pdp(
+            report = PDPRingSimulator(
                 analysis.ring,
                 analysis.frame,
                 probe,
                 PDPSimConfig(faults=plan),
-                4.0 * probe.max_period,
-            )
+            ).run(4.0 * probe.max_period)
             if not report.deadline_safe:
                 missed = [
                     s.stream_index for s in report.streams if s.missed > 0
