@@ -24,8 +24,15 @@ worst-case response-time bounds from the same machinery:
   — at most ``P_i + h_i`` in general and below ``P_i`` whenever the
   protocol constraint leaves slack, consistent with Theorem 5.1.
 
-Both bounds are validated against the discrete-event simulators: observed
-worst responses never exceed them (`tests/test_analysis_response.py`).
+Both bounds are validated against the discrete-event simulators
+(`tests/test_analysis_response.py`).  The PDP bound charges the *average*
+token walk, ``Θ/2`` per token pass, as Theorem 4.1 does, so it bounds the
+PDP simulator run with ``TokenWalkModel.AVERAGE``.  Under
+``TokenWalkModel.ACTUAL`` a station that sends again waits a full lap
+``Θ``, and observed worst responses can exceed the bound: by 5% on a
+harmonic four-stream set on an 8-station 10 Mbps ring, which still met
+every deadline.  The TTP bound is checked against the TTP
+simulator's worst responses.
 """
 
 from __future__ import annotations
@@ -83,6 +90,11 @@ def pdp_response_bounds(
     Streams whose recurrence exceeds the deadline are reported with
     ``bound_s = inf`` (Theorem 4.1 rejects them; past-deadline fixed
     points are not meaningful response times).
+
+    The augmented lengths charge the average token walk, ``Θ/2`` per
+    token pass, so the bound assumes it: it bounds the simulator's worst
+    responses under ``TokenWalkModel.AVERAGE``, not under
+    ``TokenWalkModel.ACTUAL`` (see the module docstring).
     """
     if len(message_set) == 0:
         return []

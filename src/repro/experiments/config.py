@@ -141,7 +141,7 @@ class PaperParameters:
             n_streams=self.n_stations, periods=self.period_distribution()
         )
 
-    def sample_population(self) -> PreparedSets:
+    def sample_population(self, chunk: int | None = None) -> PreparedSets:
         """The ``monte_carlo_sets`` workloads drawn from ``seed``, prepared.
 
         A sweep draws this once and hands it to every cell it compares,
@@ -154,10 +154,17 @@ class PaperParameters:
         and variant to them, and every TTP cell and saturated-utilization
         pass reads the matrices.  Each call draws afresh from a new
         generator.
+
+        ``chunk=k`` is instead chunk ``k`` of a streaming estimate: the
+        ``monte_carlo_sets`` sets drawn from ``default_rng([seed, k])``
+        with ``mc_strata`` period strata.  Chunks depend on ``seed`` and
+        ``k`` alone, so every protocol sees the same chunk ``k``.
         """
-        population = self.sampler().sample_many(
-            np.random.default_rng(self.seed), self.monte_carlo_sets
-        )
+        if chunk is None:
+            rng, strata = np.random.default_rng(self.seed), 1
+        else:
+            rng, strata = np.random.default_rng([self.seed, chunk]), self.mc_strata
+        population = self.sampler().sample_many(rng, self.monte_carlo_sets, strata)
         with tracing.span("population/prepare"):
             return PreparedSets(population)
 
@@ -180,8 +187,9 @@ class PaperParameters:
     def with_streaming_mc(self, eps: float, strata: int = 1) -> "PaperParameters":
         """A copy that runs Monte Carlo cells as streaming estimates.
 
-        ``monte_carlo_sets`` becomes the per-chunk size; the cell stops
-        when the CI half-width drops below ``eps`` (hard-capped, see
+        ``monte_carlo_sets`` becomes the per-chunk size (chunks come from
+        :meth:`sample_population`); the cell stops when the CI half-width
+        drops below ``eps`` (hard-capped, see
         :func:`repro.analysis.montecarlo
         .streaming_average_breakdown_utilization`).
         """

@@ -214,8 +214,27 @@ class Figure1Result:
         )
 
 
+class _SweepChunks:
+    """The streaming chunks of one sweep, drawn and prepared on first use.
+
+    ``chunks(k)`` is :meth:`PaperParameters.sample_population` with
+    ``chunk=k``, kept for the rest of the sweep, so a process draws and
+    prepares each chunk at most once however many cells fold it.  It
+    pickles while empty, so each worker process grows its own list.
+    """
+
+    def __init__(self, params: PaperParameters):
+        self._params = params
+        self._drawn: list[PreparedSets] = []
+
+    def __call__(self, k: int) -> PreparedSets:
+        while len(self._drawn) <= k:
+            self._drawn.append(self._params.sample_population(len(self._drawn)))
+        return self._drawn[k]
+
+
 def _figure1_cell(
-    shared: "tuple[PaperParameters, PreparedSets | None]",
+    shared: "tuple[PaperParameters, PreparedSets | _SweepChunks]",
     task: tuple[float, str, float],
 ) -> "AverageBreakdownEstimate | StreamingBreakdownEstimate":
     """One (bandwidth, protocol) cell of the Figure 1 grid.
@@ -227,13 +246,13 @@ def _figure1_cell(
     order — the paired-sampling guarantee the figure's cross-protocol
     comparison rests on.
 
-    With ``params.mc_eps`` set the population is None and the cell runs
-    the accuracy-targeted streaming estimator instead of fixed-N
-    sampling: ``monte_carlo_sets`` becomes the chunk size and the cell
-    stops at the target CI half-width.  Chunks derive from
-    ``params.seed`` and the chunk index alone, so the three protocols
-    still see identical workload chunks (paired sampling — and with it,
-    paired stratification — is preserved).
+    With ``params.mc_eps`` set the population is the sweep's streaming
+    chunks instead, and the cell runs the accuracy-targeted streaming
+    estimator: ``monte_carlo_sets`` becomes the chunk size and the cell
+    stops at the target CI half-width.  Chunk ``k`` derives from
+    ``params.seed`` and ``k`` alone, so the three protocols still see
+    identical workload chunks (paired sampling — and with it, paired
+    stratification — is preserved).
     """
     params, population = shared
     bandwidth, protocol, rel_tol = task
@@ -246,20 +265,17 @@ def _figure1_cell(
     else:  # pragma: no cover - protocol list is closed
         raise ConfigurationError(f"unknown Figure 1 protocol: {protocol!r}")
     with tracing.span(f"figure1/bw{bandwidth:g}/{protocol}"):
-        if population is None:
-            return streaming_average_breakdown_utilization(
-                analysis,
-                params.sampler(),
-                mbps(bandwidth),
-                seed=params.seed,
-                eps=params.mc_eps,
-                chunk_sets=params.monte_carlo_sets,
-                max_sets=params.monte_carlo_sets * 64,
-                strata=params.mc_strata,
-                rel_tol=rel_tol,
+        if params.mc_eps is None:
+            return average_breakdown_utilization(
+                analysis, population, mbps(bandwidth), rel_tol=rel_tol
             )
-        return average_breakdown_utilization(
-            analysis, population, mbps(bandwidth), rel_tol=rel_tol
+        return streaming_average_breakdown_utilization(
+            analysis,
+            population,
+            mbps(bandwidth),
+            eps=params.mc_eps,
+            max_chunks=64,
+            rel_tol=rel_tol,
         )
 
 
@@ -283,11 +299,16 @@ def run_figure1(
             per set, one stacked kernel); both are sent to each worker
             once.  Every cell evaluates that same population, so every
             ``jobs`` value produces the identical result, and no cell
-            looks up or builds an exact test.
+            looks up or builds an exact test.  A streaming sweep
+            (``mc_eps`` set) draws and prepares its chunks on demand
+            instead, each once inline and once per worker.
     """
     params = parameters if parameters is not None else PaperParameters()
-    # Streaming cells draw their own chunks by index (see _figure1_cell).
-    population = None if params.mc_eps is not None else params.sample_population()
+    population = (
+        params.sample_population()
+        if params.mc_eps is None
+        else _SweepChunks(params)
+    )
     tasks = [
         (bandwidth, protocol, rel_tol)
         for bandwidth in bandwidths_mbps

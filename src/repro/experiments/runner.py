@@ -705,13 +705,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--mc-eps", type=float, default=None, metavar="EPS",
-        help="run Monte Carlo cells as streaming estimates stopping at "
-        "CI half-width EPS (default: fixed-N paper sampling)",
+        help="run the Figure 1 cells (figure1, all, report) as streaming "
+        "estimates stopping at CI half-width EPS (default: fixed-N paper "
+        "sampling); other experiments' cells stay fixed-N",
     )
     parser.add_argument(
         "--mc-strata", type=int, default=None, metavar="S",
         help="Latin-hypercube period strata per streaming chunk "
-        "(default: 1)",
+        "(default: 1; requires --mc-eps)",
     )
     parser.add_argument(
         "--loss-fractions", type=str, default=None, metavar="L0,L1,...",
@@ -779,6 +780,10 @@ def main(argv: list[str] | None = None) -> int:
         help="do not write a run manifest",
     )
     args = parser.parse_args(argv)
+    if args.mc_strata is not None and args.mc_eps is None:
+        parser.error(
+            "--mc-strata needs --mc-eps (only streaming chunks are stratified)"
+        )
 
     obslog.setup_logging(
         level=args.log_level, json_path=args.log_json, quiet=args.quiet
@@ -798,7 +803,7 @@ def main(argv: list[str] | None = None) -> int:
 
     params = build_parameters(args.fast, args.sets, args.stations)
     if args.mc_eps is not None:
-        # --mc-eps switches the Monte Carlo cells to accuracy-targeted
+        # --mc-eps switches the Figure 1 cells to accuracy-targeted
         # streaming estimation.
         params = params.with_streaming_mc(
             args.mc_eps,

@@ -184,33 +184,19 @@ class MessageSetSampler:
         return self._assemble(periods, payloads)
 
     def sample_many(
-        self, rng: np.random.Generator, count: int
+        self, rng: np.random.Generator, count: int, strata: int = 1
     ) -> list[MessageSet]:
-        """Draw ``count`` independent message sets."""
-        if count < 0:
-            raise ConfigurationError(f"count must be non-negative, got {count!r}")
-        return [self.sample(rng) for _ in range(count)]
+        """Draw ``count`` message sets, with optional period stratification.
 
-    def sample_many_stratified(
-        self,
-        rng: np.random.Generator,
-        count: int,
-        *,
-        strata: int = 1,
-    ) -> list[MessageSet]:
-        """Draw ``count`` sets with optional period stratification.
-
-        With ``strata == 1`` this is *exactly* :meth:`sample_many` — same
-        generator consumption, bit-identical sets — so the streaming
-        estimator's plain mode matches the fixed-N path sample for sample.
-
-        ``strata = S > 1`` applies Latin-hypercube stratification to the
-        *periods*: sets are produced in rounds of ``S``, and within a
-        round every stream coordinate visits each of the ``S`` equal
-        period sub-intervals exactly once (a fresh random permutation per
-        coordinate keeps coordinates independent).  Each marginal period
-        sample is still exactly Uniform(P_min, P_max), so the estimator
-        stays unbiased while the period-driven variance component shrinks.
+        With ``strata == 1`` the sets are independent draws of
+        :meth:`sample`.  ``strata = S > 1`` applies Latin-hypercube
+        stratification to the *periods*: sets are produced in rounds of
+        ``S``, and within a round every stream coordinate visits each of
+        the ``S`` equal period sub-intervals exactly once (a fresh random
+        permutation per coordinate keeps coordinates independent).  Each
+        marginal period sample is still exactly Uniform(P_min, P_max), so
+        an estimator over the sets stays unbiased while the period-driven
+        variance component shrinks.
 
         Rounds are truncated to ``count`` sets; pass a ``count`` that is a
         multiple of ``strata`` to keep whole rounds.

@@ -1408,15 +1408,19 @@ def check_mc_streaming_equiv(case: FuzzCase) -> Violation | None:
     mc_seed = case.seed * 3_000_017 + case.index
     bandwidth = case.bandwidth_bps
 
+    def chunks(seed: tuple[int, ...], strata: int):
+        """Chunk ``k`` drawn from ``default_rng([*seed, k])``."""
+        return lambda k: sampler.sample_many(
+            np.random.default_rng([*seed, k]), _MC_CHUNK_SETS, strata
+        )
+
     streaming = montecarlo_mod.streaming_average_breakdown_utilization(
         analysis,
-        sampler,
+        chunks((mc_seed,), 1),
         bandwidth,
-        seed=mc_seed,
         eps=1.0,  # converge immediately at min_chunks: 2 chunks exactly
-        chunk_sets=_MC_CHUNK_SETS,
         min_chunks=2,
-        max_sets=2 * _MC_CHUNK_SETS,
+        max_chunks=2,
         rel_tol=_MC_REL_TOL,
     )
     fixed_chunk = montecarlo_mod.average_breakdown_utilization(
@@ -1448,14 +1452,11 @@ def check_mc_streaming_equiv(case: FuzzCase) -> Violation | None:
     )
     reduced = montecarlo_mod.streaming_average_breakdown_utilization(
         analysis,
-        sampler,
+        chunks((mc_seed, 2000), _MC_CHUNK_SETS),
         bandwidth,
-        seed=(mc_seed, 2000),
-        eps=1e-12,  # never converges: runs to the max_sets cap
-        chunk_sets=_MC_CHUNK_SETS,
+        eps=1e-12,  # never converges: runs to the max_chunks cap
         min_chunks=2,
-        max_sets=4 * _MC_CHUNK_SETS,
-        strata=_MC_CHUNK_SETS,
+        max_chunks=4,
         rel_tol=_MC_REL_TOL,
     )
     if fixed.n_sets >= 2 and reduced.n_chunks >= 2:

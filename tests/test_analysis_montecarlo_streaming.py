@@ -1,10 +1,11 @@
 """Streaming Monte Carlo estimator: stopping rule, determinism, stratification.
 
 The streaming estimator's contract is that it *is* the fixed-N estimator
-with a stopping rule bolted on: plain-mode chunk ``k`` consumes the sample
-stream of ``default_rng([seed, k])`` bit-identically, the estimate is
-independent of ``jobs``, and stratified periods change sampling layout,
-never the estimand.
+with a stopping rule bolted on: each chunk is scored by the fixed-N
+estimator, so a plain chunk drawn from ``default_rng([seed, k])`` gives
+that fixed-N mean bit-identically, and stratified periods change sampling
+layout, never the estimand.  The chunks here are drawn by ``_chunks``;
+Figure 1's prepared chunks are tested in ``test_experiments_figure1.py``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import PaperParameters
 from repro.messages.generators import MessageSetSampler, PeriodDistribution
 from repro.network.standards import fddi_ring, ieee_802_5_ring, paper_frame_format
+from repro.obs import metrics
 from repro.units import mbps
 
 
@@ -53,10 +55,18 @@ def ttp_analysis():
     return TTPAnalysis(fddi_ring(BW, n_stations=6), paper_frame_format())
 
 
-def _stream(analysis, sampler, **kwargs):
+def _chunks(sampler, seed, chunk_sets, strata=1):
+    """Chunk ``k``: ``chunk_sets`` sets from ``default_rng([*seed, k])``."""
+    seed = seed if isinstance(seed, tuple) else (seed,)
+    return lambda k: sampler.sample_many(
+        np.random.default_rng([*seed, k]), chunk_sets, strata
+    )
+
+
+def _stream(analysis, sampler, *, seed, chunk_sets, strata=1, **kwargs):
     kwargs.setdefault("rel_tol", REL_TOL)
     return streaming_average_breakdown_utilization(
-        analysis, sampler, BW, **kwargs
+        analysis, _chunks(sampler, seed, chunk_sets, strata), BW, **kwargs
     )
 
 
@@ -72,7 +82,7 @@ class TestFixedNEquivalence:
             eps=1e9,
             chunk_sets=5,
             min_chunks=3,
-            max_sets=15,
+            max_chunks=3,
         )
         assert streaming.n_chunks == 3
         for k in range(3):
@@ -102,7 +112,7 @@ class TestStoppingRule:
             eps=0.02,
             chunk_sets=8,
             min_chunks=2,
-            max_sets=4096,
+            max_chunks=512,
         )
         assert estimate.converged
         assert estimate.half_width <= 0.02
@@ -110,10 +120,10 @@ class TestStoppingRule:
 
     def test_tighter_eps_needs_more_evaluations(self, ttp_analysis, sampler):
         loose = _stream(
-            ttp_analysis, sampler, seed=1, eps=0.05, chunk_sets=4, max_sets=2048
+            ttp_analysis, sampler, seed=1, eps=0.05, chunk_sets=4, max_chunks=512
         )
         tight = _stream(
-            ttp_analysis, sampler, seed=1, eps=0.005, chunk_sets=4, max_sets=2048
+            ttp_analysis, sampler, seed=1, eps=0.005, chunk_sets=4, max_chunks=512
         )
         assert tight.evaluations > loose.evaluations
 
@@ -125,7 +135,7 @@ class TestStoppingRule:
             eps=1e-9,
             chunk_sets=4,
             min_chunks=2,
-            max_sets=24,
+            max_chunks=6,
         )
         assert not estimate.converged
         assert estimate.evaluations == 24
@@ -137,23 +147,46 @@ class TestStoppingRule:
         assert estimate.n_chunks == 5
 
 
+class TestAccounting:
+    def test_chunk_without_samples_is_skipped(self, ttp_analysis, sampler):
+        """An all-zero-payload chunk has infinite scale everywhere: it is
+        evaluated and counted degenerate, but never folded."""
+        drawn = _chunks(sampler, 13, 4)
+
+        def chunk(k):
+            sets = drawn(k)
+            return [s.scaled(0.0) for s in sets] if k == 1 else sets
+
+        estimate = streaming_average_breakdown_utilization(
+            ttp_analysis, chunk, BW, eps=1e9, min_chunks=3, rel_tol=REL_TOL
+        )
+        assert estimate.n_chunks == 3
+        assert estimate.evaluations == 16
+        assert estimate.degenerate_sets >= 4
+        folded = [
+            average_breakdown_utilization(ttp_analysis, drawn(k), BW).mean
+            for k in (0, 2, 3)
+        ]
+        assert estimate.chunk_means == tuple(folded)
+
+    def test_counters_equal_the_folded_work(self, pdp_analysis, sampler):
+        metrics.reset()
+        estimate = _stream(
+            pdp_analysis, sampler, seed=17, eps=0.02, chunk_sets=8, max_chunks=64
+        )
+        sampled = metrics.snapshot()["montecarlo.sets_sampled"]["value"]
+        assert sampled == estimate.evaluations
+
+
 class TestDeterminism:
     def test_same_seed_same_estimate(self, ttp_analysis, sampler):
-        a = _stream(ttp_analysis, sampler, seed=9, eps=0.02, chunk_sets=8)
-        b = _stream(ttp_analysis, sampler, seed=9, eps=0.02, chunk_sets=8)
+        a = _stream(
+            ttp_analysis, sampler, seed=9, eps=0.02, chunk_sets=8, max_chunks=512
+        )
+        b = _stream(
+            ttp_analysis, sampler, seed=9, eps=0.02, chunk_sets=8, max_chunks=512
+        )
         assert a == b
-
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_jobs_do_not_change_the_estimate(self, ttp_analysis, sampler, jobs):
-        """Workers compute chunks speculatively; the folded result must be
-        bit-identical to the inline run for every jobs value."""
-        inline = _stream(
-            ttp_analysis, sampler, seed=11, eps=0.02, chunk_sets=8, jobs=1
-        )
-        parallel = _stream(
-            ttp_analysis, sampler, seed=11, eps=0.02, chunk_sets=8, jobs=jobs
-        )
-        assert inline == parallel
 
     def test_tuple_seed_accepted(self, ttp_analysis, sampler):
         a = _stream(ttp_analysis, sampler, seed=(5, 6), eps=1e9, chunk_sets=4)
@@ -169,7 +202,7 @@ class TestVarianceReduction:
             seed=21,
             eps=1e-12,
             chunk_sets=16,
-            max_sets=256,
+            max_chunks=16,
         )
         stratified = _stream(
             ttp_analysis,
@@ -177,7 +210,7 @@ class TestVarianceReduction:
             seed=22,
             eps=1e-12,
             chunk_sets=16,
-            max_sets=256,
+            max_chunks=16,
             strata=8,
         )
         combined = float(np.hypot(plain.stderr, stratified.stderr))
@@ -196,7 +229,7 @@ class TestVarianceReduction:
             seed=40,
             eps=1e-12,
             chunk_sets=16,
-            max_sets=512,
+            max_chunks=32,
         )
         stratified = _stream(
             ttp_analysis,
@@ -204,7 +237,7 @@ class TestVarianceReduction:
             seed=40,
             eps=1e-12,
             chunk_sets=16,
-            max_sets=512,
+            max_chunks=32,
             strata=16,
         )
         assert np.std(stratified.chunk_means) < np.std(plain.chunk_means)
@@ -220,15 +253,12 @@ class TestVarianceReduction:
         sampler = MessageSetSampler(
             n_streams=20, periods=params.period_distribution()
         )
-        settings = dict(
-            seed=params.seed, eps=5e-4, chunk_sets=16, min_chunks=8,
-            max_sets=4096,
-        )
+        settings = dict(eps=5e-4, min_chunks=8, max_chunks=256)
         naive = streaming_average_breakdown_utilization(
-            analysis, sampler, BW, **settings
+            analysis, _chunks(sampler, params.seed, 16), BW, **settings
         )
         vr = streaming_average_breakdown_utilization(
-            analysis, sampler, BW, strata=8, **settings
+            analysis, _chunks(sampler, params.seed, 16, strata=8), BW, **settings
         )
         assert naive.converged and vr.converged
         assert vr.evaluations <= naive.evaluations
@@ -238,12 +268,12 @@ class TestVarianceReduction:
 class TestValidation:
     def test_rejects_bad_parameters(self, ttp_analysis, sampler):
         with pytest.raises(ConfigurationError):
-            _stream(ttp_analysis, sampler, seed=0, eps=0.0)
+            _stream(ttp_analysis, sampler, seed=0, chunk_sets=16, eps=0.0)
         with pytest.raises(ConfigurationError):
-            _stream(ttp_analysis, sampler, seed=0, z=0.0)
+            _stream(ttp_analysis, sampler, seed=0, chunk_sets=16, z=0.0)
         with pytest.raises(ConfigurationError):
             _stream(ttp_analysis, sampler, seed=0, chunk_sets=0)
         with pytest.raises(ConfigurationError):
-            _stream(ttp_analysis, sampler, seed=0, min_chunks=1)
+            _stream(ttp_analysis, sampler, seed=0, chunk_sets=16, min_chunks=1)
         with pytest.raises(ConfigurationError):
-            _stream(ttp_analysis, sampler, seed=0, chunk_sets=8, max_sets=4)
+            _stream(ttp_analysis, sampler, seed=0, chunk_sets=8, max_chunks=0)

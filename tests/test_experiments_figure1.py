@@ -211,3 +211,40 @@ class TestParallelExecution:
         params = PaperParameters().scaled_down(n_stations=8, monte_carlo_sets=2)
         with pytest.raises(ConfigurationError):
             run_figure1(params, bandwidths_mbps=(10.0, 100.0), jobs=-1)
+
+
+class TestStreamingSweep:
+    """A streaming sweep (``mc_eps`` set) draws its chunks once and shares
+    them across cells, like the fixed-N population."""
+
+    #: At this eps most cells stop at min_chunks (4) and one runs on to
+    #: 10 chunks, so the cells score more chunks than the sweep draws.
+    PARAMS = PaperParameters().scaled_down(8, 8).with_streaming_mc(0.01)
+    BANDWIDTHS = (2.5, 10.0, 100.0)
+
+    def test_inline_sweep_prepares_each_chunk_once(self):
+        tracing.reset()
+        try:
+            result = run_figure1(self.PARAMS, bandwidths_mbps=self.BANDWIDTHS)
+            snap = tracing.snapshot()
+        finally:
+            tracing.reset()
+        estimates = [getattr(p, name) for p in result.points for name in
+                     ("pdp_standard", "pdp_modified", "ttp")]
+        # Every cell folds chunks 0..k in order, so the sweep draws as
+        # many chunks as its longest cell scores.
+        scored = [e.evaluations // 8 for e in estimates]
+        distinct = max(scored)
+        assert min(scored) < distinct < sum(scored)
+        # A chunk is prepared inside the first cell that asks for it.
+        prepared = sum(
+            stats["count"]
+            for path, stats in snap.items()
+            if path.endswith("population/prepare")
+        )
+        assert prepared == distinct
+
+    def test_jobs_do_not_change_the_estimates(self):
+        inline = run_figure1(self.PARAMS, bandwidths_mbps=self.BANDWIDTHS, jobs=1)
+        pooled = run_figure1(self.PARAMS, bandwidths_mbps=self.BANDWIDTHS, jobs=2)
+        assert inline.points == pooled.points

@@ -126,6 +126,18 @@ class TestRunnerCLI:
         assert "## Figure 1" in text
         assert "## Crossover frontier" in text
 
+    def test_mc_strata_without_mc_eps_is_an_error(self, tmp_path):
+        result = self.run_cli("figure1", "--mc-strata", "4", cwd=str(tmp_path))
+        assert result.returncode == 2
+        assert "--mc-strata needs --mc-eps" in result.stderr
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_mc_eps_help_names_the_figure1_experiments(self):
+        result = self.run_cli("--help")
+        assert result.returncode == 0
+        text = " ".join(result.stdout.split())
+        assert "--mc-eps EPS run the Figure 1 cells (figure1, all, report)" in text
+
     def test_main_importable(self):
         from repro.experiments.runner import main
 

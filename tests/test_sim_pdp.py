@@ -232,6 +232,7 @@ class TestDeterminism:
         first, second = run(), run()
         assert first == second
         assert first.total_completed > 0
+        assert first.deadline_safe
 
 
 class TestFrameOccupancy:
