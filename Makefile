@@ -20,7 +20,7 @@ help:
 	@echo "                   retransmission-aware bounds -> BENCH_loss.json"
 	@echo "                   (the verify loss canary checks its shape)"
 	@echo "  bench-cluster    sharded-cluster canary: spawn worker fleets at"
-	@echo "                   1 and 4 workers behind the consistent-hash"
+	@echo "                   1, 2 and 4 workers behind the consistent-hash"
 	@echo "                   router, drive the same seeded load through"
 	@echo "                   each -> BENCH_cluster.json (fleet req/s,"
 	@echo "                   per-shard latency percentiles, measured"

@@ -9,12 +9,20 @@ against a cluster unchanged.  Behind the listener it:
   the stream key, and ``/v1/release`` by the fleet stream-id directory
   (the router translates worker-local stream ids to fleet-unique ones,
   so clients see a single id space);
-* **pools** keep-alive connections per backend (each pooled connection
-  carries one in-flight request at a time); the HTTP framing on both
-  sides — clients in front, workers behind — is
-  :mod:`repro.service.http`, the codec the admission server uses;
-* **retries around death**: a connection failure to a worker drops it
-  from the hash ring (:meth:`ClusterDirectory.drop_shard` — only that
+* **serves by callbacks** on both sides, with no task per request.  In
+  front, each client connection is the admission server's own
+  :class:`~repro.service.http.ServerConnection`; a check, admit or
+  release returns ``PENDING`` and is answered when its worker replies.
+  Behind, each worker has a pool of keep-alive
+  :class:`~repro.service.http.ClientConnection` objects, each carrying
+  one request at a time; the lease pushes and the observability fan-outs
+  await the same pool through a future.  A check's body bytes go to the
+  worker unchanged and its reply comes back as the worker's bytes (the
+  router decodes the request once, for the routing key and the 400
+  answers); only admit and release replies are decoded, to translate
+  stream ids;
+* **retries around death**: a connection failure to a worker, or its
+  ``503 Draining`` answer, drops it from the hash ring (:meth:`ClusterDirectory.drop_shard` — only that
   worker's hash range moves) and the request is re-dispatched to the
   surviving owner; a release aimed at a dead worker's stream answers
   unknown-stream, which is exactly what a restarted single controller
@@ -49,7 +57,13 @@ from repro.obs import metrics, prometheus
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.service import http
-from repro.service.protocol import WIRE_SCHEMA_VERSION, dump_body
+from repro.service.protocol import (
+    WIRE_SCHEMA_VERSION,
+    dump_body,
+    load_body,
+    parse_release_body,
+    parse_stream_body,
+)
 
 __all__ = ["ClusterRouter"]
 
@@ -57,7 +71,7 @@ _LOG = get_logger("repro.cluster.router")
 
 
 class _Backend:
-    """One worker's address plus a small keep-alive connection pool."""
+    """One worker's address plus its pool of idle callback connections."""
 
     def __init__(self, shard_id: str, host: str, port: int, pid: int | None):
         self.shard_id = shard_id
@@ -65,7 +79,9 @@ class _Backend:
         self.port = port
         self.address = f"{host}:{port}"
         self.pid = pid
-        self.idle: list = []  # [(reader, writer)]
+        self.idle: list[http.ClientConnection] = []
+        self.closed = False
+        self._connecting: set[asyncio.Task] = set()
         #: Last lease cap this worker acknowledged over /v1/lease, or
         #: None when nothing was ever pushed/adopted (a fresh respawn).
         #: Distinct from the ledger's arithmetic: grant() charges grows
@@ -73,23 +89,46 @@ class _Backend:
         #: router re-levels — only this field says the worker agreed.
         self.acked_cap: float | None = None
 
-    async def acquire(self):
-        while self.idle:
-            reader, writer = self.idle.pop()
-            if writer.is_closing():
-                continue
-            return reader, writer
-        return await asyncio.open_connection(self.host, self.port)
+    def send(self, request: bytes, done) -> None:
+        """Send one request on an idle connection, or on a new one.
 
-    def release(self, reader, writer) -> None:
-        if len(self.idle) < 32 and not writer.is_closing():
-            self.idle.append((reader, writer))
+        ``done`` is called once with ``(status, headers, body)``, or with
+        an :class:`OSError` when the worker is unreachable or hangs up.
+        """
+        idle = self.idle
+        while idle:
+            connection = idle.pop()
+            if connection.is_open:
+                connection.send(request, done)
+                return
+        task = asyncio.get_running_loop().create_task(
+            self._connect_and_send(request, done)
+        )
+        self._connecting.add(task)
+        task.add_done_callback(self._connecting.discard)
+
+    async def _connect_and_send(self, request: bytes, done) -> None:
+        try:
+            _, connection = await asyncio.get_running_loop().create_connection(
+                lambda: http.ClientConnection(self._offer), self.host, self.port
+            )
+        except OSError as exc:
+            done(exc)
+            return
+        connection.send(request, done)
+
+    def _offer(self, connection: http.ClientConnection) -> None:
+        """Pool a connection whose response was read."""
+        if self.closed or len(self.idle) >= 32:
+            connection.close()
         else:
-            writer.close()
+            self.idle.append(connection)
 
     def close(self) -> None:
-        for _, writer in self.idle:
-            writer.close()
+        """Close the idle connections; later ones close once answered."""
+        self.closed = True
+        for connection in self.idle:
+            connection.close()
         self.idle.clear()
 
 
@@ -115,6 +154,7 @@ class ClusterRouter:
         self.port: int | None = None
         self._server: asyncio.AbstractServer | None = None
         self._heartbeat_task: asyncio.Task | None = None
+        self._fanouts: set[asyncio.Task] = set()
         self._draining = False
         self._m_requests = metrics.counter("cluster.router.requests")
         self._m_errors = metrics.counter("cluster.router.errors")
@@ -166,8 +206,10 @@ class ClusterRouter:
                 self.add_backend(shard_id, self.config.host, port, pid)
         if self.backends:
             await self._adopt_leases()
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.config.host, self.config.router_port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: http.ServerConnection(self._handle, dump_body),
+            self.config.host,
+            self.config.router_port,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._heartbeat_task = asyncio.create_task(self._heartbeat_loop())
@@ -309,7 +351,7 @@ class ClusterRouter:
     async def _backend_request(
         self, backend: _Backend, method: str, path: str, body: dict | None
     ):
-        """One request over a pooled backend connection.
+        """One request over the backend's pool, awaited through a future.
 
         Returns ``(status, payload)``: the decoded JSON object, or the
         raw bytes of any other content type.  Raises ``OSError`` (a
@@ -317,81 +359,73 @@ class ClusterRouter:
         unreachable or hangs up mid-exchange; callers decide whether
         that means a retry, a rebalance, or a 502.
         """
-        request = http.encode_request(
-            method,
-            path,
-            backend.address,
-            dump_body(body) if body is not None else b"",
+        future = asyncio.get_running_loop().create_future()
+
+        def done(result) -> None:
+            if not future.done():  # the awaiting caller may be cancelled
+                future.set_result(result)
+
+        backend.send(
+            http.encode_request(
+                method,
+                path,
+                backend.address,
+                dump_body(body) if body is not None else b"",
+            ),
+            done,
         )
-        reader, writer = await backend.acquire()
-        try:
-            writer.write(request)
-            await writer.drain()
-            status, headers, raw = await http.read_response(reader)
-        except BaseException:
-            writer.close()
-            raise
-        backend.release(reader, writer)
-        if headers.get("content-type", "application/json").startswith(
-            "application/json"
-        ):
+        result = await future
+        if isinstance(result, OSError):
+            raise result
+        status, headers, raw = result
+        if _is_json(headers):
             return status, (json.loads(raw) if raw else {})
         return status, raw
 
     # -- front: serving clients ----------------------------------------------
 
-    async def _serve_connection(self, reader, writer) -> None:
-        await http.serve_connection(reader, writer, self._handle, dump_body)
-
-    async def _handle(self, request: http.Request):
-        try:
-            status, payload, extra = await self._route(
-                request.method, request.path, request.query, request.body
-            )
-        except ServiceError as exc:
-            status, payload, extra = (
-                400,
-                {"error": "ServiceError", "detail": str(exc)},
-                [],
-            )
-        except Exception as exc:  # noqa: BLE001 - keep serving
-            self._m_errors.inc()
-            _LOG.warning(
-                "router error on %s %s: %s",
-                request.method,
-                request.path,
-                exc,
-                exc_info=True,
-            )
-            status, payload, extra = (
-                500,
-                {"error": "InternalError", "detail": str(exc)},
-                [],
-            )
+    def _handle(self, connection: http.ServerConnection, request: http.Request):
+        """Route one request; returns the answer, or PENDING when a worker
+        reply or a fan-out task answers through ``connection`` later."""
         self._m_requests.inc()
-        return status, payload, extra
+        try:
+            return self._route(connection, request)
+        except Exception as exc:  # noqa: BLE001 - keep serving
+            return self._error_answer(exc, request.method, request.path)
 
-    async def _route(self, method, path, query, body):
-        if path == "/healthz":
-            if method != "GET":
-                return self._method_not_allowed("GET")
-            return 200, await self._fleet_healthz(), []
-        if path == "/metrics":
-            if method != "GET":
-                return self._method_not_allowed("GET")
-            return await self._fleet_metrics(query)
-        if path == "/v1/breakdown":
-            if method != "GET":
-                return self._method_not_allowed("GET")
-            return await self._fleet_breakdown()
+    def _error_answer(self, exc: Exception, method: str, path: str):
+        if isinstance(exc, ServiceError):
+            return 400, {"error": "ServiceError", "detail": str(exc)}, []
+        self._m_errors.inc()
+        _LOG.warning(
+            "router error on %s %s: %s", method, path, exc, exc_info=exc
+        )
+        return 500, {"error": "InternalError", "detail": str(exc)}, []
+
+    def _route(self, connection, request: http.Request):
+        method, path = request.method, request.path
         if path in ("/v1/check", "/v1/admit"):
             if method != "POST":
                 return self._method_not_allowed("POST")
-            return await self._forward_stream_op(path, body)
+            return self._forward_stream_op(connection, path, request.body)
         if path == "/v1/release":
             if method != "POST":
                 return self._method_not_allowed("POST")
-            return await self._forward_release(body)
+            return self._forward_release(connection, request.body)
+        if path == "/healthz":
+            if method != "GET":
+                return self._method_not_allowed("GET")
+            return self._fan_out(connection, request, self._fleet_healthz())
+        if path == "/metrics":
+            if method != "GET":
+                return self._method_not_allowed("GET")
+            return self._fan_out(
+                connection, request, self._fleet_metrics(request.query)
+            )
+        if path == "/v1/breakdown":
+            if method != "GET":
+                return self._method_not_allowed("GET")
+            return self._fan_out(connection, request, self._fleet_breakdown())
         return (
             404,
             {
@@ -403,6 +437,27 @@ class ClusterRouter:
             },
             [],
         )
+
+    def _fan_out(self, connection, request: http.Request, coro):
+        """Run one observability fan-out as a task that answers when done."""
+        task = asyncio.get_running_loop().create_task(coro)
+        self._fanouts.add(task)
+
+        def answer(task: asyncio.Task) -> None:
+            self._fanouts.discard(task)
+            if task.cancelled():
+                connection.respond(*self._draining_response())
+            elif task.exception() is not None:
+                connection.respond(
+                    *self._error_answer(
+                        task.exception(), request.method, request.path
+                    )
+                )
+            else:
+                connection.respond(*task.result())
+
+        task.add_done_callback(answer)
+        return http.PENDING
 
     # -- data plane ----------------------------------------------------------
 
@@ -416,82 +471,58 @@ class ClusterRouter:
             [("Retry-After", "1")],
         )
 
-    async def _forward_stream_op(self, path, body):
+    def _forward_stream_op(self, connection, path, body):
         """Route one check/admit, retrying around dead workers."""
         if self._draining:
             return self._draining_response()
-        try:
-            parsed = json.loads(body.decode("utf-8")) if body else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return (
-                400,
-                {
-                    "error": "ServiceError",
-                    "detail": f"request body is not valid JSON: {exc}",
-                },
-                [],
-            )
-        if not isinstance(parsed, dict):
-            return (
-                400,
-                {
-                    "error": "ServiceError",
-                    "detail": "request body must be a JSON object",
-                },
-                [],
-            )
-        period_s = parsed.get("period_s")
-        payload_bits = parsed.get("payload_bits")
-        attempts = len(self.backends) + 1
-        for _ in range(attempts):
+        period_s, payload_bits = parse_stream_body(load_body(body))
+        return self._dispatch_stream_op(
+            connection, path, body, period_s, payload_bits, len(self.backends) + 1
+        )
+
+    def _dispatch_stream_op(
+        self, connection, path, body, period_s, payload_bits, attempts
+    ):
+        """Send the client's body bytes to the stream's worker.
+
+        Returns PENDING once sent; the worker's reply answers
+        ``connection``.  Returns the answer itself when no attempt is
+        left (502) or no worker is (503).
+        """
+        while attempts > 0:
+            attempts -= 1
             if not self.backends or self.directory is None:
                 return self._no_backend_response()
-            if isinstance(period_s, (int, float)) and isinstance(
-                payload_bits, (int, float)
-            ):
-                shard_id = self.directory.route_stream(
-                    float(period_s), float(payload_bits)
-                )
-            else:
-                # Malformed body: any worker will produce the right 400.
-                shard_id = sorted(self.backends)[0]
+            shard_id = self.directory.route_stream(period_s, payload_bits)
             backend = self.backends.get(shard_id)
             if backend is None:
                 # Ring and backend set disagree transiently; rebalance.
                 self._drop_backend(shard_id)
                 continue
-            try:
-                status, payload = await self._backend_request(
-                    backend, "POST", path, parsed
-                )
-            except OSError:
-                self._m_retries.inc()
-                self._drop_backend(shard_id)
-                continue
-            if (
-                status == 503
-                and isinstance(payload, dict)
-                and payload.get("error") == "Draining"
-            ):
-                # Graceful drain announced over HTTP: retract the worker
-                # from the ring exactly as if its socket had died (the
-                # lease stays charged until the supervisor confirms the
-                # exit) and retry the op on a survivor.
-                self._m_retries.inc()
-                self._drop_backend(shard_id)
-                continue
-            if (
-                path == "/v1/admit"
-                and status == 200
-                and isinstance(payload, dict)
-                and payload.get("admitted")
-                and payload.get("stream_id") is not None
-            ):
-                fleet_id = self.directory.register_admit(
-                    shard_id, payload["stream_id"]
-                )
-                payload = dict(payload, stream_id=fleet_id)
-            return status, payload, [("X-Shard-Id", shard_id)]
+
+            def reply(result, shard_id=shard_id) -> None:
+                try:
+                    answer = self._stream_op_reply(shard_id, path, result)
+                    if answer is None:
+                        # The worker is gone or draining: retract it from
+                        # the ring exactly as if its socket had died (the
+                        # lease stays charged until the supervisor
+                        # confirms the exit) and retry on a survivor.
+                        self._m_retries.inc()
+                        self._drop_backend(shard_id)
+                        answer = self._dispatch_stream_op(
+                            connection, path, body, period_s, payload_bits,
+                            attempts,
+                        )
+                except Exception as exc:  # noqa: BLE001 - answer, never hang
+                    answer = self._error_answer(exc, "POST", path)
+                if answer is not http.PENDING:
+                    connection.respond(*answer)
+
+            backend.send(
+                http.encode_request("POST", path, backend.address, body), reply
+            )
+            return http.PENDING
         return (
             502,
             {
@@ -501,39 +532,35 @@ class ClusterRouter:
             [],
         )
 
-    async def _forward_release(self, body):
+    def _stream_op_reply(self, shard_id, path, result):
+        """The client's answer from a worker's check/admit reply.
+
+        None when the worker must be dropped and the op re-dispatched: it
+        is unreachable, hung up, or answered ``503 Draining``.  A check's
+        reply passes through as the worker's bytes; an admitted stream's
+        id is translated to its fleet id.
+        """
+        if isinstance(result, OSError):
+            return None
+        status, headers, raw = result
+        if status == 503 and _is_json(headers):
+            if json.loads(raw).get("error") == "Draining":
+                return None
+        extra = [("X-Shard-Id", shard_id)]
+        if path == "/v1/admit" and status == 200:
+            payload = json.loads(raw)
+            if payload.get("admitted") and payload.get("stream_id") is not None:
+                fleet_id = self.directory.register_admit(
+                    shard_id, payload["stream_id"]
+                )
+                return status, dict(payload, stream_id=fleet_id), extra
+        return status, _raw_body(headers, raw), extra
+
+    def _forward_release(self, connection, body):
         """Route one release by the fleet stream-id directory."""
         if self._draining:
             return self._draining_response()
-        try:
-            parsed = json.loads(body.decode("utf-8")) if body else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return (
-                400,
-                {
-                    "error": "ServiceError",
-                    "detail": f"request body is not valid JSON: {exc}",
-                },
-                [],
-            )
-        fleet_id = parsed.get("stream_id") if isinstance(parsed, dict) else None
-        idempotent = (
-            parsed.get("idempotent", False)
-            if isinstance(parsed, dict)
-            else False
-        )
-        if not isinstance(fleet_id, int) or isinstance(fleet_id, bool):
-            return (
-                400,
-                {
-                    "error": "ServiceError",
-                    "detail": (
-                        f"field 'stream_id' must be an integer, got "
-                        f"{fleet_id!r}"
-                    ),
-                },
-                [],
-            )
+        fleet_id, idempotent = parse_release_body(load_body(body))
         owner = (
             self.directory.owner_of(fleet_id)
             if self.directory is not None
@@ -545,25 +572,44 @@ class ClusterRouter:
         backend = self.backends.get(shard_id)
         if backend is None:
             return self._unknown_stream_response(fleet_id, idempotent)
-        try:
-            status, payload = await self._backend_request(
-                backend,
+
+        def reply(result) -> None:
+            try:
+                answer = self._release_reply(
+                    shard_id, fleet_id, idempotent, result
+                )
+            except Exception as exc:  # noqa: BLE001 - answer, never hang
+                answer = self._error_answer(exc, "POST", "/v1/release")
+            connection.respond(*answer)
+
+        backend.send(
+            http.encode_request(
                 "POST",
                 "/v1/release",
-                {"stream_id": local_id, "idempotent": bool(idempotent)},
-            )
-        except OSError:
+                backend.address,
+                dump_body({"stream_id": local_id, "idempotent": idempotent}),
+            ),
+            reply,
+        )
+        return http.PENDING
+
+    def _release_reply(self, shard_id, fleet_id, idempotent, result):
+        """The client's answer from a worker's release reply."""
+        if isinstance(result, OSError):
             # The owner died with the stream: the release's goal state
             # (stream gone) holds, so answer as for an unknown stream.
             self._m_retries.inc()
             self._drop_backend(shard_id)
             self.directory.forget(fleet_id)
             return self._unknown_stream_response(fleet_id, idempotent)
-        if status == 200 and isinstance(payload, dict):
-            if payload.get("released"):
-                self.directory.forget(fleet_id)
-            payload = dict(payload, stream_id=fleet_id)
-        return status, payload, [("X-Shard-Id", shard_id)]
+        status, headers, raw = result
+        extra = [("X-Shard-Id", shard_id)]
+        if status != 200:
+            return status, _raw_body(headers, raw), extra
+        payload = json.loads(raw)
+        if payload.get("released"):
+            self.directory.forget(fleet_id)
+        return status, dict(payload, stream_id=fleet_id), extra
 
     @staticmethod
     def _unknown_stream_response(fleet_id: int, idempotent: bool):
@@ -611,7 +657,7 @@ class ClusterRouter:
         )
         return results
 
-    async def _fleet_healthz(self) -> dict:
+    async def _fleet_healthz(self):
         shards = await self._shard_fanout("GET", "/healthz")
         shard_docs: dict[str, dict] = {}
         admitted = 0
@@ -626,7 +672,7 @@ class ClusterRouter:
             else:
                 shard_docs[shard_id] = {"status": "unreachable"}
         leases = self.ledger.leases
-        return {
+        return 200, {
             "schema_version": WIRE_SCHEMA_VERSION,
             "status": (
                 "draining"
@@ -647,7 +693,7 @@ class ClusterRouter:
                 for shard, lease in sorted(leases.items())
             },
             "shards": shard_docs,
-        }
+        }, []
 
     async def _fleet_metrics(self, query: str):
         from urllib.parse import parse_qs
@@ -765,3 +811,14 @@ def _dedupe_family_headers(text: str) -> str:
             seen.add(key)
         out.append(line)
     return "\n".join(out) + "\n" if out else ""
+
+
+def _is_json(headers: dict) -> bool:
+    return headers.get("content-type", "application/json").startswith(
+        "application/json"
+    )
+
+
+def _raw_body(headers: dict, raw: bytes) -> http.RawBody:
+    """A worker's reply body, passed through with its Content-Type."""
+    return http.RawBody(headers.get("content-type", "application/json"), raw)

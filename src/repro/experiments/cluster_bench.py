@@ -34,9 +34,10 @@ from repro.service.protocol import ServiceConfig
 
 __all__ = ["run_cluster_bench", "cluster_bench_document"]
 
-#: Worker counts measured by default: the single-controller baseline
-#: and the 4-way fleet the scaling floor is defined against.
-DEFAULT_WORKER_COUNTS = (1, 4)
+#: Worker counts measured by default: the single-controller baseline,
+#: the 2-way fleet a 2-CPU host can still run in parallel, and the 4-way
+#: fleet the scaling floor is defined against.
+DEFAULT_WORKER_COUNTS = (1, 2, 4)
 
 
 def run_cluster_bench(
@@ -117,8 +118,8 @@ def _stats(latencies: list, throughput_rps: float) -> dict:
 def cluster_bench_document(results: list[dict]) -> dict:
     """The measured counts as one ``BENCH_cluster.json`` document.
 
-    One benchmark entry per worker count (``fleet_w1``, ``fleet_w4``,
-    ...); the multi-worker entries carry
+    One benchmark entry per worker count (``fleet_w1``, ``fleet_w2``,
+    ``fleet_w4``, ...); the multi-worker entries carry
     ``extra_info["scaling_vs_single"]`` — measured fleet throughput
     over the single-worker fleet's — and every entry carries
     ``cpu_count`` so downstream guards can scale expectations to the

@@ -260,14 +260,17 @@ def _run_bench_cluster(
     import json
 
     from repro.experiments.cluster_bench import (
+        DEFAULT_WORKER_COUNTS,
         cluster_bench_document,
         run_cluster_bench,
     )
 
-    counts = tuple(
-        int(part)
-        for part in (args.cluster_counts or "1,4").split(",")
-        if part.strip()
+    counts = (
+        tuple(
+            int(part) for part in args.cluster_counts.split(",") if part.strip()
+        )
+        if args.cluster_counts
+        else DEFAULT_WORKER_COUNTS
     )
     results = run_cluster_bench(
         seed,
@@ -658,7 +661,7 @@ def main(argv: list[str] | None = None) -> int:
     cluster.add_argument(
         "--cluster-counts", type=str, default=None, metavar="N0,N1,...",
         help="bench-cluster: comma-separated worker counts to measure "
-        "(default: 1,4)",
+        "(default: 1,2,4)",
     )
     cluster.add_argument(
         "--cluster-bench-json", type=str, default="BENCH_cluster.json",

@@ -6,8 +6,8 @@ small subset of HTTP/1.1: a request or status line, headers, and a
 codings.  This module is the one copy of that framing; taking it on
 keeps the service free of new dependencies.
 
-One head parser frames every request either front receives.  It refuses,
-with ``Connection: close``:
+One head parser frames every request a server front receives.  It
+refuses, with ``Connection: close``:
 
 * a bad request line, a malformed or conflicting ``Content-Length``
   (two different values), or a head over :data:`MAX_HEAD_BYTES`, with
@@ -20,28 +20,30 @@ An ``HTTP/1.0`` request is kept alive only when it asks for
 ``Connection: keep-alive``; an ``HTTP/1.1`` one unless it asks for
 ``Connection: close``.
 
-Server side, two fronts share that parser:
+Server side, :class:`ServerConnection` is the one front, an
+:class:`asyncio.Protocol` that both the admission server and the cluster
+router serve: ``data_received`` appends to the connection's buffer and
+hands each complete request to a plain function, which answers inline
+or returns :data:`PENDING` and later calls
+:meth:`ServerConnection.respond` (the batcher's flush does, and so does
+the router once its worker replies).  One request per connection is in
+flight, so pipelined replies stay in order; the next buffered request is
+parsed once the current one is answered.  There is no task per
+connection and no future per request.  While the transport's write
+buffer is over its high-water mark, parsing and reading both stop.
 
-* :class:`ServerConnection` is the admission server's
-  :class:`asyncio.Protocol`: ``data_received`` appends to the
-  connection's buffer and hands each complete request to a plain
-  function, which answers inline or returns :data:`PENDING` and later
-  calls :meth:`ServerConnection.respond` (the batcher's flush does).  One
-  request per connection is in flight, so pipelined replies stay in
-  order; the next buffered request is parsed once the current one is
-  answered.  There is no task per connection and no future per request.
-  While the transport's write buffer is over its high-water mark,
-  parsing and reading both stop.
-* :func:`serve_connection` runs one keep-alive connection over asyncio
-  streams for a coroutine handler; the cluster router's front uses it.
-
-Client side:
+Client side, one status-head parser frames every response:
 
 * :func:`encode_request` builds the request bytes;
-* :func:`read_response` reads one response with one ``readuntil``.  A
-  malformed status line or ``Content-Length``, or a peer that hangs up
-  mid-response, raises :class:`ConnectionError` — to a caller, bad
-  framing is a dead socket.
+* :func:`read_response` reads one response over asyncio streams with one
+  ``readuntil`` (the async client uses it);
+* :class:`ClientConnection` is the callback counterpart the cluster
+  router keeps per worker: one request at a time, the response framed
+  in ``data_received``, ``done`` called with it.
+
+A malformed status line or ``Content-Length``, or a peer that hangs up
+mid-response, is a :class:`ConnectionError` on both — to a caller, bad
+framing is a dead socket.
 
 JSON stays with the callers: a handler returns either a :class:`RawBody`
 or a payload for the ``encode`` function it is served with, and a client
@@ -61,7 +63,7 @@ __all__ = [
     "RawBody",
     "Request",
     "ServerConnection",
-    "serve_connection",
+    "ClientConnection",
     "encode_request",
     "read_response",
 ]
@@ -344,61 +346,6 @@ class ServerConnection(asyncio.Protocol):
             transport.resume_reading()
 
 
-# -- server side: streams -------------------------------------------------------
-
-
-async def _read_request(reader: asyncio.StreamReader) -> Request | None:
-    """The next request on the connection; None at end of input.
-
-    Raises :class:`_BadFraming` for a request the server must refuse.
-    """
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError:
-        return None  # EOF between requests, or the client died mid-head
-    except asyncio.LimitOverrunError:
-        raise _BadFraming(400, "request head too large") from None
-    method, path, query, headers, keep_alive, length = _parse_head(head[:-4])
-    body = await reader.readexactly(length) if length else b""
-    return Request(method, path, query, headers, body, keep_alive)
-
-
-async def serve_connection(reader, writer, handle, encode) -> None:
-    """Serve one keep-alive connection over streams until it closes.
-
-    ``handle(request)`` is awaited per request and returns ``(status,
-    payload, extra_headers)``; ``payload`` is a :class:`RawBody` or a
-    value that ``encode`` turns into JSON bytes.
-    """
-    try:
-        while True:
-            try:
-                request = await _read_request(reader)
-            except _BadFraming as exc:
-                writer.write(_refusal(exc, encode))
-                await writer.drain()
-                break
-            if request is None:
-                break
-            status, payload, extra_headers = await handle(request)
-            writer.write(
-                _response(
-                    status, payload, extra_headers, request.keep_alive, encode
-                )
-            )
-            await writer.drain()
-            if not request.keep_alive:
-                break
-    except (OSError, asyncio.IncompleteReadError):
-        pass  # the client went away mid-exchange; nothing to answer
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except OSError:  # pragma: no cover
-            pass
-
-
 # -- client side ----------------------------------------------------------------
 
 
@@ -416,6 +363,26 @@ def encode_request(method, path, host, body: bytes, extra_headers=()) -> bytes:
     return (head + "\r\n").encode("latin-1") + body
 
 
+def _parse_status_head(head) -> tuple[int, dict, int]:
+    """Frame one response head (without its blank line).
+
+    Returns ``(status, headers, body_length)``; raises
+    :class:`ConnectionError` for a malformed status line or
+    ``Content-Length``.
+    """
+    status_line, _, header_block = bytes(head).partition(b"\r\n")
+    parts = status_line.split(b" ", 2)
+    if len(parts) < 2 or not parts[1].isdigit():
+        raise ConnectionError(f"malformed status line: {status_line[:80]!r}")
+    headers = _parse_headers(header_block)
+    length = _content_length(headers)
+    if length is None:
+        raise ConnectionError(
+            f"malformed Content-Length: {headers['content-length'][:40]!r}"
+        )
+    return int(parts[1]), headers, length
+
+
 async def read_response(reader: asyncio.StreamReader):
     """One response as ``(status, headers, body)``.
 
@@ -424,17 +391,98 @@ async def read_response(reader: asyncio.StreamReader):
     """
     try:
         head = await reader.readuntil(b"\r\n\r\n")
-        status_line, _, header_block = head.partition(b"\r\n")
-        parts = status_line.split(b" ", 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ConnectionError(f"malformed status line: {status_line[:80]!r}")
-        headers = _parse_headers(header_block)
-        length = _content_length(headers)
-        if length is None:
-            raise ConnectionError(
-                f"malformed Content-Length: {headers['content-length'][:40]!r}"
-            )
+        status, headers, length = _parse_status_head(head[:-4])
         body = await reader.readexactly(length) if length else b""
     except (asyncio.IncompleteReadError, asyncio.LimitOverrunError) as exc:
         raise ConnectionError(f"incomplete response: {exc}") from exc
-    return int(parts[1]), headers, body
+    return status, headers, body
+
+
+class ClientConnection(asyncio.Protocol):
+    """One keep-alive connection to a server, driven by callbacks.
+
+    It carries one request at a time: :meth:`send` writes the request's
+    bytes, and ``done`` is called once, on the event loop, with
+    ``(status, headers, body)`` — or with an :class:`OSError` when the
+    response is badly framed (a :class:`ConnectionError`, as from
+    :func:`read_response`) or the connection is lost first.  Once a
+    response is read, ``on_idle(connection)`` is called before ``done``
+    so that the owner can pool the connection for its next request; a
+    connection that failed, or whose response said ``Connection:
+    close``, is closed and not offered.
+    """
+
+    def __init__(self, on_idle):
+        self._on_idle = on_idle
+        self._transport: asyncio.Transport | None = None  # None once closed
+        self._buffer = bytearray()
+        self._done = None  # of the request in flight
+        self._head = None  # (status, headers, length) once framed
+
+    @property
+    def is_open(self) -> bool:
+        """Whether the connection can carry another request."""
+        return self._transport is not None and not self._transport.is_closing()
+
+    def send(self, data: bytes, done) -> None:
+        """Write one request; ``done`` gets its response or an OSError."""
+        self._done = done
+        self._transport.write(data)
+
+    def close(self) -> None:
+        """Close the connection; a request in flight fails with OSError."""
+        if self._transport is not None:
+            self._transport.close()
+
+    # -- asyncio.Protocol ------------------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        """Keep the transport."""
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        """Buffer ``data``; finish the request once its response is whole."""
+        if self._done is None:
+            self._fail(ConnectionError("response bytes with no request sent"))
+            return
+        buffer = self._buffer
+        buffer += data
+        if self._head is None:
+            end = buffer.find(b"\r\n\r\n")
+            if end < 0:
+                if len(buffer) > MAX_HEAD_BYTES:
+                    self._fail(ConnectionError("response head too large"))
+                return
+            try:
+                self._head = _parse_status_head(buffer[:end])
+            except ConnectionError as exc:
+                self._fail(exc)
+                return
+            del buffer[: end + 4]
+        status, headers, length = self._head
+        if len(buffer) < length:
+            return
+        body = bytes(buffer[:length])
+        del buffer[:length]
+        self._head = None
+        done, self._done = self._done, None
+        if headers.get("connection", "").lower() == "close" or buffer:
+            self.close()
+        else:
+            self._on_idle(self)
+        done((status, headers, body))
+
+    def connection_lost(self, exc) -> None:
+        """Fail the request in flight, if any."""
+        self._transport = None
+        if self._done is not None:
+            self._fail(
+                ConnectionError(f"connection lost mid-response: {exc or 'EOF'}")
+            )
+
+    def _fail(self, exc: OSError) -> None:
+        done, self._done = self._done, None
+        self.close()
+        self._transport = None
+        if done is not None:
+            done(exc)

@@ -325,7 +325,7 @@ async def run_against_spawned_cluster(cluster_config, load_config: LoadConfig):
             }
         )
         report = await run_load(effective)
-        fleet_summary = await router._fleet_healthz()
+        _, fleet_summary, _ = await router._fleet_healthz()
     finally:
         await router.drain_and_stop()
     return report, fleet_summary

@@ -527,6 +527,35 @@ class TestClusterRouter:
 
         assert self.run_router(probe)
 
+    def test_op_forwarded_before_the_drain_is_answered(self):
+        async def probe(router, servers, client):
+            period = next(
+                0.02 + 0.001 * i
+                for i in range(1000)
+                if router.directory.route_stream(0.02 + 0.001 * i, 512.0) == "w0"
+            )
+            batcher = servers[0].batcher
+            batcher._flush = lambda: None  # hold the op in the worker
+            pending = asyncio.create_task(
+                client.request(
+                    "POST", "/v1/admit", {"period_s": period, "payload_bits": 512.0}
+                )
+            )
+            for _ in range(100):
+                if batcher.queue_depth:
+                    break
+                await asyncio.sleep(0.001)
+            assert batcher.queue_depth == 1
+            await router.drain_and_stop()
+            del batcher._flush
+            batcher._flush()
+            status, payload, headers = await asyncio.wait_for(pending, 10.0)
+            assert status == 200 and payload["admitted"] is True
+            assert headers["x-shard-id"] == "w0"
+            return True
+
+        assert self.run_router(probe)
+
     def test_unknown_endpoint_404(self):
         async def probe(router, servers, client):
             status, payload, _ = await client.request(
@@ -536,6 +565,115 @@ class TestClusterRouter:
             return True
 
         assert self.run_router(probe)
+
+
+async def _hang_up(reader, writer):
+    """A worker that reads one request head and hangs up."""
+    await reader.readuntil(b"\r\n\r\n")
+    writer.close()
+
+
+async def _malformed_status(reader, writer):
+    """A worker that answers one request with a malformed status line."""
+    await reader.readuntil(b"\r\n\r\n")
+    writer.write(b"NONSENSE\r\nContent-Length: 0\r\n\r\n")
+    await reader.read()  # until the router hangs up
+    writer.close()
+
+
+FAKE_WORKERS = {"hang-up": _hang_up, "malformed-status": _malformed_status}
+
+
+class TestBackendFailure:
+    """A broken worker connection drops the worker and retries the op."""
+
+    def run_fleet(self, probe, fakes, real_worker=True):
+        """A router over fake workers (and one real one); run the probe.
+
+        Fails if the probe hangs or anything reaches the loop's
+        exception handler.
+        """
+
+        async def main():
+            leaked = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: leaked.append(context)
+            )
+            peers = [await asyncio.start_server(fake, "127.0.0.1", 0) for fake in fakes]
+            server = AdmissionServer(_worker_config("w0", 0.3))
+            await server.start()
+            router = ClusterRouter(
+                ClusterConfig(
+                    n_workers=len(fakes) + 1,
+                    heartbeat_s=3600.0,
+                    service=ServiceConfig(port=0),
+                ),
+                pool=None,
+            )
+            if real_worker:
+                router.add_backend("w0", "127.0.0.1", server.port)
+            for i, peer in enumerate(peers, start=1):
+                port = peer.sockets[0].getsockname()[1]
+                router.add_backend(shard_name(i), "127.0.0.1", port)
+            await router.start()
+            try:
+                async with AsyncServiceClient("127.0.0.1", router.port) as client:
+                    result = await asyncio.wait_for(probe(router, client), 10.0)
+            finally:
+                await router.drain_and_stop()
+                await server.drain_and_stop()
+                for peer in peers:
+                    peer.close()
+                    await peer.wait_closed()
+            assert leaked == []
+            return result
+
+        return asyncio.run(main())
+
+    @staticmethod
+    def _retries() -> float:
+        return metrics.snapshot().get("cluster.router.retries", {}).get(
+            "value", 0.0
+        )
+
+    @pytest.mark.parametrize("fake", list(FAKE_WORKERS))
+    def test_broken_worker_is_dropped_and_the_op_retried(self, fake):
+        async def probe(router, client):
+            period = next(
+                0.01 + 0.001 * i
+                for i in range(1000)
+                if router.directory.route_stream(0.01 + 0.001 * i, 512.0) == "w1"
+            )
+            before = self._retries()
+            status, decision, headers = await client.request(
+                "POST", "/v1/check", {"period_s": period, "payload_bits": 512.0}
+            )
+            return status, decision, headers, self._retries() - before, router
+
+        status, decision, headers, retries, router = self.run_fleet(
+            probe, [FAKE_WORKERS[fake]]
+        )
+        assert status == 200 and decision["admitted"] is True
+        assert headers["x-shard-id"] == "w0"  # answered by the survivor
+        assert retries == 1
+        assert "w1" not in router.backends
+        assert router.directory.shard_ids == ("w0",)
+
+    def test_no_surviving_worker_answers_an_error(self):
+        async def probe(router, client):
+            before = self._retries()
+            status, payload, _ = await client.request(
+                "POST", "/v1/check", {"period_s": 0.02, "payload_bits": 512.0}
+            )
+            return status, payload, self._retries() - before, router
+
+        status, payload, retries, router = self.run_fleet(
+            probe, list(FAKE_WORKERS.values()), real_worker=False
+        )
+        assert status in (502, 503)
+        assert payload["error"] in ("BadGateway", "NoWorkers")
+        assert retries == 2
+        assert router.backends == {}
 
 
 # -- the worker /v1/lease endpoint ------------------------------------------------

@@ -105,22 +105,27 @@ def test_make_recipes_run_the_package_from_src():
 
 
 def test_module_references_import():
-    """`repro.x.y`-style dotted references in the docs import cleanly."""
+    """`repro.x.y`-style dotted references in the docs resolve.
+
+    The longest importable prefix must be a module, and each remaining
+    component an attribute of what precedes it, so a reference to a
+    deleted function or class fails even when its module still imports.
+    """
     import importlib
 
-    pattern = re.compile(r"`(repro(?:\.[a-z_0-9]+)+)`")
+    pattern = re.compile(r"`(repro(?:\.[A-Za-z_0-9]+)+)`")
     failures = []
     for doc in DOCS:
         for match in pattern.findall(doc.read_text(encoding="utf-8")):
-            module = match
-            while module:
+            parts = match.split(".")
+            target, cut = None, len(parts)
+            while cut and target is None:
                 try:
-                    importlib.import_module(module)
-                    break
+                    target = importlib.import_module(".".join(parts[:cut]))
                 except ModuleNotFoundError:
-                    # Maybe the last component is an attribute.
-                    if "." not in module:
-                        failures.append((doc.name, match))
-                        break
-                    module = module.rsplit(".", 1)[0]
-    assert not failures, f"unimportable doc references: {failures}"
+                    cut -= 1
+            for name in parts[cut:]:
+                target = getattr(target, name, None)
+            if target is None:
+                failures.append((doc.name, match))
+    assert not failures, f"unresolvable doc references: {failures}"

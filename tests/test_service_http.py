@@ -6,10 +6,12 @@ both: a status line and ``Connection: close``, never an exception that
 escapes the connection handler into the event loop.  On the client side,
 a peer that frames its response badly is a dead connection.
 
-The admission server's connections are callbacks, not tasks: pipelined
+Both fronts serve their connections by callbacks, not tasks: pipelined
 requests are answered in order, a request may arrive a byte at a time,
 a client may vanish while its op waits in the batcher, and a paused
-write buffer stops parsing until it drains.
+write buffer stops parsing until it drains.  Through the router, a check
+starts no task and its reply body is the worker's bytes, and a request
+body either front refuses gets the same answer from both.
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ def test_malformed_status_line_drops_the_client_connection():
     asyncio.run(go())
 
 
-# -- the admission server's callback protocol -----------------------------------
+# -- the callback front, on both fronts --------------------------------------
 
 
 def _request(method: str, path: str, body: bytes = b"", version="HTTP/1.1") -> bytes:
@@ -167,8 +169,12 @@ async def _read_replies(reader, count: int) -> list:
     return replies
 
 
-def _serve(test):
-    """Run ``test(server)`` against a started admission server."""
+def _serve(test, front="server"):
+    """Run ``test(server, port)`` against a started admission server.
+
+    ``port`` is the server's own, or with ``front="router"`` that of a
+    cluster router in front of it (its heartbeat never fires).
+    """
 
     async def go():
         leaked = []
@@ -177,9 +183,25 @@ def _serve(test):
         )
         server = AdmissionServer(ServiceConfig(port=0, n_stations=8))
         await server.start()
+        router = None
         try:
-            result = await test(server)
+            port = server.port
+            if front == "router":
+                router = ClusterRouter(
+                    ClusterConfig(
+                        n_workers=1,
+                        heartbeat_s=3600.0,
+                        service=ServiceConfig(port=0),
+                    ),
+                    pool=None,
+                )
+                router.add_backend("w0", "127.0.0.1", server.port)
+                await router.start()
+                port = router.port
+            result = await test(server, port)
         finally:
+            if router is not None:
+                await router.drain_and_stop()
             await server.drain_and_stop()
         assert leaked == []
         return result
@@ -187,9 +209,18 @@ def _serve(test):
     return asyncio.run(go())
 
 
-def test_pipelined_requests_are_answered_in_order():
-    async def test(server):
-        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+def _admitted(health: dict) -> int:
+    """Admitted streams from a server's or the router's ``/healthz``."""
+    return health["fleet"]["admitted"] if "fleet" in health else health["admitted"]
+
+
+FRONTS = pytest.mark.parametrize("front", ["server", "router"])
+
+
+@FRONTS
+def test_pipelined_requests_are_answered_in_order(front):
+    async def test(server, port):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
         writer.write(
             _request("POST", "/v1/admit", _CHECK_BODY)
             + _request("GET", "/healthz")
@@ -200,16 +231,17 @@ def test_pipelined_requests_are_answered_in_order():
         await writer.wait_closed()
         return replies
 
-    (s1, _, admit), (s2, _, health), (s3, _, check) = _serve(test)
+    (s1, _, admit), (s2, _, health), (s3, _, check) = _serve(test, front)
     assert (s1, s2, s3) == (200, 200, 200)
     assert admit["stream_id"] == 1
-    assert health["admitted"] == 1  # parsed only once the admit was answered
+    assert _admitted(health) == 1  # parsed only once the admit was answered
     assert check["admitted"] is True and check["stream_id"] is None
 
 
-def test_request_fed_one_byte_per_write_is_answered():
-    async def test(server):
-        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+@FRONTS
+def test_request_fed_one_byte_per_write_is_answered(front):
+    async def test(server, port):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
         for byte in _request("POST", "/v1/check", _CHECK_BODY):
             writer.write(bytes([byte]))
             await writer.drain()
@@ -219,15 +251,16 @@ def test_request_fed_one_byte_per_write_is_answered():
         await writer.wait_closed()
         return reply
 
-    status, headers, decision = _serve(test)
+    status, headers, decision = _serve(test, front)
     assert status == 200
     assert headers["connection"] == "keep-alive"
     assert decision["admitted"] is True
 
 
-def test_http_1_0_keep_alive_is_honoured():
-    async def test(server):
-        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+@FRONTS
+def test_http_1_0_keep_alive_is_honoured(front):
+    async def test(server, port):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
         keep = b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
         writer.write(keep + keep)
         replies = await _read_replies(reader, 2)
@@ -235,18 +268,19 @@ def test_http_1_0_keep_alive_is_honoured():
         await writer.wait_closed()
         return replies
 
-    replies = _serve(test)
+    replies = _serve(test, front)
     assert [headers["connection"] for _, headers, _ in replies] == [
         "keep-alive",
         "keep-alive",
     ]
 
 
-def test_client_gone_while_its_op_is_queued_leaves_no_error():
-    async def test(server):
+@FRONTS
+def test_client_gone_while_its_op_is_queued_leaves_no_error(front):
+    async def test(server, port):
         batcher = server.batcher
         batcher._flush = lambda: None  # hold the op in the batcher
-        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
         writer.write(_request("POST", "/v1/admit", _CHECK_BODY))
         await writer.drain()
         for _ in range(100):
@@ -262,24 +296,23 @@ def test_client_gone_while_its_op_is_queued_leaves_no_error():
         del batcher._flush
         batcher._flush()  # the held batch answers a client that is gone
         assert batcher.queue_depth == 0
-        async with AsyncServiceClient("127.0.0.1", server.port) as client:
+        async with AsyncServiceClient("127.0.0.1", port) as client:
             health = await client.healthz()
             after = await client.admit(0.032, 512.0)  # the next batch runs
         return health, after
 
-    health, after = _serve(test)
-    assert health["admitted"] == 1  # the gone client's admit was decided
+    health, after = _serve(test, front)
+    assert _admitted(health) == 1  # the gone client's admit was decided
     assert after["stream_id"] == 2
 
 
-def test_open_connections_add_no_tasks():
-    async def test(server):
+@FRONTS
+def test_open_connections_add_no_tasks(front):
+    async def test(server, port):
         baseline = len(asyncio.all_tasks())
         connections = []
         for _ in range(3):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port
-            )
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
             writer.write(_request("POST", "/v1/check", _CHECK_BODY))
             await _read_replies(reader, 1)
             writer.write(b"POST /v1/check HTTP/1.1\r\nContent-")  # mid-request
@@ -292,8 +325,101 @@ def test_open_connections_add_no_tasks():
             await writer.wait_closed()
         return baseline, during
 
-    baseline, during = _serve(test)
+    baseline, during = _serve(test, front)
     assert during == baseline
+
+
+@FRONTS
+def test_warm_checks_start_no_task(front):
+    """Once the connections are open, a check costs callbacks only."""
+
+    async def test(server, port):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(_request("POST", "/v1/check", _CHECK_BODY))
+        await _read_replies(reader, 1)  # opens the router's worker connection
+        loop = asyncio.get_running_loop()
+        started, statuses = [], []
+
+        def count(loop, coro, **kwargs):
+            started.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        async def checks():
+            loop.set_task_factory(count)
+            try:
+                for _ in range(20):
+                    writer.write(_request("POST", "/v1/check", _CHECK_BODY))
+                    statuses.append((await read_response(reader))[0])
+            finally:
+                loop.set_task_factory(None)
+
+        await asyncio.wait_for(checks(), timeout=10.0)
+        assert statuses == [200] * 20
+        writer.close()
+        await writer.wait_closed()
+        return started
+
+    assert _serve(test, front) == []
+
+
+def test_router_passes_a_check_reply_through_byte_for_byte():
+    async def test(server, port):
+        replies = []
+        for target in (server.port, port):
+            async with AsyncServiceClient("127.0.0.1", target) as client:
+                status, raw, headers = await client.request(
+                    "POST",
+                    "/v1/check",
+                    {"period_s": 0.032, "payload_bits": 512},
+                    decode=False,
+                )
+            replies.append((status, raw, headers))
+        return replies
+
+    (direct, raw_direct, _), (routed, raw_routed, headers) = _serve(
+        test, "router"
+    )
+    assert direct == routed == 200
+    assert raw_routed == raw_direct
+    assert headers["x-shard-id"] == "w0"
+
+
+#: Release bodies either front refuses, with the one answer both give.
+BAD_RELEASES = {
+    "idempotent-not-a-boolean": (
+        {"stream_id": 1, "idempotent": "no"},
+        "field 'idempotent' must be a boolean, got 'no'",
+    ),
+    "unknown-id-idempotent-not-a-boolean": (
+        {"stream_id": 99, "idempotent": "no"},
+        "field 'idempotent' must be a boolean, got 'no'",
+    ),
+    "stream-id-not-an-integer": (
+        {"stream_id": "1"},
+        "field 'stream_id' must be an integer, got '1'",
+    ),
+    "body-not-an-object": ([1], "request body must be a JSON object, got list"),
+}
+
+
+@FRONTS
+@pytest.mark.parametrize(
+    "body, detail", list(BAD_RELEASES.values()), ids=list(BAD_RELEASES)
+)
+def test_invalid_release_is_refused_and_releases_nothing(front, body, detail):
+    async def test(server, port):
+        async with AsyncServiceClient("127.0.0.1", port) as client:
+            admitted = await client.admit(0.032, 512.0)
+            refused = await client.request("POST", "/v1/release", body)
+            released = await client.request(
+                "POST", "/v1/release", {"stream_id": admitted["stream_id"]}
+            )
+        return admitted, refused, released
+
+    admitted, (status, payload, _), (after, outcome, _) = _serve(test, front)
+    assert admitted["stream_id"] == 1
+    assert (status, payload) == (400, {"error": "ServiceError", "detail": detail})
+    assert after == 200 and outcome["released"] is True  # still admitted
 
 
 class _FakeTransport:
@@ -324,7 +450,7 @@ class _FakeTransport:
 
 
 def test_paused_writing_stops_parsing_until_resumed():
-    async def test(server):
+    async def test(server, port):
         transport = _FakeTransport()
         connection = server._connection()
         connection.connection_made(transport)
