@@ -339,6 +339,15 @@ def _worker_config(shard_id: str, cap: float) -> ServiceConfig:
     return ServiceConfig(port=0, shard_id=shard_id, utilization_cap=cap)
 
 
+def _period_routed_to(router: ClusterRouter, shard_id: str) -> float:
+    """A period whose 512-bit stream the router hashes to ``shard_id``."""
+    return next(
+        period
+        for period in (0.02 + 0.001 * i for i in range(1000))
+        if router.directory.route_stream(period, 512.0) == shard_id
+    )
+
+
 class TestClusterRouter:
     def run_router(self, coro_fn, n_workers=2, cap=0.6):
         """Start n in-process servers behind a router; run the probe."""
@@ -529,11 +538,7 @@ class TestClusterRouter:
 
     def test_op_forwarded_before_the_drain_is_answered(self):
         async def probe(router, servers, client):
-            period = next(
-                0.02 + 0.001 * i
-                for i in range(1000)
-                if router.directory.route_stream(0.02 + 0.001 * i, 512.0) == "w0"
-            )
+            period = _period_routed_to(router, "w0")
             batcher = servers[0].batcher
             batcher._flush = lambda: None  # hold the op in the worker
             pending = asyncio.create_task(
@@ -639,11 +644,7 @@ class TestBackendFailure:
     @pytest.mark.parametrize("fake", list(FAKE_WORKERS))
     def test_broken_worker_is_dropped_and_the_op_retried(self, fake):
         async def probe(router, client):
-            period = next(
-                0.01 + 0.001 * i
-                for i in range(1000)
-                if router.directory.route_stream(0.01 + 0.001 * i, 512.0) == "w1"
-            )
+            period = _period_routed_to(router, "w1")
             before = self._retries()
             status, decision, headers = await client.request(
                 "POST", "/v1/check", {"period_s": period, "payload_bits": 512.0}
