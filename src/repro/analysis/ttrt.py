@@ -12,8 +12,11 @@ shows the breakdown utilization is usually maximized well below that:
 * In the general case each station bids ``sqrt(δ·P_i)`` and the minimum
   wins, giving the heuristic ``TTRT = sqrt(δ·P_min)``.
 
-This module provides those rules plus an exact numeric optimizer for the
-Theorem 5.1 margin, all as interchangeable :class:`TTRTPolicy` objects.
+This module provides those rules plus the exact optimum of the Theorem 5.1
+margin, all as interchangeable :class:`TTRTPolicy` objects.  The margin
+is piecewise: each ``floor(P_i/TTRT)`` steps at ``P_i/m``, and between
+steps the margin rises with TTRT, so :func:`optimal_ttrt` scores only
+those right edges, pruned block by block with a bound.
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ __all__ = [
     "ttp_saturation_scales",
 ]
 
-#: Candidate TTRTs scored per array pass of :func:`optimal_ttrt`'s grid
-#: scan.  A memory bound, not a tuning knob: a pass holds a handful of
-#: (candidates x streams) float temporaries, about 1.6 MB each at 100
-#: streams, however many candidates the grid has.
+#: Piece edges per block of :func:`optimal_ttrt`, scored in one array
+#: pass.  A memory bound, not a tuning knob: a pass holds a handful of
+#: (edges x streams) float temporaries, about 1.6 MB each at 100
+#: streams, however many edges a set has.
 _SLAB_CANDIDATES = 2048
 
 
@@ -119,6 +122,15 @@ def _visit_starved(q: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return ((q < 2) & live).any(axis=1)
 
 
+def _per_rotation_demands(payload_times: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``Σ C_i / (q_i - 1)`` of each row of visit counts.
+
+    The one expression the kernel and :func:`optimal_ttrt`'s block bounds
+    both sum, so a bound and a score round alike.
+    """
+    return np.sum(payload_times / (q - 1.0), axis=1)
+
+
 def ttp_saturation_scales(
     ttrts: Sequence[float] | np.ndarray,
     periods_s: np.ndarray,
@@ -157,8 +169,8 @@ def ttp_saturation_scales(
     scales = np.zeros(ttrts.size)
     for length in set(lengths[feasible].tolist()):
         rows = np.flatnonzero(feasible & (lengths == length))
-        demand = np.sum(
-            payload_times[rows, :length] / (q[rows, :length] - 1.0), axis=1
+        demand = _per_rotation_demands(
+            payload_times[rows, :length], q[rows, :length]
         )
         with np.errstate(over="ignore"):  # as the scalar float division
             scales[rows] = np.divide(
@@ -168,101 +180,89 @@ def ttp_saturation_scales(
     return scales
 
 
+def _piece_edges(periods: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Every right edge ``P_i/m`` (``m >= 2``) in ``[low, high]``, sorted,
+    each value once."""
+    edges = []
+    for p in np.unique(periods):
+        steps = p / np.arange(max(2, int(p // high)), int(p // low) + 2)
+        edges.append(steps[(steps >= low) & (steps <= high)])
+    return np.unique(np.concatenate(edges))
+
+
 def optimal_ttrt(
     periods_s: Sequence[float],
     payload_times_s: Sequence[float],
     delta: float,
     frame_overhead_time_s: float,
-    grid_points: int = 512,
-    refine_rounds: int = 40,
 ) -> float:
-    """Numerically maximize the saturation scale of Theorem 5.1 over TTRT.
+    """The TTRT that maximizes the Theorem 5.1 saturation scale.
 
-    The objective :func:`ttp_saturation_scale` is piecewise smooth with
-    breakpoints wherever some ``floor(P_i/TTRT)`` steps, so a log-spaced
-    grid scan locates the best piece and golden-section refinement polishes
-    within it.  The scan scores its candidates with
-    :func:`ttp_saturation_scales`, :data:`_SLAB_CANDIDATES` per array
-    pass; the refinement calls the scalar :func:`ttp_saturation_scale`.
-    The search space is ``(0, P_min/2]``.
+    Every ``q_i = floor(P_i/T)`` is constant on ``(P_i/(m+1), P_i/m]``,
+    and where no ``q_i`` steps the scale ``(T - δ - n·F_ovhd) / D(T)``,
+    ``D(T) = Σ C_i/(q_i - 1)``, rises with ``T``.  So the maximum over
+    ``[lower, P_min/2]`` is at a right edge ``P_i/m`` with a positive
+    budget (``P_min/2`` is one), and only those edges are scored: about
+    ``Σ P_i / max(lower, δ + n·F_ovhd)`` of them over the distinct periods,
+    cut, in order, into blocks of :data:`_SLAB_CANDIDATES`.  ``D``
+    never falls as ``T`` grows, so no scale on a block ``[a, b]`` exceeds
+    ``(b - δ - n·F_ovhd) / D(a)``, and in float arithmetic too: every
+    rounding step is monotone and :func:`_per_rotation_demands` sums the
+    bound as the kernel sums a score.  Blocks are scored with
+    :func:`ttp_saturation_scales` in order of falling bound until the
+    next bound is below the best scale.  Ties go to the smallest edge.
+    The proof, and the ``Q_REL_TOL`` snap window just above each edge
+    where a scale may read a few ulps higher, are in docs/THEORY.md §3.3.
 
-    Raises :class:`InfeasibleParameterError` when no feasible TTRT exists
-    (the overhead ``δ`` exceeds every candidate rotation budget).
+    Raises :class:`InfeasibleParameterError` when no edge leaves a
+    positive rotation budget.  With all-zero payloads every feasible
+    TTRT saturates nothing, and the sqrt rule is returned.
     """
     periods = np.asarray(periods_s, dtype=float)
     if periods.size == 0:
         raise ConfigurationError("need at least one stream to optimize TTRT")
+    payload_times = np.asarray(payload_times_s, dtype=float)
     p_min = float(np.min(periods))
     upper = p_min / 2.0
     lower = max(upper * 1e-4, delta * 1e-3, 1e-12)
     if lower >= upper:
         lower = upper / 2.0
-
-    candidates = np.geomspace(lower, upper, grid_points)
-    # Include the exact breakpoints P_i / m near the grid range: the optimum
-    # frequently sits exactly at a floor step.
-    breakpoints = []
-    for p in np.unique(periods):
-        m_low = max(2, int(p // upper))
-        m_high = int(p // lower) if lower > 0 else m_low + grid_points
-        m_high = min(m_high, m_low + 4 * grid_points)
-        steps = p / np.arange(m_low, m_high + 1)
-        breakpoints.append(steps[(steps >= lower) & (steps <= upper)])
-    if breakpoints:
-        candidates = np.unique(np.concatenate([candidates, *breakpoints]))
-
-    payload_times = np.asarray(payload_times_s, dtype=float)
-    scales = np.concatenate(
-        [
-            ttp_saturation_scales(
-                slab,
-                periods,
-                payload_times,
-                np.full(slab.size, periods.size),
-                delta,
-                frame_overhead_time_s,
-            )
-            for slab in np.split(
-                candidates,
-                range(_SLAB_CANDIDATES, candidates.size, _SLAB_CANDIDATES),
-            )
-        ]
-    )
-    best = int(np.argmax(scales))
-    if not np.isfinite(scales[best]) or scales[best] <= 0.0:
-        if np.any(np.isinf(scales)):
-            # All-zero payloads: any feasible TTRT is "optimal"; use sqrt rule.
-            return sqrt_rule_ttrt(p_min, delta)
+    overheads = periods.size * frame_overhead_time_s
+    edges = _piece_edges(periods, max(lower, delta + overheads), upper)
+    edges = edges[edges - delta - overheads > 0]
+    if edges.size == 0:
         raise InfeasibleParameterError(
             "no TTRT in (0, P_min/2] satisfies the protocol constraint; "
             f"overheads delta={delta!r} are too large for P_min={p_min!r}"
         )
+    if not payload_times.any():
+        return sqrt_rule_ttrt(p_min, delta)
 
-    # Golden-section refinement between the neighbours of the best grid point.
-    lo = candidates[max(best - 1, 0)]
-    hi = candidates[min(best + 1, candidates.size - 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def objective(t: float) -> float:
-        return ttp_saturation_scale(
-            t, periods, payload_times_s, delta, frame_overhead_time_s
+    blocks = np.split(edges, range(_SLAB_CANDIDATES, edges.size, _SLAB_CANDIDATES))
+    starts = np.array([block[0] for block in blocks])
+    ends = np.array([block[-1] for block in blocks])
+    demands = _per_rotation_demands(
+        payload_times, token_visit_counts(periods, starts[:, None])
+    )
+    bounds = (ends - delta - overheads) / demands
+    best_scale, best_ttrt = 0.0, upper
+    for k in np.argsort(-bounds, kind="stable"):
+        if bounds[k] < best_scale:
+            break
+        scales = ttp_saturation_scales(
+            blocks[k],
+            periods,
+            payload_times,
+            np.full(blocks[k].size, periods.size),
+            delta,
+            frame_overhead_time_s,
         )
-
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = objective(c), objective(d)
-    for _ in range(refine_rounds):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = objective(d)
-    refined = (a + b) / 2.0
-    return refined if objective(refined) >= scales[best] else float(candidates[best])
+        i = int(np.argmax(scales))
+        if scales[i] > best_scale or (
+            scales[i] == best_scale and blocks[k][i] < best_ttrt
+        ):
+            best_scale, best_ttrt = float(scales[i]), float(blocks[k][i])
+    return best_ttrt
 
 
 class TTRTPolicy(Protocol):
@@ -347,9 +347,7 @@ class FixedTTRT:
 
 @dataclass(frozen=True)
 class OptimalTTRT:
-    """Numeric per-workload optimum of the Theorem 5.1 margin."""
-
-    grid_points: int = 512
+    """Exact per-workload optimum of the Theorem 5.1 margin."""
 
     def select(
         self,
@@ -358,12 +356,8 @@ class OptimalTTRT:
         delta: float,
         frame_overhead_time_s: float,
     ) -> float:
-        """Numerically maximize the Theorem 5.1 saturation scale."""
+        """Maximize the Theorem 5.1 saturation scale over the piece edges."""
         payload_times = [s.payload_time(bandwidth_bps) for s in message_set]
         return optimal_ttrt(
-            message_set.periods,
-            payload_times,
-            delta,
-            frame_overhead_time_s,
-            grid_points=self.grid_points,
+            message_set.periods, payload_times, delta, frame_overhead_time_s
         )

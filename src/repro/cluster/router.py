@@ -407,11 +407,15 @@ class ClusterRouter:
         if path in ("/v1/check", "/v1/admit"):
             if method != "POST":
                 return self._method_not_allowed("POST")
-            return self._forward_stream_op(connection, path, request.body)
+            return self._forward_stream_op(
+                connection, path, request.body, _client_headers(connection, request)
+            )
         if path == "/v1/release":
             if method != "POST":
                 return self._method_not_allowed("POST")
-            return self._forward_release(connection, request.body)
+            return self._forward_release(
+                connection, request.body, _client_headers(connection, request)
+            )
         if path == "/healthz":
             if method != "GET":
                 return self._method_not_allowed("GET")
@@ -471,17 +475,18 @@ class ClusterRouter:
             [("Retry-After", "1")],
         )
 
-    def _forward_stream_op(self, connection, path, body):
+    def _forward_stream_op(self, connection, path, body, client):
         """Route one check/admit, retrying around dead workers."""
         if self._draining:
             return self._draining_response()
         period_s, payload_bits = parse_stream_body(load_body(body))
         return self._dispatch_stream_op(
-            connection, path, body, period_s, payload_bits, len(self.backends) + 1
+            connection, path, body, client, period_s, payload_bits,
+            len(self.backends) + 1,
         )
 
     def _dispatch_stream_op(
-        self, connection, path, body, period_s, payload_bits, attempts
+        self, connection, path, body, client, period_s, payload_bits, attempts
     ):
         """Send the client's body bytes to the stream's worker.
 
@@ -511,8 +516,8 @@ class ClusterRouter:
                         self._m_retries.inc()
                         self._drop_backend(shard_id)
                         answer = self._dispatch_stream_op(
-                            connection, path, body, period_s, payload_bits,
-                            attempts,
+                            connection, path, body, client, period_s,
+                            payload_bits, attempts,
                         )
                 except Exception as exc:  # noqa: BLE001 - answer, never hang
                     answer = self._error_answer(exc, "POST", path)
@@ -520,7 +525,8 @@ class ClusterRouter:
                     connection.respond(*answer)
 
             backend.send(
-                http.encode_request("POST", path, backend.address, body), reply
+                http.encode_request("POST", path, backend.address, body, client),
+                reply,
             )
             return http.PENDING
         return (
@@ -556,7 +562,7 @@ class ClusterRouter:
                 return status, dict(payload, stream_id=fleet_id), extra
         return status, _raw_body(headers, raw), extra
 
-    def _forward_release(self, connection, body):
+    def _forward_release(self, connection, body, client):
         """Route one release by the fleet stream-id directory."""
         if self._draining:
             return self._draining_response()
@@ -588,6 +594,7 @@ class ClusterRouter:
                 "/v1/release",
                 backend.address,
                 dump_body({"stream_id": local_id, "idempotent": idempotent}),
+                client,
             ),
             reply,
         )
@@ -791,6 +798,15 @@ class ClusterRouter:
             },
             [("Retry-After", "1")],
         )
+
+
+def _client_headers(connection, request: http.Request):
+    """The ``X-Client-Id`` a worker's rate limiter keys this client on:
+    the client's own header, else its peer host, as the worker would
+    read them on a direct request."""
+    return (
+        ("X-Client-Id", request.headers.get("x-client-id", connection.peer_host)),
+    )
 
 
 def _dedupe_family_headers(text: str) -> str:

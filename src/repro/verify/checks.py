@@ -23,6 +23,13 @@ The properties:
     Every scalar/batched implementation pair must agree **bit for bit**;
     the batched paths are pure performance work and may not move a single
     verdict.
+``ttrt_optimum_exact``
+    :func:`~repro.analysis.ttrt.optimal_ttrt` prunes piece edges with a
+    bound; on the case's TTP ring its choice must score at least every
+    right edge ``P_i/m`` of its domain, enumerated here and scored
+    unpruned by the scalar ``ttp_saturation_scale``, and at least a dense
+    log scan of the domain, less the ``Q_REL_TOL`` snap window.  It
+    raises ``InfeasibleParameterError`` exactly when no edge scores.
 ``shrink_monotonic``
     Metamorphic: shrinking any payload of a schedulable set keeps it
     schedulable (both theorems are monotone in the payloads).
@@ -134,13 +141,20 @@ from repro.analysis import bounds as bounds_mod
 from repro.analysis import montecarlo as montecarlo_mod
 from repro.analysis import pdp as pdp_mod
 from repro.analysis import rm as rm_mod
+from repro.analysis import ttrt as ttrt_mod
 from repro.analysis.breakdown import breakdown_scale, breakdown_scales_batch
 from repro.analysis.pdp import PDPAnalysis, PDPVariant
 from repro.analysis.ttp import TTPAnalysis
-from repro.analysis.ttrt import FixedTTRT
+from repro.analysis.boundary import Q_REL_TOL
+from repro.analysis.ttrt import (
+    FixedTTRT,
+    ttp_saturation_scale,
+    ttp_saturation_scales,
+)
 from repro.errors import (
     AdmissionError,
     AllocationError,
+    InfeasibleParameterError,
     MessageSetError,
     ReproError,
 )
@@ -171,6 +185,14 @@ _SIM_PERIODS = 2.0
 #: scalar boundary rule, not the simulators; simulating several such
 #: periods would burn the whole fuzz budget on one case.
 _SIM_MAX_PERIOD_S = 1.0
+
+#: Most piece edges ``ttrt_optimum_exact`` scores one at a time.  The
+#: random families stay below 20,000; the huge-quotient
+#: ``exact_multiple`` cases have millions and target the boundary rule.
+_TTRT_MAX_EDGES = 50_000
+
+#: Points of ``ttrt_optimum_exact``'s dense log scan of the TTRT domain.
+_TTRT_SCAN_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -454,6 +476,68 @@ def check_breakdown_batch(case: FuzzCase) -> Violation | None:
 
 
 # -- metamorphic ---------------------------------------------------------------
+
+
+def check_ttrt_optimum_exact(case: FuzzCase) -> Violation | None:
+    """The optimal TTRT is the best piece edge and beats a dense scan."""
+    ttp = _ttp_analysis(case)
+    periods = np.asarray(case.periods_s, dtype=float)
+    payload_times = np.asarray(case.payloads_bits, dtype=float) / case.bandwidth_bps
+    delta, overhead = ttp.delta, ttp.frame_overhead_time
+    budget_floor = delta + periods.size * overhead
+    upper = float(periods.min()) / 2.0
+    # optimal_ttrt's domain: [lower, P_min/2], a positive budget.
+    low = max(upper * 1e-4, delta * 1e-3, 1e-12, budget_floor)
+    if np.sum(periods // low) > _TTRT_MAX_EDGES:
+        return None
+    edges = {
+        p / m
+        for p in set(periods.tolist())
+        for m in range(2, int(p // low) + 2)
+        if low <= p / m <= upper
+    }
+    best_edge = max(
+        (
+            ttp_saturation_scale(t, periods, payload_times, delta, overhead)
+            for t in edges
+        ),
+        default=0.0,
+    )
+    try:
+        chosen = ttrt_mod.optimal_ttrt(periods, payload_times, delta, overhead)
+    except InfeasibleParameterError:
+        if best_edge > 0.0:
+            return Violation(
+                "ttrt_optimum_exact",
+                case,
+                f"optimal_ttrt raised InfeasibleParameterError but a piece "
+                f"edge scores {best_edge!r}",
+            )
+        return None
+    chosen_scale = ttp_saturation_scale(
+        chosen, periods, payload_times, delta, overhead
+    )
+    if chosen_scale < best_edge:
+        return Violation(
+            "ttrt_optimum_exact",
+            case,
+            f"optimal_ttrt chose TTRT={chosen!r} scoring {chosen_scale!r}, "
+            f"but the best of {len(edges)} piece edges scores {best_edge!r}",
+        )
+    probes = np.geomspace(low, upper, _TTRT_SCAN_POINTS)
+    dense = ttp_saturation_scales(
+        probes, periods, payload_times, np.full(probes.size, periods.size),
+        delta, overhead,
+    )
+    if chosen_scale < dense.max() * (1 - 2 * Q_REL_TOL):
+        worst = int(np.argmax(dense))
+        return Violation(
+            "ttrt_optimum_exact",
+            case,
+            f"optimal_ttrt chose TTRT={chosen!r} scoring {chosen_scale!r}, "
+            f"but the scan point {probes[worst]!r} scores {dense[worst]!r}",
+        )
+    return None
 
 
 def check_shrink_monotonic(case: FuzzCase) -> Violation | None:
@@ -1703,6 +1787,7 @@ CHECKS: dict[str, Callable[[FuzzCase], Violation | None]] = {
     "breakdown_batch": check_breakdown_batch,
     "shrink_monotonic": check_shrink_monotonic,
     "scale_invariance": check_scale_invariance,
+    "ttrt_optimum_exact": check_ttrt_optimum_exact,
     "service_batch_equiv": check_service_batch_equiv,
     "admission_snapshot_equiv": check_admission_snapshot_equiv,
     "admission_cache_equiv": check_admission_cache_equiv,

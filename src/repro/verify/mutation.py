@@ -7,7 +7,7 @@ any property fired.  A harness that cannot flag these deliberate bugs
 would be giving vacuous green lights — ``make fuzz-quick`` therefore
 requires **every** mutant to be detected.
 
-The eighteen mutants, and the property expected to catch each (the
+The nineteen mutants, and the property expected to catch each (the
 simulation properties run the discrete-event simulators themselves, so
 an analysis bug is caught against the specification, not against a
 second implementation of it):
@@ -130,6 +130,11 @@ second implementation of it):
     answers 0 → caught by ``breakdown_batch``, whose population, scored
     at a fixed TTRT of ``P_min / 2``, includes the case with its periods
     ×1e-6.
+``ttrt_edges_min_period_only``
+    :func:`~repro.analysis.ttrt.optimal_ttrt` enumerates only the piece
+    edges ``P_min/m`` of the shortest period, so a set whose best TTRT
+    is an edge ``P_i/m`` of a longer period gets a worse one → caught by
+    ``ttrt_optimum_exact``, which scores every period's edges.
 ``batcher_batch_reordered``
     The micro-batcher's flush calls a batch's ``done`` callbacks with
     the results in reversed order, so each request of a multi-op batch
@@ -353,6 +358,12 @@ def _buggy_visit_starved(q, lengths):
     return np.zeros(q.shape[0], dtype=bool)  # BUG: no row is ever starved
 
 
+def _buggy_piece_edges(original):
+    def piece_edges(periods, low, high):
+        return original(np.min(periods, keepdims=True), low, high)  # BUG
+    return piece_edges
+
+
 def _buggy_answer(batch, results):
     for (_, done, _), result in zip(batch, reversed(results)):  # BUG
         done(result)
@@ -461,6 +472,12 @@ def _patch_sites(mutant: str) -> list[tuple[object, str, object]]:
         from repro.analysis import ttrt as ttrt_mod
 
         return [(ttrt_mod, "_visit_starved", _buggy_visit_starved)]
+    if mutant == "ttrt_edges_min_period_only":
+        from repro.analysis import ttrt as ttrt_mod
+
+        return [
+            (ttrt_mod, "_piece_edges", _buggy_piece_edges(ttrt_mod._piece_edges))
+        ]
     if mutant == "batcher_batch_reordered":
         from repro.service import batcher as batcher_mod
 
@@ -486,6 +503,7 @@ MUTANTS: tuple[str, ...] = (
     "breakdown_lockstep_bracket",
     "breakdown_far_edge_evaluations",
     "ttp_batch_starved_rows_kept",
+    "ttrt_edges_min_period_only",
     "batcher_batch_reordered",
 )
 

@@ -572,6 +572,70 @@ class TestClusterRouter:
         assert self.run_router(probe)
 
 
+
+class TestRouterClientIdentity:
+    """The worker's rate limiter keys each client through the router as
+    it does on a direct request: by ``X-Client-Id``, not by the
+    router's address."""
+
+    @staticmethod
+    async def exchange(port: int, client_id: str, ops) -> list[int]:
+        statuses = []
+        async with AsyncServiceClient(
+            "127.0.0.1", port, client_id=client_id
+        ) as client:
+            for path, body in ops:
+                if path == "/v1/release":  # the stream the last admit got
+                    body = {"stream_id": admitted}
+                status, payload, _ = await client.request("POST", path, body)
+                if path == "/v1/admit":
+                    admitted = payload.get("stream_id")
+                statuses.append(status)
+        return statuses
+
+    @pytest.mark.parametrize("front", ["server", "router"])
+    def test_distinct_clients_get_distinct_buckets(self, front):
+        stream = {"period_s": 0.05, "payload_bits": 512.0}
+        checks = [("/v1/check", stream)] * 3
+
+        async def main():
+            worker = AdmissionServer(
+                ServiceConfig(
+                    port=0, shard_id="w0", rate_limit_rps=1.0,
+                    rate_limit_burst=3.0,
+                )
+            )
+            await worker.start()
+            router = None
+            port = worker.port
+            if front == "router":
+                router = ClusterRouter(
+                    ClusterConfig(n_workers=1, service=ServiceConfig(port=0)),
+                    pool=None,
+                )
+                router.add_backend("w0", "127.0.0.1", worker.port)
+                await router.start()
+                port = router.port
+            try:
+                alice = await self.exchange(port, "alice", checks)
+                over = await self.exchange(port, "alice", checks[:1])
+                bob = await self.exchange(
+                    port,
+                    "bob",
+                    [("/v1/admit", stream), ("/v1/release", None), *checks[:1]],
+                )
+                return alice, over, bob
+            finally:
+                if router is not None:
+                    await router.drain_and_stop()
+                await worker.drain_and_stop()
+
+        alice, over, bob = asyncio.run(main())
+        assert alice == [200, 200, 200]
+        assert over == [429]
+        assert bob == [200, 200, 200]
+
+
 async def _hang_up(reader, writer):
     """A worker that reads one request head and hangs up."""
     await reader.readuntil(b"\r\n\r\n")
