@@ -142,10 +142,10 @@ from repro.analysis import montecarlo as montecarlo_mod
 from repro.analysis import pdp as pdp_mod
 from repro.analysis import rm as rm_mod
 from repro.analysis import ttrt as ttrt_mod
+from repro.analysis.boundary import Q_REL_TOL
 from repro.analysis.breakdown import breakdown_scale, breakdown_scales_batch
 from repro.analysis.pdp import PDPAnalysis, PDPVariant
 from repro.analysis.ttp import TTPAnalysis
-from repro.analysis.boundary import Q_REL_TOL
 from repro.analysis.ttrt import (
     FixedTTRT,
     ttp_saturation_scale,

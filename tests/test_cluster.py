@@ -572,7 +572,6 @@ class TestClusterRouter:
         assert self.run_router(probe)
 
 
-
 class TestRouterClientIdentity:
     """The worker's rate limiter keys each client through the router as
     it does on a direct request: by ``X-Client-Id``, not by the
