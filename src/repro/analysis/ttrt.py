@@ -16,7 +16,8 @@ This module provides those rules plus the exact optimum of the Theorem 5.1
 margin, all as interchangeable :class:`TTRTPolicy` objects.  The margin
 is piecewise: each ``floor(P_i/TTRT)`` steps at ``P_i/m``, and between
 steps the margin rises with TTRT, so :func:`optimal_ttrt` scores only
-those right edges, pruned block by block with a bound.
+those right edges, slice by slice, pruning each slice with a bound
+before its edges are built.
 """
 
 from __future__ import annotations
@@ -44,10 +45,11 @@ __all__ = [
     "ttp_saturation_scales",
 ]
 
-#: Piece edges per block of :func:`optimal_ttrt`, scored in one array
-#: pass.  A memory bound, not a tuning knob: a pass holds a handful of
-#: (edges x streams) float temporaries, about 1.6 MB each at 100
-#: streams, however many edges a set has.
+#: Piece edges per slice of :func:`optimal_ttrt`, built and scored in
+#: one array pass (about; a slice holds at most this plus one per
+#: distinct period).  A memory bound, not a tuning knob: a pass holds a
+#: handful of (edges x streams) float temporaries, about 1.6 MB each at
+#: 100 streams, however many edges a set has.
 _SLAB_CANDIDATES = 2048
 
 
@@ -125,7 +127,7 @@ def _visit_starved(q: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def _per_rotation_demands(payload_times: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``Σ C_i / (q_i - 1)`` of each row of visit counts.
 
-    The one expression the kernel and :func:`optimal_ttrt`'s block bounds
+    The one expression the kernel and :func:`optimal_ttrt`'s slice bounds
     both sum, so a bound and a score round alike.
     """
     return np.sum(payload_times / (q - 1.0), axis=1)
@@ -190,6 +192,22 @@ def _piece_edges(periods: np.ndarray, low: float, high: float) -> np.ndarray:
     return np.unique(np.concatenate(edges))
 
 
+def _slices(periods: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Boundaries ``low = t_0 < ... < t_K = high`` of slices equally wide
+    in ``1/T``, each holding about :data:`_SLAB_CANDIDATES` edges.
+
+    The edges ``P_i/m`` of one period are evenly spaced ``1/P_i`` apart
+    in ``1/T``, so a slice of width ``w`` holds at most ``w·P_i + 1`` of
+    them per distinct period.
+    """
+    distinct = np.unique(periods)
+    u_low, u_high = 1.0 / high, 1.0 / low
+    count = max(1, math.ceil((u_high - u_low) * distinct.sum() / _SLAB_CANDIDATES))
+    bounds = np.clip(1.0 / np.linspace(u_high, u_low, count + 1), low, high)
+    bounds[0], bounds[-1] = low, high
+    return bounds
+
+
 def optimal_ttrt(
     periods_s: Sequence[float],
     payload_times_s: Sequence[float],
@@ -203,16 +221,20 @@ def optimal_ttrt(
     ``D(T) = Σ C_i/(q_i - 1)``, rises with ``T``.  So the maximum over
     ``[lower, P_min/2]`` is at a right edge ``P_i/m`` with a positive
     budget (``P_min/2`` is one), and only those edges are scored: about
-    ``Σ P_i / max(lower, δ + n·F_ovhd)`` of them over the distinct periods,
-    cut, in order, into blocks of :data:`_SLAB_CANDIDATES`.  ``D``
-    never falls as ``T`` grows, so no scale on a block ``[a, b]`` exceeds
-    ``(b - δ - n·F_ovhd) / D(a)``, and in float arithmetic too: every
-    rounding step is monotone and :func:`_per_rotation_demands` sums the
-    bound as the kernel sums a score.  Blocks are scored with
-    :func:`ttp_saturation_scales` in order of falling bound until the
-    next bound is below the best scale.  Ties go to the smallest edge.
-    The proof, and the ``Q_REL_TOL`` snap window just above each edge
-    where a scale may read a few ulps higher, are in docs/THEORY.md §3.3.
+    ``Σ P_i / max(lower, δ + n·F_ovhd)`` of them over the distinct periods.
+    The domain is cut into slices equally wide in ``1/T`` with about
+    :data:`_SLAB_CANDIDATES` edges each, and a slice's edges are built
+    only when it is scored, so memory follows the slice size, not the
+    edge count.  ``D`` never falls as ``T`` grows, so no scale on a
+    slice ``[a, b]`` exceeds ``(b - δ - n·F_ovhd) / D(a)``, and in float
+    arithmetic too: every rounding step is monotone and
+    :func:`_per_rotation_demands` sums the bound as the kernel sums a
+    score.  Slices are scored with :func:`ttp_saturation_scales` in
+    order of falling bound until the next bound is below the best scale.
+    Ties go to the smallest edge, so the choice does not depend on the
+    slicing.  The proof, and the ``Q_REL_TOL`` snap window just above
+    each edge where a scale may read a few ulps higher, are in
+    docs/THEORY.md §3.3.
 
     Raises :class:`InfeasibleParameterError` when no edge leaves a
     positive rotation budget.  With all-zero payloads every feasible
@@ -228,9 +250,10 @@ def optimal_ttrt(
     if lower >= upper:
         lower = upper / 2.0
     overheads = periods.size * frame_overhead_time_s
-    edges = _piece_edges(periods, max(lower, delta + overheads), upper)
-    edges = edges[edges - delta - overheads > 0]
-    if edges.size == 0:
+    low = max(lower, delta + overheads)
+    # ``upper`` is the largest edge (``P_min/2``) and the budget rises
+    # with the edge, so some edge is feasible exactly when it is.
+    if not (low <= upper and upper - delta - overheads > 0):
         raise InfeasibleParameterError(
             "no TTRT in (0, P_min/2] satisfies the protocol constraint; "
             f"overheads delta={delta!r} are too large for P_min={p_min!r}"
@@ -238,30 +261,41 @@ def optimal_ttrt(
     if not payload_times.any():
         return sqrt_rule_ttrt(p_min, delta)
 
-    blocks = np.split(edges, range(_SLAB_CANDIDATES, edges.size, _SLAB_CANDIDATES))
-    starts = np.array([block[0] for block in blocks])
-    ends = np.array([block[-1] for block in blocks])
-    demands = _per_rotation_demands(
-        payload_times, token_visit_counts(periods, starts[:, None])
+    cuts = _slices(periods, low, upper)
+    starts, ends = cuts[:-1], cuts[1:]
+    demands = np.concatenate(
+        [
+            _per_rotation_demands(
+                payload_times,
+                token_visit_counts(periods, starts[i : i + _SLAB_CANDIDATES, None]),
+            )
+            for i in range(0, starts.size, _SLAB_CANDIDATES)
+        ]
     )
     bounds = (ends - delta - overheads) / demands
     best_scale, best_ttrt = 0.0, upper
     for k in np.argsort(-bounds, kind="stable"):
         if bounds[k] < best_scale:
             break
+        edges = _piece_edges(periods, starts[k], ends[k])
+        if k + 1 < starts.size:  # slices are half-open but the last
+            edges = edges[edges < ends[k]]
+        edges = edges[edges - delta - overheads > 0]
+        if edges.size == 0:
+            continue
         scales = ttp_saturation_scales(
-            blocks[k],
+            edges,
             periods,
             payload_times,
-            np.full(blocks[k].size, periods.size),
+            np.full(edges.size, periods.size),
             delta,
             frame_overhead_time_s,
         )
         i = int(np.argmax(scales))
         if scales[i] > best_scale or (
-            scales[i] == best_scale and blocks[k][i] < best_ttrt
+            scales[i] == best_scale and edges[i] < best_ttrt
         ):
-            best_scale, best_ttrt = float(scales[i]), float(blocks[k][i])
+            best_scale, best_ttrt = float(scales[i]), float(edges[i])
     return best_ttrt
 
 

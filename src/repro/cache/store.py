@@ -50,11 +50,21 @@ class ResultCache:
         self.directory = directory
         self._max_memory = max(int(max_memory_entries), 1)
         self._memory: "OrderedDict[str, object]" = OrderedDict()
+        # (namespace, event) -> the ``cache.<namespace>.<event>`` counter,
+        # so a lookup neither formats the name nor takes the registry
+        # lock to find it (registry counters are singletons, zeroed in
+        # place).
+        self._counters: "dict[tuple[str, str], _metrics.Counter]" = {}
 
     # -- internals ------------------------------------------------------------
 
     def _count(self, namespace: str, event: str) -> None:
-        _metrics.counter(f"cache.{namespace}.{event}").inc()
+        counter = self._counters.get((namespace, event))
+        if counter is None:
+            counter = self._counters[namespace, event] = _metrics.counter(
+                f"cache.{namespace}.{event}"
+            )
+        counter.inc()
 
     def _path(self, key: str, namespace: str) -> str:
         assert self.directory is not None

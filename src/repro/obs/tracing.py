@@ -45,6 +45,17 @@ Sampling is deterministic systematic sampling (an accumulator, not a
 RNG): rate 0.5 traces every second request, 1.0 every request, 0.0 none.
 Root spans whose duration exceeds ``slow_threshold_s`` are additionally
 logged with their full span tree — the slow-request log.
+
+Cost: the service traces every request by default, so a span is one
+record.  The object a ``with span(...)`` statement opens *is* the trace
+node when one is current; it reads ``perf_counter`` once on entry (its
+``start_ts`` is that reading on the process's wall-clock anchor, so a
+shared node shows one ``start_ts`` in every tree), keeps the ``attrs``
+it was given without copying them, and gets a ``children`` list only
+when its first child arrives.  The aggregation path is a node of a
+process-wide path tree, found by one dict lookup per span, so no path
+string is built after a path's first execution.  Each span takes the
+table lock once, on exit.
 """
 
 from __future__ import annotations
@@ -84,13 +95,13 @@ _LOG = obslog.get_logger("repro.obs.tracing")
 #: Version tag on every serialized trace; bump on structural changes.
 TRACE_SCHEMA_VERSION = 1
 
-#: The current frame on this thread/task: ``(path, node)``, where
-#: ``path`` is the aggregation path new spans nest under and ``node`` the
-#: trace :class:`Span` or :class:`SpanGroup` they attach to (``None``
-#: when nothing is traced).
-_CURRENT: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_span", default=("", None)
-)
+_perf = time.perf_counter
+
+#: Wall-clock time of ``perf_counter``'s zero, read once per process: a
+#: span's ``start_ts`` is this plus its ``perf_counter`` start, so every
+#: span of a process sits on one timeline without a ``time.time()`` call
+#: per span.
+_EPOCH = time.time() - _perf()
 
 #: Process-wide span-id allocator (unique per process; a shared fan-out
 #: span keeps one id across every trace it appears in — that identity is
@@ -131,12 +142,60 @@ class SpanStats:
         }
 
 
-#: The process table: span path -> :class:`SpanStats`, guarded by
+class _Path:
+    """One aggregation path: its stats and the paths one name below it.
+
+    ``kids`` caches ``name -> _Path`` so an open span finds its path by
+    one dict lookup; the path string is built once, when the path is
+    first reached.
+    """
+
+    __slots__ = ("path", "stats", "kids")
+
+    def __init__(self, path: str):
+        self.path = path
+        self.stats = SpanStats()
+        self.kids: dict[str, _Path] = {}
+
+    def kid(self, name: str) -> "_Path":
+        """The path ``name`` nests under this one (created on first use)."""
+        node = self.kids.get(name)
+        if node is None:
+            node = self.kids[name] = _path_at(
+                f"{self.path}/{name}" if self.path else name
+            )
+        return node
+
+
+#: The process table: span path -> :class:`_Path`, guarded by
 #: ``_TABLE_LOCK``: spans may close on a server's event-loop thread
 #: (``runner top --spawn`` and the service tests run one beside the
-#: caller's thread) while another thread snapshots.
-_TABLE: dict[str, SpanStats] = {}
+#: caller's thread) while another thread snapshots.  Paths are never
+#: removed (:func:`reset` zeroes their stats), so a cached ``_Path``
+#: stays the table's.
+_TABLE: dict[str, _Path] = {}
 _TABLE_LOCK = threading.Lock()
+_ROOT = _TABLE[""] = _Path("")
+
+
+def _path_at(path: str) -> _Path:
+    """The table's node for ``path`` (created on first use)."""
+    node = _TABLE.get(path)
+    if node is None:
+        with _TABLE_LOCK:
+            node = _TABLE.get(path)
+            if node is None:
+                node = _TABLE[path] = _Path(path)
+    return node
+
+
+#: The current frame on this thread/task: ``(path, node)``, where
+#: ``path`` is the :class:`_Path` new spans nest under and ``node`` the
+#: trace :class:`Span` or :class:`SpanGroup` they attach to (``None``
+#: when nothing is traced).
+_CURRENT: contextvars.ContextVar = contextvars.ContextVar(
+    "repro_span", default=(_ROOT, None)
+)
 
 
 class Span:
@@ -144,17 +203,19 @@ class Span:
 
     ``trace_id`` is set on root spans only; children identify through
     their tree position.  ``duration_s`` is filled by whoever owns the
-    span's lifetime (:func:`span` or :meth:`Tracer.finish`).
+    span's lifetime (:func:`span` or :meth:`Tracer.finish`).  ``attrs``
+    is kept as given, not copied: the span owns the dict from then on.
+    ``children`` reads as a list; a span allocates one only when its
+    first child arrives.
     """
 
     __slots__ = (
         "name",
         "span_id",
         "trace_id",
-        "start_ts",
         "duration_s",
         "attrs",
-        "children",
+        "_children",
         "_t0",
     )
 
@@ -162,16 +223,33 @@ class Span:
         self.name = name
         self.span_id = next(_SPAN_IDS)
         self.trace_id = trace_id
-        self.start_ts = time.time()
-        self._t0 = time.perf_counter()
         self.duration_s = 0.0
-        self.attrs = dict(attrs) if attrs else {}
-        self.children: list[Span] = []
+        self.attrs = {} if attrs is None else attrs
+        self._children = None
+        self._t0 = _perf()
+
+    @property
+    def start_ts(self) -> float:
+        """Wall-clock start, seconds since the epoch."""
+        return _EPOCH + self._t0
+
+    @property
+    def children(self) -> list:
+        """The child spans, in the order they were opened (read-only)."""
+        children = self._children
+        return [] if children is None else children
+
+    def _attach(self, child: "Span") -> None:
+        children = self._children
+        if children is None:
+            self._children = [child]
+        else:
+            children.append(child)
 
     def child(self, name: str, **attrs) -> "Span":
         """Create and attach a child span (duration set by the caller)."""
         span = Span(name, attrs)
-        self.children.append(span)
+        self._attach(span)
         return span
 
     def add(self, counts: dict) -> None:
@@ -180,17 +258,20 @@ class Span:
         for key, value in counts.items():
             attrs[key] = attrs.get(key, 0) + value
 
+    def _update(self, attrs: dict) -> None:
+        self.attrs.update(attrs)
+
     def to_dict(self) -> dict:
         """The span subtree as plain JSON-serializable data."""
         out = {
             "name": self.name,
             "span_id": self.span_id,
-            "start_ts": self.start_ts,
+            "start_ts": _EPOCH + self._t0,
             "duration_s": self.duration_s,
             "attrs": dict(self.attrs),
         }
-        if self.children:
-            out["spans"] = [child.to_dict() for child in self.children]
+        if self._children:
+            out["spans"] = [child.to_dict() for child in self._children]
         return out
 
     def trace_dict(self) -> dict:
@@ -216,17 +297,24 @@ class SpanGroup:
     def __init__(self, members: list[Span]):
         self.members = members
 
+    def _attach(self, child: Span) -> None:
+        for member in self.members:
+            member._attach(child)
+
     def child(self, name: str, **attrs) -> Span:
         """One shared child span attached to every member."""
         span = Span(name, attrs)
-        for member in self.members:
-            member.children.append(span)
+        self._attach(span)
         return span
 
     def add(self, counts: dict) -> None:
         """Accumulate numeric attributes on every member."""
         for member in self.members:
             member.add(counts)
+
+    def _update(self, attrs: dict) -> None:
+        for member in self.members:
+            member.attrs.update(attrs)
 
 
 class Tracer:
@@ -267,6 +355,9 @@ class Tracer:
         self.slow_threshold_s = float(slow_threshold_s)
         self.jsonl_path = jsonl_path
         self._jsonl_handle = None
+        # Appends and list() of a deque are atomic, so the buffer needs
+        # no lock of its own; ``_lock`` guards the sampling accumulator
+        # and the JSONL sink.
         self._buffer: deque = deque(maxlen=int(buffer_size))
         self._lock = threading.Lock()
         self._acc = 0.0
@@ -278,33 +369,33 @@ class Tracer:
     def begin(self, name: str, **attrs) -> Span | None:
         """Start a root span, or ``None`` when this request is unsampled."""
         rate = self.sample_rate
-        if rate <= 0.0:
-            return None
-        with self._lock:
-            self._acc += rate
-            if self._acc < 1.0:
+        if rate < 1.0:
+            # At rate 1.0 the accumulator would step 0 -> 1 -> 0 on every
+            # request, so only fractional rates read it.
+            if rate <= 0.0:
                 return None
-            self._acc -= 1.0
-            trace_id = f"{self._prefix}{next(self._ids):010x}"
+            with self._lock:
+                self._acc += rate
+                if self._acc < 1.0:
+                    return None
+                self._acc -= 1.0
         _M_SAMPLED.inc()
-        return Span(name, attrs, trace_id=trace_id)
+        return Span(name, attrs, f"{self._prefix}{next(self._ids):010x}")
 
     def finish(self, span: Span | None, duration_s: float | None = None) -> None:
         """Complete a root span: time it, buffer it, feed the sinks."""
         if span is None:
             return
         span.duration_s = (
-            duration_s
-            if duration_s is not None
-            else time.perf_counter() - span._t0
+            duration_s if duration_s is not None else _perf() - span._t0
         )
         _M_FINISHED.inc()
-        document = None
-        if self.jsonl_path is not None:
-            document = span.trace_dict()
-        with self._lock:
+        if self.jsonl_path is None:
             self._buffer.append(span)
-            if document is not None:
+        else:
+            document = span.trace_dict()
+            with self._lock:
+                self._buffer.append(span)
                 if self._jsonl_handle is None:
                     self._jsonl_handle = open(
                         self.jsonl_path, "a", encoding="utf-8"
@@ -328,8 +419,7 @@ class Tracer:
 
     def recent(self, limit: int | None = None) -> list[dict]:
         """The newest finished traces, oldest first, as plain dicts."""
-        with self._lock:
-            spans = list(self._buffer)
+        spans = list(self._buffer)
         if limit is not None and limit > 0:
             spans = spans[-limit:]
         return [span.trace_dict() for span in spans]
@@ -345,36 +435,47 @@ class Tracer:
 # -- spans ----------------------------------------------------------------------
 
 
-class _SpanContext:
-    """Context manager around one execution of a span."""
+class _SpanContext(Span):
+    """One execution of :func:`span`: the context manager and, when a
+    trace node is current, the trace node itself (one record per span).
 
-    __slots__ = ("_name", "_attrs", "_path", "_node", "_token", "_t0")
+    Until it is entered under a trace node it carries only its name and
+    attrs; an untraced execution never sets the trace slots.
+    """
+
+    __slots__ = ("_path", "_token")
 
     def __init__(self, name: str, attrs: dict):
-        self._name = name
-        self._attrs = attrs
+        self.name = name
+        self.attrs = attrs
 
     def __enter__(self) -> Span | None:
         path, parent = _CURRENT.get()
-        name = self._name
-        self._path = path = f"{path}/{name}" if path else name
-        self._node = node = (
-            None if parent is None else parent.child(name, **self._attrs)
-        )
-        self._token = _CURRENT.set((path, node))
-        self._t0 = time.perf_counter()
-        return node
+        self._path = node = path.kid(self.name)
+        if parent is None:
+            self._token = _CURRENT.set((node, None))
+            self._t0 = _perf()
+            return None
+        self.span_id = next(_SPAN_IDS)
+        self.trace_id = None
+        self.duration_s = 0.0
+        self._children = None
+        parent._attach(self)
+        self._token = _CURRENT.set((node, self))
+        self._t0 = _perf()
+        return self
 
     def __exit__(self, *exc_info):
-        elapsed = time.perf_counter() - self._t0
+        self.duration_s = elapsed = _perf() - self._t0
         _CURRENT.reset(self._token)
-        if self._node is not None:
-            self._node.duration_s = elapsed
-        with _TABLE_LOCK:
-            stats = _TABLE.get(self._path)
-            if stats is None:
-                stats = _TABLE[self._path] = SpanStats()
-            stats.record(elapsed)
+        # The token holds the enclosing frame, whose trace node holds
+        # this span: drop it so a finished trace is no reference cycle.
+        self._token = None
+        _TABLE_LOCK.acquire()  # about half the cost of a ``with`` block
+        try:
+            self._path.stats.record(elapsed)
+        finally:
+            _TABLE_LOCK.release()
         return False
 
 
@@ -398,19 +499,22 @@ def span(name: str, **attrs):
 def snapshot() -> dict:
     """Every span path as a plain picklable ``{path: dict}`` mapping."""
     with _TABLE_LOCK:
-        return {path: stats.to_dict() for path, stats in sorted(_TABLE.items())}
+        return {
+            path: node.stats.to_dict()
+            for path, node in sorted(_TABLE.items())
+            if node.stats.count
+        }
 
 
 def merge(snap: dict) -> None:
     """Fold a :func:`snapshot` (e.g. from a worker process) into the
     process table: counts and totals add, min/max combine."""
-    with _TABLE_LOCK:
-        for path, data in snap.items():
-            if not data["count"]:
-                continue
-            stats = _TABLE.get(path)
-            if stats is None:
-                stats = _TABLE[path] = SpanStats()
+    for path, data in snap.items():
+        if not data["count"]:
+            continue
+        node = _path_at(path)
+        with _TABLE_LOCK:
+            stats = node.stats
             stats.count += data["count"]
             stats.total_s += data["total_s"]
             stats.min_s = min(stats.min_s, data["min_s"])
@@ -418,9 +522,10 @@ def merge(snap: dict) -> None:
 
 
 def reset() -> None:
-    """Drop every recorded path (open spans still record on exit)."""
+    """Zero every recorded path (open spans still record on exit)."""
     with _TABLE_LOCK:
-        _TABLE.clear()
+        for node in _TABLE.values():
+            node.stats = SpanStats()
 
 
 # -- context propagation --------------------------------------------------------
@@ -437,8 +542,9 @@ def use(node: Span | SpanGroup | None, path: str | None = None):
     ``path`` replaces the aggregation path new spans nest under; by
     default the current one is kept.
     """
-    current_path, _ = _CURRENT.get()
-    return _CURRENT.set((current_path if path is None else path, node))
+    if path is None:
+        return _CURRENT.set((_CURRENT.get()[0], node))
+    return _CURRENT.set((_path_at(path), node))
 
 
 def release(token) -> None:
@@ -449,13 +555,8 @@ def release(token) -> None:
 def annotate(**attrs) -> None:
     """Set attributes on the current trace node (no-op when untraced)."""
     target = _CURRENT.get()[1]
-    if target is None:
-        return
-    if isinstance(target, SpanGroup):
-        for member in target.members:
-            member.attrs.update(attrs)
-    else:
-        target.attrs.update(attrs)
+    if target is not None:
+        target._update(attrs)
 
 
 def add(**counts) -> None:

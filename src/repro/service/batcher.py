@@ -29,9 +29,10 @@ tens of microseconds, far less than a handoff to a worker thread and
 back.  The flush runs as a loop callback, not inside any request's
 context, so each pending operation carries its request span (``None``
 when unsampled) and the flush installs a
-:class:`~repro.obs.tracing.SpanGroup` over the sampled members — the
-batch span and the engine/cache spans the controller produces underneath
-are shared nodes attached to every traced request the batch served.
+:class:`~repro.obs.tracing.SpanGroup` over the sampled members (a lone
+sampled member is installed as itself) — the batch span and the
+engine/cache spans the controller produces underneath are shared nodes
+attached to every traced request the batch served.
 """
 
 from __future__ import annotations
@@ -227,9 +228,11 @@ class MicroBatcher:
         # "batch" node in every traced member, with the engine and cache
         # spans process_batch opens beneath it.
         members = [span for span in spans if span is not None]
-        token = tracing.use(
-            tracing.SpanGroup(members) if members else None, path="service"
-        )
+        if len(members) > 1:
+            node = tracing.SpanGroup(members)
+        else:  # a group of one is its member
+            node = members[0] if members else None
+        token = tracing.use(node, path="service")
         try:
             with tracing.span("batch", batch_size=len(ops)):
                 results = self._controller.process_batch(ops)

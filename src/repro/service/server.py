@@ -268,13 +268,9 @@ class AdmissionServer:
         elapsed = self._loop.time() - started
         if trace is not None:
             trace.attrs["status"] = status
-            extra_headers = list(extra_headers) + [
-                ("X-Trace-Id", trace.trace_id)
-            ]
+            extra_headers = [*extra_headers, ("X-Trace-Id", trace.trace_id)]
         if self.config.shard_id is not None:
-            extra_headers = list(extra_headers) + [
-                ("X-Shard-Id", self.config.shard_id)
-            ]
+            extra_headers = [*extra_headers, ("X-Shard-Id", self.config.shard_id)]
         # Group the per-request updates so a concurrent snapshot never
         # sees the counter without its latency observation.
         with metrics.registry().hold():
@@ -397,7 +393,8 @@ class AdmissionServer:
                 if request.path == "/v1/check"
                 else AdmissionOp.admit(period_s, payload_bits)
             )
-        tracing.annotate(op=op.kind)
+        if trace is not None:
+            trace.attrs["op"] = op.kind
 
         def done(result) -> None:
             connection.respond(

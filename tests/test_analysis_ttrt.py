@@ -1,6 +1,7 @@
 """TTRT selection: the sqrt rule, feasibility clamps, the exact optimum."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,9 +282,9 @@ class TestBatchedSaturationScales:
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_optimum_does_not_depend_on_the_slab_size(self, monkeypatch, seed):
-        """The block size bounds memory only: the selected TTRT is
-        bit-identical one edge per block, in many blocks (where the bound
-        prunes), in one block, and as the scalar oracle's best over every
+        """The slice size bounds memory only: the selected TTRT is
+        bit-identical about one edge per slice, in many slices (where the
+        bound prunes), in one slice, and as the scalar oracle's best over every
         edge, unpruned."""
         from repro.analysis import ttrt as ttrt_mod
 
@@ -295,3 +296,47 @@ class TestBatchedSaturationScales:
             chosen.append(optimal_ttrt(*args).hex())
         chosen.append(best_edge(*args)[0].hex())
         assert len(set(chosen)) == 1
+
+
+class TestLongPeriodEdges:
+    """One long period multiplies the edges (``Σ P_i / lower`` of them):
+    ``optimal_ttrt`` must build them one slice at a time, bounding each
+    slice before its edges exist, and still pick the scalar scan's edge."""
+
+    @staticmethod
+    def counting_edges(monkeypatch):
+        """Record the size of every edge array ``optimal_ttrt`` builds."""
+        from repro.analysis import ttrt as ttrt_mod
+
+        built = []
+        original = ttrt_mod._piece_edges
+
+        def piece_edges(periods, low, high):
+            edges = original(periods, low, high)
+            built.append(edges.size)
+            return edges
+
+        monkeypatch.setattr(ttrt_mod, "_piece_edges", piece_edges)
+        return built, ttrt_mod._SLAB_CANDIDATES
+
+    def test_memory_follows_the_slice_not_the_edge_count(self, monkeypatch):
+        # About 1.9 million edges: all of them at once peaked at ~80 MB.
+        built, slab = self.counting_edges(monkeypatch)
+        periods = [0.285, 0.487, 0.701, 200.0]
+        tracemalloc.start()
+        try:
+            chosen = optimal_ttrt(periods, [1e-4] * 4, 1e-4, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < max(built) <= slab + len(periods)
+        assert peak < 8e6
+        assert chosen == 0.285 / 48  # the parent's choice, bit for bit
+
+    def test_choice_equals_the_unpruned_scalar_scan(self, monkeypatch):
+        built, slab = self.counting_edges(monkeypatch)
+        periods, payloads = [0.285, 0.487, 0.701, 20.0], [1e-4] * 4
+        args = (periods, payloads, 1e-3, 1e-6)
+        assert len(domain_edges(periods, 1e-3, 1e-6)) > 10 * slab
+        assert optimal_ttrt(*args).hex() == best_edge(*args)[0].hex()
+        assert 0 < max(built) <= slab + len(periods)

@@ -169,6 +169,25 @@ class TestAggregation:
         tracing.reset()
         assert tracing.snapshot() == {}
 
+    def test_open_span_records_after_a_reset(self):
+        with tracing.span("outer"):
+            with tracing.span("inner"):
+                pass
+            tracing.reset()
+        snap = tracing.snapshot()
+        assert set(snap) == {"outer"}
+        assert snap["outer"]["count"] == 1
+
+    def test_a_slash_in_a_name_is_the_same_path_as_nesting(self):
+        with tracing.span("a/b"):
+            pass
+        with tracing.span("a"):
+            with tracing.span("b"):
+                pass
+        snap = tracing.snapshot()
+        assert set(snap) == {"a", "a/b"}
+        assert snap["a/b"]["count"] == 2
+
     def test_use_path_roots_the_spans_below_it(self):
         token = tracing.use(None, path="service")
         try:
@@ -312,6 +331,60 @@ class TestTracerSinks:
         assert len(slow) == 1
         assert slow[0].trace_id == span.trace_id
         assert slow[0].trace["spans"][0]["name"] == "batch"
+
+
+class TestTracerConcurrency:
+    """``begin`` at rate 1.0 and ``finish`` without a JSONL sink take no
+    lock; fractional rates still serialize the accumulator."""
+
+    @staticmethod
+    def hammer(tracer: Tracer, threads: int, per_thread: int) -> list:
+        """Begin and finish from many threads while one reads the buffer;
+        returns every trace id begun."""
+        ids: list = []
+        stop = threading.Event()
+
+        def work():
+            for _ in range(per_thread):
+                span = tracer.begin("request")
+                if span is not None:
+                    ids.append(span.trace_id)
+                tracer.finish(span, duration_s=0.0)
+
+        def read():
+            while not stop.is_set():
+                tracer.recent()
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader = threading.Thread(target=read)
+            reader.start()
+            workers = [threading.Thread(target=work) for _ in range(threads)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(30.0)
+                assert not thread.is_alive()
+            stop.set()
+            reader.join(30.0)
+            assert not reader.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        return ids
+
+    def test_every_request_sampled_once_at_rate_one(self):
+        tracer = Tracer(1.0, buffer_size=64)
+        ids = self.hammer(tracer, threads=8, per_thread=300)
+        assert len(ids) == len(set(ids)) == 8 * 300
+        recent = tracer.recent()
+        assert len(recent) == 64
+        assert {t["trace_id"] for t in recent} <= set(ids)
+
+    def test_fractional_rate_keeps_its_exact_count(self):
+        tracer = Tracer(0.25, buffer_size=64)
+        ids = self.hammer(tracer, threads=8, per_thread=300)
+        assert len(ids) == len(set(ids)) == 8 * 300 // 4
 
 
 class TestContextPropagation:

@@ -10,6 +10,8 @@ change a decision (the transport-level twin of the
 from __future__ import annotations
 
 import asyncio
+import json
+import socket
 import threading
 
 import pytest
@@ -18,6 +20,7 @@ from repro.errors import ServiceError
 from repro.obs import prometheus
 from repro.obs.tracing import TRACE_SCHEMA_VERSION
 from repro.service import AdmissionServer, ServiceClient, ServiceConfig
+from repro.service.http import encode_request
 
 
 class _ServerThread:
@@ -242,3 +245,128 @@ class TestSlowTraceLog:
                 client.check(0.032, 512.0)
                 snapshot = client.metrics()["metrics"]
         assert snapshot["trace.slow"]["value"] >= 1
+
+
+def _exchange(sock: socket.socket, request: bytes) -> tuple[dict, dict]:
+    """Send one request; return its (lower-cased) headers and JSON body."""
+    sock.sendall(request)
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, "server closed the connection"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    headers = {}
+    for line in head.decode("latin-1").split("\r\n")[1:]:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    while len(body) < int(headers["content-length"]):
+        chunk = sock.recv(65536)
+        assert chunk, "server closed the connection"
+        body += chunk
+    return headers, json.loads(body)
+
+
+def _shape(span: dict):
+    """Names, nesting and attribute keys of a serialized span tree."""
+    return (
+        span["name"],
+        sorted(span["attrs"]),
+        [_shape(child) for child in span.get("spans", [])],
+    )
+
+
+def _nodes(span: dict) -> list[dict]:
+    """Every descendant of ``span``, in tree order."""
+    out = []
+    for child in span.get("spans", []):
+        out.append(child)
+        out.extend(_nodes(child))
+    return out
+
+
+class TestSharedBatchTrace:
+    """Two requests answered by one flush: the batch, engine and cache
+    spans are one shared node in both traces, and every sink serializes
+    the same document."""
+
+    def test_one_flush_shares_its_subtree_across_both_traces(self, tmp_path):
+        jsonl = tmp_path / "traces.jsonl"
+        helper = _ServerThread(_config(1.0, trace_jsonl=str(jsonl)))
+        check = encode_request(
+            "POST",
+            "/v1/check",
+            "test",
+            json.dumps({"period_s": 0.032, "payload_bits": 512.0}).encode(),
+        )
+        with helper as server:
+            socks = [
+                socket.create_connection(("127.0.0.1", server.port), timeout=30)
+                for _ in range(2)
+            ]
+            try:
+                # One answered check per connection: both are accepted,
+                # and the decision is cached before the shared batch.
+                for sock in socks:
+                    _exchange(sock, check)
+                # Hold the loop while both checks are sent, so one loop
+                # tick reads both and one flush answers them.
+                held, resume = threading.Event(), threading.Event()
+                helper._loop.call_soon_threadsafe(
+                    lambda: (held.set(), resume.wait(10.0))
+                )
+                assert held.wait(10.0)
+                for sock in socks:
+                    sock.sendall(check)
+                resume.set()
+                replies = [_exchange(sock, b"") for sock in socks]
+            finally:
+                for sock in socks:
+                    sock.close()
+            with ServiceClient(port=server.port) as client:
+                served = {t["trace_id"]: t for t in client.traces()["traces"]}
+        logged = {}
+        for line in jsonl.read_text().splitlines():
+            document = json.loads(line)
+            logged[document["trace_id"]] = document
+
+        trace_ids = [headers["x-trace-id"] for headers, _ in replies]
+        assert len(set(trace_ids)) == 2
+        assert replies[0][1] == replies[1][1]
+        traces = [served[trace_id] for trace_id in trace_ids]
+        for trace in traces:
+            assert trace["schema_version"] == TRACE_SCHEMA_VERSION
+            assert trace["attrs"]["status"] == 200
+            assert trace["attrs"]["op"] == "check"
+            assert _shape(trace) == (
+                "request",
+                ["method", "op", "path", "status"],
+                [
+                    (
+                        "batch",
+                        ["batch_size"],
+                        [
+                            (
+                                "engine",
+                                ["candidates"],
+                                [("cache", ["cache_hits", "namespace"], [])],
+                            )
+                        ],
+                    )
+                ],
+            )
+            (batch,) = trace["spans"]
+            assert batch["attrs"]["batch_size"] == 2
+            assert batch["spans"][0]["spans"][0]["attrs"]["cache_hits"] == 2
+            start, end = trace["start_ts"], trace["start_ts"] + trace["duration_s"]
+            for node in _nodes(trace):
+                assert start <= node["start_ts"] <= end, node["name"]
+            # the JSONL sink wrote the very document /v1/traces serves
+            assert logged[trace["trace_id"]] == trace
+        first, second = (_nodes(trace) for trace in traces)
+        assert [n["name"] for n in first] == ["batch", "engine", "cache"]
+        for a, b in zip(first, second):
+            assert a["span_id"] == b["span_id"]
+            assert a["start_ts"] == b["start_ts"]
+            assert a["duration_s"] == b["duration_s"]
+        assert traces[0]["span_id"] != traces[1]["span_id"]
